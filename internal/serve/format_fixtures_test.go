@@ -1,0 +1,470 @@
+package serve
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"odds/internal/core"
+	"odds/internal/detector"
+	"odds/internal/distance"
+	"odds/internal/drift"
+	"odds/internal/kernel"
+	"odds/internal/mdef"
+	"odds/internal/quantile"
+	"odds/internal/sample"
+	"odds/internal/varest"
+	"odds/internal/window"
+)
+
+// Cross-format fixtures. Every binary state and control format in the
+// tree has one committed fixture under testdata/formats, built from a
+// fixed seed and arrival count by the format's own encoder. The table
+// below pins three properties per format:
+//
+//   - encode == fixture bytes (the encoder has not moved a byte);
+//   - decode → re-encode == fixture bytes (the decoder loses nothing).
+//
+// The per-format fuzz targets and malformed-frame tables go deeper on one
+// format each; this is the row across all of them.
+//
+// Regenerate (only when a format is meant to change) with
+//
+//	go test ./internal/serve -run TestFormatFixtures -update-fixtures
+var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/formats/*.bin from the current encoders")
+
+// formatCase is one row: build encodes the fixture's value from scratch;
+// reencode decodes data and encodes the decoded value again.
+type formatCase struct {
+	name     string
+	build    func() ([]byte, error)
+	reencode func(data []byte) ([]byte, error)
+}
+
+// fixtureStream is the deterministic reading source every fixture draws
+// from: values in [0.2, 0.8), dim coordinates per reading.
+func fixtureStream(seed int64, n, dim int) []window.Point {
+	r := rand.New(rand.NewSource(seed))
+	pts := make([]window.Point, n)
+	for i := range pts {
+		p := make(window.Point, dim)
+		for d := range p {
+			p[d] = 0.2 + 0.6*r.Float64()
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+func fixtureCoreConfig(dim int) core.Config {
+	c := core.DefaultConfig(dim)
+	c.WindowCap = 16
+	c.SampleSize = 4
+	c.RebuildEvery = 3
+	return c
+}
+
+// fixtureEstimator is the kernelchain-style estimator (recycling +
+// incremental model) after 54 arrivals: the last model refresh is four
+// arrivals back, so the pending-slot queue is non-empty.
+func fixtureEstimator() *core.Estimator {
+	cfg := fixtureCoreConfig(2)
+	est := core.NewEstimator(cfg, cfg.WindowCap, float64(cfg.WindowCap), rand.New(rand.NewSource(11)))
+	est.EnableSampleRecycling()
+	est.EnableIncrementalModel()
+	for i, p := range fixtureStream(12, 54, 2) {
+		est.Observe(p)
+		if i%5 == 4 {
+			est.Model()
+		}
+	}
+	return est
+}
+
+func fixtureDetectorConfig(kind detector.Kind) detector.Config {
+	return detector.Config{
+		Kind:      kind,
+		Dim:       2,
+		Seed:      21,
+		Criterion: detector.CriterionDistance,
+		Core:      fixtureCoreConfig(2),
+		Distance:  distance.Params{Radius: 0.1, Threshold: 2},
+		MDEF:      mdef.Params{R: 0.2, AlphaR: 0.05, KSigma: 1.5},
+		Qn:        detector.QnConfig{Eps: 0.1, Lag: 3, K: 3, MinN: 8},
+		Coreset:   detector.CoresetConfig{Size: 6, RebuildEvery: 4, WindowCount: 16, MinN: 8},
+		EWMA:      detector.EWMAConfig{Lambda: 0.2, K: 3, MinN: 8},
+	}
+}
+
+func fixtureDriftBank() drift.Config {
+	return drift.Config{Window: 8, CheckEvery: 4, Cooldown: 8, KSD: 0.5, PHDelta: 0.01, PHLambda: 4, MKZ: 3}
+}
+
+// fixturePipelineConfig arms everything a pipeline snapshot can carry:
+// the kernelchain default, a second backend behind a selector rule, and
+// the drift monitor with its JS reference model.
+func fixturePipelineConfig() PipelineConfig {
+	return PipelineConfig{
+		Core:     fixtureCoreConfig(1),
+		Kind:     DetectDistance,
+		Distance: distance.Params{Radius: 0.1, Threshold: 2},
+		MDEF:     mdef.Params{R: 0.2, AlphaR: 0.05, KSigma: 1.5},
+		Seed:     31,
+		Drift: DriftConfig{
+			Enabled:      true,
+			SampleEvery:  2,
+			Detector:     fixtureDriftBank(),
+			JSEvery:      4,
+			JSThreshold:  0.15,
+			JSGridPoints: 4,
+		},
+		Backends: detector.Params{EWMA: detector.EWMAConfig{Lambda: 0.2, K: 3, MinN: 8}},
+		Selector: []BackendRule{{Prefix: "e-", Backend: detector.KindEWMA}},
+	}
+}
+
+func fixturePipelineBlob(cfg PipelineConfig, seed int64, n int) ([]byte, error) {
+	p, err := NewPipeline(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i, pt := range fixtureStream(seed, n, cfg.Core.Dim) {
+		sensor := "k-0"
+		if i%3 == 0 {
+			sensor = "e-0"
+		}
+		p.IngestSensor(sensor, pt)
+	}
+	return p.Snapshot()
+}
+
+// fixtureLightConfig is the smallest pipeline (ewma default, 1-D): its
+// snapshots are the payload inside the ODSV and ODSH fixtures, whose
+// subject is the framing, not the blob.
+func fixtureLightConfig() PipelineConfig {
+	cfg := fixturePipelineConfig()
+	cfg.Drift = DriftConfig{}
+	cfg.Selector = nil
+	cfg.Backend = detector.KindEWMA
+	return cfg
+}
+
+func fixtureReadings() []Reading {
+	pts := fixtureStream(41, 5, 2)
+	rs := make([]Reading, len(pts))
+	for i, p := range pts {
+		rs[i] = Reading{Sensor: fmt.Sprintf("s-%d", i%3), Value: p}
+	}
+	return rs
+}
+
+const fixtureWireFP = uint64(0x0123456789abcdef)
+
+func marshalTwice(m interface{ MarshalBinary() ([]byte, error) }, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return m.MarshalBinary()
+}
+
+func detectorCase(kind detector.Kind) formatCase {
+	cfg := fixtureDetectorConfig(kind)
+	return formatCase{
+		name: "ODDB-" + string(kind),
+		build: func() ([]byte, error) {
+			d, err := detector.New(cfg)
+			if err != nil {
+				return nil, err
+			}
+			for _, p := range fixtureStream(22, 60, cfg.Dim) {
+				d.Ingest(p)
+			}
+			return d.Snapshot()
+		},
+		reencode: func(data []byte) ([]byte, error) {
+			d, err := detector.New(cfg)
+			if err != nil {
+				return nil, err
+			}
+			if err := d.Restore(data); err != nil {
+				return nil, err
+			}
+			return d.Snapshot()
+		},
+	}
+}
+
+func formatCases() []formatCase {
+	cases := []formatCase{
+		{
+			name: "ODSB",
+			build: func() ([]byte, error) {
+				c := sample.NewChain(4, 16, 2, rand.New(rand.NewSource(1)))
+				for _, p := range fixtureStream(2, 40, 2) {
+					c.Push(p)
+				}
+				return c.MarshalBinary()
+			},
+			reencode: func(data []byte) ([]byte, error) {
+				return marshalTwice(sample.UnmarshalChain(data, rand.New(rand.NewSource(1))))
+			},
+		},
+		{
+			name: "ODVE",
+			build: func() ([]byte, error) {
+				e := varest.New(32, 0.2)
+				for _, p := range fixtureStream(3, 100, 1) {
+					e.Push(p[0])
+				}
+				return e.MarshalBinary()
+			},
+			reencode: func(data []byte) ([]byte, error) {
+				return marshalTwice(varest.UnmarshalEstimator(data))
+			},
+		},
+		{
+			name:  "ODES",
+			build: func() ([]byte, error) { return fixtureEstimator().MarshalBinary() },
+			reencode: func(data []byte) ([]byte, error) {
+				return marshalTwice(core.UnmarshalEstimator(data, rand.New(rand.NewSource(11))))
+			},
+		},
+		{
+			name: "ODDS",
+			build: func() ([]byte, error) {
+				m, err := kernel.New(fixtureStream(4, 6, 2), []float64{0.05, 0.08}, 16)
+				if err != nil {
+					return nil, err
+				}
+				return m.MarshalBinary()
+			},
+			reencode: func(data []byte) ([]byte, error) {
+				return marshalTwice(kernel.UnmarshalEstimator(data))
+			},
+		},
+		{
+			name: "ODKM",
+			build: func() ([]byte, error) {
+				// One maintenance cycle that replaces one slot and then empties
+				// another (an insert would consume the tombstone), so the layout carries a tombstone.
+				pts := fixtureStream(7, 5, 2)
+				m, err := kernel.NewMaintained(pts[:4], []int{0, 1, 2, 3}, 8, []float64{0.05, 0.08}, 16)
+				if err != nil {
+					return nil, err
+				}
+				m.BeginMaintain()
+				m.SetSlot(1, pts[4])
+				m.SetSlot(3, nil)
+				if err := m.FinishMaintain([]float64{0.05, 0.08}, 15); err != nil {
+					return nil, err
+				}
+				return m.MarshalBinary()
+			},
+			reencode: func(data []byte) ([]byte, error) {
+				return marshalTwice(kernel.UnmarshalEstimator(data))
+			},
+		},
+		{
+			name: "ODGK",
+			build: func() ([]byte, error) {
+				s := quantile.New(0.1)
+				for _, p := range fixtureStream(5, 50, 1) {
+					s.Insert(p[0])
+				}
+				return s.MarshalBinary()
+			},
+			reencode: func(data []byte) ([]byte, error) {
+				return marshalTwice(quantile.UnmarshalGK(data))
+			},
+		},
+		{
+			name: "ODDM",
+			build: func() ([]byte, error) {
+				m, err := drift.NewMonitor(2, fixtureDriftBank())
+				if err != nil {
+					return nil, err
+				}
+				for _, p := range fixtureStream(6, 30, 2) {
+					m.Observe(p)
+				}
+				return m.MarshalBinary()
+			},
+			reencode: func(data []byte) ([]byte, error) {
+				return marshalTwice(drift.UnmarshalMonitor(data))
+			},
+		},
+		detectorCase(detector.KindKernelChain),
+		detectorCase(detector.KindQn),
+		detectorCase(detector.KindCoreset),
+		detectorCase(detector.KindEWMA),
+		{
+			name:  "ODPS",
+			build: func() ([]byte, error) { return fixturePipelineBlob(fixturePipelineConfig(), 32, 48) },
+			reencode: func(data []byte) ([]byte, error) {
+				p, err := RestorePipeline(fixturePipelineConfig(), data)
+				if err != nil {
+					return nil, err
+				}
+				return p.Snapshot()
+			},
+		},
+		{
+			name: "ODSV",
+			build: func() ([]byte, error) {
+				cfg := fixtureLightConfig()
+				blobs := make([][]byte, 2)
+				for i := range blobs {
+					var err error
+					if blobs[i], err = fixturePipelineBlob(cfg, 33+int64(i), 20); err != nil {
+						return nil, err
+					}
+				}
+				return encodeFile(2, cfg, blobs), nil
+			},
+			reencode: func(data []byte) ([]byte, error) {
+				cfg := fixtureLightConfig()
+				blobs, err := decodeFile(data, 2, cfg)
+				if err != nil {
+					return nil, err
+				}
+				return encodeFile(2, cfg, blobs), nil
+			},
+		},
+		{
+			name: "ODSH",
+			build: func() ([]byte, error) {
+				cfg := fixtureLightConfig()
+				blob, err := fixturePipelineBlob(cfg, 35, 20)
+				if err != nil {
+					return nil, err
+				}
+				return AppendShipFrame(nil, 3, fingerprint(4, cfg), blob), nil
+			},
+			reencode: func(data []byte) ([]byte, error) {
+				shard, fp, blob, err := DecodeShipFrame(data)
+				if err != nil {
+					return nil, err
+				}
+				return AppendShipFrame(nil, shard, fp, blob), nil
+			},
+		},
+		{
+			name: "ODRP",
+			build: func() ([]byte, error) {
+				return appendReplFrame(nil, 1, 42, fixtureReadings(), 2, fixtureWireFP), nil
+			},
+			reencode: func(data []byte) ([]byte, error) {
+				shard, from, inner, err := decodeReplFrame(data)
+				if err != nil {
+					return nil, err
+				}
+				rs, err := DecodeBatchInto(inner, nil, 2, 64, fixtureWireFP, &Interner{})
+				if err != nil {
+					return nil, err
+				}
+				return appendReplFrame(nil, shard, from, rs, 2, fixtureWireFP), nil
+			},
+		},
+		{
+			name: "ODWB",
+			build: func() ([]byte, error) {
+				return AppendBatch(nil, fixtureReadings(), 2, fixtureWireFP), nil
+			},
+			reencode: func(data []byte) ([]byte, error) {
+				rs, err := DecodeBatchInto(data, nil, 2, 64, fixtureWireFP, &Interner{})
+				if err != nil {
+					return nil, err
+				}
+				return AppendBatch(nil, rs, 2, fixtureWireFP), nil
+			},
+		},
+		{
+			name: "ODWR",
+			build: func() ([]byte, error) {
+				res := []ReadingResult{
+					{Shard: 0, Accepted: true, Seq: 7, Outlier: true, Warmed: true},
+					{Shard: 3, Accepted: true, Seq: 8, Exact: true, Warmed: true},
+					{Shard: 1},
+					{Shard: 2, Accepted: true, Seq: 1 << 40},
+				}
+				return AppendResults(nil, res, 1, 250), nil
+			},
+			reencode: func(data []byte) ([]byte, error) {
+				res, rejected, retryMS, err := DecodeResultsInto(data, nil)
+				if err != nil {
+					return nil, err
+				}
+				return AppendResults(nil, res, rejected, retryMS), nil
+			},
+		},
+		{
+			name: "ODWS",
+			build: func() ([]byte, error) {
+				b := AppendStreamHeader(nil)
+				b = AppendVerdictFrame(b, Event{Sensor: "s-0", Shard: 2, Seq: 9, Outlier: true, Warmed: true})
+				b = AppendGapFrame(b, 17)
+				b = AppendVerdictFrame(b, Event{Sensor: "sensor-long-name", Shard: 0, Seq: 10, Exact: true})
+				return b, nil
+			},
+			reencode: func(data []byte) ([]byte, error) {
+				sr := NewStreamReader(bytes.NewReader(data))
+				out := AppendStreamHeader(nil)
+				for {
+					ev, gap, kind, err := sr.Next()
+					if err == io.EOF && len(data) >= wireStreamHeaderLen {
+						return out, nil
+					}
+					if err != nil {
+						return nil, err
+					}
+					if kind == StreamFrameGap {
+						out = AppendGapFrame(out, gap)
+					} else {
+						out = AppendVerdictFrame(out, ev)
+					}
+				}
+			},
+		},
+	}
+	return cases
+}
+
+func TestFormatFixtures(t *testing.T) {
+	for _, fc := range formatCases() {
+		fc := fc
+		t.Run(fc.name, func(t *testing.T) {
+			path := filepath.Join("testdata", "formats", fc.name+".bin")
+			built, err := fc.build()
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			if *updateFixtures {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, built, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update-fixtures to create)", err)
+			}
+			if !bytes.Equal(built, want) {
+				t.Fatalf("encoder output (%d bytes) differs from fixture (%d bytes)", len(built), len(want))
+			}
+			again, err := fc.reencode(want)
+			if err != nil {
+				t.Fatalf("decode fixture: %v", err)
+			}
+			if !bytes.Equal(again, want) {
+				t.Fatalf("decode → re-encode (%d bytes) differs from fixture (%d bytes)", len(again), len(want))
+			}
+		})
+	}
+}
