@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-all bench-fault bench-rebuild bench-serve bench-wire bench-drift bench-backends serve-smoke cluster-smoke chaos cluster-chaos experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-serve bench-wire bench-drift bench-backends serve-smoke cluster-smoke chaos cluster-chaos experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
-# parallel evaluation harness and the concurrent runtime are only correct
+# parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet test race
+all: build vet check-binfmt test race
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,26 @@ race:
 
 cover:
 	$(GO) test -cover ./...
+
+# One cursor: every state and control format decodes through
+# internal/binfmt. Besides that package, only the ODWP hot-path codec may
+# import encoding/binary (its per-reading loops stay on fixed offsets);
+# any other non-test importer is a second hand-rolled reader creeping in.
+check-binfmt:
+	@bad=$$(grep -rl '"encoding/binary"' --include='*.go' --exclude='*_test.go' internal cmd examples *.go \
+		| grep -v -e '^internal/binfmt/' -e '^internal/serve/codec\.go$$'); \
+	if [ -n "$$bad" ]; then \
+		echo "encoding/binary imported outside internal/binfmt and internal/serve/codec.go:"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# The serving benchmark BENCHMARK.json declares (bench/README.md): every
+# workload end to end, or every phase in a second or two as a smoke.
+benchmark:
+	$(GO) run ./bench
+
+benchmark-smoke:
+	$(GO) run ./bench -smoke
 
 # Benchmark suites whose numbers land in BENCH_KERNEL.json (update the
 # file from this output when the query engine changes). The end-to-end

@@ -110,7 +110,7 @@ type Deployment struct {
 	// phases.
 	effUp   map[tagsim.NodeID]upEntry
 	effCh   map[tagsim.NodeID][]tagsim.NodeID
-	mu      sync.Mutex // guards reports and buf (concurrent runs flag in parallel)
+	mu      sync.Mutex // guards reports and buf (RunParallel phases flag in parallel)
 	reports []Report
 	// buf, when non-nil, redirects reports into per-node slots during a
 	// RunParallel epoch phase; flushing them in slot order before message
@@ -346,11 +346,11 @@ func (d *Deployment) Run(epochs int) {
 
 // RunParallel executes the given number of epochs like Run, stepping the
 // nodes' per-epoch work across at most workers goroutines (workers <= 0
-// selects GOMAXPROCS; 1 falls back to Run). Unlike RunConcurrent it stays
-// fully deterministic: for a fixed seed, Reports and Messages are
-// bit-identical to Run. Sends and outlier reports raised during the
-// concurrent phase are buffered per node and flushed in node order before
-// message delivery, which itself remains serial.
+// selects GOMAXPROCS; 1 falls back to Run). It stays fully deterministic:
+// for a fixed seed, Reports and Messages are bit-identical to Run. Sends
+// and outlier reports raised during the concurrent phase are buffered per
+// node and flushed in node order before message delivery, which itself
+// remains serial.
 func (d *Deployment) RunParallel(epochs, workers int) {
 	pool := parallel.New(workers)
 	if pool.Workers() <= 1 {
@@ -371,22 +371,6 @@ func (d *Deployment) RunParallel(epochs, workers int) {
 			d.mu.Unlock()
 		})
 	}
-	d.epochs += epochs
-}
-
-// RunConcurrent executes the given number of epochs with one goroutine per
-// node. Reports from concurrent runs arrive in nondeterministic order.
-// Run and RunConcurrent may be interleaved; node state carries over.
-func (d *Deployment) RunConcurrent(epochs int) {
-	rt := network.NewRuntime(d.nodes)
-	defer rt.Close()
-	if d.plan != nil {
-		rt.SetFaults(d.plan)
-	}
-	if d.effUp != nil {
-		rt.SetBeforeEpoch(d.prologue)
-	}
-	rt.Run(epochs)
 	d.epochs += epochs
 }
 

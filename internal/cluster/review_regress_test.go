@@ -151,3 +151,46 @@ func TestStreamClientDefaultHasNoTimeout(t *testing.T) {
 		t.Fatal("default streamClient transport has no response-header timeout")
 	}
 }
+
+// TestSequencerCountsRingDropsOnce: a node ring drop reaches the router
+// twice — as the node's own gap frame and, right after it on the same
+// stream, as a seq jump. The merged stream must report the lost events
+// once (TestRoutedLoadAgreement's conservation check failed whenever a
+// subscriber fell behind), while a jump no gap frame announced — loss
+// between node and router — is still reported in full.
+func TestSequencerCountsRingDropsOnce(t *testing.T) {
+	type step struct {
+		src     int
+		drop    uint64 // nonzero: an upstream gap frame of this size
+		shard   int
+		seq     uint64
+		gap     uint64
+		deliver bool
+	}
+	steps := []step{
+		{src: 0, shard: 0, seq: 5, deliver: true},          // baseline
+		{src: 0, shard: 1, seq: 9, deliver: true},          // baseline
+		{src: 0, shard: 0, seq: 6, deliver: true},          // in order
+		{src: 0, drop: 5},                                  // node dropped 0:7-9 and 1:10-11
+		{src: 0, shard: 0, seq: 10, deliver: true},         // jump of 3, already reported
+		{src: 0, shard: 1, seq: 12, deliver: true},         // jump of 2, already reported
+		{src: 0, shard: 0, seq: 10},                        // duplicate
+		{src: 0, shard: 1, seq: 15, gap: 2, deliver: true}, // unannounced loss
+		{src: 1, drop: 4},                                  // another node's drop...
+		{src: 0, shard: 0, seq: 13, gap: 2, deliver: true}, // ...explains nothing here
+		{src: 1, shard: 2, seq: 3, deliver: true},          // baseline: credit stays
+		{src: 1, shard: 2, seq: 6, deliver: true},          // jump of 2, from src 1's drop
+		{src: 0, shard: 7},                                 // unknown shard
+	}
+	seq := sequencer{lastSeq: make([]uint64, 3), credit: make([]uint64, 2)}
+	for i, st := range steps {
+		if st.drop > 0 {
+			seq.ringDrop(st.src, st.drop)
+			continue
+		}
+		gap, deliver := seq.event(st.src, serve.Event{Shard: st.shard, Seq: st.seq})
+		if gap != st.gap || deliver != st.deliver {
+			t.Fatalf("step %d (%+v): gap %d deliver %t", i, st, gap, deliver)
+		}
+	}
+}

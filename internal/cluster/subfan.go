@@ -30,19 +30,58 @@ import (
 //
 // Across a clean migration the target resumes exactly where the source
 // sealed, so the merged stream stays contiguous: zero gaps, zero
-// duplicates. Node-side ring-drop gap frames are forwarded as-is.
+// duplicates. Node-side ring-drop gap frames are forwarded as-is, and
+// the seq jump the same drop shows the sequencer next is not reported a
+// second time (see sequencer.credit).
 
 // upMsg is one frame from one upstream node stream.
 type upMsg struct {
+	src  int // index of the upstream stream the frame came from
 	ev   serve.Event
 	gap  uint64
 	kind byte
 	err  error // stream ended (io.EOF for a clean close)
 }
 
+// sequencer is the merge state of one client subscription.
+type sequencer struct {
+	lastSeq []uint64 // per shard; 0 means "not yet baselined"
+	// credit is, per upstream stream, the ring drops that stream has
+	// already reported (and the router forwarded) but that no seq jump
+	// has been matched to yet. A node's gap frame precedes the events
+	// that survived the drop, so the jump it causes arrives right after
+	// it on the same stream; counting both would report each dropped
+	// event twice.
+	credit []uint64
+}
+
+// ringDrop records an upstream gap frame of n dropped events.
+func (s *sequencer) ringDrop(src int, n uint64) { s.credit[src] += n }
+
+// event runs the per-shard rules on one upstream verdict: deliver reports
+// whether to pass it on, gap how many lost events to report before it.
+func (s *sequencer) event(src int, ev serve.Event) (gap uint64, deliver bool) {
+	if ev.Shard < 0 || ev.Shard >= len(s.lastSeq) {
+		return 0, false
+	}
+	last := s.lastSeq[ev.Shard]
+	switch {
+	case last == 0:
+	case ev.Seq <= last:
+		return 0, false // duplicate from a rewound promotion: discard
+	case ev.Seq > last+1:
+		gap = ev.Seq - last - 1
+		reported := min(gap, s.credit[src])
+		s.credit[src] -= reported
+		gap -= reported
+	}
+	s.lastSeq[ev.Shard] = ev.Seq
+	return gap, true
+}
+
 // openUpstream attaches one binary subscription to a node and pumps its
 // frames into ch until the stream or ctx ends.
-func openUpstream(ctx context.Context, client *http.Client, nodeURL, rawQuery string, ch chan<- upMsg) error {
+func openUpstream(ctx context.Context, client *http.Client, src int, nodeURL, rawQuery string, ch chan<- upMsg) error {
 	u := nodeURL + "/subscribe?" + rawQuery
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -64,13 +103,13 @@ func openUpstream(ctx context.Context, client *http.Client, nodeURL, rawQuery st
 			ev, gap, kind, err := sr.Next()
 			if err != nil {
 				select {
-				case ch <- upMsg{err: err}:
+				case ch <- upMsg{src: src, err: err}:
 				case <-ctx.Done():
 				}
 				return
 			}
 			select {
-			case ch <- upMsg{ev: ev, gap: gap, kind: kind}:
+			case ch <- upMsg{src: src, ev: ev, gap: gap, kind: kind}:
 			case <-ctx.Done():
 				return
 			}
@@ -128,7 +167,7 @@ func (r *Router) handleSubscribe(w http.ResponseWriter, req *http.Request) {
 		if dead[id] {
 			continue
 		}
-		if err := openUpstream(ctx, r.streamClient, nodeURL, up.Encode(), ch); err != nil {
+		if err := openUpstream(ctx, r.streamClient, streams, nodeURL, up.Encode(), ch); err != nil {
 			http.Error(w, fmt.Sprintf("node %d: %v", id, err), http.StatusServiceUnavailable)
 			return
 		}
@@ -154,8 +193,7 @@ func (r *Router) handleSubscribe(w http.ResponseWriter, req *http.Request) {
 	}
 	flusher.Flush()
 
-	// The per-shard sequencer. lastSeq == 0 means "not yet baselined".
-	lastSeq := make([]uint64, m.Shards)
+	seq := sequencer{lastSeq: make([]uint64, m.Shards), credit: make([]uint64, streams)}
 
 	emit := func(ev serve.Event, gap uint64, kind byte) bool {
 		if binaryOut {
@@ -197,28 +235,18 @@ func (r *Router) handleSubscribe(w http.ResponseWriter, req *http.Request) {
 			}
 			if msg.kind == serve.StreamFrameGap {
 				// Upstream ring drop: already a counted gap — forward.
+				seq.ringDrop(msg.src, msg.gap)
 				if !emit(serve.Event{}, msg.gap, serve.StreamFrameGap) {
 					return
 				}
 				continue
 			}
-			sh := msg.ev.Shard
-			if sh < 0 || sh >= len(lastSeq) {
+			gap, deliver := seq.event(msg.src, msg.ev)
+			if !deliver {
 				continue
 			}
-			last := lastSeq[sh]
-			switch {
-			case last == 0:
-				lastSeq[sh] = msg.ev.Seq
-			case msg.ev.Seq <= last:
-				continue // duplicate from a rewound promotion: discard
-			case msg.ev.Seq > last+1:
-				if !emit(serve.Event{}, msg.ev.Seq-last-1, serve.StreamFrameGap) {
-					return
-				}
-				lastSeq[sh] = msg.ev.Seq
-			default:
-				lastSeq[sh] = msg.ev.Seq
+			if gap > 0 && !emit(serve.Event{}, gap, serve.StreamFrameGap) {
+				return
 			}
 			if !emit(msg.ev, 0, serve.StreamFrameVerdict) {
 				return

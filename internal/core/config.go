@@ -5,9 +5,8 @@
 // MDEF-based outliers, plus the centralized baseline the evaluation
 // compares message costs against (Section 10.3).
 //
-// The node behaviors plug into either execution engine (the deterministic
-// tagsim simulator or the concurrent network runtime) through the
-// tagsim.Node interface.
+// The node behaviors plug into the deterministic tagsim simulator through
+// the tagsim.Node interface.
 package core
 
 import (

@@ -528,39 +528,3 @@ func TestD3CheaperThanCentralized(t *testing.T) {
 		t.Errorf("D3 messages %d not well below centralized %d", d3, central)
 	}
 }
-
-func TestCoreOnConcurrentRuntime(t *testing.T) {
-	// The same D3 node implementations must run under the goroutine
-	// runtime, per the network-model claim that sensors compute
-	// independently.
-	topo := network.NewHierarchy(4, 2)
-	cfg := testConfig(1)
-	prm := distance.Params{Radius: 0.01, Threshold: 10}
-	master := stats.NewRand(37)
-	var nodes []tagsim.Node
-	for _, id := range topo.Leaves() {
-		p, ok := topo.Parent(id)
-		src := stream.NewMixture(stream.DefaultMixture(), cfg.Dim, master.Int63())
-		nodes = append(nodes, NewD3Leaf(id, p, ok, src, cfg, prm, stats.SplitRand(master)))
-	}
-	var parents []*D3Parent
-	for lvl := 1; lvl < topo.Depth(); lvl++ {
-		for _, id := range topo.Levels[lvl] {
-			p, ok := topo.Parent(id)
-			par := NewD3Parent(id, p, ok, len(topo.DescendantLeaves(id)), cfg, prm, stats.SplitRand(master))
-			parents = append(parents, par)
-			nodes = append(nodes, par)
-		}
-	}
-	rt := network.NewRuntime(nodes)
-	defer rt.Close()
-	rt.Run(1200)
-	if rt.Messages() == 0 {
-		t.Error("no messages under concurrent runtime")
-	}
-	for _, p := range parents {
-		if p.Estimator().Arrivals() == 0 {
-			t.Errorf("parent %d starved under concurrent runtime", p.ID())
-		}
-	}
-}

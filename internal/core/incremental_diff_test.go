@@ -60,7 +60,7 @@ func runIncrementalDiff(cfg Config, seed int64, pts []window.Point, restoreAt in
 				if err != nil {
 					return fmt.Sprintf("step %d: model marshal: %v", i, err)
 				}
-				restoredModel, err = kernel.UnmarshalEstimator(mblob)
+				restoredModel, err = kernel.UnmarshalEstimator(mblob, model.MaxSlots())
 				if err != nil {
 					return fmt.Sprintf("step %d: model unmarshal: %v", i, err)
 				}

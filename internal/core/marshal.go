@@ -1,12 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 
+	"odds/internal/binfmt"
 	"odds/internal/sample"
 	"odds/internal/varest"
 )
@@ -26,26 +25,24 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, 128+len(smp))
-	buf = binary.LittleEndian.AppendUint32(buf, estimatorMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.cfg.Dim))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.cfg.WindowCap))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.cfg.SampleSize))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.cfg.Eps))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.cfg.SampleFraction))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.cfg.RebuildEvery))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.cfg.BandwidthScale))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.wcount))
-	buf = binary.LittleEndian.AppendUint64(buf, e.arrivals)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(smp)))
-	buf = append(buf, smp...)
+	w := binfmt.Writer{B: make([]byte, 0, 128+len(smp))}
+	w.U32(estimatorMagic)
+	w.U32(uint32(e.cfg.Dim))
+	w.U64(uint64(e.cfg.WindowCap))
+	w.U64(uint64(e.cfg.SampleSize))
+	w.F64(e.cfg.Eps)
+	w.F64(e.cfg.SampleFraction)
+	w.U64(uint64(e.cfg.RebuildEvery))
+	w.F64(e.cfg.BandwidthScale)
+	w.F64(e.wcount)
+	w.U64(e.arrivals)
+	w.Bytes(smp)
 	for d := 0; d < e.cfg.Dim; d++ {
 		vd, err := e.vars.Dimension(d).MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vd)))
-		buf = append(buf, vd...)
+		w.Bytes(vd)
 	}
 	// Incremental-maintenance queue: sample slots that changed after the
 	// last model build and are still waiting to be patched in. Written in
@@ -54,109 +51,65 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 	// the flag itself unset) for estimators without incremental mode.
 	pending := slices.Clone(e.pendingList)
 	slices.Sort(pending)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pending)))
+	w.U32(uint32(len(pending)))
 	for _, s := range pending {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(s))
+		w.U32(uint32(s))
 	}
-	return buf, nil
+	return w.B, nil
 }
 
 // UnmarshalEstimator decodes handoff state; the successor supplies its own
 // random source.
 func UnmarshalEstimator(data []byte, rng *rand.Rand) (*Estimator, error) {
 	fail := func(msg string) (*Estimator, error) { return nil, fmt.Errorf("core: %s", msg) }
-	if len(data) < 4 {
-		return fail("truncated estimator encoding")
-	}
-	if binary.LittleEndian.Uint32(data) != estimatorMagic {
+	r := binfmt.NewReader(data)
+	if r.U32() != estimatorMagic {
 		return fail("bad estimator magic")
 	}
-	data = data[4:]
-	read32 := func() (uint32, bool) {
-		if len(data) < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(data)
-		data = data[4:]
-		return v, true
-	}
-	read64 := func() (uint64, bool) {
-		if len(data) < 8 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(data)
-		data = data[8:]
-		return v, true
-	}
-	dim32, ok := read32()
-	if !ok {
-		return fail("truncated header")
-	}
-	var hdr [7]uint64
-	for i := range hdr {
-		if hdr[i], ok = read64(); !ok {
-			return fail("truncated header")
-		}
-	}
 	cfg := Config{
-		Dim:            int(dim32),
-		WindowCap:      int(hdr[0]),
-		SampleSize:     int(hdr[1]),
-		Eps:            math.Float64frombits(hdr[2]),
-		SampleFraction: math.Float64frombits(hdr[3]),
-		RebuildEvery:   int(hdr[4]),
-		BandwidthScale: math.Float64frombits(hdr[5]),
+		Dim:            int(r.U32()),
+		WindowCap:      int(r.U64()),
+		SampleSize:     int(r.U64()),
+		Eps:            r.F64(),
+		SampleFraction: r.F64(),
+		RebuildEvery:   int(r.U64()),
+		BandwidthScale: r.F64(),
+	}
+	wcount := r.F64()
+	arrivals := r.U64()
+	smpBlob := r.Bytes()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("core: estimator header: %w", err)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	wcount := math.Float64frombits(hdr[6])
-	arrivals, ok := read64()
-	if !ok {
-		return fail("truncated header")
-	}
-
-	smpLen, ok := read32()
-	if !ok || len(data) < int(smpLen) {
-		return fail("truncated sample payload")
-	}
-	smp, err := sample.UnmarshalChain(data[:smpLen], rng)
+	smp, err := sample.UnmarshalChain(smpBlob, rng)
 	if err != nil {
 		return nil, err
 	}
-	data = data[smpLen:]
 	if smp.Dim() != cfg.Dim {
 		return fail("sample dimensionality mismatch")
 	}
 
 	sketches := make([]*varest.Estimator, cfg.Dim)
-	for d := 0; d < cfg.Dim; d++ {
-		vLen, ok := read32()
-		if !ok || len(data) < int(vLen) {
-			return fail("truncated sketch payload")
+	for d := range sketches {
+		blob := r.Bytes()
+		if r.Err() != nil {
+			break
 		}
-		sketches[d], err = varest.UnmarshalEstimator(data[:vLen])
-		if err != nil {
+		if sketches[d], err = varest.UnmarshalEstimator(blob); err != nil {
 			return nil, err
 		}
-		data = data[vLen:]
-	}
-	nPend, ok := read32()
-	if !ok {
-		return fail("truncated pending-slot section")
 	}
 	var pendingList []int32
 	var pendingSet []bool
-	if nPend > 0 {
-		if int(nPend) > smp.Size() || len(data) < 4*int(nPend) {
-			return fail("implausible pending-slot section")
-		}
+	if nPend := r.Count(4, smp.Size()); nPend > 0 {
 		pendingList = make([]int32, 0, smp.Size())
 		pendingSet = make([]bool, smp.Size())
 		prev := int32(-1)
-		for i := 0; i < int(nPend); i++ {
-			s32, _ := read32()
-			s := int32(s32)
+		for i := 0; i < nPend; i++ {
+			s := int32(r.U32())
 			if s <= prev || int(s) >= smp.Size() {
 				return fail("pending slots not ascending in range")
 			}
@@ -165,8 +118,8 @@ func UnmarshalEstimator(data []byte, rng *rand.Rand) (*Estimator, error) {
 			pendingSet[s] = true
 		}
 	}
-	if len(data) != 0 {
-		return fail("trailing bytes")
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("core: estimator encoding: %w", err)
 	}
 
 	e := &Estimator{

@@ -1,11 +1,11 @@
 package detector
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 
+	"odds/internal/binfmt"
 	"odds/internal/kernel"
 	"odds/internal/window"
 )
@@ -121,16 +121,15 @@ func newCoreset(cfg Config) *Coreset {
 }
 
 func (c Config) coresetFingerprint() []byte {
-	var e fpenc
-	e.common(c)
+	e := fingerprintPrefix(c)
 	cs := c.Coreset.WithDefaults()
-	e.u64(uint64(cs.Size))
-	e.u64(uint64(cs.RebuildEvery))
-	e.u64(uint64(cs.WindowCount))
-	e.u64(uint64(cs.MinN))
-	e.f64(c.Distance.Radius)
-	e.f64(c.Distance.Threshold)
-	return e.b
+	e.U64(uint64(cs.Size))
+	e.U64(uint64(cs.RebuildEvery))
+	e.U64(uint64(cs.WindowCount))
+	e.U64(uint64(cs.MinN))
+	e.F64(c.Distance.Radius)
+	e.F64(c.Distance.Threshold)
+	return e.B
 }
 
 func (c *Coreset) Kind() Kind { return KindCoreset }
@@ -291,61 +290,44 @@ func (c *Coreset) Snapshot() ([]byte, error) {
 		}
 	}
 	dim := c.cfg.Dim
-	buf := make([]byte, 0, 64+8*(c.filled*dim+2*dim)+len(modelBlob))
-	buf = binary.LittleEndian.AppendUint64(buf, c.src.s)
-	buf = binary.LittleEndian.AppendUint64(buf, c.n)
-	buf = binary.LittleEndian.AppendUint64(buf, c.flagged)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.filled))
-	if c.dirty {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.sinceBuild))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.mass))
+	w := binfmt.Writer{B: make([]byte, 0, 64+8*(c.filled*dim+2*dim)+len(modelBlob))}
+	w.U64(c.src.s)
+	w.U64(c.n)
+	w.U64(c.flagged)
+	w.U32(uint32(c.filled))
+	w.Bool(c.dirty)
+	w.U64(uint64(c.sinceBuild))
+	w.F64(c.mass)
 	for i := 0; i < c.filled; i++ {
-		buf = appendF64s(buf, c.pts[i])
+		w.F64s(c.pts[i])
 	}
-	buf = appendF64s(buf, c.mean)
-	buf = appendF64s(buf, c.m2)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(modelBlob)))
-	buf = append(buf, modelBlob...)
-	return sealBlob(KindCoreset, c.fp, buf), nil
+	w.F64s(c.mean)
+	w.F64s(c.m2)
+	w.Bytes(modelBlob)
+	return sealBlob(KindCoreset, c.fp, w.B), nil
 }
 
 func (c *Coreset) Restore(blob []byte) error {
-	state, err := openBlob(blob, KindCoreset, c.fp)
+	r, err := openBlob(blob, KindCoreset, c.fp)
 	if err != nil {
 		return err
 	}
-	r := breader{data: state}
-	rngState, ok1 := r.u64()
-	n, ok2 := r.u64()
-	flagged, ok3 := r.u64()
-	filled32, ok4 := r.u32()
-	dirtyB, ok5 := r.u8()
-	sinceBuild, ok6 := r.u64()
-	mass, ok7 := r.f64()
-	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7) || int(filled32) > len(c.pts) {
-		return fmt.Errorf("detector: truncated coreset snapshot")
-	}
 	fresh := newCoreset(c.cfg)
-	fresh.src.s = rngState
-	fresh.filled = int(filled32)
+	fresh.src.s = r.U64()
+	n, flagged := r.U64(), r.U64()
+	fresh.filled = r.Count(8*c.cfg.Dim, len(fresh.pts))
+	dirtyB, sinceBuild, mass := r.U8(), r.U64(), r.F64()
 	for i := 0; i < fresh.filled; i++ {
-		if !r.f64s(fresh.pts[i]) {
-			return fmt.Errorf("detector: truncated coreset snapshot")
-		}
+		r.F64s(fresh.pts[i])
 	}
-	if !(r.f64s(fresh.mean) && r.f64s(fresh.m2)) {
-		return fmt.Errorf("detector: truncated coreset snapshot")
-	}
-	modelBlob, ok := r.bytes()
-	if !ok || len(r.data) != 0 {
-		return fmt.Errorf("detector: truncated coreset snapshot")
+	r.F64s(fresh.mean)
+	r.F64s(fresh.m2)
+	modelBlob := r.Bytes()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("detector: coreset snapshot: %w", err)
 	}
 	if len(modelBlob) > 0 {
-		m, err := kernel.UnmarshalEstimator(modelBlob)
+		m, err := kernel.UnmarshalEstimator(modelBlob, c.cfg.Coreset.Size)
 		if err != nil {
 			return fmt.Errorf("detector: coreset model: %w", err)
 		}

@@ -32,12 +32,12 @@
 package detector
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 
+	"odds/internal/binfmt"
 	"odds/internal/core"
 	"odds/internal/distance"
 	"odds/internal/mdef"
@@ -319,131 +319,50 @@ var (
 // sealBlob frames a backend's state bytes behind its kind and config
 // fingerprint.
 func sealBlob(kind Kind, fp, state []byte) []byte {
-	buf := make([]byte, 0, 20+len(kind)+len(fp)+len(state))
-	buf = binary.LittleEndian.AppendUint32(buf, blobMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, blobVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(kind)))
-	buf = append(buf, kind...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fp)))
-	buf = append(buf, fp...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(state)))
-	buf = append(buf, state...)
-	return buf
+	w := binfmt.Writer{B: make([]byte, 0, 20+len(kind)+len(fp)+len(state))}
+	w.U32(blobMagic)
+	w.U32(blobVersion)
+	w.Str(string(kind))
+	w.Bytes(fp)
+	w.Bytes(state)
+	return w.B
 }
 
 // openBlob validates the framing against the restoring backend's kind and
-// fingerprint and returns the state bytes. Kind and fingerprint failures
-// are distinguishable (ErrKindMismatch, ErrFingerprintMismatch) so
-// operators can tell "wrong engine" from "same engine, different tuning".
-func openBlob(blob []byte, kind Kind, fp []byte) ([]byte, error) {
-	r := breader{data: blob}
-	if m, ok := r.u32(); !ok || m != blobMagic {
-		return nil, fmt.Errorf("detector: bad snapshot magic")
+// fingerprint and returns a cursor over the state bytes. Kind and
+// fingerprint failures are distinguishable (ErrKindMismatch,
+// ErrFingerprintMismatch) so operators can tell "wrong engine" from "same
+// engine, different tuning".
+func openBlob(blob []byte, kind Kind, fp []byte) (binfmt.Reader, error) {
+	fail := func(err error) (binfmt.Reader, error) { return binfmt.Reader{}, err }
+	r := binfmt.NewReader(blob)
+	if r.U32() != blobMagic {
+		return fail(errors.New("detector: bad snapshot magic"))
 	}
-	if v, ok := r.u32(); !ok || v != blobVersion {
-		return nil, fmt.Errorf("detector: unsupported snapshot version")
+	if r.U32() != blobVersion {
+		return fail(errors.New("detector: unsupported snapshot version"))
 	}
-	gotKind, ok := r.bytes()
-	if !ok {
-		return nil, fmt.Errorf("detector: truncated snapshot kind")
+	gotKind, gotFP, state := r.Bytes(), r.Bytes(), r.Bytes()
+	if err := r.Done(); err != nil {
+		return fail(fmt.Errorf("detector: snapshot framing: %w", err))
 	}
 	if string(gotKind) != string(kind) {
-		return nil, fmt.Errorf("%w: blob %q, detector %q", ErrKindMismatch, gotKind, kind)
-	}
-	gotFP, ok := r.bytes()
-	if !ok {
-		return nil, fmt.Errorf("detector: truncated snapshot fingerprint")
+		return fail(fmt.Errorf("%w: blob %q, detector %q", ErrKindMismatch, gotKind, kind))
 	}
 	if string(gotFP) != string(fp) {
-		return nil, fmt.Errorf("%w: backend %q", ErrFingerprintMismatch, kind)
+		return fail(fmt.Errorf("%w: backend %q", ErrFingerprintMismatch, kind))
 	}
-	state, ok := r.bytes()
-	if !ok {
-		return nil, fmt.Errorf("detector: truncated snapshot state")
-	}
-	if len(r.data) != 0 {
-		return nil, fmt.Errorf("detector: trailing snapshot bytes")
-	}
-	return state, nil
+	return binfmt.NewReader(state), nil
 }
 
-// breader is a bounds-checked little-endian cursor.
-type breader struct{ data []byte }
-
-func (r *breader) u8() (byte, bool) {
-	if len(r.data) < 1 {
-		return 0, false
-	}
-	v := r.data[0]
-	r.data = r.data[1:]
-	return v, true
-}
-
-func (r *breader) u32() (uint32, bool) {
-	if len(r.data) < 4 {
-		return 0, false
-	}
-	v := binary.LittleEndian.Uint32(r.data)
-	r.data = r.data[4:]
-	return v, true
-}
-
-func (r *breader) u64() (uint64, bool) {
-	if len(r.data) < 8 {
-		return 0, false
-	}
-	v := binary.LittleEndian.Uint64(r.data)
-	r.data = r.data[8:]
-	return v, true
-}
-
-func (r *breader) f64() (float64, bool) {
-	bits, ok := r.u64()
-	return math.Float64frombits(bits), ok
-}
-
-func (r *breader) bytes() ([]byte, bool) {
-	n, ok := r.u32()
-	if !ok || len(r.data) < int(n) {
-		return nil, false
-	}
-	v := r.data[:n]
-	r.data = r.data[n:]
-	return v, true
-}
-
-// fpenc builds canonical fingerprint encodings.
-type fpenc struct{ b []byte }
-
-func (e *fpenc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *fpenc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *fpenc) str(s string) {
-	e.b = binary.LittleEndian.AppendUint32(e.b, uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-func (e *fpenc) common(c Config) {
-	e.str(string(c.Kind))
-	e.u64(uint64(c.Dim))
-	e.u64(uint64(c.Seed))
-}
-
-// appendF64s / readF64s encode float slices in state sections.
-func appendF64s(buf []byte, xs []float64) []byte {
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	return buf
-}
-
-func (r *breader) f64s(dst []float64) bool {
-	for i := range dst {
-		x, ok := r.f64()
-		if !ok {
-			return false
-		}
-		dst[i] = x
-	}
-	return true
+// fingerprintPrefix opens a backend's canonical config fingerprint with
+// the fields every backend shares.
+func fingerprintPrefix(c Config) binfmt.Writer {
+	var w binfmt.Writer
+	w.Str(string(c.Kind))
+	w.U64(uint64(c.Dim))
+	w.U64(uint64(c.Seed))
+	return w
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

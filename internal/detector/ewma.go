@@ -3,6 +3,8 @@ package detector
 import (
 	"fmt"
 	"math"
+
+	"odds/internal/binfmt"
 )
 
 // EWMAConfig parameterizes the EWMA dynamic-process-limits backend.
@@ -73,13 +75,12 @@ func newEWMA(cfg Config) *EWMA {
 }
 
 func (c Config) ewmaFingerprint() []byte {
-	var e fpenc
-	e.common(c)
+	e := fingerprintPrefix(c)
 	w := c.EWMA.WithDefaults()
-	e.f64(w.Lambda)
-	e.f64(w.K)
-	e.u64(uint64(w.MinN))
-	return e.b
+	e.F64(w.Lambda)
+	e.F64(w.K)
+	e.U64(uint64(w.MinN))
+	return e.B
 }
 
 func (e *EWMA) Kind() Kind { return KindEWMA }
@@ -149,27 +150,26 @@ func (e *EWMA) Stats() Stats {
 // Snapshot state layout: u64 n, u64 flagged, dim f64 means, dim f64
 // variances.
 func (e *EWMA) Snapshot() ([]byte, error) {
-	var buf []byte
-	var enc fpenc
-	enc.u64(e.n)
-	enc.u64(e.flagged)
-	buf = appendF64s(enc.b, e.mean)
-	buf = appendF64s(buf, e.vari)
-	return sealBlob(KindEWMA, e.fp, buf), nil
+	var w binfmt.Writer
+	w.U64(e.n)
+	w.U64(e.flagged)
+	w.F64s(e.mean)
+	w.F64s(e.vari)
+	return sealBlob(KindEWMA, e.fp, w.B), nil
 }
 
 func (e *EWMA) Restore(blob []byte) error {
-	state, err := openBlob(blob, KindEWMA, e.fp)
+	r, err := openBlob(blob, KindEWMA, e.fp)
 	if err != nil {
 		return err
 	}
-	r := breader{data: state}
-	n, ok1 := r.u64()
-	flagged, ok2 := r.u64()
+	n, flagged := r.U64(), r.U64()
 	mean := make([]float64, e.cfg.Dim)
 	vari := make([]float64, e.cfg.Dim)
-	if !(ok1 && ok2 && r.f64s(mean) && r.f64s(vari)) || len(r.data) != 0 {
-		return fmt.Errorf("detector: truncated ewma snapshot")
+	r.F64s(mean)
+	r.F64s(vari)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("detector: ewma snapshot: %w", err)
 	}
 	e.n, e.flagged = n, flagged
 	e.mean, e.vari = mean, vari

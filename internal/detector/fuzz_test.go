@@ -6,7 +6,6 @@ package detector
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"odds/internal/oracle"
@@ -55,8 +54,7 @@ func FuzzDetectorSnapshot(f *testing.F) {
 			// gates draws against the blob's arrival counter, but a blob
 			// forging both counters can still buy a long — finite — replay).
 			if kc, ok := det.(*KernelChain); ok {
-				if state, err := openBlob(data, KindKernelChain, kc.fp); err == nil &&
-					len(state) >= 8 && binary.LittleEndian.Uint64(state) > 1<<22 {
+				if state, err := openBlob(data, KindKernelChain, kc.fp); err == nil && state.U64() > 1<<22 {
 					continue
 				}
 			}

@@ -1,11 +1,10 @@
 package detector
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 
+	"odds/internal/binfmt"
 	"odds/internal/core"
 	"odds/internal/kernel"
 	"odds/internal/mdef"
@@ -44,22 +43,21 @@ func newKernelChain(cfg Config) *KernelChain {
 
 // kernelChainFingerprint covers exactly what the engine reads.
 func (c Config) kernelChainFingerprint() []byte {
-	var e fpenc
-	e.common(c)
-	e.str(string(c.Criterion))
-	e.u64(uint64(c.Core.WindowCap))
-	e.u64(uint64(c.Core.SampleSize))
-	e.f64(c.Core.Eps)
-	e.f64(c.Core.SampleFraction)
-	e.u64(uint64(c.Core.Dim))
-	e.u64(uint64(c.Core.RebuildEvery))
-	e.f64(c.Core.BandwidthScale)
-	e.f64(c.Distance.Radius)
-	e.f64(c.Distance.Threshold)
-	e.f64(c.MDEF.R)
-	e.f64(c.MDEF.AlphaR)
-	e.f64(c.MDEF.KSigma)
-	return e.b
+	e := fingerprintPrefix(c)
+	e.Str(string(c.Criterion))
+	e.U64(uint64(c.Core.WindowCap))
+	e.U64(uint64(c.Core.SampleSize))
+	e.F64(c.Core.Eps)
+	e.F64(c.Core.SampleFraction)
+	e.U64(uint64(c.Core.Dim))
+	e.U64(uint64(c.Core.RebuildEvery))
+	e.F64(c.Core.BandwidthScale)
+	e.F64(c.Distance.Radius)
+	e.F64(c.Distance.Threshold)
+	e.F64(c.MDEF.R)
+	e.F64(c.MDEF.AlphaR)
+	e.F64(c.MDEF.KSigma)
+	return e.B
 }
 
 func (k *KernelChain) Kind() Kind { return KindKernelChain }
@@ -154,38 +152,27 @@ func (k *KernelChain) Snapshot() ([]byte, error) {
 			return nil, fmt.Errorf("detector: kernelchain model: %w", err)
 		}
 	}
-	buf := make([]byte, 0, 64+len(estBlob)+len(modelBlob))
-	buf = binary.LittleEndian.AppendUint64(buf, k.cs.n)
-	buf = binary.LittleEndian.AppendUint64(buf, k.flagged)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(estBlob)))
-	buf = append(buf, estBlob...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(modelBlob)))
-	buf = append(buf, modelBlob...)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(wc))
-	if dirty {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(sinceBuild))
-	return sealBlob(KindKernelChain, k.fp, buf), nil
+	w := binfmt.Writer{B: make([]byte, 0, 64+len(estBlob)+len(modelBlob))}
+	w.U64(k.cs.n)
+	w.U64(k.flagged)
+	w.Bytes(estBlob)
+	w.Bytes(modelBlob)
+	w.F64(wc)
+	w.Bool(dirty)
+	w.U64(uint64(sinceBuild))
+	return sealBlob(KindKernelChain, k.fp, w.B), nil
 }
 
 func (k *KernelChain) Restore(blob []byte) error {
-	state, err := openBlob(blob, KindKernelChain, k.fp)
+	r, err := openBlob(blob, KindKernelChain, k.fp)
 	if err != nil {
 		return err
 	}
-	r := breader{data: state}
-	rngN, ok1 := r.u64()
-	flagged, ok2 := r.u64()
-	estBlob, ok3 := r.bytes()
-	modelBlob, ok4 := r.bytes()
-	wc, ok5 := r.f64()
-	dirtyB, ok6 := r.u8()
-	sinceBuild, ok7 := r.u64()
-	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7) || len(r.data) != 0 {
-		return fmt.Errorf("detector: truncated kernelchain snapshot")
+	rngN, flagged := r.U64(), r.U64()
+	estBlob, modelBlob := r.Bytes(), r.Bytes()
+	wc, dirtyB, sinceBuild := r.F64(), r.U8(), r.U64()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("detector: kernelchain snapshot: %w", err)
 	}
 	cs := newCountedSource(k.cfg.Seed)
 	est, err := core.UnmarshalEstimator(estBlob, rand.New(cs))
@@ -204,7 +191,7 @@ func (k *KernelChain) Restore(blob []byte) error {
 	cs.replayTo(k.cfg.Seed, rngN)
 	var model *kernel.Estimator
 	if len(modelBlob) > 0 {
-		if model, err = kernel.UnmarshalEstimator(modelBlob); err != nil {
+		if model, err = kernel.UnmarshalEstimator(modelBlob, k.cfg.Core.SampleSize); err != nil {
 			return fmt.Errorf("detector: kernelchain model: %w", err)
 		}
 		if model.Dim() != k.cfg.Dim {

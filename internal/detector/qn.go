@@ -1,10 +1,10 @@
 package detector
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
+	"odds/internal/binfmt"
 	"odds/internal/quantile"
 )
 
@@ -128,14 +128,13 @@ func newQnDim(c QnConfig) qnDim {
 }
 
 func (c Config) qnFingerprint() []byte {
-	var e fpenc
-	e.common(c)
+	e := fingerprintPrefix(c)
 	q := c.Qn.WithDefaults()
-	e.f64(q.Eps)
-	e.u64(uint64(q.Lag))
-	e.f64(q.K)
-	e.u64(uint64(q.MinN))
-	return e.b
+	e.F64(q.Eps)
+	e.U64(uint64(q.Lag))
+	e.F64(q.K)
+	e.U64(uint64(q.MinN))
+	return e.B
 }
 
 func (q *Qn) Kind() Kind { return KindQn }
@@ -236,9 +235,9 @@ func (q *Qn) Stats() Stats {
 // sketch blob, differences sketch blob, u32 ring head, u32 ring count,
 // Lag f64 ring slots.
 func (q *Qn) Snapshot() ([]byte, error) {
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint64(buf, q.n)
-	buf = binary.LittleEndian.AppendUint64(buf, q.flagged)
+	var w binfmt.Writer
+	w.U64(q.n)
+	w.U64(q.flagged)
 	for d := range q.dims {
 		qd := &q.dims[d]
 		vb, err := qd.vals.MarshalBinary()
@@ -249,57 +248,67 @@ func (q *Qn) Snapshot() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vb)))
-		buf = append(buf, vb...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(db)))
-		buf = append(buf, db...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(qd.rhead))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(qd.rcnt))
-		buf = appendF64s(buf, qd.ring)
+		w.Bytes(vb)
+		w.Bytes(db)
+		w.U32(uint32(qd.rhead))
+		w.U32(uint32(qd.rcnt))
+		w.F64s(qd.ring)
 	}
-	return sealBlob(KindQn, q.fp, buf), nil
+	return sealBlob(KindQn, q.fp, w.B), nil
 }
 
 func (q *Qn) Restore(blob []byte) error {
-	state, err := openBlob(blob, KindQn, q.fp)
+	r, err := openBlob(blob, KindQn, q.fp)
 	if err != nil {
 		return err
 	}
-	r := breader{data: state}
-	n, ok1 := r.u64()
-	flagged, ok2 := r.u64()
-	if !(ok1 && ok2) {
-		return fmt.Errorf("detector: truncated qn snapshot")
-	}
+	n, flagged := r.U64(), r.U64()
 	lag := q.cfg.Qn.Lag
 	dims := make([]qnDim, q.cfg.Dim)
 	for d := range dims {
-		vb, ok3 := r.bytes()
-		db, ok4 := r.bytes()
-		rhead, ok5 := r.u32()
-		rcnt, ok6 := r.u32()
-		if !(ok3 && ok4 && ok5 && ok6) || int(rhead) >= lag || int(rcnt) > lag {
-			return fmt.Errorf("detector: truncated qn snapshot")
+		vb, db := r.Bytes(), r.Bytes()
+		rhead, rcnt := r.U32(), r.U32()
+		if r.Err() != nil {
+			break
 		}
-		vals, err := quantile.UnmarshalGK(vb)
+		if int(rhead) >= lag || int(rcnt) > lag {
+			return fmt.Errorf("detector: qn snapshot: ring position %d/%d outside lag %d", rhead, rcnt, lag)
+		}
+		vals, err := q.restoreSketch(vb)
 		if err != nil {
 			return fmt.Errorf("detector: qn values sketch: %w", err)
 		}
-		db2, err := quantile.UnmarshalGK(db)
+		diffs, err := q.restoreSketch(db)
 		if err != nil {
 			return fmt.Errorf("detector: qn differences sketch: %w", err)
 		}
-		vals.Grow(qnGrowTuples)
-		db2.Grow(qnGrowTuples)
 		ring := make([]float64, lag)
-		if !r.f64s(ring) {
-			return fmt.Errorf("detector: truncated qn snapshot")
-		}
-		dims[d] = qnDim{vals: vals, diffs: db2, ring: ring, rhead: int(rhead), rcnt: int(rcnt)}
+		r.F64s(ring)
+		dims[d] = qnDim{vals: vals, diffs: diffs, ring: ring, rhead: int(rhead), rcnt: int(rcnt)}
 	}
-	if len(r.data) != 0 {
-		return fmt.Errorf("detector: trailing qn snapshot bytes")
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("detector: qn snapshot: %w", err)
+	}
+	// Pre-grow only once the whole blob has been accepted, so a rejected
+	// one costs no more than its own decoded size.
+	for d := range dims {
+		dims[d].vals.Grow(qnGrowTuples)
+		dims[d].diffs.Grow(qnGrowTuples)
 	}
 	q.n, q.flagged, q.dims = n, flagged, dims
 	return nil
+}
+
+// restoreSketch decodes one GK blob. Its eps must be the configured one:
+// Grow sizes the pending buffer by 1/eps, so the blob's own claim is
+// checked before anything is sized by it.
+func (q *Qn) restoreSketch(blob []byte) (*quantile.GK, error) {
+	s, err := quantile.UnmarshalGK(blob)
+	if err != nil {
+		return nil, err
+	}
+	if s.Eps() != q.cfg.Qn.Eps {
+		return nil, fmt.Errorf("eps %v, configured %v", s.Eps(), q.cfg.Qn.Eps)
+	}
+	return s, nil
 }

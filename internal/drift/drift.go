@@ -85,10 +85,13 @@ func Default() Config {
 	}
 }
 
+// minWindow is the shortest two-window length the tests are meaningful at.
+const minWindow = 8
+
 // Validate rejects configurations the detectors cannot run.
 func (c Config) Validate() error {
-	if c.Window < 8 {
-		return fmt.Errorf("drift: Window %d must be >= 8", c.Window)
+	if c.Window < minWindow {
+		return fmt.Errorf("drift: Window %d must be >= %d", c.Window, minWindow)
 	}
 	if c.Window > 1<<20 {
 		return fmt.Errorf("drift: Window %d must be <= 2^20", c.Window)

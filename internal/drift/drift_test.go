@@ -215,7 +215,7 @@ func TestMonitorSnapshotResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon2, err := drift.UnmarshalMonitor(blob)
+	mon2, err := drift.UnmarshalMonitor(blob, mon.Dim(), mon.Config())
 	if err != nil {
 		t.Fatal(err)
 	}

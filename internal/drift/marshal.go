@@ -1,9 +1,10 @@
 package drift
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
+
+	"odds/internal/binfmt"
 )
 
 // Monitor snapshot blob ("ODDM"). The serving layer embeds it in pipeline
@@ -19,67 +20,57 @@ const monitorMagic = uint32(0x4f44444d) // "ODDM"
 
 // MarshalBinary encodes the monitor's complete state.
 func (m *Monitor) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 64+len(m.dets)*(3*m.cfg.Window+8)*8)
-	app32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
-	app64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	appF := func(v float64) { app64(math.Float64bits(v)) }
-
-	app32(monitorMagic)
-	app32(uint32(len(m.dets)))
+	w := binfmt.Writer{B: make([]byte, 0, 64+len(m.dets)*(3*m.cfg.Window+8)*8)}
+	w.U32(monitorMagic)
+	w.U32(uint32(len(m.dets)))
 	c := m.cfg
-	app32(uint32(c.Window))
-	app32(uint32(c.CheckEvery))
-	app32(uint32(c.Cooldown))
-	appF(c.KSD)
-	appF(c.PHDelta)
-	appF(c.PHLambda)
-	appF(c.MKZ)
+	w.U32(uint32(c.Window))
+	w.U32(uint32(c.CheckEvery))
+	w.U32(uint32(c.Cooldown))
+	w.F64(c.KSD)
+	w.F64(c.PHDelta)
+	w.F64(c.PHLambda)
+	w.F64(c.MKZ)
 	s := m.stats
-	app64(s.Observed)
-	app64(s.Detections)
-	app64(s.KSFires)
-	app64(s.PHFires)
-	app64(s.MKFires)
-	app64(s.LastFire)
+	w.U64(s.Observed)
+	w.U64(s.Detections)
+	w.U64(s.KSFires)
+	w.U64(s.PHFires)
+	w.U64(s.MKFires)
+	w.U64(s.LastFire)
 
 	var scratch []float64
 	for _, d := range m.dets {
-		app32(uint32(d.cfg.Window))
-		app32(uint32(d.since))
-		app32(uint32(d.cooldown))
-		app64(d.skipped)
+		w.U32(uint32(d.cfg.Window))
+		w.U32(uint32(d.since))
+		w.U32(uint32(d.cooldown))
+		w.U64(d.skipped)
 		if d.ks != nil {
 			scratch = d.ks.CurWindow(scratch[:0])
-			app32(uint32(len(scratch)))
-			for _, x := range scratch {
-				appF(x)
-			}
+			w.U32(uint32(len(scratch)))
+			w.F64s(scratch)
+			w.Bool(d.ks.refSet)
 			if d.ks.refSet {
-				buf = append(buf, 1)
-				for _, x := range d.ks.ref {
-					appF(x)
-				}
-			} else {
-				buf = append(buf, 0)
+				w.F64s(d.ks.ref)
 			}
 		}
 		if d.ph != nil {
-			app64(d.ph.t)
-			appF(d.ph.sum)
-			appF(d.ph.mUp)
-			appF(d.ph.mDn)
-			appF(d.ph.mMin)
-			appF(d.ph.mMax)
+			w.U64(d.ph.t)
+			w.F64(d.ph.sum)
+			w.F64(d.ph.mUp)
+			w.F64(d.ph.mDn)
+			w.F64(d.ph.mMin)
+			w.F64(d.ph.mMax)
 		}
 		if d.mk != nil {
-			app32(uint32(d.mk.count))
+			w.U32(uint32(d.mk.count))
 			for i := 0; i < d.mk.count; i++ {
-				appF(d.mk.ring[(d.mk.arrivalIndex(i))])
+				w.F64(d.mk.ring[(d.mk.arrivalIndex(i))])
 			}
-			app64(uint64(d.mk.s))
+			w.U64(uint64(d.mk.s))
 		}
 	}
-	return buf, nil
+	return w.B, nil
 }
 
 // arrivalIndex maps arrival position i (0 = oldest resident) to its ring
@@ -95,175 +86,92 @@ func (m *MannKendall) arrivalIndex(i int) int {
 	return j
 }
 
-// UnmarshalMonitor reconstructs a monitor from a MarshalBinary blob.
-func UnmarshalMonitor(data []byte) (*Monitor, error) {
-	fail := func(msg string) (*Monitor, error) { return nil, fmt.Errorf("drift: snapshot: %s", msg) }
-	r := blobReader{data: data}
-	if v, ok := r.u32(); !ok || v != monitorMagic {
-		return fail("bad magic")
-	}
-	dim32, ok := r.u32()
-	if !ok {
-		return fail("truncated header")
-	}
-	var c Config
-	w32, ok1 := r.u32()
-	ce32, ok2 := r.u32()
-	cd32, ok3 := r.u32()
-	ksd, ok4 := r.f64()
-	phd, ok5 := r.f64()
-	phl, ok6 := r.f64()
-	mkz, ok7 := r.f64()
-	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7) {
-		return fail("truncated config")
-	}
-	c.Window, c.CheckEvery, c.Cooldown = int(w32), int(ce32), int(cd32)
-	c.KSD, c.PHDelta, c.PHLambda, c.MKZ = ksd, phd, phl, mkz
-	m, err := NewMonitor(int(dim32), c)
+// UnmarshalMonitor reconstructs a monitor from a MarshalBinary blob taken
+// under the caller's own dim and cfg. The monitor is sized from those —
+// never from the blob, whose header must agree with them — and a
+// per-dimension bank resized below cfg.Window is accepted while one
+// claiming more fails closed, so a blob cannot make the restore allocate
+// beyond what the caller's configuration already implies.
+func UnmarshalMonitor(data []byte, dim int, cfg Config) (*Monitor, error) {
+	m, err := NewMonitor(dim, cfg)
 	if err != nil {
 		return nil, err
 	}
-	var st Stats
-	o1 := r.u64into(&st.Observed)
-	o2 := r.u64into(&st.Detections)
-	o3 := r.u64into(&st.KSFires)
-	o4 := r.u64into(&st.PHFires)
-	o5 := r.u64into(&st.MKFires)
-	o6 := r.u64into(&st.LastFire)
-	if !(o1 && o2 && o3 && o4 && o5 && o6) {
-		return fail("truncated counters")
+	r := binfmt.NewReader(data)
+	if r.U32() != monitorMagic {
+		return nil, errors.New("drift: snapshot: bad magic")
 	}
-	m.stats = st
-
+	gotDim := int(r.U32())
+	got := Config{
+		Window:     int(r.U32()),
+		CheckEvery: int(r.U32()),
+		Cooldown:   int(r.U32()),
+		KSD:        r.F64(),
+		PHDelta:    r.F64(),
+		PHLambda:   r.F64(),
+		MKZ:        r.F64(),
+	}
+	if r.Err() == nil && (gotDim != dim || got != cfg) {
+		return nil, errors.New("drift: snapshot: taken under a different dim or detector config")
+	}
+	m.stats = Stats{
+		Observed:   r.U64(),
+		Detections: r.U64(),
+		KSFires:    r.U64(),
+		PHFires:    r.U64(),
+		MKFires:    r.U64(),
+		LastFire:   r.U64(),
+	}
+	// window decodes one test's resident values (count-prefixed, arrival
+	// order) into its ring and rebuilds the sorted copy.
+	window := func(w int, ring []float64, sorted *[]float64) (count, head int) {
+		n := r.Count(8, w)
+		r.F64s(ring[:n])
+		for _, x := range ring[:n] {
+			if !finite(x) {
+				r.Fail(errors.New("non-finite window value"))
+			}
+		}
+		*sorted = append((*sorted)[:0], ring[:n]...)
+		sortFloats(*sorted)
+		return n, n % w
+	}
 	for _, d := range m.dets {
-		dw32, ok := r.u32()
-		if !ok {
-			return fail("truncated detector header")
+		dw := int(r.U32())
+		if r.Err() != nil {
+			break
 		}
-		if int(dw32) != c.Window {
-			d.Resize(int(dw32))
+		if dw < minWindow || dw > cfg.Window {
+			r.Fail(fmt.Errorf("bank window %d outside [%d, %d]", dw, minWindow, cfg.Window))
+			break
 		}
-		s32, ok1 := r.u32()
-		cd32, ok2 := r.u32()
-		var skipped uint64
-		ok3 := r.u64into(&skipped)
-		if !(ok1 && ok2 && ok3) {
-			return fail("truncated detector state")
+		if dw != cfg.Window {
+			d.Resize(dw)
 		}
-		d.since, d.cooldown, d.skipped = int(s32), int(cd32), skipped
-		if d.ks != nil {
-			n32, ok := r.u32()
-			if !ok || int(n32) > d.ks.w {
-				return fail("bad KS window length")
-			}
-			n := int(n32)
-			for i := 0; i < n; i++ {
-				x, ok := r.f64()
-				if !ok {
-					return fail("truncated KS window")
-				}
-				d.ks.ring[i] = x
-			}
-			d.ks.count = n
-			d.ks.head = n % d.ks.w
-			d.ks.sorted = append(d.ks.sorted[:0], d.ks.ring[:n]...)
-			sortFloats(d.ks.sorted)
-			refSet, ok := r.u8()
-			if !ok {
-				return fail("truncated KS reference flag")
-			}
-			if refSet == 1 {
-				d.ks.ref = d.ks.ref[:0]
-				for i := 0; i < d.ks.w; i++ {
-					x, ok := r.f64()
-					if !ok {
-						return fail("truncated KS reference")
-					}
-					d.ks.ref = append(d.ks.ref, x)
-				}
-				d.ks.refSet = true
-			} else if refSet != 0 {
-				return fail("bad KS reference flag")
+		d.since, d.cooldown, d.skipped = int(r.U32()), int(r.U32()), r.U64()
+		if ks := d.ks; ks != nil {
+			ks.count, ks.head = window(ks.w, ks.ring, &ks.sorted)
+			switch r.U8() {
+			case 0:
+			case 1:
+				ks.ref = ks.ref[:ks.w]
+				r.F64s(ks.ref)
+				ks.refSet = true
+			default:
+				r.Fail(errors.New("bad KS reference flag"))
 			}
 		}
-		if d.ph != nil {
-			ok1 := r.u64into(&d.ph.t)
-			sum, ok2 := r.f64()
-			mUp, ok3 := r.f64()
-			mDn, ok4 := r.f64()
-			mMin, ok5 := r.f64()
-			mMax, ok6 := r.f64()
-			if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6) {
-				return fail("truncated PH state")
-			}
-			d.ph.sum, d.ph.mUp, d.ph.mDn, d.ph.mMin, d.ph.mMax = sum, mUp, mDn, mMin, mMax
+		if ph := d.ph; ph != nil {
+			ph.t = r.U64()
+			ph.sum, ph.mUp, ph.mDn, ph.mMin, ph.mMax = r.F64(), r.F64(), r.F64(), r.F64(), r.F64()
 		}
-		if d.mk != nil {
-			n32, ok := r.u32()
-			if !ok || int(n32) > d.mk.w {
-				return fail("bad MK window length")
-			}
-			n := int(n32)
-			for i := 0; i < n; i++ {
-				x, ok := r.f64()
-				if !ok {
-					return fail("truncated MK window")
-				}
-				d.mk.ring[i] = x
-			}
-			d.mk.count = n
-			d.mk.head = n % d.mk.w
-			d.mk.sorted = append(d.mk.sorted[:0], d.mk.ring[:n]...)
-			sortFloats(d.mk.sorted)
-			var s uint64
-			if !r.u64into(&s) {
-				return fail("truncated MK statistic")
-			}
-			d.mk.s = int64(s)
+		if mk := d.mk; mk != nil {
+			mk.count, mk.head = window(mk.w, mk.ring, &mk.sorted)
+			mk.s = int64(r.U64())
 		}
 	}
-	if len(r.data) != 0 {
-		return fail("trailing bytes")
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("drift: snapshot: %w", err)
 	}
 	return m, nil
-}
-
-// blobReader is a bounds-checked little-endian cursor (the same shape as
-// internal/serve's snapshot reader, local so the packages stay
-// independent).
-type blobReader struct{ data []byte }
-
-func (r *blobReader) u8() (byte, bool) {
-	if len(r.data) < 1 {
-		return 0, false
-	}
-	v := r.data[0]
-	r.data = r.data[1:]
-	return v, true
-}
-
-func (r *blobReader) u32() (uint32, bool) {
-	if len(r.data) < 4 {
-		return 0, false
-	}
-	v := binary.LittleEndian.Uint32(r.data)
-	r.data = r.data[4:]
-	return v, true
-}
-
-func (r *blobReader) u64into(dst *uint64) bool {
-	if len(r.data) < 8 {
-		return false
-	}
-	*dst = binary.LittleEndian.Uint64(r.data)
-	r.data = r.data[8:]
-	return true
-}
-
-func (r *blobReader) f64() (float64, bool) {
-	var v uint64
-	if !r.u64into(&v) {
-		return 0, false
-	}
-	return math.Float64frombits(v), true
 }

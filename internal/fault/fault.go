@@ -1,8 +1,7 @@
 // Package fault is the deterministic fault-injection engine for the
 // sensor-network engines: seeded schedules of node crashes and link
-// faults compiled into a Plan that both the epoch-driven tagsim
-// simulator and the concurrent network runtime consult on every
-// transmission and every epoch tick.
+// faults compiled into a Plan that the epoch-driven tagsim simulator
+// consults on every transmission and every epoch tick.
 //
 // The paper's robustness argument (Sections 7–8) is that model updates
 // are probabilistic refreshes, so losing some changes nothing
@@ -235,8 +234,7 @@ type linkState struct {
 }
 
 // Plan is a compiled, runnable schedule. A Plan is safe for concurrent
-// use (the network runtime transmits from many goroutines); all methods
-// tolerate a nil receiver, behaving as the empty plan.
+// use; all methods tolerate a nil receiver, behaving as the empty plan.
 type Plan struct {
 	seed  int64
 	rules []Link

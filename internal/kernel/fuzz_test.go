@@ -14,6 +14,7 @@ import (
 // inputs: any byte string must either decode into a usable model or
 // return an error — never panic, never produce NaN masses.
 func FuzzUnmarshalEstimator(f *testing.F) {
+	const fuzzMaxSlots = 1 << 12
 	e, err := New([]window.Point{{0.2}, {0.5}, {0.8}}, []float64{0.05}, 100)
 	if err != nil {
 		f.Fatal(err)
@@ -25,8 +26,9 @@ func FuzzUnmarshalEstimator(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{0x53, 0x44, 0x44, 0x4f}) // magic only
+	f.Add(headerOnlyMaintained())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalEstimator(data)
+		m, err := UnmarshalEstimator(data, fuzzMaxSlots)
 		if err != nil {
 			return
 		}
@@ -228,7 +230,7 @@ func FuzzIncrementalVsRebuild(f *testing.F) {
 			if err != nil {
 				t.Fatalf("cycle %d: marshal: %v", cycle, err)
 			}
-			back, err := UnmarshalEstimator(blob)
+			back, err := UnmarshalEstimator(blob, maxSlots)
 			if err != nil {
 				t.Fatalf("cycle %d: unmarshal: %v", cycle, err)
 			}

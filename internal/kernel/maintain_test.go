@@ -241,7 +241,7 @@ func TestMaintainedMarshalRoundTrip(t *testing.T) {
 	if len(blob) != m.MarshaledSize() {
 		t.Fatalf("blob %d bytes, MarshaledSize %d", len(blob), m.MarshaledSize())
 	}
-	back, err := UnmarshalEstimator(blob)
+	back, err := UnmarshalEstimator(blob, m.MaxSlots())
 	if err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}

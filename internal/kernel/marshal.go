@@ -1,10 +1,10 @@
 package kernel
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
+	"odds/internal/binfmt"
 	"odds/internal/window"
 )
 
@@ -40,20 +40,16 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 	if e.mnt != nil {
 		return e.marshalMaintained()
 	}
-	buf := make([]byte, 0, e.MarshaledSize())
-	buf = binary.LittleEndian.AppendUint32(buf, marshalMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.dim))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.wcount))
-	for _, b := range e.bw {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.centers)))
+	w := binfmt.Writer{B: make([]byte, 0, e.MarshaledSize())}
+	w.U32(marshalMagic)
+	w.U32(uint32(e.dim))
+	w.F64(e.wcount)
+	w.F64s(e.bw)
+	w.U32(uint32(len(e.centers)))
 	for _, c := range e.centers {
-		for _, x := range c {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-		}
+		w.F64s(c)
 	}
-	return buf, nil
+	return w.B, nil
 }
 
 // marshalMaintained encodes the maintained wire format: header (magic,
@@ -64,87 +60,63 @@ func (e *Estimator) marshalMaintained() ([]byte, error) {
 	if e.mnt.active {
 		return nil, fmt.Errorf("kernel: marshal during an open maintenance cycle")
 	}
-	buf := make([]byte, 0, e.MarshaledSize())
-	buf = binary.LittleEndian.AppendUint32(buf, maintainedMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.dim))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.mnt.maxSlots))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.centers)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(e.pruneDim)))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.wcount))
-	for _, b := range e.bw {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b))
-	}
+	w := binfmt.Writer{B: make([]byte, 0, e.MarshaledSize())}
+	w.U32(maintainedMagic)
+	w.U32(uint32(e.dim))
+	w.U32(uint32(e.mnt.maxSlots))
+	w.U32(uint32(len(e.centers)))
+	w.U32(uint32(int32(e.pruneDim)))
+	w.F64(e.wcount)
+	w.F64s(e.bw)
 	for j, c := range e.centers {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.mnt.slots[j]))
-		if e.dead[j] {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		for _, x := range c {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-		}
+		w.U32(uint32(e.mnt.slots[j]))
+		w.Bool(e.dead[j])
+		w.F64s(c)
 	}
-	return buf, nil
+	return w.B, nil
 }
 
 // unmarshalMaintained decodes the maintained wire format (magic already
 // consumed) and revalidates the layout invariants the query engine
-// depends on.
-func unmarshalMaintained(data []byte) (*Estimator, error) {
-	fail := func(msg string) (*Estimator, error) { return nil, fmt.Errorf("kernel: %s", msg) }
-	read32 := func() (uint32, bool) {
-		if len(data) < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(data)
-		data = data[4:]
-		return v, true
+// depends on. The header alone sizes nothing: the declared slot capacity
+// must fit the caller's maxSlots and the payload must be exactly physN
+// entries long before newMaint allocates its arrays.
+func unmarshalMaintained(r *binfmt.Reader, maxSlots int) (*Estimator, error) {
+	fail := func(form string, args ...any) (*Estimator, error) {
+		return nil, fmt.Errorf("kernel: "+form, args...)
 	}
-	readF := func() (float64, bool) {
-		if len(data) < 8 {
-			return 0, false
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(data))
-		data = data[8:]
-		return v, true
+	dim := int(r.U32())
+	slotCap := int(r.U32())
+	physN := int(r.U32())
+	pruneDim := int(int32(r.U32()))
+	wcount := r.F64()
+	if err := r.Err(); err != nil {
+		return fail("maintained model header: %w", err)
 	}
-	dim32, ok1 := read32()
-	max32, ok2 := read32()
-	phys32, ok3 := read32()
-	prune32, ok4 := read32()
-	wcount, ok5 := readF()
-	if !(ok1 && ok2 && ok3 && ok4 && ok5) {
-		return fail("truncated maintained model encoding")
-	}
-	dim, maxSlots, physN, pruneDim := int(dim32), int(max32), int(phys32), int(int32(prune32))
 	if dim <= 0 || dim > 1<<10 {
-		return fail(fmt.Sprintf("implausible dimensionality %d", dim))
+		return fail("implausible dimensionality %d", dim)
 	}
-	if maxSlots <= 0 || maxSlots > 1<<24 {
-		return fail(fmt.Sprintf("implausible slot capacity %d", maxSlots))
+	if slotCap <= 0 || slotCap > maxSlots {
+		return fail("slot capacity %d outside (0, %d]", slotCap, maxSlots)
 	}
 	if pruneDim < -1 || pruneDim >= dim {
-		return fail(fmt.Sprintf("prune dimension %d out of range", pruneDim))
+		return fail("prune dimension %d out of range", pruneDim)
 	}
 	if wcount <= 0 || math.IsNaN(wcount) || math.IsInf(wcount, 0) {
-		return fail(fmt.Sprintf("window count %v must be positive and finite", wcount))
+		return fail("window count %v must be positive and finite", wcount)
 	}
 	bw := make([]float64, dim)
+	r.F64s(bw)
 	for i := range bw {
-		b, ok := readF()
-		if !ok {
-			return fail("truncated maintained model encoding")
-		}
-		bw[i] = clampBandwidth(b)
+		bw[i] = clampBandwidth(bw[i])
 	}
-	m := newMaint(maxSlots, dim)
-	if physN <= 0 || physN > m.capN {
-		return fail(fmt.Sprintf("physical length %d exceeds capacity %d", physN, m.capN))
+	if capN := slotCap + tombLimitFor(slotCap); physN <= 0 || physN > capN {
+		return fail("physical length %d exceeds capacity %d", physN, capN)
 	}
-	if len(data) != physN*(4+1+8*dim) {
-		return fail(fmt.Sprintf("maintained payload %d bytes, want %d", len(data), physN*(4+1+8*dim)))
+	if r.Len() != physN*(4+1+8*dim) {
+		return fail("maintained payload %d bytes, want %d", r.Len(), physN*(4+1+8*dim))
 	}
+	m := newMaint(slotCap, dim)
 	e := &Estimator{
 		bw:       bw,
 		wcount:   wcount,
@@ -154,13 +126,11 @@ func unmarshalMaintained(data []byte) (*Estimator, error) {
 	}
 	e.cols = make([][]float64, dim)
 	for j := 0; j < physN; j++ {
-		s32, _ := read32()
-		slot := int(s32)
-		if slot >= maxSlots {
-			return fail(fmt.Sprintf("entry %d references slot %d of %d", j, slot, maxSlots))
+		slot := int(r.U32())
+		if slot >= slotCap {
+			return fail("entry %d references slot %d of %d", j, slot, slotCap)
 		}
-		deadB := data[0]
-		data = data[1:]
+		deadB := r.U8()
 		if deadB > 1 {
 			return fail("bad tombstone flag")
 		}
@@ -170,15 +140,13 @@ func unmarshalMaintained(data []byte) (*Estimator, error) {
 			m.nDead++
 		} else {
 			if m.posOf[slot] >= 0 {
-				return fail(fmt.Sprintf("slot %d owned by two live entries", slot))
+				return fail("slot %d owned by two live entries", slot)
 			}
 			m.posOf[slot] = int32(j)
 			e.live++
 		}
 		row := m.aosFlat[j*dim : (j+1)*dim]
-		for i := range row {
-			row[i], _ = readF()
-		}
+		r.F64s(row)
 		for i := 0; i < dim; i++ {
 			m.colFlat[i*m.capN+j] = row[i]
 		}
@@ -199,69 +167,38 @@ func unmarshalMaintained(data []byte) (*Estimator, error) {
 	return e, nil
 }
 
-// UnmarshalEstimator decodes a model encoded by MarshalBinary.
-func UnmarshalEstimator(data []byte) (*Estimator, error) {
-	read32 := func() (uint32, error) {
-		if len(data) < 4 {
-			return 0, fmt.Errorf("kernel: truncated model encoding")
-		}
-		v := binary.LittleEndian.Uint32(data)
-		data = data[4:]
-		return v, nil
-	}
-	readF := func() (float64, error) {
-		if len(data) < 8 {
-			return 0, fmt.Errorf("kernel: truncated model encoding")
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(data))
-		data = data[8:]
-		return v, nil
-	}
-	magic, err := read32()
-	if err != nil {
-		return nil, err
-	}
-	if magic == maintainedMagic {
-		return unmarshalMaintained(data)
-	}
-	if magic != marshalMagic {
+// UnmarshalEstimator decodes a model encoded by MarshalBinary. maxSlots
+// is the restoring caller's own slot capacity (its sample size): a
+// maintained model declaring more fails closed before anything is sized
+// by the declaration. An immutable model's size is bounded by len(data).
+func UnmarshalEstimator(data []byte, maxSlots int) (*Estimator, error) {
+	r := binfmt.NewReader(data)
+	switch magic := r.U32(); {
+	case r.Err() != nil:
+		return nil, fmt.Errorf("kernel: model encoding: %w", r.Err())
+	case magic == maintainedMagic:
+		return unmarshalMaintained(&r, maxSlots)
+	case magic != marshalMagic:
 		return nil, fmt.Errorf("kernel: bad model magic %#x", magic)
 	}
-	dim32, err := read32()
-	if err != nil {
-		return nil, err
+	dim := int(r.U32())
+	wcount := r.F64()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("kernel: model header: %w", err)
 	}
-	dim := int(dim32)
 	if dim <= 0 || dim > 1<<10 {
 		return nil, fmt.Errorf("kernel: implausible dimensionality %d", dim)
 	}
-	wcount, err := readF()
-	if err != nil {
-		return nil, err
-	}
 	bw := make([]float64, dim)
-	for i := range bw {
-		if bw[i], err = readF(); err != nil {
-			return nil, err
-		}
-	}
-	n32, err := read32()
-	if err != nil {
-		return nil, err
-	}
-	n := int(n32)
-	if n <= 0 || len(data) != 8*dim*n {
-		return nil, fmt.Errorf("kernel: center payload %d bytes, want %d", len(data), 8*dim*n)
+	r.F64s(bw)
+	n := int(r.U32())
+	if n <= 0 || r.Len() != 8*dim*n {
+		return nil, fmt.Errorf("kernel: center payload %d bytes, want %d", r.Len(), 8*dim*n)
 	}
 	centers := make([]window.Point, n)
 	for i := range centers {
-		c := make(window.Point, dim)
-		for j := range c {
-			if c[j], err = readF(); err != nil {
-				return nil, err
-			}
-		}
-		centers[i] = c
+		centers[i] = make(window.Point, dim)
+		r.F64s(centers[i])
 	}
 	return New(centers, bw, wcount)
 }

@@ -2,8 +2,10 @@ package kernel
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"odds/internal/binfmt"
 	"odds/internal/stats"
 	"odds/internal/window"
 )
@@ -34,7 +36,7 @@ func roundTripModel(t *testing.T, dim int, n int) (*Estimator, *Estimator) {
 	if len(data) != e.MarshaledSize() {
 		t.Fatalf("encoded %d bytes, MarshaledSize says %d", len(data), e.MarshaledSize())
 	}
-	back, err := UnmarshalEstimator(data)
+	back, err := UnmarshalEstimator(data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		"extra tail": append(append([]byte(nil), data...), 0xFF),
 	}
 	for name, d := range cases {
-		if _, err := UnmarshalEstimator(d); err == nil {
+		if _, err := UnmarshalEstimator(d, 0); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -91,5 +93,42 @@ func TestMarshalSizeIsODR(t *testing.T) {
 	want := 8 * 2 * 200 // center payload
 	if e.MarshaledSize() < want || e.MarshaledSize() > want+100 {
 		t.Errorf("size %d not dominated by centers (%d)", e.MarshaledSize(), want)
+	}
+}
+
+// headerOnlyMaintained is a 36-byte ODKM blob: a complete, plausible
+// header and bandwidth for a 1<<24-slot model, and no payload at all.
+func headerOnlyMaintained() []byte {
+	var w binfmt.Writer
+	w.U32(maintainedMagic)
+	w.U32(1)              // dim
+	w.U32(1 << 24)        // slot capacity
+	w.U32(1)              // physical length
+	w.U32(math.MaxUint32) // prune dimension -1
+	w.F64(100)            // window count
+	w.F64(0.05)           // bandwidth
+	return w.B
+}
+
+// TestUnmarshalMaintainedSizesNothingFromHeader pins the allocation-
+// before-bounds fix: the header above used to size newMaint's ten arrays
+// (1.2 GiB at dim 1) before the missing payload was noticed. It must fail
+// closed whether the caller's capacity rules the claim out or admits it.
+func TestUnmarshalMaintainedSizesNothingFromHeader(t *testing.T) {
+	blob := headerOnlyMaintained()
+	if len(blob) != 36 {
+		t.Fatalf("blob is %d bytes, want 36", len(blob))
+	}
+	for _, maxSlots := range []int{256, 1 << 24} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := UnmarshalEstimator(blob, maxSlots)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("maxSlots %d: header-only blob accepted", maxSlots)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("maxSlots %d: rejecting the blob allocated %d bytes", maxSlots, got)
+		}
 	}
 }

@@ -369,7 +369,7 @@ func TestMarshalRoundTripKeepsScanOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := UnmarshalEstimator(data)
+	m, err := UnmarshalEstimator(data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,10 @@
 package network
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"odds/internal/stats"
 	"odds/internal/tagsim"
-	"odds/internal/window"
 )
 
 func TestNewHierarchyShape(t *testing.T) {
@@ -194,156 +191,4 @@ func TestElectAndRotateLeaders(t *testing.T) {
 			t.Errorf("rotation kept incumbent for leader %d", leader)
 		}
 	}
-}
-
-// countNode sends one message up per epoch; parents count.
-type countNode struct {
-	id     tagsim.NodeID
-	parent tagsim.NodeID
-	send   bool
-	got    atomic.Int64
-}
-
-func (n *countNode) ID() tagsim.NodeID { return n.id }
-func (n *countNode) OnEpoch(s tagsim.Sender, e int) {
-	if n.send {
-		s.Send(n.parent, "reading", window.Point{float64(e)}, 0)
-	}
-}
-func (n *countNode) OnMessage(s tagsim.Sender, m tagsim.Message) {
-	n.got.Add(1)
-}
-
-func TestRuntimeDeliversAll(t *testing.T) {
-	topo := NewHierarchy(8, 2)
-	var nodes []tagsim.Node
-	parentOf := func(id tagsim.NodeID) tagsim.NodeID {
-		p, _ := topo.Parent(id)
-		return p
-	}
-	counters := make(map[tagsim.NodeID]*countNode)
-	for _, lv := range topo.Levels {
-		for _, id := range lv {
-			n := &countNode{id: id, parent: parentOf(id), send: topo.Level(id) == 0}
-			counters[id] = n
-			nodes = append(nodes, n)
-		}
-	}
-	rt := NewRuntime(nodes)
-	defer rt.Close()
-	rt.Run(10)
-	// Each of the 8 leaves sends 10 messages; each level-1 leader has 2
-	// leaf children → 20 received.
-	for _, leader := range topo.Levels[1] {
-		if got := counters[leader].got.Load(); got != 20 {
-			t.Errorf("leader %d received %d, want 20", leader, got)
-		}
-	}
-	if rt.Messages() != 80 {
-		t.Errorf("Messages = %d, want 80", rt.Messages())
-	}
-	if rt.Dropped() != 0 {
-		t.Errorf("Dropped = %d", rt.Dropped())
-	}
-}
-
-// relay forwards received messages to its parent, exercising transitive
-// message chains and the quiescence barrier.
-type relay struct {
-	id, parent tagsim.NodeID
-	hasParent  bool
-	send       bool
-	got        atomic.Int64
-}
-
-func (n *relay) ID() tagsim.NodeID { return n.id }
-func (n *relay) OnEpoch(s tagsim.Sender, e int) {
-	if n.send {
-		s.Send(n.parent, "reading", window.Point{float64(e)}, 0)
-	}
-}
-func (n *relay) OnMessage(s tagsim.Sender, m tagsim.Message) {
-	n.got.Add(1)
-	if n.hasParent {
-		s.Send(n.parent, m.Kind, m.Value, m.Aux)
-	}
-}
-
-func TestRuntimeBarrierIncludesCascades(t *testing.T) {
-	topo := NewHierarchy(16, 2) // depth 5
-	counters := make(map[tagsim.NodeID]*relay)
-	var nodes []tagsim.Node
-	for _, lv := range topo.Levels {
-		for _, id := range lv {
-			p, ok := topo.Parent(id)
-			n := &relay{id: id, parent: p, hasParent: ok, send: topo.Level(id) == 0}
-			counters[id] = n
-			nodes = append(nodes, n)
-		}
-	}
-	rt := NewRuntime(nodes)
-	defer rt.Close()
-	const epochs = 20
-	rt.Run(epochs)
-	// Every reading cascades to the root: root receives 16 per epoch.
-	if got := counters[topo.Root()].got.Load(); got != 16*epochs {
-		t.Errorf("root received %d, want %d", got, 16*epochs)
-	}
-}
-
-func TestRuntimeDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate node id did not panic")
-		}
-	}()
-	NewRuntime([]tagsim.Node{&countNode{id: 1}, &countNode{id: 1}})
-}
-
-func TestRuntimeDropsUnknown(t *testing.T) {
-	n := &countNode{id: 1, parent: 42, send: true}
-	rt := NewRuntime([]tagsim.Node{n})
-	defer rt.Close()
-	rt.Run(3)
-	if rt.Dropped() != 3 {
-		t.Errorf("Dropped = %d, want 3", rt.Dropped())
-	}
-}
-
-func TestRuntimeCloseIdempotent(t *testing.T) {
-	rt := NewRuntime([]tagsim.Node{&countNode{id: 1}})
-	rt.Close()
-	rt.Close()
-}
-
-// TestRuntimeConcurrentCloseRace is the regression test for the
-// unsynchronized closed flag: concurrent Close calls (and stats reads
-// racing the shutdown) must be safe, with exactly one caller performing
-// the channel close. Run under go test -race.
-func TestRuntimeConcurrentCloseRace(t *testing.T) {
-	n := &countNode{id: 1, parent: 2}
-	rt := NewRuntime([]tagsim.Node{n, &countNode{id: 2}})
-	rt.Run(5)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rt.Close()
-			_ = rt.Messages()
-			_ = rt.Dropped()
-		}()
-	}
-	wg.Wait()
-}
-
-func TestRuntimeRunAfterClosePanics(t *testing.T) {
-	rt := NewRuntime([]tagsim.Node{&countNode{id: 1}})
-	rt.Close()
-	defer func() {
-		if recover() == nil {
-			t.Error("Run on closed runtime did not panic")
-		}
-	}()
-	rt.Run(1)
 }

@@ -3,9 +3,8 @@
 // into tiers, with one leader per cell that processes the measurements of
 // all sensors in the cell (Figure 1). It provides the logical hierarchy
 // the detection algorithms are wired onto, a quad-grid constructor placing
-// sensors on the plane, leader selection/rotation, and a concurrent
-// runtime that runs each sensor as a goroutine (examples use it; the
-// experiment harness uses the deterministic tagsim engine instead).
+// sensors on the plane, and leader selection/rotation. The nodes wired
+// onto it execute on the deterministic tagsim engine.
 package network
 
 import (

@@ -1,9 +1,10 @@
 package quantile
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+
+	"odds/internal/binfmt"
 )
 
 // Binary codec for GK summaries. The encoding captures the summary
@@ -25,70 +26,46 @@ const gkMagic = uint32(0x4f44474b) // "ODGK"
 
 // MarshalBinary encodes the summary, pending buffer included.
 func (s *GK) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 16+24*len(s.tuples)+8*len(s.pending))
-	buf = binary.LittleEndian.AppendUint32(buf, gkMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.eps))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.n))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.tuples)))
+	w := binfmt.Writer{B: make([]byte, 0, 16+24*len(s.tuples)+8*len(s.pending))}
+	w.U32(gkMagic)
+	w.F64(s.eps)
+	w.U64(uint64(s.n))
+	w.U32(uint32(len(s.tuples)))
 	for _, t := range s.tuples {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.v))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.g))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.d))
+		w.F64(t.v)
+		w.U64(uint64(t.g))
+		w.U64(uint64(t.d))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.pending)))
-	for _, x := range s.pending {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	return buf, nil
+	w.U32(uint32(len(s.pending)))
+	w.F64s(s.pending)
+	return w.B, nil
 }
 
 // UnmarshalGK decodes a summary encoded by MarshalBinary.
 func UnmarshalGK(data []byte) (*GK, error) {
 	fail := func(msg string) (*GK, error) { return nil, fmt.Errorf("quantile: unmarshal: %s", msg) }
-	u32 := func() (uint32, bool) {
-		if len(data) < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(data)
-		data = data[4:]
-		return v, true
-	}
-	u64 := func() (uint64, bool) {
-		if len(data) < 8 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(data)
-		data = data[8:]
-		return v, true
-	}
-	if m, ok := u32(); !ok || m != gkMagic {
+	r := binfmt.NewReader(data)
+	if r.U32() != gkMagic {
 		return fail("bad magic")
 	}
-	epsBits, ok := u64()
-	if !ok {
-		return fail("truncated eps")
+	eps := r.F64()
+	n64 := r.U64()
+	nt := r.Count(24, math.MaxInt32)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("quantile: unmarshal: header: %w", err)
 	}
-	eps := math.Float64frombits(epsBits)
 	if !(eps > 0 && eps <= 0.5) {
 		return fail("eps outside (0, 0.5]")
 	}
-	n64, ok := u64()
-	if !ok || n64 > uint64(math.MaxInt32) {
+	if n64 > uint64(math.MaxInt32) {
 		return fail("bad n")
-	}
-	nt, ok := u32()
-	if !ok || uint64(len(data)) < uint64(nt)*24 {
-		return fail("truncated tuples")
 	}
 	s := New(eps)
 	s.n = int(n64)
 	sum := 0
 	s.tuples = make([]tuple, nt)
 	for i := range s.tuples {
-		vBits, _ := u64()
-		g, _ := u64()
-		d, _ := u64()
-		v := math.Float64frombits(vBits)
+		v, g, d := r.F64(), r.U64(), r.U64()
 		if math.IsNaN(v) || g == 0 || g > n64 || d > n64 {
 			return fail("invalid tuple")
 		}
@@ -101,21 +78,15 @@ func UnmarshalGK(data []byte) (*GK, error) {
 	if sum != s.n {
 		return fail("tuple ranks do not cover n")
 	}
-	np, ok := u32()
-	if !ok || uint64(len(data)) < uint64(np)*8 {
-		return fail("truncated pending")
-	}
-	s.pending = make([]float64, 0, np)
-	for i := uint32(0); i < np; i++ {
-		bits, _ := u64()
-		x := math.Float64frombits(bits)
+	s.pending = make([]float64, r.Count(8, math.MaxInt32))
+	r.F64s(s.pending)
+	for _, x := range s.pending {
 		if math.IsNaN(x) {
 			return fail("NaN pending value")
 		}
-		s.pending = append(s.pending, x)
 	}
-	if len(data) != 0 {
-		return fail("trailing bytes")
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("quantile: unmarshal: %w", err)
 	}
 	return s, nil
 }

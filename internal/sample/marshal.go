@@ -1,12 +1,12 @@
 package sample
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 
+	"odds/internal/binfmt"
 	"odds/internal/window"
 )
 
@@ -27,202 +27,123 @@ import (
 
 const marshalMagic = uint32(0x4f445342) // "ODSB"
 
-func appendPoint(buf []byte, p window.Point) []byte {
-	for _, x := range p {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	return buf
-}
+// Smallest encodings, which bound the header's counts by the bytes that
+// follow them: an empty slot is its flag, awaited index and chain length.
+const (
+	slotMinBytes  = 4 + 8 + 4
+	eventMinBytes = 8 + 4
+)
 
 // MarshalBinary encodes the sample.
 func (c *Chain) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 64+len(c.slots)*(32+c.dim*8))
-	buf = binary.LittleEndian.AppendUint32(buf, marshalMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.slots)))
-	buf = binary.LittleEndian.AppendUint64(buf, c.w)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.dim))
-	buf = binary.LittleEndian.AppendUint64(buf, c.n)
+	w := binfmt.Writer{B: make([]byte, 0, 64+len(c.slots)*(32+c.dim*8))}
+	w.U32(marshalMagic)
+	w.U32(uint32(len(c.slots)))
+	w.U64(c.w)
+	w.U32(uint32(c.dim))
+	w.U64(c.n)
 	for i := range c.slots {
 		sl := &c.slots[i]
-		has := uint32(0)
 		if sl.sample != nil {
-			has = 1
+			w.U32(1)
+			w.U64(sl.sampleIdx)
+			w.F64s(sl.sample)
+		} else {
+			w.U32(0)
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, has)
-		if has == 1 {
-			buf = binary.LittleEndian.AppendUint64(buf, sl.sampleIdx)
-			buf = appendPoint(buf, sl.sample)
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, sl.wantIdx)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sl.chain)))
+		w.U64(sl.wantIdx)
+		w.U32(uint32(len(sl.chain)))
 		for _, ce := range sl.chain {
-			buf = binary.LittleEndian.AppendUint64(buf, ce.idx)
-			buf = appendPoint(buf, ce.val)
+			w.U64(ce.idx)
+			w.F64s(ce.val)
 		}
 	}
-	buf = appendEventMap(buf, c.expireAt)
-	buf = appendEventMap(buf, c.wantAt)
-	return buf, nil
+	appendEventMap(&w, c.expireAt)
+	appendEventMap(&w, c.wantAt)
+	return w.B, nil
 }
 
 // appendEventMap encodes an event map with ascending indexes and verbatim
 // per-index slot lists.
-func appendEventMap(buf []byte, m map[uint64][]int) []byte {
+func appendEventMap(w *binfmt.Writer, m map[uint64][]int) {
 	idxs := make([]uint64, 0, len(m))
 	for idx := range m {
 		idxs = append(idxs, idx)
 	}
 	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(idxs)))
+	w.U32(uint32(len(idxs)))
 	for _, idx := range idxs {
 		lst := m[idx]
-		buf = binary.LittleEndian.AppendUint64(buf, idx)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(lst)))
+		w.U64(idx)
+		w.U32(uint32(len(lst)))
 		for _, s := range lst {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(s))
+			w.U32(uint32(s))
 		}
 	}
-	return buf
 }
 
 // UnmarshalChain decodes a sample encoded by MarshalBinary, attaching the
-// given random source for future coin flips.
+// given random source for future coin flips. Every count in the encoding
+// (slots, chain entries, event-map entries, event-list entries) is
+// admitted only if that many smallest-possible elements fit in the bytes
+// that remain, so the decoder never allocates more than a small multiple
+// of len(data).
 func UnmarshalChain(data []byte, rng *rand.Rand) (*Chain, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("sample: nil rng")
 	}
-	fail := func() (*Chain, error) { return nil, fmt.Errorf("sample: truncated chain encoding") }
-	read32 := func() (uint32, bool) {
-		if len(data) < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(data)
-		data = data[4:]
-		return v, true
-	}
-	read64 := func() (uint64, bool) {
-		if len(data) < 8 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(data)
-		data = data[8:]
-		return v, true
-	}
-	magic, ok := read32()
-	if !ok || magic != marshalMagic {
+	r := binfmt.NewReader(data)
+	if r.U32() != marshalMagic {
 		return nil, fmt.Errorf("sample: bad chain magic")
 	}
-	k32, ok := read32()
-	if !ok {
-		return fail()
+	k := r.Count(slotMinBytes, 1<<24)
+	w := r.U64()
+	dim := int(r.U32())
+	n := r.U64()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("sample: chain header: %w", err)
 	}
-	w, ok := read64()
-	if !ok {
-		return fail()
-	}
-	dim32, ok := read32()
-	if !ok {
-		return fail()
-	}
-	n, ok := read64()
-	if !ok {
-		return fail()
-	}
-	k, dim := int(k32), int(dim32)
-	if k <= 0 || k > 1<<24 || dim <= 0 || dim > 1<<10 || w == 0 {
+	if k <= 0 || dim <= 0 || dim > 1<<10 || w == 0 || w > math.MaxInt64 {
 		return nil, fmt.Errorf("sample: implausible chain header (k=%d dim=%d w=%d)", k, dim, w)
 	}
 	c := NewChain(k, int(w), dim, rng)
 	c.n = n
-	readPoint := func() (window.Point, bool) {
+	readPoint := func() window.Point {
 		p := make(window.Point, dim)
-		for i := range p {
-			v, ok := read64()
-			if !ok {
-				return nil, false
-			}
-			p[i] = math.Float64frombits(v)
-		}
-		return p, true
+		r.F64s(p)
+		return p
 	}
-	for i := 0; i < k; i++ {
+	for i := 0; i < k && r.Err() == nil; i++ {
 		sl := &c.slots[i]
-		has, ok := read32()
-		if !ok {
-			return fail()
-		}
-		if has == 1 {
-			if sl.sampleIdx, ok = read64(); !ok {
-				return fail()
-			}
-			if sl.sample, ok = readPoint(); !ok {
-				return fail()
-			}
-			if sl.sampleIdx > n || sl.sampleIdx+w <= n {
-				return nil, fmt.Errorf("sample: slot %d index %d inconsistent with stream position %d", i, sl.sampleIdx, n)
+		if r.U32() == 1 {
+			sl.sampleIdx = r.U64()
+			sl.sample = readPoint()
+			if r.Err() == nil && (sl.sampleIdx > n || sl.sampleIdx+w <= n) {
+				r.Fail(fmt.Errorf("slot %d index %d inconsistent with stream position %d", i, sl.sampleIdx, n))
 			}
 		}
-		if sl.wantIdx, ok = read64(); !ok {
-			return fail()
-		}
-		nc, ok := read32()
-		if !ok {
-			return fail()
-		}
-		if int(nc) > 1<<20 {
-			return nil, fmt.Errorf("sample: implausible chain length %d", nc)
-		}
-		for j := 0; j < int(nc); j++ {
-			var ce chainEntry
-			if ce.idx, ok = read64(); !ok {
-				return fail()
-			}
-			if ce.val, ok = readPoint(); !ok {
-				return fail()
-			}
-			sl.chain = append(sl.chain, ce)
+		sl.wantIdx = r.U64()
+		for j, nc := 0, r.Count(8+8*dim, 1<<20); j < nc; j++ {
+			idx := r.U64()
+			sl.chain = append(sl.chain, chainEntry{idx: idx, val: readPoint()})
 		}
 	}
-	readEventMap := func(m map[uint64][]int) error {
-		cnt, ok := read32()
-		if !ok {
-			return fmt.Errorf("sample: truncated event map")
-		}
-		if int(cnt) > 1<<24 {
-			return fmt.Errorf("sample: implausible event map size %d", cnt)
-		}
-		for e := 0; e < int(cnt); e++ {
-			idx, ok := read64()
-			if !ok {
-				return fmt.Errorf("sample: truncated event map entry")
-			}
-			ln, ok := read32()
-			if !ok || int(ln) > 1<<24 {
-				return fmt.Errorf("sample: bad event list length")
-			}
-			lst := make([]int, ln)
+	readEventMap := func(m map[uint64][]int) {
+		for e, cnt := 0, r.Count(eventMinBytes, 1<<24); e < cnt && r.Err() == nil; e++ {
+			idx := r.U64()
+			lst := make([]int, r.Count(4, 1<<24))
 			for j := range lst {
-				s, ok := read32()
-				if !ok {
-					return fmt.Errorf("sample: truncated event list")
+				if lst[j] = int(r.U32()); lst[j] >= k {
+					r.Fail(fmt.Errorf("event references slot %d of %d", lst[j], k))
 				}
-				if int(s) >= k {
-					return fmt.Errorf("sample: event references slot %d of %d", s, k)
-				}
-				lst[j] = int(s)
 			}
 			m[idx] = lst
 		}
-		return nil
 	}
-	if err := readEventMap(c.expireAt); err != nil {
-		return nil, err
-	}
-	if err := readEventMap(c.wantAt); err != nil {
-		return nil, err
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("sample: %d trailing bytes", len(data))
+	readEventMap(c.expireAt)
+	readEventMap(c.wantAt)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("sample: chain encoding: %w", err)
 	}
 	return c, nil
 }

@@ -1,8 +1,10 @@
 package sample
 
 import (
+	"runtime"
 	"testing"
 
+	"odds/internal/binfmt"
 	"odds/internal/stats"
 	"odds/internal/window"
 )
@@ -96,5 +98,44 @@ func TestUnmarshalChainRejectsGarbage(t *testing.T) {
 	}
 	if _, err := UnmarshalChain(data, nil); err == nil {
 		t.Error("nil rng accepted")
+	}
+}
+
+// hostileEventList is a 60-byte ODSB blob: one empty slot, then an expiry
+// map whose single entry claims a 1<<24-element slot list and ends there.
+func hostileEventList() []byte {
+	var w binfmt.Writer
+	w.U32(marshalMagic)
+	w.U32(1)   // slots
+	w.U64(100) // window
+	w.U32(1)   // dim
+	w.U64(0)   // arrivals
+	w.U32(0)   // slot 0: no sample
+	w.U64(0)   // awaited index
+	w.U32(0)   // chain length
+	w.U32(1)   // expiry map entries
+	w.U64(7)   // entry index
+	w.U32(1 << 24)
+	return w.B
+}
+
+// TestUnmarshalChainSizesNothingFromCounts pins the allocation-before-
+// bounds fix: the list length above used to size a 128 MiB []int before
+// the first element was found missing.
+func TestUnmarshalChainSizesNothingFromCounts(t *testing.T) {
+	blob := hostileEventList()
+	if len(blob) != 60 {
+		t.Fatalf("blob is %d bytes, want 60", len(blob))
+	}
+	rng := stats.NewRand(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := UnmarshalChain(blob, rng)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("blob with a 1<<24-element list and no elements accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("rejecting the blob allocated %d bytes", got)
 	}
 }

@@ -2,13 +2,13 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"strconv"
+
+	"odds/internal/binfmt"
 )
 
 // Cluster administration — the node-side API a router drives to place,
@@ -36,54 +36,32 @@ var errShipFrame = errors.New("serve: admin: bad snapshot-ship frame")
 
 // AppendShipFrame encodes a shard snapshot for shipping between nodes.
 func AppendShipFrame(dst []byte, shard int, fp, blob []byte) []byte {
-	start := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, shipMagic)
-	dst = append(dst, wireVersion, 0)
-	dst = binary.LittleEndian.AppendUint16(dst, 0)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(shard))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(fp)))
-	dst = append(dst, fp...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blob)))
-	dst = append(dst, blob...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	w := binfmt.Writer{B: dst}
+	w.U32(shipMagic)
+	w.U8(wireVersion)
+	w.U8(0)
+	w.U16(0)
+	w.U32(uint32(shard))
+	w.Bytes(fp)
+	w.Bytes(blob)
+	return binfmt.SealCRC(w.B, len(dst))
 }
 
 // DecodeShipFrame splits a ship frame into (shard, fingerprint, blob).
 func DecodeShipFrame(data []byte) (shard int, fp, blob []byte, err error) {
-	fail := func(form string, args ...any) (int, []byte, []byte, error) {
-		return 0, nil, nil, fmt.Errorf("%w: "+form, append([]any{errShipFrame}, args...)...)
+	body, err := openFrame(data, shipMagic, shipHeaderLen)
+	if err == nil {
+		r := binfmt.NewReader(body[5:])
+		if r.U8() != 0 || r.U16() != 0 {
+			r.Fail(errFrameReserved)
+		}
+		shard, fp, blob = int(r.U32()), r.Bytes(), r.Bytes()
+		err = r.Done()
 	}
-	if len(data) < shipHeaderLen+4 {
-		return fail("truncated")
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("%w: %v", errShipFrame, err)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return fail("checksum mismatch")
-	}
-	if binary.LittleEndian.Uint32(body) != shipMagic {
-		return fail("bad magic")
-	}
-	if body[4] != wireVersion {
-		return fail("unsupported version %d", body[4])
-	}
-	if body[5] != 0 || binary.LittleEndian.Uint16(body[6:]) != 0 {
-		return fail("nonzero reserved field")
-	}
-	shard = int(binary.LittleEndian.Uint32(body[8:]))
-	off := 12
-	fpLen := int(binary.LittleEndian.Uint32(body[off:]))
-	off += 4
-	if off+fpLen+4 > len(body) {
-		return fail("truncated fingerprint")
-	}
-	fp = body[off : off+fpLen]
-	off += fpLen
-	blobLen := int(binary.LittleEndian.Uint32(body[off:]))
-	off += 4
-	if off+blobLen != len(body) {
-		return fail("blob length mismatch")
-	}
-	return shard, fp, body[off : off+blobLen], nil
+	return shard, fp, blob, nil
 }
 
 // Epoch returns the map version this node last acknowledged.

@@ -4,11 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math"
 	"sync"
+
+	"odds/internal/binfmt"
 )
 
 // ODWP — the odds binary wire protocol. JSON is the default encoding on
@@ -99,6 +100,27 @@ func wireFingerprint(shards int, cfg PipelineConfig) uint64 {
 	return h.Sum64()
 }
 
+// openFrame checks the envelope every CRC-framed format here shares
+// (ODWB, ODWR, ODSH, ODRP): a length floor of headerLen plus the trailer,
+// the CRC-32 trailer itself, the magic, and the version byte. It returns
+// the body — header included, trailer stripped — for the format's own
+// decoder; the ODWP batch and response decoders keep fixed-offset reads
+// over it because they are the zero-allocation ingest hot path.
+func openFrame(data []byte, magic uint32, headerLen int) ([]byte, error) {
+	body, err := binfmt.OpenCRC(data, headerLen)
+	switch {
+	case err == binfmt.ErrChecksum:
+		return nil, errFrameCRC
+	case err != nil:
+		return nil, errFrameTruncated
+	case binary.LittleEndian.Uint32(body) != magic:
+		return nil, errFrameMagic
+	case body[4] != wireVersion:
+		return nil, fmt.Errorf("%w: %d", errFrameVersion, body[4])
+	}
+	return body, nil
+}
+
 // AppendBatch encodes readings as an ODWB frame appended to dst (the
 // frame starts at len(dst); the CRC covers only the appended bytes).
 // This is the client half: oddload and the benchmarks reuse dst across
@@ -118,7 +140,7 @@ func AppendBatch(dst []byte, readings []Reading, dim int, fp uint64) []byte {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 		}
 	}
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	return binfmt.SealCRC(dst, start)
 }
 
 // DecodeBatchInto decodes an ODWB frame into dst, reusing dst's backing
@@ -126,18 +148,9 @@ func AppendBatch(dst []byte, readings []Reading, dim int, fp uint64) []byte {
 // the steady-state decode of a known sensor set performs zero
 // allocations. It fails closed on any framing violation.
 func DecodeBatchInto(data []byte, dst []Reading, dim, maxBatch int, fp uint64, names *Interner) ([]Reading, error) {
-	if len(data) < wireBatchHeaderLen+4 {
-		return nil, errFrameTruncated
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, errFrameCRC
-	}
-	if binary.LittleEndian.Uint32(body) != wireBatchMagic {
-		return nil, errFrameMagic
-	}
-	if body[4] != wireVersion {
-		return nil, fmt.Errorf("%w: %d", errFrameVersion, body[4])
+	body, err := openFrame(data, wireBatchMagic, wireBatchHeaderLen)
+	if err != nil {
+		return nil, err
 	}
 	if body[5] != 0 {
 		return nil, errFrameReserved
@@ -245,25 +258,16 @@ func AppendResults(dst []byte, results []ReadingResult, rejected int, retryMS in
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.Shard))
 		dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
 	}
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	return binfmt.SealCRC(dst, start)
 }
 
 // DecodeResultsInto decodes an ODWR frame into dst (reusing its backing
 // array), returning the results, the rejected count, and the retry hint.
 func DecodeResultsInto(data []byte, dst []ReadingResult) ([]ReadingResult, int, int64, error) {
 	fail := func(err error) ([]ReadingResult, int, int64, error) { return nil, 0, 0, err }
-	if len(data) < wireRespHeaderLen+4 {
-		return fail(errFrameTruncated)
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return fail(errFrameCRC)
-	}
-	if binary.LittleEndian.Uint32(body) != wireRespMagic {
-		return fail(errFrameMagic)
-	}
-	if body[4] != wireVersion {
-		return fail(fmt.Errorf("%w: %d", errFrameVersion, body[4]))
+	body, err := openFrame(data, wireRespMagic, wireRespHeaderLen)
+	if err != nil {
+		return fail(err)
 	}
 	if binary.LittleEndian.Uint16(body[6:]) != 0 {
 		return fail(errFrameReserved)
@@ -328,9 +332,7 @@ func appendFrame(dst []byte, fill func([]byte) []byte) []byte {
 	lenAt := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // patched below
 	payloadAt := len(dst)
-	dst = fill(dst)
-	crc := crc32.ChecksumIEEE(dst[payloadAt:])
-	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	dst = binfmt.SealCRC(fill(dst), payloadAt)
 	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-payloadAt))
 	return dst
 }
@@ -414,8 +416,8 @@ func (sr *StreamReader) Next() (ev Event, gap uint64, kind byte, err error) {
 	if _, err := io.ReadFull(sr.r, frame); err != nil {
 		return fail(err)
 	}
-	payload, tail := frame[:n-4], frame[n-4:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(tail) {
+	payload, err := binfmt.OpenCRC(frame, 1)
+	if err != nil {
 		return fail(errFrameCRC)
 	}
 	switch payload[0] {

@@ -317,7 +317,7 @@ func cloneModel(m *kernel.Estimator) *kernel.Estimator {
 		// programming error.
 		panic(fmt.Sprintf("serve: clone model: %v", err))
 	}
-	c, err := kernel.UnmarshalEstimator(blob)
+	c, err := kernel.UnmarshalEstimator(blob, m.MaxSlots())
 	if err != nil {
 		panic(fmt.Sprintf("serve: clone model: %v", err))
 	}

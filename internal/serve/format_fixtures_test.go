@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"odds/internal/core"
@@ -28,7 +29,12 @@ import (
 // below pins three properties per format:
 //
 //   - encode == fixture bytes (the encoder has not moved a byte);
-//   - decode → re-encode == fixture bytes (the decoder loses nothing).
+//   - decode → re-encode == fixture bytes (the decoder loses nothing);
+//   - every proper prefix and every single-bit flip of the fixture either
+//     fails to decode or decodes to a value whose encoding is a fixed
+//     point of decode → re-encode — never a panic, never more than
+//     hostileAllocSlack bytes allocated beyond what decoding the pristine
+//     fixture allocates.
 //
 // The per-format fuzz targets and malformed-frame tables go deeper on one
 // format each; this is the row across all of them.
@@ -37,6 +43,8 @@ import (
 //
 //	go test ./internal/serve -run TestFormatFixtures -update-fixtures
 var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/formats/*.bin from the current encoders")
+
+const hostileAllocSlack = 1 << 20
 
 // formatCase is one row: build encodes the fixture's value from scratch;
 // reencode decodes data and encodes the decoded value again.
@@ -174,6 +182,7 @@ func marshalTwice(m interface{ MarshalBinary() ([]byte, error) }, err error) ([]
 
 func detectorCase(kind detector.Kind) formatCase {
 	cfg := fixtureDetectorConfig(kind)
+	var restored detector.Detector
 	return formatCase{
 		name: "ODDB-" + string(kind),
 		build: func() ([]byte, error) {
@@ -186,15 +195,21 @@ func detectorCase(kind detector.Kind) formatCase {
 			}
 			return d.Snapshot()
 		},
+		// One detector serves every decode: Restore replaces the whole state
+		// on success and leaves it untouched on failure, and constructing a
+		// qn backend (four pre-grown sketches) per mutation would dominate
+		// the sweep.
 		reencode: func(data []byte) ([]byte, error) {
-			d, err := detector.New(cfg)
-			if err != nil {
+			if restored == nil {
+				var err error
+				if restored, err = detector.New(cfg); err != nil {
+					return nil, err
+				}
+			}
+			if err := restored.Restore(data); err != nil {
 				return nil, err
 			}
-			if err := d.Restore(data); err != nil {
-				return nil, err
-			}
-			return d.Snapshot()
+			return restored.Snapshot()
 		},
 	}
 }
@@ -244,7 +259,7 @@ func formatCases() []formatCase {
 				return m.MarshalBinary()
 			},
 			reencode: func(data []byte) ([]byte, error) {
-				return marshalTwice(kernel.UnmarshalEstimator(data))
+				return marshalTwice(kernel.UnmarshalEstimator(data, 0))
 			},
 		},
 		{
@@ -266,7 +281,7 @@ func formatCases() []formatCase {
 				return m.MarshalBinary()
 			},
 			reencode: func(data []byte) ([]byte, error) {
-				return marshalTwice(kernel.UnmarshalEstimator(data))
+				return marshalTwice(kernel.UnmarshalEstimator(data, 8))
 			},
 		},
 		{
@@ -295,7 +310,7 @@ func formatCases() []formatCase {
 				return m.MarshalBinary()
 			},
 			reencode: func(data []byte) ([]byte, error) {
-				return marshalTwice(drift.UnmarshalMonitor(data))
+				return marshalTwice(drift.UnmarshalMonitor(data, 2, fixtureDriftBank()))
 			},
 		},
 		detectorCase(detector.KindKernelChain),
@@ -434,6 +449,16 @@ func formatCases() []formatCase {
 	return cases
 }
 
+// allocatedBy reports the bytes allocated while f runs (single-goroutine;
+// the fixture subtests do not run in parallel).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 func TestFormatFixtures(t *testing.T) {
 	for _, fc := range formatCases() {
 		fc := fc
@@ -458,13 +483,89 @@ func TestFormatFixtures(t *testing.T) {
 			if !bytes.Equal(built, want) {
 				t.Fatalf("encoder output (%d bytes) differs from fixture (%d bytes)", len(built), len(want))
 			}
-			again, err := fc.reencode(want)
+			var again []byte
+			base := allocatedBy(func() { again, err = fc.reencode(want) })
 			if err != nil {
 				t.Fatalf("decode fixture: %v", err)
 			}
 			if !bytes.Equal(again, want) {
 				t.Fatalf("decode → re-encode (%d bytes) differs from fixture (%d bytes)", len(again), len(want))
 			}
+			hostileSweep(t, fc, want, base+hostileAllocSlack)
 		})
+	}
+}
+
+// hostileSweep feeds every proper prefix and every single-bit flip of the
+// fixture to the decoder. Allocation is metered per group of mutations
+// (one ReadMemStats pair per byte position) and re-metered per mutation
+// only when a group exceeds the single-mutation limit, so the common case
+// costs one meter read per fixture byte. Only the decode of the mutated
+// input is metered; the fixed-point check on an accepted mutation runs
+// after the meter is read.
+func hostileSweep(t *testing.T, fc formatCase, fixture []byte, limit uint64) {
+	type mutation struct {
+		what string
+		data []byte
+	}
+	decode := func(m mutation) []byte {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("%s: decoder panicked: %v", m.what, r)
+			}
+		}()
+		enc, err := fc.reencode(m.data)
+		if err != nil {
+			return nil
+		}
+		return enc
+	}
+	sweep := func(group []mutation) {
+		accepted := make([][]byte, len(group))
+		if allocatedBy(func() {
+			for i, m := range group {
+				accepted[i] = decode(m)
+			}
+		}) > limit {
+			for _, m := range group {
+				if got := allocatedBy(func() { decode(m) }); got > limit {
+					t.Fatalf("%s: decoder allocated %d bytes, limit %d", m.what, got, limit)
+				}
+			}
+		}
+		for i, enc := range accepted {
+			// An accepted mutation that re-encodes to itself is a fixed
+			// point already (decoding is deterministic); only a decoder that
+			// normalised something needs the second pass.
+			if enc == nil || bytes.Equal(enc, group[i].data) {
+				continue
+			}
+			enc2, err := fc.reencode(enc)
+			if err != nil {
+				t.Fatalf("%s: decoded, but its re-encoding does not decode: %v", group[i].what, err)
+			}
+			if !bytes.Equal(enc, enc2) {
+				t.Fatalf("%s: decoded to a value whose encoding is not canonical", group[i].what)
+			}
+		}
+	}
+
+	const perGroup = 8
+	var group []mutation
+	for n := 0; n < len(fixture); n++ {
+		group = append(group, mutation{fmt.Sprintf("prefix of %d bytes", n), fixture[:n]})
+		if len(group) == perGroup || n == len(fixture)-1 {
+			sweep(group)
+			group = group[:0]
+		}
+	}
+	for i := range fixture {
+		for bit := 0; bit < 8; bit++ {
+			flipped := bytes.Clone(fixture)
+			flipped[i] ^= 1 << bit
+			group = append(group, mutation{fmt.Sprintf("bit %d of byte %d flipped", bit, i), flipped})
+		}
+		sweep(group)
+		group = group[:0]
 	}
 }

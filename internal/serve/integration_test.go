@@ -317,3 +317,53 @@ func TestPeriodicCheckpointRecovery(t *testing.T) {
 		t.Fatal("restore recovered nothing from the periodic snapshot")
 	}
 }
+
+// TestRequeue pins RunLoad's advance step on its own: after a round of n
+// readings with the rejected ones compacted to the front, the next
+// pending list is the retries in their original order followed by the
+// untouched unsent tail, and the step allocates nothing.
+func TestRequeue(t *testing.T) {
+	const total, n = 12, 5
+	for _, tc := range []struct {
+		name     string
+		rejected []int // indexes into the round, ascending
+	}{
+		{"no rejects", nil},
+		{"some rejects", []int{1, 3, 4}},
+		{"all rejected", []int{0, 1, 2, 3, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := func() []loadReading {
+				p := make([]loadReading, total)
+				for i := range p {
+					p[i].seq = uint64(i)
+				}
+				// The scan in RunLoad compacts rejected readings forward.
+				for k, i := range tc.rejected {
+					p[k] = p[i]
+				}
+				return p
+			}
+			got := requeue(fresh(), n, len(tc.rejected))
+			var want []uint64
+			for _, i := range tc.rejected {
+				want = append(want, uint64(i))
+			}
+			for i := n; i < total; i++ {
+				want = append(want, uint64(i))
+			}
+			if len(got) != len(want) {
+				t.Fatalf("len %d, want %d", len(got), len(want))
+			}
+			for i, rd := range got {
+				if rd.seq != want[i] {
+					t.Fatalf("position %d holds reading %d, want %d", i, rd.seq, want[i])
+				}
+			}
+			p := fresh()
+			if allocs := testing.AllocsPerRun(100, func() { requeue(p, n, len(tc.rejected)) }); allocs != 0 {
+				t.Fatalf("requeue allocates %v per run, want 0", allocs)
+			}
+		})
+	}
+}

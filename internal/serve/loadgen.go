@@ -245,12 +245,14 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 
 		// Check accepted readings against the twin; keep rejected ones
 		// (whole per-shard sub-batches, so per-shard order is intact)
-		// at the front of the next round.
-		var retry []loadReading
+		// at the front of the next round, compacting them into
+		// batch[:rejected] as the scan goes.
+		rejected := 0
 		for i, rd := range batch {
 			res := resp.Results[i]
 			if !res.Accepted {
-				retry = append(retry, rd)
+				batch[rejected] = rd
+				rejected++
 				continue
 			}
 			tv := twins[rd.shard].IngestSensor(rd.Sensor, rd.Value)
@@ -277,8 +279,8 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 				}
 			}
 		}
-		pending = append(retry, pending[n:]...)
-		if len(retry) == n {
+		pending = requeue(pending, n, rejected)
+		if rejected == n {
 			// Fully rejected round: honor the server's backoff hint.
 			if opts.MaxRetries > 0 {
 				opts.MaxRetries--
@@ -337,6 +339,16 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// requeue advances pending past a round that sent its first n readings,
+// of which the k rejected ones were compacted in their original order
+// into pending[:k]. They are moved into the k slots just consumed, so the
+// result is the retries followed by the untouched unsent tail and a round
+// costs O(k) — never a copy of the whole tail.
+func requeue(pending []loadReading, n, k int) []loadReading {
+	copy(pending[n-k:n], pending[:k])
+	return pending[n-k:]
 }
 
 // evKey identifies one verdict: sequence numbers are per-shard.

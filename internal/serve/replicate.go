@@ -2,14 +2,14 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
+
+	"odds/internal/binfmt"
 )
 
 // Replication — the primary → follower half of a cluster shard's replica
@@ -45,39 +45,33 @@ var (
 
 // appendReplFrame encodes a replication frame appended to dst.
 func appendReplFrame(dst []byte, shard int, fromSeq uint64, readings []Reading, dim int, fp uint64) []byte {
-	start := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, replMagic)
-	dst = append(dst, wireVersion, 0)
-	dst = binary.LittleEndian.AppendUint16(dst, 0)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(shard))
-	dst = binary.LittleEndian.AppendUint64(dst, fromSeq)
-	dst = AppendBatch(dst, readings, dim, fp)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	w := binfmt.Writer{B: dst}
+	w.U32(replMagic)
+	w.U8(wireVersion)
+	w.U8(0)
+	w.U16(0)
+	w.U32(uint32(shard))
+	w.U64(fromSeq)
+	return binfmt.SealCRC(AppendBatch(w.B, readings, dim, fp), len(dst))
 }
 
 // decodeReplFrame splits a replication frame into (shard, fromSeq, inner
 // ODWB frame). The inner frame still needs DecodeBatchInto, which is
 // where the config fingerprint is enforced.
 func decodeReplFrame(data []byte) (shard int, fromSeq uint64, inner []byte, err error) {
-	if len(data) < replHeaderLen+4 {
-		return 0, 0, nil, fmt.Errorf("%w: truncated", errReplFrame)
+	body, err := openFrame(data, replMagic, replHeaderLen)
+	if err == nil {
+		r := binfmt.NewReader(body[5:])
+		if r.U8() != 0 || r.U16() != 0 {
+			r.Fail(errFrameReserved)
+		}
+		shard, fromSeq, inner = int(r.U32()), r.U64(), r.Rest()
+		err = r.Err()
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return 0, 0, nil, fmt.Errorf("%w: checksum mismatch", errReplFrame)
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("%w: %v", errReplFrame, err)
 	}
-	if binary.LittleEndian.Uint32(body) != replMagic {
-		return 0, 0, nil, fmt.Errorf("%w: bad magic", errReplFrame)
-	}
-	if body[4] != wireVersion {
-		return 0, 0, nil, fmt.Errorf("%w: unsupported version %d", errReplFrame, body[4])
-	}
-	if body[5] != 0 || binary.LittleEndian.Uint16(body[6:]) != 0 {
-		return 0, 0, nil, fmt.Errorf("%w: nonzero reserved field", errReplFrame)
-	}
-	shard = int(binary.LittleEndian.Uint32(body[8:]))
-	fromSeq = binary.LittleEndian.Uint64(body[12:])
-	return shard, fromSeq, body[replHeaderLen:], nil
+	return shard, fromSeq, inner, nil
 }
 
 // replBatch is one forwarded sub-batch (readings are replicator-owned

@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 
+	"odds/internal/binfmt"
 	"odds/internal/detector"
 	"odds/internal/drift"
 	"odds/internal/kernel"
@@ -37,26 +35,21 @@ const (
 
 // Snapshot encodes the pipeline's complete deterministic state.
 func (p *Pipeline) Snapshot() ([]byte, error) {
-	dim := p.cfg.Core.Dim
-	buf := make([]byte, 0, 64+p.count*dim*8)
-	buf = binary.LittleEndian.AppendUint32(buf, pipelineMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, pipelineVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, p.seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.count))
-	pts := p.windowPoints(make([]window.Point, 0, p.count))
-	for _, pt := range pts {
-		for _, x := range pt {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-		}
+	w := binfmt.Writer{B: make([]byte, 0, 64+p.count*p.cfg.Core.Dim*8)}
+	w.U32(pipelineMagic)
+	w.U32(pipelineVersion)
+	w.U64(p.seq)
+	w.U32(uint32(p.count))
+	for _, pt := range p.windowPoints(make([]window.Point, 0, p.count)) {
+		w.F64s(pt)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.dets)))
+	w.U32(uint32(len(p.dets)))
 	for _, d := range p.dets {
 		blob, err := d.Snapshot()
 		if err != nil {
 			return nil, err
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
-		buf = append(buf, blob...)
+		w.Bytes(blob)
 	}
 	if p.drift != nil {
 		// Drift section, present iff the config arms the monitor (the
@@ -69,24 +62,22 @@ func (p *Pipeline) Snapshot() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(mon)))
-		buf = append(buf, mon...)
+		w.Bytes(mon)
 		var ref []byte
 		if d.ref != nil {
 			if ref, err = d.ref.MarshalBinary(); err != nil {
 				return nil, err
 			}
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ref)))
-		buf = append(buf, ref...)
-		buf = binary.LittleEndian.AppendUint64(buf, d.jsChecks)
-		buf = binary.LittleEndian.AppendUint64(buf, d.jsTrips)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.lastJS))
-		buf = binary.LittleEndian.AppendUint64(buf, d.refresh)
-		buf = binary.LittleEndian.AppendUint64(buf, d.shrinks)
-		buf = binary.LittleEndian.AppendUint64(buf, d.lastSeq)
+		w.Bytes(ref)
+		w.U64(d.jsChecks)
+		w.U64(d.jsTrips)
+		w.F64(d.lastJS)
+		w.U64(d.refresh)
+		w.U64(d.shrinks)
+		w.U64(d.lastSeq)
 	}
-	return buf, nil
+	return w.B, nil
 }
 
 // RestorePipeline rebuilds a pipeline from a snapshot taken under the same
@@ -102,33 +93,19 @@ func RestorePipeline(cfg PipelineConfig, data []byte) (*Pipeline, error) {
 		return nil, err
 	}
 	fail := func(msg string) (*Pipeline, error) { return nil, fmt.Errorf("serve: %s", msg) }
-	r := reader{data: data}
-	if m, ok := r.u32(); !ok || m != pipelineMagic {
+	r := binfmt.NewReader(data)
+	if r.U32() != pipelineMagic {
 		return fail("bad pipeline snapshot magic")
 	}
-	if v, ok := r.u32(); !ok || v != pipelineVersion {
+	if r.U32() != pipelineVersion {
 		return fail("unsupported pipeline snapshot version")
 	}
-	seq, ok1 := r.u64()
-	count32, ok2 := r.u32()
-	if !(ok1 && ok2) {
-		return fail("truncated pipeline snapshot")
-	}
-	count := int(count32)
-	if count > cfg.Core.WindowCap {
-		return fail("window count exceeds capacity")
-	}
-	p.seq = seq
+	p.seq = r.U64()
 	dim := cfg.Core.Dim
+	count := r.Count(8*dim, cfg.Core.WindowCap)
 	for i := 0; i < count; i++ {
 		slot := p.ring[p.head]
-		for d := 0; d < dim; d++ {
-			bits, ok := r.u64()
-			if !ok {
-				return fail("truncated window points")
-			}
-			slot[d] = math.Float64frombits(bits)
-		}
+		r.F64s(slot)
 		p.exactAdd(slot)
 		p.head++
 		if p.head == len(p.ring) {
@@ -136,137 +113,80 @@ func RestorePipeline(cfg PipelineConfig, data []byte) (*Pipeline, error) {
 		}
 	}
 	p.count = count
-	ndets, ok := r.u32()
-	if !ok {
-		return fail("truncated detector section")
-	}
-	if int(ndets) != len(p.dets) {
+	if ndets := int(r.U32()); r.Err() == nil && ndets != len(p.dets) {
 		return fail("detector count mismatch (snapshot taken under different backends)")
 	}
 	for _, d := range p.dets {
-		blob, ok := r.bytes()
-		if !ok {
-			return fail("truncated detector blob")
+		blob := r.Bytes()
+		if r.Err() != nil {
+			break
 		}
 		if err := d.Restore(blob); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.Drift.Enabled {
-		d := p.drift
-		monBlob, ok1 := r.bytes()
-		refBlob, ok2 := r.bytes()
-		if !(ok1 && ok2) {
-			return fail("truncated drift section")
-		}
-		var err error
-		if d.mon, err = drift.UnmarshalMonitor(monBlob); err != nil {
-			return nil, err
-		}
-		if len(refBlob) > 0 {
-			if d.ref, err = kernel.UnmarshalEstimator(refBlob); err != nil {
+	if d := p.drift; d != nil && r.Err() == nil {
+		monBlob, refBlob := r.Bytes(), r.Bytes()
+		d.jsChecks, d.jsTrips, d.lastJS = r.U64(), r.U64(), r.F64()
+		d.refresh, d.shrinks, d.lastSeq = r.U64(), r.U64(), r.U64()
+		if r.Err() == nil {
+			if d.mon, err = drift.UnmarshalMonitor(monBlob, d.mon.Dim(), d.mon.Config()); err != nil {
 				return nil, err
 			}
+			if len(refBlob) > 0 {
+				if d.ref, err = kernel.UnmarshalEstimator(refBlob, cfg.Core.SampleSize); err != nil {
+					return nil, err
+				}
+			}
 		}
-		jsChecks, ok1 := r.u64()
-		jsTrips, ok2 := r.u64()
-		lastJSBits, ok3 := r.u64()
-		refresh, ok4 := r.u64()
-		shrinks, ok5 := r.u64()
-		lastSeq, ok6 := r.u64()
-		if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6) {
-			return fail("truncated drift counters")
-		}
-		d.jsChecks, d.jsTrips, d.lastJS = jsChecks, jsTrips, math.Float64frombits(lastJSBits)
-		d.refresh, d.shrinks, d.lastSeq = refresh, shrinks, lastSeq
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("serve: pipeline snapshot: %w", err)
 	}
 	return p, nil
-}
-
-// reader is a bounds-checked little-endian cursor.
-type reader struct{ data []byte }
-
-func (r *reader) u8() (byte, bool) {
-	if len(r.data) < 1 {
-		return 0, false
-	}
-	v := r.data[0]
-	r.data = r.data[1:]
-	return v, true
-}
-
-func (r *reader) u32() (uint32, bool) {
-	if len(r.data) < 4 {
-		return 0, false
-	}
-	v := binary.LittleEndian.Uint32(r.data)
-	r.data = r.data[4:]
-	return v, true
-}
-
-func (r *reader) u64() (uint64, bool) {
-	if len(r.data) < 8 {
-		return 0, false
-	}
-	v := binary.LittleEndian.Uint64(r.data)
-	r.data = r.data[8:]
-	return v, true
-}
-
-func (r *reader) bytes() ([]byte, bool) {
-	n, ok := r.u32()
-	if !ok || len(r.data) < int(n) {
-		return nil, false
-	}
-	v := r.data[:n]
-	r.data = r.data[n:]
-	return v, true
 }
 
 // fingerprint encodes the configuration a snapshot file was taken under;
 // restore refuses a file whose fingerprint differs from the server's.
 func fingerprint(shards int, cfg PipelineConfig) []byte {
-	buf := make([]byte, 0, 96)
-	app64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	appF := func(v float64) { app64(math.Float64bits(v)) }
-	app64(uint64(shards))
-	app64(uint64(cfg.Seed))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cfg.Kind)))
-	buf = append(buf, cfg.Kind...)
+	w := binfmt.Writer{B: make([]byte, 0, 96)}
+	w.U64(uint64(shards))
+	w.U64(uint64(cfg.Seed))
+	w.Str(string(cfg.Kind))
 	c := cfg.Core
-	app64(uint64(c.WindowCap))
-	app64(uint64(c.SampleSize))
-	appF(c.Eps)
-	appF(c.SampleFraction)
-	app64(uint64(c.Dim))
-	app64(uint64(c.RebuildEvery))
-	appF(c.BandwidthScale)
-	appF(cfg.Distance.Radius)
-	appF(cfg.Distance.Threshold)
-	appF(cfg.MDEF.R)
-	appF(cfg.MDEF.AlphaR)
-	appF(cfg.MDEF.KSigma)
+	w.U64(uint64(c.WindowCap))
+	w.U64(uint64(c.SampleSize))
+	w.F64(c.Eps)
+	w.F64(c.SampleFraction)
+	w.U64(uint64(c.Dim))
+	w.U64(uint64(c.RebuildEvery))
+	w.F64(c.BandwidthScale)
+	w.F64(cfg.Distance.Radius)
+	w.F64(cfg.Distance.Threshold)
+	w.F64(cfg.MDEF.R)
+	w.F64(cfg.MDEF.AlphaR)
+	w.F64(cfg.MDEF.KSigma)
 	// Drift configuration (filled form, so a defaulted and an explicit
 	// spelling of the same monitor fingerprint identically). A disabled
 	// config appends a lone zero, keeping the armed/unarmed encodings
 	// disjoint.
 	d := cfg.Drift.withDefaults()
 	if !d.Enabled {
-		app64(0)
+		w.U64(0)
 	} else {
-		app64(1)
-		app64(uint64(d.SampleEvery))
-		app64(uint64(d.Detector.Window))
-		app64(uint64(d.Detector.CheckEvery))
-		app64(uint64(d.Detector.Cooldown))
-		appF(d.Detector.KSD)
-		appF(d.Detector.PHDelta)
-		appF(d.Detector.PHLambda)
-		appF(d.Detector.MKZ)
-		app64(uint64(d.JSEvery))
-		appF(d.JSThreshold)
-		app64(uint64(d.JSGridPoints))
-		appF(d.ShrinkFrac)
+		w.U64(1)
+		w.U64(uint64(d.SampleEvery))
+		w.U64(uint64(d.Detector.Window))
+		w.U64(uint64(d.Detector.CheckEvery))
+		w.U64(uint64(d.Detector.Cooldown))
+		w.F64(d.Detector.KSD)
+		w.F64(d.Detector.PHDelta)
+		w.F64(d.Detector.PHLambda)
+		w.F64(d.Detector.MKZ)
+		w.U64(uint64(d.JSEvery))
+		w.F64(d.JSThreshold)
+		w.U64(uint64(d.JSGridPoints))
+		w.F64(d.ShrinkFrac)
 	}
 	// Backend section (the satellite fix: a snapshot taken under one
 	// backend arrangement must never restore into another). Covers the
@@ -275,39 +195,35 @@ func fingerprint(shards int, cfg PipelineConfig) []byte {
 	// changes which detector sees which reading, so all of them gate
 	// restore. Kernelchain's own tuning is already covered by the Core /
 	// Distance / MDEF fields above.
-	appStr := func(s string) {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-		buf = append(buf, s...)
-	}
-	appStr(string(cfg.DefaultBackend()))
+	w.Str(string(cfg.DefaultBackend()))
 	armed := cfg.armedKinds()
 	b := cfg.Backends.WithDefaults()
-	app64(uint64(len(armed)))
+	w.U64(uint64(len(armed)))
 	for _, k := range armed {
-		appStr(string(k))
+		w.Str(string(k))
 		switch k {
 		case detector.KindQn:
-			appF(b.Qn.Eps)
-			app64(uint64(b.Qn.Lag))
-			appF(b.Qn.K)
-			app64(uint64(b.Qn.MinN))
+			w.F64(b.Qn.Eps)
+			w.U64(uint64(b.Qn.Lag))
+			w.F64(b.Qn.K)
+			w.U64(uint64(b.Qn.MinN))
 		case detector.KindCoreset:
-			app64(uint64(b.Coreset.Size))
-			app64(uint64(b.Coreset.RebuildEvery))
-			app64(uint64(b.Coreset.WindowCount))
-			app64(uint64(b.Coreset.MinN))
+			w.U64(uint64(b.Coreset.Size))
+			w.U64(uint64(b.Coreset.RebuildEvery))
+			w.U64(uint64(b.Coreset.WindowCount))
+			w.U64(uint64(b.Coreset.MinN))
 		case detector.KindEWMA:
-			appF(b.EWMA.Lambda)
-			appF(b.EWMA.K)
-			app64(uint64(b.EWMA.MinN))
+			w.F64(b.EWMA.Lambda)
+			w.F64(b.EWMA.K)
+			w.U64(uint64(b.EWMA.MinN))
 		}
 	}
-	app64(uint64(len(cfg.Selector)))
+	w.U64(uint64(len(cfg.Selector)))
 	for _, r := range cfg.Selector {
-		appStr(r.Prefix)
-		appStr(string(r.Backend))
+		w.Str(r.Prefix)
+		w.Str(string(r.Backend))
 	}
-	return buf
+	return w.B
 }
 
 // encodeFile frames per-shard snapshots into one server snapshot file.
@@ -317,56 +233,45 @@ func encodeFile(shards int, cfg PipelineConfig, blobs [][]byte) []byte {
 	for _, b := range blobs {
 		size += 4 + len(b)
 	}
-	buf := make([]byte, 0, size+4)
-	buf = binary.LittleEndian.AppendUint32(buf, fileMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, fileVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fp)))
-	buf = append(buf, fp...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blobs)))
+	w := binfmt.Writer{B: make([]byte, 0, size+4)}
+	w.U32(fileMagic)
+	w.U32(fileVersion)
+	w.Bytes(fp)
+	w.U32(uint32(len(blobs)))
 	for _, b := range blobs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-		buf = append(buf, b...)
+		w.Bytes(b)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf
+	return binfmt.SealCRC(w.B, 0)
 }
 
 // decodeFile validates framing, CRC, and fingerprint, returning the
 // per-shard snapshots.
 func decodeFile(data []byte, shards int, cfg PipelineConfig) ([][]byte, error) {
 	fail := func(msg string) ([][]byte, error) { return nil, fmt.Errorf("serve: snapshot file: %s", msg) }
-	if len(data) < 4 {
-		return fail("truncated")
+	body, err := binfmt.OpenCRC(data, 0)
+	if err != nil {
+		return nil, fmt.Errorf("serve: snapshot file: %w", err)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return fail("checksum mismatch")
-	}
-	r := reader{data: body}
-	if m, ok := r.u32(); !ok || m != fileMagic {
+	r := binfmt.NewReader(body)
+	if r.U32() != fileMagic {
 		return fail("bad magic")
 	}
-	if v, ok := r.u32(); !ok || v != fileVersion {
+	if r.U32() != fileVersion {
 		return fail("unsupported version")
 	}
-	fp, ok := r.bytes()
-	if !ok {
-		return fail("truncated fingerprint")
-	}
-	if want := fingerprint(shards, cfg); string(fp) != string(want) {
+	fp := r.Bytes()
+	if r.Err() == nil && string(fp) != string(fingerprint(shards, cfg)) {
 		return fail("configuration fingerprint mismatch (snapshot taken under different settings)")
 	}
-	n32, ok := r.u32()
-	if !ok || int(n32) != shards {
+	if n := int(r.U32()); r.Err() == nil && n != shards {
 		return fail("shard count mismatch")
 	}
 	blobs := make([][]byte, shards)
 	for i := range blobs {
-		b, ok := r.bytes()
-		if !ok {
-			return fail("truncated shard snapshot")
-		}
-		blobs[i] = b
+		blobs[i] = r.Bytes()
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("serve: snapshot file: %w", err)
 	}
 	return blobs, nil
 }

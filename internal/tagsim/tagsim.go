@@ -40,8 +40,7 @@ type Message struct {
 }
 
 // Sender lets a node behavior transmit messages; it is implemented by
-// this package's epoch-driven simulator and by the network package's
-// concurrent goroutine runtime, so the same node code runs on either.
+// this package's epoch-driven simulator.
 type Sender interface {
 	// Self returns the node the callback is executing on.
 	Self() NodeID

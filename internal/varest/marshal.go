@@ -1,9 +1,10 @@
 package varest
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+
+	"odds/internal/binfmt"
 )
 
 // Leader rotation (Section 2 of the paper: the leadership role rotates
@@ -14,64 +15,57 @@ import (
 
 const marshalMagic = uint32(0x4f445645) // "ODVE"
 
+// bucketBytes is one encoded bucket: first, last, mean, v.
+const bucketBytes = 32
+
 // MarshalBinary encodes the sketch.
 func (e *Estimator) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 4+8+8+8+4+32*len(e.buckets))
-	buf = binary.LittleEndian.AppendUint32(buf, marshalMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, e.w)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.eps))
-	buf = binary.LittleEndian.AppendUint64(buf, e.now)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.buckets)))
+	w := binfmt.Writer{B: make([]byte, 0, 4+8+8+8+4+bucketBytes*len(e.buckets))}
+	w.U32(marshalMagic)
+	w.U64(e.w)
+	w.F64(e.eps)
+	w.U64(e.now)
+	w.U32(uint32(len(e.buckets)))
 	for _, b := range e.buckets {
-		buf = binary.LittleEndian.AppendUint64(buf, b.first)
-		buf = binary.LittleEndian.AppendUint64(buf, b.last)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b.mean))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b.v))
+		w.U64(b.first)
+		w.U64(b.last)
+		w.F64(b.mean)
+		w.F64(b.v)
 	}
-	return buf, nil
+	return w.B, nil
 }
 
 // UnmarshalEstimator decodes a sketch encoded by MarshalBinary. The
 // restored sketch continues exactly where the original stopped.
 func UnmarshalEstimator(data []byte) (*Estimator, error) {
-	if len(data) < 4+8+8+8+4 {
-		return nil, fmt.Errorf("varest: truncated sketch encoding")
-	}
-	if binary.LittleEndian.Uint32(data) != marshalMagic {
+	r := binfmt.NewReader(data)
+	if r.U32() != marshalMagic {
 		return nil, fmt.Errorf("varest: bad sketch magic")
 	}
-	data = data[4:]
-	w := binary.LittleEndian.Uint64(data)
-	data = data[8:]
-	eps := math.Float64frombits(binary.LittleEndian.Uint64(data))
-	data = data[8:]
-	now := binary.LittleEndian.Uint64(data)
-	data = data[8:]
-	nb := int(binary.LittleEndian.Uint32(data))
-	data = data[4:]
+	w := r.U64()
+	eps := r.F64()
+	now := r.U64()
+	nb := r.Count(bucketBytes, math.MaxInt32)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("varest: sketch header: %w", err)
+	}
 	if w == 0 || w > 1<<40 || !(eps > 0 && eps <= 1) {
 		return nil, fmt.Errorf("varest: implausible header (w=%d eps=%v)", w, eps)
-	}
-	if len(data) != 32*nb {
-		return nil, fmt.Errorf("varest: bucket payload %d bytes, want %d", len(data), 32*nb)
 	}
 	e := New(int(w), eps)
 	e.now = now
 	e.buckets = make([]bucket, nb)
 	var prevLast uint64
 	for i := range e.buckets {
-		b := bucket{
-			first: binary.LittleEndian.Uint64(data),
-			last:  binary.LittleEndian.Uint64(data[8:]),
-			mean:  math.Float64frombits(binary.LittleEndian.Uint64(data[16:])),
-			v:     math.Float64frombits(binary.LittleEndian.Uint64(data[24:])),
-		}
-		data = data[32:]
+		b := bucket{first: r.U64(), last: r.U64(), mean: r.F64(), v: r.F64()}
 		if b.last < b.first || b.last > now || (i > 0 && b.first != prevLast+1) {
 			return nil, fmt.Errorf("varest: bucket %d range [%d,%d] inconsistent", i, b.first, b.last)
 		}
 		prevLast = b.last
 		e.buckets[i] = b
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("varest: sketch encoding: %w", err)
 	}
 	return e, nil
 }

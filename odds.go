@@ -16,8 +16,9 @@
 //     against a replicated global model).
 //
 // Single-stream use needs only Detector or MDEFDetector. Networked use
-// assembles a Deployment over a leader hierarchy and runs it on either the
-// deterministic epoch simulator or a goroutine-per-sensor runtime.
+// assembles a Deployment over a leader hierarchy and runs it on the
+// deterministic epoch simulator, serially (Run) or across a worker pool
+// (RunParallel) with bit-identical results.
 package odds
 
 import (

@@ -289,24 +289,6 @@ func TestDeploymentCentralized(t *testing.T) {
 	}
 }
 
-func TestDeploymentConcurrentRun(t *testing.T) {
-	d, err := NewDeployment(DeploymentConfig{
-		Algorithm: D3,
-		Sources:   buildSources(4, 1),
-		Branching: 2,
-		Core:      smallConfig(1),
-		Dist:      DistanceParams{Radius: 0.01, Threshold: 10},
-		Seed:      4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.RunConcurrent(3000)
-	if len(d.Reports()) == 0 {
-		t.Error("no reports under concurrent run")
-	}
-}
-
 func TestDeploymentSingleSensor(t *testing.T) {
 	d, err := NewDeployment(DeploymentConfig{
 		Algorithm: D3,
