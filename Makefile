@@ -49,7 +49,7 @@ benchmark-smoke:
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkKernel -benchmem -benchtime 1000x ./internal/kernel/
 	$(GO) test -run=NONE -bench=BenchmarkDynIndexSlide -benchmem -benchtime 1000x ./internal/distance/
-	$(GO) test -run=NONE -bench=BenchmarkParallelRunD3 -benchtime 3x .
+	$(GO) test -run=NONE -bench=BenchmarkParallelRunD3 -benchtime 3x ./internal/experiments/
 
 # Every benchmark in the tree, Go-managed iteration counts.
 bench-all:
@@ -60,7 +60,7 @@ bench-all:
 # vocabulary, plus the end-to-end D3 run with faults disabled.
 bench-fault:
 	$(GO) test -run=NONE -bench=BenchmarkStep -benchmem -benchtime 2000000x ./internal/tagsim/
-	$(GO) test -run=NONE -bench=BenchmarkParallelRunD3 -benchtime 3x .
+	$(GO) test -run=NONE -bench=BenchmarkParallelRunD3 -benchtime 3x ./internal/experiments/
 
 # Incremental-maintenance suite whose numbers land in BENCH_REBUILD.json:
 # one in-place maintenance cycle vs a from-scratch kernel rebuild, the

@@ -1,19 +1,18 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per artifact, at reduced scale — run
-// cmd/oddsim for paper-scale tables), micro-benchmarks for the complexity
-// theorems, and ablations for the design choices DESIGN.md calls out.
+// Micro-benchmarks for the complexity theorems and ablations for the
+// design choices DESIGN.md calls out. The per-figure benchmarks (one per
+// paper artifact) and the evaluation-harness speedup suite live in
+// internal/experiments, which drives whole deployments and so imports
+// this package.
 //
-//	go test -bench=. -benchmem
+//	go test -bench=. -benchmem . ./internal/experiments/
 package odds
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
 
 	"odds/internal/distance"
-	"odds/internal/experiments"
 	"odds/internal/kernel"
 	"odds/internal/mdef"
 	"odds/internal/sample"
@@ -22,80 +21,6 @@ import (
 	"odds/internal/varest"
 	"odds/internal/window"
 )
-
-// --- One benchmark per paper artifact -----------------------------------
-
-func BenchmarkFig5DatasetStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig5(experiments.Fig5Config{EngineLen: 20000, EnviroLen: 15000, Seed: 1})
-	}
-}
-
-func BenchmarkFig6EstimationAccuracy(b *testing.B) {
-	cfg := experiments.Fig6Config{
-		WindowCap: 2048, SampleSize: 256, Eps: 0.2, Children: 2,
-		Period: 3072, Epochs: 9216, SampleIvl: 512, GridPoints: 64,
-		Fractions: []float64{0.5, 0.75}, Seed: 1,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		series := experiments.RunFig6(cfg)
-		b.ReportMetric(series.MaxStableLeaf, "stableJS")
-		b.ReportMetric(float64(series.AdaptLatency), "adaptLatency")
-	}
-}
-
-func quickSweep(w experiments.Workload) experiments.SweepConfig {
-	s := experiments.DefaultSweep(w).Quick()
-	s.SampleFracs = []float64{0.05}
-	return s
-}
-
-func BenchmarkFig7PrecisionRecall1D(b *testing.B) {
-	s := quickSweep(experiments.Synthetic1D)
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.Fig7(s)
-		tbl.Fprint(io.Discard)
-	}
-}
-
-func BenchmarkFig8MGDDSampleFraction(b *testing.B) {
-	s := quickSweep(experiments.Synthetic1D)
-	for i := 0; i < b.N; i++ {
-		experiments.Fig8(s, []float64{0.25, 1.0}).Fprint(io.Discard)
-	}
-}
-
-func BenchmarkFig9PrecisionRecall2D(b *testing.B) {
-	s := quickSweep(experiments.Synthetic2D)
-	for i := 0; i < b.N; i++ {
-		experiments.Fig9(s).Fprint(io.Discard)
-	}
-}
-
-func BenchmarkFig10RealData(b *testing.B) {
-	s := quickSweep(experiments.EngineData)
-	for i := 0; i < b.N; i++ {
-		experiments.Fig10(s).Fprint(io.Discard)
-	}
-}
-
-func BenchmarkFig11MessageCost(b *testing.B) {
-	cfg := experiments.DefaultFig11().Quick()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.RunFig11(cfg)
-		last := rows[len(rows)-1]
-		b.ReportMetric(last.Centralized/last.D3, "central/D3")
-	}
-}
-
-func BenchmarkMemoryFootprint(b *testing.B) {
-	cfg := experiments.MemoryConfig{WindowCaps: []int{2000}, SampleFrac: 0.1, Eps: 0.2, Epochs: 6000, Seed: 1}
-	for i := 0; i < b.N; i++ {
-		rows := experiments.RunMemory(cfg)
-		b.ReportMetric(float64(rows[0].TotalBytes), "engineBytes")
-	}
-}
 
 // --- Complexity-theorem micro-benchmarks --------------------------------
 
@@ -235,41 +160,6 @@ func parallelWorkerCounts() []int {
 		return []int{1, p}
 	}
 	return []int{1, 4}
-}
-
-// BenchmarkParallelRunD3 measures the per-sensor parallel evaluation
-// harness on the multi-sensor figure shape (32 leaves, kernel estimator,
-// the Figure 8–10 drivers). Results are bit-identical across worker
-// counts — only wall-clock changes — so the serial/parallel ratio is the
-// harness speedup.
-func BenchmarkParallelRunD3(b *testing.B) {
-	s := quickSweep(experiments.Synthetic1D)
-	s.Leaves = 32
-	for _, workers := range parallelWorkerCounts() {
-		cfg := s.PRConfigFor(0.05, experiments.KindKernel, 0)
-		cfg.Workers = workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				experiments.RunD3(cfg)
-			}
-		})
-	}
-}
-
-// BenchmarkParallelRunMGDD is the MGDD counterpart of the harness
-// speedup measurement.
-func BenchmarkParallelRunMGDD(b *testing.B) {
-	s := quickSweep(experiments.Synthetic1D)
-	s.Leaves = 32
-	for _, workers := range parallelWorkerCounts() {
-		cfg := s.PRConfigFor(0.05, experiments.KindKernel, 0)
-		cfg.Workers = workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				experiments.RunMGDD(cfg)
-			}
-		})
-	}
 }
 
 // BenchmarkParallelDeployment measures Deployment.RunParallel against
@@ -414,48 +304,5 @@ func BenchmarkAblationJSGatedUpdates(b *testing.B) {
 		gated := run(0.05)
 		b.ReportMetric(open, "global-open")
 		b.ReportMetric(gated, "global-gated")
-	}
-}
-
-// BenchmarkAblationEstimatorKinds reports leaf precision/recall for the
-// kernel method, the offline full-window histogram the paper compares
-// against, and the fully-online sampled histogram — testing the paper's
-// conjecture that "any similar online technique will perform at most as
-// good" as the offline histogram.
-func BenchmarkAblationEstimatorKinds(b *testing.B) {
-	kinds := map[string]experiments.EstimatorKind{
-		"kernel":       experiments.KindKernel,
-		"offline-hist": experiments.KindHistogram,
-		"sampled-hist": experiments.KindSampledHistogram,
-		"wavelet":      experiments.KindWavelet,
-	}
-	for name, kind := range kinds {
-		kind := kind
-		b.Run(name, func(b *testing.B) {
-			s := quickSweep(experiments.Synthetic1D)
-			for i := 0; i < b.N; i++ {
-				res := experiments.RunD3(s.PRConfigFor(0.05, kind, 0))
-				b.ReportMetric(res.PerLevel[0].Precision(), "precision")
-				b.ReportMetric(res.PerLevel[0].Recall(), "recall")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBandwidth sweeps the bandwidth calibration factor and
-// reports the leaf recall each achieves (see EXPERIMENTS.md on why the
-// harness runs at 0.5).
-func BenchmarkAblationBandwidth(b *testing.B) {
-	for _, scale := range []float64{0.25, 0.5, 1.0} {
-		scale := scale
-		b.Run(experiments.FmtF(scale, 2), func(b *testing.B) {
-			s := quickSweep(experiments.Synthetic1D)
-			s.BandwidthScale = scale
-			for i := 0; i < b.N; i++ {
-				res := experiments.RunD3(s.PRConfigFor(0.05, experiments.KindKernel, 0))
-				b.ReportMetric(res.PerLevel[0].Recall(), "recall")
-				b.ReportMetric(res.PerLevel[0].Precision(), "precision")
-			}
-		})
 	}
 }

@@ -24,16 +24,13 @@ import (
 	"strings"
 	"time"
 
-	"odds/internal/backendexp"
-	"odds/internal/driftexp"
 	"odds/internal/experiments"
-	"odds/internal/faultexp"
 	"odds/internal/golden"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig5|fig6|fig7|fig8|fig9|fig10|fig11|mem|ablation|figfault|figdrift|figbackends|all")
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(golden.AllFigures(), "|")+"|all")
 		quick   = flag.Bool("quick", false, "reduced scale (small windows, single run)")
 		runs    = flag.Int("runs", 0, "override run count (paper: 12)")
 		seed    = flag.Int64("seed", 1, "master seed")
@@ -59,120 +56,32 @@ func main() {
 		os.Exit(goldenMain(*goldenCheck, *goldenUpdate, *goldenFile, *goldenSpec, *goldenFigs, *seed, *workers))
 	}
 
-	run := func(name string, fn func() *experiments.Table) {
-		if *exp != "all" && *exp != name {
-			return
+	opts := options(*quick, *runs, *seed, *workers)
+	for _, e := range experiments.All() {
+		if *exp != "all" && *exp != e.Name {
+			continue
 		}
 		start := time.Now()
-		tbl := fn()
-		tbl.Fprint(os.Stdout)
-		fmt.Fprintf(os.Stdout, "  [%s completed in %s]\n\n", name, time.Since(start).Round(time.Millisecond))
+		res, err := e.Run(opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "oddsim: %s: %v\n", e.Name, err)
+			os.Exit(1)
+		}
+		res.Table().Fprint(os.Stdout)
+		fmt.Fprintf(os.Stdout, "  [%s completed in %s]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
-
-	sweep := func(w experiments.Workload) experiments.SweepConfig {
-		s := experiments.DefaultSweep(w)
-		if *quick {
-			s = s.Quick()
-		}
-		if *runs > 0 {
-			s.Runs = *runs
-		}
-		s.Workers = *workers
-		s.Seed = *seed
-		return s
-	}
-
-	run("fig5", func() *experiments.Table {
-		c := experiments.DefaultFig5()
-		c.Seed = *seed
-		if *quick {
-			c.EngineLen, c.EnviroLen = 20000, 15000
-		}
-		return experiments.Fig5(c)
-	})
-	run("fig6", func() *experiments.Table {
-		c := experiments.DefaultFig6()
-		c.Seed = *seed
-		if *quick {
-			c.WindowCap, c.SampleSize = 2048, 256
-			c.Period, c.Epochs, c.SampleIvl = 3072, 9216, 512
-		}
-		return experiments.Fig6(c)
-	})
-	run("fig7", func() *experiments.Table { return experiments.Fig7(sweep(experiments.Synthetic1D)) })
-	run("fig8", func() *experiments.Table { return experiments.Fig8(sweep(experiments.Synthetic1D), nil) })
-	run("fig9", func() *experiments.Table { return experiments.Fig9(sweep(experiments.Synthetic2D)) })
-	run("fig10", func() *experiments.Table { return experiments.Fig10(sweep(experiments.EngineData)) })
-	run("fig11", func() *experiments.Table {
-		c := experiments.DefaultFig11()
-		c.Seed = *seed
-		if *quick {
-			c = c.Quick()
-		}
-		return experiments.Fig11(c)
-	})
-	run("ablation", func() *experiments.Table {
-		s := sweep(experiments.Synthetic1D)
-		if !*quick {
-			// The four-way comparison is heavy; default to a mid scale.
-			s.Runs = 1
-		}
-		return experiments.AblationEstimators(s)
-	})
-	run("mem", func() *experiments.Table {
-		c := experiments.DefaultMemory()
-		c.Seed = *seed
-		if *quick {
-			c.WindowCaps = []int{2000}
-			c.Epochs = 6000
-		}
-		return experiments.Memory(c)
-	})
-	run("figfault", func() *experiments.Table {
-		c := faultexp.Default()
-		c.Seed = *seed
-		c.Workers = *workers
-		if *quick {
-			c.Epochs = 900
-		}
-		t, err := faultexp.Figure(c)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "oddsim: figfault: %v\n", err)
-			os.Exit(1)
-		}
-		return t
-	})
-	run("figdrift", func() *experiments.Table {
-		c := driftexp.Default()
-		c.Seed = *seed
-		if *quick {
-			c.Readings, c.DriftAt = 3000, 1500
-		}
-		t, err := driftexp.Figure(c)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "oddsim: figdrift: %v\n", err)
-			os.Exit(1)
-		}
-		return t
-	})
-	run("figbackends", func() *experiments.Table {
-		c := backendexp.Default()
-		c.Seed = *seed
-		if *quick {
-			c.Readings = 2000
-		}
-		t, err := backendexp.Figure(c)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "oddsim: figbackends: %v\n", err)
-			os.Exit(1)
-		}
-		return t
-	})
-
 }
 
-// experimentNames are the valid -exp values.
-var experimentNames = []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "mem", "ablation", "figfault", "figdrift", "figbackends", "all"}
+// options maps the experiment-mode flags onto the registry's run options.
+// runs stays 0 when -runs was not given, so each experiment can tell an
+// explicit run count from its scale's default.
+func options(quick bool, runs int, seed int64, workers int) experiments.Options {
+	o := experiments.Options{Scale: experiments.Paper, Seed: seed, Workers: workers, Runs: runs}
+	if quick {
+		o.Scale = experiments.Quick
+	}
+	return o
+}
 
 // checkFlags validates the parsed flag combination before anything runs,
 // so a typo'd experiment name or a contradictory mode fails with a usage
@@ -182,14 +91,7 @@ func checkFlags(exp string, runs, workers int, goldenCheck, goldenUpdate bool, a
 	if len(args) > 0 {
 		return fmt.Errorf("unexpected arguments: %v", args)
 	}
-	valid := false
-	for _, n := range experimentNames {
-		if exp == n {
-			valid = true
-			break
-		}
-	}
-	if !valid {
+	if _, ok := experiments.Lookup(exp); !ok && exp != "all" {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	if runs < 0 {

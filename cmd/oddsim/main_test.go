@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"odds/internal/experiments"
+)
 
 func TestCheckFlags(t *testing.T) {
 	none := map[string]bool{}
@@ -17,6 +21,7 @@ func TestCheckFlags(t *testing.T) {
 	}{
 		{name: "defaults", exp: "all", workers: 4},
 		{name: "one experiment", exp: "fig7", runs: 12, workers: 1},
+		{name: "ablation with runs", exp: "ablation", runs: 3, workers: 1},
 		{name: "golden check", exp: "all", workers: 2, check: true},
 		{name: "golden file with update", exp: "all", workers: 2, update: true,
 			set: map[string]bool{"golden-file": true}},
@@ -45,5 +50,29 @@ func TestCheckFlags(t *testing.T) {
 				t.Fatalf("checkFlags() error = %v, wantErr %v", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestOptionsKeepRuns pins oddsim's half of the `-exp ablation -runs N`
+// contract: the run count reaches the experiment untouched at either
+// scale, and stays 0 when -runs was not given — the signal ablation uses
+// to fall back to a single paper-scale run (its half is
+// experiments.TestAblationRunsOverride).
+func TestOptionsKeepRuns(t *testing.T) {
+	cases := []struct {
+		quick bool
+		runs  int
+		scale experiments.Scale
+	}{
+		{false, 0, experiments.Paper},
+		{false, 3, experiments.Paper},
+		{true, 0, experiments.Quick},
+		{true, 3, experiments.Quick},
+	}
+	for _, tc := range cases {
+		o := options(tc.quick, tc.runs, 7, 2)
+		if o.Scale != tc.scale || o.Runs != tc.runs || o.Seed != 7 || o.Workers != 2 {
+			t.Errorf("options(quick=%v, runs=%d) = %+v", tc.quick, tc.runs, o)
+		}
 	}
 }

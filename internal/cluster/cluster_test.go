@@ -391,3 +391,49 @@ func TestSubscribeAcrossMigration(t *testing.T) {
 		t.Fatalf("conservation violated: %d events + %d dropped != %d accepted", len(seen), dropped, len(accepted))
 	}
 }
+
+// TestRouterIngestErrorParity: a malformed /ingest request gets the same
+// status from the router as from a node (DESIGN §8 "Negotiation and the
+// zero-alloc path"), so clients see one contract with or without a router
+// in front. Both share serve.NegotiateIngest and serve.IngestDecodeStatus;
+// the bodies are over the router's caps, which are at or above a node's
+// defaults.
+func TestRouterIngestErrorParity(t *testing.T) {
+	tc := newTestCluster(t, 1, 2, false)
+	padding := bytes.Repeat([]byte(" "), routerMaxBody+1)
+	big := make([]serve.Reading, routerMaxBatch+1)
+	for i := range big {
+		big[i] = serve.Reading{Sensor: "s", Value: []float64{0.5}}
+	}
+	cases := []struct {
+		name, contentType string
+		body              []byte
+		want              int
+	}{
+		{"json body over the cap", "application/json", padding, http.StatusRequestEntityTooLarge},
+		{"binary body over the cap", serve.ContentTypeBinary, padding, http.StatusRequestEntityTooLarge},
+		{"binary batch over the cap", serve.ContentTypeBinary, serve.AppendBatch(nil, big, 1, tc.router.fp), http.StatusRequestEntityTooLarge},
+		{"unknown content type", "text/csv", []byte("s,0.5\n"), http.StatusUnsupportedMediaType},
+	}
+	post := func(url, contentType string, body []byte) (int, string) {
+		resp, err := http.Post(url+"/ingest", contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, resp.Header.Get("Accept")
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nodeStatus, nodeAccept := post(tc.nodeTS[0].URL, c.contentType, c.body)
+			routerStatus, routerAccept := post(tc.routerTS.URL, c.contentType, c.body)
+			if nodeStatus != c.want || routerStatus != c.want {
+				t.Errorf("status: node %d, router %d, want %d from both", nodeStatus, routerStatus, c.want)
+			}
+			if nodeAccept != routerAccept {
+				t.Errorf("Accept header: node %q, router %q", nodeAccept, routerAccept)
+			}
+		})
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"odds/internal/serve"
 )
@@ -69,25 +68,28 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	req.Body = http.MaxBytesReader(w, req.Body, routerMaxBody)
-	ct := req.Header.Get("Content-Type")
-	binary := strings.HasPrefix(ct, serve.ContentTypeBinary)
+	// Content negotiation and decode-failure statuses are the node's own
+	// (serve.NegotiateIngest, serve.IngestDecodeStatus), so a client sees
+	// one contract with or without a router in front.
+	binary, ok := serve.NegotiateIngest(w, req.Header.Get("Content-Type"))
+	if !ok {
+		return
+	}
 
 	var readings []serve.Reading
 	if binary {
 		body, err := io.ReadAll(req.Body)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
+		if err == nil {
+			readings, err = serve.DecodeBatchInto(body, nil, r.dim, routerMaxBatch, r.fp, &r.names)
 		}
-		readings, err = serve.DecodeBatchInto(body, nil, r.dim, routerMaxBatch, r.fp, &r.names)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, serve.IngestDecodeStatus(err), err)
 			return
 		}
 	} else {
 		var in serve.IngestRequest
 		if err := json.NewDecoder(req.Body).Decode(&in); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, serve.IngestDecodeStatus(err), err)
 			return
 		}
 		readings = in.Readings

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 
 	"odds/internal/core"
@@ -103,12 +102,67 @@ type d3Node struct {
 	parent *d3Node
 	est    *core.Estimator    // kernel mode detection state
 	idx    *distance.DynIndex // exact truth over this subtree's windows
-	leaves []int              // descendant leaf indexes (histogram rebuilds)
+	wins   []*window.Sliding  // descendant leaf windows (offline rebuilds)
 
-	hist      *histogram.EquiDepth
-	grid      *histogram.Grid
-	wav       *wavelet.Synopsis
+	syn       synopsis // histogram or wavelet of the non-kernel kinds; nil until first built
 	nextBuild int
+}
+
+// synopsis is a bucketed density model answering the (D,r) range count.
+type synopsis interface {
+	Count(p []float64, r float64) float64
+}
+
+// histModel is what both histogram shapes offer: range counts for D3's
+// (D,r) test and box counts for MGDD's MDEF evaluation.
+type histModel interface {
+	synopsis
+	mdef.Counter
+}
+
+// values is a gathered set of readings in the shape the synopsis
+// constructors take: the single column in 1-d, the points otherwise.
+type values struct {
+	col []float64
+	pts [][]float64
+}
+
+func (v values) len() int { return len(v.col) + len(v.pts) }
+
+// valuesOf gathers pts.
+func valuesOf(pts []window.Point, dim int) values {
+	var v values
+	for _, p := range pts {
+		if dim == 1 {
+			v.col = append(v.col, p[0])
+		} else {
+			v.pts = append(v.pts, p)
+		}
+	}
+	return v
+}
+
+// valuesIn gathers every value currently in wins. The 1-d case reads the
+// columns directly: these rebuilds are the offline baselines' whole cost,
+// and materializing window.Union first made them a quarter slower.
+func valuesIn(wins []*window.Sliding, dim int) values {
+	if dim != 1 {
+		return valuesOf(window.Union(wins...), dim)
+	}
+	var v values
+	for _, w := range wins {
+		v.col = append(v.col, w.Column(0)...)
+	}
+	return v
+}
+
+// newHistogram builds the |B|-bucket histogram of v with counts scaled to
+// windowCount: equi-depth in 1-d, a grid otherwise.
+func (c *PRConfig) newHistogram(v values, windowCount float64) (histModel, error) {
+	if c.Core.Dim == 1 {
+		return histogram.NewEquiDepth(v.col, c.HistBuckets, windowCount)
+	}
+	return histogram.NewGrid(v.pts, gridSide(c.HistBuckets, c.Core.Dim), windowCount)
 }
 
 // D3Result reports per-level precision/recall and the number of true
@@ -148,12 +202,6 @@ func RunD3(c PRConfig) D3Result {
 			nodes[lvl][i] = n
 		}
 	}
-	for i := 0; i < c.Leaves; i++ {
-		for n := nodes[0][i]; n != nil; n = n.parent {
-			n.leaves = append(n.leaves, i)
-		}
-	}
-
 	leafRngs := make([]*rand.Rand, c.Leaves)
 	srcs := make([]stream.Source, c.Leaves)
 	wins := make([]*window.Sliding, c.Leaves)
@@ -161,6 +209,9 @@ func RunD3(c PRConfig) D3Result {
 		leafRngs[i] = stats.SplitRand(master)
 		srcs[i] = c.streams(i, master.Int63())
 		wins[i] = window.New(c.Core.WindowCap, c.Core.Dim)
+		for n := nodes[0][i]; n != nil; n = n.parent {
+			n.wins = append(n.wins, wins[i])
+		}
 	}
 	if c.Kind == KindKernel || c.Kind == KindSampledHistogram {
 		for lvl, row := range nodes {
@@ -168,66 +219,31 @@ func RunD3(c PRConfig) D3Result {
 				if lvl == 0 {
 					n.est = core.NewEstimator(c.Core, c.Core.WindowCap, float64(c.Core.WindowCap), stats.SplitRand(master))
 				} else {
-					recv := int(float64(len(n.leaves)) * c.Core.SampleFraction * float64(c.Core.SampleSize))
-					n.est = core.NewEstimator(c.Core, recv, float64(len(n.leaves)*c.Core.WindowCap), stats.SplitRand(master))
+					recv := int(float64(len(n.wins)) * c.Core.SampleFraction * float64(c.Core.SampleSize))
+					n.est = core.NewEstimator(c.Core, recv, float64(len(n.wins)*c.Core.WindowCap), stats.SplitRand(master))
 				}
 			}
 		}
 	}
 
+	// rebuild refreshes an offline baseline from every value in the node's
+	// descendant windows.
 	rebuild := func(n *d3Node) {
-		if c.Core.Dim == 1 {
-			var vals []float64
-			for _, li := range n.leaves {
-				vals = append(vals, wins[li].Column(0)...)
-			}
-			if len(vals) == 0 {
-				return
-			}
-			if c.Kind == KindWavelet {
-				// 512 base bins resolve the query radius; |B| coefficients
-				// match the histogram's memory budget.
-				w, err := wavelet.New(vals, 9, c.HistBuckets, float64(len(vals)))
-				if err != nil {
-					panic(err)
-				}
-				n.wav = w
-				return
-			}
-			h, err := histogram.NewEquiDepth(vals, c.HistBuckets, float64(len(vals)))
-			if err != nil {
-				panic(err)
-			}
-			n.hist = h
+		v := valuesIn(n.wins, c.Core.Dim)
+		if v.len() == 0 {
 			return
 		}
-		var pts [][]float64
-		for _, li := range n.leaves {
-			for _, p := range wins[li].Snapshot() {
-				pts = append(pts, p)
-			}
+		var err error
+		if c.Kind == KindWavelet {
+			// 512 base bins resolve the query radius; |B| coefficients
+			// match the histogram's memory budget.
+			n.syn, err = wavelet.New(v.col, 9, c.HistBuckets, float64(v.len()))
+		} else {
+			n.syn, err = c.newHistogram(v, float64(v.len()))
 		}
-		if len(pts) == 0 {
-			return
-		}
-		side := gridSide(c.HistBuckets, c.Core.Dim)
-		g, err := histogram.NewGrid(pts, side, float64(len(pts)))
 		if err != nil {
 			panic(err)
 		}
-		n.grid = g
-	}
-	histFlag := func(n *d3Node, v window.Point) bool {
-		if n.wav != nil {
-			return n.wav.Count(v, c.Dist.Radius) < c.Dist.Threshold
-		}
-		if n.hist != nil {
-			return n.hist.Count(v, c.Dist.Radius) < c.Dist.Threshold
-		}
-		if n.grid != nil {
-			return n.grid.Count(v, c.Dist.Radius) < c.Dist.Threshold
-		}
-		return false
 	}
 	// rebuildSampled refreshes the online sampled histogram of a node from
 	// its chain sample, scaling counts to the node's window size exactly
@@ -237,24 +253,34 @@ func RunD3(c PRConfig) D3Result {
 		if len(pts) == 0 {
 			return
 		}
-		wc := n.est.EffectiveWindowCount()
-		if c.Core.Dim == 1 {
-			vals := make([]float64, len(pts))
-			for i, p := range pts {
-				vals[i] = p[0]
-			}
-			if h, err := histogram.NewEquiDepth(vals, c.HistBuckets, wc); err == nil {
-				n.hist = h
-			}
-			return
+		if h, err := c.newHistogram(valuesOf(pts, c.Core.Dim), n.est.EffectiveWindowCount()); err == nil {
+			n.syn = h
 		}
-		raw := make([][]float64, len(pts))
-		for i, p := range pts {
-			raw[i] = p
+	}
+
+	// What differs between the kinds is factored out once: the online kinds
+	// keep a chain-sample estimator per node and propagate inclusions
+	// upward; every kind but the kernel refreshes a per-node synopsis on its
+	// own cadence and decides from it.
+	online := c.Kind == KindKernel || c.Kind == KindSampledHistogram
+	var refresh func(*d3Node)
+	switch c.Kind {
+	case KindHistogram, KindWavelet:
+		refresh = rebuild
+	case KindSampledHistogram:
+		refresh = rebuildSampled
+	}
+	refreshDue := func(n *d3Node, epoch int) {
+		if refresh != nil && epoch >= n.nextBuild {
+			refresh(n)
+			n.nextBuild = epoch + c.HistRebuildEpochs
 		}
-		if g, err := histogram.NewGrid(raw, gridSide(c.HistBuckets, c.Core.Dim), wc); err == nil {
-			n.grid = g
+	}
+	flags := func(n *d3Node, v window.Point) bool {
+		if c.Kind == KindKernel {
+			return n.est.Warmed() && n.est.IsDistanceOutlier(v, c.Dist)
 		}
+		return n.syn != nil && n.syn.Count(v, c.Dist.Radius) < c.Dist.Threshold
 	}
 
 	prs := make([]PR, depth)
@@ -294,31 +320,17 @@ func RunD3(c PRConfig) D3Result {
 		leaf.idx.Add(st.v)
 		st.leafTruth = leaf.idx.IsOutlier(st.v, c.Dist)
 
-		switch c.Kind {
-		case KindKernel:
+		// The sampled histogram keeps the same online state as the kernel
+		// method; only the density representation differs.
+		warm := epoch >= c.MeasureFrom/2
+		if online {
 			if leaf.est.Observe(st.v) {
 				st.propagate = leafRngs[li].Float64() < c.Core.SampleFraction
 			}
-			st.leafPred = leaf.est.Warmed() && leaf.est.IsDistanceOutlier(st.v, c.Dist)
-		case KindHistogram, KindWavelet:
-			if epoch >= leaf.nextBuild {
-				rebuild(leaf)
-				leaf.nextBuild = epoch + c.HistRebuildEpochs
-			}
-			warm := epoch >= c.MeasureFrom/2
-			st.leafPred = warm && histFlag(leaf, st.v)
-		case KindSampledHistogram:
-			// Same online state upkeep as the kernel method; only the
-			// density representation differs.
-			if leaf.est.Observe(st.v) {
-				st.propagate = leafRngs[li].Float64() < c.Core.SampleFraction
-			}
-			if epoch >= leaf.nextBuild {
-				rebuildSampled(leaf)
-				leaf.nextBuild = epoch + c.HistRebuildEpochs
-			}
-			st.leafPred = leaf.est.Warmed() && histFlag(leaf, st.v)
+			warm = leaf.est.Warmed()
 		}
+		refreshDue(leaf, epoch)
+		st.leafPred = warm && flags(leaf, st.v)
 		return st
 	}
 
@@ -344,60 +356,23 @@ func RunD3(c PRConfig) D3Result {
 		}
 
 		// Online decisions per Figure 4.
-		for i := range pred {
-			pred[i] = false
+		if st.propagate {
+			// Propagate the sampled value up while each level's sample
+			// adopts it and its coin allows.
+			for n := leaf.parent; n != nil; n = n.parent {
+				if !n.est.Observe(st.v) || leafRngs[li].Float64() >= c.Core.SampleFraction {
+					break
+				}
+			}
 		}
-		switch c.Kind {
-		case KindKernel:
-			if st.propagate {
-				// Propagate the sampled value up while each level's sample
-				// adopts it and its coin allows.
-				for n := leaf.parent; n != nil; n = n.parent {
-					if !n.est.Observe(st.v) || leafRngs[li].Float64() >= c.Core.SampleFraction {
-						break
-					}
-				}
-			}
-			flagged := st.leafPred
-			pred[0] = flagged
-			for l := 1; l < k && flagged; l++ {
-				n := chain[l]
-				flagged = n.est.Warmed() && n.est.IsDistanceOutlier(st.v, c.Dist)
-				pred[l] = flagged
-			}
-		case KindHistogram, KindWavelet:
-			for _, n := range chain[1:k] {
-				if epoch >= n.nextBuild {
-					rebuild(n)
-					n.nextBuild = epoch + c.HistRebuildEpochs
-				}
-			}
-			flagged := st.leafPred
-			pred[0] = flagged
-			for l := 1; l < k && flagged; l++ {
-				flagged = histFlag(chain[l], st.v)
-				pred[l] = flagged
-			}
-		case KindSampledHistogram:
-			if st.propagate {
-				for n := leaf.parent; n != nil; n = n.parent {
-					if !n.est.Observe(st.v) || leafRngs[li].Float64() >= c.Core.SampleFraction {
-						break
-					}
-				}
-			}
-			for _, n := range chain[1:k] {
-				if epoch >= n.nextBuild {
-					rebuildSampled(n)
-					n.nextBuild = epoch + c.HistRebuildEpochs
-				}
-			}
-			flagged := st.leafPred
-			pred[0] = flagged
-			for l := 1; l < k && flagged; l++ {
-				flagged = histFlag(chain[l], st.v)
-				pred[l] = flagged
-			}
+		for _, n := range chain[1:k] {
+			refreshDue(n, epoch)
+		}
+		flagged := st.leafPred
+		pred[0] = flagged
+		for l := 1; l < k; l++ {
+			flagged = flagged && flags(chain[l], st.v)
+			pred[l] = flagged
 		}
 
 		if measuring {
@@ -416,8 +391,7 @@ func RunD3(c PRConfig) D3Result {
 	// epoch's value — an inherently serial dependency. The online kinds
 	// keep all cross-leaf state behind the aggregation phase and
 	// parallelize exactly.
-	parallelOK := c.Kind == KindKernel || c.Kind == KindSampledHistogram
-	if c.Workers > 1 && parallelOK && c.Leaves > 1 {
+	if c.Workers > 1 && online && c.Leaves > 1 {
 		pool := parallel.New(c.Workers)
 		steps := make([]d3Step, c.Leaves)
 		for epoch := 0; epoch < c.Epochs; epoch++ {
@@ -529,35 +503,15 @@ func RunMGDD(c PRConfig) MGDDResult {
 	var gcache *mdef.CachedCounter
 	nextBuild := 0
 	rebuildGlobal := func() {
-		if c.Core.Dim == 1 {
-			var vals []float64
-			for _, w := range wins {
-				vals = append(vals, w.Column(0)...)
-			}
-			if len(vals) == 0 {
-				return
-			}
-			h, err := histogram.NewEquiDepth(vals, c.HistBuckets, float64(len(vals)))
-			if err != nil {
-				panic(err)
-			}
-			gcache = mdef.NewCachedCounter(h, c.MDEF.AlphaR)
+		v := valuesIn(wins, c.Core.Dim)
+		if v.len() == 0 {
 			return
 		}
-		var pts [][]float64
-		for _, w := range wins {
-			for _, p := range w.Snapshot() {
-				pts = append(pts, p)
-			}
-		}
-		if len(pts) == 0 {
-			return
-		}
-		g, err := histogram.NewGrid(pts, gridSide(c.HistBuckets, c.Core.Dim), float64(len(pts)))
+		h, err := c.newHistogram(v, float64(v.len()))
 		if err != nil {
 			panic(err)
 		}
-		gcache = mdef.NewCachedCounter(g, c.MDEF.AlphaR)
+		gcache = mdef.NewCachedCounter(h, c.MDEF.AlphaR)
 	}
 
 	var pr PR
@@ -651,12 +605,10 @@ func RunMGDD(c PRConfig) MGDDResult {
 		}
 	}
 
-	var pool *parallel.Pool
-	var steps []mgddStep
-	if c.Workers > 1 && c.Leaves > 1 {
-		pool = parallel.New(c.Workers)
-		steps = make([]mgddStep, c.Leaves)
-	}
+	// One worker runs the per-sensor phase inline, so serial is not a
+	// separate path.
+	pool := parallel.New(max(1, c.Workers))
+	steps := make([]mgddStep, c.Leaves)
 	for epoch := 0; epoch < c.Epochs; epoch++ {
 		measuring := epoch >= c.MeasureFrom
 		if c.Kind == KindHistogram && epoch >= nextBuild {
@@ -665,53 +617,10 @@ func RunMGDD(c PRConfig) MGDDResult {
 			rebuildGlobal()
 			nextBuild = epoch + c.HistRebuildEpochs
 		}
-		if pool != nil {
-			pool.For(c.Leaves, func(li int) { steps[li] = leafPhase(li) })
-			for li := 0; li < c.Leaves; li++ {
-				aggregate(li, epoch, steps[li], measuring)
-			}
-		} else {
-			for li := 0; li < c.Leaves; li++ {
-				aggregate(li, epoch, leafPhase(li), measuring)
-			}
+		pool.For(c.Leaves, func(li int) { steps[li] = leafPhase(li) })
+		for li := 0; li < c.Leaves; li++ {
+			aggregate(li, epoch, steps[li], measuring)
 		}
 	}
 	return MGDDResult{PR: pr, TrueOutliers: trueOutliers}
-}
-
-// CalibrateKSigma searches for the significance factor k_σ at which the
-// exact MDEF criterion yields between targetLo and targetHi outliers on a
-// reference window of the workload. The paper uses k_σ = 3 throughout;
-// with the published (r, αr) and a strict aLOCI estimator that setting
-// yields no outliers on the synthetic workload (see EXPERIMENTS.md), so
-// the harness calibrates k_σ once per workload and uses the same value for
-// the detector and its ground truth — the precision/recall comparison is
-// unaffected. If k_σ = 3 already yields at least targetLo outliers it is
-// kept.
-func CalibrateKSigma(pts []window.Point, prm mdef.Params, targetLo, targetHi int) float64 {
-	if targetLo <= 0 || targetHi < targetLo {
-		panic(fmt.Sprintf("experiments: bad calibration target [%d,%d]", targetLo, targetHi))
-	}
-	count := func(k float64) int {
-		p := prm
-		p.KSigma = k
-		return len(mdef.Outliers(pts, p))
-	}
-	if count(3) >= targetLo {
-		return 3
-	}
-	lo, hi := 0.05, 3.0 // count decreases as k grows
-	for iter := 0; iter < 40; iter++ {
-		mid := (lo + hi) / 2
-		n := count(mid)
-		switch {
-		case n < targetLo:
-			hi = mid
-		case n > targetHi:
-			lo = mid
-		default:
-			return mid
-		}
-	}
-	return (lo + hi) / 2
 }

@@ -4,10 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"odds/internal/mdef"
-	"odds/internal/stream"
-	"odds/internal/window"
 )
 
 func TestPRCounters(t *testing.T) {
@@ -248,57 +244,11 @@ func TestRunD32D(t *testing.T) {
 	}
 }
 
-func TestCalibrateKSigma(t *testing.T) {
-	src := stream.NewMixture(stream.DefaultMixture(), 1, 5)
-	pts := make([]window.Point, 4000)
-	for i := range pts {
-		pts[i] = src.Next()
-	}
-	prm := mdef.Params{R: 0.08, AlphaR: 0.01, KSigma: 3}
-	k := CalibrateKSigma(pts, prm, 20, 60)
-	prm.KSigma = k
-	n := len(mdef.Outliers(pts, prm))
-	if n < 20 || n > 60 {
-		t.Errorf("calibrated kSigma=%v yields %d outliers, want [20,60]", k, n)
-	}
-	// When k=3 already yields enough outliers, it is kept: a uniform block
-	// with an adjacent isolated point fires even at the paper's setting.
-	blocky := make([]window.Point, 0, 2001)
-	for i := 0; i < 2000; i++ {
-		blocky = append(blocky, window.Point{0.2 + 0.0001*float64(i)})
-	}
-	blocky = append(blocky, window.Point{0.45})
-	kept := CalibrateKSigma(blocky, prm, 1, 1<<30)
-	if kept != 3 {
-		t.Errorf("k=3 should be kept when it already fires, got %v", kept)
-	}
-}
-
-func TestCalibrateKSigmaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad target did not panic")
-		}
-	}()
-	CalibrateKSigma(nil, mdef.Params{R: 0.08, AlphaR: 0.01, KSigma: 3}, 10, 5)
-}
-
 // ultraQuick trims a sweep to seconds for driver-structure tests.
-func ultraQuick(w Workload) SweepConfig {
-	s := DefaultSweep(w)
-	s.Leaves = 4
-	s.Branching = 2
-	s.WindowCap = 800
-	s.Runs = 1
-	s.Epochs = 1400
-	s.MeasureFrom = 900
-	s.SampleFracs = []float64{0.05}
-	s.HistRebuildEpochs = 100
-	return s
-}
+func ultraQuick(w Workload) SweepConfig { return DefaultSweep(w).golden() }
 
 func TestFig7TableStructure(t *testing.T) {
-	tbl := Fig7(ultraQuick(Synthetic1D))
+	tbl := RunFig7(ultraQuick(Synthetic1D)).Table()
 	// 2 estimators × 1 frac × (3 D3 levels + 1 MGDD row).
 	if len(tbl.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8", len(tbl.Rows))
@@ -314,7 +264,7 @@ func TestFig7TableStructure(t *testing.T) {
 }
 
 func TestFig8TableStructure(t *testing.T) {
-	tbl := Fig8(ultraQuick(Synthetic1D), []float64{0.5, 1.0})
+	tbl := RunFig8(ultraQuick(Synthetic1D), []float64{0.5, 1.0}).Table()
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(tbl.Rows))
 	}
@@ -324,7 +274,7 @@ func TestFig8TableStructure(t *testing.T) {
 }
 
 func TestFig9TableStructure(t *testing.T) {
-	tbl := Fig9(ultraQuick(Synthetic2D))
+	tbl := RunFig9(ultraQuick(Synthetic2D)).Table()
 	// 1 frac × (3 D3 levels + 1 MGDD).
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(tbl.Rows))
@@ -332,7 +282,7 @@ func TestFig9TableStructure(t *testing.T) {
 }
 
 func TestFig10TableStructure(t *testing.T) {
-	tbl := Fig10(ultraQuick(EngineData))
+	tbl := RunFig10(ultraQuick(EngineData)).Table()
 	// 2 datasets × 1 frac × (3 D3 levels + 1 MGDD).
 	if len(tbl.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8", len(tbl.Rows))
@@ -346,7 +296,7 @@ func TestFig11TableStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow figure driver; run without -short for this coverage")
 	}
-	tbl := Fig11(DefaultFig11().Quick())
+	tbl := RunFig11(DefaultFig11().Quick()).Table()
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -356,7 +306,7 @@ func TestFig11TableStructure(t *testing.T) {
 }
 
 func TestFig5Table(t *testing.T) {
-	tbl := Fig5(Fig5Config{EngineLen: 20000, EnviroLen: 15000, Seed: 1})
+	tbl := RunFig5(Fig5Config{EngineLen: 20000, EnviroLen: 15000, Seed: 1}).Table()
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(tbl.Rows))
 	}
@@ -482,14 +432,39 @@ func TestEngineStreamsBurstInsideMeasurement(t *testing.T) {
 }
 
 func TestAblationEstimatorsTable(t *testing.T) {
-	tbl := AblationEstimators(ultraQuick(Synthetic1D))
+	tbl := RunAblation(ultraQuick(Synthetic1D)).Table()
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(tbl.Rows))
 	}
 	// 2-d drops the wavelet row.
-	tbl2 := AblationEstimators(ultraQuick(Synthetic2D))
+	tbl2 := RunAblation(ultraQuick(Synthetic2D)).Table()
 	if len(tbl2.Rows) != 3 {
 		t.Fatalf("2-d rows = %d, want 3", len(tbl2.Rows))
+	}
+}
+
+// TestAblationRunsOverride is the regression test for `oddsim -exp
+// ablation -runs N` silently running once: the single-run default applies
+// at paper scale only when no run count was given.
+func TestAblationRunsOverride(t *testing.T) {
+	cases := []struct {
+		o    Options
+		want int
+	}{
+		{Options{Scale: Paper}, 1},
+		{Options{Scale: Paper, Runs: 3}, 3},
+		{Options{Scale: Quick}, 1},
+		{Options{Scale: Quick, Runs: 3}, 3},
+		{Options{Scale: Golden}, 1},
+	}
+	for _, tc := range cases {
+		if got := ablationSweep(tc.o).Runs; got != tc.want {
+			t.Errorf("ablationSweep(%+v).Runs = %d, want %d", tc.o, got, tc.want)
+		}
+	}
+	// The other sweep figures keep the paper default of 3 runs.
+	if got := sweepAt(Options{Scale: Paper}, Synthetic1D).Runs; got != 3 {
+		t.Errorf("paper sweep runs = %d, want 3", got)
 	}
 }
 
@@ -518,7 +493,7 @@ func TestFig6TableRendering(t *testing.T) {
 		Period: 1024, Epochs: 2048, SampleIvl: 256, GridPoints: 32,
 		Fractions: []float64{0.5}, Seed: 1,
 	}
-	tbl := Fig6(c)
+	tbl := RunFig6(c).Table()
 	if len(tbl.Rows) != 2048/256 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -528,7 +503,7 @@ func TestFig6TableRendering(t *testing.T) {
 }
 
 func TestMemoryTableRendering(t *testing.T) {
-	tbl := Memory(MemoryConfig{WindowCaps: []int{1000}, SampleFrac: 0.1, Eps: 0.2, Epochs: 2500, Seed: 1})
+	tbl := RunMemory(MemoryConfig{WindowCaps: []int{1000}, SampleFrac: 0.1, Eps: 0.2, Epochs: 2500, Seed: 1}).Table()
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -54,11 +55,32 @@ func (c Fig11Config) Quick() Fig11Config {
 	return c
 }
 
+// runFig11 is the registry driver; the golden scale is the quick ladder.
+func runFig11(o Options) (Result, error) {
+	c := DefaultFig11()
+	if o.Scale != Paper {
+		c = c.Quick()
+	}
+	c.Seed = o.Seed
+	return RunFig11(c), nil
+}
+
 // Fig11Row is one ladder step.
 type Fig11Row struct {
 	Nodes                 int
 	Centralized, MGDD, D3 float64 // messages per second
 }
+
+// centralOverD3 is the headline ratio, NaN when D3 sent nothing.
+func (r Fig11Row) centralOverD3() float64 {
+	if r.D3 > 0 {
+		return r.Centralized / r.D3
+	}
+	return math.NaN()
+}
+
+// Fig11Rows is the Figure 11 result, one row per network size.
+type Fig11Rows []Fig11Row
 
 // liteLeaf reproduces the message-generating behavior of a leaf without
 // the estimation state: a chain sample with |R| independent slots adopts
@@ -185,8 +207,8 @@ func runLadderStep(c Fig11Config, leaves int, algo string) float64 {
 }
 
 // RunFig11 executes the ladder and returns the rows.
-func RunFig11(c Fig11Config) []Fig11Row {
-	rows := make([]Fig11Row, 0, len(c.LeafCounts))
+func RunFig11(c Fig11Config) Fig11Rows {
+	rows := make(Fig11Rows, 0, len(c.LeafCounts))
 	for _, leaves := range c.LeafCounts {
 		topo := network.NewHierarchy(leaves, c.Branching)
 		rows = append(rows, Fig11Row{
@@ -199,8 +221,8 @@ func RunFig11(c Fig11Config) []Fig11Row {
 	return rows
 }
 
-// Fig11 renders the ladder as a table.
-func Fig11(c Fig11Config) *Table {
+// Table renders the ladder.
+func (rows Fig11Rows) Table() *Table {
 	t := &Table{
 		Title:   "Figure 11 — messages per second vs network size",
 		Columns: []string{"nodes", "centralized", "MGDD", "D3", "central/D3"},
@@ -209,12 +231,20 @@ func Fig11(c Fig11Config) *Table {
 			"counts periodic traffic only (outlier reports excluded, as in the paper)",
 		},
 	}
-	for _, r := range RunFig11(c) {
-		ratio := math.NaN()
-		if r.D3 > 0 {
-			ratio = r.Centralized / r.D3
-		}
-		t.AddRow(r.Nodes, FmtF(r.Centralized, 1), FmtF(r.MGDD, 1), FmtF(r.D3, 1), FmtF(ratio, 0))
+	for _, r := range rows {
+		t.AddRow(r.Nodes, FmtF(r.Centralized, 1), FmtF(r.MGDD, 1), FmtF(r.D3, 1), FmtF(r.centralOverD3(), 0))
 	}
 	return t
+}
+
+// Metrics emits the three message rates and their headline ratio per
+// network size.
+func (rows Fig11Rows) Metrics(set func(string, float64)) {
+	for _, r := range rows {
+		p := fmt.Sprintf("n%d", r.Nodes)
+		set(p+".centralized", r.Centralized)
+		set(p+".mgdd", r.MGDD)
+		set(p+".d3", r.D3)
+		set(p+".central_over_d3", r.centralOverD3())
+	}
 }

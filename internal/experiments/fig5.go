@@ -23,9 +23,26 @@ type Fig5Row struct {
 	Stats   stats.Summary
 }
 
+// runFig5 is the registry driver: the paper's dataset sizes, reduced for
+// the quick and golden scales.
+func runFig5(o Options) (Result, error) {
+	c := DefaultFig5()
+	c.Seed = o.Seed
+	switch o.Scale {
+	case Quick:
+		c.EngineLen, c.EnviroLen = 20000, 15000
+	case Golden:
+		c.EngineLen, c.EnviroLen = 8000, 6000
+	}
+	return RunFig5(c), nil
+}
+
+// Fig5Rows is the Figure 5 result, one row per dataset column.
+type Fig5Rows []Fig5Row
+
 // RunFig5 regenerates the statistical characteristics of the (simulated)
 // real datasets (paper Figure 5) from the calibrated generators.
-func RunFig5(c Fig5Config) []Fig5Row {
+func RunFig5(c Fig5Config) Fig5Rows {
 	eng := stream.Column(stream.NewEngine(stream.DefaultEngine(), c.Seed), c.EngineLen, 0)
 	se, err := stats.Describe(eng)
 	if err != nil {
@@ -39,16 +56,16 @@ func RunFig5(c Fig5Config) []Fig5Row {
 	}
 	sp, _ := stats.Describe(ps)
 	sd, _ := stats.Describe(ds)
-	return []Fig5Row{
+	return Fig5Rows{
 		{Dataset: "engine", Stats: se},
 		{Dataset: "pressure", Stats: sp},
 		{Dataset: "dew-point", Stats: sd},
 	}
 }
 
-// Fig5 renders the Figure 5 statistics alongside the values the paper
+// Table renders the Figure 5 statistics alongside the values the paper
 // reports.
-func Fig5(c Fig5Config) *Table {
+func (rows Fig5Rows) Table() *Table {
 	t := &Table{
 		Title:   "Figure 5 — statistical characteristics of the (simulated) real datasets",
 		Columns: []string{"dataset", "min", "max", "mean", "median", "stddev", "skew"},
@@ -58,9 +75,22 @@ func Fig5(c Fig5Config) *Table {
 			"paper:  dew-point 0.113 0.282 0.213 0.212 0.027 -0.182",
 		},
 	}
-	for _, r := range RunFig5(c) {
+	for _, r := range rows {
 		s := r.Stats
 		t.AddRow(r.Dataset, s.Min, s.Max, s.Mean, s.Median, s.StdDev, s.Skew)
 	}
 	return t
+}
+
+// Metrics emits the six moments per dataset.
+func (rows Fig5Rows) Metrics(set func(string, float64)) {
+	for _, r := range rows {
+		p := slug(r.Dataset)
+		set(p+".min", r.Stats.Min)
+		set(p+".max", r.Stats.Max)
+		set(p+".mean", r.Stats.Mean)
+		set(p+".median", r.Stats.Median)
+		set(p+".stddev", r.Stats.StdDev)
+		set(p+".skew", r.Stats.Skew)
+	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 
 	"odds/internal/core"
@@ -49,6 +50,33 @@ func DefaultFig6() Fig6Config {
 	}
 }
 
+// runFig6 is the registry driver. The quick scale shrinks |W| and |R| but
+// keeps the period beyond |W|; the golden scale runs one shift period
+// beyond |W| so both the stable phase and the re-adaptation latency are
+// observable.
+func runFig6(o Options) (Result, error) {
+	c := DefaultFig6()
+	switch o.Scale {
+	case Quick:
+		c.WindowCap, c.SampleSize = 2048, 256
+		c.Period, c.Epochs, c.SampleIvl = 3072, 9216, 512
+	case Golden:
+		c = Fig6Config{
+			WindowCap:  1024,
+			SampleSize: 256,
+			Eps:        0.2,
+			Children:   2,
+			Period:     2048,
+			Epochs:     6144,
+			SampleIvl:  256,
+			GridPoints: 64,
+			Fractions:  []float64{0.5},
+		}
+	}
+	c.Seed = o.Seed
+	return RunFig6(c), nil
+}
+
 // Fig6Point is one sampled timestep of the experiment.
 type Fig6Point struct {
 	Time     int
@@ -65,6 +93,10 @@ type Fig6Series struct {
 
 	MaxStableLeaf float64 // max JS while the distribution is stable
 	AdaptLatency  int     // arrivals after a shift until leaf JS < 0.1
+	// PostShiftSpike is the maximum leaf JS within two measurement
+	// intervals after the first mean shift — the divergence spike the
+	// paper's Figure 6 highlights before the estimate re-adapts.
+	PostShiftSpike float64
 }
 
 // RunFig6 executes the experiment and returns the timeline.
@@ -131,6 +163,9 @@ func RunFig6(c Fig6Config) Fig6Series {
 			}
 		}
 		series.Points = append(series.Points, pt)
+		if pt.Time > c.Period && pt.Time <= c.Period+2*c.SampleIvl && pt.Leaf > series.PostShiftSpike {
+			series.PostShiftSpike = pt.Leaf
+		}
 
 		// Summary bookkeeping: stability = the window has fully turned over
 		// since the last shift (plus margin) — the paper's "distribution of
@@ -149,19 +184,6 @@ func RunFig6(c Fig6Config) Fig6Series {
 	return series
 }
 
-// PostShiftSpike returns the maximum leaf JS observed within `intervals`
-// measurement intervals after the first mean shift — the divergence spike
-// the paper's Figure 6 highlights before the estimate re-adapts.
-func (s Fig6Series) PostShiftSpike(period, sampleIvl, intervals int) float64 {
-	spike := 0.0
-	for _, p := range s.Points {
-		if p.Time > period && p.Time <= period+sampleIvl*intervals && p.Leaf > spike {
-			spike = p.Leaf
-		}
-	}
-	return spike
-}
-
 // statsRand is a small coin-flip helper bound to a fraction.
 type statsRand struct {
 	r interface{ Float64() float64 }
@@ -170,9 +192,8 @@ type statsRand struct {
 
 func (s *statsRand) flip() bool { return s.r.Float64() < s.f }
 
-// Fig6 renders the timeline as a table.
-func Fig6(c Fig6Config) *Table {
-	series := RunFig6(c)
+// Table renders the timeline.
+func (series Fig6Series) Table() *Table {
 	t := &Table{
 		Title:   "Figure 6 — JS distance between true and estimated distributions over time",
 		Columns: []string{"time", "true-mean", "leaf"},
@@ -194,4 +215,18 @@ func Fig6(c Fig6Config) *Table {
 			" arrivals to return under JS 0.1 (paper: ~2500)",
 	)
 	return t
+}
+
+// Metrics emits the summary numbers and the final timestep.
+func (series Fig6Series) Metrics(set func(string, float64)) {
+	set("max_stable_leaf_js", series.MaxStableLeaf)
+	set("adapt_latency", float64(series.AdaptLatency))
+	set("post_shift_spike", series.PostShiftSpike)
+	if n := len(series.Points); n > 0 {
+		last := series.Points[n-1]
+		set("final_leaf_js", last.Leaf)
+		for i, f := range series.Fractions {
+			set(fmt.Sprintf("parent_f%0.2f.final_js", f), last.Parent[i])
+		}
+	}
 }

@@ -116,6 +116,42 @@ func (s SweepConfig) Quick() SweepConfig {
 	return s
 }
 
+// golden is the CI-sized sweep shared by fig7–fig10 and the ablation: 4
+// leaves under branching 2 (3 levels), |W| = 800, a single run, and one
+// |R|/|W| point. Small enough that the full golden pass stays in CI
+// budget, large enough that every detector flags real outliers at every
+// level.
+func (s SweepConfig) golden() SweepConfig {
+	s.Leaves = 4
+	s.Branching = 2
+	s.WindowCap = 800
+	s.Runs = 1
+	s.Epochs = 1400
+	s.MeasureFrom = 900
+	s.SampleFracs = []float64{0.05}
+	s.HistRebuildEpochs = 100
+	return s
+}
+
+// sweepAt resolves the sweep configuration of a workload for one registry
+// run: the scale's parameter set, then the caller's run count, workers
+// and seed.
+func sweepAt(o Options, w Workload) SweepConfig {
+	s := DefaultSweep(w)
+	switch o.Scale {
+	case Quick:
+		s = s.Quick()
+	case Golden:
+		s = s.golden()
+	}
+	if o.Runs > 0 {
+		s.Runs = o.Runs
+	}
+	s.Workers = o.Workers
+	s.Seed = o.Seed
+	return s
+}
+
 // dist returns the (D,r) parameters for the workload.
 func (s SweepConfig) dist() distance.Params {
 	if s.Workload == EngineData || s.Workload == EnviroData {
@@ -202,32 +238,18 @@ func (s SweepConfig) PRConfigFor(frac float64, kind EstimatorKind, run int) PRCo
 	return s.prConfig(frac, kind, run)
 }
 
-// runPool returns the pool for run-level parallelism, or nil when the
-// sweep is serial (or has a single run, which parallelizes per sensor
-// inside RunD3/RunMGDD instead).
-func (s SweepConfig) runPool() *parallel.Pool {
-	if s.Workers > 1 && s.Runs > 1 {
-		return parallel.New(s.Workers)
-	}
-	return nil
-}
-
 // d3Sweep runs D3 across runs for one cell, averaging per level. Runs are
 // independent (each carries its own derived seed), so they execute
 // concurrently under SweepConfig.Workers with results indexed by run —
-// identical to the serial order for any worker count.
+// identical to the serial order for any worker count. (The pool never uses
+// more workers than runs, so a single-run cell runs inline and hands its
+// workers to the per-sensor harness through prConfig instead.)
 func (s SweepConfig) d3Sweep(frac float64, kind EstimatorKind) ([]float64, []float64, int) {
 	depth := len(levelsOf(s.Leaves, s.Branching))
 	results := make([]D3Result, s.Runs)
-	if pool := s.runPool(); pool != nil {
-		pool.For(s.Runs, func(run int) {
-			results[run] = RunD3(s.prConfig(frac, kind, run))
-		})
-	} else {
-		for run := 0; run < s.Runs; run++ {
-			results[run] = RunD3(s.prConfig(frac, kind, run))
-		}
-	}
+	parallel.New(max(1, s.Workers)).For(s.Runs, func(run int) {
+		results[run] = RunD3(s.prConfig(frac, kind, run))
+	})
 	perLevel := make([][]PR, depth)
 	truths := 0
 	for _, res := range results {
@@ -247,15 +269,9 @@ func (s SweepConfig) d3Sweep(frac float64, kind EstimatorKind) ([]float64, []flo
 // mgddSweep runs MGDD across runs for one cell.
 func (s SweepConfig) mgddSweep(frac float64, kind EstimatorKind) (float64, float64, int) {
 	results := make([]MGDDResult, s.Runs)
-	if pool := s.runPool(); pool != nil {
-		pool.For(s.Runs, func(run int) {
-			results[run] = RunMGDD(s.prConfig(frac, kind, run))
-		})
-	} else {
-		for run := 0; run < s.Runs; run++ {
-			results[run] = RunMGDD(s.prConfig(frac, kind, run))
-		}
-	}
+	parallel.New(max(1, s.Workers)).For(s.Runs, func(run int) {
+		results[run] = RunMGDD(s.prConfig(frac, kind, run))
+	})
 	var runs []PR
 	truths := 0
 	for _, res := range results {
@@ -273,11 +289,13 @@ type LevelPR struct {
 	Recall    float64
 }
 
-// SweepCell is the structured result of one (estimator, |R|/|W|) cell of a
-// precision/recall sweep: per-level D3 metrics plus the MGDD leaf metrics,
-// each with the true-outlier count per run.
+// SweepCell is the structured result of one cell of a precision/recall
+// sweep: per-level D3 metrics plus the MGDD leaf metrics, each with the
+// true-outlier count per run. Group is what the cell varies besides
+// |R|/|W| — the estimator in Figure 7, the dataset in Figure 10, nothing
+// in Figure 9.
 type SweepCell struct {
-	Estimator  string
+	Group      string
 	Frac       float64
 	D3         []LevelPR // index 0 = leaf level
 	D3Truths   int
@@ -286,17 +304,8 @@ type SweepCell struct {
 }
 
 // runCell executes both detectors for one sweep cell.
-func (s SweepConfig) runCell(frac float64, kind EstimatorKind) SweepCell {
-	name := "kernel"
-	switch kind {
-	case KindHistogram:
-		name = "histogram"
-	case KindSampledHistogram:
-		name = "sampled-histogram"
-	case KindWavelet:
-		name = "wavelet"
-	}
-	cell := SweepCell{Estimator: name, Frac: frac}
+func (s SweepConfig) runCell(group string, frac float64, kind EstimatorKind) SweepCell {
+	cell := SweepCell{Group: group, Frac: frac}
 	prec, rec, truths := s.d3Sweep(frac, kind)
 	for l := range prec {
 		cell.D3 = append(cell.D3, LevelPR{Precision: prec[l], Recall: rec[l]})
@@ -308,47 +317,89 @@ func (s SweepConfig) runCell(frac float64, kind EstimatorKind) SweepCell {
 	return cell
 }
 
-// RunFig7 executes the Figure 7 sweep — D3 (per level) and MGDD on 1-d
-// synthetic data, kernel versus histogram, across |R|/|W| — and returns
-// the structured cells.
-func RunFig7(s SweepConfig) []SweepCell {
-	var cells []SweepCell
-	for _, kind := range []EstimatorKind{KindKernel, KindHistogram} {
-		for _, frac := range s.SampleFracs {
-			cells = append(cells, s.runCell(frac, kind))
-		}
-	}
-	return cells
+// SweepResult is the result of a Figure 7, 9 or 10 sweep: the cells plus
+// how the figure labels them.
+type SweepResult struct {
+	Title       string
+	GroupColumn string // heading of the Group column; empty when cells are not grouped
+	Notes       []string
+	Cells       []SweepCell
 }
 
-// sweepRows renders sweep cells into a table, prefixing each row with the
-// given leading labels per cell.
-func sweepRows(t *Table, cells []SweepCell, lead func(SweepCell) []any) {
-	for _, c := range cells {
-		base := lead(c)
+// Table renders the sweep, one row per D3 level plus one MGDD row per
+// cell.
+func (res SweepResult) Table() *Table {
+	t := &Table{Title: res.Title, Notes: res.Notes}
+	if res.GroupColumn != "" {
+		t.Columns = []string{res.GroupColumn}
+	}
+	t.Columns = append(t.Columns, "|R|/|W|", "detector", "precision", "recall", "true-outliers/run")
+	for _, c := range res.Cells {
+		lead := []any{FmtF(c.Frac, 4)}
+		if res.GroupColumn != "" {
+			lead = []any{c.Group, FmtF(c.Frac, 4)}
+		}
+		row := func(detector string, pr LevelPR, truths int) {
+			t.AddRow(append(append([]any{}, lead...), detector, FmtPct(pr.Precision), FmtPct(pr.Recall), truths)...)
+		}
 		for l, pr := range c.D3 {
-			row := append(append([]any{}, base...),
-				fmt.Sprintf("D3 level %d", l+1), FmtPct(pr.Precision), FmtPct(pr.Recall), c.D3Truths)
-			t.AddRow(row...)
+			row(fmt.Sprintf("D3 level %d", l+1), pr, c.D3Truths)
 		}
-		row := append(append([]any{}, base...),
-			"MGDD", FmtPct(c.MGDD.Precision), FmtPct(c.MGDD.Recall), c.MGDDTruths)
-		t.AddRow(row...)
+		row("MGDD", c.MGDD, c.MGDDTruths)
+	}
+	return t
+}
+
+// Metrics emits every cell, under its group's name when grouped.
+func (res SweepResult) Metrics(set func(string, float64)) {
+	for _, c := range res.Cells {
+		p := fmt.Sprintf("r%0.4f", c.Frac)
+		if res.GroupColumn != "" {
+			p = slug(c.Group) + "." + p
+		}
+		for l, pr := range c.D3 {
+			set(fmt.Sprintf("%s.d3.l%d.precision", p, l+1), pr.Precision)
+			set(fmt.Sprintf("%s.d3.l%d.recall", p, l+1), pr.Recall)
+		}
+		set(p+".d3.truths", float64(c.D3Truths))
+		set(p+".mgdd.precision", c.MGDD.Precision)
+		set(p+".mgdd.recall", c.MGDD.Recall)
+		set(p+".mgdd.truths", float64(c.MGDDTruths))
 	}
 }
 
-// Fig7 renders the Figure 7 sweep.
-func Fig7(s SweepConfig) *Table {
-	t := &Table{
-		Title:   "Figure 7 — precision/recall, 1-d synthetic, kernel vs histogram",
-		Columns: []string{"estimator", "|R|/|W|", "detector", "precision", "recall", "true-outliers/run"},
+func runFig7(o Options) (Result, error) { return RunFig7(sweepAt(o, Synthetic1D)), nil }
+
+// RunFig7 executes the Figure 7 sweep: D3 (per level) and MGDD on 1-d
+// synthetic data, kernel versus histogram, across |R|/|W|.
+func RunFig7(s SweepConfig) SweepResult {
+	res := SweepResult{
+		Title:       "Figure 7 — precision/recall, 1-d synthetic, kernel vs histogram",
+		GroupColumn: "estimator",
 		Notes: []string{
 			"paper: D3 ≈94%/92%, MGDD ≈94%/93%; kernels match or beat histograms on precision",
 			"paper: D3 precision rises with level (Theorem 3 prunes false positives upward)",
 		},
 	}
-	sweepRows(t, RunFig7(s), func(c SweepCell) []any { return []any{c.Estimator, FmtF(c.Frac, 4)} })
-	return t
+	for _, e := range []struct {
+		name string
+		kind EstimatorKind
+	}{{"kernel", KindKernel}, {"histogram", KindHistogram}} {
+		for _, frac := range s.SampleFracs {
+			res.Cells = append(res.Cells, s.runCell(e.name, frac, e.kind))
+		}
+	}
+	return res
+}
+
+// runFig8 is the registry driver. The golden scale sweeps two fractions;
+// the others the default four.
+func runFig8(o Options) (Result, error) {
+	var fractions []float64
+	if o.Scale == Golden {
+		fractions = []float64{0.5, 1.0}
+	}
+	return RunFig8(sweepAt(o, Synthetic1D), fractions), nil
 }
 
 // Fig8Row is one sample-fraction point of the Figure 8 sweep.
@@ -358,14 +409,17 @@ type Fig8Row struct {
 	Truths int
 }
 
+// Fig8Rows is the Figure 8 result.
+type Fig8Rows []Fig8Row
+
 // RunFig8 executes the Figure 8 sweep: MGDD precision/recall versus the
 // sample fraction f on 1-d synthetic data (kernel estimator).
-func RunFig8(s SweepConfig, fractions []float64) []Fig8Row {
+func RunFig8(s SweepConfig, fractions []float64) Fig8Rows {
 	if len(fractions) == 0 {
 		fractions = []float64{0.25, 0.5, 0.75, 1.0}
 	}
 	frac := s.SampleFracs[len(s.SampleFracs)-1]
-	rows := make([]Fig8Row, 0, len(fractions))
+	rows := make(Fig8Rows, 0, len(fractions))
 	for _, f := range fractions {
 		cfg := s
 		cfg.F = f
@@ -375,72 +429,60 @@ func RunFig8(s SweepConfig, fractions []float64) []Fig8Row {
 	return rows
 }
 
-// Fig8 renders the Figure 8 sweep.
-func Fig8(s SweepConfig, fractions []float64) *Table {
+// Table renders the Figure 8 sweep.
+func (rows Fig8Rows) Table() *Table {
 	t := &Table{
 		Title:   "Figure 8 — MGDD precision/recall vs sample fraction f (1-d synthetic, kernel)",
 		Columns: []string{"f", "precision", "recall", "true-outliers/run"},
 		Notes:   []string{"paper: both metrics improve with f, ≈94%/93% at the right settings"},
 	}
-	for _, r := range RunFig8(s, fractions) {
+	for _, r := range rows {
 		t.AddRow(FmtF(r.F, 2), FmtPct(r.MGDD.Precision), FmtPct(r.MGDD.Recall), r.Truths)
 	}
 	return t
 }
 
+// Metrics emits the MGDD leaf metrics per sample fraction.
+func (rows Fig8Rows) Metrics(set func(string, float64)) {
+	for _, r := range rows {
+		p := fmt.Sprintf("f%0.2f", r.F)
+		set(p+".precision", r.MGDD.Precision)
+		set(p+".recall", r.MGDD.Recall)
+		set(p+".truths", float64(r.Truths))
+	}
+}
+
+func runFig9(o Options) (Result, error) { return RunFig9(sweepAt(o, Synthetic2D)), nil }
+
 // RunFig9 executes the Figure 9 sweep: D3 (per level) and MGDD on 2-d
 // synthetic data with the kernel estimator, across |R|/|W|.
-func RunFig9(s SweepConfig) []SweepCell {
+func RunFig9(s SweepConfig) SweepResult {
 	s.Workload = Synthetic2D
-	var cells []SweepCell
+	res := SweepResult{
+		Title: "Figure 9 — precision/recall, 2-d synthetic (kernel)",
+		Notes: []string{"paper: trends match the 1-d case; precision rises with level"},
+	}
 	for _, frac := range s.SampleFracs {
-		cells = append(cells, s.runCell(frac, KindKernel))
+		res.Cells = append(res.Cells, s.runCell("", frac, KindKernel))
 	}
-	return cells
+	return res
 }
 
-// Fig9 renders the Figure 9 sweep.
-func Fig9(s SweepConfig) *Table {
-	t := &Table{
-		Title:   "Figure 9 — precision/recall, 2-d synthetic (kernel)",
-		Columns: []string{"|R|/|W|", "detector", "precision", "recall", "true-outliers/run"},
-		Notes:   []string{"paper: trends match the 1-d case; precision rises with level"},
-	}
-	sweepRows(t, RunFig9(s), func(c SweepCell) []any { return []any{FmtF(c.Frac, 4)} })
-	return t
-}
-
-// Fig10Cell is one (dataset, |R|/|W|) cell of the real-dataset sweep.
-type Fig10Cell struct {
-	Dataset string
-	SweepCell
-}
+func runFig10(o Options) (Result, error) { return RunFig10(sweepAt(o, EngineData)), nil }
 
 // RunFig10 executes the Figure 10 sweeps: the engine (1-d) and
 // environmental (2-d) datasets across |R|/|W| with the kernel estimator.
-func RunFig10(s SweepConfig) []Fig10Cell {
-	var cells []Fig10Cell
+func RunFig10(s SweepConfig) SweepResult {
+	res := SweepResult{
+		Title:       "Figure 10 — precision/recall on the (simulated) real datasets (kernel)",
+		GroupColumn: "dataset",
+		Notes:       []string{"paper: ≈99% precision, ≈93% recall on the engine data; 2-d comparable to synthetic"},
+	}
 	for _, w := range []Workload{EngineData, EnviroData} {
-		cfg := s
-		cfg.Workload = w
-		for _, frac := range cfg.SampleFracs {
-			cells = append(cells, Fig10Cell{Dataset: w.String(), SweepCell: cfg.runCell(frac, KindKernel)})
+		s.Workload = w
+		for _, frac := range s.SampleFracs {
+			res.Cells = append(res.Cells, s.runCell(w.String(), frac, KindKernel))
 		}
 	}
-	return cells
-}
-
-// Fig10 renders the Figure 10 sweeps.
-func Fig10(s SweepConfig) *Table {
-	t := &Table{
-		Title:   "Figure 10 — precision/recall on the (simulated) real datasets (kernel)",
-		Columns: []string{"dataset", "|R|/|W|", "detector", "precision", "recall", "true-outliers/run"},
-		Notes:   []string{"paper: ≈99% precision, ≈93% recall on the engine data; 2-d comparable to synthetic"},
-	}
-	for _, c := range RunFig10(s) {
-		sweepRows(t, []SweepCell{c.SweepCell}, func(sc SweepCell) []any {
-			return []any{c.Dataset, FmtF(sc.Frac, 4)}
-		})
-	}
-	return t
+	return res
 }

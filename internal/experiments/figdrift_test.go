@@ -1,4 +1,4 @@
-package driftexp
+package experiments
 
 import (
 	"reflect"
@@ -7,10 +7,10 @@ import (
 	"odds/internal/stream"
 )
 
-// testConfig is a reduced-scale sweep so the package's own tests stay
-// well under a second; the golden harness pins the full Default() scale.
-func testConfig(kinds ...stream.DriftKind) Config {
-	return Config{
+// driftTestConfig is a reduced-scale sweep so the package's own tests stay
+// well under a second; the golden harness pins the full registry scale.
+func driftTestConfig(kinds ...stream.DriftKind) DriftConfig {
+	return DriftConfig{
 		WindowCap: 200,
 		Readings:  2400,
 		DriftAt:   1200,
@@ -22,12 +22,12 @@ func testConfig(kinds ...stream.DriftKind) Config {
 // TestFigdriftDeterministic pins the golden contract: two runs of the
 // same configuration produce identical rows.
 func TestFigdriftDeterministic(t *testing.T) {
-	c := testConfig(stream.DriftNone, stream.DriftAbrupt)
-	a, err := Run(c)
+	c := driftTestConfig(stream.DriftNone, stream.DriftAbrupt)
+	a, err := RunFigDrift(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(c)
+	b, err := RunFigDrift(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func TestFigdriftDeterministic(t *testing.T) {
 // because an idle monitor leaves the pipeline bit-identical to an
 // unarmed one — the adaptive and frozen twins score identically.
 func TestFigdriftStationarySilent(t *testing.T) {
-	rows, err := Run(testConfig(stream.DriftNone))
+	res, err := RunFigDrift(driftTestConfig(stream.DriftNone))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rows[0]
+	r := res.Rows[0]
 	if r.Detections != 0 || r.FalseAlarms != 0 || r.Refreshes != 0 || r.Shrinks != 0 {
 		t.Errorf("stationary row not silent: %+v", r)
 	}
@@ -58,11 +58,11 @@ func TestFigdriftStationarySilent(t *testing.T) {
 // scale: an abrupt mean shift is detected with no pre-drift false
 // alarms, and the detection triggers adaptation actions.
 func TestFigdriftDetectsAbrupt(t *testing.T) {
-	rows, err := Run(testConfig(stream.DriftAbrupt))
+	res, err := RunFigDrift(driftTestConfig(stream.DriftAbrupt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rows[0]
+	r := res.Rows[0]
 	if r.Detections < 1 {
 		t.Fatalf("abrupt shift not detected: %+v", r)
 	}

@@ -1,27 +1,23 @@
-// Package faultexp is the robustness experiment the paper never ran:
-// detection quality and communication cost as a function of node crash
-// rate, for the D3 and MGDD deployments with self-healing enabled. It
-// lives outside internal/experiments because it drives full odds
-// deployments (the experiments package cannot import the root package —
-// the root package's benchmarks import it).
-package faultexp
+package experiments
 
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"odds"
-	"odds/internal/experiments"
 	"odds/internal/fault"
 	"odds/internal/stats"
 )
 
-// Config scales the figfault experiment. Crash membership is decided by
-// one uniform draw per node from a pure per-node stream (stats.Child),
-// compared against each rate: the crash sets are nested across rates
-// (every node down at 25% is also down at 50%), so the cost and quality
-// columns move for one reason only.
-type Config struct {
+// FaultConfig scales figfault, the robustness experiment the paper never
+// ran: detection quality and communication cost as a function of node
+// crash rate, for full D3 and MGDD deployments with self-healing enabled.
+// Crash membership is decided by one uniform draw per node from a pure
+// per-node stream (stats.Child), compared against each rate: the crash
+// sets are nested across rates (every node down at 25% is also down at
+// 50%), so the cost and quality columns move for one reason only.
+type FaultConfig struct {
 	Leaves     int
 	Branching  int
 	Epochs     int
@@ -30,20 +26,26 @@ type Config struct {
 	Workers    int
 }
 
-// Default is the CI-scale configuration the golden harness pins.
-func Default() Config {
-	return Config{
+// runFigFault is the registry driver. The CI-scale configuration the
+// golden harness pins is also what oddsim runs without -quick; the quick
+// scale halves the run.
+func runFigFault(o Options) (Result, error) {
+	c := FaultConfig{
 		Leaves:     8,
 		Branching:  2,
 		Epochs:     1800,
 		CrashRates: []float64{0, 0.25, 0.5},
-		Seed:       1,
-		Workers:    0,
+		Seed:       o.Seed,
+		Workers:    o.Workers,
 	}
+	if o.Scale == Quick {
+		c.Epochs = 900
+	}
+	return RunFigFault(c)
 }
 
-// Row is one (algorithm, crash rate) cell.
-type Row struct {
+// FaultRow is one (algorithm, crash rate) cell.
+type FaultRow struct {
 	Algorithm   string
 	CrashRate   float64
 	Crashes     int     // nodes scheduled to crash
@@ -54,9 +56,12 @@ type Row struct {
 	MeanTTR     float64 // mean MGDD time-to-recover in epochs (NaN when no repairs completed)
 }
 
-// core is the estimation configuration shared by every cell; small
+// FaultRows is the figfault result.
+type FaultRows []FaultRow
+
+// faultCore is the estimation configuration shared by every cell; small
 // enough that the six deployments finish within the golden budget.
-func coreConfig() odds.Config {
+func faultCore() odds.Config {
 	return odds.Config{
 		WindowCap:      300,
 		SampleSize:     60,
@@ -67,7 +72,7 @@ func coreConfig() odds.Config {
 	}
 }
 
-func deployment(c Config, alg odds.Algorithm, sched *fault.Schedule) (*odds.Deployment, error) {
+func faultDeployment(c FaultConfig, alg odds.Algorithm, sched *fault.Schedule) (*odds.Deployment, error) {
 	sources := make([]odds.Source, c.Leaves)
 	for i := range sources {
 		sources[i] = odds.NewMixtureSource(1, int64(100+i))
@@ -76,7 +81,7 @@ func deployment(c Config, alg odds.Algorithm, sched *fault.Schedule) (*odds.Depl
 		Algorithm: alg,
 		Sources:   sources,
 		Branching: c.Branching,
-		Core:      coreConfig(),
+		Core:      faultCore(),
 		Faults:    sched,
 		SelfHeal:  true,
 		Seed:      c.Seed,
@@ -93,7 +98,7 @@ func deployment(c Config, alg odds.Algorithm, sched *fault.Schedule) (*odds.Depl
 // the deployment's nodes draws one coin from its pure per-node stream
 // and, if selected, suffers a single mid-run outage of an eighth of the
 // run, starting at a node-specific epoch in the middle half.
-func crashSchedule(c Config, nodes int, rate float64) (*fault.Schedule, int) {
+func crashSchedule(c FaultConfig, nodes int, rate float64) (*fault.Schedule, int) {
 	if rate <= 0 {
 		return nil, 0
 	}
@@ -115,13 +120,13 @@ func reportKey(r odds.Report) string {
 	return fmt.Sprintf("%d|%d|%v", r.Node, r.Epoch, r.Value)
 }
 
-// Run executes the sweep: per algorithm, one fault-free twin plus one
-// faulted deployment per non-zero crash rate, all sharing the
+// RunFigFault executes the sweep: per algorithm, one fault-free twin plus
+// one faulted deployment per non-zero crash rate, all sharing the
 // deployment seed so report sets are comparable.
-func Run(c Config) ([]Row, error) {
-	var rows []Row
+func RunFigFault(c FaultConfig) (FaultRows, error) {
+	var rows FaultRows
 	for _, alg := range []odds.Algorithm{odds.D3, odds.MGDD} {
-		twin, err := deployment(c, alg, nil)
+		twin, err := faultDeployment(c, alg, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +143,7 @@ func Run(c Config) ([]Row, error) {
 			sched, crashes := crashSchedule(c, nodes, rate)
 			d := twin
 			if sched != nil {
-				d, err = deployment(c, alg, sched)
+				d, err = faultDeployment(c, alg, sched)
 				if err != nil {
 					return nil, err
 				}
@@ -147,7 +152,7 @@ func Run(c Config) ([]Row, error) {
 					return nil, err
 				}
 			}
-			row := Row{Algorithm: alg.String(), CrashRate: rate, Crashes: crashes}
+			row := FaultRow{Algorithm: alg.String(), CrashRate: rate, Crashes: crashes}
 			for _, r := range d.Reports() {
 				if r.Level != 0 {
 					continue
@@ -181,13 +186,9 @@ func meanTTR(health []odds.NodeHealth) float64 {
 	return float64(sum) / float64(n)
 }
 
-// Figure renders the sweep as a printable table for cmd/oddsim.
-func Figure(c Config) (*experiments.Table, error) {
-	rows, err := Run(c)
-	if err != nil {
-		return nil, err
-	}
-	t := &experiments.Table{
+// Table renders the sweep.
+func (rows FaultRows) Table() *Table {
+	t := &Table{
 		Title:   "figfault: detection quality and message cost vs crash rate (self-healing on)",
 		Columns: []string{"alg", "crash_rate", "crashed", "leaf_reports", "retained", "spurious", "msg/epoch", "mean_ttr"},
 		Notes: []string{
@@ -196,9 +197,22 @@ func Figure(c Config) (*experiments.Table, error) {
 		},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Algorithm, experiments.FmtF(r.CrashRate, 2), r.Crashes,
+		t.AddRow(r.Algorithm, FmtF(r.CrashRate, 2), r.Crashes,
 			r.LeafReports, r.Retained, r.Spurious,
-			experiments.FmtF(r.MsgPerEpoch, 2), experiments.FmtF(r.MeanTTR, 1))
+			FmtF(r.MsgPerEpoch, 2), FmtF(r.MeanTTR, 1))
 	}
-	return t, nil
+	return t
+}
+
+// Metrics emits every cell under its algorithm and crash rate.
+func (rows FaultRows) Metrics(set func(string, float64)) {
+	for _, r := range rows {
+		p := fmt.Sprintf("%s.c%0.2f", strings.ToLower(r.Algorithm), r.CrashRate)
+		set(p+".crashed", float64(r.Crashes))
+		set(p+".leaf_reports", float64(r.LeafReports))
+		set(p+".retained", float64(r.Retained))
+		set(p+".spurious", float64(r.Spurious))
+		set(p+".msg_per_epoch", r.MsgPerEpoch)
+		set(p+".mean_ttr", r.MeanTTR)
+	}
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"odds/internal/core"
 	"odds/internal/stats"
 	"odds/internal/stream"
@@ -32,6 +34,20 @@ func DefaultMemory() MemoryConfig {
 	}
 }
 
+// runMemory is the registry driver: the paper's window ladder, or one
+// small window at the quick and golden scales.
+func runMemory(o Options) (Result, error) {
+	c := DefaultMemory()
+	switch o.Scale {
+	case Quick:
+		c.WindowCaps, c.Epochs = []int{2000}, 6000
+	case Golden:
+		c.WindowCaps, c.Epochs = []int{2000}, 5000
+	}
+	c.Seed = o.Seed
+	return RunMemory(c), nil
+}
+
 // MemoryRow is one measurement.
 type MemoryRow struct {
 	Dataset       string
@@ -43,9 +59,12 @@ type MemoryRow struct {
 	SavingsPct    float64 // variance actual vs bound
 }
 
+// MemoryRows is the memory-experiment result, one row per (|W|, dataset).
+type MemoryRows []MemoryRow
+
 // RunMemory executes the experiment on both simulated real datasets.
-func RunMemory(c MemoryConfig) []MemoryRow {
-	var rows []MemoryRow
+func RunMemory(c MemoryConfig) MemoryRows {
+	var rows MemoryRows
 	for _, wcap := range c.WindowCaps {
 		for _, ds := range []string{"engine", "environmental"} {
 			dim := 1
@@ -90,8 +109,8 @@ func RunMemory(c MemoryConfig) []MemoryRow {
 	return rows
 }
 
-// Memory renders the experiment as a table.
-func Memory(c MemoryConfig) *Table {
+// Table renders the experiment.
+func (rows MemoryRows) Table() *Table {
 	t := &Table{
 		Title:   "Section 10.3 — per-node memory (16-bit architecture, 2 bytes/number)",
 		Columns: []string{"dataset", "|W|", "sample B", "variance B", "var bound B", "total B", "savings vs bound"},
@@ -100,9 +119,21 @@ func Memory(c MemoryConfig) *Table {
 			"paper: total well under 10 KB even at |W|=20000, |R|=2000, eps=0.2",
 		},
 	}
-	for _, r := range RunMemory(c) {
+	for _, r := range rows {
 		t.AddRow(r.Dataset, r.WindowCap, r.SampleBytes, r.VarBytes, r.VarBoundBytes,
 			r.TotalBytes, FmtF(r.SavingsPct, 1)+"%")
 	}
 	return t
+}
+
+// Metrics emits the byte counts per (dataset, |W|).
+func (rows MemoryRows) Metrics(set func(string, float64)) {
+	for _, r := range rows {
+		p := fmt.Sprintf("%s.w%d", slug(r.Dataset), r.WindowCap)
+		set(p+".sample_bytes", float64(r.SampleBytes))
+		set(p+".var_bytes", float64(r.VarBytes))
+		set(p+".var_bound_bytes", float64(r.VarBoundBytes))
+		set(p+".total_bytes", float64(r.TotalBytes))
+		set(p+".savings_pct", r.SavingsPct)
+	}
 }

@@ -1,9 +1,12 @@
-// Package experiments reproduces every table and figure of the paper's
-// evaluation (Section 10). Each experiment is a pure function from a
-// configuration (defaulting to the paper's parameters, optionally scaled
-// down for quick runs) to a Table of the same rows/series the paper
-// plots; cmd/oddsim prints them and bench_test.go wraps them as
-// benchmarks. EXPERIMENTS.md records paper-vs-measured values.
+// Package experiments is the evaluation harness: every table and figure
+// of the paper's Section 10 (Figures 5–11, memory, ablation) plus the
+// three experiments the paper never ran (figfault, figdrift, figbackends).
+// Each experiment is a pure function from a configuration to a typed
+// result that renders the Table the paper plots and emits the same
+// numbers as flat golden metrics; the registry declares each one once,
+// with its paper, quick and golden scale beside its driver. cmd/oddsim
+// prints them, internal/golden pins them, and bench_test.go wraps them
+// as benchmarks. EXPERIMENTS.md records paper-vs-measured values.
 package experiments
 
 import (
@@ -140,6 +143,29 @@ func (p PR) Recall() float64 {
 
 // Truths returns the number of true outliers observed.
 func (p PR) Truths() int { return p.TP + p.FN }
+
+// orOne scores an undefined precision or recall as 1, the convention of
+// the serving-path figures (figdrift, figbackends): a detector that
+// flagged nothing made no false claims, and one with nothing to find
+// missed nothing.
+func orOne(v float64) float64 {
+	if math.IsNaN(v) {
+		return 1
+	}
+	return v
+}
+
+// slug converts a human label ("equi-depth histogram") into a metric path
+// segment ("equi_depth_histogram").
+func slug(s string) string {
+	return strings.Map(func(r rune) rune {
+		switch r {
+		case ' ', '-', '/':
+			return '_'
+		}
+		return r
+	}, s)
+}
 
 // meanPR averages precision and recall over per-run counters the way the
 // paper averages over its 12 runs (macro average; runs with undefined

@@ -2,38 +2,38 @@ package golden
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
-	"odds/internal/backendexp"
-	"odds/internal/driftexp"
 	"odds/internal/experiments"
-	"odds/internal/faultexp"
 )
 
 // Config selects which figures to collect and how to run them. The figure
-// parameters themselves are fixed at CI scale inside this package: golden
-// values are only comparable when the whole configuration is pinned, so
-// the only knobs are the subset, the master seed, and the worker count
-// (the evaluation harness is seed-exact for any worker count, so Workers
-// trades wall-clock for nothing else).
+// parameters themselves are fixed at CI scale beside each driver
+// (experiments.Golden): golden values are only comparable when the whole
+// configuration is pinned, so the only knobs are the subset, the master
+// seed, and the worker count (the evaluation harness is seed-exact for any
+// worker count, so Workers trades wall-clock for nothing else).
 type Config struct {
 	Figures []string // nil = AllFigures
 	Seed    int64    // 0 = 1, the seed the golden file was generated with
 	Workers int      // 0 = serial
 }
 
-// AllFigures lists every collectable figure in canonical order.
-func AllFigures() []string {
-	return []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "mem", "ablation", "figfault", "figdrift", "figbackends"}
-}
+// AllFigures lists every collectable figure in canonical (registry) order.
+func AllFigures() []string { return figures(false) }
 
 // ShortFigures is the cheap subset exercised by `go test -short` and the
-// CI golden gate: the dataset moments, the communication ladder, and the
-// memory accounting complete in a couple of seconds, while still crossing
-// the stream generators, the tag simulator, and the sketch layers.
-func ShortFigures() []string {
-	return []string{"fig5", "fig11", "mem"}
+// CI golden gate: the registry entries marked Short.
+func ShortFigures() []string { return figures(true) }
+
+func figures(shortOnly bool) []string {
+	var names []string
+	for _, e := range experiments.All() {
+		if e.Short || !shortOnly {
+			names = append(names, e.Name)
+		}
+	}
+	return names
 }
 
 // seed returns the effective master seed.
@@ -44,77 +44,9 @@ func (c Config) seed() int64 {
 	return c.Seed
 }
 
-// goldenSweep is the CI-sized precision/recall sweep configuration shared
-// by fig7–fig10 and the ablation: 4 leaves under branching 2 (3 levels),
-// |W| = 800, a single run, and one |R|/|W| point. Small enough that the
-// full golden pass stays in CI budget, large enough that every detector
-// flags real outliers at every level.
-func goldenSweep(w experiments.Workload, seed int64, workers int) experiments.SweepConfig {
-	s := experiments.DefaultSweep(w)
-	s.Leaves = 4
-	s.Branching = 2
-	s.WindowCap = 800
-	s.Runs = 1
-	s.Epochs = 1400
-	s.MeasureFrom = 900
-	s.SampleFracs = []float64{0.05}
-	s.HistRebuildEpochs = 100
-	s.Workers = workers
-	s.Seed = seed
-	return s
-}
-
-// goldenFig6 is the CI-sized estimation-accuracy configuration: one shift
-// period beyond |W| so both the stable phase and the re-adaptation latency
-// are observable.
-func goldenFig6(seed int64) experiments.Fig6Config {
-	return experiments.Fig6Config{
-		WindowCap:  1024,
-		SampleSize: 256,
-		Eps:        0.2,
-		Children:   2,
-		Period:     2048,
-		Epochs:     6144,
-		SampleIvl:  256,
-		GridPoints: 64,
-		Fractions:  []float64{0.5},
-		Seed:       seed,
-	}
-}
-
-// goldenFig11 is the CI-sized communication ladder.
-func goldenFig11(seed int64) experiments.Fig11Config {
-	c := experiments.DefaultFig11().Quick()
-	c.Seed = seed
-	return c
-}
-
-// goldenMemory is the CI-sized memory experiment.
-func goldenMemory(seed int64) experiments.MemoryConfig {
-	return experiments.MemoryConfig{
-		WindowCaps: []int{2000},
-		SampleFrac: 0.1,
-		Eps:        0.2,
-		Epochs:     5000,
-		Seed:       seed,
-	}
-}
-
-// addCell flattens one sweep cell under the given metric prefix.
-func addCell(m Metrics, prefix string, c experiments.SweepCell) {
-	p := fmt.Sprintf("%s.r%0.4f", prefix, c.Frac)
-	for l, pr := range c.D3 {
-		m.Set(fmt.Sprintf("%s.d3.l%d.precision", p, l+1), pr.Precision)
-		m.Set(fmt.Sprintf("%s.d3.l%d.recall", p, l+1), pr.Recall)
-	}
-	m.Set(p+".d3.truths", float64(c.D3Truths))
-	m.Set(p+".mgdd.precision", c.MGDD.Precision)
-	m.Set(p+".mgdd.recall", c.MGDD.Recall)
-	m.Set(p+".mgdd.truths", float64(c.MGDDTruths))
-}
-
 // Collect runs the selected figure drivers at golden scale and flattens
-// their structured results into metrics. Unknown figure names error.
+// their results into metrics, each under its figure's registered name.
+// Unknown figure names error.
 func Collect(c Config) (Metrics, error) {
 	figs := c.Figures
 	if len(figs) == 0 {
@@ -122,136 +54,15 @@ func Collect(c Config) (Metrics, error) {
 	}
 	m := Metrics{}
 	for _, fig := range figs {
-		switch fig {
-		case "fig5":
-			for _, r := range experiments.RunFig5(experiments.Fig5Config{
-				EngineLen: 8000, EnviroLen: 6000, Seed: c.seed(),
-			}) {
-				p := "fig5." + slug(r.Dataset)
-				m.Set(p+".min", r.Stats.Min)
-				m.Set(p+".max", r.Stats.Max)
-				m.Set(p+".mean", r.Stats.Mean)
-				m.Set(p+".median", r.Stats.Median)
-				m.Set(p+".stddev", r.Stats.StdDev)
-				m.Set(p+".skew", r.Stats.Skew)
-			}
-		case "fig6":
-			cfg := goldenFig6(c.seed())
-			series := experiments.RunFig6(cfg)
-			m.Set("fig6.max_stable_leaf_js", series.MaxStableLeaf)
-			m.Set("fig6.adapt_latency", float64(series.AdaptLatency))
-			m.Set("fig6.post_shift_spike", series.PostShiftSpike(cfg.Period, cfg.SampleIvl, 2))
-			if n := len(series.Points); n > 0 {
-				last := series.Points[n-1]
-				m.Set("fig6.final_leaf_js", last.Leaf)
-				for i, f := range series.Fractions {
-					m.Set(fmt.Sprintf("fig6.parent_f%0.2f.final_js", f), last.Parent[i])
-				}
-			}
-		case "fig7":
-			for _, cell := range experiments.RunFig7(goldenSweep(experiments.Synthetic1D, c.seed(), c.Workers)) {
-				addCell(m, "fig7."+slug(cell.Estimator), cell)
-			}
-		case "fig8":
-			for _, r := range experiments.RunFig8(goldenSweep(experiments.Synthetic1D, c.seed(), c.Workers), []float64{0.5, 1.0}) {
-				p := fmt.Sprintf("fig8.f%0.2f", r.F)
-				m.Set(p+".precision", r.MGDD.Precision)
-				m.Set(p+".recall", r.MGDD.Recall)
-				m.Set(p+".truths", float64(r.Truths))
-			}
-		case "fig9":
-			for _, cell := range experiments.RunFig9(goldenSweep(experiments.Synthetic2D, c.seed(), c.Workers)) {
-				addCell(m, "fig9", cell)
-			}
-		case "fig10":
-			for _, cell := range experiments.RunFig10(goldenSweep(experiments.EngineData, c.seed(), c.Workers)) {
-				addCell(m, "fig10."+slug(cell.Dataset), cell.SweepCell)
-			}
-		case "fig11":
-			for _, r := range experiments.RunFig11(goldenFig11(c.seed())) {
-				p := fmt.Sprintf("fig11.n%d", r.Nodes)
-				m.Set(p+".centralized", r.Centralized)
-				m.Set(p+".mgdd", r.MGDD)
-				m.Set(p+".d3", r.D3)
-				if r.D3 > 0 {
-					m.Set(p+".central_over_d3", r.Centralized/r.D3)
-				}
-			}
-		case "mem":
-			for _, r := range experiments.RunMemory(goldenMemory(c.seed())) {
-				p := fmt.Sprintf("mem.%s.w%d", slug(r.Dataset), r.WindowCap)
-				m.Set(p+".sample_bytes", float64(r.SampleBytes))
-				m.Set(p+".var_bytes", float64(r.VarBytes))
-				m.Set(p+".var_bound_bytes", float64(r.VarBoundBytes))
-				m.Set(p+".total_bytes", float64(r.TotalBytes))
-				m.Set(p+".savings_pct", r.SavingsPct)
-			}
-		case "ablation":
-			for _, r := range experiments.RunAblation(goldenSweep(experiments.Synthetic1D, c.seed(), c.Workers)) {
-				p := "ablation." + slug(r.Name)
-				m.Set(p+".precision", r.Leaf.Precision)
-				m.Set(p+".recall", r.Leaf.Recall)
-				m.Set(p+".truths", float64(r.Truths))
-			}
-		case "figfault":
-			cfg := faultexp.Default()
-			cfg.Seed = c.seed()
-			cfg.Workers = c.Workers
-			rows, err := faultexp.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("golden: figfault: %w", err)
-			}
-			for _, r := range rows {
-				p := fmt.Sprintf("figfault.%s.c%0.2f", strings.ToLower(r.Algorithm), r.CrashRate)
-				m.Set(p+".crashed", float64(r.Crashes))
-				m.Set(p+".leaf_reports", float64(r.LeafReports))
-				m.Set(p+".retained", float64(r.Retained))
-				m.Set(p+".spurious", float64(r.Spurious))
-				m.Set(p+".msg_per_epoch", r.MsgPerEpoch)
-				if !math.IsNaN(r.MeanTTR) {
-					m.Set(p+".mean_ttr", r.MeanTTR)
-				}
-			}
-		case "figdrift":
-			cfg := driftexp.Default()
-			cfg.Seed = c.seed()
-			rows, err := driftexp.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("golden: figdrift: %w", err)
-			}
-			for _, r := range rows {
-				p := "figdrift." + r.Kind
-				m.Set(p+".detections", float64(r.Detections))
-				m.Set(p+".false_alarms", float64(r.FalseAlarms))
-				m.Set(p+".delay", float64(r.Delay))
-				m.Set(p+".refreshes", float64(r.Refreshes))
-				m.Set(p+".shrinks", float64(r.Shrinks))
-				m.Set(p+".adapt_precision", r.AdaptPrecision)
-				m.Set(p+".frozen_precision", r.FrozenPrecision)
-				m.Set(p+".adapt_recall", r.AdaptRecall)
-				m.Set(p+".frozen_recall", r.FrozenRecall)
-			}
-		case "figbackends":
-			cfg := backendexp.Default()
-			cfg.Seed = c.seed()
-			rows, err := backendexp.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("golden: figbackends: %w", err)
-			}
-			for _, r := range rows {
-				// NsPerReading is wall-clock and deliberately NOT collected:
-				// golden metrics must be deterministic. The cost orderings
-				// pin StateBytes instead.
-				p := fmt.Sprintf("figbackends.%s.%s", r.Workload, r.Backend)
-				m.Set(p+".precision", r.Precision)
-				m.Set(p+".recall", r.Recall)
-				m.Set(p+".flagged", float64(r.Flagged))
-				m.Set(p+".truths", float64(r.Truths))
-				m.Set(p+".state_bytes", float64(r.StateBytes))
-			}
-		default:
+		e, ok := experiments.Lookup(fig)
+		if !ok {
 			return nil, fmt.Errorf("golden: unknown figure %q", fig)
 		}
+		res, err := e.Run(experiments.Options{Scale: experiments.Golden, Seed: c.seed(), Workers: c.Workers})
+		if err != nil {
+			return nil, fmt.Errorf("golden: %s: %w", fig, err)
+		}
+		res.Metrics(func(name string, v float64) { m.Set(fig+"."+name, v) })
 	}
 	return m, nil
 }
@@ -266,18 +77,9 @@ func Filter(m Metrics, figs []string) Metrics {
 	}
 	out := Metrics{}
 	for k, v := range m {
-		if i := indexDot(k); i > 0 && want[k[:i]] {
+		if i := strings.IndexByte(k, '.'); i > 0 && want[k[:i]] {
 			out[k] = v
 		}
 	}
 	return out
-}
-
-func indexDot(s string) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '.' {
-			return i
-		}
-	}
-	return -1
 }

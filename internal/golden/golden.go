@@ -96,15 +96,3 @@ func LoadMetrics(path string) (Metrics, error) {
 func WriteMetrics(path string, m Metrics) error {
 	return os.WriteFile(path, m.Encode(), 0o644)
 }
-
-// slug converts a human label ("equi-depth histogram") into a metric path
-// segment ("equi_depth_histogram").
-func slug(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch r {
-		case ' ', '-', '/':
-			return '_'
-		}
-		return r
-	}, s)
-}

@@ -3,6 +3,8 @@ package golden
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -184,5 +186,64 @@ func TestFilter(t *testing.T) {
 func TestCollectUnknownFigure(t *testing.T) {
 	if _, err := Collect(Config{Figures: []string{"fig99"}}); err == nil {
 		t.Error("expected error for unknown figure")
+	}
+}
+
+// TestRegistryOwnsGoldenNamespace ties the experiment registry to the
+// committed artifacts: the canonical order is pinned (it is the order
+// `oddsim -exp all` prints), names are unique, every golden key and every
+// spec rule/ordering belongs to a registered figure, and every registered
+// figure owns at least one golden key — so a figure cannot be registered
+// without `make update-golden`, nor dropped while its pins linger.
+func TestRegistryOwnsGoldenNamespace(t *testing.T) {
+	want := []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "mem", "ablation", "figfault", "figdrift", "figbackends"}
+	if got := AllFigures(); !reflect.DeepEqual(got, want) {
+		t.Errorf("AllFigures() = %v, want %v", got, want)
+	}
+	isFig := map[string]bool{}
+	for _, f := range AllFigures() {
+		if isFig[f] {
+			t.Errorf("figure %q registered twice", f)
+		}
+		isFig[f] = true
+	}
+	for _, f := range ShortFigures() {
+		if !isFig[f] {
+			t.Errorf("short figure %q is not in AllFigures", f)
+		}
+	}
+
+	gold, err := LoadMetrics("testdata/golden.json")
+	if err != nil {
+		t.Fatalf("loading golden file: %v", err)
+	}
+	spec, err := LoadSpec("testdata/spec.json")
+	if err != nil {
+		t.Fatalf("loading spec: %v", err)
+	}
+	// figOf returns the first path segment, failing the test unless it is a
+	// registered name.
+	figOf := func(where, metric string) string {
+		fig, _, _ := strings.Cut(metric, ".")
+		if !isFig[fig] {
+			t.Errorf("%s %q: %q is not a registered figure", where, metric, fig)
+		}
+		return fig
+	}
+	keys := map[string]int{}
+	for k := range gold {
+		keys[figOf("golden key", k)]++
+	}
+	for k := range spec.Rules {
+		figOf("spec rule", k)
+	}
+	for _, o := range spec.Orderings {
+		figOf("ordering "+o.Name+": lower", o.Lower)
+		figOf("ordering "+o.Name+": upper", o.Upper)
+	}
+	for _, f := range AllFigures() {
+		if keys[f] == 0 {
+			t.Errorf("figure %q owns no golden key (run `make update-golden`)", f)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"odds/internal/kernel"
 	"odds/internal/stats"
+	"odds/internal/stream"
 	"odds/internal/window"
 )
 
@@ -335,4 +336,39 @@ func TestBruteForce2D(t *testing.T) {
 	if nField > 200 {
 		t.Errorf("%d field points flagged, want few", nField)
 	}
+}
+
+func TestCalibrateKSigma(t *testing.T) {
+	src := stream.NewMixture(stream.DefaultMixture(), 1, 5)
+	pts := make([]window.Point, 4000)
+	for i := range pts {
+		pts[i] = src.Next()
+	}
+	prm := Params{R: 0.08, AlphaR: 0.01, KSigma: 3}
+	k := CalibrateKSigma(pts, prm, 20, 60)
+	prm.KSigma = k
+	n := len(Outliers(pts, prm))
+	if n < 20 || n > 60 {
+		t.Errorf("calibrated kSigma=%v yields %d outliers, want [20,60]", k, n)
+	}
+	// When k=3 already yields enough outliers, it is kept: a uniform block
+	// with an adjacent isolated point fires even at the paper's setting.
+	blocky := make([]window.Point, 0, 2001)
+	for i := 0; i < 2000; i++ {
+		blocky = append(blocky, window.Point{0.2 + 0.0001*float64(i)})
+	}
+	blocky = append(blocky, window.Point{0.45})
+	kept := CalibrateKSigma(blocky, prm, 1, 1<<30)
+	if kept != 3 {
+		t.Errorf("k=3 should be kept when it already fires, got %v", kept)
+	}
+}
+
+func TestCalibrateKSigmaPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("bad target did not panic")
+		}
+	}()
+	CalibrateKSigma(nil, Params{R: 0.08, AlphaR: 0.01, KSigma: 3}, 10, 5)
 }

@@ -101,13 +101,34 @@ func queryErrStatus(err error) int {
 	return http.StatusServiceUnavailable
 }
 
-// wireErrStatus maps a binary decode failure to its HTTP status. Every
-// frame defect is a 4xx — a malformed frame can never reach a shard.
-func wireErrStatus(err error) int {
-	if errors.Is(err, errBatchTooLarge) {
+// IngestDecodeStatus maps a failure to read or decode an /ingest body, on
+// either codec, to its HTTP status: a body over the byte cap or a frame
+// over the batch cap is 413, every other defect 400 — always a 4xx, a
+// malformed batch can never reach a shard. Exported so the cluster router
+// answers exactly what a node would.
+func IngestDecodeStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) || errors.Is(err, errBatchTooLarge) {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
+}
+
+// NegotiateIngest picks the /ingest codec from the Content-Type: ODWP
+// binary, or JSON (also the default when the header is absent). Any other
+// type is answered 415 with an Accept header and ok false. Exported for
+// the same reason as IngestDecodeStatus.
+func NegotiateIngest(w http.ResponseWriter, ct string) (binary, ok bool) {
+	switch {
+	case strings.HasPrefix(ct, ContentTypeBinary):
+		return true, true
+	case ct == "" || strings.HasPrefix(ct, "application/json"):
+		return false, true
+	}
+	w.Header().Set("Accept", "application/json, "+ContentTypeBinary)
+	writeErr(w, http.StatusUnsupportedMediaType,
+		fmt.Errorf("unsupported Content-Type %q; use application/json or %s", ct, ContentTypeBinary))
+	return false, false
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -118,16 +139,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	ct := r.Header.Get("Content-Type")
+	binary, ok := NegotiateIngest(w, r.Header.Get("Content-Type"))
 	switch {
-	case strings.HasPrefix(ct, ContentTypeBinary):
+	case !ok:
+	case binary:
 		s.handleIngestBinary(w, r)
-	case ct == "" || strings.HasPrefix(ct, "application/json"):
-		s.handleIngestJSON(w, r)
 	default:
-		w.Header().Set("Accept", "application/json, "+ContentTypeBinary)
-		writeErr(w, http.StatusUnsupportedMediaType,
-			fmt.Errorf("unsupported Content-Type %q; use application/json or %s", ct, ContentTypeBinary))
+		s.handleIngestJSON(w, r)
 	}
 }
 
@@ -139,12 +157,7 @@ func (s *Server) handleIngestJSON(w http.ResponseWriter, r *http.Request) {
 	req := IngestRequest{Readings: sc.readings[:0]}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.scratch.Put(sc)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, IngestDecodeStatus(err), err)
 		return
 	}
 	sc.readings = req.Readings
@@ -199,18 +212,13 @@ func (s *Server) handleIngestBinary(w http.ResponseWriter, r *http.Request) {
 	sc.body = body
 	if err != nil {
 		s.scratch.Put(sc)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, IngestDecodeStatus(err), err)
 		return
 	}
 	readings, err := DecodeBatchInto(body, sc.readings, s.cfg.Pipeline.Core.Dim, s.cfg.MaxBatch, s.wireFP, &s.names)
 	if err != nil {
 		s.scratch.Put(sc)
-		writeErr(w, wireErrStatus(err), err)
+		writeErr(w, IngestDecodeStatus(err), err)
 		return
 	}
 	sc.readings = readings

@@ -203,7 +203,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	readings, err := DecodeBatchInto(inner, nil, s.cfg.Pipeline.Core.Dim, s.cfg.MaxBatch, s.wireFP, &s.names)
 	if err != nil {
-		writeErr(w, wireErrStatus(err), err)
+		writeErr(w, IngestDecodeStatus(err), err)
 		return
 	}
 

@@ -1,7 +1,6 @@
 package odds
 
 import (
-	"odds/internal/experiments"
 	"odds/internal/mdef"
 	"odds/internal/stats"
 	"odds/internal/stream"
@@ -66,5 +65,5 @@ func SourceNames() []string { return stream.Names() }
 // deployments calibrate once against a representative window and use the
 // result for both detection and ground truth.
 func CalibrateKSigma(reference []Point, prm MDEFParams, targetLo, targetHi int) float64 {
-	return experiments.CalibrateKSigma(reference, prm, targetLo, targetHi)
+	return mdef.CalibrateKSigma(reference, prm, targetLo, targetHi)
 }
