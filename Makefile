@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-serve bench-wire bench-drift bench-backends serve-smoke cluster-smoke chaos cluster-chaos experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild serve-smoke cluster-smoke chaos cluster-chaos experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt test race
+all: build vet check-binfmt check-nodeclient test race
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,22 @@ check-binfmt:
 	if [ -n "$$bad" ]; then \
 		echo "encoding/binary imported outside internal/binfmt and internal/serve/codec.go:"; \
 		echo "$$bad"; exit 1; \
+	fi
+
+# One node client: the node's HTTP contract (paths, op= vocabulary,
+# headers, the status/error-body convention) is spelled in
+# internal/serve/client.go and the handlers that answer it. A request
+# built anywhere else in serve or cluster, or the shard-admin path or an
+# op= query string in any other non-test Go file, is a second copy of the
+# contract creeping in. (Query/header .Get( and sync.Once.Do are fine.)
+check-nodeclient:
+	@bad=$$(grep -rnE 'http\.NewRequest|\.Post\(|\.Do\(req|lient\.Get\(' --include='*.go' --exclude='*_test.go' internal/cluster internal/serve \
+		| grep -v '^internal/serve/client\.go:'); \
+	vocab=$$(grep -rnE '/admin/shard|"op=' --include='*.go' --exclude='*_test.go' . \
+		| grep -v -E '^\./internal/serve/(http|admin|client)\.go:'); \
+	if [ -n "$$bad$$vocab" ]; then \
+		echo "node HTTP contract spelled outside internal/serve/client.go and its handlers:"; \
+		echo "$$bad"; echo "$$vocab"; exit 1; \
 	fi
 
 # The serving benchmark BENCHMARK.json declares (bench/README.md): every
@@ -70,39 +86,6 @@ bench-rebuild:
 	$(GO) test -run=NONE -bench='BenchmarkMaintainCycle|BenchmarkFromScratchRebuild' -benchmem -benchtime 20000x ./internal/kernel/
 	$(GO) test -run=NONE -bench=BenchmarkEstimatorRefresh -benchmem -benchtime 1s ./internal/core/
 	$(GO) test -run=NONE -bench=BenchmarkPipelineIngest -benchmem -benchtime 1s ./internal/serve/
-
-# Serving benchmark suite whose numbers land in BENCH_SERVE.json (update
-# the file from this output when the serving path changes): the per-reading
-# shard hot loop (must report 0 allocs/op) and the end-to-end HTTP server
-# at a shard sweep, reporting readings/s and p99 ingest latency.
-bench-serve:
-	$(GO) test -run=NONE -bench='BenchmarkPipelineIngest|BenchmarkServerIngest' -benchmem -benchtime 1s ./internal/serve/
-
-# Wire-protocol A/B suite whose numbers land in BENCH_WIRE.json (update
-# the file from this output when the codec or HTTP path changes): full
-# HTTP /ingest rounds JSON vs ODWP binary at shards {1,4}, the isolated
-# codec round trip (binary must report 0 allocs/op), and the /subscribe
-# fan-out overhead at 0/1/4 live streams.
-bench-wire:
-	$(GO) test -run=NONE -bench='BenchmarkWireHTTP|BenchmarkCodecRoundTrip|BenchmarkSubscribeFanout' -benchmem -benchtime 3s ./internal/serve/
-
-# Drift-overhead suite whose numbers land in BENCH_DRIFT.json (update
-# the file from this output when the drift monitor or the ingest hot
-# path changes): the per-observation detector bank microbenchmarks and
-# the drift-armed vs drift-free serving hot loop. Acceptance: the
-# drift-armed ns/op stays within 2% of the baseline at the default
-# sampling stride (both rows must report 0 allocs/op).
-bench-drift:
-	$(GO) test -run=NONE -bench=BenchmarkDriftObserve -benchmem -benchtime 200000x ./internal/drift/
-	$(GO) test -run=NONE -bench='BenchmarkPipelineIngest$$|BenchmarkPipelineIngestDrift' -benchmem -benchtime 1s ./internal/serve/
-
-# Detector-backend suite whose numbers land in BENCH_BACKENDS.json
-# (update the file from this output when a backend engine changes): the
-# per-reading ingest cost of each of the four backends under the shared
-# steady-state harness. Acceptance: every backend row reports 0
-# allocs/op, and the ewma row is the cheapest.
-bench-backends:
-	$(GO) test -run=NONE -bench=BenchmarkPipelineIngestBackend -benchmem -benchtime 1s ./internal/serve/
 
 # End-to-end smoke of the serving subsystem: build oddserve + oddload,
 # replay a seeded load over HTTP with verdict agreement enforced against

@@ -8,7 +8,7 @@
 //
 // With -cluster the process runs as one node of a multi-node cluster:
 // -shards becomes the cluster-global shard space, the node starts empty,
-// and a router (oddrouter) assigns shards through /admin/shard.
+// and a router (oddrouter) assigns shards through the shard admin endpoint.
 //
 //	oddserve -addr :9101 -cluster -shards 8
 //

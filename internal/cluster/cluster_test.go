@@ -392,12 +392,19 @@ func TestSubscribeAcrossMigration(t *testing.T) {
 	}
 }
 
-// TestRouterIngestErrorParity: a malformed /ingest request gets the same
-// status from the router as from a node (DESIGN §8 "Negotiation and the
-// zero-alloc path"), so clients see one contract with or without a router
-// in front. Both share serve.NegotiateIngest and serve.IngestDecodeStatus;
-// the bodies are over the router's caps, which are at or above a node's
-// defaults.
+// fetchNodeStats is the chaos suite's read of one node's /stats through
+// the router's own (fault-injecting) client.
+func fetchNodeStats(c *http.Client, baseURL string) (*serve.StatsResponse, error) {
+	return serve.Client{HTTP: c, Base: baseURL}.Stats()
+}
+
+// TestRouterIngestErrorParity: a bad request gets the same status (and the
+// same Allow/Accept header) from the router as from a node, on every
+// endpoint the two share (DESIGN §8 "Negotiation and the zero-alloc
+// path"), so clients see one contract with or without a router in front.
+// Both answer through serve.RequireMethod, serve.NegotiateIngest,
+// serve.IngestDecodeStatus and serve.ParseSubscribeQuery; the ingest bodies
+// are over the router's caps, which are at or above a node's defaults.
 func TestRouterIngestErrorParity(t *testing.T) {
 	tc := newTestCluster(t, 1, 2, false)
 	padding := bytes.Repeat([]byte(" "), routerMaxBody+1)
@@ -405,35 +412,59 @@ func TestRouterIngestErrorParity(t *testing.T) {
 	for i := range big {
 		big[i] = serve.Reading{Sensor: "s", Value: []float64{0.5}}
 	}
-	cases := []struct {
-		name, contentType string
-		body              []byte
-		want              int
-	}{
-		{"json body over the cap", "application/json", padding, http.StatusRequestEntityTooLarge},
-		{"binary body over the cap", serve.ContentTypeBinary, padding, http.StatusRequestEntityTooLarge},
-		{"binary batch over the cap", serve.ContentTypeBinary, serve.AppendBatch(nil, big, 1, tc.router.fp), http.StatusRequestEntityTooLarge},
-		{"unknown content type", "text/csv", []byte("s,0.5\n"), http.StatusUnsupportedMediaType},
+	type parityCase struct {
+		name, method, target, contentType string
+		body                              []byte
+		want                              int
 	}
-	post := func(url, contentType string, body []byte) (int, string) {
-		resp, err := http.Post(url+"/ingest", contentType, bytes.NewReader(body))
+	cases := []parityCase{
+		{"json body over the cap", "POST", "/ingest", "application/json", padding, http.StatusRequestEntityTooLarge},
+		{"binary body over the cap", "POST", "/ingest", serve.ContentTypeBinary, padding, http.StatusRequestEntityTooLarge},
+		{"binary batch over the cap", "POST", "/ingest", serve.ContentTypeBinary, serve.AppendBatch(nil, big, 1, tc.router.fp), http.StatusRequestEntityTooLarge},
+		{"unknown content type", "POST", "/ingest", "text/csv", []byte("s,0.5\n"), http.StatusUnsupportedMediaType},
+		{"subscribe unknown only", "GET", "/subscribe?only=bogus", "", nil, http.StatusBadRequest},
+		{"subscribe unknown format", "GET", "/subscribe?format=xml", "", nil, http.StatusBadRequest},
+		{"subscribe empty sensor id", "GET", "/subscribe?sensors=a,,b", "", nil, http.StatusBadRequest},
+		{"query without sensor", "GET", "/query/outlier?v=0.5", "", nil, http.StatusBadRequest},
+		{"query without value", "GET", "/query/outlier?sensor=s", "", nil, http.StatusBadRequest},
+		{"prob without radius", "GET", "/query/prob?sensor=s&v=0.5", "", nil, http.StatusBadRequest},
+		{"GET /ingest", "GET", "/ingest", "", nil, http.StatusMethodNotAllowed},
+	}
+	for _, target := range []string{"/subscribe", "/query/outlier", "/query/prob", "/stats", "/healthz", "/metrics"} {
+		cases = append(cases, parityCase{"POST " + target, "POST", target, "", nil, http.StatusMethodNotAllowed})
+	}
+	send := func(base, method, target, contentType string, body []byte) (int, http.Header) {
+		req, err := http.NewRequest(method, base+target, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
 		_, _ = io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode, resp.Header.Get("Accept")
+		return resp.StatusCode, resp.Header
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			nodeStatus, nodeAccept := post(tc.nodeTS[0].URL, c.contentType, c.body)
-			routerStatus, routerAccept := post(tc.routerTS.URL, c.contentType, c.body)
+			nodeStatus, nodeHdr := send(tc.nodeTS[0].URL, c.method, c.target, c.contentType, c.body)
+			routerStatus, routerHdr := send(tc.routerTS.URL, c.method, c.target, c.contentType, c.body)
 			if nodeStatus != c.want || routerStatus != c.want {
 				t.Errorf("status: node %d, router %d, want %d from both", nodeStatus, routerStatus, c.want)
 			}
-			if nodeAccept != routerAccept {
-				t.Errorf("Accept header: node %q, router %q", nodeAccept, routerAccept)
+			for _, h := range []string{"Accept", "Allow", "Content-Type"} {
+				if n, r := nodeHdr.Get(h), routerHdr.Get(h); n != r {
+					t.Errorf("%s header: node %q, router %q", h, n, r)
+				}
 			}
 		})
+	}
+	// The router's own read endpoint fails closed on method mismatch too.
+	if status, hdr := send(tc.routerTS.URL, "POST", "/admin/map", "", nil); status != http.StatusMethodNotAllowed || hdr.Get("Allow") != "GET" {
+		t.Errorf("POST /admin/map on the router: status %d Allow %q, want 405 GET", status, hdr.Get("Allow"))
 	}
 }

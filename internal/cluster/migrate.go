@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 
 	"odds/internal/serve"
 )
@@ -26,22 +23,14 @@ import (
 // order guarantees the blob contains exactly the readings that were
 // ACKed — nothing ACKed is lost, nothing unACKed is captured.
 
-// snapshotShard fetches a sealed ODSH ship frame from a node.
-func (r *Router) snapshotShard(node, shard int, seal bool) ([]byte, error) {
-	url := fmt.Sprintf("%s/admin/shard?op=snapshot&id=%d", r.opts.Nodes[node], shard)
-	if seal {
-		url += "&seal=1"
-	}
-	resp, err := r.client.Post(url, "", nil)
+// drain seals a shard on its node and cuts its ODSH ship frame. On failure
+// the seal may or may not have landed, so it is lifted best-effort.
+func (r *Router) drain(node, shard int) ([]byte, error) {
+	frame, err := r.node(node).Shard(serve.ShardSnapshot, shard, serve.ShardArgs{Seal: true})
 	if err != nil {
-		return nil, err
+		_ = r.shardOp(node, serve.ShardUnseal, shard)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("cluster: snapshot shard %d on node %d: status %d: %s", shard, node, resp.StatusCode, msg)
-	}
-	return io.ReadAll(resp.Body)
+	return frame, err
 }
 
 // Migrate moves one shard's primary to another node, live. Clients see
@@ -72,10 +61,8 @@ func (r *Router) Migrate(shard, to int) error {
 	}
 
 	// Drain: seal, then snapshot through the same mailbox.
-	frame, err := r.snapshotShard(from, shard, true)
+	frame, err := r.drain(from, shard)
 	if err != nil {
-		// The seal may or may not have landed; best-effort unseal either way.
-		_ = r.admin(from, fmt.Sprintf("op=unseal&id=%d", shard), nil)
 		return fmt.Errorf("cluster: migrate shard %d: drain: %w", shard, err)
 	}
 
@@ -84,10 +71,10 @@ func (r *Router) Migrate(shard, to int) error {
 	// If the target is the shard's current replica, its copy — a stale
 	// prefix of the blob we just cut — is released first.
 	if m.Replica[shard] == to {
-		_ = r.admin(to, fmt.Sprintf("op=release&id=%d", shard), nil)
+		_ = r.shardOp(to, serve.ShardRelease, shard)
 	}
-	if err := r.admin(to, fmt.Sprintf("op=install&id=%d", shard), frame); err != nil {
-		_ = r.admin(from, fmt.Sprintf("op=unseal&id=%d", shard), nil)
+	if _, err := r.node(to).Shard(serve.ShardInstall, shard, serve.ShardArgs{Frame: frame}); err != nil {
+		_ = r.shardOp(from, serve.ShardUnseal, shard)
 		return fmt.Errorf("cluster: migrate shard %d: install on node %d: %w", shard, to, err)
 	}
 
@@ -100,11 +87,9 @@ func (r *Router) Migrate(shard, to int) error {
 		oldDead := r.dead[old]
 		r.mu.RUnlock()
 		if old != to && !oldDead {
-			_ = r.admin(old, fmt.Sprintf("op=release&id=%d", shard), nil)
-			if err := r.admin(old, fmt.Sprintf("op=install&id=%d&role=replica", shard), frame); err == nil {
-				if err := r.admin(to, fmt.Sprintf("op=follow&id=%d&target=%s", shard, m.Nodes[old]), nil); err == nil {
-					newReplica = old
-				}
+			_ = r.shardOp(old, serve.ShardRelease, shard)
+			if r.chainReplica(shard, to, old, frame) == nil {
+				newReplica = old
 			}
 		}
 	}
@@ -122,7 +107,7 @@ func (r *Router) Migrate(shard, to int) error {
 
 	// Cleanup: release the sealed source copy (best-effort; a sealed
 	// shard can only reject, so a failed release is safe to leave).
-	_ = r.admin(from, fmt.Sprintf("op=release&id=%d", shard), nil)
+	_ = r.shardOp(from, serve.ShardRelease, shard)
 	return nil
 }
 
@@ -148,7 +133,7 @@ func (r *Router) HealthTick() []int {
 
 	alive := make([]bool, nNodes)
 	for id := 0; id < nNodes; id++ {
-		alive[id] = r.probe(m.Nodes[id])
+		alive[id] = r.node(id).Healthy()
 	}
 
 	r.mu.Lock()
@@ -208,7 +193,7 @@ func (r *Router) HealthTick() []int {
 		// hears op=promote it still refuses ingest as role=replica, so a
 		// failed call must be retried, not dropped — otherwise a transient
 		// router→replica partition leaves the shard unavailable forever.
-		if err := r.admin(next.Owner[sh], fmt.Sprintf("op=promote&id=%d", sh), nil); err != nil {
+		if err := r.shardOp(next.Owner[sh], serve.ShardPromote, sh); err != nil {
 			r.pendingPromote[sh] = next.Owner[sh]
 			continue
 		}
@@ -218,7 +203,7 @@ func (r *Router) HealthTick() []int {
 	// Re-adopt orphaned shards still hosted by revived nodes.
 	changed := toPromote
 	for _, id := range revived {
-		infos, err := r.hostedShards(id)
+		infos, err := r.node(id).Shards()
 		if err != nil {
 			continue // next tick retries; the node stays revived
 		}
@@ -227,7 +212,7 @@ func (r *Router) HealthTick() []int {
 			if info.Role == "primary" && next.Owner[info.Shard] < 0 {
 				adopt = append(adopt, info.Shard)
 				if info.Sealed {
-					_ = r.admin(id, fmt.Sprintf("op=unseal&id=%d", info.Shard), nil)
+					_ = r.shardOp(id, serve.ShardUnseal, info.Shard)
 				}
 			}
 		}
@@ -269,29 +254,11 @@ func (r *Router) retryPromotions() {
 		if dead[node] {
 			continue // unreachable right now; keep for a later tick
 		}
-		if err := r.admin(node, fmt.Sprintf("op=promote&id=%d", sh), nil); err == nil {
+		if err := r.shardOp(node, serve.ShardPromote, sh); err == nil {
 			r.promotions.Add(1)
 			delete(r.pendingPromote, sh)
 		}
 	}
-}
-
-// hostedShards lists the shards a node currently hosts.
-func (r *Router) hostedShards(node int) ([]serve.AdminShardInfo, error) {
-	resp, err := r.client.Get(r.opts.Nodes[node] + "/admin/shards")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("cluster: node %d /admin/shards: status %d: %s", node, resp.StatusCode, msg)
-	}
-	var infos []serve.AdminShardInfo
-	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
-		return nil, err
-	}
-	return infos, nil
 }
 
 // Revive marks a node live again (it must already be serving — e.g. a
@@ -302,7 +269,7 @@ func (r *Router) Revive(node int) error {
 	if node < 0 || node >= len(r.opts.Nodes) {
 		return fmt.Errorf("cluster: node %d unknown", node)
 	}
-	if !r.probe(r.opts.Nodes[node]) {
+	if !r.node(node).Healthy() {
 		return fmt.Errorf("cluster: node %d did not answer a health probe", node)
 	}
 	r.mu.Lock()
@@ -337,20 +304,15 @@ func (r *Router) RepairReplica(shard, node int) error {
 	if deadNode || node == owner {
 		return fmt.Errorf("cluster: node %d cannot host shard %d's replica", node, shard)
 	}
-	frame, err := r.snapshotShard(owner, shard, true)
+	frame, err := r.drain(owner, shard)
 	if err != nil {
-		_ = r.admin(owner, fmt.Sprintf("op=unseal&id=%d", shard), nil)
 		return err
 	}
-	if err := r.admin(node, fmt.Sprintf("op=install&id=%d&role=replica", shard), frame); err != nil {
-		_ = r.admin(owner, fmt.Sprintf("op=unseal&id=%d", shard), nil)
+	if err := r.chainReplica(shard, owner, node, frame); err != nil {
+		_ = r.shardOp(owner, serve.ShardUnseal, shard)
 		return err
 	}
-	if err := r.admin(owner, fmt.Sprintf("op=follow&id=%d&target=%s", shard, m.Nodes[node]), nil); err != nil {
-		_ = r.admin(owner, fmt.Sprintf("op=unseal&id=%d", shard), nil)
-		return err
-	}
-	if err := r.admin(owner, fmt.Sprintf("op=unseal&id=%d", shard), nil); err != nil {
+	if err := r.shardOp(owner, serve.ShardUnseal, shard); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -360,14 +322,4 @@ func (r *Router) RepairReplica(shard, node int) error {
 	r.mu.Unlock()
 	r.pushEpoch(next)
 	return nil
-}
-
-func (r *Router) probe(nodeURL string) bool {
-	resp, err := r.client.Get(nodeURL + "/healthz")
-	if err != nil {
-		return false
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64))
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }

@@ -1,14 +1,10 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,7 +118,7 @@ func NewRouter(opts Options) (*Router, error) {
 	// Membership handshake: every node must be a cluster node with the
 	// same global shard space and the same configuration fingerprint.
 	for id, url := range opts.Nodes {
-		st, err := fetchNodeStats(r.client, url)
+		st, err := r.node(id).Stats()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d (%s): %w", id, url, err)
 		}
@@ -156,19 +152,15 @@ func NewRouter(opts Options) (*Router, error) {
 	// replication is on.
 	for sh := 0; sh < m.Shards; sh++ {
 		owner := m.Owner[sh]
-		if err := r.admin(owner, fmt.Sprintf("op=create&id=%d", sh), nil); err != nil {
+		if err := r.shardOp(owner, serve.ShardCreate, sh); err != nil {
 			return nil, fmt.Errorf("cluster: create shard %d on node %d: %w", sh, owner, err)
 		}
 		if !opts.Replicate || m.Replica[sh] < 0 {
 			m.Replica[sh] = -1
 			continue
 		}
-		rep := m.Replica[sh]
-		if err := r.admin(rep, fmt.Sprintf("op=create&id=%d&role=replica", sh), nil); err != nil {
-			return nil, fmt.Errorf("cluster: create replica %d on node %d: %w", sh, rep, err)
-		}
-		if err := r.admin(owner, fmt.Sprintf("op=follow&id=%d&target=%s", sh, m.Nodes[rep]), nil); err != nil {
-			return nil, fmt.Errorf("cluster: follow shard %d: %w", sh, err)
+		if err := r.chainReplica(sh, owner, m.Replica[sh], nil); err != nil {
+			return nil, err
 		}
 	}
 	r.pushEpoch(m)
@@ -182,23 +174,32 @@ func (r *Router) CurrentMap() *Map {
 	return r.m
 }
 
-// admin POSTs one /admin/shard op to a node.
-func (r *Router) admin(node int, query string, body []byte) error {
-	url := r.opts.Nodes[node] + "/admin/shard?" + query
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+// node is the typed client for one member node's request/response traffic.
+func (r *Router) node(id int) serve.Client {
+	return serve.Client{HTTP: r.client, Base: r.opts.Nodes[id]}
+}
+
+// shardOp runs one argument-free shard lifecycle op on a node.
+func (r *Router) shardOp(node int, op serve.ShardOp, shard int) error {
+	_, err := r.node(node).Shard(op, shard, serve.ShardArgs{})
+	return err
+}
+
+// chainReplica makes node rep the follower of shard's primary on node
+// owner: a replica copy on rep — fresh when frame is nil (bootstrap), else
+// installed from the sealed ship frame so replication is contiguous from
+// the cut — then the owner's replication stream pointed at it.
+func (r *Router) chainReplica(shard, owner, rep int, frame []byte) error {
+	op := serve.ShardCreate
+	if frame != nil {
+		op = serve.ShardInstall
 	}
-	resp, err := r.client.Post(url, "application/octet-stream", rd)
-	if err != nil {
-		return err
+	if _, err := r.node(rep).Shard(op, shard, serve.ShardArgs{Replica: true, Frame: frame}); err != nil {
+		return fmt.Errorf("cluster: %s replica %d on node %d: %w", op, shard, rep, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("cluster: node %d %s: status %d: %s", node, query, resp.StatusCode, msg)
+	if _, err := r.node(owner).Shard(serve.ShardFollow, shard, serve.ShardArgs{Target: r.opts.Nodes[rep]}); err != nil {
+		return fmt.Errorf("cluster: follow shard %d: %w", shard, err)
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
 	return nil
 }
 
@@ -206,37 +207,19 @@ func (r *Router) admin(node int, query string, body []byte) error {
 // that miss the push (dead, partitioned) keep refusing stamped requests
 // with 409 until they hear it — fail closed, never wrong-sided.
 func (r *Router) pushEpoch(m *Map) {
-	for id, url := range m.Nodes {
+	for id := range m.Nodes {
 		r.mu.RLock()
 		isDead := r.dead[id]
 		r.mu.RUnlock()
 		if isDead {
 			continue
 		}
-		resp, err := r.client.Post(fmt.Sprintf("%s/admin/epoch?epoch=%d", url, m.Epoch), "", nil)
-		if err != nil {
-			continue
+		// Best effort — the 409 path re-pushes — but a refused or lost push
+		// is a node error like any other.
+		if err := r.node(id).PushEpoch(m.Epoch); err != nil {
+			r.nodeErrors.Add(1)
 		}
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-		resp.Body.Close()
 	}
-}
-
-func fetchNodeStats(c *http.Client, baseURL string) (*serve.StatsResponse, error) {
-	resp, err := c.Get(baseURL + "/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("cluster: /stats returned %d: %s", resp.StatusCode, msg)
-	}
-	var st serve.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }
 
 // Ingest routes a batch across nodes: group readings by map owner,
@@ -273,10 +256,8 @@ func (r *Router) Ingest(readings []serve.Reading, results []serve.ReadingResult)
 	}
 
 	type nodeOut struct {
-		resp    serve.IngestResponse
-		status  int
-		err     error
-		retryMS int64
+		resp serve.IngestResponse
+		err  error
 	}
 	outs := make([]nodeOut, nNodes)
 	conflicted := false
@@ -289,8 +270,9 @@ func (r *Router) Ingest(readings []serve.Reading, results []serve.ReadingResult)
 		go func(node int) {
 			defer wg.Done()
 			o := &outs[node]
+			// One ODWB frame per node, stamped with the map epoch.
 			frame := serve.AppendBatch(nil, byNode[node], r.dim, r.fp)
-			o.resp, o.status, o.retryMS, o.err = r.postBatch(m.Nodes[node], m.Epoch, frame)
+			o.err = r.node(node).IngestFrame(frame, m.Epoch, &o.resp)
 		}(node)
 	}
 	wg.Wait()
@@ -302,26 +284,21 @@ func (r *Router) Ingest(readings []serve.Reading, results []serve.ReadingResult)
 		}
 		o := &outs[node]
 		switch {
-		case o.err != nil:
-			// Crashed or partitioned node: the whole sub-batch is
-			// rejected; the health loop will fail its shards over.
-			r.nodeErrors.Add(1)
-			rejected += len(batch)
-		case o.status == http.StatusConflict:
+		case errors.Is(o.err, serve.ErrEpochConflict):
 			// Map-epoch disagreement (a migration commit in flight, or a
 			// node that missed a push while partitioned).
 			r.epochConflicts.Add(1)
 			conflicted = true
 			rejected += len(batch)
-		case o.status != http.StatusOK && o.status != http.StatusTooManyRequests:
-			r.nodeErrors.Add(1)
-			rejected += len(batch)
-		case len(o.resp.Results) != len(batch):
+		case o.err != nil, len(o.resp.Results) != len(batch):
+			// Crashed or partitioned node, or one answering out of
+			// contract: the whole sub-batch is rejected; the health loop
+			// will fail a dead node's shards over.
 			r.nodeErrors.Add(1)
 			rejected += len(batch)
 		default:
-			if o.retryMS > retryMS {
-				retryMS = o.retryMS
+			if o.resp.RetryAfterMS > retryMS {
+				retryMS = o.resp.RetryAfterMS
 			}
 			for k, res := range o.resp.Results {
 				if !res.Accepted {
@@ -346,47 +323,16 @@ func (r *Router) Ingest(readings []serve.Reading, results []serve.ReadingResult)
 	return rejected, retryMS, nil
 }
 
-// postBatch ships one ODWB frame to a node with the epoch handshake.
-func (r *Router) postBatch(nodeURL string, epoch uint64, frame []byte) (serve.IngestResponse, int, int64, error) {
-	req, err := http.NewRequest(http.MethodPost, nodeURL+"/ingest", bytes.NewReader(frame))
-	if err != nil {
-		return serve.IngestResponse{}, 0, 0, err
-	}
-	req.Header.Set("Content-Type", serve.ContentTypeBinary)
-	req.Header.Set(serve.EpochHeader, strconv.FormatUint(epoch, 10))
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return serve.IngestResponse{}, 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-		return serve.IngestResponse{}, resp.StatusCode, 0, nil
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return serve.IngestResponse{}, resp.StatusCode, 0, err
-	}
-	var out serve.IngestResponse
-	results, rejectedN, retryMS, err := serve.DecodeResultsInto(body, nil)
-	if err != nil {
-		return serve.IngestResponse{}, resp.StatusCode, 0, err
-	}
-	out.Results = results
-	out.Rejected = rejectedN
-	return out, resp.StatusCode, retryMS, nil
-}
-
-// proxyGet relays a read-only endpoint (queries) to the shard owner.
-func (r *Router) ownerURL(sensor string) (string, error) {
+// owner returns the client for the live primary of sensor's shard.
+func (r *Router) owner(sensor string) (serve.Client, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	sh := serve.ShardOf(sensor, r.m.Shards)
 	node := r.m.Owner[sh]
 	if node < 0 || r.dead[node] {
-		return "", fmt.Errorf("%w: shard %d", errNoOwner, sh)
+		return serve.Client{}, fmt.Errorf("%w: shard %d", errNoOwner, sh)
 	}
-	return r.m.Nodes[node], nil
+	return r.node(node), nil
 }
 
 // AggregateStats builds the cluster-wide /stats reply: the shared
@@ -400,11 +346,11 @@ func (r *Router) AggregateStats() (*serve.StatsResponse, error) {
 	r.mu.RUnlock()
 
 	perNode := make([]*serve.StatsResponse, len(m.Nodes))
-	for id, url := range m.Nodes {
+	for id := range m.Nodes {
 		if dead[id] {
 			continue
 		}
-		st, err := fetchNodeStats(r.client, url)
+		st, err := r.node(id).Stats()
 		if err != nil {
 			// Tolerate unreachable non-owners; owners are checked below.
 			continue

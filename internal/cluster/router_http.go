@@ -51,20 +51,8 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("method not allowed"))
+	if !serve.RequireMethod(w, req, http.MethodPost) {
 		return
 	}
 	req.Body = http.MaxBytesReader(w, req.Body, routerMaxBody)
@@ -83,19 +71,19 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 			readings, err = serve.DecodeBatchInto(body, nil, r.dim, routerMaxBatch, r.fp, &r.names)
 		}
 		if err != nil {
-			writeErr(w, serve.IngestDecodeStatus(err), err)
+			serve.WriteErr(w, serve.IngestDecodeStatus(err), err)
 			return
 		}
 	} else {
 		var in serve.IngestRequest
 		if err := json.NewDecoder(req.Body).Decode(&in); err != nil {
-			writeErr(w, serve.IngestDecodeStatus(err), err)
+			serve.WriteErr(w, serve.IngestDecodeStatus(err), err)
 			return
 		}
 		readings = in.Readings
 	}
 	if len(readings) > routerMaxBatch {
-		writeErr(w, http.StatusRequestEntityTooLarge,
+		serve.WriteErr(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("batch of %d readings exceeds max %d", len(readings), routerMaxBatch))
 		return
 	}
@@ -103,7 +91,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	results := make([]serve.ReadingResult, len(readings))
 	rejected, retryMS, err := r.Ingest(readings, results)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		serve.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	status := http.StatusOK
@@ -123,52 +111,58 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	if rejected > 0 {
 		resp.RetryAfterMS = retryMS
 	}
-	writeJSON(w, status, resp)
+	serve.WriteJSON(w, status, resp)
 }
 
 // proxyQuery relays a read-only query to the shard's primary node.
 func (r *Router) proxyQuery(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("method not allowed"))
+	if !serve.RequireMethod(w, req, http.MethodGet) {
 		return
 	}
 	sensor := req.URL.Query().Get("sensor")
 	if sensor == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing sensor parameter"))
+		serve.WriteErr(w, http.StatusBadRequest, errors.New("missing sensor parameter"))
 		return
 	}
-	nodeURL, err := r.ownerURL(sensor)
+	node, err := r.owner(sensor)
 	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, err)
+		serve.WriteErr(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	resp, err := r.client.Get(nodeURL + req.URL.Path + "?" + req.URL.RawQuery)
+	status, contentType, body, err := node.Get(req.URL.Path + "?" + req.URL.RawQuery)
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, err)
+		serve.WriteErr(w, http.StatusBadGateway, err)
 		return
 	}
-	defer resp.Body.Close()
-	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	w.Header().Set("Content-Type", contentType)
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	st, err := r.AggregateStats()
-	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, err)
+	if !serve.RequireMethod(w, req, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	st, err := r.AggregateStats()
+	if err != nil {
+		serve.WriteErr(w, http.StatusServiceUnavailable, err)
+		return
+	}
+	serve.WriteJSON(w, http.StatusOK, st)
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
+	if !serve.RequireMethod(w, req, http.MethodGet) {
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain")
 	fmt.Fprintln(w, "ok")
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
+	if !serve.RequireMethod(w, req, http.MethodGet) {
+		return
+	}
 	r.mu.RLock()
 	m := r.m
 	liveNodes := 0
@@ -191,11 +185,14 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleAdminMap(w http.ResponseWriter, req *http.Request) {
+	if !serve.RequireMethod(w, req, http.MethodGet) {
+		return
+	}
 	m := r.CurrentMap()
 	if raw := req.URL.Query().Get("shard"); raw != "" {
 		sh, err := strconv.Atoi(raw)
 		if err != nil || sh < 0 || sh >= m.Shards {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad shard %q", raw))
+			serve.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad shard %q", raw))
 			return
 		}
 		node := m.Owner[sh]
@@ -203,79 +200,71 @@ func (r *Router) handleAdminMap(w http.ResponseWriter, req *http.Request) {
 		if node >= 0 {
 			out["node"] = m.Nodes[node]
 		}
-		writeJSON(w, http.StatusOK, out)
+		serve.WriteJSON(w, http.StatusOK, out)
 		return
 	}
-	writeJSON(w, http.StatusOK, m)
+	serve.WriteJSON(w, http.StatusOK, m)
 }
 
 func (r *Router) handleAdminMigrate(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("method not allowed"))
+	if !serve.RequireMethod(w, req, http.MethodPost) {
 		return
 	}
 	q := req.URL.Query()
 	shard, err1 := strconv.Atoi(q.Get("shard"))
 	to, err2 := strconv.Atoi(q.Get("to"))
 	if err1 != nil || err2 != nil {
-		writeErr(w, http.StatusBadRequest, errors.New("need integer shard and to parameters"))
+		serve.WriteErr(w, http.StatusBadRequest, errors.New("need integer shard and to parameters"))
 		return
 	}
 	if err := r.Migrate(shard, to); err != nil {
-		writeErr(w, http.StatusConflict, err)
+		serve.WriteErr(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "epoch": r.CurrentMap().Epoch})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "epoch": r.CurrentMap().Epoch})
 }
 
 func (r *Router) handleAdminHealthTick(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("method not allowed"))
+	if !serve.RequireMethod(w, req, http.MethodPost) {
 		return
 	}
 	promoted := r.HealthTick()
 	if promoted == nil {
 		promoted = []int{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"promoted": promoted, "epoch": r.CurrentMap().Epoch})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"promoted": promoted, "epoch": r.CurrentMap().Epoch})
 }
 
 func (r *Router) handleAdminRevive(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("method not allowed"))
+	if !serve.RequireMethod(w, req, http.MethodPost) {
 		return
 	}
 	node, err := strconv.Atoi(req.URL.Query().Get("node"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, errors.New("need integer node parameter"))
+		serve.WriteErr(w, http.StatusBadRequest, errors.New("need integer node parameter"))
 		return
 	}
 	if err := r.Revive(node); err != nil {
-		writeErr(w, http.StatusConflict, err)
+		serve.WriteErr(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (r *Router) handleAdminRepair(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("method not allowed"))
+	if !serve.RequireMethod(w, req, http.MethodPost) {
 		return
 	}
 	q := req.URL.Query()
 	shard, err1 := strconv.Atoi(q.Get("shard"))
 	node, err2 := strconv.Atoi(q.Get("node"))
 	if err1 != nil || err2 != nil {
-		writeErr(w, http.StatusBadRequest, errors.New("need integer shard and node parameters"))
+		serve.WriteErr(w, http.StatusBadRequest, errors.New("need integer shard and node parameters"))
 		return
 	}
 	if err := r.RepairReplica(shard, node); err != nil {
-		writeErr(w, http.StatusConflict, err)
+		serve.WriteErr(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

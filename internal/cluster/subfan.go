@@ -2,10 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 
 	"odds/internal/serve"
 )
@@ -79,79 +78,35 @@ func (s *sequencer) event(src int, ev serve.Event) (gap uint64, deliver bool) {
 	return gap, true
 }
 
-// openUpstream attaches one binary subscription to a node and pumps its
-// frames into ch until the stream or ctx ends.
-func openUpstream(ctx context.Context, client *http.Client, src int, nodeURL, rawQuery string, ch chan<- upMsg) error {
-	u := nodeURL + "/subscribe?" + rawQuery
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		resp.Body.Close()
-		return fmt.Errorf("cluster: node subscribe returned %d: %s", resp.StatusCode, msg)
-	}
-	go func() {
-		defer resp.Body.Close()
-		sr := serve.NewStreamReader(resp.Body)
-		for {
-			ev, gap, kind, err := sr.Next()
-			if err != nil {
-				select {
-				case ch <- upMsg{src: src, err: err}:
-				case <-ctx.Done():
-				}
-				return
-			}
-			select {
-			case ch <- upMsg{src: src, ev: ev, gap: gap, kind: kind}:
-			case <-ctx.Done():
-				return
-			}
+// pump forwards one upstream node stream's frames into ch until the stream
+// or ctx ends.
+func pump(ctx context.Context, src int, sr *serve.StreamReader, ch chan<- upMsg) {
+	defer sr.Close()
+	for {
+		ev, gap, kind, err := sr.Next()
+		select {
+		case ch <- upMsg{src: src, ev: ev, gap: gap, kind: kind, err: err}:
+		case <-ctx.Done():
+			return
 		}
-	}()
-	return nil
+		if err != nil {
+			return
+		}
+	}
 }
 
 // handleSubscribe merges node streams for one client. The client-facing
 // format mirrors a node's /subscribe (binary ODWS frames or SSE);
 // upstream is always binary.
 func (r *Router) handleSubscribe(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !serve.RequireMethod(w, req, http.MethodGet) {
 		return
 	}
-	q := req.URL.Query()
-	binaryOut := false
-	switch q.Get("format") {
-	case "", "sse":
-	case "binary":
-		binaryOut = true
-	default:
-		http.Error(w, "unknown format (sse or binary)", http.StatusBadRequest)
+	q, err := serve.ParseSubscribeQuery(req.URL.Query())
+	if err != nil {
+		serve.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-
-	// Upstream query: same sensor/only filters, binary framing.
-	up := url.Values{}
-	if s := q.Get("sensors"); s != "" {
-		up.Set("sensors", s)
-	}
-	if o := q.Get("only"); o != "" {
-		up.Set("only", o)
-	}
-	up.Set("format", "binary")
 
 	ctx, cancel := context.WithCancel(req.Context())
 	defer cancel()
@@ -161,66 +116,36 @@ func (r *Router) handleSubscribe(w http.ResponseWriter, req *http.Request) {
 	dead := append([]bool(nil), r.dead...)
 	r.mu.RUnlock()
 
+	// Upstream: the same sensor/only filters on every live node. A failed
+	// attach returns, and the deferred cancel ends the pumps already running.
+	// The buffer absorbs a burst from every node while a client write is in
+	// flight; when full it backpressures the pumps, never a node's shard
+	// (its subscriber ring drops instead).
 	ch := make(chan upMsg, 64)
 	streams := 0
 	for id, nodeURL := range m.Nodes {
 		if dead[id] {
 			continue
 		}
-		if err := openUpstream(ctx, r.streamClient, streams, nodeURL, up.Encode(), ch); err != nil {
-			http.Error(w, fmt.Sprintf("node %d: %v", id, err), http.StatusServiceUnavailable)
+		sr, err := serve.Client{HTTP: r.streamClient, Base: nodeURL}.Subscribe(ctx, q)
+		if err != nil {
+			serve.WriteErr(w, http.StatusServiceUnavailable, fmt.Errorf("node %d: %w", id, err))
 			return
 		}
+		go pump(ctx, streams, sr, ch)
 		streams++
 	}
 	if streams == 0 {
-		http.Error(w, "no live nodes", http.StatusServiceUnavailable)
+		serve.WriteErr(w, http.StatusServiceUnavailable, errors.New("no live nodes"))
 		return
 	}
 
-	var buf []byte
-	if binaryOut {
-		w.Header().Set("Content-Type", serve.ContentTypeStream)
-		w.WriteHeader(http.StatusOK)
-		buf = serve.AppendStreamHeader(buf[:0])
-		if _, err := w.Write(buf); err != nil {
-			return
-		}
-	} else {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		w.WriteHeader(http.StatusOK)
+	sw := serve.StartStream(w, q.Binary)
+	if sw == nil {
+		return
 	}
-	flusher.Flush()
 
 	seq := sequencer{lastSeq: make([]uint64, m.Shards), credit: make([]uint64, streams)}
-
-	emit := func(ev serve.Event, gap uint64, kind byte) bool {
-		if binaryOut {
-			if kind == serve.StreamFrameGap {
-				buf = serve.AppendGapFrame(buf[:0], gap)
-			} else {
-				buf = serve.AppendVerdictFrame(buf[:0], ev)
-			}
-			if _, err := w.Write(buf); err != nil {
-				return false
-			}
-		} else {
-			var line string
-			if kind == serve.StreamFrameGap {
-				line = fmt.Sprintf("event: gap\ndata: {\"dropped\":%d}\n\n", gap)
-			} else {
-				line = fmt.Sprintf("event: verdict\ndata: {\"sensor\":%q,\"shard\":%d,\"seq\":%d,\"outlier\":%t,\"exact\":%t,\"warmed\":%t}\n\n",
-					ev.Sensor, ev.Shard, ev.Seq, ev.Outlier, ev.Exact, ev.Warmed)
-			}
-			if _, err := io.WriteString(w, line); err != nil {
-				return false
-			}
-		}
-		flusher.Flush()
-		return true
-	}
-
 	for streams > 0 {
 		select {
 		case <-ctx.Done():
@@ -236,19 +161,18 @@ func (r *Router) handleSubscribe(w http.ResponseWriter, req *http.Request) {
 			if msg.kind == serve.StreamFrameGap {
 				// Upstream ring drop: already a counted gap — forward.
 				seq.ringDrop(msg.src, msg.gap)
-				if !emit(serve.Event{}, msg.gap, serve.StreamFrameGap) {
-					return
+				sw.Gap(msg.gap)
+			} else {
+				gap, deliver := seq.event(msg.src, msg.ev)
+				if !deliver {
+					continue
 				}
-				continue
+				if gap > 0 {
+					sw.Gap(gap)
+				}
+				sw.Verdict(msg.ev)
 			}
-			gap, deliver := seq.event(msg.src, msg.ev)
-			if !deliver {
-				continue
-			}
-			if gap > 0 && !emit(serve.Event{}, gap, serve.StreamFrameGap) {
-				return
-			}
-			if !emit(msg.ev, 0, serve.StreamFrameVerdict) {
+			if sw.Flush() != nil {
 				return
 			}
 		}

@@ -1,7 +1,7 @@
 package drift_test
 
-// Detector microbenchmarks whose numbers land in BENCH_DRIFT.json: the
-// per-observation cost of each streaming test in isolation and of the
+// Detector microbenchmarks (the serving benchmark's drift.observe_ns row
+// is the recorded figure): the per-observation cost of each streaming test in isolation and of the
 // full default bank (all three tests plus cadence bookkeeping). All must
 // report 0 allocs/op — the bank runs inside the serving hot loop.
 

@@ -202,15 +202,6 @@ func BruteKS(ref, cur []float64) float64 {
 	return ksGap(a, b)
 }
 
-// RefWindow returns the frozen reference window in sorted order (nil
-// before capture). The slice is owned by the detector.
-func (k *KS) RefWindow() []float64 {
-	if !k.refSet {
-		return nil
-	}
-	return k.ref
-}
-
 // CurWindow appends the current window in arrival order to dst and
 // returns it.
 func (k *KS) CurWindow(dst []float64) []float64 {

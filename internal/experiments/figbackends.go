@@ -74,8 +74,8 @@ type BackendsRow struct {
 	// so the golden cost orderings pin it.
 	StateBytes int
 	// NsPerReading is the measured per-reading ingest cost. Wall-clock, so
-	// NOT a golden metric: it lands in the printed table and in
-	// BENCH_BACKENDS.json, never in golden.json.
+	// NOT a golden metric: it lands in the printed table, never in
+	// golden.json.
 	NsPerReading float64
 }
 

@@ -159,9 +159,8 @@ func (s Schedule) Empty() bool {
 	return len(s.Crashes) == 0 && len(s.Links) == 0 && len(s.Partitions) == 0
 }
 
-// UniformLoss is the schedule equivalent of the legacy SetLoss fault:
-// every transmission on every link is destroyed independently with
-// probability p.
+// UniformLoss is the one-fault schedule: every transmission on every link
+// is destroyed independently with probability p.
 func UniformLoss(p float64, seed int64) Schedule {
 	return Schedule{Seed: seed, Links: []Link{{From: Any, To: Any, Loss: p}}}
 }

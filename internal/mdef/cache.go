@@ -110,11 +110,5 @@ func (c *CachedCounter) CountBoxBatch(los, his [][]float64, out []float64) []flo
 	return out
 }
 
-// Invalidate drops all memoized cells while keeping the wrapper (and its
-// allocated map) in place. Callers that track model generations — a
-// maintained kernel model mutates in place, so its pointer alone no
-// longer signals staleness — invalidate instead of rebuilding.
-func (c *CachedCounter) Invalidate() { clear(c.memo) }
-
 // CacheSize returns the number of memoized cells.
 func (c *CachedCounter) CacheSize() int { return len(c.memo) }

@@ -230,7 +230,7 @@ func (s *Server) PromoteShard(id int) error {
 func (s *Server) SetFollower(id int, target string) error {
 	var repl *replicator
 	if target != "" {
-		repl = newReplicator(id, target, s.cfg.Pipeline.Core.Dim, s.wireFP, nil)
+		repl = newReplicator(id, Client{HTTP: http.DefaultClient, Base: target}, s.cfg.Pipeline.Core.Dim, s.wireFP)
 	}
 	err := s.withShard(id, func(sh *shard) error {
 		_, err := sh.call(shardReq{op: opFollow, repl: repl})
@@ -290,6 +290,22 @@ func adminErrStatus(err error) int {
 	}
 }
 
+// ShardOp names one shard lifecycle operation: the op= vocabulary of
+// /admin/shard, typed so the handler's switch and Client.Shard (client.go)
+// spell it from the same constants.
+type ShardOp string
+
+const (
+	ShardCreate   ShardOp = "create"
+	ShardInstall  ShardOp = "install"
+	ShardSnapshot ShardOp = "snapshot"
+	ShardSeal     ShardOp = "seal"
+	ShardUnseal   ShardOp = "unseal"
+	ShardRelease  ShardOp = "release"
+	ShardPromote  ShardOp = "promote"
+	ShardFollow   ShardOp = "follow"
+)
+
 // handleAdminShard executes one shard lifecycle op:
 //
 //	POST /admin/shard?op=create&id=3[&role=replica]      fresh pipeline
@@ -298,25 +314,25 @@ func adminErrStatus(err error) int {
 //	POST /admin/shard?op=seal|unseal|release|promote&id=3
 //	POST /admin/shard?op=follow&id=3&target=http://node  ("" detaches)
 func (s *Server) handleAdminShard(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
+	if !RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	q := r.URL.Query()
 	id, err := strconv.Atoi(q.Get("id"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad id parameter: %v", err))
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad id parameter: %v", err))
 		return
 	}
 	replica := q.Get("role") == "replica"
-	op := q.Get("op")
+	op := ShardOp(q.Get("op"))
 	switch op {
-	case "create":
+	case ShardCreate:
 		err = s.InstallShard(id, replica, nil)
-	case "install":
+	case ShardInstall:
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		var body []byte
 		if body, err = io.ReadAll(r.Body); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		var (
@@ -324,27 +340,27 @@ func (s *Server) handleAdminShard(w http.ResponseWriter, r *http.Request) {
 			fp, blob   []byte
 		)
 		if frameShard, fp, blob, err = DecodeShipFrame(body); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		if frameShard != id {
-			writeErr(w, http.StatusBadRequest,
+			WriteErr(w, http.StatusBadRequest,
 				fmt.Errorf("serve: admin: frame is for shard %d, request names %d", frameShard, id))
 			return
 		}
 		// The fail-closed gate: a snapshot cut on a node with a different
 		// configuration never restores here, not even partially.
 		if want := fingerprint(s.cfg.Shards, s.cfg.Pipeline); !bytes.Equal(fp, want) {
-			writeErr(w, http.StatusConflict,
+			WriteErr(w, http.StatusConflict,
 				errors.New("serve: admin: configuration fingerprint mismatch; migration refused"))
 			return
 		}
 		err = s.InstallShard(id, replica, blob)
-	case "snapshot":
+	case ShardSnapshot:
 		seal := q.Get("seal") == "1"
 		var blob []byte
 		if blob, err = s.SnapshotShard(id, seal); err != nil {
-			writeErr(w, adminErrStatus(err), err)
+			WriteErr(w, adminErrStatus(err), err)
 			return
 		}
 		frame := AppendShipFrame(nil, id, fingerprint(s.cfg.Shards, s.cfg.Pipeline), blob)
@@ -352,58 +368,58 @@ func (s *Server) handleAdminShard(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 		_, _ = w.Write(frame)
 		return
-	case "seal":
+	case ShardSeal:
 		err = s.SealShard(id)
-	case "unseal":
+	case ShardUnseal:
 		err = s.UnsealShard(id)
-	case "release":
+	case ShardRelease:
 		err = s.ReleaseShard(id)
-	case "promote":
+	case ShardPromote:
 		err = s.PromoteShard(id)
-	case "follow":
+	case ShardFollow:
 		err = s.SetFollower(id, q.Get("target"))
 	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown op %q", op))
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("unknown op %q", op))
 		return
 	}
 	if err != nil {
-		writeErr(w, adminErrStatus(err), err)
+		WriteErr(w, adminErrStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleAdminShards lists hosted shards (GET /admin/shards).
 func (s *Server) handleAdminShards(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	infos, err := s.HostedShards()
 	if err != nil {
-		writeErr(w, adminErrStatus(err), err)
+		WriteErr(w, adminErrStatus(err), err)
 		return
 	}
 	if infos == nil {
 		infos = []AdminShardInfo{}
 	}
-	writeJSON(w, http.StatusOK, infos)
+	WriteJSON(w, http.StatusOK, infos)
 }
 
 // handleAdminEpoch gets (GET) or advances (POST ?epoch=N) the map epoch.
 func (s *Server) handleAdminEpoch(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, map[string]uint64{"epoch": s.Epoch()})
+		WriteJSON(w, http.StatusOK, map[string]uint64{"epoch": s.Epoch()})
 	case http.MethodPost:
 		e, err := strconv.ParseUint(r.URL.Query().Get("epoch"), 10, 64)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad epoch parameter: %v", err))
+			WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad epoch parameter: %v", err))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]uint64{"epoch": s.SetEpoch(e)})
+		WriteJSON(w, http.StatusOK, map[string]uint64{"epoch": s.SetEpoch(e)})
 	default:
 		w.Header().Set("Allow", "GET, POST")
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		WriteErr(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 	}
 }
 
@@ -424,7 +440,7 @@ func (s *Server) checkEpoch(w http.ResponseWriter, r *http.Request) bool {
 	want, err := strconv.ParseUint(h, 10, 64)
 	if err != nil || want != cur {
 		w.Header().Set(EpochHeader, strconv.FormatUint(cur, 10))
-		writeErr(w, http.StatusConflict,
+		WriteErr(w, http.StatusConflict,
 			fmt.Errorf("serve: map epoch %q does not match node epoch %d", h, cur))
 		return false
 	}

@@ -91,9 +91,9 @@ func TestIngestHotPathZeroAllocBackends(t *testing.T) {
 }
 
 // BenchmarkPipelineIngestBackend races the per-reading ingest cost of the
-// four backends under the shared steady-state harness; the results land in
-// BENCH_BACKENDS.json via `make bench-backends`. The allocs/op column
-// guards the same contract TestIngestHotPathZeroAllocBackends pins.
+// four backends under the shared steady-state harness (the benchmark's
+// detector.<kind>.ingest_ns rows are the recorded figures). The allocs/op
+// column guards the same contract TestIngestHotPathZeroAllocBackends pins.
 func BenchmarkPipelineIngestBackend(b *testing.B) {
 	for _, kind := range detector.AllKinds() {
 		kind := kind

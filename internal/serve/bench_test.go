@@ -24,8 +24,7 @@ func BenchmarkPipelineIngest(b *testing.B) {
 // BenchmarkPipelineIngest: the same steady-state harness with the
 // default drift arm (full bank at the default sampling stride plus the
 // JS model signal; thresholds parked — see benchDriftArm). The ns/op
-// delta against the baseline is the drift tax, asserted < 2% by
-// `make bench-drift`.
+// delta against the baseline is the drift tax, to be kept < 2%.
 func BenchmarkPipelineIngestDrift(b *testing.B) {
 	_, step := hotPipelineDrift(b, 200, benchDriftArm())
 	b.ReportAllocs()
@@ -39,8 +38,8 @@ func BenchmarkPipelineIngestDrift(b *testing.B) {
 // admission layer and shard mailboxes (no HTTP), with concurrent
 // closed-loop submitters. One op is a 64-reading batch; readings/s is
 // reported as a metric, and p99_us is the worst per-shard service-time
-// p99 from the shards' own latency sketches. These numbers land in
-// BENCH_SERVE.json.
+// p99 from the shards' own latency sketches (the benchmark's route.* rows
+// are the recorded figures).
 func BenchmarkServerIngest(b *testing.B) {
 	counts := []int{1, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 4 {

@@ -80,8 +80,8 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 // BenchmarkWireHTTP is the end-to-end A/B the acceptance criterion reads:
 // full HTTP POST /ingest rounds over persistent connections, JSON vs ODWP
 // binary, at shards {1, 4}. One op is a 64-reading batch; readings/s is
-// the reported metric. Results land in BENCH_WIRE.json via make
-// bench-wire.
+// the reported metric (the benchmark's codec.* rows are the recorded
+// figures).
 func BenchmarkWireHTTP(b *testing.B) {
 	const batchLen = 64
 	for _, enc := range []string{"json", "binary"} {
@@ -125,26 +125,24 @@ func BenchmarkWireHTTP(b *testing.B) {
 					// Per-goroutine client state, persistent connections.
 					client := &http.Client{Transport: &http.Transport{}}
 					defer client.CloseIdleConnections()
+					node := Client{HTTP: client, Base: ts.URL}
 					var frame []byte
 					var binResp IngestResponse
 					k := 0
 					for pb.Next() {
 						batch := pool[k%len(pool)]
 						k++
+						resp, err := &binResp, error(nil)
 						if enc == "binary" {
 							frame = AppendBatch(frame[:0], batch, 1, srv.wireFP)
-							resp, status, err := postIngestBinary(client, ts.URL, frame, &binResp)
-							if err != nil || status != http.StatusOK {
-								b.Fatalf("status %d err %v", status, err)
-							}
-							rejected.Add(uint64(resp.Rejected))
+							err = node.IngestFrame(frame, 0, resp)
 						} else {
-							resp, status, err := postIngest(client, ts.URL, IngestRequest{Readings: batch})
-							if err != nil || status != http.StatusOK {
-								b.Fatalf("status %d err %v", status, err)
-							}
-							rejected.Add(uint64(resp.Rejected))
+							resp, err = node.IngestJSON(IngestRequest{Readings: batch})
 						}
+						if err != nil {
+							b.Fatal(err)
+						}
+						rejected.Add(uint64(resp.Rejected))
 					}
 				})
 				b.StopTimer()

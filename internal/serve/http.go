@@ -55,7 +55,10 @@ var (
 	jsonEncodeLogOnce  sync.Once
 )
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as the JSON body. It, WriteErr and
+// RequireMethod are how every handler answers; they are exported so the
+// cluster router's endpoints fail exactly as a node's do.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
@@ -68,18 +71,19 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// WriteErr answers status with {"error": err}.
+func WriteErr(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// requireMethod answers 405 with an Allow header unless the request uses
+// RequireMethod answers 405 with an Allow header unless the request uses
 // the given method. Every endpoint fails closed on method mismatch.
-func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
+func RequireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	if r.Method == method {
 		return true
 	}
 	w.Header().Set("Allow", method)
-	writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed; use %s", r.Method, method))
+	WriteErr(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed; use %s", r.Method, method))
 	return false
 }
 
@@ -126,13 +130,13 @@ func NegotiateIngest(w http.ResponseWriter, ct string) (binary, ok bool) {
 		return false, true
 	}
 	w.Header().Set("Accept", "application/json, "+ContentTypeBinary)
-	writeErr(w, http.StatusUnsupportedMediaType,
+	WriteErr(w, http.StatusUnsupportedMediaType,
 		fmt.Errorf("unsupported Content-Type %q; use application/json or %s", ct, ContentTypeBinary))
 	return false, false
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
+	if !RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	if !s.checkEpoch(w, r) {
@@ -157,19 +161,19 @@ func (s *Server) handleIngestJSON(w http.ResponseWriter, r *http.Request) {
 	req := IngestRequest{Readings: sc.readings[:0]}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.scratch.Put(sc)
-		writeErr(w, IngestDecodeStatus(err), err)
+		WriteErr(w, IngestDecodeStatus(err), err)
 		return
 	}
 	sc.readings = req.Readings
 	if len(req.Readings) > s.cfg.MaxBatch {
 		s.scratch.Put(sc)
-		writeErr(w, http.StatusRequestEntityTooLarge,
+		WriteErr(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("batch of %d readings exceeds max %d", len(req.Readings), s.cfg.MaxBatch))
 		return
 	}
 	if len(req.Readings) == 0 {
 		s.scratch.Put(sc)
-		writeJSON(w, http.StatusOK, IngestResponse{Results: []ReadingResult{}})
+		WriteJSON(w, http.StatusOK, IngestResponse{Results: []ReadingResult{}})
 		return
 	}
 	sc.results = growResults(sc.results, len(req.Readings))
@@ -177,7 +181,7 @@ func (s *Server) handleIngestJSON(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// A failed round may leave an un-awaited reply in a pooled
 		// channel; drop the scratch rather than poison the pool.
-		writeErr(w, ingestErrStatus(err), err)
+		WriteErr(w, ingestErrStatus(err), err)
 		return
 	}
 	resp := IngestResponse{Results: sc.results, Rejected: rejected}
@@ -190,7 +194,7 @@ func (s *Server) handleIngestJSON(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusTooManyRequests
 		}
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 	s.scratch.Put(sc)
 }
 
@@ -212,13 +216,13 @@ func (s *Server) handleIngestBinary(w http.ResponseWriter, r *http.Request) {
 	sc.body = body
 	if err != nil {
 		s.scratch.Put(sc)
-		writeErr(w, IngestDecodeStatus(err), err)
+		WriteErr(w, IngestDecodeStatus(err), err)
 		return
 	}
 	readings, err := DecodeBatchInto(body, sc.readings, s.cfg.Pipeline.Core.Dim, s.cfg.MaxBatch, s.wireFP, &s.names)
 	if err != nil {
 		s.scratch.Put(sc)
-		writeErr(w, IngestDecodeStatus(err), err)
+		WriteErr(w, IngestDecodeStatus(err), err)
 		return
 	}
 	sc.readings = readings
@@ -226,7 +230,7 @@ func (s *Server) handleIngestBinary(w http.ResponseWriter, r *http.Request) {
 	rejected, err := s.ingestInto(readings, sc.results, &sc.route)
 	if err != nil {
 		// Same pool-poisoning discipline as the JSON path: drop sc.
-		writeErr(w, ingestErrStatus(err), err)
+		WriteErr(w, ingestErrStatus(err), err)
 		return
 	}
 	var retryMS int64
@@ -287,68 +291,68 @@ func (s *Server) parseVec(raw string) ([]float64, error) {
 }
 
 func (s *Server) handleQueryOutlier(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	sensor := r.URL.Query().Get("sensor")
 	if sensor == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing sensor parameter"))
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("missing sensor parameter"))
 		return
 	}
 	v, err := s.parseVec(r.URL.Query().Get("v"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	resp, err := s.QueryOutlier(sensor, v)
 	if err != nil {
-		writeErr(w, queryErrStatus(err), err)
+		WriteErr(w, queryErrStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleQueryProb(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	sensor := r.URL.Query().Get("sensor")
 	if sensor == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing sensor parameter"))
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("missing sensor parameter"))
 		return
 	}
 	v, err := s.parseVec(r.URL.Query().Get("v"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	radius, err := strconv.ParseFloat(r.URL.Query().Get("r"), 64)
 	if err != nil || radius <= 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("r must be a positive number"))
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("r must be a positive number"))
 		return
 	}
 	resp, err := s.QueryProb(sensor, v, radius)
 	if err != nil {
-		writeErr(w, queryErrStatus(err), err)
+		WriteErr(w, queryErrStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	st, err := s.Stats()
 	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, err)
+		WriteErr(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	s.mu.RLock()
@@ -366,7 +370,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // cheap enough to scrape without a mailbox round trip (so no latency
 // quantiles here; those are in /stats).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	s.mu.RLock()

@@ -215,12 +215,12 @@ func (f *failWriter) Header() http.Header       { return f.h }
 func (f *failWriter) WriteHeader(int)           {}
 func (f *failWriter) Write([]byte) (int, error) { return 0, errors.New("connection lost") }
 
-// TestWriteJSONEncodeFailureCounted is the regression test for writeJSON
+// TestWriteJSONEncodeFailureCounted is the regression test for WriteJSON
 // silently discarding Encode errors: a failed response encode must be
 // counted (and logged once, elsewhere), not dropped on the floor.
 func TestWriteJSONEncodeFailureCounted(t *testing.T) {
 	before := jsonEncodeFailures.Load()
-	writeJSON(&failWriter{h: http.Header{}}, http.StatusOK, map[string]int{"x": 1})
+	WriteJSON(&failWriter{h: http.Header{}}, http.StatusOK, map[string]int{"x": 1})
 	if got := jsonEncodeFailures.Load(); got != before+1 {
 		t.Fatalf("encode failure counter %d, want %d", got, before+1)
 	}

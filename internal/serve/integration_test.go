@@ -219,7 +219,7 @@ func TestSubscribeAcrossRestore(t *testing.T) {
 	}
 
 	// A long-lived subscriber is mid-stream when the server crashes.
-	ls, err := openLoadStream(http.DefaultClient, ts.URL)
+	ls, err := openLoadStream(Client{HTTP: http.DefaultClient, Base: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -121,7 +119,8 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 		return nil, fmt.Errorf("serve: unknown encoding %q (json or binary)", opts.Encoding)
 	}
 
-	st, err := fetchStats(opts.Client, opts.BaseURL)
+	node := Client{HTTP: opts.Client, Base: opts.BaseURL}
+	st, err := node.Stats()
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +189,7 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 		expect map[evKey]Event
 	)
 	if opts.Subscribe {
-		if ls, err = openLoadStream(opts.Client, opts.BaseURL); err != nil {
+		if ls, err = openLoadStream(node); err != nil {
 			return nil, err
 		}
 		defer ls.cancel()
@@ -218,27 +217,19 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 		}
 
 		t0 := time.Now()
-		var (
-			resp   *IngestResponse
-			status int
-		)
+		resp := &binResp
 		if binaryEnc {
 			encBuf = AppendBatch(encBuf[:0], batchReadings, dim, st.WireFingerprint)
-			resp, status, err = postIngestBinary(opts.Client, opts.BaseURL, encBuf, &binResp)
+			err = node.IngestFrame(encBuf, 0, resp)
 		} else {
-			resp, status, err = postIngest(opts.Client, opts.BaseURL, IngestRequest{Readings: batchReadings})
+			resp, err = node.IngestJSON(IngestRequest{Readings: batchReadings})
 		}
 		if err != nil {
 			return nil, err
 		}
 		lat.Insert(float64(time.Since(t0)) / float64(time.Microsecond) / float64(n))
 
-		if status == http.StatusTooManyRequests || resp.Rejected > 0 {
-			rep.Rejections += resp.Rejected
-		}
-		if status != http.StatusOK && status != http.StatusTooManyRequests {
-			return nil, fmt.Errorf("serve: ingest returned status %d", status)
-		}
+		rep.Rejections += resp.Rejected
 		if len(resp.Results) != n {
 			return nil, fmt.Errorf("serve: ingest returned %d results for %d readings", len(resp.Results), n)
 		}
@@ -369,29 +360,17 @@ type loadStream struct {
 	err     error
 }
 
-func openLoadStream(c *http.Client, baseURL string) (*loadStream, error) {
+func openLoadStream(node Client) (*loadStream, error) {
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/subscribe?format=binary", nil)
+	sr, err := node.Subscribe(ctx, SubscribeQuery{})
 	if err != nil {
 		cancel()
 		return nil, err
-	}
-	resp, err := c.Do(req)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		resp.Body.Close()
-		cancel()
-		return nil, fmt.Errorf("serve: /subscribe returned %d: %s", resp.StatusCode, body)
 	}
 	ls := &loadStream{cancel: cancel, done: make(chan struct{})}
 	go func() {
 		defer close(ls.done)
-		defer resp.Body.Close()
-		sr := NewStreamReader(resp.Body)
+		defer sr.Close()
 		for {
 			ev, gap, kind, err := sr.Next()
 			if err != nil {
@@ -429,74 +408,4 @@ func (ls *loadStream) stop() ([]Event, uint64, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	return ls.events, ls.dropped, ls.err
-}
-
-func fetchStats(c *http.Client, baseURL string) (*StatsResponse, error) {
-	resp, err := c.Get(baseURL + "/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("serve: /stats returned %d: %s", resp.StatusCode, body)
-	}
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	if st.Shards <= 0 {
-		return nil, fmt.Errorf("serve: /stats reported %d shards", st.Shards)
-	}
-	return &st, nil
-}
-
-func postIngest(c *http.Client, baseURL string, req IngestRequest) (*IngestResponse, int, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := c.Post(baseURL+"/ingest", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	var out IngestResponse
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusTooManyRequests {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return nil, resp.StatusCode, err
-		}
-		// Drain the trailing newline so the keep-alive connection is reused.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return &out, resp.StatusCode, nil
-	}
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-	return nil, resp.StatusCode, fmt.Errorf("serve: ingest status %d: %s", resp.StatusCode, msg)
-}
-
-// postIngestBinary is the ODWP client round: POST a pre-encoded ODWB
-// frame, decode the ODWR reply into scratch's reused Results slice. Bodies
-// are read to EOF, so the transport keeps the connection persistent.
-func postIngestBinary(c *http.Client, baseURL string, frame []byte, scratch *IngestResponse) (*IngestResponse, int, error) {
-	resp, err := c.Post(baseURL+"/ingest", ContentTypeBinary, bytes.NewReader(frame))
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, resp.StatusCode, fmt.Errorf("serve: ingest status %d: %s", resp.StatusCode, msg)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, resp.StatusCode, err
-	}
-	results, rejected, retryMS, err := DecodeResultsInto(body, scratch.Results[:0])
-	if err != nil {
-		return nil, resp.StatusCode, fmt.Errorf("serve: bad ingest reply: %w", err)
-	}
-	scratch.Results = results
-	scratch.Rejected = rejected
-	scratch.RetryAfterMS = retryMS
-	return scratch, resp.StatusCode, nil
 }

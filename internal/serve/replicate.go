@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -86,11 +85,10 @@ type replBatch struct {
 // the replicator's own goroutine so a slow follower never blocks the
 // primary — a backed-up queue breaks the link instead (fail closed).
 type replicator struct {
-	shard  int
-	target string // follower node base URL
-	dim    int
-	fp     uint64
-	client *http.Client
+	shard    int
+	follower Client
+	dim      int
+	fp       uint64
 
 	ch       chan replBatch
 	stopc    chan struct{}
@@ -101,19 +99,15 @@ type replicator struct {
 	shipped atomic.Uint64 // batches acknowledged by the follower
 }
 
-func newReplicator(shard int, target string, dim int, fp uint64, client *http.Client) *replicator {
-	if client == nil {
-		client = http.DefaultClient
-	}
+func newReplicator(shard int, follower Client, dim int, fp uint64) *replicator {
 	r := &replicator{
-		shard:  shard,
-		target: target,
-		dim:    dim,
-		fp:     fp,
-		client: client,
-		ch:     make(chan replBatch, 64),
-		stopc:  make(chan struct{}),
-		done:   make(chan struct{}),
+		shard:    shard,
+		follower: follower,
+		dim:      dim,
+		fp:       fp,
+		ch:       make(chan replBatch, 64),
+		stopc:    make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	go r.run()
 	return r
@@ -153,7 +147,7 @@ func (r *replicator) run() {
 				continue
 			}
 			buf = appendReplFrame(buf[:0], r.shard, b.from, b.readings, r.dim, r.fp)
-			if err := r.ship(buf); err != nil {
+			if err := r.follower.Replicate(buf); err != nil {
 				r.broken.Store(true)
 				continue
 			}
@@ -161,22 +155,6 @@ func (r *replicator) run() {
 		}
 	}
 }
-
-func (r *replicator) ship(frame []byte) error {
-	resp, err := r.client.Post(r.target+"/replicate", "application/x-odds-repl", bytes.NewReader(frame))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: replicate: follower answered %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// Broken reports whether the link has failed closed.
-func (r *replicator) Broken() bool { return r.broken.Load() }
 
 func (r *replicator) stop() {
 	r.stopOnce.Do(func() { close(r.stopc) })
@@ -187,43 +165,43 @@ func (r *replicator) stop() {
 // config fingerprint (fail closed, same check as snapshot restore), and
 // apply through the shard mailbox where role and contiguity are checked.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
+	if !RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	shard, fromSeq, inner, err := decodeReplFrame(body)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	readings, err := DecodeBatchInto(inner, nil, s.cfg.Pipeline.Core.Dim, s.cfg.MaxBatch, s.wireFP, &s.names)
 	if err != nil {
-		writeErr(w, IngestDecodeStatus(err), err)
+		WriteErr(w, IngestDecodeStatus(err), err)
 		return
 	}
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		writeErr(w, http.StatusServiceUnavailable, errServerClosed)
+		WriteErr(w, http.StatusServiceUnavailable, errServerClosed)
 		return
 	}
 	if shard < 0 || shard >= len(s.shards) || s.shards[shard] == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("%w: shard %d", errWrongNode, shard))
+		WriteErr(w, http.StatusNotFound, fmt.Errorf("%w: shard %d", errWrongNode, shard))
 		return
 	}
 	resp, err := s.shards[shard].call(shardReq{op: opReplicate, batch: readings, fromSeq: fromSeq})
 	switch {
 	case errors.Is(err, errNotReplica), errors.Is(err, errReplGap):
-		writeErr(w, http.StatusConflict, err)
+		WriteErr(w, http.StatusConflict, err)
 	case err != nil:
-		writeErr(w, http.StatusServiceUnavailable, err)
+		WriteErr(w, http.StatusServiceUnavailable, err)
 	default:
-		writeJSON(w, http.StatusOK, map[string]uint64{"seq": resp.seq})
+		WriteJSON(w, http.StatusOK, map[string]uint64{"seq": resp.seq})
 	}
 }

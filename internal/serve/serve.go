@@ -45,7 +45,7 @@ type Config struct {
 	// Shards is the cluster-global shard space, and the node hosts only
 	// the shards listed in Owned (as primaries) and Replicas (as
 	// followers) — usually none at start; a router assigns shards at
-	// runtime through the /admin/shard endpoint. Per-shard seeds are
+	// runtime through the shard admin endpoint. Per-shard seeds are
 	// derived from the global shard id, so a shard's pipeline is
 	// bit-identical no matter which node hosts it. Incompatible with
 	// SnapshotPath: cluster durability is replica chains plus
@@ -132,7 +132,7 @@ type Server struct {
 	cfg Config
 	// shards is indexed by global shard id; in cluster mode entries are
 	// nil for shards this node does not host (mutated only under mu by
-	// the /admin/shard install/release ops).
+	// the shard admin install/release ops, admin.go).
 	shards []*shard
 	hub    *subHub // /subscribe fan-out
 

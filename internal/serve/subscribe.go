@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,51 +153,132 @@ func (h *subHub) shutdown() {
 
 func (h *subHub) subscribers() int { return int(h.active.Load()) }
 
+// SubscribeQuery is the /subscribe query vocabulary, typed: the server
+// parses it, Client.Subscribe encodes it, and the cluster router does both.
+type SubscribeQuery struct {
+	Sensors     []string // nil = every sensor
+	OutlierOnly bool
+	Binary      bool // ODWS frames to the requester instead of SSE
+}
+
+// ParseSubscribeQuery validates sensors=a,b&only=outlier&format=sse|binary.
+func ParseSubscribeQuery(v url.Values) (SubscribeQuery, error) {
+	var q SubscribeQuery
+	switch v.Get("only") {
+	case "":
+	case "outlier":
+		q.OutlierOnly = true
+	default:
+		return q, fmt.Errorf("only must be empty or %q", "outlier")
+	}
+	switch v.Get("format") {
+	case "", "sse":
+	case "binary":
+		q.Binary = true
+	default:
+		return q, fmt.Errorf("format must be sse or binary")
+	}
+	if raw := v.Get("sensors"); raw != "" {
+		for _, name := range strings.Split(raw, ",") {
+			name = strings.TrimSpace(name)
+			if name == "" {
+				return q, fmt.Errorf("empty sensor id in sensors list")
+			}
+			q.Sensors = append(q.Sensors, name)
+		}
+	}
+	return q, nil
+}
+
+// StreamWriter renders verdict and gap records onto one /subscribe
+// response, as SSE or as ODWS binary frames: records accumulate in a
+// reused buffer and Flush puts them on the wire in one write.
+type StreamWriter struct {
+	w       http.ResponseWriter
+	flusher http.Flusher
+	binary  bool
+	out     []byte
+}
+
+// StartStream commits w to a stream: status 200, the content type, and for
+// a binary stream the ODWS header. A connection that cannot stream is
+// answered 500 and nil is returned.
+func StartStream(w http.ResponseWriter, binary bool) *StreamWriter {
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		WriteErr(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by connection"))
+		return nil
+	}
+	sw := &StreamWriter{w: w, flusher: flusher, binary: binary}
+	if binary {
+		w.Header().Set("Content-Type", ContentTypeStream)
+		sw.out = AppendStreamHeader(sw.out)
+	} else {
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.Header().Set("Cache-Control", "no-cache")
+	}
+	w.Header().Set("X-Accel-Buffering", "no")
+	w.WriteHeader(http.StatusOK)
+	if sw.Flush() != nil {
+		return nil
+	}
+	return sw
+}
+
+// Gap buffers a record of n events lost before the next verdict.
+func (sw *StreamWriter) Gap(n uint64) {
+	if sw.binary {
+		sw.out = AppendGapFrame(sw.out, n)
+	} else {
+		sw.out = fmt.Appendf(sw.out, "event: gap\ndata: {\"dropped\":%d}\n\n", n)
+	}
+}
+
+// Verdict buffers one verdict event.
+func (sw *StreamWriter) Verdict(ev Event) {
+	if sw.binary {
+		sw.out = AppendVerdictFrame(sw.out, ev)
+	} else {
+		sw.out = fmt.Appendf(sw.out,
+			"event: verdict\ndata: {\"sensor\":%q,\"shard\":%d,\"seq\":%d,\"outlier\":%t,\"exact\":%t,\"warmed\":%t}\n\n",
+			ev.Sensor, ev.Shard, ev.Seq, ev.Outlier, ev.Exact, ev.Warmed)
+	}
+}
+
+// Flush writes the buffered records and flushes the connection.
+func (sw *StreamWriter) Flush() error {
+	_, err := sw.w.Write(sw.out)
+	sw.out = sw.out[:0]
+	sw.flusher.Flush()
+	return err
+}
+
 // handleSubscribe serves GET /subscribe?sensors=a,b&only=outlier&format=sse|binary:
 // a long-lived stream of verdict events for the selected sensors
 // (default: all sensors, all verdicts), as SSE (default) or ODWS binary
 // frames. Slow consumers get drop-oldest semantics with an explicit gap
 // record; disconnect or server shutdown ends the stream cleanly.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
-	q := r.URL.Query()
-
-	only := q.Get("only")
-	if only != "" && only != "outlier" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("only must be empty or %q", "outlier"))
-		return
-	}
-	format := q.Get("format")
-	switch format {
-	case "", "sse", "binary":
-	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("format must be sse or binary"))
+	q, err := ParseSubscribeQuery(r.URL.Query())
+	if err != nil {
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	var sensors map[string]struct{}
-	if raw := q.Get("sensors"); raw != "" {
-		sensors = make(map[string]struct{})
-		for _, name := range strings.Split(raw, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("empty sensor id in sensors list"))
-				return
-			}
+	if q.Sensors != nil {
+		sensors = make(map[string]struct{}, len(q.Sensors))
+		for _, name := range q.Sensors {
 			sensors[name] = struct{}{}
 		}
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by connection"))
-		return
 	}
 
 	sub := &subscriber{
 		hub:         s.hub,
 		sensors:     sensors,
-		outlierOnly: only == "outlier",
+		outlierOnly: q.OutlierOnly,
 		notify:      make(chan struct{}, 1),
 		ring:        make([]Event, s.cfg.SubscribeBuffer),
 	}
@@ -205,66 +287,37 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		writeErr(w, http.StatusServiceUnavailable, errServerClosed)
+		WriteErr(w, http.StatusServiceUnavailable, errServerClosed)
 		return
 	}
 	s.hub.add(sub)
 	s.mu.RUnlock()
 	defer s.hub.remove(sub)
 
-	binaryStream := format == "binary"
-	if binaryStream {
-		w.Header().Set("Content-Type", ContentTypeStream)
-	} else {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
+	sw := StartStream(w, q.Binary)
+	if sw == nil {
+		return
 	}
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-
-	var out []byte
-	if binaryStream {
-		out = AppendStreamHeader(out)
-		if _, err := w.Write(out); err != nil {
-			return
-		}
-	}
-	flusher.Flush()
 
 	var events []Event
-	ctx := r.Context()
 	flush := func() bool {
 		var gap uint64
 		events, gap = sub.drain(events[:0])
 		if gap == 0 && len(events) == 0 {
 			return true
 		}
-		out = out[:0]
 		if gap > 0 {
 			// Dropped events are older than everything in the ring, so
 			// the gap record precedes the drained events.
-			if binaryStream {
-				out = AppendGapFrame(out, gap)
-			} else {
-				out = fmt.Appendf(out, "event: gap\ndata: {\"dropped\":%d}\n\n", gap)
-			}
+			sw.Gap(gap)
 		}
 		for _, ev := range events {
-			if binaryStream {
-				out = AppendVerdictFrame(out, ev)
-			} else {
-				out = fmt.Appendf(out,
-					"event: verdict\ndata: {\"sensor\":%q,\"shard\":%d,\"seq\":%d,\"outlier\":%t,\"exact\":%t,\"warmed\":%t}\n\n",
-					ev.Sensor, ev.Shard, ev.Seq, ev.Outlier, ev.Exact, ev.Warmed)
-			}
+			sw.Verdict(ev)
 		}
-		if _, err := w.Write(out); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
+		return sw.Flush() == nil
 	}
 
+	ctx := r.Context()
 	for {
 		select {
 		case <-ctx.Done():

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"odds/internal/fault"
 	"odds/internal/parallel"
 	"odds/internal/window"
 )
@@ -25,7 +26,7 @@ func buildPair() (a, b *Simulator, nodesA, nodesB []*echoNode) {
 		sink := &echoNode{id: root}
 		s.Add(sink)
 		ns = append(ns, sink)
-		s.SetLoss(0.3, rand.New(rand.NewSource(77)))
+		s.SetFaults(fault.MustCompile(fault.UniformLoss(0.3, rand.New(rand.NewSource(77)).Int63())))
 		return s, ns
 	}
 	a, nodesA = mk()

@@ -21,7 +21,6 @@ package tagsim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"odds/internal/fault"
 	"odds/internal/parallel"
@@ -178,26 +177,6 @@ func (s *Simulator) SetFaults(p *fault.Plan) {
 
 // Faults returns the installed fault plan, if any.
 func (s *Simulator) Faults() *fault.Plan { return s.plan }
-
-// SetLoss injects uniform radio failures: every transmitted message is
-// destroyed independently with probability p (counted as sent, and in
-// Lost). It is the legacy single-fault interface, kept as a shim over
-// SetFaults — one Int63 is drawn from rng to seed the schedule, so
-// callers that split a master RNG here consume exactly one draw, as
-// before.
-func (s *Simulator) SetLoss(p float64, rng *rand.Rand) {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("tagsim: loss probability %v outside [0,1]", p))
-	}
-	if p == 0 {
-		s.SetFaults(nil)
-		return
-	}
-	if rng == nil {
-		panic("tagsim: loss requires a random source")
-	}
-	s.SetFaults(fault.MustCompile(fault.UniformLoss(p, rng.Int63())))
-}
 
 // Context is the send/record surface handed to node callbacks.
 type Context struct {

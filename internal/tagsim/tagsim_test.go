@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"odds/internal/fault"
 	"odds/internal/window"
 )
 
@@ -185,7 +186,7 @@ func TestSetLossDestroysShare(t *testing.T) {
 	sink := &echoNode{id: 2}
 	s.Add(&echoNode{id: 1, to: 2, sendEach: true})
 	s.Add(sink)
-	s.SetLoss(0.5, rand.New(rand.NewSource(1)))
+	s.SetFaults(fault.MustCompile(fault.UniformLoss(0.5, rand.New(rand.NewSource(1)).Int63())))
 	s.Run(2000)
 	st := s.Stats()
 	if st.Total != 2000 {
@@ -200,28 +201,20 @@ func TestSetLossDestroysShare(t *testing.T) {
 	}
 }
 
+// TestSetLossValidation: a loss probability outside [0,1] never reaches the
+// simulator — its schedule does not compile — and a nil plan turns loss off.
 func TestSetLossValidation(t *testing.T) {
-	s := New()
 	for _, p := range []float64{-0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("loss %v accepted", p)
-				}
-			}()
-			s.SetLoss(p, rand.New(rand.NewSource(1)))
-		}()
+		if _, err := fault.Compile(fault.UniformLoss(p, 1)); err == nil {
+			t.Errorf("loss %v accepted", p)
+		}
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("nil rng accepted with positive loss")
-			}
-		}()
-		s.SetLoss(0.5, nil)
-	}()
-	// Zero loss with nil rng is fine (disables loss).
-	s.SetLoss(0, nil)
+	s := New()
+	s.SetFaults(fault.MustCompile(fault.UniformLoss(0.5, 1)))
+	s.SetFaults(nil)
+	if s.Faults() != nil {
+		t.Error("SetFaults(nil) left a plan installed")
+	}
 }
 
 func TestDisseminate(t *testing.T) {

@@ -80,10 +80,7 @@ func (w *Sliding) OnEvict(fn func(Point)) { w.onOut = fn }
 // Dim returns the dimensionality of the window's points.
 func (w *Sliding) Dim() int { return w.dim }
 
-// Cap returns |W|, the window capacity.
-func (w *Sliding) Cap() int { return cap(w.buf) }
-
-// Len returns the number of points currently held (≤ Cap).
+// Len returns the number of points currently held (≤ |W|).
 func (w *Sliding) Len() int { return w.size }
 
 // Seen returns the total number of arrivals, including evicted points.
