@@ -81,11 +81,11 @@ bench-fault:
 # Incremental-maintenance suite whose numbers land in BENCH_REBUILD.json:
 # one in-place maintenance cycle vs a from-scratch kernel rebuild, the
 # per-arrival detector refresh in both modes (watch the full_builds and
-# models_per_10k metrics), and the serving hot loop the savings feed.
+# models_per_10k metrics). The serving hot loop the savings feed is the
+# pipeline.* rows of `go run ./bench -workload kernel-steady -trace 1`.
 bench-rebuild:
 	$(GO) test -run=NONE -bench='BenchmarkMaintainCycle|BenchmarkFromScratchRebuild' -benchmem -benchtime 20000x ./internal/kernel/
 	$(GO) test -run=NONE -bench=BenchmarkEstimatorRefresh -benchmem -benchtime 1s ./internal/core/
-	$(GO) test -run=NONE -bench=BenchmarkPipelineIngest -benchmem -benchtime 1s ./internal/serve/
 
 # End-to-end smoke of the serving subsystem: build oddserve + oddload,
 # replay a seeded load over HTTP with verdict agreement enforced against

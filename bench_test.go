@@ -102,8 +102,14 @@ func BenchmarkChainSamplePush(b *testing.B) {
 }
 
 func BenchmarkVarianceSketchPush(b *testing.B) {
-	e := varest.New(10000, 0.2)
+	const wcap = 10000
+	e := varest.New(wcap, 0.2)
 	src := stream.NewMixture(stream.DefaultMixture(), 1, 5)
+	// Steady state is what the server runs in: a full window, the bucket
+	// list at its working length, expiry shifts under way.
+	for i := 0; i < 3*wcap; i++ {
+		e.Push(src.Next()[0])
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Push(src.Next()[0])

@@ -3,11 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"odds/internal/serve"
 )
@@ -24,8 +22,8 @@ type Options struct {
 	// (requires ≥ 2 nodes for any shard to actually get one).
 	Replicate bool
 	// Client is the HTTP client for node traffic (fault-injecting tests
-	// substitute a partition-aware transport). Defaults to a client with
-	// a 5s timeout.
+	// substitute a partition-aware transport). Defaults to
+	// serve.NewNodeHTTPClient.
 	Client *http.Client
 	// HealthThreshold is the number of consecutive failed health probes
 	// before a node is declared dead and its shards fail over. Default 2.
@@ -92,19 +90,14 @@ func NewRouter(opts Options) (*Router, error) {
 		return nil, fmt.Errorf("cluster: need at least one node")
 	}
 	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 5 * time.Second}
+		opts.Client = serve.NewNodeHTTPClient(opts.Shards)
 	}
 	if opts.HealthThreshold <= 0 {
 		opts.HealthThreshold = 2
 	}
 	streamTransport := opts.Client.Transport
 	if streamTransport == nil {
-		streamTransport = &http.Transport{
-			Proxy:                 http.ProxyFromEnvironment,
-			DialContext:           (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
-			TLSHandshakeTimeout:   5 * time.Second,
-			ResponseHeaderTimeout: 5 * time.Second,
-		}
+		streamTransport = serve.NewNodeHTTPClient(opts.Shards).Transport
 	}
 	r := &Router{
 		opts:           opts,

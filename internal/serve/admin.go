@@ -230,7 +230,7 @@ func (s *Server) PromoteShard(id int) error {
 func (s *Server) SetFollower(id int, target string) error {
 	var repl *replicator
 	if target != "" {
-		repl = newReplicator(id, Client{HTTP: http.DefaultClient, Base: target}, s.cfg.Pipeline.Core.Dim, s.wireFP)
+		repl = newReplicator(id, Client{HTTP: s.peers, Base: target}, s.cfg.Pipeline.Core.Dim, s.wireFP)
 	}
 	err := s.withShard(id, func(sh *shard) error {
 		_, err := sh.call(shardReq{op: opFollow, repl: repl})

@@ -63,16 +63,6 @@ func allocDriftArm() DriftConfig {
 	}
 }
 
-// benchDriftArm is the overhead benchmark's arm: parked thresholds at
-// the DEFAULT cadence, so the measured ns/op delta against the
-// drift-free baseline is the true per-reading tax of the default
-// serving configuration.
-func benchDriftArm() DriftConfig {
-	a := DefaultDriftConfig()
-	a.Detector = parkedDetector()
-	return a
-}
-
 // hotPipelineDrift is hotPipeline with an optional drift arm.
 func hotPipelineDrift(t testing.TB, wcap int, darm DriftConfig) (*Pipeline, func()) {
 	t.Helper()

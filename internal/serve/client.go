@@ -7,10 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Client is the node's HTTP contract as Go calls: every path, query word,
@@ -21,6 +23,35 @@ import (
 type Client struct {
 	HTTP *http.Client
 	Base string // node base URL, e.g. "http://localhost:8077"
+}
+
+// nodeTimeout bounds one exchange between peers — dial, headers, and the
+// whole body — so a hung node costs its caller this long and no more.
+const nodeTimeout = 5 * time.Second
+
+// minIdlePerNode is the idle-connection floor per node, for a router
+// that learns the shard count from its nodes only after it has a client.
+const minIdlePerNode = 32
+
+// NewNodeHTTPClient returns the *http.Client that node-to-node traffic
+// rides: a router's forwards and control calls, a primary's replica
+// stream. Every request is bounded by nodeTimeout, and the transport
+// keeps at least one idle connection per shard to each node: a node has
+// one replicator per hosted shard shipping to the same follower, and with
+// fewer idle slots than concurrent requests (net/http keeps two per host)
+// most requests dial a connection and drop it again.
+func NewNodeHTTPClient(shards int) *http.Client {
+	return &http.Client{
+		Timeout: nodeTimeout,
+		Transport: &http.Transport{
+			Proxy:                 http.ProxyFromEnvironment,
+			DialContext:           (&net.Dialer{Timeout: nodeTimeout}).DialContext,
+			TLSHandshakeTimeout:   nodeTimeout,
+			ResponseHeaderTimeout: nodeTimeout,
+			MaxIdleConnsPerHost:   max(shards, minIdlePerNode),
+			IdleConnTimeout:       90 * time.Second,
+		},
+	}
 }
 
 // Reply caps. A peer's reply is never read past them, so what a call can

@@ -321,3 +321,57 @@ func TestClientReplyCaps(t *testing.T) {
 		t.Error("an endless non-ODWS body decoded as a stream frame")
 	}
 }
+
+// TestNodeHTTPClient: the one client peers talk through bounds every
+// exchange and keeps an idle connection per shard, and a follower that
+// accepts a batch and never answers breaks the replica link when the
+// timeout fires instead of parking the replicator for good.
+func TestNodeHTTPClient(t *testing.T) {
+	for _, shards := range []int{0, 4, 200} {
+		c := NewNodeHTTPClient(shards)
+		tr := c.Transport.(*http.Transport)
+		if c.Timeout <= 0 || tr.ResponseHeaderTimeout <= 0 {
+			t.Errorf("shards=%d: unbounded exchange (timeout %v, header timeout %v)", shards, c.Timeout, tr.ResponseHeaderTimeout)
+		}
+		if tr.MaxIdleConnsPerHost < shards || tr.MaxIdleConnsPerHost < minIdlePerNode {
+			t.Errorf("shards=%d: %d idle connections per node", shards, tr.MaxIdleConnsPerHost)
+		}
+	}
+
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { <-release }))
+	defer hung.Close()
+	defer close(release)
+	impatient := NewNodeHTTPClient(1)
+	impatient.Timeout = 50 * time.Millisecond
+	defer impatient.CloseIdleConnections()
+	repl := newReplicator(0, Client{HTTP: impatient, Base: hung.URL}, 1, 7)
+	repl.forward(1, []Reading{{Sensor: "a", Value: []float64{1}}})
+	for deadline := time.Now().Add(5 * time.Second); !repl.broken.Load(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("replicator still waiting on a hung follower")
+		}
+	}
+	repl.stop()
+}
+
+// TestReplicatorForwardCopies: forward's copy is the replicator's own —
+// values as they were when it was called, the caller's buffers being
+// recycled after — and costs two allocations however long the batch.
+func TestReplicatorForwardCopies(t *testing.T) {
+	quiet := &replicator{dim: 1, ch: make(chan replBatch, 1)}
+	src := []Reading{{Sensor: "a", Value: []float64{1}}, {Sensor: "b", Value: []float64{2}}}
+	quiet.forward(1, src)
+	src[0].Value[0], src[1].Value[0] = -1, -1
+	got := (<-quiet.ch).readings
+	if got[0].Value[0] != 1 || got[1].Value[0] != 2 || cap(got[0].Value) != 1 {
+		t.Errorf("forwarded copy %v (cap %d): want [1] [2], each capped at its own value", got, cap(got[0].Value))
+	}
+	long := make([]Reading, 64)
+	for i := range long {
+		long[i] = Reading{Sensor: "s", Value: []float64{float64(i)}}
+	}
+	if a := testing.AllocsPerRun(20, func() { quiet.forward(1, long); <-quiet.ch }); a > 2 {
+		t.Errorf("forward allocates %v times for a 64-reading batch, want 2", a)
+	}
+}

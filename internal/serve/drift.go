@@ -56,9 +56,9 @@ type DriftConfig struct {
 //
 // The sampling stride is the overhead/delay dial: the full bank costs
 // ~0.6µs per observation against a ~1.2µs steady-state ingest, so a
-// stride of 32 keeps the drift tax under 2% (BenchmarkPipelineIngestDrift
-// against BenchmarkPipelineIngest) at the price of needing 32× more
-// readings to fill the detector windows. The JS trip level sits well above the stationary
+// stride of 32 keeps the drift tax under 2% (drift.observe_ns against
+// pipeline.ingest_ns_mean in `go run ./bench -trace 1`) at the price of
+// needing 32× more readings to fill the detector windows. The JS trip level sits well above the stationary
 // noise floor of a chain-sampled kernel model (sampling and bandwidth
 // wobble put JS against a frozen reference around 0.03–0.07) and well
 // below a regime change (an abrupt mean shift of a few sigmas pushes JS

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -34,7 +36,9 @@ import (
 //     fails to decode or decodes to a value whose encoding is a fixed
 //     point of decode → re-encode — never a panic, never more than
 //     hostileAllocSlack bytes allocated beyond what decoding the pristine
-//     fixture allocates.
+//     fixture allocates;
+//   - the format's refuse rows — corruptions that would re-encode to a
+//     fixed point and so pass the sweep, but must not be admitted — fail.
 //
 // The per-format fuzz targets and malformed-frame tables go deeper on one
 // format each; this is the row across all of them.
@@ -52,6 +56,12 @@ type formatCase struct {
 	name     string
 	build    func() ([]byte, error)
 	reencode func(data []byte) ([]byte, error)
+	refuse   map[string]func(fixture []byte) // edits a copy of the fixture in place
+}
+
+// putF64 overwrites the little-endian float64 at off.
+func putF64(b []byte, off int, v float64) {
+	binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
 }
 
 // fixtureStream is the deterministic reading source every fixture draws
@@ -240,6 +250,16 @@ func formatCases() []formatCase {
 			},
 			reencode: func(data []byte) ([]byte, error) {
 				return marshalTwice(varest.UnmarshalEstimator(data))
+			},
+			// Bucket 0 sits at offset 32: first, last, mean, v. Moments like
+			// these restore cleanly and then poison every later bandwidth.
+			refuse: map[string]func([]byte){
+				"first == 0": func(b []byte) { binary.LittleEndian.PutUint64(b[32:], 0) },
+				"NaN mean":   func(b []byte) { putF64(b, 48, math.NaN()) },
+				"+Inf mean":  func(b []byte) { putF64(b, 48, math.Inf(1)) },
+				"NaN v":      func(b []byte) { putF64(b, 56, math.NaN()) },
+				"negative v": func(b []byte) { putF64(b, 56, -1e-300) },
+				"+Inf v":     func(b []byte) { putF64(b, 56, math.Inf(1)) },
 			},
 		},
 		{
@@ -492,6 +512,13 @@ func TestFormatFixtures(t *testing.T) {
 				t.Fatalf("decode → re-encode (%d bytes) differs from fixture (%d bytes)", len(again), len(want))
 			}
 			hostileSweep(t, fc, want, base+hostileAllocSlack)
+			for what, edit := range fc.refuse {
+				bad := bytes.Clone(want)
+				edit(bad)
+				if _, err := fc.reencode(bad); err == nil {
+					t.Errorf("%s: decoded", what)
+				}
+			}
 		})
 	}
 }

@@ -119,12 +119,13 @@ func (r *replicator) forward(fromSeq uint64, batch []Reading) {
 	if r.broken.Load() {
 		return
 	}
+	// One backing array for the whole batch's values, not one per reading.
 	cp := make([]Reading, len(batch))
+	flat := make([]float64, 0, len(batch)*r.dim)
 	for i := range batch {
-		cp[i] = Reading{
-			Sensor: batch[i].Sensor,
-			Value:  append([]float64(nil), batch[i].Value...),
-		}
+		at := len(flat)
+		flat = append(flat, batch[i].Value...)
+		cp[i] = Reading{Sensor: batch[i].Sensor, Value: flat[at:len(flat):len(flat)]}
 	}
 	select {
 	case r.ch <- replBatch{from: fromSeq, readings: cp}:

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -141,6 +142,10 @@ type Server struct {
 	// so a router with a stale or newer map never applies work here.
 	epoch atomic.Uint64
 
+	// peers carries this node's replica streams to its followers: one
+	// client for every shard's replicator, so they share a connection pool.
+	peers *http.Client
+
 	wireFP  uint64    // config fingerprint carried by every binary frame
 	names   Interner  // sensor-id intern table for zero-alloc binary decode
 	scratch sync.Pool // *ingestScratch
@@ -173,7 +178,7 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, hub: newSubHub(), wireFP: wireFingerprint(cfg.Shards, cfg.Pipeline)}
+	s := &Server{cfg: cfg, hub: newSubHub(), peers: NewNodeHTTPClient(cfg.Shards), wireFP: wireFingerprint(cfg.Shards, cfg.Pipeline)}
 
 	var blobs [][]byte
 	if cfg.SnapshotPath != "" {
@@ -332,6 +337,7 @@ func (s *Server) Close() error {
 			sh.stopReplicator()
 		}
 	}
+	s.peers.CloseIdleConnections()
 	// Shards have drained, so every verdict has been published; let the
 	// subscription streams flush their rings and end.
 	s.hub.shutdown()
@@ -379,6 +385,7 @@ func (s *Server) Abort() {
 			sh.stopReplicator()
 		}
 	}
+	s.peers.CloseIdleConnections()
 	s.hub.shutdown()
 }
 

@@ -21,6 +21,8 @@ func FuzzVarSketch(f *testing.F) {
 	f.Add(int64(4), uint16(50), uint8(0), uint8(3)) // constant
 	f.Add(int64(5), uint16(0), uint8(1), uint8(0))  // minimal window
 	f.Add(int64(6), uint16(257), uint8(2), uint8(1))
+	f.Add(int64(7), uint16(200), uint8(1), uint8(4*13+0)) // pass every 3rd arrival
+	f.Add(int64(8), uint16(120), uint8(0), uint8(4*15+2)) // pass on every arrival
 	f.Fuzz(func(t *testing.T, seed int64, wRaw uint16, epsSel uint8, mode uint8) {
 		// Floor the window at 64: the eps guarantee is asymptotic (the
 		// merge invariant is checked against the suffix variance at merge
@@ -30,21 +32,15 @@ func FuzzVarSketch(f *testing.F) {
 		eps := []float64{0.1, 0.2, 0.5}[epsSel%3]
 		r := stats.NewRand(seed)
 		e := New(wcap, eps)
+		// Windows this small compact on every arrival; put them on the
+		// schedule of the large ones (every 16th for the seeds, mode's high
+		// bits pick the others).
+		e.every = uint64(maxEvery - int(mode/4)%maxEvery)
 
 		var win []float64 // exact window contents
 		steps := 3 * wcap
 		for i := 0; i < steps; i++ {
-			var x float64
-			switch mode % 4 {
-			case 0: // drifting Gaussian
-				x = r.NormFloat64()*2 + 10 + float64(i)/100
-			case 1: // uniform
-				x = r.Float64()
-			case 2: // alternating far-apart levels, stresses merges
-				x = float64(i%2) * 1000
-			case 3: // constant
-				x = 0.42
-			}
+			x := testStream(int(mode%4), i, r)
 			e.Push(x)
 			win = append(win, x)
 			if len(win) > wcap {

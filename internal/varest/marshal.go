@@ -53,13 +53,19 @@ func UnmarshalEstimator(data []byte) (*Estimator, error) {
 		return nil, fmt.Errorf("varest: implausible header (w=%d eps=%v)", w, eps)
 	}
 	e := New(int(w), eps)
+	if nb > e.hardCap {
+		return nil, fmt.Errorf("varest: %d buckets exceed the sketch's cap of %d", nb, e.hardCap)
+	}
 	e.now = now
 	e.buckets = make([]bucket, nb)
 	var prevLast uint64
 	for i := range e.buckets {
 		b := bucket{first: r.U64(), last: r.U64(), mean: r.F64(), v: r.F64()}
-		if b.last < b.first || b.last > now || (i > 0 && b.first != prevLast+1) {
+		if b.first == 0 || b.last < b.first || b.last > now || (i > 0 && b.first != prevLast+1) {
 			return nil, fmt.Errorf("varest: bucket %d range [%d,%d] inconsistent", i, b.first, b.last)
+		}
+		if !(b.v >= 0) || math.IsInf(b.v, 0) || math.IsNaN(b.mean) || math.IsInf(b.mean, 0) {
+			return nil, fmt.Errorf("varest: bucket %d moments (mean=%v, v=%v) would poison the estimate", i, b.mean, b.v)
 		}
 		prevLast = b.last
 		e.buckets[i] = b

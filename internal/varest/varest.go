@@ -23,6 +23,15 @@
 // oldest bucket is known exactly; only their values are approximated (by
 // the bucket mean), exactly as in [5].
 //
+// Push expires whole buckets off the old end, appends a singleton, and
+// runs the O(buckets) merge pass (compress) on every e.every-th arrival
+// only — every 16th from |W| = 8192 up, which makes it amortized O(1)
+// there. Reads need no compaction and do not mutate: merging is lossless,
+// so the buckets sum to the same moments however finely the list is
+// split. The schedule is a function of the arrival counter and |W|, which
+// the encoding carries, so a restored sketch compacts on the same
+// arrivals as its original, bit for bit.
+//
 // Theorem 1 of the paper charges O((d/eps^2)·log|W|) memory for this
 // component; MemoryNumbers and BoundNumbers let the Section 10.3 memory
 // experiment compare actual usage against that bound.
@@ -54,12 +63,16 @@ func merge(a, c bucket) bucket {
 	}
 }
 
+// maxEvery is the longest a sketch goes between merge passes, in arrivals.
+const maxEvery = 16
+
 // Estimator sketches the variance of one dimension of a stream over a
 // sliding window of capacity |W|. Construct with New.
 type Estimator struct {
 	w       uint64
 	eps     float64
 	now     uint64   // arrivals so far
+	every   uint64   // arrivals between merge passes
 	buckets []bucket // oldest first
 	hardCap int
 
@@ -77,7 +90,12 @@ func New(wcap int, eps float64) *Estimator {
 	if !(eps > 0 && eps <= 1) {
 		panic(fmt.Sprintf("varest: eps %v must be in (0,1]", eps))
 	}
-	e := &Estimator{w: uint64(wcap), eps: eps}
+	// At most |W|/512 arrivals, never maxEvery or more, ride unmerged: a
+	// small fixed share of the window. A sketch of a few hundred arrivals —
+	// tens of buckets, where 15 singletons would be a quarter of the §10.3
+	// footprint — keeps the pass on every arrival; from |W| = 8192 up it
+	// runs on every 16th.
+	e := &Estimator{w: uint64(wcap), eps: eps, every: uint64(min(max(wcap>>9, 1), maxEvery))}
 	// Hard backstop on bucket count, 9/eps^2 size classes deep; the
 	// invariant-driven merging keeps usage well below this in practice,
 	// which is exactly the slack the Section 10.3 experiment measures.
@@ -99,12 +117,8 @@ func (e *Estimator) Seen() uint64 { return e.now }
 func (e *Estimator) Push(x float64) {
 	e.now++
 	// Expire buckets that lie entirely outside the window [now-W+1, now].
-	cut := uint64(0)
-	if e.now > e.w {
-		cut = e.now - e.w // indices ≤ cut are expired
-	}
-	drop := 0
-	for drop < len(e.buckets) && e.buckets[drop].last <= cut {
+	start, drop := e.windowStart(), 0
+	for drop < len(e.buckets) && e.buckets[drop].last < start {
 		drop++
 	}
 	if drop > 0 {
@@ -114,16 +128,18 @@ func (e *Estimator) Push(x float64) {
 		e.buckets = append(e.buckets[:0], e.buckets[drop:]...)
 	}
 	e.buckets = append(e.buckets, bucket{first: e.now, last: e.now, mean: x})
-	e.compress()
+	if e.now%e.every == 0 || len(e.buckets) > e.hardCap {
+		e.compress()
+	}
 }
 
 // compress restores the merge invariant with one newest-to-oldest pass.
 // Buckets are pushed onto a stack (newest first); each incoming older
 // bucket cascadingly merges with the stack top while the merged bucket's
 // internal variance stays within 3·V ≤ eps·V_newer (zero-variance merges
-// are always safe — constant runs compress fully). Each merge removes a
-// bucket, so the amortized cost per arrival is O(1). Finally the hard cap
-// is enforced by merging the oldest pairs.
+// are always safe — constant runs compress fully). The pass visits every
+// bucket however few merges it makes, so Push runs it once per e.every
+// arrivals. Finally the hard cap is enforced by merging the oldest pairs.
 func (e *Estimator) compress() {
 	n := len(e.buckets)
 	if n < 2 {
