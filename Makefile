@@ -61,10 +61,11 @@ benchmark-smoke:
 # file from this output when the query engine changes). The end-to-end
 # parallel suite runs ~1.3 s per op, so three iterations bound its
 # runtime; the kernel and index microbenchmarks need real iteration
-# counts for stable ns/op.
+# counts for stable ns/op (the index's serving-shape case slides a
+# |W| = 10⁴ window, so it gets a window's worth and more).
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkKernel -benchmem -benchtime 1000x ./internal/kernel/
-	$(GO) test -run=NONE -bench=BenchmarkDynIndexSlide -benchmem -benchtime 1000x ./internal/distance/
+	$(GO) test -run=NONE -bench=BenchmarkDynIndexSlide -benchmem -benchtime 200000x ./internal/distance/
 	$(GO) test -run=NONE -bench=BenchmarkParallelRunD3 -benchtime 3x ./internal/experiments/
 
 # Every benchmark in the tree, Go-managed iteration counts.

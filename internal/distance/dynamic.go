@@ -8,15 +8,20 @@ import (
 )
 
 // DynIndex is the incremental version of Index: points can be added and
-// removed as sliding windows advance, so the evaluation harness can
-// maintain exact per-arrival ground truth (the BruteForce-D decision for
-// every new value against the current window) in amortized constant time
-// instead of rebuilding an index per window instance.
+// removed as sliding windows advance, so the serving pipeline and the
+// evaluation harness can maintain exact per-arrival ground truth (the
+// BruteForce-D decision for every new value against the current window)
+// in amortized constant time instead of rebuilding an index per window
+// instance.
 //
-// The grid cells are held as persistent buckets: a cell emptied by window
-// eviction keeps its bucket (and the bucket its capacity), so a window
-// sliding back and forth over the same region refills existing storage
-// instead of reallocating map entries and point slices every slide. All
+// The index owns copies of its points: a grid cell is a bucket holding
+// its members' coordinates inline, oldest first, so callers may reuse or
+// overwrite a point's storage the moment Add returns, and equal points
+// are simply stored twice (the index is a multiset). A window slides in
+// FIFO order, which makes the point a slide evicts the oldest member of
+// its cell: Remove searches oldest-first, hits on the first compare and
+// pops the bucket's head. Buckets are persistent — a cell emptied by
+// eviction keeps its bucket and the bucket its capacity — and all
 // per-query scratch (cell coordinates, the encoded key) lives on the
 // index, making steady-state Add/Remove/Count allocation-free.
 //
@@ -37,11 +42,53 @@ type DynIndex struct {
 	keyBuf  []byte
 }
 
-// bucket holds one grid cell's points behind a stable pointer, so
-// steady-state refills mutate the bucket in place instead of re-assigning
-// the map entry.
+// bucket is one grid cell's points, stored inline behind a stable
+// pointer: xs holds dim-strided coordinates in arrival order and the live
+// points are xs[head:]. Popping the oldest point advances head; the dead
+// prefix it leaves is reclaimed in bulk when the slice fills (see push),
+// never one slot at a time.
 type bucket struct {
-	pts []window.Point
+	xs   []float64
+	head int
+}
+
+// push appends a copy of p as the bucket's newest point. A full slice is
+// compacted in place when its dead prefix is more than half of it and
+// doubled otherwise. Either way only the live points are copied, and at
+// least as many pushes precede a copy as it moves points, so push is
+// amortized O(1) and capacity never exceeds four times the bucket's peak
+// live count.
+func (b *bucket) push(p window.Point) {
+	if len(b.xs)+len(p) > cap(b.xs) {
+		dst := b.xs[:0]
+		if 2*b.head <= len(b.xs) {
+			dst = make([]float64, 0, max(2*cap(b.xs), 4*len(p)))
+		}
+		b.xs, b.head = append(dst, b.xs[b.head:]...), 0
+	}
+	b.xs = append(b.xs, p...)
+}
+
+// remove deletes the oldest point equal to p, reporting whether there was
+// one. The oldest point of the bucket pops in O(1); any other closes the
+// gap, keeping arrival order.
+func (b *bucket) remove(p window.Point) bool {
+	dim := len(p)
+	for i := b.head; i < len(b.xs); i += dim {
+		if !p.Equal(b.xs[i : i+dim]) {
+			continue
+		}
+		if i == b.head {
+			b.head += dim
+			if b.head == len(b.xs) {
+				b.xs, b.head = b.xs[:0], 0
+			}
+		} else {
+			b.xs = append(b.xs[:i], b.xs[i+dim:]...)
+		}
+		return true
+	}
+	return false
 }
 
 // NewDynIndex returns an empty incremental index for dim-dimensional
@@ -85,8 +132,7 @@ func (d *DynIndex) keyFor(p window.Point) {
 	d.encodeKey(d.coords)
 }
 
-// Add indexes one point. The point is stored by reference and must not be
-// mutated afterwards.
+// Add indexes a copy of p; the caller keeps ownership of p's storage.
 func (d *DynIndex) Add(p window.Point) {
 	if len(p) != d.dim {
 		panic(fmt.Sprintf("distance: point dim %d, index dim %d", len(p), d.dim))
@@ -99,33 +145,28 @@ func (d *DynIndex) Add(p window.Point) {
 		b = &bucket{}
 		d.cells[string(d.keyBuf)] = b
 	}
-	b.pts = append(b.pts, p)
+	b.push(p)
 	d.n++
 }
 
-// Remove un-indexes one point with coordinates equal to p. It returns
-// false when no such point is present (a window bookkeeping bug in the
-// caller). Emptied cells keep their bucket so later refills reuse it.
+// Remove un-indexes one point with coordinates equal to p — the oldest
+// such point, though equal points are indistinguishable, so removal is
+// exact multiset removal. It returns false when no such point is present
+// (a window bookkeeping bug in the caller). The search runs oldest-first:
+// evicting a window's oldest point costs one compare, an arbitrary-order
+// removal up to the cell's occupancy. Emptied cells keep their bucket so
+// later refills reuse it.
 func (d *DynIndex) Remove(p window.Point) bool {
 	if len(p) != d.dim {
 		panic(fmt.Sprintf("distance: point dim %d, index dim %d", len(p), d.dim))
 	}
 	d.keyFor(p)
 	b := d.cells[string(d.keyBuf)]
-	if b == nil {
+	if b == nil || !b.remove(p) {
 		return false
 	}
-	for i, q := range b.pts {
-		if p.Equal(q) {
-			last := len(b.pts) - 1
-			b.pts[i] = b.pts[last]
-			b.pts[last] = nil // release the reference, keep the capacity
-			b.pts = b.pts[:last]
-			d.n--
-			return true
-		}
-	}
-	return false
+	d.n--
+	return true
 }
 
 // scan counts points within L∞ radius r of p across the 3^d adjacent
@@ -149,8 +190,8 @@ func (d *DynIndex) scan(p window.Point, r float64, limit int) int {
 		}
 		d.encodeKey(d.coords)
 		if b := d.cells[string(d.keyBuf)]; b != nil {
-			for _, q := range b.pts {
-				if within(p, q, r) {
+			for i := b.head; i < len(b.xs); i += d.dim {
+				if within(p, b.xs[i:i+d.dim], r) {
 					count++
 					if limit > 0 && count >= limit {
 						return count

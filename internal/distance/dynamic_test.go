@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"odds/internal/stats"
+	"odds/internal/stream"
 	"odds/internal/window"
 )
 
@@ -182,18 +183,52 @@ func TestDynIndexSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkDynIndexSlide measures one steady-state window slide; its
-// allocs/op column guards the persistent-bucket clear-and-refill reuse.
+// servingSlideHarness is the slide the serving pipeline performs per
+// reading at the paper's defaults: |W| = 10⁴ over the synthetic mixture,
+// r = 0.01, D = 45 (Remove + Add + IsOutlier). The mixture's mass sits in
+// a few dozen cells of a few hundred points each, which the |W| = 128
+// uniform harness (about six points a cell) never shows.
+func servingSlideHarness() func() {
+	const wcap = 10000
+	prm := Params{Radius: 0.01, Threshold: 45}
+	src := stream.NewMixture(stream.DefaultMixture(), 1, 11)
+	cycle := make([]window.Point, 1<<16)
+	for i := range cycle {
+		cycle[i] = src.Next()
+	}
+	d := NewDynIndex(prm.Radius, 1)
+	pos := 0
+	step := func() {
+		if pos >= wcap && !d.Remove(cycle[(pos-wcap)%len(cycle)]) {
+			panic("distance: slide harness out of sync")
+		}
+		p := cycle[pos%len(cycle)]
+		d.Add(p)
+		pos++
+		_ = d.IsOutlier(p, prm)
+	}
+	for i := 0; i < len(cycle)+wcap; i++ {
+		step()
+	}
+	return step
+}
+
+// BenchmarkDynIndexSlide measures one steady-state window slide, at the
+// small uniform shape and at the serving shape; its allocs/op column
+// guards the persistent-bucket refill reuse.
 func BenchmarkDynIndexSlide(b *testing.B) {
-	for _, dim := range []int{1, 2} {
-		step := dynSlideHarness(dim)
-		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
+	run := func(name string, step func()) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				step()
 			}
 		})
 	}
+	for _, dim := range []int{1, 2} {
+		run(fmt.Sprintf("dim=%d", dim), dynSlideHarness(dim))
+	}
+	run("serving/W=10000", servingSlideHarness())
 }
 
 func TestDynIndexMatchesStaticProperty(t *testing.T) {

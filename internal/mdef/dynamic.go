@@ -14,10 +14,18 @@ import (
 // window without re-scanning it.
 type DynTruth struct {
 	prm Params
-	dim int
 	idx *distance.DynIndex
-	occ map[string]float64
+	// occ counts the points per cell. Like the index's buckets, a cell
+	// emptied by eviction keeps its entry (at zero) so a refill inserts
+	// nothing.
+	occ map[string]*float64
 	n   int
+
+	// Per-call scratch, which makes the steady-state slide
+	// allocation-free and a DynTruth single-goroutine-owned.
+	coords, firsts, lasts []int
+	counts                []float64
+	keyBuf                []byte
 }
 
 // NewDynTruth returns empty ground-truth state for dim-dimensional data.
@@ -29,85 +37,84 @@ func NewDynTruth(prm Params, dim int) *DynTruth {
 		panic("mdef: dim must be positive")
 	}
 	return &DynTruth{
-		prm: prm,
-		dim: dim,
-		idx: distance.NewDynIndex(prm.AlphaR, dim),
-		occ: make(map[string]float64),
+		prm:    prm,
+		idx:    distance.NewDynIndex(prm.AlphaR, dim),
+		occ:    make(map[string]*float64),
+		coords: make([]int, dim),
+		firsts: make([]int, dim),
+		lasts:  make([]int, dim),
+		keyBuf: make([]byte, 0, dim*5),
 	}
 }
 
 // Len returns the number of tracked points.
 func (d *DynTruth) Len() int { return d.n }
 
-func (d *DynTruth) cellOf(p window.Point, coords []int) string {
-	w := 2 * d.prm.AlphaR
-	for i, x := range p {
-		coords[i] = int(math.Floor(x / w))
-	}
-	return keyOf(coords)
-}
-
-// keyOf mirrors the encoding used by BruteForce.
-func keyOf(coords []int) string {
-	b := make([]byte, 0, len(coords)*5)
-	for _, c := range coords {
+// cell returns the occupancy of the cell at d.coords, nil if the cell was
+// never occupied; the key (BruteForce's encoding) is left in d.keyBuf.
+func (d *DynTruth) cell() *float64 {
+	b := d.keyBuf[:0]
+	for _, c := range d.coords {
 		u := uint32(c<<1) ^ uint32(c>>31)
 		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24), ',')
 	}
-	return string(b)
+	d.keyBuf = b
+	return d.occ[string(b)] // string conversion: no alloc on lookup
 }
 
-// Add tracks one point (a window arrival).
+// cellOf returns the occupancy of the cell containing p.
+func (d *DynTruth) cellOf(p window.Point) *float64 {
+	w := 2 * d.prm.AlphaR
+	for i, x := range p {
+		d.coords[i] = int(math.Floor(x / w))
+	}
+	return d.cell()
+}
+
+// Add tracks a copy of p (a window arrival).
 func (d *DynTruth) Add(p window.Point) {
-	coords := make([]int, d.dim)
-	d.occ[d.cellOf(p, coords)]++
-	d.idx.Add(p)
+	d.idx.Add(p) // panics on a dim mismatch before coords is indexed
+	c := d.cellOf(p)
+	if c == nil {
+		c = new(float64)
+		d.occ[string(d.keyBuf)] = c
+	}
+	*c++
 	d.n++
 }
 
-// Remove un-tracks one point (a window eviction). It returns false when
-// the point was not tracked.
+// Remove un-tracks one point equal to p (a window eviction). It returns
+// false when the point was not tracked.
 func (d *DynTruth) Remove(p window.Point) bool {
 	if !d.idx.Remove(p) {
 		return false
 	}
-	coords := make([]int, d.dim)
-	k := d.cellOf(p, coords)
-	if d.occ[k] <= 1 {
-		delete(d.occ, k)
-	} else {
-		d.occ[k]--
-	}
+	*d.cellOf(p)--
 	d.n--
 	return true
+}
+
+// cellStats aggregates the occupied cells of side 2αr intersecting the
+// sampling neighborhood [p-r, p+r], walked in lexicographic order.
+func (d *DynTruth) cellStats(p window.Point) (avg, sigma float64) {
+	for i := range p {
+		d.firsts[i], d.lasts[i] = cellRange(p[i]-d.prm.R, p[i]+d.prm.R, d.prm.AlphaR)
+	}
+	copy(d.coords, d.firsts)
+	d.counts = d.counts[:0]
+	for more := true; more; more = nextCell(d.coords, d.firsts, d.lasts) {
+		if c := d.cell(); c != nil && *c > 0 {
+			d.counts = append(d.counts, *c)
+		}
+	}
+	return cellStats(d.counts)
 }
 
 // Evaluate returns the exact MDEF verdict for p against the tracked set —
 // the per-arrival BruteForce-M decision.
 func (d *DynTruth) Evaluate(p window.Point) Result {
 	np := float64(d.idx.Count(p, d.prm.AlphaR))
-	firsts := make([]int, d.dim)
-	lasts := make([]int, d.dim)
-	for i := range p {
-		firsts[i], lasts[i] = cellRange(p[i]-d.prm.R, p[i]+d.prm.R, d.prm.AlphaR)
-	}
-	coords := make([]int, d.dim)
-	var counts []float64
-	var walk func(dim int)
-	walk = func(dim int) {
-		if dim == d.dim {
-			if c := d.occ[keyOf(coords)]; c > 0 {
-				counts = append(counts, c)
-			}
-			return
-		}
-		for c := firsts[dim]; c <= lasts[dim]; c++ {
-			coords[dim] = c
-			walk(dim + 1)
-		}
-	}
-	walk(0)
-	avg, sig := cellStats(counts)
+	avg, sig := d.cellStats(p)
 	res := Result{Count: np, AvgN: avg}
 	if avg <= 0 {
 		return res
@@ -123,28 +130,7 @@ func (d *DynTruth) Evaluate(p window.Point) Result {
 // n(p,αr) < n̂ − k_σ·σ_n̂, so an early-exit count against that bound
 // suffices.
 func (d *DynTruth) IsOutlier(p window.Point) bool {
-	firsts := make([]int, d.dim)
-	lasts := make([]int, d.dim)
-	for i := range p {
-		firsts[i], lasts[i] = cellRange(p[i]-d.prm.R, p[i]+d.prm.R, d.prm.AlphaR)
-	}
-	coords := make([]int, d.dim)
-	var counts []float64
-	var walk func(dim int)
-	walk = func(dim int) {
-		if dim == d.dim {
-			if c := d.occ[keyOf(coords)]; c > 0 {
-				counts = append(counts, c)
-			}
-			return
-		}
-		for c := firsts[dim]; c <= lasts[dim]; c++ {
-			coords[dim] = c
-			walk(dim + 1)
-		}
-	}
-	walk(0)
-	avg, sig := cellStats(counts)
+	avg, sig := d.cellStats(p)
 	if avg <= 0 {
 		return false
 	}

@@ -107,3 +107,41 @@ func TestDynTruth2D(t *testing.T) {
 		}
 	}
 }
+
+// TestDynTruthSteadyStateAllocs pins the exact MDEF slide (evict oldest +
+// insert newest + the verdict, plus the full Evaluate) at zero allocations
+// once every cell the input cycle touches has been seen: the occupancy
+// map, the neighborhood index and the cell walk all run on scratch held by
+// the DynTruth.
+func TestDynTruthSteadyStateAllocs(t *testing.T) {
+	for dim := 1; dim <= 3; dim++ {
+		const wcap = 128
+		r := stats.NewRand(int64(11 + dim))
+		cycle := make([]window.Point, 512)
+		for i := range cycle {
+			p := make(window.Point, dim)
+			for j := range p {
+				p[j] = r.Float64()
+			}
+			cycle[i] = p
+		}
+		d := NewDynTruth(testParams, dim)
+		pos := 0
+		step := func() {
+			if pos >= wcap && !d.Remove(cycle[(pos-wcap)%len(cycle)]) {
+				panic("mdef: slide harness out of sync")
+			}
+			p := cycle[pos%len(cycle)]
+			d.Add(p)
+			pos++
+			_ = d.IsOutlier(p)
+			_ = d.Evaluate(p)
+		}
+		for i := 0; i < 4*len(cycle); i++ {
+			step()
+		}
+		if avg := testing.AllocsPerRun(200, step); avg != 0 {
+			t.Errorf("dim %d: steady-state slide allocates %v per op, want 0", dim, avg)
+		}
+	}
+}

@@ -120,6 +120,20 @@ func cellRange(lo, hi, alphaR float64) (int, int) {
 	return first, last
 }
 
+// nextCell steps idx through the cell box [firsts, lasts] as an odometer,
+// last dimension fastest (lexicographic order), and reports false once it
+// has wrapped back to firsts.
+func nextCell(idx, firsts, lasts []int) bool {
+	for k := len(idx) - 1; k >= 0; k-- {
+		idx[k]++
+		if idx[k] <= lasts[k] {
+			return true
+		}
+		idx[k] = firsts[k]
+	}
+	return false
+}
+
 // Evaluator carries reusable scratch for repeated MDEF evaluations so the
 // steady-state per-arrival cost allocates nothing. The zero value is
 // ready to use. An Evaluator is single-goroutine-owned (its scratch
@@ -195,13 +209,7 @@ func (ev *Evaluator) Evaluate(m Counter, p window.Point, prm Params) Result {
 			hi[i] = lo[i] + w
 		}
 		ev.los[c], ev.his[c] = lo, hi
-		for k := d - 1; k >= 0; k-- { // odometer: last dimension fastest
-			ev.idx[k]++
-			if ev.idx[k] <= ev.lasts[k] {
-				break
-			}
-			ev.idx[k] = ev.firsts[k]
-		}
+		nextCell(ev.idx, ev.firsts, ev.lasts)
 	}
 
 	if b, ok := m.(BoxBatcher); ok {

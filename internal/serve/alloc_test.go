@@ -24,7 +24,7 @@ func (c constSrc) Seed(int64)     {}
 // steady-state harness), then pins the rng so the measured window is
 // deterministic.
 func hotPipeline(t testing.TB, wcap int) (*Pipeline, func()) {
-	return hotPipelineDrift(t, wcap, DriftConfig{})
+	return hotPipelineKind(t, DetectDistance, wcap, DriftConfig{})
 }
 
 // parkedDetector is the full bank (so every detector's maintenance cost
@@ -63,10 +63,11 @@ func allocDriftArm() DriftConfig {
 	}
 }
 
-// hotPipelineDrift is hotPipeline with an optional drift arm.
-func hotPipelineDrift(t testing.TB, wcap int, darm DriftConfig) (*Pipeline, func()) {
+// hotPipelineKind is hotPipeline for either criterion, with an optional
+// drift arm.
+func hotPipelineKind(t testing.TB, kind DetectorKind, wcap int, darm DriftConfig) (*Pipeline, func()) {
 	t.Helper()
-	pcfg := testPipelineConfig(DetectDistance, 1, wcap, 3)
+	pcfg := testPipelineConfig(kind, 1, wcap, 3)
 	pcfg.Drift = darm
 	p, err := NewPipeline(pcfg)
 	if err != nil {
@@ -106,6 +107,17 @@ func TestIngestHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestIngestHotPathZeroAllocMDEF extends the gate to the MDEF criterion:
+// the exact side (mdef.DynTruth's occupancy map, neighborhood index and
+// cell walk) and the estimate side (the kernel model's batched cell
+// counts through the backend's held Evaluator) both run on held scratch.
+func TestIngestHotPathZeroAllocMDEF(t *testing.T) {
+	_, step := hotPipelineKind(t, DetectMDEF, 200, DriftConfig{})
+	if avg := testing.AllocsPerRun(2000, step); avg != 0 {
+		t.Fatalf("steady-state mdef Ingest allocates %v per reading, want 0", avg)
+	}
+}
+
 // TestIngestHotPathZeroAllocDrift extends the gate to a drift-armed
 // pipeline: the subsampled detector bank (KS window maintenance, PH
 // recursion, MK rank counts) and the periodic JS model signal must ride
@@ -114,7 +126,7 @@ func TestIngestHotPathZeroAlloc(t *testing.T) {
 // actions are rare, amortized events like model rebuilds, which the
 // steady-state regime excludes by construction.
 func TestIngestHotPathZeroAllocDrift(t *testing.T) {
-	p, step := hotPipelineDrift(t, 200, allocDriftArm())
+	p, step := hotPipelineKind(t, DetectDistance, 200, allocDriftArm())
 	if avg := testing.AllocsPerRun(2000, step); avg != 0 {
 		t.Fatalf("steady-state drift-armed Ingest allocates %v per reading, want 0", avg)
 	}

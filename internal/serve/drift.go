@@ -293,16 +293,8 @@ const minShrinkKeep = 16
 // each is removed from the exact index and the logical count decreases
 // (the ring start is derived from head and count, so no data moves).
 func (p *Pipeline) shrinkWindow(keep int) {
-	start := p.head - p.count
-	if start < 0 {
-		start += len(p.ring)
-	}
-	for p.count > keep {
-		p.exactRemove(p.ring[start])
-		start++
-		if start == len(p.ring) {
-			start = 0
-		}
+	for i := p.oldest(); p.count > keep; i = p.next(i) {
+		p.exactRemove(p.slot(i))
 		p.count--
 	}
 }

@@ -199,9 +199,10 @@ type Pipeline struct {
 	kc   *detector.KernelChain
 	sel  []selRule
 
-	// True sliding window: ring owns stable per-slot storage (the exact
-	// index stores points by reference), flat backing, oldest at head.
-	ring  []window.Point
+	// True sliding window: a ring of WindowCap dim-strided slots in flat.
+	// head is the slot the next reading takes and the count slots behind
+	// it hold the window, oldest first. The exact index keeps its own
+	// copies, so nothing refers to a slot across ingests.
 	flat  []float64
 	head  int
 	count int
@@ -251,10 +252,6 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 func (p *Pipeline) initWindow() {
 	w, dim := p.cfg.Core.WindowCap, p.cfg.Core.Dim
 	p.flat = make([]float64, w*dim)
-	p.ring = make([]window.Point, w)
-	for i := range p.ring {
-		p.ring[i] = p.flat[i*dim : (i+1)*dim]
-	}
 	switch p.cfg.Kind {
 	case DetectDistance:
 		p.dyn = distance.NewDynIndex(p.cfg.Distance.Radius, dim)
@@ -312,29 +309,25 @@ func (p *Pipeline) Ingest(v []float64) Verdict { return p.IngestSensor("", v) }
 // IngestSensor folds one reading into the window, the sensor's backend,
 // and the exact index, and returns its verdict. This is the shard hot
 // path: at steady state (between amortized model rebuilds) it performs
-// zero allocations for every backend under the distance criterion. v is
-// copied; the caller keeps ownership.
+// zero allocations for every backend under the distance criterion and
+// for the paper stack under MDEF. v is copied; the caller keeps ownership.
 func (p *Pipeline) IngestSensor(sensor string, v []float64) Verdict {
 	if len(v) != p.cfg.Core.Dim {
 		panic(fmt.Sprintf("serve: reading dim %d, pipeline dim %d", len(v), p.cfg.Core.Dim))
 	}
 	p.seq++
 
-	// Slide the true window: evict the slot the new reading will occupy,
-	// then claim its stable storage. Remove must precede the overwrite
-	// because the exact index holds the slot by reference.
-	slot := p.ring[p.head]
-	if p.count == len(p.ring) {
+	// Slide the true window: a full window evicts its oldest reading,
+	// which sits in the slot the new one takes.
+	slot := p.slot(p.head)
+	if p.count == p.cfg.Core.WindowCap {
 		p.exactRemove(slot)
 	} else {
 		p.count++
 	}
 	copy(slot, v)
 	p.exactAdd(slot)
-	p.head++
-	if p.head == len(p.ring) {
-		p.head = 0
-	}
+	p.head = p.next(p.head)
 
 	dv := p.route(sensor).Ingest(slot)
 	ver := Verdict{Seq: p.seq, Outlier: dv.Outlier, Warmed: dv.Warmed}
@@ -353,11 +346,18 @@ func (p *Pipeline) exactAdd(pt window.Point) {
 	}
 }
 
+// exactRemove evicts a window point from the exact index. The point is in
+// the window, so the index must hold it; a miss means the two have
+// diverged and every later Exact verdict would be wrong.
 func (p *Pipeline) exactRemove(pt window.Point) {
+	var ok bool
 	if p.dyn != nil {
-		p.dyn.Remove(pt)
+		ok = p.dyn.Remove(pt)
 	} else {
-		p.truth.Remove(pt)
+		ok = p.truth.Remove(pt)
+	}
+	if !ok {
+		panic("serve: exact index out of sync")
 	}
 }
 
@@ -405,18 +405,25 @@ func (p *Pipeline) QueryProbSensor(sensor string, v []float64, r float64) float6
 	return pe.QueryProb(v, r)
 }
 
-// windowPoints appends the window's points oldest→newest to dst.
-func (p *Pipeline) windowPoints(dst []window.Point) []window.Point {
-	start := p.head - p.count
-	if start < 0 {
-		start += len(p.ring)
+// slot returns ring slot i of the window backing.
+func (p *Pipeline) slot(i int) window.Point {
+	dim := p.cfg.Core.Dim
+	return p.flat[i*dim : (i+1)*dim]
+}
+
+// next returns the ring slot after i.
+func (p *Pipeline) next(i int) int {
+	if i++; i == p.cfg.Core.WindowCap {
+		return 0
 	}
-	for i := 0; i < p.count; i++ {
-		j := start + i
-		if j >= len(p.ring) {
-			j -= len(p.ring)
-		}
-		dst = append(dst, p.ring[j])
+	return i
+}
+
+// oldest returns the ring slot of the window's oldest point.
+func (p *Pipeline) oldest() int {
+	i := p.head - p.count
+	if i < 0 {
+		i += p.cfg.Core.WindowCap
 	}
-	return dst
+	return i
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -9,7 +10,6 @@ import (
 	"odds/internal/detector"
 	"odds/internal/drift"
 	"odds/internal/kernel"
-	"odds/internal/window"
 )
 
 // Snapshot formats. A pipeline snapshot ("ODPS" v2) is the complete
@@ -40,8 +40,8 @@ func (p *Pipeline) Snapshot() ([]byte, error) {
 	w.U32(pipelineVersion)
 	w.U64(p.seq)
 	w.U32(uint32(p.count))
-	for _, pt := range p.windowPoints(make([]window.Point, 0, p.count)) {
-		w.F64s(pt)
+	for i, n := p.oldest(), 0; n < p.count; i, n = p.next(i), n+1 {
+		w.F64s(p.slot(i))
 	}
 	w.U32(uint32(len(p.dets)))
 	for _, d := range p.dets {
@@ -104,13 +104,17 @@ func RestorePipeline(cfg PipelineConfig, data []byte) (*Pipeline, error) {
 	dim := cfg.Core.Dim
 	count := r.Count(8*dim, cfg.Core.WindowCap)
 	for i := 0; i < count; i++ {
-		slot := p.ring[p.head]
+		slot := p.slot(p.head)
 		r.F64s(slot)
-		p.exactAdd(slot)
-		p.head++
-		if p.head == len(p.ring) {
-			p.head = 0
+		for _, x := range slot {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				// Nothing the wire admits; a NaN equals nothing, so the
+				// exact index could never evict it.
+				return fail("non-finite window value")
+			}
 		}
+		p.exactAdd(slot)
+		p.head = p.next(p.head)
 	}
 	p.count = count
 	if ndets := int(r.U32()); r.Err() == nil && ndets != len(p.dets) {

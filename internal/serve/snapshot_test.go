@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 
 	"odds/internal/core"
@@ -186,5 +188,32 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeFile(data, 4, cfg); err == nil {
 		t.Fatal("shard count mismatch accepted")
+	}
+}
+
+// TestRestoreRejectsNonFiniteWindow pins that a snapshot whose window
+// holds a NaN fails to restore: the exact index finds points by equality,
+// so it could never evict one, and the eviction would panic a window
+// later.
+func TestRestoreRejectsNonFiniteWindow(t *testing.T) {
+	pcfg := testPipelineConfig(DetectDistance, 1, 32, 5)
+	p, err := NewPipeline(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		p.Ingest([]float64{float64(i%7) / 7})
+	}
+	blob, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestorePipeline(pcfg, blob); err != nil {
+		t.Fatalf("pristine snapshot: %v", err)
+	}
+	const firstValue = 4 + 4 + 8 + 4 // magic, version, seq, count
+	binary.LittleEndian.PutUint64(blob[firstValue+8*3:], math.Float64bits(math.NaN()))
+	if _, err := RestorePipeline(pcfg, blob); err == nil {
+		t.Fatal("restored a window holding NaN")
 	}
 }
