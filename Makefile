@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild serve-smoke cluster-smoke chaos cluster-chaos experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild serve-smoke cluster-smoke chaos cluster-chaos experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec test race
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,17 @@ check-nodeclient:
 	if [ -n "$$bad$$vocab" ]; then \
 		echo "node HTTP contract spelled outside internal/serve/client.go and its handlers:"; \
 		echo "$$bad"; echo "$$vocab"; exit 1; \
+	fi
+
+# One JSON ingest codec: node and router decode /ingest bodies with
+# serve.DecodeIngestJSON and render replies with serve.AppendIngestJSON.
+# A json.NewDecoder( in either handler file is the reflection path — and
+# its decode into an unzeroed pooled slice — creeping back.
+check-jsoncodec:
+	@bad=$$(grep -n 'json\.NewDecoder(' internal/serve/http.go internal/cluster/router_http.go); \
+	if [ -n "$$bad" ]; then \
+		echo "encoding/json decoder in an /ingest handler file (use serve.DecodeIngestJSON):"; \
+		echo "$$bad"; exit 1; \
 	fi
 
 # The serving benchmark BENCHMARK.json declares (bench/README.md): every

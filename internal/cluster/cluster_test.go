@@ -419,6 +419,8 @@ func TestRouterIngestErrorParity(t *testing.T) {
 	}
 	cases := []parityCase{
 		{"json body over the cap", "POST", "/ingest", "application/json", padding, http.StatusRequestEntityTooLarge},
+		{"json trailing bytes after the object", "POST", "/ingest", "application/json", []byte(`{"readings":[{"sensor":"s","value":[0.5]}]} x`), http.StatusBadRequest},
+		{"json reading without a value", "POST", "/ingest", "application/json", []byte(`{"readings":[{"sensor":"s"}]}`), http.StatusBadRequest},
 		{"binary body over the cap", "POST", "/ingest", serve.ContentTypeBinary, padding, http.StatusRequestEntityTooLarge},
 		{"binary batch over the cap", "POST", "/ingest", serve.ContentTypeBinary, serve.AppendBatch(nil, big, 1, tc.router.fp), http.StatusRequestEntityTooLarge},
 		{"unknown content type", "POST", "/ingest", "text/csv", []byte("s,0.5\n"), http.StatusUnsupportedMediaType},

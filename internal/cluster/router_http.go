@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -64,27 +63,17 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
+	body, err := io.ReadAll(req.Body)
 	var readings []serve.Reading
-	if binary {
-		body, err := io.ReadAll(req.Body)
-		if err == nil {
-			readings, err = serve.DecodeBatchInto(body, nil, r.dim, routerMaxBatch, r.fp, &r.names)
-		}
-		if err != nil {
-			serve.WriteErr(w, serve.IngestDecodeStatus(err), err)
-			return
-		}
-	} else {
-		var in serve.IngestRequest
-		if err := json.NewDecoder(req.Body).Decode(&in); err != nil {
-			serve.WriteErr(w, serve.IngestDecodeStatus(err), err)
-			return
-		}
-		readings = in.Readings
+	switch {
+	case err != nil:
+	case binary:
+		readings, err = serve.DecodeBatchInto(body, nil, r.dim, routerMaxBatch, r.fp, &r.names)
+	default:
+		readings, err = serve.DecodeIngestJSON(body, nil, routerMaxBatch, &r.names)
 	}
-	if len(readings) > routerMaxBatch {
-		serve.WriteErr(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d readings exceeds max %d", len(readings), routerMaxBatch))
+	if err != nil {
+		serve.WriteErr(w, serve.IngestDecodeStatus(err), err)
 		return
 	}
 
@@ -100,18 +89,10 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		status = http.StatusTooManyRequests
 	}
 	if binary {
-		out := serve.AppendResults(nil, results, rejected, retryMS)
-		w.Header().Set("Content-Type", serve.ContentTypeBinary)
-		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-		w.WriteHeader(status)
-		_, _ = w.Write(out)
-		return
+		serve.WriteBody(w, status, serve.ContentTypeBinary, serve.AppendResults(nil, results, rejected, retryMS))
+	} else {
+		serve.WriteBody(w, status, "application/json", serve.AppendIngestJSON(nil, results, rejected, retryMS))
 	}
-	resp := serve.IngestResponse{Results: results, Rejected: rejected}
-	if rejected > 0 {
-		resp.RetryAfterMS = retryMS
-	}
-	serve.WriteJSON(w, status, resp)
 }
 
 // proxyQuery relays a read-only query to the shard's primary node.
@@ -134,9 +115,7 @@ func (r *Router) proxyQuery(w http.ResponseWriter, req *http.Request) {
 		serve.WriteErr(w, http.StatusBadGateway, err)
 		return
 	}
-	w.Header().Set("Content-Type", contentType)
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
+	serve.WriteBody(w, status, contentType, body)
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {

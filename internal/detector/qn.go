@@ -103,9 +103,13 @@ type Qn struct {
 	flagged uint64
 }
 
-// qnGrowTuples is generous headroom for GK tuple growth (it grows with
-// log(εn)), so steady-state inserts never reallocate sketch storage.
-const qnGrowTuples = 4096
+// qnGrowTuples is headroom for GK tuple growth (it grows with log(εn)),
+// so steady-state inserts never reallocate sketch storage: a sketch at
+// the default ε holds ≈ 50 tuples at 10⁶ readings, and each of a
+// dimension's two sketches pre-allocates this many twice (tuples and
+// flush scratch, 24 B each). A sketch that outgrows it pays an amortised
+// append.
+const qnGrowTuples = 512
 
 func newQn(cfg Config) *Qn {
 	q := &Qn{

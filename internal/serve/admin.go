@@ -364,9 +364,7 @@ func (s *Server) handleAdminShard(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		frame := AppendShipFrame(nil, id, fingerprint(s.cfg.Shards, s.cfg.Pipeline), blob)
-		w.Header().Set("Content-Type", "application/x-odds-snapshot")
-		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-		_, _ = w.Write(frame)
+		WriteBody(w, http.StatusOK, "application/x-odds-snapshot", frame)
 		return
 	case ShardSeal:
 		err = s.SealShard(id)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -208,5 +209,41 @@ func TestWireIngestZeroAlloc(t *testing.T) {
 
 	if avg := testing.AllocsPerRun(200, step); avg != 0 {
 		t.Fatalf("steady-state binary ingest round allocates %v per batch, want 0", avg)
+	}
+}
+
+// TestJSONIngestZeroAlloc is the JSON codec's share of the same guard:
+// at steady state, decoding a canonical 64-reading body into recycled
+// scratch and appending its reply into a reused buffer allocates nothing.
+func TestJSONIngestZeroAlloc(t *testing.T) {
+	src := rand.New(rand.NewSource(11))
+	readings := make([]Reading, 64)
+	results := make([]ReadingResult, len(readings))
+	for i := range readings {
+		readings[i] = Reading{Sensor: "s" + string(rune('0'+i%8)), Value: []float64{src.Float64(), src.NormFloat64() * 1e-9}}
+		results[i] = ReadingResult{Shard: i % 8, Accepted: true, Seq: uint64(1000 + i), Warmed: true}
+	}
+	body, err := json.Marshal(IngestRequest{Readings: readings})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		names Interner
+		dst   []Reading
+		out   []byte
+	)
+	step := func() {
+		var err error
+		if dst, err = DecodeIngestJSON(body, dst, 8192, &names); err != nil {
+			t.Fatal(err)
+		}
+		out = AppendIngestJSON(out[:0], results, 0, 0)
+	}
+	step()
+	if !sameReadings(dst, readings) {
+		t.Fatalf("decoded %+v, want %+v", dst, readings)
+	}
+	if avg := testing.AllocsPerRun(200, step); avg != 0 {
+		t.Fatalf("steady-state JSON decode + append allocates %v per batch, want 0", avg)
 	}
 }

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
+	"strconv"
 	"sync"
 
 	"odds/internal/binfmt"
@@ -62,8 +64,9 @@ const (
 	wireResultLen       = 11
 	wireStreamHeaderLen = 8
 
-	// maxSensorLen bounds sensor-id bytes in a binary frame; the JSON
-	// path is bounded by MaxBodyBytes alone.
+	// maxSensorLen bounds sensor-id bytes in a binary frame and in what
+	// the JSON scanner takes; a longer id in a JSON body is encoding/json's
+	// to decode, bounded by MaxBodyBytes alone.
 	maxSensorLen = 255
 )
 
@@ -210,6 +213,264 @@ func DecodeBatchInto(data []byte, dst []Reading, dim, maxBatch int, fp uint64, n
 		return nil, errFrameTrailing
 	}
 	return dst, nil
+}
+
+// JSON ingest mirrors the binary path: the canonical body — what
+// json.Marshal of an IngestRequest produces, in either key order and with
+// any JSON whitespace — is decoded by a strict scanner into pooled
+// scratch, and the reply is appended byte-for-byte as json.Encoder would
+// write it. Anything else the scanner declines to encoding/json, so every
+// odd-but-valid body and every error text stay encoding/json's.
+
+// DecodeIngestJSON decodes a JSON /ingest body into dst, reusing dst's
+// backing array and each element's Value capacity and interning sensor
+// ids, so the steady-state decode of a canonical body allocates nothing.
+// Every returned element is overwritten whole: nothing a pooled dst held
+// before survives into the batch. A body of more than maxBatch readings
+// fails with errBatchTooLarge without being parsed to the end.
+func DecodeIngestJSON(body []byte, dst []Reading, maxBatch int, names *Interner) ([]Reading, error) {
+	s := jsonScan{b: body}
+	if out, ok := s.readings(dst[:cap(dst)], maxBatch, names); ok {
+		if len(out) > maxBatch {
+			return nil, fmt.Errorf("%w: more than %d readings", errBatchTooLarge, maxBatch)
+		}
+		return out, nil
+	}
+	var req IngestRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, err
+	}
+	if len(req.Readings) > maxBatch {
+		return nil, fmt.Errorf("%w: %d readings, max %d", errBatchTooLarge, len(req.Readings), maxBatch)
+	}
+	return append(dst[:0], req.Readings...), nil
+}
+
+// jsonScan is a cursor over a JSON /ingest body. Its methods report false
+// wherever the body leaves the canonical grammar; they never report an
+// error of their own.
+type jsonScan struct {
+	b []byte
+	i int
+}
+
+// peek returns the byte at the cursor, 0 at the end of the body.
+func (s *jsonScan) peek() byte {
+	if s.i < len(s.b) {
+		return s.b[s.i]
+	}
+	return 0
+}
+
+// ws skips JSON whitespace.
+func (s *jsonScan) ws() {
+	for c := s.peek(); c == ' ' || c == '\t' || c == '\r' || c == '\n'; c = s.peek() {
+		s.i++
+	}
+}
+
+// eat skips JSON whitespace and consumes lit if it is next.
+func (s *jsonScan) eat(lit string) bool {
+	s.ws()
+	if len(s.b)-s.i < len(lit) || string(s.b[s.i:s.i+len(lit)]) != lit {
+		return false
+	}
+	s.i += len(lit)
+	return true
+}
+
+// readings scans {"readings":[{"sensor":S,"value":[N…]}…]} into dst (at
+// full capacity). It stops, returning maxBatch+1 elements, at the first
+// reading past the cap.
+func (s *jsonScan) readings(dst []Reading, maxBatch int, names *Interner) ([]Reading, bool) {
+	if !(s.eat(`{`) && s.eat(`"readings"`) && s.eat(`:`) && s.eat(`[`)) {
+		return nil, false
+	}
+	for n := 0; ; {
+		if !s.eat(`{`) {
+			return nil, false
+		}
+		if n == len(dst) {
+			dst = append(dst, Reading{})
+			dst = dst[:cap(dst)]
+		}
+		if n == maxBatch {
+			return dst[:n+1], true
+		}
+		rd, ok := &dst[n], false
+		if s.eat(`"sensor"`) {
+			ok = s.sensor(rd, names) && s.eat(`,`) && s.eat(`"value"`) && s.value(rd)
+		} else {
+			ok = s.eat(`"value"`) && s.value(rd) && s.eat(`,`) && s.eat(`"sensor"`) && s.sensor(rd, names)
+		}
+		if !ok || !s.eat(`}`) {
+			return nil, false
+		}
+		n++
+		if s.eat(`]`) {
+			ok = s.eat(`}`)
+			s.ws()
+			return dst[:n], ok && s.i == len(s.b)
+		}
+		if !s.eat(`,`) {
+			return nil, false
+		}
+	}
+}
+
+// sensor scans :"id" — escape-free ASCII, at most maxSensorLen bytes.
+func (s *jsonScan) sensor(rd *Reading, names *Interner) bool {
+	if !s.eat(`:`) || !s.eat(`"`) {
+		return false
+	}
+	for start := s.i; s.i-start <= maxSensorLen; s.i++ {
+		switch c := s.peek(); {
+		case c == '"':
+			rd.Sensor = names.intern(s.b[start:s.i])
+			s.i++
+			return true
+		case c < 0x20 || c >= 0x80 || c == '\\':
+			return false
+		}
+	}
+	return false
+}
+
+// value scans :[N,…] — one or more strict JSON numbers, each converted
+// as encoding/json converts it.
+func (s *jsonScan) value(rd *Reading) bool {
+	if !s.eat(`:`) || !s.eat(`[`) {
+		return false
+	}
+	v := rd.Value[:0]
+	for {
+		s.ws()
+		start := s.i
+		if !s.number() {
+			return false
+		}
+		// The conversion stays on the stack for literals up to 32 bytes.
+		x, err := strconv.ParseFloat(string(s.b[start:s.i]), 64)
+		if err != nil {
+			return false
+		}
+		v = append(v, x)
+		if s.eat(`]`) {
+			rd.Value = v
+			return true
+		}
+		if !s.eat(`,`) {
+			return false
+		}
+	}
+}
+
+// number advances over -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
+func (s *jsonScan) number() bool {
+	if s.peek() == '-' {
+		s.i++
+	}
+	if s.peek() == '0' {
+		s.i++
+	} else if !s.digits() {
+		return false
+	}
+	if s.peek() == '.' {
+		s.i++
+		if !s.digits() {
+			return false
+		}
+	}
+	if c := s.peek(); c == 'e' || c == 'E' {
+		s.i++
+		if c := s.peek(); c == '+' || c == '-' {
+			s.i++
+		}
+		return s.digits()
+	}
+	return true
+}
+
+// digits advances over [0-9]+.
+func (s *jsonScan) digits() bool {
+	start := s.i
+	for c := s.peek(); c >= '0' && c <= '9'; c = s.peek() {
+		s.i++
+	}
+	return s.i > start
+}
+
+// AppendIngestJSON appends an ingest reply as json.Encoder writes an
+// IngestResponse, trailing newline included.
+func AppendIngestJSON(dst []byte, results []ReadingResult, rejected int, retryMS int64) []byte {
+	dst = append(dst, `{"results":[`...)
+	for i := range results {
+		r := &results[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"shard":`...)
+		dst = strconv.AppendInt(dst, int64(r.Shard), 10)
+		dst = append(dst, `,"accepted":`...)
+		dst = strconv.AppendBool(dst, r.Accepted)
+		if r.Seq != 0 {
+			dst = append(dst, `,"seq":`...)
+			dst = strconv.AppendUint(dst, r.Seq, 10)
+		}
+		dst = appendVerdictJSON(dst, r.Outlier, r.Exact, r.Warmed)
+	}
+	dst = append(dst, `],"rejected":`...)
+	dst = strconv.AppendInt(dst, int64(rejected), 10)
+	if retryMS != 0 {
+		dst = append(dst, `,"retry_after_ms":`...)
+		dst = strconv.AppendInt(dst, retryMS, 10)
+	}
+	return append(dst, "}\n"...)
+}
+
+// appendVerdictJSON closes a result or query object with its three flags.
+func appendVerdictJSON(dst []byte, outlier, exact, warmed bool) []byte {
+	dst = append(dst, `,"outlier":`...)
+	dst = strconv.AppendBool(dst, outlier)
+	dst = append(dst, `,"exact":`...)
+	dst = strconv.AppendBool(dst, exact)
+	dst = append(dst, `,"warmed":`...)
+	dst = strconv.AppendBool(dst, warmed)
+	return append(dst, '}')
+}
+
+// appendQueryJSON appends a /query/outlier reply as json.Encoder writes it.
+func appendQueryJSON(dst []byte, q QueryResponse) []byte {
+	dst = append(dst, `{"shard":`...)
+	dst = strconv.AppendInt(dst, int64(q.Shard), 10)
+	dst = append(dst, `,"seq":`...)
+	dst = strconv.AppendUint(dst, q.Seq, 10)
+	return append(appendVerdictJSON(dst, q.Outlier, q.Exact, q.Warmed), '\n')
+}
+
+// appendProbJSON appends a /query/prob reply as json.Encoder writes it;
+// p.Prob must be finite.
+func appendProbJSON(dst []byte, p ProbResponse) []byte {
+	dst = append(dst, `{"shard":`...)
+	dst = strconv.AppendInt(dst, int64(p.Shard), 10)
+	dst = append(dst, `,"prob":`...)
+	return append(appendJSONFloat(dst, p.Prob), "}\n"...)
+}
+
+// appendJSONFloat appends a finite f in encoding/json's float64 format:
+// the shortest digits that round-trip, exponent form below 1e-6 and from
+// 1e21, a one-digit negative exponent written without its leading zero.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // Result flag bits in ODWR frames and verdict stream frames.

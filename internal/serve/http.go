@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -76,6 +78,15 @@ func WriteErr(w http.ResponseWriter, status int, err error) {
 	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// WriteBody answers status with an encoded body, written once under its
+// Content-Length.
+func WriteBody(w http.ResponseWriter, status int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
 // RequireMethod answers 405 with an Allow header unless the request uses
 // the given method. Every endpoint fails closed on method mismatch.
 func RequireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
@@ -135,6 +146,11 @@ func NegotiateIngest(w http.ResponseWriter, ct string) (binary, ok bool) {
 	return false, false
 }
 
+// handleIngest is one path for both codecs: read the body into pooled
+// scratch, decode it (interned sensors, recycled Value arrays, every
+// element overwritten), route through the pooled core, and encode the
+// reply into a reused buffer written once — zero steady-state allocations
+// per reading. The codec matters only at the two ends.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !RequireMethod(w, r, http.MethodPost) {
 		return
@@ -142,84 +158,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.checkEpoch(w, r) {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	binary, ok := NegotiateIngest(w, r.Header.Get("Content-Type"))
-	switch {
-	case !ok:
-	case binary:
-		s.handleIngestBinary(w, r)
-	default:
-		s.handleIngestJSON(w, r)
+	if !ok {
+		return
 	}
-}
-
-func (s *Server) handleIngestJSON(w http.ResponseWriter, r *http.Request) {
 	sc := s.getScratch()
-	// Decode into the pooled readings slice so a steady stream of
-	// same-shaped batches reuses both the slice and each element's
-	// Value backing array.
-	req := IngestRequest{Readings: sc.readings[:0]}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.scratch.Put(sc)
-		WriteErr(w, IngestDecodeStatus(err), err)
-		return
-	}
-	sc.readings = req.Readings
-	if len(req.Readings) > s.cfg.MaxBatch {
-		s.scratch.Put(sc)
-		WriteErr(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d readings exceeds max %d", len(req.Readings), s.cfg.MaxBatch))
-		return
-	}
-	if len(req.Readings) == 0 {
-		s.scratch.Put(sc)
-		WriteJSON(w, http.StatusOK, IngestResponse{Results: []ReadingResult{}})
-		return
-	}
-	sc.results = growResults(sc.results, len(req.Readings))
-	rejected, err := s.ingestInto(req.Readings, sc.results, &sc.route)
-	if err != nil {
-		// A failed round may leave an un-awaited reply in a pooled
-		// channel; drop the scratch rather than poison the pool.
-		WriteErr(w, ingestErrStatus(err), err)
-		return
-	}
-	resp := IngestResponse{Results: sc.results, Rejected: rejected}
-	status := http.StatusOK
-	if rejected > 0 {
-		resp.RetryAfterMS = s.cfg.RetryAfter.Milliseconds()
-		if rejected == len(req.Readings) {
-			// Nothing was admitted: a pure backpressure reply.
-			w.Header().Set("Retry-After", retryAfterSecs(s.cfg.RetryAfter.Seconds()))
-			status = http.StatusTooManyRequests
-		}
-	}
-	WriteJSON(w, status, resp)
-	s.scratch.Put(sc)
-}
-
-func retryAfterSecs(secs float64) string {
-	n := int(secs)
-	if n < 1 {
-		n = 1
-	}
-	return strconv.Itoa(n)
-}
-
-// handleIngestBinary is the ODWP path: read the body into pooled scratch,
-// decode the frame (interned sensors, recycled Value arrays), route
-// through the same pooled core as JSON, and encode the ODWR reply into a
-// reused buffer — zero steady-state allocations per reading.
-func (s *Server) handleIngestBinary(w http.ResponseWriter, r *http.Request) {
-	sc := s.getScratch()
-	body, err := readAllInto(sc.body, r.Body)
+	body, err := readAllInto(sc.body, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	sc.body = body
-	if err != nil {
-		s.scratch.Put(sc)
-		WriteErr(w, IngestDecodeStatus(err), err)
-		return
+	var readings []Reading
+	switch {
+	case err != nil:
+	case binary:
+		readings, err = DecodeBatchInto(body, sc.readings, s.cfg.Pipeline.Core.Dim, s.cfg.MaxBatch, s.wireFP, &s.names)
+	default:
+		readings, err = DecodeIngestJSON(body, sc.readings, s.cfg.MaxBatch, &s.names)
 	}
-	readings, err := DecodeBatchInto(body, sc.readings, s.cfg.Pipeline.Core.Dim, s.cfg.MaxBatch, s.wireFP, &s.names)
 	if err != nil {
 		s.scratch.Put(sc)
 		WriteErr(w, IngestDecodeStatus(err), err)
@@ -229,7 +182,8 @@ func (s *Server) handleIngestBinary(w http.ResponseWriter, r *http.Request) {
 	sc.results = growResults(sc.results, len(readings))
 	rejected, err := s.ingestInto(readings, sc.results, &sc.route)
 	if err != nil {
-		// Same pool-poisoning discipline as the JSON path: drop sc.
+		// A failed round may leave an un-awaited reply in a pooled
+		// channel; drop the scratch rather than poison the pool.
 		WriteErr(w, ingestErrStatus(err), err)
 		return
 	}
@@ -238,16 +192,27 @@ func (s *Server) handleIngestBinary(w http.ResponseWriter, r *http.Request) {
 	if rejected > 0 {
 		retryMS = s.cfg.RetryAfter.Milliseconds()
 		if rejected == len(readings) {
+			// Nothing was admitted: a pure backpressure reply.
 			w.Header().Set("Retry-After", retryAfterSecs(s.cfg.RetryAfter.Seconds()))
 			status = http.StatusTooManyRequests
 		}
 	}
-	sc.out = AppendResults(sc.out[:0], sc.results, rejected, retryMS)
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.Header().Set("Content-Length", strconv.Itoa(len(sc.out)))
-	w.WriteHeader(status)
-	_, _ = w.Write(sc.out)
+	if binary {
+		sc.out = AppendResults(sc.out[:0], sc.results, rejected, retryMS)
+		WriteBody(w, status, ContentTypeBinary, sc.out)
+	} else {
+		sc.out = AppendIngestJSON(sc.out[:0], sc.results, rejected, retryMS)
+		WriteBody(w, status, "application/json", sc.out)
+	}
 	s.scratch.Put(sc)
+}
+
+func retryAfterSecs(secs float64) string {
+	n := int(secs)
+	if n < 1 {
+		n = 1
+	}
+	return strconv.Itoa(n)
 }
 
 // readAllInto is io.ReadAll into a reused buffer: once the buffer has
@@ -290,18 +255,27 @@ func (s *Server) parseVec(raw string) ([]float64, error) {
 	return v, nil
 }
 
+// queryTarget reads the sensor and v parameters both query endpoints
+// share, answering 400 itself when either is unusable.
+func (s *Server) queryTarget(w http.ResponseWriter, q url.Values) (sensor string, v []float64, ok bool) {
+	if sensor = q.Get("sensor"); sensor == "" {
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("missing sensor parameter"))
+		return "", nil, false
+	}
+	v, err := s.parseVec(q.Get("v"))
+	if err != nil {
+		WriteErr(w, http.StatusBadRequest, err)
+		return "", nil, false
+	}
+	return sensor, v, true
+}
+
 func (s *Server) handleQueryOutlier(w http.ResponseWriter, r *http.Request) {
 	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
-	sensor := r.URL.Query().Get("sensor")
-	if sensor == "" {
-		WriteErr(w, http.StatusBadRequest, fmt.Errorf("missing sensor parameter"))
-		return
-	}
-	v, err := s.parseVec(r.URL.Query().Get("v"))
-	if err != nil {
-		WriteErr(w, http.StatusBadRequest, err)
+	sensor, v, ok := s.queryTarget(w, r.URL.Query())
+	if !ok {
 		return
 	}
 	resp, err := s.QueryOutlier(sensor, v)
@@ -309,34 +283,32 @@ func (s *Server) handleQueryOutlier(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, queryErrStatus(err), err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	WriteBody(w, http.StatusOK, "application/json", appendQueryJSON(make([]byte, 0, 96), resp))
 }
 
 func (s *Server) handleQueryProb(w http.ResponseWriter, r *http.Request) {
 	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
-	sensor := r.URL.Query().Get("sensor")
-	if sensor == "" {
-		WriteErr(w, http.StatusBadRequest, fmt.Errorf("missing sensor parameter"))
+	q := r.URL.Query()
+	sensor, v, ok := s.queryTarget(w, q)
+	if !ok {
 		return
 	}
-	v, err := s.parseVec(r.URL.Query().Get("v"))
-	if err != nil {
-		WriteErr(w, http.StatusBadRequest, err)
-		return
-	}
-	radius, err := strconv.ParseFloat(r.URL.Query().Get("r"), 64)
+	radius, err := strconv.ParseFloat(q.Get("r"), 64)
 	if err != nil || radius <= 0 {
 		WriteErr(w, http.StatusBadRequest, fmt.Errorf("r must be a positive number"))
 		return
 	}
 	resp, err := s.QueryProb(sensor, v, radius)
-	if err != nil {
+	switch {
+	case err != nil:
 		WriteErr(w, queryErrStatus(err), err)
-		return
+	case math.IsNaN(resp.Prob) || math.IsInf(resp.Prob, 0):
+		WriteJSON(w, http.StatusOK, resp) // encoding/json refuses it; counted there
+	default:
+		WriteBody(w, http.StatusOK, "application/json", appendProbJSON(make([]byte, 0, 64), resp))
 	}
-	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -70,6 +70,10 @@ func TestIngestErrorPaths(t *testing.T) {
 		{"json oversized body", "application/json",
 			[]byte(`{"readings":[{"sensor":"` + strings.Repeat("x", 8192) + `","value":[1]}]}`),
 			http.StatusRequestEntityTooLarge},
+		{"json trailing bytes", "application/json",
+			[]byte(`{"readings":[{"sensor":"a","value":[0.5]}]} x`), http.StatusBadRequest},
+		{"json reading without a value", "application/json",
+			[]byte(`{"readings":[{"sensor":"a"}]}`), http.StatusBadRequest},
 		{"wrong content type", "text/csv", []byte("a,0.5"), http.StatusUnsupportedMediaType},
 		{"binary empty body", ContentTypeBinary, nil, http.StatusBadRequest},
 		{"binary truncated frame", ContentTypeBinary, goodFrame[:len(goodFrame)-6], http.StatusBadRequest},
@@ -116,6 +120,78 @@ func TestIngestErrorPaths(t *testing.T) {
 	}
 	if _, _, _, err := DecodeResultsInto(body, nil); err != nil {
 		t.Fatalf("binary reply does not decode: %v", err)
+	}
+}
+
+// TestIngestJSONDoesNotInheritPooledReadings is the regression test for
+// the JSON path decoding into a pooled slice whose elements encoding/json
+// reused without zeroing them: a reading that omitted "value" was ingested
+// with the value the slot last held, one that omitted "sensor" under
+// another request's sensor id. Both must decode as they would into a
+// zeroed request. The pool may drop a scratch (it does so at random under
+// the race detector), hence the rounds: a correct server passes every one.
+func TestIngestJSONDoesNotInheritPooledReadings(t *testing.T) {
+	const shards = 4
+	srv := mustServer(t, testServerConfig(shards, 1))
+	defer srv.Close()
+	h := srv.Handler()
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body)))
+		return rec
+	}
+	arrivals := func() (total uint64) {
+		st, err := srv.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range st.PerShard {
+			total += sh.Arrivals
+		}
+		return total
+	}
+	// A donor id on another shard than the empty id's, so inheriting it shows.
+	secret := "secret"
+	for ShardOf(secret, shards) == ShardOf("", shards) {
+		secret += "!"
+	}
+	for round := 0; round < 16; round++ {
+		if rec := post(`{"readings":[{"sensor":"` + secret + `","value":[0.77]}]}`); rec.Code != http.StatusOK {
+			t.Fatalf("round %d: well-formed ingest: status %d: %s", round, rec.Code, rec.Body)
+		}
+		before := arrivals()
+		rec := post(`{"readings":[{"sensor":"x"}]}`)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "dim 0, want 1") {
+			t.Fatalf("round %d: reading without a value: status %d: %s", round, rec.Code, rec.Body)
+		}
+		if after := arrivals(); after != before {
+			t.Fatalf("round %d: refused request moved arrivals %d -> %d", round, before, after)
+		}
+		rec = post(`{"readings":[{"value":[0.5]}]}`)
+		var resp IngestResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK || len(resp.Results) != 1 {
+			t.Fatalf("round %d: reading without a sensor: status %d: %s", round, rec.Code, rec.Body)
+		}
+		if got, want := resp.Results[0].Shard, ShardOf("", shards); got != want {
+			t.Fatalf("round %d: reading without a sensor routed to shard %d, want %d (the empty id's)", round, got, want)
+		}
+	}
+}
+
+// TestIngestJSONEmptyBatch: a body with no readings takes the same path as
+// any other batch and is answered 200 with the bytes it always was, on a
+// single-shard server (whose whole batch is the sub-batch) and a sharded one.
+func TestIngestJSONEmptyBatch(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		srv := mustServer(t, testServerConfig(shards, 1))
+		for _, body := range []string{`{}`, `{"readings":[]}`, `{"readings":null}`} {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body)))
+			if got := rec.Body.String(); rec.Code != http.StatusOK || got != "{\"results\":[],\"rejected\":0}\n" {
+				t.Errorf("%d shards, body %s: status %d, reply %q", shards, body, rec.Code, got)
+			}
+		}
+		srv.Close()
 	}
 }
 

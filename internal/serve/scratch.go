@@ -8,7 +8,7 @@ package serve
 
 // ingestScratch is one request's worth of reusable buffers.
 type ingestScratch struct {
-	body     []byte          // request body (binary path reads into this)
+	body     []byte          // request body, either codec
 	readings []Reading       // decoded batch; elements keep Value capacity
 	results  []ReadingResult // per-reading verdicts in request order
 	out      []byte          // encoded response frame

@@ -405,8 +405,8 @@ func (s *Server) Ingest(readings []Reading) ([]ReadingResult, int, error) {
 	return results, rejected, nil
 }
 
-// ingestInto is the pooled ingest core shared by the JSON handler, the
-// binary handler, and Ingest: route readings to shards, offer sub-batches
+// ingestInto is the pooled ingest core shared by the /ingest handler (on
+// either codec) and Ingest: route readings to shards, offer sub-batches
 // non-blocking, and scatter verdicts back into results (len(results) ==
 // len(readings)). All per-call state lives in rs, so at steady state the
 // whole route→detect→scatter path allocates nothing.
