@@ -240,7 +240,21 @@ func (e *Estimator) ForceRefresh() {
 // Like the Estimator itself the handle is single-goroutine-owned; it
 // returns nil until the first value has been observed.
 func (e *Estimator) Querier() *kernel.Querier {
-	m := e.Model()
+	if e.Model() == nil {
+		return nil
+	}
+	return e.CachedQuerier()
+}
+
+// CachedQuerier returns the query handle over the model exactly as the last
+// Model call left it: no refresh, rebuild or rescale, nil before the first
+// model. It is the read path's handle — a query between two arrivals must
+// leave the estimator where an unqueried twin (a replica, which never sees
+// reads) would be, and Model can move it: after ForceRefresh it patches
+// under the current sigmas rather than the next arrival's, and before
+// warm-up it builds a model the verdict path would not build yet.
+func (e *Estimator) CachedQuerier() *kernel.Querier {
+	m := e.model
 	if m == nil {
 		return nil
 	}

@@ -66,7 +66,7 @@ func (k *KernelChain) Ingest(v []float64) Verdict {
 	k.est.Observe(window.Point(v))
 	ver := Verdict{Warmed: k.est.Warmed()}
 	if ver.Warmed {
-		ver.Outlier = k.estimateOutlier(window.Point(v))
+		ver.Outlier = k.outlier(k.est.Querier(), window.Point(v))
 	}
 	if ver.Outlier {
 		k.flagged++
@@ -74,29 +74,33 @@ func (k *KernelChain) Ingest(v []float64) Verdict {
 	return ver
 }
 
+// QueryOutlier and QueryProb answer from the model the last arrival left
+// (core.Estimator.CachedQuerier): refreshing it here would move state that
+// a twin which saw no reads — a replica — does not move.
 func (k *KernelChain) QueryOutlier(v []float64) Verdict {
 	ver := Verdict{Warmed: k.est.Warmed()}
 	if ver.Warmed {
-		ver.Outlier = k.estimateOutlier(window.Point(v))
+		ver.Outlier = k.outlier(k.est.CachedQuerier(), window.Point(v))
 	}
 	return ver
 }
 
-func (k *KernelChain) estimateOutlier(pt window.Point) bool {
-	if k.cfg.Criterion == CriterionMDEF {
-		m := k.est.Model()
-		if m == nil {
-			return false
-		}
-		return k.ev.IsOutlier(m, pt, k.cfg.MDEF)
+// outlier applies the configured criterion to pt against q's model; no
+// model yet means no verdict.
+func (k *KernelChain) outlier(q *kernel.Querier, pt window.Point) bool {
+	if q == nil {
+		return false
 	}
-	return k.est.IsDistanceOutlier(pt, k.cfg.Distance)
+	if k.cfg.Criterion == CriterionMDEF {
+		return k.ev.IsOutlier(q.Model(), pt, k.cfg.MDEF)
+	}
+	return q.Count(pt, k.cfg.Distance.Radius) < k.cfg.Distance.Threshold
 }
 
 // QueryProb reports the model's probability mass within L∞ radius r of v
 // (0 before the first model exists).
 func (k *KernelChain) QueryProb(v []float64, r float64) float64 {
-	q := k.est.Querier()
+	q := k.est.CachedQuerier()
 	if q == nil {
 		return 0
 	}

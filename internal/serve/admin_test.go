@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"odds/internal/detector"
+	"odds/internal/stream"
 )
 
 // clusterConfig builds a cluster-node configuration hosting the given
@@ -254,61 +258,205 @@ func TestReplicateContiguity(t *testing.T) {
 	}
 }
 
-// TestReplicaChainEndToEnd wires a real primary→follower chain over HTTP
-// and checks the follower converges to a bit-exact prefix.
+// replicatedPair wires a real primary→follower chain over HTTP for shard 2
+// under pcfg and streams n readings of an abruptly shifting stream through
+// the primary in batches, sensors cycled per reading. After every batch it
+// calls between (when set), waits for the follower to apply the batch, and
+// requires the chain's contract: both sides snapshot to identical blobs.
+func replicatedPair(t *testing.T, pcfg PipelineConfig, sensors []string, n int, between func(primary *Server, v []float64)) (primary, follower *Server) {
+	t.Helper()
+	cfg := clusterConfig([]int{2}, nil, 11)
+	cfg.Pipeline = pcfg
+	primary, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { primary.Close() })
+	cfg.Owned, cfg.Replicas = nil, []int{2}
+	follower, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { follower.Close() })
+	fts := httptest.NewServer(follower.Handler())
+	t.Cleanup(fts.Close)
+
+	if err := primary.SetFollower(2, fts.URL); err != nil {
+		t.Fatal(err)
+	}
+	src := stream.NewDrifting(stream.DefaultDrifting(stream.DriftAbrupt, n/2), pcfg.Core.Dim, 12)
+	batch := make([]Reading, 25)
+	for sent := 0; sent < n; {
+		for k := range batch {
+			batch[k] = Reading{Sensor: sensors[(sent+k)%len(sensors)], Value: src.Next()}
+		}
+		if _, rej, err := primary.Ingest(batch); err != nil || rej != 0 {
+			t.Fatalf("ingest: rej %d err %v", rej, err)
+		}
+		sent += len(batch)
+		if between != nil {
+			between(primary, batch[0].Value)
+		}
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			infos, err := follower.HostedShards()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if infos[0].Arrivals == uint64(sent) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("follower stuck at %d/%d arrivals", infos[0].Arrivals, sent)
+			}
+		}
+		pb, err := primary.SnapshotShard(2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := follower.SnapshotShard(2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pb, fb) {
+			t.Fatalf("replica diverged by reading %d: primary blob %d bytes, follower blob %d bytes, equal=false", sent, len(pb), len(fb))
+		}
+	}
+	return primary, follower
+}
+
+// TestReplicaChainEndToEnd checks the follower stays a bit-exact prefix of
+// the primary — with the drift monitor armed on a stream that fires, and
+// the primary serving reads between batches, which the follower never sees.
 func TestReplicaChainEndToEnd(t *testing.T) {
+	pcfg := testPipelineConfig(DetectDistance, 1, 120, 11)
+	pcfg.Drift = DefaultDriftConfig()
+	pcfg.Drift.SampleEvery, pcfg.Drift.JSEvery, pcfg.Drift.ShrinkFrac = 4, 32, 0.5
+	sensor := sensorOnShard(t, 2, 4)
+	primary, _ := replicatedPair(t, pcfg, []string{sensor}, 1000, func(primary *Server, v []float64) {
+		if _, err := primary.QueryOutlier(sensor, v); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := primary.QueryProb(sensor, v, 0.05); err != nil {
+			t.Fatal(err)
+		}
+	})
+	st, err := primary.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := st.PerShard[0].Drift; d == nil || d.Refreshes == 0 || d.Shrinks == 0 {
+		t.Fatalf("drift arm never adapted (%+v); the chain was not exercised across a fire", d)
+	}
+}
+
+// TestReplicaCountersMatchPrimary: a follower applies without judging, yet
+// its counters are the primary's — the shard's outlier count and every
+// armed backend's flagged count — so a promotion does not reset what
+// /stats and /metrics report.
+func TestReplicaCountersMatchPrimary(t *testing.T) {
+	pcfg := backendTestConfig(detector.KindKernelChain, 1, 120, 11)
+	var sensors []string
+	for _, k := range detector.AllKinds() {
+		prefix := string(k[:1]) + "-"
+		if k != detector.KindKernelChain {
+			pcfg.Selector = append(pcfg.Selector, BackendRule{Prefix: prefix, Backend: k})
+		}
+		name := prefix + "0"
+		for i := 1; ShardOf(name, 4) != 2; i++ {
+			name = fmt.Sprintf("%s%d", prefix, i)
+		}
+		sensors = append(sensors, name)
+	}
+	primary, follower := replicatedPair(t, pcfg, sensors, 1000, nil)
+	ps, err := primary.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := follower.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, f := ps.PerShard[0], fs.PerShard[0]
+	if p.Outliers == 0 || f.Outliers != p.Outliers || f.Ingested != p.Ingested {
+		t.Fatalf("follower counts %d outliers of %d readings, primary %d of %d (want equal, nonzero)",
+			f.Outliers, f.Ingested, p.Outliers, p.Ingested)
+	}
+	if len(p.Backends) != len(detector.AllKinds()) || !reflect.DeepEqual(p.Backends, f.Backends) {
+		t.Fatalf("backend counters differ:\nprimary  %+v\nfollower %+v", p.Backends, f.Backends)
+	}
+	for _, b := range p.Backends {
+		if b.Flagged == 0 {
+			t.Errorf("backend %s flagged nothing; comparison is vacuous", b.Kind)
+		}
+	}
+}
+
+// TestReplicaLinkReportsItsState: /stats and /metrics say whether a shard
+// has a follower and whether the link to it still works. The follower here
+// hosts the shard as a primary, so it answers every batch 409 and the link
+// reads broken as soon as the first Replicate returns.
+func TestReplicaLinkReportsItsState(t *testing.T) {
+	standalone, err := New(Config{Shards: 1, Pipeline: testPipelineConfig(DetectDistance, 1, 120, 11)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer standalone.Close()
+	if st, err := standalone.Stats(); err != nil || st.PerShard[0].Replication != nil {
+		t.Fatalf("standalone /stats carries a replication block: %+v (err %v)", st.PerShard[0].Replication, err)
+	}
+
 	primary, err := New(clusterConfig([]int{2}, nil, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer primary.Close()
-	follower, err := New(clusterConfig(nil, []int{2}, 11))
+	refuser, err := New(clusterConfig([]int{2}, nil, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer follower.Close()
-	fts := httptest.NewServer(follower.Handler())
-	defer fts.Close()
+	defer refuser.Close()
+	rts := httptest.NewServer(refuser.Handler())
+	defer rts.Close()
 
-	if err := primary.SetFollower(2, fts.URL); err != nil {
-		t.Fatal(err)
-	}
-	sensor := sensorOnShard(t, 2, 4)
-	const total = 200
-	for i := 0; i < total; i += 10 {
-		batch := make([]Reading, 10)
-		for k := range batch {
-			batch[k] = Reading{Sensor: sensor, Value: []float64{float64(i+k) / total}}
-		}
-		if _, rej, err := primary.Ingest(batch); err != nil || rej != 0 {
-			t.Fatalf("ingest: rej %d err %v", rej, err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		infos, err := follower.HostedShards()
+	link := func() ReplicationStats {
+		t.Helper()
+		st, err := primary.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if infos[0].Arrivals == total {
-			break
+		if st.PerShard[0].Replication == nil {
+			t.Fatal("cluster /stats has no replication block")
 		}
+		return *st.PerShard[0].Replication
+	}
+	if got := link(); got.State != "none" {
+		t.Fatalf("no follower attached: link reads %+v, want none", got)
+	}
+	if body := metricsBody(t, primary); strings.Contains(body, "replica_link") {
+		t.Fatalf("metrics report a link nobody attached:\n%s", body)
+	}
+	if err := primary.SetFollower(2, rts.URL); err != nil {
+		t.Fatal(err)
+	}
+	if got := link(); got.State != "ok" {
+		t.Fatalf("fresh link reads %+v, want ok", got)
+	}
+	if _, rej, err := primary.Ingest([]Reading{{Sensor: sensorOnShard(t, 2, 4), Value: []float64{0.5}}}); err != nil || rej != 0 {
+		t.Fatalf("ingest: rej %d err %v", rej, err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); link().State != "broken"; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower stuck at %d/%d arrivals", infos[0].Arrivals, total)
+			t.Fatalf("link reads %+v after the follower refused a batch, want broken", link())
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	// Bit-exact prefix: both sides snapshot to identical blobs.
-	pb, err := primary.SnapshotShard(2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := follower.SnapshotShard(2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pb, fb) {
-		t.Fatalf("replica diverged: primary blob %d bytes, follower blob %d bytes, equal=false", len(pb), len(fb))
+	body := metricsBody(t, primary)
+	for _, want := range []string{
+		`odds_serve_shard_replica_link_broken{shard="2"} 1`,
+		`odds_serve_shard_replicated_batches{shard="2"} 0`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics lack %q:\n%s", want, body)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -209,6 +210,70 @@ func TestWireIngestZeroAlloc(t *testing.T) {
 
 	if avg := testing.AllocsPerRun(200, step); avg != 0 {
 		t.Fatalf("steady-state binary ingest round allocates %v per batch, want 0", avg)
+	}
+}
+
+// TestReplicateZeroAlloc is the follower's share of the same guard: at
+// steady state decoding one ODRP frame into pooled scratch, applying it
+// through the replica shard and appending the ack allocates nothing,
+// across all goroutines — and the ack is json.Encoder's bytes.
+func TestReplicateZeroAlloc(t *testing.T) {
+	const wcap, batchLen = 200, 64
+	srv, err := New(Config{
+		Shards:     1,
+		Pipeline:   testPipelineConfig(DetectDistance, 1, wcap, 3),
+		QueueDepth: 1024,
+		Cluster:    true,
+		Replicas:   []int{0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	src := rand.New(rand.NewSource(11))
+	cycle := make([]float64, 256)
+	for i := range cycle {
+		cycle[i] = src.Float64()
+	}
+	readings := make([]Reading, batchLen)
+	for i := range readings {
+		readings[i] = Reading{Sensor: "s0", Value: make([]float64, 1)}
+	}
+	sc := newIngestScratch(1)
+	applied := uint64(0)
+	step := func() {
+		for i := range readings {
+			readings[i].Value[0] = cycle[(applied+uint64(i))%uint64(len(cycle))]
+		}
+		sc.body = appendReplFrame(sc.body[:0], 0, applied+1, readings, 1, srv.wireFP)
+		if status, err := srv.applyReplFrame(sc); err != nil {
+			t.Fatalf("frame at seq %d: status %d: %v", applied+1, status, err)
+		}
+		applied += batchLen
+	}
+
+	// Warm, freeze the rng and settle, as TestWireIngestZeroAlloc does.
+	for i := 0; i < (6*wcap+len(cycle))/batchLen+1; i++ {
+		step()
+	}
+	srv.shards[0].pl.kc.SetSource(constSrc{v: int64(wcap - 1)})
+	for i := 0; i < 4*wcap/batchLen+1; i++ {
+		step()
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(map[string]uint64{"seq": applied}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sc.out, want.Bytes()) {
+		t.Fatalf("ack %q, want json.Encoder's %q", sc.out, want.Bytes())
+	}
+
+	if avg := testing.AllocsPerRun(200, step); avg != 0 {
+		t.Fatalf("steady-state replicate round allocates %v per frame, want 0", avg)
+	}
+	if got := srv.shards[0].pl.Seq(); got != applied {
+		t.Fatalf("follower at seq %d after %d replicated readings", got, applied)
 	}
 }
 

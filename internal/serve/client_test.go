@@ -325,7 +325,7 @@ func TestClientReplyCaps(t *testing.T) {
 // TestNodeHTTPClient: the one client peers talk through bounds every
 // exchange and keeps an idle connection per shard, and a follower that
 // accepts a batch and never answers breaks the replica link when the
-// timeout fires instead of parking the replicator for good.
+// timeout fires instead of parking the replicator for good — and says so.
 func TestNodeHTTPClient(t *testing.T) {
 	for _, shards := range []int{0, 4, 200} {
 		c := NewNodeHTTPClient(shards)
@@ -347,7 +347,10 @@ func TestNodeHTTPClient(t *testing.T) {
 	defer impatient.CloseIdleConnections()
 	repl := newReplicator(0, Client{HTTP: impatient, Base: hung.URL}, 1, 7)
 	repl.forward(1, []Reading{{Sensor: "a", Value: []float64{1}}})
-	for deadline := time.Now().Add(5 * time.Second); !repl.broken.Load(); time.Sleep(5 * time.Millisecond) {
+	if st := repl.stats(); st.State != "ok" || st.ShippedBatches != 0 {
+		t.Fatalf("link reads %+v before its first answer, want ok with nothing shipped", st)
+	}
+	for deadline := time.Now().Add(5 * time.Second); repl.stats().State != "broken"; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("replicator still waiting on a hung follower")
 		}

@@ -361,6 +361,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "odds_serve_shard_rejected{shard=\"%d\"} %d\n", sh.id, rej)
 		fmt.Fprintf(w, "odds_serve_shard_outliers{shard=\"%d\"} %d\n", sh.id, out)
 		fmt.Fprintf(w, "odds_serve_shard_queue_depth{shard=\"%d\"} %d\n", sh.id, len(sh.reqs))
+		if link := sh.repl.Load(); link != nil {
+			broken := 0
+			if link.broken.Load() {
+				broken = 1
+			}
+			fmt.Fprintf(w, "odds_serve_shard_replica_link_broken{shard=\"%d\"} %d\n", sh.id, broken)
+			fmt.Fprintf(w, "odds_serve_shard_replicated_batches{shard=\"%d\"} %d\n", sh.id, link.shipped.Load())
+		}
 		if driftOn {
 			det, act := sh.driftDetections.Load(), sh.driftActions.Load()
 			driftDet, driftAct = driftDet+det, driftAct+act

@@ -312,13 +312,43 @@ func (p *Pipeline) Ingest(v []float64) Verdict { return p.IngestSensor("", v) }
 // zero allocations for every backend under the distance criterion and
 // for the paper stack under MDEF. v is copied; the caller keeps ownership.
 func (p *Pipeline) IngestSensor(sensor string, v []float64) Verdict {
+	slot := p.slide(v)
+	dv := p.route(sensor).Ingest(slot)
+	ver := Verdict{Seq: p.seq, Outlier: dv.Outlier, Warmed: dv.Warmed}
+	// The exact count comes before the drift step: a fire's shrinkWindow
+	// would otherwise take points out from under this reading's answer.
+	ver.Exact = p.exactOutlier(slot)
+	if p.drift != nil {
+		p.driftStep(slot)
+	}
+	return ver
+}
+
+// Apply is IngestSensor's state transition without its verdict: the window
+// slide, the exact index update, the sensor's backend and the drift step,
+// but not the exact count — a pure read of the index that only fills
+// Verdict.Exact. It is what a replica runs: nobody is served a follower's
+// verdicts, yet its state (the exact index included, which must answer from
+// the first reading after a promotion) has to stay the primary's bit for
+// bit. The backend's estimate is returned because it is state too — it
+// moves the backend's flagged counter and the shard's outlier count.
+func (p *Pipeline) Apply(sensor string, v []float64) detector.Verdict {
+	slot := p.slide(v)
+	dv := p.route(sensor).Ingest(slot)
+	if p.drift != nil {
+		p.driftStep(slot)
+	}
+	return dv
+}
+
+// slide advances the true window by one reading and returns the ring slot
+// now holding a copy of v: a full window evicts its oldest reading, which
+// sits in the slot the new one takes, and the exact index follows.
+func (p *Pipeline) slide(v []float64) window.Point {
 	if len(v) != p.cfg.Core.Dim {
 		panic(fmt.Sprintf("serve: reading dim %d, pipeline dim %d", len(v), p.cfg.Core.Dim))
 	}
 	p.seq++
-
-	// Slide the true window: a full window evicts its oldest reading,
-	// which sits in the slot the new one takes.
 	slot := p.slot(p.head)
 	if p.count == p.cfg.Core.WindowCap {
 		p.exactRemove(slot)
@@ -328,14 +358,7 @@ func (p *Pipeline) IngestSensor(sensor string, v []float64) Verdict {
 	copy(slot, v)
 	p.exactAdd(slot)
 	p.head = p.next(p.head)
-
-	dv := p.route(sensor).Ingest(slot)
-	ver := Verdict{Seq: p.seq, Outlier: dv.Outlier, Warmed: dv.Warmed}
-	ver.Exact = p.exactOutlier(slot)
-	if p.drift != nil {
-		p.driftStep(slot)
-	}
-	return ver
+	return slot
 }
 
 func (p *Pipeline) exactAdd(pt window.Point) {

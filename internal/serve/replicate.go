@@ -3,8 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -162,47 +162,76 @@ func (r *replicator) stop() {
 	<-r.done
 }
 
-// handleReplicate is the follower side: decode the frame, enforce the
-// config fingerprint (fail closed, same check as snapshot restore), and
-// apply through the shard mailbox where role and contiguity are checked.
+// stats reports the link as /stats shows it, a nil replicator being a shard
+// with no follower; safe from any goroutine.
+func (r *replicator) stats() *ReplicationStats {
+	if r == nil {
+		return &ReplicationStats{State: "none"}
+	}
+	st := &ReplicationStats{State: "ok", ShippedBatches: r.shipped.Load()}
+	if r.broken.Load() {
+		st.State = "broken"
+	}
+	return st
+}
+
+// handleReplicate is the follower side, in handleIngest's shape: the body,
+// the decoded batch and the ack live in pooled scratch, so a frame costs
+// the follower no allocation of its own.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if !RequireMethod(w, r, http.MethodPost) {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
+	sc := s.getScratch()
+	body, err := readAllInto(sc.body, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	sc.body = body
+	status := http.StatusBadRequest
+	if err == nil {
+		status, err = s.applyReplFrame(sc)
+	}
 	if err != nil {
-		WriteErr(w, http.StatusBadRequest, err)
+		// A shard call that failed may leave its reply in the pooled
+		// channel; an error can afford the fresh scratch dropping this one
+		// costs the next request.
+		WriteErr(w, status, err)
 		return
 	}
-	shard, fromSeq, inner, err := decodeReplFrame(body)
+	// The shard has replied, so nothing refers to the batch any more.
+	WriteBody(w, status, "application/json", sc.out)
+	s.scratch.Put(sc)
+}
+
+// applyReplFrame decodes the ODRP frame in sc.body, enforces the config
+// fingerprint (fail closed, same check as snapshot restore), applies the
+// batch through the shard mailbox, where role and contiguity are checked,
+// and leaves the ack in sc.out. A failure comes with its HTTP status.
+func (s *Server) applyReplFrame(sc *ingestScratch) (int, error) {
+	shard, fromSeq, inner, err := decodeReplFrame(sc.body)
 	if err != nil {
-		WriteErr(w, http.StatusBadRequest, err)
-		return
+		return http.StatusBadRequest, err
 	}
-	readings, err := DecodeBatchInto(inner, nil, s.cfg.Pipeline.Core.Dim, s.cfg.MaxBatch, s.wireFP, &s.names)
+	readings, err := DecodeBatchInto(inner, sc.readings, s.cfg.Pipeline.Core.Dim, s.cfg.MaxBatch, s.wireFP, &s.names)
 	if err != nil {
-		WriteErr(w, IngestDecodeStatus(err), err)
-		return
+		return IngestDecodeStatus(err), err
 	}
+	sc.readings = readings
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		WriteErr(w, http.StatusServiceUnavailable, errServerClosed)
-		return
+		return http.StatusServiceUnavailable, errServerClosed
 	}
 	if shard < 0 || shard >= len(s.shards) || s.shards[shard] == nil {
-		WriteErr(w, http.StatusNotFound, fmt.Errorf("%w: shard %d", errWrongNode, shard))
-		return
+		return http.StatusNotFound, fmt.Errorf("%w: shard %d", errWrongNode, shard)
 	}
-	resp, err := s.shards[shard].call(shardReq{op: opReplicate, batch: readings, fromSeq: fromSeq})
+	resp, err := s.shards[shard].call(shardReq{op: opReplicate, batch: readings, fromSeq: fromSeq, reply: sc.route.replies[shard]})
 	switch {
 	case errors.Is(err, errNotReplica), errors.Is(err, errReplGap):
-		WriteErr(w, http.StatusConflict, err)
+		return http.StatusConflict, err
 	case err != nil:
-		WriteErr(w, http.StatusServiceUnavailable, err)
-	default:
-		WriteJSON(w, http.StatusOK, map[string]uint64{"seq": resp.seq})
+		return http.StatusServiceUnavailable, err
 	}
+	// The ack, as json.Encoder wrote map[string]uint64{"seq": n}.
+	sc.out = append(strconv.AppendUint(append(sc.out[:0], `{"seq":`...), resp.seq, 10), "}\n"...)
+	return http.StatusOK, nil
 }

@@ -608,6 +608,9 @@ func (s *Server) Stats() (StatsResponse, error) {
 		if err != nil {
 			return StatsResponse{}, err
 		}
+		if s.cfg.Cluster {
+			resp.stats.Replication = sh.repl.Load().stats()
+		}
 		out.PerShard = append(out.PerShard, resp.stats)
 	}
 	return out, nil

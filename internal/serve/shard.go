@@ -98,10 +98,11 @@ type shard struct {
 	role   atomic.Int32
 	sealed atomic.Bool
 
-	// repl streams applied batches to a follower node. Owned by the shard
-	// goroutine (installed via opFollow); read by stopReplicator only
-	// after the goroutine has exited (<-done).
-	repl *replicator
+	// repl streams applied batches to a follower node, nil when the shard
+	// has none. The shard goroutine installs it (opFollow) and forwards to
+	// it; Server.Stats and /metrics load it to report the link's state;
+	// stopReplicator runs only after the goroutine has exited (<-done).
+	repl atomic.Pointer[replicator]
 
 	// lat samples one in latSample service times (clock reads and sketch
 	// inserts off the other readings' hot path); the /stats percentiles
@@ -153,9 +154,8 @@ func (sh *shard) servable() bool {
 // stopReplicator tears down the follower stream; callers must first
 // observe <-sh.done so the shard goroutine no longer touches sh.repl.
 func (sh *shard) stopReplicator() {
-	if sh.repl != nil {
-		sh.repl.stop()
-		sh.repl = nil
+	if r := sh.repl.Swap(nil); r != nil {
+		r.stop()
 	}
 }
 
@@ -202,11 +202,11 @@ func (sh *shard) handle(req shardReq) {
 		}
 		sh.ingested.Add(uint64(len(req.batch)))
 		sh.syncDrift()
-		if sh.repl != nil {
+		if r := sh.repl.Load(); r != nil {
 			// Copies the batch before the reply releases the caller's
 			// pooled buffers; only cluster primaries with a follower pay
 			// this.
-			sh.repl.forward(fromSeq, req.batch)
+			r.forward(fromSeq, req.batch)
 		}
 		req.reply <- shardResp{verdicts: verdicts}
 	case opReplicate:
@@ -222,7 +222,7 @@ func (sh *shard) handle(req shardReq) {
 			resp.err = fmt.Errorf("%w: follower at seq %d, batch starts at %d", errReplGap, sh.pl.Seq(), req.fromSeq)
 		default:
 			for i := range req.batch {
-				if sh.pl.IngestSensor(req.batch[i].Sensor, req.batch[i].Value).Outlier {
+				if sh.pl.Apply(req.batch[i].Sensor, req.batch[i].Value).Outlier {
 					sh.outliers.Add(1)
 				}
 			}
@@ -232,10 +232,9 @@ func (sh *shard) handle(req shardReq) {
 		}
 		req.reply <- resp
 	case opFollow:
-		if sh.repl != nil {
-			sh.repl.stop()
+		if old := sh.repl.Swap(req.repl); old != nil {
+			old.stop()
 		}
-		sh.repl = req.repl
 		req.reply <- shardResp{}
 	case opQuery:
 		req.reply <- shardResp{verdict: sh.pl.QueryOutlierSensor(req.sensor, req.pt)}
@@ -298,9 +297,12 @@ var (
 
 // call sends a blocking envelope (queries, stats, snapshots — never
 // rejected by admission control) and awaits the reply, failing cleanly if
-// the shard dies first.
+// the shard dies first. A caller on pooled scratch brings its own empty,
+// buffered reply channel.
 func (sh *shard) call(req shardReq) (shardResp, error) {
-	req.reply = make(chan shardResp, 1)
+	if req.reply == nil {
+		req.reply = make(chan shardResp, 1)
+	}
 	select {
 	case sh.reqs <- req:
 	case <-sh.done:

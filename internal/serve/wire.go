@@ -79,6 +79,19 @@ type ShardStats struct {
 	// Backends is the per-detector counter block, one entry per armed
 	// backend in canonical order (default backend first).
 	Backends []detector.Stats `json:"backends,omitempty"`
+	// Replication is the shard's outgoing replica link, present only on
+	// cluster nodes.
+	Replication *ReplicationStats `json:"replication,omitempty"`
+}
+
+// ReplicationStats is the state of a shard's link to its follower. State is
+// "none" (no follower attached), "ok", or "broken": the link failed closed
+// — a shipping error, a refused batch or a full forward queue — and the
+// follower stays frozen at a consistent prefix until the chain is repaired.
+// ShippedBatches counts the batches the follower has acknowledged.
+type ReplicationStats struct {
+	State          string `json:"state"`
+	ShippedBatches uint64 `json:"shipped_batches"`
 }
 
 // StatsResponse answers GET /stats. It carries the full detection
