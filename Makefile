@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild serve-smoke cluster-smoke chaos cluster-chaos experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
@@ -122,6 +122,55 @@ chaos:
 # failure. The -short CI lane runs the 4-schedule subset.
 cluster-chaos:
 	$(GO) test -race -run TestClusterChaos ./internal/cluster/
+
+# The coverage-guided smokes CI runs, listed once: package:target[:extra
+# go-test flag], each with what the target holds and why it is here. The
+# race-short lane already runs every target's seed corpus.
+FUZZTIME = 20s
+# Arbitrary crash/link/partition schedules compile or are refused, and a
+# compiled plan replays identically.
+FUZZ_SMOKE := internal/fault:FuzzFaultSchedule
+# Maintenance histories: the in-place kernel model must equal a from-scratch
+# rebuild (the differential suites cover fixed histories only).
+FUZZ_SMOKE += internal/kernel:FuzzIncrementalVsRebuild
+# Detector configs and value streams: incremental KS/PH/MK statistics match
+# their brute-force references bit-for-bit at every check, and a stationary
+# prefix respects the false-alarm bound.
+FUZZ_SMOKE += internal/drift:FuzzDriftDetector
+# The ODWP batch decoder never panics on arbitrary bytes, and a frame that
+# decodes re-encodes bit-identical (canonical encoding).
+FUZZ_SMOKE += internal/serve:FuzzDecodeBatch
+# Value streams and sensor routings: a pipeline fed Pipeline.Apply (what a
+# replica runs) holds the snapshot bytes of one fed IngestSensor at every
+# check, across a restore, and serves the same verdicts, Exact included,
+# from its first reading after promotion — every backend, both criteria,
+# drift armed with a window shrink. One run is a whole stream
+# (milliseconds), so cap the minimizer, which otherwise spends the budget
+# shrinking the first few inputs instead of mutating.
+FUZZ_SMOKE += internal/serve:FuzzApplyVsIngest:-fuzzminimizetime=1s
+# The JSON /ingest scanner never panics, and either declines a body or
+# decodes exactly what json.Unmarshal into a zeroed request does (same
+# readings bit-for-bit, same error text on the way out).
+FUZZ_SMOKE += internal/serve:FuzzIngestJSON
+# The ODDB detector blob decoder, every backend kind: Restore never panics,
+# fails closed on kind/fingerprint mismatches, and a blob that restores
+# re-snapshots bit-identical.
+FUZZ_SMOKE += internal/detector:FuzzDetectorSnapshot
+# Window sizes, eps and stream regimes: the variance sketch, whose merge
+# pass runs on as few as every 16th arrival, matches the exact window
+# variance to float precision while the window fills and within eps after,
+# and never holds more buckets than the Theorem 1 cap.
+FUZZ_SMOKE += internal/varest:FuzzVarSketch
+# Add / evict-oldest / remove-any / count / count-up-to histories at
+# d = 1..3 on a half-cell grid (duplicates and cell-boundary points
+# everywhere): the FIFO inline buckets agree with a plain slice + CountNaive.
+FUZZ_SMOKE += internal/distance:FuzzDynIndex
+
+fuzz-smoke:
+	@set -e; for row in $(FUZZ_SMOKE); do \
+		pkg=$${row%%:*}; rest=$${row#*:}; target=$${rest%%:*}; extra=$${rest#$$target}; \
+		set -x; $(GO) test -fuzz $$target -fuzztime $(FUZZTIME) $${extra#:} ./$$pkg/; { set +x; } 2>/dev/null; \
+	done
 
 # Full evaluation suite at near-paper scale (tens of minutes).
 experiments: build

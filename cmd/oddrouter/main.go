@@ -1,5 +1,6 @@
 // Command oddrouter fronts a set of oddserve cluster nodes with a
-// versioned consistent-hash shard→node map: it routes ingest batches
+// versioned shard→node map (shard s starts on node s mod N, in -nodes
+// order, its replica on the next node): it routes ingest batches
 // over the ODWP binary wire, proxies queries to shard primaries, merges
 // /subscribe streams with per-shard sequencing, migrates shards live
 // (snapshot shipping), and fails primaries over to their replicas when

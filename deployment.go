@@ -64,13 +64,6 @@ type DeploymentConfig struct {
 	// JS distance between the last-broadcast and current root model
 	// exceeds the gate (the Section 8.1 optimization).
 	JSGate float64
-	// MessageLoss injects radio failures: every transmitted message is
-	// destroyed independently with this probability. The algorithms
-	// degrade gracefully — sample propagation and global updates are
-	// probabilistic refreshes, not protocol state — which the failure-
-	// injection tests verify. It is shorthand for a Faults schedule with
-	// one uniform-loss link rule and composes with Faults.
-	MessageLoss float64
 	// Faults schedules deterministic node crashes and link faults
 	// (bursty loss, delay, duplication — see internal/fault). The
 	// schedule uses its own Seed, so a faulted run and its fault-free
@@ -179,29 +172,10 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	d.topo = topo
 	d.sim = tagsim.New()
 	master := stats.NewRand(cfg.Seed)
-	if cfg.MessageLoss < 0 || cfg.MessageLoss > 1 {
-		return nil, fmt.Errorf("odds: message loss %v outside [0,1]", cfg.MessageLoss)
-	}
-	// Assemble the effective fault schedule. MessageLoss composes as one
-	// catch-all uniform-loss link rule. When only MessageLoss is given,
-	// the schedule seed comes from the master stream — one draw, exactly
-	// where the legacy loss RNG was split off, so node seeds are
-	// unchanged. An explicit Faults schedule keeps its own seed so a
-	// faulted run and its fault-free twin share node streams.
-	var sched fault.Schedule
-	if cfg.Faults != nil {
-		sched.Seed = cfg.Faults.Seed
-		sched.Crashes = append([]fault.Crash(nil), cfg.Faults.Crashes...)
-		sched.Links = append([]fault.Link(nil), cfg.Faults.Links...)
-	}
-	if cfg.MessageLoss > 0 {
-		if cfg.Faults == nil {
-			sched.Seed = master.Int63()
-		}
-		sched.Links = append(sched.Links, fault.Link{From: fault.Any, To: fault.Any, Loss: cfg.MessageLoss})
-	}
-	if !sched.Empty() {
-		plan, err := fault.Compile(sched)
+	// The schedule draws from its own Seed, not from master, so a faulted
+	// run and its fault-free twin share node streams.
+	if cfg.Faults != nil && !cfg.Faults.Empty() {
+		plan, err := fault.Compile(*cfg.Faults)
 		if err != nil {
 			return nil, fmt.Errorf("odds: %w", err)
 		}

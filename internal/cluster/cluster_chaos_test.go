@@ -122,6 +122,11 @@ func newChaosCluster(shards int, plan *fault.Plan) (*chaosCluster, error) {
 	if err != nil {
 		return fail(err)
 	}
+	// A schedule's node ids name the same cluster every run only if the
+	// bootstrap map is the table, whatever ports the listeners drew.
+	if err := checkPlacement(r.CurrentMap()); err != nil {
+		return fail(fmt.Errorf("bootstrap placement: %w", err))
+	}
 	cc.router = r
 	cc.close = func() {
 		for i := len(cleanup) - 1; i >= 0; i-- {

@@ -45,6 +45,13 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, nodes, shards int, replicate bool) *testCluster {
 	t.Helper()
+	return newTestClusterWith(t, nodes, shards, Options{Replicate: replicate, HealthThreshold: 1})
+}
+
+// newTestClusterWith is newTestCluster with the router's options spelled
+// out; it fills in opts.Nodes.
+func newTestClusterWith(t *testing.T, nodes, shards int, opts Options) *testCluster {
+	t.Helper()
 	tc := &testCluster{t: t}
 	urls := make([]string, nodes)
 	for i := 0; i < nodes; i++ {
@@ -63,7 +70,8 @@ func newTestCluster(t *testing.T, nodes, shards int, replicate bool) *testCluste
 		urls[i] = ts.URL
 		t.Cleanup(func() { ts.Close(); _ = srv.Close() })
 	}
-	r, err := NewRouter(Options{Nodes: urls, Replicate: replicate, HealthThreshold: 1})
+	opts.Nodes = urls
+	r, err := NewRouter(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +218,11 @@ func TestRoutedLoadAcrossMigration(t *testing.T) {
 	tc := newTestCluster(t, 3, 4, true)
 	runRoutedLoad(t, tc.routerTS.URL, 1200, false)
 
+	// Onto the third node: the replica is re-chained before the commit
+	// (TestMigrateOntoReplicaKeepsChain moves onto the replica itself).
 	m := tc.router.CurrentMap()
-	shard, from := 0, m.Owner[0]
-	to := (from + 1) % 3
+	shard, from, follower := 0, m.Owner[0], m.Replica[0]
+	to := 3 - from - follower
 	epochBefore := m.Epoch
 	resp, err := http.Post(fmt.Sprintf("%s/admin/migrate?shard=%d&to=%d", tc.routerTS.URL, shard, to), "", nil)
 	if err != nil {
@@ -224,8 +234,9 @@ func TestRoutedLoadAcrossMigration(t *testing.T) {
 		t.Fatalf("migrate: status %d: %s", resp.StatusCode, body)
 	}
 	m = tc.router.CurrentMap()
-	if m.Owner[shard] != to || m.Epoch <= epochBefore {
-		t.Fatalf("post-migration map: owner %d epoch %d (was node %d epoch %d)", m.Owner[shard], m.Epoch, from, epochBefore)
+	if m.Owner[shard] != to || m.Replica[shard] != follower || m.Epoch <= epochBefore {
+		t.Fatalf("post-migration map: owner %d replica %d epoch %d (was node %d, replica %d, epoch %d)",
+			m.Owner[shard], m.Replica[shard], m.Epoch, from, follower, epochBefore)
 	}
 
 	// The resumed run catches up from /stats and re-verifies the tail.

@@ -1,7 +1,7 @@
 // Package cluster is the multi-node tier in front of odds serve nodes: a
-// router holding a versioned consistent-hash shard→node map, live shard
-// migration via shipped ODPS snapshots, and per-shard replica chains
-// with deterministic promote-on-failure.
+// router holding a versioned shard→node map, live shard migration via
+// shipped ODPS snapshots, and per-shard replica chains with deterministic
+// promote-on-failure.
 //
 // The cluster-global shard space is fixed at bootstrap (every node runs
 // with the same Config.Shards and derives per-shard seeds from the
@@ -10,11 +10,7 @@
 // never a re-deal of sensors to shards.
 package cluster
 
-import (
-	"fmt"
-	"hash/fnv"
-	"sort"
-)
+import "fmt"
 
 // Map is one version of the shard→node assignment. Maps are immutable
 // once published; every change (migration, failover) produces a
@@ -32,78 +28,11 @@ type Map struct {
 	Replica []int `json:"replica"`
 }
 
-// vnodes is the number of ring points per node. 64 keeps the assignment
-// skew within ~2× of the mean for realistic shard counts while keeping
-// ring rebuilds trivially cheap.
-const vnodes = 64
-
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	// FNV-1a alone diffuses poorly in the upper bits for short, similar
-	// keys (node URLs differing in one digit cluster on the ring); a
-	// splitmix64 finalizer spreads the points uniformly.
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// ringPoint is one virtual node position.
-type ringPoint struct {
-	pos  uint64
-	node int
-}
-
-// buildRing places every live node (by id) on the hash ring. Positions
-// depend only on the node URL and the vnode index, so adding or removing
-// a node leaves every other node's points untouched — the minimal-
-// movement property the map tests pin.
-func buildRing(nodes []string, live func(int) bool) []ringPoint {
-	ring := make([]ringPoint, 0, len(nodes)*vnodes)
-	for id, url := range nodes {
-		if live != nil && !live(id) {
-			continue
-		}
-		for v := 0; v < vnodes; v++ {
-			ring = append(ring, ringPoint{pos: hash64(fmt.Sprintf("%s#%d", url, v)), node: id})
-		}
-	}
-	sort.Slice(ring, func(i, j int) bool {
-		if ring[i].pos != ring[j].pos {
-			return ring[i].pos < ring[j].pos
-		}
-		return ring[i].node < ring[j].node
-	})
-	return ring
-}
-
-// ownerOn walks the ring clockwise from the shard's hash to the first
-// point; the replica is the next point owned by a different node.
-func ownerOn(ring []ringPoint, shard int) (owner, replica int) {
-	if len(ring) == 0 {
-		return -1, -1
-	}
-	key := hash64(fmt.Sprintf("shard:%d", shard))
-	i := sort.Search(len(ring), func(k int) bool { return ring[k].pos >= key })
-	if i == len(ring) {
-		i = 0
-	}
-	owner, replica = ring[i].node, -1
-	for step := 1; step < len(ring); step++ {
-		p := ring[(i+step)%len(ring)]
-		if p.node != owner {
-			replica = p.node
-			break
-		}
-	}
-	return owner, replica
-}
-
-// BuildMap computes the epoch-1 assignment of shards onto nodes.
+// BuildMap computes the epoch-1 assignment: shard s on node s mod N, its
+// follower on the next node (none on a single node). Membership is fixed
+// at bootstrap and every later move is an explicit, epoch-stamped
+// operation, so placement is a function of node ids alone — the same
+// cluster every run, primaries per node within one of each other.
 func BuildMap(shards int, nodes []string) (*Map, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("cluster: shards %d must be positive", shards)
@@ -125,9 +54,12 @@ func BuildMap(shards int, nodes []string) (*Map, error) {
 		Owner:   make([]int, shards),
 		Replica: make([]int, shards),
 	}
-	ring := buildRing(m.Nodes, nil)
-	for sh := 0; sh < shards; sh++ {
-		m.Owner[sh], m.Replica[sh] = ownerOn(ring, sh)
+	n := len(nodes)
+	for sh := range m.Owner {
+		m.Owner[sh], m.Replica[sh] = sh%n, -1
+		if n > 1 {
+			m.Replica[sh] = (sh + 1) % n
+		}
 	}
 	return m, nil
 }
@@ -141,16 +73,4 @@ func (m *Map) clone() *Map {
 		Owner:   append([]int(nil), m.Owner...),
 		Replica: append([]int(nil), m.Replica...),
 	}
-}
-
-// WithNodes recomputes the assignment for a changed node set (the ids of
-// surviving nodes keep their URLs), bumping the epoch. Only shards whose
-// ring owner actually changed move — the minimal-movement property.
-func (m *Map) WithNodes(nodes []string) (*Map, error) {
-	next, err := BuildMap(m.Shards, nodes)
-	if err != nil {
-		return nil, err
-	}
-	next.Epoch = m.Epoch + 1
-	return next, nil
 }

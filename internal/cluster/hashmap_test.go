@@ -13,39 +13,68 @@ func nodeURLs(n int) []string {
 	return urls
 }
 
-// TestMapSkewBound pins the consistent-hash balance across cluster
-// sizes: with 64 vnodes per node, no node owns more than 2× its fair
-// share of 256 shards, and every node owns at least one shard.
+// checkPlacement reports how m departs from the bootstrap table: shard s on
+// node s mod N, its follower on the next node (none when N = 1) — so never
+// on its own primary — and per-node primary counts within one of each other.
+func checkPlacement(m *Map) error {
+	n := len(m.Nodes)
+	counts := make([]int, n)
+	for sh := 0; sh < m.Shards; sh++ {
+		wantRep := (sh + 1) % n
+		if n == 1 {
+			wantRep = -1
+		}
+		if m.Owner[sh] != sh%n || m.Replica[sh] != wantRep {
+			return fmt.Errorf("shard %d of %d on %d nodes: owner %d replica %d, want %d and %d",
+				sh, m.Shards, n, m.Owner[sh], m.Replica[sh], sh%n, wantRep)
+		}
+		counts[m.Owner[sh]]++
+	}
+	lo, hi := counts[0], counts[0]
+	for _, c := range counts {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	if hi-lo > 1 {
+		return fmt.Errorf("primaries per node %v are not within one of each other", counts)
+	}
+	return nil
+}
+
+// TestBuildMapPlacement pins the exact bootstrap table, and that it is a
+// function of node ids only: the URL strings (the OS's port allocator, in
+// every httptest cluster) do not enter it.
+func TestBuildMapPlacement(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		other := make([]string, n)
+		for i := range other {
+			other[i] = fmt.Sprintf("http://127.0.0.1:%d", 40000-17*i) // descending, unlike nodeURLs
+		}
+		for _, shards := range []int{1, 4, 16, 64} {
+			for _, urls := range [][]string{nodeURLs(n), other} {
+				m, err := BuildMap(shards, urls)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := checkPlacement(m); err != nil {
+					t.Errorf("nodes %v: %v", urls, err)
+				}
+			}
+		}
+	}
+}
+
+// TestMapSkewBound pins the balance at a realistic shard count across
+// cluster sizes: the table leaves every node within one primary of every
+// other, where the consistent-hash ring it replaced promised 2× fair.
 func TestMapSkewBound(t *testing.T) {
-	const shards = 256
 	for n := 1; n <= 16; n++ {
 		t.Run(fmt.Sprintf("nodes=%d", n), func(t *testing.T) {
-			m, err := BuildMap(shards, nodeURLs(n))
+			m, err := BuildMap(256, nodeURLs(n))
 			if err != nil {
 				t.Fatal(err)
 			}
-			counts := make([]int, n)
-			for sh, owner := range m.Owner {
-				if owner < 0 || owner >= n {
-					t.Fatalf("shard %d assigned to invalid node %d", sh, owner)
-				}
-				counts[owner]++
-				if rep := m.Replica[sh]; n == 1 {
-					if rep != -1 {
-						t.Fatalf("shard %d has replica %d on a 1-node cluster", sh, rep)
-					}
-				} else if rep < 0 || rep >= n || rep == owner {
-					t.Fatalf("shard %d replica %d invalid (owner %d)", sh, rep, owner)
-				}
-			}
-			fair := shards / n
-			for id, c := range counts {
-				if c == 0 {
-					t.Errorf("node %d owns no shards", id)
-				}
-				if c > 2*fair {
-					t.Errorf("node %d owns %d shards, above the 2×fair bound %d", id, c, 2*fair)
-				}
+			if err := checkPlacement(m); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -64,60 +93,6 @@ func TestMapDeterminism(t *testing.T) {
 			t.Fatalf("shard %d differs across identical builds: (%d,%d) vs (%d,%d)",
 				sh, a.Owner[sh], a.Replica[sh], b.Owner[sh], b.Replica[sh])
 		}
-	}
-}
-
-// TestMapMinimalMovement pins the consistent-hash contract on membership
-// change: adding a node only moves shards TO the new node; removing a
-// node only moves the shards it owned.
-func TestMapMinimalMovement(t *testing.T) {
-	const shards = 256
-	for n := 2; n <= 8; n++ {
-		t.Run(fmt.Sprintf("add-to-%d", n), func(t *testing.T) {
-			before, err := BuildMap(shards, nodeURLs(n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			after, err := before.WithNodes(nodeURLs(n + 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			moved := 0
-			for sh := range before.Owner {
-				if before.Owner[sh] == after.Owner[sh] {
-					continue
-				}
-				moved++
-				if after.Owner[sh] != n {
-					t.Errorf("shard %d moved %d→%d, but only the new node %d may gain shards",
-						sh, before.Owner[sh], after.Owner[sh], n)
-				}
-			}
-			if moved == 0 {
-				t.Errorf("new node %d gained no shards", n)
-			}
-			if moved > shards/(n+1)*2 {
-				t.Errorf("adding one node moved %d/%d shards, above 2×fair", moved, shards)
-			}
-		})
-		t.Run(fmt.Sprintf("remove-from-%d", n), func(t *testing.T) {
-			urls := nodeURLs(n)
-			before, err := BuildMap(shards, urls)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Drop the last node; survivors keep their URLs (and ring points).
-			after, err := before.WithNodes(urls[:n-1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			for sh := range before.Owner {
-				if before.Owner[sh] != n-1 && after.Owner[sh] != before.Owner[sh] {
-					t.Errorf("shard %d moved %d→%d although its owner survived",
-						sh, before.Owner[sh], after.Owner[sh])
-				}
-			}
-		})
 	}
 }
 
@@ -140,13 +115,6 @@ func TestMapEpochMonotonicity(t *testing.T) {
 	c.Owner[0] = 99
 	if m.Owner[0] == 99 {
 		t.Fatal("clone shares Owner storage with its parent")
-	}
-	w, err := c.WithNodes(nodeURLs(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Epoch != c.Epoch+1 {
-		t.Fatalf("WithNodes epoch %d, want %d", w.Epoch, c.Epoch+1)
 	}
 }
 

@@ -12,6 +12,10 @@ import (
 //	  staged ──re-chain replica──▶ chained ──commit epoch──▶ committed
 //	  committed ──release source──▶ done
 //
+// A move onto the shard's own replica has no third node to re-chain before
+// the commit; it repairs the chain after the release instead, with the
+// source as the follower, under a second epoch.
+//
 // Failure unwinds: before commit, the source is simply unsealed and the
 // target's partial state released — no client-visible change (sealed
 // rejections were retried and will land on the unchanged owner). After
@@ -108,6 +112,14 @@ func (r *Router) Migrate(shard, to int) error {
 	// Cleanup: release the sealed source copy (best-effort; a sealed
 	// shard can only reject, so a failed release is safe to leave).
 	_ = r.shardOp(from, serve.ShardRelease, shard)
+
+	// A move onto the shard's own replica consumed the chain, and a crash
+	// of the new owner would then orphan the shard for good: make the
+	// source its follower. Best-effort like the re-chain above — a failure
+	// leaves Replica -1 for RepairReplica.
+	if m.Replica[shard] == to {
+		_ = r.rechain(shard, to, from)
+	}
 	return nil
 }
 
@@ -304,6 +316,14 @@ func (r *Router) RepairReplica(shard, node int) error {
 	if deadNode || node == owner {
 		return fmt.Errorf("cluster: node %d cannot host shard %d's replica", node, shard)
 	}
+	return r.rechain(shard, owner, node)
+}
+
+// rechain is RepairReplica's work once its arguments are checked, and what
+// Migrate runs when the move consumed the chain: drain the owner, install
+// the cut on node as a follower, unseal, and commit the replica under a new
+// epoch. The caller holds opMu.
+func (r *Router) rechain(shard, owner, node int) error {
 	frame, err := r.drain(owner, shard)
 	if err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,6 +32,38 @@ func TestMigrateOrphanedShardRefused(t *testing.T) {
 	}
 }
 
+// TestMigrateOntoReplicaKeepsChain: moving a shard onto its own replica
+// used to commit Replica = -1, so a crash of the new owner before the next
+// repair orphaned the shard for good. The source becomes the follower
+// inside Migrate, and the failover that follows finds it.
+func TestMigrateOntoReplicaKeepsChain(t *testing.T) {
+	tc := newTestCluster(t, 3, 4, true)
+	runRoutedLoad(t, tc.routerTS.URL, 600, false)
+
+	if m := tc.router.CurrentMap(); m.Owner[0] != 0 || m.Replica[0] != 1 {
+		t.Fatalf("bootstrap: shard 0 on owner %d replica %d, want 0 and 1", m.Owner[0], m.Replica[0])
+	}
+	if err := tc.router.Migrate(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if m := tc.router.CurrentMap(); m.Owner[0] != 1 || m.Replica[0] != 0 {
+		t.Fatalf("after Migrate(0, 1): owner %d replica %d, want 1 and 0", m.Owner[0], m.Replica[0])
+	}
+	runRoutedLoad(t, tc.routerTS.URL, 1200, false)
+
+	tc.killNode(1)
+	tc.router.HealthTick()
+	tc.router.HealthTick()
+	if m := tc.router.CurrentMap(); m.Owner[0] != 0 {
+		t.Fatalf("after node 1 died: shard 0 owner %d, want 0", m.Owner[0])
+	}
+	// The promoted follower may trail the dead primary's ACK point; the
+	// resumed run re-sends that tail and the twin still has to agree.
+	if rep := runRoutedLoad(t, tc.routerTS.URL, 1800, false); rep.Sent+rep.CaughtUp != 1800 {
+		t.Fatalf("resumed run: sent %d + caught up %d != 1800", rep.Sent, rep.CaughtUp)
+	}
+}
+
 // promoteGate fails op=promote admin calls while blocked, simulating a
 // transient router→replica partition during a failover.
 type promoteGate struct {
@@ -52,36 +83,13 @@ func (g *promoteGate) RoundTrip(req *http.Request) (*http.Response, error) {
 // HealthTick must re-issue the promote so the shard becomes writable
 // again once the partition heals.
 func TestHealthTickRetriesFailedPromote(t *testing.T) {
-	const shards = 4
 	gate := &promoteGate{base: http.DefaultTransport}
-	var servers []*serve.Server
-	var nodeTS []*httptest.Server
-	urls := make([]string, 2)
-	for i := range urls {
-		srv, err := serve.New(serve.Config{
-			Shards:     shards,
-			Pipeline:   testPipeline(42),
-			QueueDepth: 64,
-			Cluster:    true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		servers = append(servers, srv)
-		nodeTS = append(nodeTS, ts)
-		urls[i] = ts.URL
-		t.Cleanup(func() { ts.Close(); _ = srv.Close() })
-	}
-	r, err := NewRouter(Options{
-		Nodes:           urls,
+	tc := newTestClusterWith(t, 2, 4, Options{
 		Replicate:       true,
 		Client:          &http.Client{Timeout: 5 * time.Second, Transport: gate},
 		HealthThreshold: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := tc.router
 
 	// The streaming client must share the fault-injecting transport but
 	// carry no overall deadline (a deadline would sever subscriptions).
@@ -100,13 +108,13 @@ func TestHealthTickRetriesFailedPromote(t *testing.T) {
 	}
 
 	gate.block.Store(true)
-	nodeTS[dead].Close()
+	tc.killNode(dead)
 	r.HealthTick()
 	if got := r.CurrentMap().Owner[sh]; got != rep {
 		t.Fatalf("shard %d owner after failover = %d, want replica %d", sh, got, rep)
 	}
 	role := func() string {
-		infos, err := servers[rep].HostedShards()
+		infos, err := tc.servers[rep].HostedShards()
 		if err != nil {
 			t.Fatal(err)
 		}

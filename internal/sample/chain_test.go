@@ -205,70 +205,3 @@ func TestChainPointsValidProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestReservoirBasics(t *testing.T) {
-	r := NewReservoir(3, 1, stats.NewRand(9))
-	for i := 1; i <= 3; i++ {
-		if !r.Push(pt(float64(i))) {
-			t.Errorf("arrival %d should enter an unfilled reservoir", i)
-		}
-	}
-	if len(r.Points()) != 3 {
-		t.Fatalf("Points len = %d, want 3", len(r.Points()))
-	}
-	if r.Size() != 3 || r.Seen() != 3 {
-		t.Errorf("Size/Seen = %d/%d", r.Size(), r.Seen())
-	}
-}
-
-func TestReservoirUniform(t *testing.T) {
-	// Over many trials, each of N items should appear in a size-1 reservoir
-	// with probability 1/N.
-	const n = 20
-	counts := make([]int, n)
-	for trial := 0; trial < 4000; trial++ {
-		r := NewReservoir(1, 1, stats.NewRand(int64(trial)))
-		for i := 0; i < n; i++ {
-			r.Push(pt(float64(i)))
-		}
-		counts[int(r.Points()[0][0])]++
-	}
-	exp := 4000.0 / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-exp) > 0.35*exp {
-			t.Errorf("item %d selected %d times, expected ~%.0f", i, c, exp)
-		}
-	}
-}
-
-func TestReservoirPanics(t *testing.T) {
-	rng := stats.NewRand(1)
-	for name, fn := range map[string]func(){
-		"k=0":     func() { NewReservoir(0, 1, rng) },
-		"dim=0":   func() { NewReservoir(1, 0, rng) },
-		"nil rng": func() { NewReservoir(1, 1, nil) },
-		"dim mismatch": func() {
-			r := NewReservoir(1, 2, rng)
-			r.Push(pt(1))
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestReservoirClones(t *testing.T) {
-	r := NewReservoir(2, 1, stats.NewRand(10))
-	p := pt(0.5)
-	r.Push(p)
-	p[0] = 9
-	if r.Points()[0][0] != 0.5 {
-		t.Error("reservoir aliases caller's slice")
-	}
-}

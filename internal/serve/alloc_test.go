@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -144,13 +145,22 @@ func TestIngestHotPathZeroAllocDrift(t *testing.T) {
 
 // TestWireIngestZeroAlloc extends the guard to the full binary serving
 // path: encode a batch (client side), decode it into pooled scratch
-// (interned sensors, recycled Value arrays), route it through the shard,
+// (interned sensors, recycled Value arrays), split it across the shards,
 // and encode the ODWR reply — zero allocations per round at steady state,
-// measured across all goroutines including the shard's.
+// measured across all goroutines including the shards'. One shard and four
+// run the same split-and-scatter code; four is what oddserve defaults to.
 func TestWireIngestZeroAlloc(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			wireIngestZeroAlloc(t, shards)
+		})
+	}
+}
+
+func wireIngestZeroAlloc(t *testing.T, shards int) {
 	const wcap = 200
 	cfg := Config{
-		Shards:     1,
+		Shards:     shards,
 		Pipeline:   testPipelineConfig(DetectDistance, 1, wcap, 3),
 		QueueDepth: 1024,
 	}
@@ -160,26 +170,36 @@ func TestWireIngestZeroAlloc(t *testing.T) {
 	}
 	defer srv.Close()
 
+	// One sensor per shard, so every round feeds every shard the same
+	// batchLen readings and each walks the cycle as the single shard does.
+	sensors := make([]string, shards)
+	for found, i := 0, 0; found < shards; i++ {
+		id := fmt.Sprintf("s%d", i)
+		if sid := ShardOf(id, shards); sensors[sid] == "" {
+			sensors[sid] = id
+			found++
+		}
+	}
 	cycle := make([]float64, 256)
 	src := rand.New(rand.NewSource(11))
 	for i := range cycle {
 		cycle[i] = src.Float64()
 	}
 	const batchLen = 64
-	readings := make([]Reading, batchLen)
+	readings := make([]Reading, batchLen*shards)
 	for i := range readings {
-		readings[i].Sensor = "s0"
+		readings[i].Sensor = sensors[i%shards]
 		readings[i].Value = make([]float64, 1)
 	}
 	pos := 0
 
-	sc := newIngestScratch(1)
+	sc := newIngestScratch(shards)
 	var frame []byte
 	step := func() {
 		for i := range readings {
-			readings[i].Value[0] = cycle[pos%len(cycle)]
-			pos++
+			readings[i].Value[0] = cycle[(pos+i/shards)%len(cycle)]
 		}
+		pos += batchLen
 		frame = AppendBatch(frame[:0], readings, 1, srv.wireFP)
 		var err error
 		sc.readings, err = DecodeBatchInto(frame, sc.readings, 1, srv.cfg.MaxBatch, srv.wireFP, &srv.names)
@@ -203,7 +223,9 @@ func TestWireIngestZeroAlloc(t *testing.T) {
 	for i := 0; i < (6*wcap+len(cycle))/batchLen+1; i++ {
 		step()
 	}
-	srv.shards[0].pl.kc.SetSource(constSrc{v: int64(wcap - 1)})
+	for _, sh := range srv.shards {
+		sh.pl.kc.SetSource(constSrc{v: int64(wcap - 1)})
+	}
 	for i := 0; i < 4*wcap/batchLen+1; i++ {
 		step()
 	}

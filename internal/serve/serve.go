@@ -425,47 +425,6 @@ func (s *Server) ingestInto(readings []Reading, results []ReadingResult, rs *rou
 	}
 
 	n := len(s.shards)
-	if n == 1 {
-		// Single-shard fast path: the batch is already the sub-batch and
-		// the scatter is the identity.
-		sh := s.shards[0]
-		if sh == nil || !sh.servable() {
-			// Not hosted here / sealed / replica: an advisory wrong-node
-			// rejection the client retries against the current owner.
-			for i := range results {
-				results[i] = ReadingResult{}
-			}
-			return len(readings), nil
-		}
-		rs.verdicts[0] = growVerdicts(rs.verdicts[0], len(readings))
-		req := shardReq{op: opIngest, batch: readings, verdicts: rs.verdicts[0], reply: rs.replies[0]}
-		if !sh.offer(req) {
-			sh.rejected.Add(uint64(len(readings)))
-			for i := range results {
-				results[i] = ReadingResult{}
-			}
-			return len(readings), nil
-		}
-		resp, err := sh.await(req)
-		if err != nil {
-			return 0, err
-		}
-		if resp.refused {
-			// Sealed between the advisory check and envelope processing:
-			// nothing was applied.
-			sh.rejected.Add(uint64(len(readings)))
-			for i := range results {
-				results[i] = ReadingResult{}
-			}
-			return len(readings), nil
-		}
-		for k := range resp.verdicts {
-			v := &resp.verdicts[k]
-			results[k] = ReadingResult{Accepted: true, Seq: v.Seq, Outlier: v.Outlier, Exact: v.Exact, Warmed: v.Warmed}
-		}
-		return 0, nil
-	}
-
 	for sid := 0; sid < n; sid++ {
 		rs.byShard[sid] = rs.byShard[sid][:0]
 		rs.pos[sid] = rs.pos[sid][:0]

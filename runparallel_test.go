@@ -47,13 +47,13 @@ func TestRunParallelMatchesRun(t *testing.T) {
 		}},
 		{"d3-loss", func() DeploymentConfig {
 			return DeploymentConfig{
-				Algorithm:   D3,
-				Sources:     buildSources(8, 1),
-				Branching:   2,
-				Core:        smallConfig(1),
-				Dist:        DistanceParams{Radius: 0.01, Threshold: 10},
-				MessageLoss: 0.2,
-				Seed:        9,
+				Algorithm: D3,
+				Sources:   buildSources(8, 1),
+				Branching: 2,
+				Core:      smallConfig(1),
+				Dist:      DistanceParams{Radius: 0.01, Threshold: 10},
+				Faults:    uniform(0.2, 109),
+				Seed:      9,
 			}
 		}},
 		{"mgdd", func() DeploymentConfig {

@@ -101,12 +101,12 @@ if [[ "$NEW_OWNER" != "$TO" ]]; then
     exit 1
 fi
 
-# When the migration target was the shard's replica the chain is left
-# empty (the stale copy was consumed by the move); rebuild it on the old
-# primary so the upcoming failover has somewhere to promote to.
-if [[ "$(map_field replica)" == "-1" ]]; then
-    echo "cluster-smoke: rebuilding shard 0's replica chain on node $OWNER"
-    curl -fsS -X POST "$ROUTER/admin/repair?shard=0&node=$OWNER" >/dev/null
+# Shard 0 starts on node 0 with its replica on node 1, so this move landed
+# on the replica; the migration itself must have re-chained the old
+# primary, or the upcoming failover has nowhere to promote to.
+if [[ "$(map_field replica)" != "$OWNER" ]]; then
+    echo "cluster-smoke: shard 0's replica is $(map_field replica) after the migration, want node $OWNER" >&2
+    exit 1
 fi
 
 echo "cluster-smoke: phase 2 — load continues across the migration (catch-up, then fresh verdicts)"
