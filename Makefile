@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch test race
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,18 @@ check-jsoncodec:
 	@bad=$$(grep -n 'json\.NewDecoder(' internal/serve/http.go internal/cluster/router_http.go); \
 	if [ -n "$$bad" ]; then \
 		echo "encoding/json decoder in an /ingest handler file (use serve.DecodeIngestJSON):"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# One publish per sub-batch: a shard hands the hub its whole sub-batch
+# (subHub.publishBatch, subscriber.offerBatch — one lock and at most one
+# wake-up per subscriber). A non-test hub.publish( or sub.offer( in
+# internal/serve is the per-reading push path creeping back. (shard.offer,
+# the mailbox's non-blocking send, is a different thing.)
+check-pushbatch:
+	@bad=$$(grep -nE 'hub\.publish\(|sub\.offer\(|\(sub \*subscriber\) offer\(' internal/serve/*.go | grep -v '_test\.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "per-reading subscriber publish in internal/serve (use publishBatch/offerBatch):"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -165,6 +177,10 @@ FUZZ_SMOKE += internal/varest:FuzzVarSketch
 # d = 1..3 on a half-cell grid (duplicates and cell-boundary points
 # everywhere): the FIFO inline buckets agree with a plain slice + CountNaive.
 FUZZ_SMOKE += internal/distance:FuzzDynIndex
+# Insert and query-driven-flush histories at five eps (batches on both sides
+# of the insertion-sort cutoff): the one-pass GK flush leaves the tuples, n
+# and pending of the two-pass flush it replaced, bit for bit, after every step.
+FUZZ_SMOKE += internal/quantile:FuzzGK
 
 fuzz-smoke:
 	@set -e; for row in $(FUZZ_SMOKE); do \

@@ -17,6 +17,10 @@
 // so one server can serve different cost/accuracy trade-offs per fleet:
 //
 //	oddserve -backend kernelchain -backend-select 'hvac-=ewma,chem-=qn'
+//
+// -drift arms concept-drift adaptation (serve.DefaultDriftConfig: the
+// KS/PH/MK bank on a subsample plus the JS model signal); it needs the
+// kernelchain default backend and is refused at start-up otherwise.
 package main
 
 import (
@@ -59,6 +63,7 @@ func main() {
 		cluster    = flag.Bool("cluster", false, "run as a cluster node (shards become the cluster-global space; a router assigns them)")
 		backend    = flag.String("backend", "", "default estimate-path backend: kernelchain|qn|coreset|ewma (empty = kernelchain)")
 		backendSel = flag.String("backend-select", "", "per-sensor backend routing, comma-separated prefix=kind rules (longest prefix wins), e.g. 'hvac-=ewma,chem-=qn'")
+		driftArm   = flag.Bool("drift", false, "arm drift adaptation with the default detector bank and JS signal (kernelchain default backend only)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -98,6 +103,9 @@ func main() {
 		SnapshotPath:  *snapPath,
 		SnapshotEvery: *snapEvery,
 		Cluster:       *cluster,
+	}
+	if *driftArm {
+		cfg.Pipeline.Drift = serve.DefaultDriftConfig()
 	}
 	if *cluster && *snapPath != "" {
 		fmt.Fprintln(os.Stderr, "oddserve: -cluster is incompatible with -snapshot (cluster durability is replication + shipped snapshots)")

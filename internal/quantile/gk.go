@@ -9,6 +9,13 @@
 //
 // A summary maintains tuples (v, g, Δ) with Σg = n such that any φ-quantile
 // query is answered within ±ε·n rank error, using O((1/ε)·log(ε·n)) space.
+//
+// Inserts are buffered and folded in by flush — at batchSize pending
+// values, and ahead of every query. A flush is one pass: the pending
+// values are sorted (an insertion loop up to insertionCutoff of them,
+// sort.Float64s past it), and each element of their merge with the tuples
+// goes through the compress rule as it is written, so a backend that
+// queries on every arrival (qn) pays one walk of the summary per flush.
 package quantile
 
 import (
@@ -68,41 +75,78 @@ func (s *GK) batchSize() int {
 	return b
 }
 
-// flush merges the pending buffer into the summary and compresses.
+// insertionCutoff is the pending length up to which flush sorts with a
+// plain insertion loop: an Insert-driven flush holds batchSize values (25
+// at the qn backend's ε = 0.02) and a Query-driven one fewer, where the
+// loop beats sort.Float64s. Longer buffers — a small ε, or a restored
+// blob, which may carry any pending count — take the library sort.
+const insertionCutoff = 32
+
+// sortPending orders the pending buffer ascending. Up to insertionCutoff
+// values the sort is stable — values that compare equal, which for floats
+// means −0 and +0, keep their arrival order; past it sort.Float64s may
+// order them either way. Tuple ranks never depend on that order, only
+// which sign of zero a tuple's v carries.
+func sortPending(p []float64) {
+	if len(p) > insertionCutoff {
+		sort.Float64s(p)
+		return
+	}
+	for i := 1; i < len(p); i++ {
+		x := p[i]
+		j := i
+		for ; j > 0 && x < p[j-1]; j-- {
+			p[j] = p[j-1]
+		}
+		p[j] = x
+	}
+}
+
+// flush folds the pending buffer into the summary in one pass: each
+// element of the merged order (a tuple before a pending value it ties
+// with) goes straight through compress's rule into scratch, so the
+// result is what a merge followed by compress would leave.
 func (s *GK) flush() {
 	if len(s.pending) == 0 {
 		return
 	}
-	sort.Float64s(s.pending)
-	maxD := int(2 * s.eps * float64(s.n+len(s.pending)))
-	merged := s.scratch[:0]
+	sortPending(s.pending)
+	m := len(s.tuples) + len(s.pending)
+	s.n += len(s.pending)
+	budget := int(2 * s.eps * float64(s.n))
+	out := s.scratch[:0]
 	i, j := 0, 0
-	for i < len(s.tuples) || j < len(s.pending) {
+	for k := 0; k < m; k++ {
+		var t tuple
 		if j >= len(s.pending) || (i < len(s.tuples) && s.tuples[i].v <= s.pending[j]) {
-			merged = append(merged, s.tuples[i])
+			t = s.tuples[i]
 			i++
+		} else {
+			// New observation: g = 1; Δ is the allowed uncertainty at its
+			// position (0 at the extremes).
+			t = tuple{v: s.pending[j], g: 1}
+			if i > 0 && i < len(s.tuples) {
+				t.d = max(budget-1, 0)
+			}
+			j++
+		}
+		// compress's rule: nothing merges into the minimum (out[0]) and
+		// the maximum (k = m−1) is never merged away.
+		if last := len(out) - 1; last >= 1 && k < m-1 && out[last].g+t.g+t.d <= budget {
+			t.g += out[last].g
+			out[last] = t
 			continue
 		}
-		// New observation: g = 1; Δ is the allowed uncertainty at its
-		// position (0 at the extremes).
-		d := 0
-		if i > 0 && i < len(s.tuples) {
-			d = maxD - 1
-			if d < 0 {
-				d = 0
-			}
-		}
-		merged = append(merged, tuple{v: s.pending[j], g: 1, d: d})
-		j++
+		out = append(out, t)
 	}
-	s.n += len(s.pending)
 	s.pending = s.pending[:0]
-	s.tuples, s.scratch = merged, s.tuples[:0]
-	s.compress()
+	s.tuples, s.scratch = out, s.tuples[:0]
 }
 
 // compress merges adjacent tuples while g_i + g_{i+1} + Δ_{i+1} stays
 // within the 2εn budget, keeping the summary at O((1/ε)·log(εn)) entries.
+// Merge runs it over two summaries' union; flush applies the same rule
+// as it goes.
 func (s *GK) compress() {
 	if len(s.tuples) < 3 {
 		return

@@ -1,7 +1,9 @@
 package quantile
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -254,5 +256,205 @@ func TestExtremesExact(t *testing.T) {
 	}
 	if got := s.Query(1); got != 9 {
 		t.Errorf("max = %v, want 9", got)
+	}
+}
+
+// refFlush is the two-pass flush the fused GK.flush replaced, kept as the
+// reference the tests and FuzzGK compare against: sort.Float64s, a merge
+// into scratch, then a second full walk in compress.
+func refFlush(s *GK) {
+	if len(s.pending) == 0 {
+		return
+	}
+	sort.Float64s(s.pending)
+	maxD := int(2 * s.eps * float64(s.n+len(s.pending)))
+	merged := s.scratch[:0]
+	i, j := 0, 0
+	for i < len(s.tuples) || j < len(s.pending) {
+		if j >= len(s.pending) || (i < len(s.tuples) && s.tuples[i].v <= s.pending[j]) {
+			merged = append(merged, s.tuples[i])
+			i++
+			continue
+		}
+		d := 0
+		if i > 0 && i < len(s.tuples) {
+			d = maxD - 1
+			if d < 0 {
+				d = 0
+			}
+		}
+		merged = append(merged, tuple{v: s.pending[j], g: 1, d: d})
+		j++
+	}
+	s.n += len(s.pending)
+	s.pending = s.pending[:0]
+	s.tuples, s.scratch = merged, s.tuples[:0]
+	s.compress()
+}
+
+// refInsert is Insert with refFlush at the batch boundary.
+func refInsert(s *GK, x float64) {
+	s.pending = append(s.pending, x)
+	if len(s.pending) >= s.batchSize() {
+		refFlush(s)
+	}
+}
+
+// sameBits is float equality by bit pattern: −0 and +0 differ.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sameSummary fails unless got and ref hold the same n, the same pending
+// values and the same tuples, values compared with sameV.
+func sameSummary(t *testing.T, got, ref *GK, sameV func(a, b float64) bool, at string) {
+	t.Helper()
+	if got.n != ref.n || len(got.pending) != len(ref.pending) || len(got.tuples) != len(ref.tuples) {
+		t.Fatalf("%s: n %d pending %d tuples %d, reference n %d pending %d tuples %d",
+			at, got.n, len(got.pending), len(got.tuples), ref.n, len(ref.pending), len(ref.tuples))
+	}
+	for i, x := range got.pending {
+		if !sameV(x, ref.pending[i]) {
+			t.Fatalf("%s: pending[%d] = %v, reference %v", at, i, x, ref.pending[i])
+		}
+	}
+	for i, g := range got.tuples {
+		r := ref.tuples[i]
+		if !sameV(g.v, r.v) || g.g != r.g || g.d != r.d {
+			t.Fatalf("%s: tuple %d = %+v, reference %+v", at, i, g, r)
+		}
+	}
+}
+
+// flushLengths is every pending length from 1 past the insertion-sort
+// cutoff, then strides up to 3×batch.
+func flushLengths(batch int) []int {
+	var ls []int
+	for l := 1; l <= insertionCutoff+16; l++ {
+		ls = append(ls, l)
+	}
+	for l := insertionCutoff + 17; l < 3*batch; l += 1 + batch/8 {
+		ls = append(ls, l)
+	}
+	return append(ls, 3*batch)
+}
+
+// TestFusedFlushMatchesTwoPass pins the one-pass flush against the
+// two-pass flush it replaced: over five ε, five input shapes and pending
+// lengths on both sides of the insertion-sort cutoff, every flush leaves
+// bit-identical tuples, n and pending.
+func TestFusedFlushMatchesTwoPass(t *testing.T) {
+	shapes := []struct {
+		name string
+		next func(r *rand.Rand, i int) float64
+	}{
+		{"uniform", func(r *rand.Rand, i int) float64 { return r.Float64() }},
+		{"sorted", func(r *rand.Rand, i int) float64 { return float64(i) }},
+		{"reverse", func(r *rand.Rand, i int) float64 { return -float64(i) }},
+		{"duplicates", func(r *rand.Rand, i int) float64 { return float64(r.Intn(7)) }},
+		{"infinities", func(r *rand.Rand, i int) float64 {
+			switch r.Intn(10) {
+			case 0:
+				return math.Inf(1)
+			case 1:
+				return math.Inf(-1)
+			}
+			return r.NormFloat64()
+		}},
+	}
+	for _, eps := range []float64{0.5, 0.1, 0.02, 0.01, 0.001} {
+		for _, sh := range shapes {
+			got, ref := New(eps), New(eps)
+			r := stats.NewRand(int64(1000 * eps))
+			i := 0
+			for _, l := range flushLengths(got.batchSize()) {
+				for k := 0; k < l; k++ {
+					x := sh.next(r, i)
+					i++
+					got.pending = append(got.pending, x)
+					ref.pending = append(ref.pending, x)
+				}
+				got.flush()
+				refFlush(ref)
+				sameSummary(t, got, ref, sameBits, fmt.Sprintf("eps %v %s after %d values (flush of %d)", eps, sh.name, i, l))
+			}
+		}
+	}
+}
+
+// TestFlushSignedZeroOrder documents the one place two correct sorts may
+// disagree: −0 and +0 compare equal. Ranks (g, Δ) never depend on their
+// order, so the fused flush equals the reference up to the sign of zero;
+// what the code does with the sign is: a tuple stays ahead of a pending
+// value it ties with, and up to insertionCutoff pending values ties keep
+// arrival order (past it sort.Float64s decides).
+func TestFlushSignedZeroOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	// ε = 0.001 leaves a zero merge budget at these sizes, so the tuples
+	// are the sorted values themselves.
+	got, ref := New(0.001), New(0.001)
+	var arrival []bool
+	step := func(xs ...float64) {
+		t.Helper()
+		for _, x := range xs {
+			arrival = append(arrival, math.Signbit(x))
+		}
+		got.pending = append(got.pending, xs...)
+		ref.pending = append(ref.pending, xs...)
+		got.flush()
+		refFlush(ref)
+		sameSummary(t, got, ref, func(a, b float64) bool { return a == b }, fmt.Sprintf("after %d zeros", len(arrival)))
+	}
+	step(negZero)
+	// 20 pending values: past the 12 below which sort.Float64s is itself
+	// an insertion sort, inside the cutoff.
+	var mixed []float64
+	for i := 0; i < 20; i++ {
+		x := 0.0
+		if i%3 == 1 {
+			x = negZero
+		}
+		mixed = append(mixed, x)
+	}
+	step(mixed...)
+	step(0, negZero)
+	// Each flush's zeros landed after the tuples already there, in
+	// arrival order: the signs read back as they were inserted.
+	if len(got.tuples) != len(arrival) {
+		t.Fatalf("%d tuples for %d zeros", len(got.tuples), len(arrival))
+	}
+	for i, tp := range got.tuples {
+		if math.Signbit(tp.v) != arrival[i] {
+			t.Fatalf("tuple %d has sign bit %t, arrival order had %t", i, math.Signbit(tp.v), arrival[i])
+		}
+	}
+}
+
+// BenchmarkGKFlush prices a flush in the shapes the qn backend drives, on
+// a ≈ 40-tuple summary at its ε = 0.02: "diffs" is one arrival's 32
+// lagged differences (an Insert-driven flush of 25, then the next
+// arrival's Query flushing the other 7), "vals" one value and the Query
+// that flushes it.
+func BenchmarkGKFlush(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		inserts int
+	}{{"diffs-25+7", 32}, {"vals-1", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := New(0.02)
+			s.Grow(512)
+			r := stats.NewRand(5)
+			for i := 0; i < 100000; i++ {
+				s.Insert(r.Float64())
+			}
+			s.flush()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < bc.inserts; k++ {
+					s.Insert(r.Float64())
+				}
+				s.flush()
+			}
+			b.ReportMetric(float64(len(s.tuples)), "tuples")
+		})
 	}
 }

@@ -152,12 +152,36 @@ func TestIngestHotPathZeroAllocDrift(t *testing.T) {
 func TestWireIngestZeroAlloc(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			wireIngestZeroAlloc(t, shards)
+			wireIngestZeroAlloc(t, shards, nil)
 		})
 	}
 }
 
-func wireIngestZeroAlloc(t *testing.T, shards int) {
+// TestIngestZeroAllocSubscribed is the same round with one subscriber
+// attached — every sensor, then a sensors= filter that passes one shard's
+// sensor — and drained once a round as its stream handler would: the push
+// path (publishBatch's filter, ring store and wake-up, and drain) rides
+// the zero-allocation guard too.
+func TestIngestZeroAllocSubscribed(t *testing.T) {
+	for _, filtered := range []bool{false, true} {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("filtered=%t/shards=%d", filtered, shards), func(t *testing.T) {
+				wireIngestZeroAlloc(t, shards, func(srv *Server, sensors []string) *subscriber {
+					sub := newTestSubscriber(srv.hub, srv.cfg.SubscribeBuffer)
+					if filtered {
+						sub.sensors = map[string]struct{}{sensors[0]: {}}
+					}
+					return sub
+				})
+			})
+		}
+	}
+}
+
+// wireIngestZeroAlloc runs the guard on a server of the given shard count;
+// a non-nil subscribe builds a subscriber (given the server and the one
+// sensor each shard is fed) that is attached for the whole run.
+func wireIngestZeroAlloc(t *testing.T, shards int, subscribe func(srv *Server, sensors []string) *subscriber) {
 	const wcap = 200
 	cfg := Config{
 		Shards:     shards,
@@ -193,9 +217,24 @@ func wireIngestZeroAlloc(t *testing.T, shards int) {
 	}
 	pos := 0
 
+	var (
+		sub     *subscriber
+		events  []Event
+		drained int
+	)
+	if subscribe != nil {
+		sub = subscribe(srv, sensors)
+		srv.hub.add(sub)
+		defer srv.hub.remove(sub)
+	}
+
 	sc := newIngestScratch(shards)
 	var frame []byte
 	step := func() {
+		if sub != nil {
+			events, _ = sub.drain(events[:0])
+			drained += len(events)
+		}
 		for i := range readings {
 			readings[i].Value[0] = cycle[(pos+i/shards)%len(cycle)]
 		}
@@ -230,8 +269,12 @@ func wireIngestZeroAlloc(t *testing.T, shards int) {
 		step()
 	}
 
+	drained = 0
 	if avg := testing.AllocsPerRun(200, step); avg != 0 {
 		t.Fatalf("steady-state binary ingest round allocates %v per batch, want 0", avg)
+	}
+	if sub != nil && drained == 0 {
+		t.Fatal("the subscriber saw no event during the measurement; the guard is vacuous")
 	}
 }
 

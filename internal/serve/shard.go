@@ -74,7 +74,7 @@ type shardResp struct {
 type shard struct {
 	id   int
 	pl   *Pipeline
-	hub  *subHub // verdict fan-out; publish is a single atomic load when idle
+	hub  *subHub // verdict fan-out, one publish per sub-batch; a single atomic load when idle
 	reqs chan shardReq
 	quit chan struct{} // Abort: stop without draining
 	done chan struct{}
@@ -174,6 +174,7 @@ func (sh *shard) handle(req shardReq) {
 			verdicts = make([]Verdict, len(req.batch))
 		}
 		fromSeq := sh.pl.Seq() + 1
+		outliers := uint64(0)
 		for i := range req.batch {
 			timed := sh.latTick&(latSample-1) == 0
 			sh.latTick++
@@ -187,20 +188,19 @@ func (sh *shard) handle(req shardReq) {
 			}
 			verdicts[i] = v
 			if v.Outlier {
-				sh.outliers.Add(1)
-			}
-			if sh.hub != nil {
-				sh.hub.publish(Event{
-					Sensor:  req.batch[i].Sensor,
-					Shard:   sh.id,
-					Seq:     v.Seq,
-					Outlier: v.Outlier,
-					Exact:   v.Exact,
-					Warmed:  v.Warmed,
-				})
+				outliers++
 			}
 		}
+		if outliers > 0 {
+			sh.outliers.Add(outliers)
+		}
 		sh.ingested.Add(uint64(len(req.batch)))
+		if sh.hub != nil {
+			// One publish per sub-batch, ahead of the reply: a client that
+			// has its verdicts back can count on every subscriber's ring
+			// already holding (or having counted as dropped) their events.
+			sh.hub.publishBatch(sh.id, req.batch, verdicts)
+		}
 		sh.syncDrift()
 		if r := sh.repl.Load(); r != nil {
 			// Copies the batch before the reply releases the caller's

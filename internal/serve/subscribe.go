@@ -16,11 +16,12 @@ import (
 // moment its shard emits it.
 //
 // The fan-out discipline protects the ingest hot path absolutely: each
-// subscriber owns a bounded ring; a shard publishing a verdict takes the
-// subscriber's mutex (uncontended except against the subscriber's own
-// drain), stores into the ring, and moves on. A slow subscriber loses
-// the oldest events — counted and reported as a gap record on its own
-// stream — and can never backpressure a shard goroutine.
+// subscriber owns a bounded ring; a shard publishing a sub-batch's
+// verdicts takes the subscriber's mutex once (contended only by another
+// shard's publish or the subscriber's own drain), filters and stores the
+// whole sub-batch, and moves on. A slow subscriber loses the oldest
+// events — counted and reported as a gap record on its own stream — and
+// can never backpressure a shard goroutine.
 
 // Event is one pushed verdict.
 type Event struct {
@@ -50,37 +51,59 @@ type subscriber struct {
 	dropped uint64 // drops since the last drain, reported as a gap record
 }
 
-// offer publishes one event into the ring, dropping the oldest event if
-// the subscriber is behind. Never blocks, never allocates.
-func (sub *subscriber) offer(ev Event) {
-	if sub.sensors != nil {
-		if _, ok := sub.sensors[ev.Sensor]; !ok {
-			return
-		}
-	}
-	if sub.outlierOnly && !ev.Outlier {
-		return
-	}
+// offerBatch publishes one shard's sub-batch — verdicts[i] judged
+// batch[i] — under a single lock: each event that passes the filters is
+// stored, dropping the oldest if the subscriber is behind, so a sub-batch
+// longer than the ring leaves its newest len(ring) events. The stream is
+// woken at most once, and only if something was stored. Never blocks,
+// never allocates.
+func (sub *subscriber) offerBatch(shard int, batch []Reading, verdicts []Verdict) {
+	stored := false
+	var dropped uint64
 	sub.mu.Lock()
-	if sub.n == len(sub.ring) {
-		sub.start++
-		if sub.start == len(sub.ring) {
-			sub.start = 0
+	for i := range batch {
+		v := &verdicts[i]
+		if sub.outlierOnly && !v.Outlier {
+			continue
 		}
-		sub.n--
-		sub.dropped++
-		sub.hub.dropped.Add(1)
+		if sub.sensors != nil {
+			if _, ok := sub.sensors[batch[i].Sensor]; !ok {
+				continue
+			}
+		}
+		if sub.n == len(sub.ring) {
+			sub.start++
+			if sub.start == len(sub.ring) {
+				sub.start = 0
+			}
+			sub.n--
+			dropped++
+		}
+		k := sub.start + sub.n
+		if k >= len(sub.ring) {
+			k -= len(sub.ring)
+		}
+		sub.ring[k] = Event{
+			Sensor:  batch[i].Sensor,
+			Shard:   shard,
+			Seq:     v.Seq,
+			Outlier: v.Outlier,
+			Exact:   v.Exact,
+			Warmed:  v.Warmed,
+		}
+		sub.n++
+		stored = true
 	}
-	i := sub.start + sub.n
-	if i >= len(sub.ring) {
-		i -= len(sub.ring)
-	}
-	sub.ring[i] = ev
-	sub.n++
+	sub.dropped += dropped
 	sub.mu.Unlock()
-	select {
-	case sub.notify <- struct{}{}:
-	default:
+	if dropped > 0 {
+		sub.hub.dropped.Add(dropped)
+	}
+	if stored {
+		select {
+		case sub.notify <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -88,12 +111,11 @@ func (sub *subscriber) offer(ev Event) {
 // returning how many events were dropped before the first one in dst.
 func (sub *subscriber) drain(dst []Event) ([]Event, uint64) {
 	sub.mu.Lock()
-	for k := 0; k < sub.n; k++ {
-		i := sub.start + k
-		if i >= len(sub.ring) {
-			i -= len(sub.ring)
-		}
-		dst = append(dst, sub.ring[i])
+	if end := sub.start + sub.n; end <= len(sub.ring) {
+		dst = append(dst, sub.ring[sub.start:end]...)
+	} else {
+		dst = append(dst, sub.ring[sub.start:]...)
+		dst = append(dst, sub.ring[:end-len(sub.ring)]...)
 	}
 	sub.start, sub.n = 0, 0
 	d := sub.dropped
@@ -104,10 +126,14 @@ func (sub *subscriber) drain(dst []Event) ([]Event, uint64) {
 
 // subHub fans shard verdicts out to the registered subscribers.
 type subHub struct {
-	mu   sync.RWMutex
-	subs map[*subscriber]struct{}
+	// subs is the registered set, copy-on-write: add and remove store a
+	// fresh slice under reg, a publisher loads the pointer and ranges over
+	// what it got. A publisher that loaded the slice just before a remove
+	// may still write one sub-batch into the departed subscriber's ring;
+	// nobody drains it and it is collected with the subscriber.
+	subs atomic.Pointer[[]*subscriber]
+	reg  sync.Mutex // serialises add and remove; publishers never take it
 
-	active  atomic.Int64  // len(subs), read lock-free on the publish path
 	dropped atomic.Uint64 // total ring drops across all subscribers
 
 	done      chan struct{} // closed on server shutdown; ends every stream
@@ -115,34 +141,44 @@ type subHub struct {
 }
 
 func newSubHub() *subHub {
-	return &subHub{subs: make(map[*subscriber]struct{}), done: make(chan struct{})}
+	return &subHub{done: make(chan struct{})}
 }
 
-// publish fans one verdict out. With no subscribers this is a single
-// atomic load — the shard hot path stays zero-cost and zero-alloc.
-func (h *subHub) publish(ev Event) {
-	if h.active.Load() == 0 {
-		return
+// registered is the current subscriber set; callers must not modify it.
+func (h *subHub) registered() []*subscriber {
+	if subs := h.subs.Load(); subs != nil {
+		return *subs
 	}
-	h.mu.RLock()
-	for sub := range h.subs {
-		sub.offer(ev)
+	return nil
+}
+
+// publishBatch fans one shard's sub-batch out; verdicts[i] judged
+// batch[i]. With no subscribers this is a single atomic load — the shard
+// hot path stays zero-cost and zero-alloc.
+func (h *subHub) publishBatch(shard int, batch []Reading, verdicts []Verdict) {
+	for _, sub := range h.registered() {
+		sub.offerBatch(shard, batch, verdicts)
 	}
-	h.mu.RUnlock()
 }
 
 func (h *subHub) add(sub *subscriber) {
-	h.mu.Lock()
-	h.subs[sub] = struct{}{}
-	h.active.Store(int64(len(h.subs)))
-	h.mu.Unlock()
+	h.reg.Lock()
+	defer h.reg.Unlock()
+	cur := h.registered()
+	next := append(cur[:len(cur):len(cur)], sub)
+	h.subs.Store(&next)
 }
 
 func (h *subHub) remove(sub *subscriber) {
-	h.mu.Lock()
-	delete(h.subs, sub)
-	h.active.Store(int64(len(h.subs)))
-	h.mu.Unlock()
+	h.reg.Lock()
+	defer h.reg.Unlock()
+	var next []*subscriber
+	for _, s := range h.registered() {
+		if s != sub {
+			next = append(next, s)
+		}
+	}
+	h.subs.Store(&next)
 }
 
 // shutdown ends every stream; subscribers drain what their rings still
@@ -151,7 +187,7 @@ func (h *subHub) shutdown() {
 	h.closeOnce.Do(func() { close(h.done) })
 }
 
-func (h *subHub) subscribers() int { return int(h.active.Load()) }
+func (h *subHub) subscribers() int { return len(h.registered()) }
 
 // SubscribeQuery is the /subscribe query vocabulary, typed: the server
 // parses it, Client.Subscribe encodes it, and the cluster router does both.
