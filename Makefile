@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin test race
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,18 @@ check-pushbatch:
 	@bad=$$(grep -nE 'hub\.publish\(|sub\.offer\(|\(sub \*subscriber\) offer\(' internal/serve/*.go | grep -v '_test\.go:'); \
 	if [ -n "$$bad" ]; then \
 		echo "per-reading subscriber publish in internal/serve (use publishBatch/offerBatch):"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# One twin: the verdict oracle (a pipeline per shard rebuilt from /stats,
+# the accept/re-serve/gap and push-path rules) lives in internal/twin.
+# PipelineConfigFor( anywhere else — tests included — is a second twin
+# being written; wire.go defines it and drift_serve_test.go pins its fields.
+check-onetwin:
+	@bad=$$(grep -rn 'PipelineConfigFor(' --include='*.go' internal cmd *.go \
+		| grep -v -e '^internal/twin/' -e '^internal/serve/wire\.go:' -e '^internal/serve/drift_serve_test\.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "a verdict twin outside internal/twin (use twin.New):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

@@ -1,7 +1,8 @@
 // Command oddload is the closed-loop load generator and acceptance oracle
 // for oddserve: it replays a seeded multi-sensor stream against the
-// server while running an identically-configured in-process twin, and
-// fails unless every served verdict is bit-identical to the twin's.
+// server while running an identically-configured in-process twin
+// (internal/twin), and fails unless every served verdict is bit-identical
+// to the twin's.
 //
 // Runs are idempotent across server restarts: oddload reads per-shard
 // arrival counts from /stats, fast-forwards its twin through the prefix
@@ -25,23 +26,21 @@ import (
 	"fmt"
 	"os"
 
-	"odds/internal/serve"
+	"odds/internal/twin"
 )
 
 func main() {
-	var (
-		addr    = flag.String("addr", "http://localhost:8077", "server base URL")
-		sensors = flag.Int("sensors", 8, "number of simulated sensors")
-		total   = flag.Int("n", 20000, "total readings in the seeded stream")
-		batch   = flag.Int("batch", 64, "readings per ingest request")
-		name    = flag.String("stream", "mixture", "per-sensor source (mixture, shifting, engine, enviro)")
-		seed    = flag.Int64("seed", 1, "load stream seed")
-		catchUp = flag.Bool("catch-up", true, "fast-forward the twin past readings the server already processed")
-		retries = flag.Int("max-retries", 0, "max consecutive backpressure retries per batch (0 = unlimited)")
-		wire    = flag.String("wire", "json", "ingest encoding: json or binary (ODWP)")
-		subs    = flag.Bool("subscribe", false, "also verify verdicts pushed over a /subscribe stream")
-		asJSON  = flag.Bool("json", false, "print the report as JSON")
-	)
+	var opts twin.Options
+	flag.StringVar(&opts.BaseURL, "addr", "http://localhost:8077", "server base URL")
+	flag.IntVar(&opts.Sensors, "sensors", 8, "number of simulated sensors")
+	flag.IntVar(&opts.Total, "n", 20000, "total readings in the seeded stream")
+	flag.IntVar(&opts.Batch, "batch", 64, "readings per ingest request")
+	flag.StringVar(&opts.Stream, "stream", "mixture", "per-sensor source (mixture, shifting, engine, enviro)")
+	flag.Int64Var(&opts.Seed, "seed", 1, "load stream seed")
+	flag.IntVar(&opts.MaxRetries, "max-retries", 0, "max consecutive backpressure retries, reset by any accepted reading (0 = unlimited)")
+	flag.StringVar(&opts.Encoding, "wire", "json", "ingest encoding: json or binary (ODWP)")
+	flag.BoolVar(&opts.Subscribe, "subscribe", false, "also verify verdicts pushed over a /subscribe stream")
+	asJSON := flag.Bool("json", false, "print the report as JSON")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
@@ -49,46 +48,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := serve.NewLoadOptions(*addr)
-	opts.Sensors = *sensors
-	opts.Total = *total
-	opts.Batch = *batch
-	opts.Stream = *name
-	opts.Seed = *seed
-	opts.CatchUp = *catchUp
-	opts.MaxRetries = *retries
-	opts.Encoding = *wire
-	opts.Subscribe = *subs
-
-	rep, err := serve.RunLoad(opts)
+	rep, err := twin.Run(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "oddload:", err)
 		os.Exit(1)
 	}
-
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(rep)
-	} else {
-		fmt.Printf("sent %d readings (%d caught up, %d rejections) in %v — %.0f readings/s\n",
-			rep.Sent, rep.CaughtUp, rep.Rejections, rep.Elapsed.Round(1e6), rep.Throughput)
-		fmt.Printf("client latency per reading: p50 %.1fµs p99 %.1fµs\n", rep.ClientP50us, rep.ClientP99us)
-		fmt.Printf("verdicts: %d outliers, %d/%d agree with in-process twin\n",
-			rep.Outliers, rep.Agreements, rep.Agreements+rep.Disagreements)
-		if *subs {
-			fmt.Printf("stream: %d events delivered, %d dropped (gap-counted), %d disagreements\n",
-				rep.StreamEvents, rep.StreamDropped, rep.StreamDisagreements)
-		}
+		return
 	}
-	if rep.Disagreements > 0 {
-		fmt.Fprintf(os.Stderr, "oddload: VERDICT MISMATCH: %d disagreements; first: %s\n",
-			rep.Disagreements, rep.FirstDiff)
-		os.Exit(1)
-	}
-	if rep.StreamDisagreements > 0 {
-		fmt.Fprintf(os.Stderr, "oddload: STREAM MISMATCH: %d disagreements; first: %s\n",
-			rep.StreamDisagreements, rep.StreamFirstDiff)
-		os.Exit(1)
+	fmt.Printf("sent %d readings (%d caught up, %d rejections) in %v — %.0f readings/s\n",
+		rep.Sent, rep.CaughtUp, rep.Rejections, rep.Elapsed.Round(1e6), rep.Throughput)
+	fmt.Printf("client latency per reading: p50 %.1fµs p99 %.1fµs\n", rep.ClientP50us, rep.ClientP99us)
+	fmt.Printf("verdicts: %d outliers, %d/%d agree with in-process twin\n", rep.Outliers, rep.Sent, rep.Sent)
+	if opts.Subscribe {
+		fmt.Printf("stream: %d events delivered, %d dropped (gap-counted), all agree\n",
+			rep.StreamEvents, rep.StreamDropped)
 	}
 }

@@ -2,11 +2,12 @@ package cluster
 
 // The cluster chaos suite: in-process multi-node clusters driven through
 // seeded fault schedules — node crashes, router↔node partitions, lossy
-// links, migrations mid-stream — with a per-shard twin oracle asserting
-// that every verdict the cluster ever serves (including re-served tails
-// after promote-on-failure) is bit-identical to an in-process pipeline
-// fed the same readings in the same order. On failure the schedule is
-// ddmin-shrunk to a minimal reproducer and printed as a Go literal.
+// links, migrations mid-stream — with the twin oracle (internal/twin)
+// asserting that every verdict the cluster ever serves (including
+// re-served tails after promote-on-failure) is bit-identical to an
+// in-process pipeline fed the same readings in the same order. On failure
+// the schedule is ddmin-shrunk to a minimal reproducer and printed as a
+// Go literal.
 //
 // Fault model: time is logical (one epoch per driver iteration; no
 // wall-clock), and faults act at the router's HTTP transport — a request
@@ -31,6 +32,7 @@ import (
 	"odds/internal/fault"
 	"odds/internal/oracle"
 	"odds/internal/serve"
+	"odds/internal/twin"
 )
 
 // chaosRouterID is the fault-plan node id of the router itself; serve
@@ -184,17 +186,14 @@ func runChaos(p chaosParams, sched fault.Schedule) error {
 		sh := serve.ShardOf(sensor, p.shards)
 		list[sh] = append(list[sh], serve.Reading{Sensor: sensor, Value: []float64{genValue(g%p.sensors, g/p.sensors)}})
 	}
-	next := make([]int, p.shards)                 // next list index to send per shard
-	expected := make([][]serve.Verdict, p.shards) // twin verdicts for list prefix
-	twins := make([]*serve.Pipeline, p.shards)
+	next := make([]int, p.shards) // next list index to send per shard
 	st, err := r.AggregateStats()
 	if err != nil {
 		return fmt.Errorf("bootstrap stats: %w", err)
 	}
-	for sh := range twins {
-		if twins[sh], err = serve.NewPipeline(st.PipelineConfigFor(sh)); err != nil {
-			return err
-		}
+	tw, err := twin.New(st)
+	if err != nil {
+		return err
 	}
 
 	// resync rewinds a shard's send cursor to its (new) owner's arrival
@@ -293,35 +292,18 @@ func runChaos(p chaosParams, sched fault.Schedule) error {
 		if _, _, err := r.Ingest(batch, results); err != nil {
 			return fmt.Errorf("epoch %d: ingest: %w", epoch, err)
 		}
-		cursor := make([]int, p.shards)
-		copy(cursor, next)
 		for i, res := range results {
 			sh := shardOf[i]
 			if !res.Accepted {
 				continue // whole shard chunk rejected; cursor stays
 			}
-			k := cursor[sh]
-			cursor[sh]++
-			if res.Seq != uint64(k+1) {
-				return fmt.Errorf("epoch %d: shard %d served seq %d for list index %d — catch-up desync", epoch, sh, res.Seq, k)
+			// The twin's accept rule: the next seq must match a fresh twin
+			// verdict, and one re-served after a rewind its stored verdict.
+			k := next[sh]
+			if err := tw.Accept(sh, uint64(k+1), list[sh][k], res); err != nil {
+				return fmt.Errorf("epoch %d: %w", epoch, err)
 			}
-			if k < len(expected[sh]) {
-				// Re-served after a rewind: deterministic replay must
-				// reproduce the stored verdict bit-identically.
-				exp := expected[sh][k]
-				if res.Outlier != exp.Outlier || res.Exact != exp.Exact || res.Warmed != exp.Warmed {
-					return fmt.Errorf("epoch %d: shard %d seq %d re-served verdict {outlier %v exact %v warmed %v} != original {outlier %v exact %v warmed %v}",
-						epoch, sh, res.Seq, res.Outlier, res.Exact, res.Warmed, exp.Outlier, exp.Exact, exp.Warmed)
-				}
-			} else {
-				tv := twins[sh].Ingest(list[sh][k].Value)
-				expected[sh] = append(expected[sh], tv)
-				if tv.Seq != res.Seq || res.Outlier != tv.Outlier || res.Exact != tv.Exact || res.Warmed != tv.Warmed {
-					return fmt.Errorf("epoch %d: shard %d seq %d served {outlier %v exact %v warmed %v} != twin {seq %d outlier %v exact %v warmed %v}",
-						epoch, sh, res.Seq, res.Outlier, res.Exact, res.Warmed, tv.Seq, tv.Outlier, tv.Exact, tv.Warmed)
-				}
-			}
-			next[sh] = cursor[sh]
+			next[sh]++
 		}
 		return nil
 	}

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,6 +14,7 @@ import (
 	"odds/internal/distance"
 	"odds/internal/mdef"
 	"odds/internal/serve"
+	"odds/internal/twin"
 )
 
 // testPipeline is the shared node configuration for cluster tests: a
@@ -87,24 +86,14 @@ func (tc *testCluster) killNode(id int) {
 	tc.nodeTS[id].Close()
 }
 
-func runRoutedLoad(t *testing.T, url string, total int, subscribe bool) *serve.LoadReport {
+func runRoutedLoad(t *testing.T, url string, total int, subscribe bool) *twin.Report {
 	t.Helper()
-	opts := serve.NewLoadOptions(url)
-	opts.Sensors = 6
-	opts.Total = total
-	opts.Batch = 48
-	opts.Seed = 99
-	opts.Encoding = "binary"
-	opts.Subscribe = subscribe
-	rep, err := serve.RunLoad(opts)
+	rep, err := twin.Run(twin.Options{
+		BaseURL: url, Sensors: 6, Total: total, Batch: 48, Stream: "mixture", Seed: 99,
+		Encoding: "binary", Subscribe: subscribe,
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rep.Disagreements > 0 {
-		t.Fatalf("%d verdict disagreements; first: %s", rep.Disagreements, rep.FirstDiff)
-	}
-	if rep.StreamDisagreements > 0 {
-		t.Fatalf("%d stream disagreements; first: %s", rep.StreamDisagreements, rep.StreamFirstDiff)
 	}
 	return rep
 }
@@ -156,9 +145,6 @@ func TestRoutedLoadAgreement(t *testing.T) {
 			rep := runRoutedLoad(t, tc.routerTS.URL, 2000, true)
 			if rep.Sent != 2000 {
 				t.Fatalf("sent %d readings, want 2000", rep.Sent)
-			}
-			if rep.Agreements == 0 {
-				t.Fatal("oracle compared no verdicts")
 			}
 		})
 	}
@@ -276,83 +262,57 @@ func TestFailoverPromote(t *testing.T) {
 	// The promoted replicas may trail the dead primary's ACK point; the
 	// catch-up run reads their arrivals and re-sends the lost tail, and
 	// every re-served verdict must still match the twin.
-	rep := runRoutedLoad(t, tc.routerTS.URL, 2400, false)
-	if rep.Sent+rep.CaughtUp != 2400 {
-		t.Fatalf("resumed run: sent %d + caught up %d != 2400", rep.Sent, rep.CaughtUp)
-	}
+	runRoutedLoad(t, tc.routerTS.URL, 2400, false)
 }
 
 // TestSubscribeAcrossMigration (conservation): a subscriber connected
 // through the router across a live migration sees every accepted reading
-// exactly once — events + ring-drop gaps account for everything, with no
-// duplicates and no silent loss.
+// exactly once, bit-identical to the twin — events + ring-drop gaps
+// account for everything, with no duplicates and no silent loss.
 func TestSubscribeAcrossMigration(t *testing.T) {
 	tc := newTestCluster(t, 3, 4, true)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, tc.routerTS.URL+"/subscribe?format=binary", nil)
+	router := serve.Client{HTTP: http.DefaultClient, Base: tc.routerTS.URL}
+	st, err := router.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	tw, err := twin.New(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("subscribe: status %d", resp.StatusCode)
+	sub, err := twin.OpenStream(router)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	type evKey struct {
-		shard int
-		seq   uint64
-	}
-	events := make(chan serve.Event, 4096)
-	gaps := make(chan uint64, 64)
-	go func() {
-		sr := serve.NewStreamReader(resp.Body)
-		for {
-			ev, gap, kind, err := sr.Next()
-			if err != nil {
-				close(events)
-				return
-			}
-			if kind == serve.StreamFrameGap {
-				gaps <- gap
-			} else {
-				events <- ev
-			}
-		}
-	}()
+	defer sub.Close()
 
 	// Drive batches through the router, retrying rejections in order so
-	// the accepted (shard, seq) set is exact. Migrate a shard mid-stream.
-	sensors := 6
-	accepted := make(map[evKey]bool)
-	send := func(round int) {
+	// every shard's accepted sequence is exact. Migrate a shard mid-stream.
+	const sensors = 6
+	seqs := make([]uint64, st.Shards)
+	accepted := 0
+	send := func() {
 		readings := make([]serve.Reading, sensors)
-		for s := 0; s < sensors; s++ {
+		for s := range readings {
 			readings[s] = serve.Reading{Sensor: fmt.Sprintf("sensor-%d", s), Value: []float64{0.5}}
 		}
 		for len(readings) > 0 {
-			buf, _ := json.Marshal(serve.IngestRequest{Readings: readings})
-			resp, err := http.Post(tc.routerTS.URL+"/ingest", "application/json", bytes.NewReader(buf))
+			out, err := router.IngestJSON(serve.IngestRequest{Readings: readings})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var out serve.IngestResponse
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
 			var retry []serve.Reading
 			for i, res := range out.Results {
-				if res.Accepted {
-					accepted[evKey{res.Shard, res.Seq}] = true
-				} else {
+				if !res.Accepted {
 					retry = append(retry, readings[i])
+					continue
 				}
+				sh := serve.ShardOf(readings[i].Sensor, st.Shards)
+				seqs[sh]++
+				if err := tw.Accept(sh, seqs[sh], readings[i], res); err != nil {
+					t.Fatal(err)
+				}
+				accepted++
 			}
 			readings = retry
 			if len(readings) > 0 {
@@ -370,36 +330,13 @@ func TestSubscribeAcrossMigration(t *testing.T) {
 				t.Fatalf("mid-stream migration: %v", err)
 			}
 		}
-		send(round)
+		send()
 	}
 
-	// Drain: every accepted reading must arrive as an event or be covered
-	// by an explicit gap record.
-	seen := make(map[evKey]bool)
-	var dropped uint64
-	deadline := time.After(5 * time.Second)
-	for len(seen)+int(dropped) < len(accepted) {
-		select {
-		case ev, ok := <-events:
-			if !ok {
-				t.Fatalf("stream closed early: %d events + %d dropped of %d accepted", len(seen), dropped, len(accepted))
-			}
-			k := evKey{ev.Shard, ev.Seq}
-			if seen[k] {
-				t.Fatalf("duplicate event for shard %d seq %d across migration", ev.Shard, ev.Seq)
-			}
-			if !accepted[k] {
-				t.Fatalf("stream delivered unsent reading: shard %d seq %d", ev.Shard, ev.Seq)
-			}
-			seen[k] = true
-		case g := <-gaps:
-			dropped += g
-		case <-deadline:
-			t.Fatalf("conservation timeout: %d events + %d dropped of %d accepted", len(seen), dropped, len(accepted))
-		}
-	}
-	if len(seen)+int(dropped) != len(accepted) {
-		t.Fatalf("conservation violated: %d events + %d dropped != %d accepted", len(seen), dropped, len(accepted))
+	// Drain: every accepted reading must arrive as an event equal to the
+	// twin's verdict, or be covered by an explicit gap record.
+	if _, _, err := sub.Check(tw, accepted); err != nil {
+		t.Fatal(err)
 	}
 }
 

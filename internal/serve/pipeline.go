@@ -8,8 +8,9 @@
 // window — behind a single-writer mailbox with bounded queues and
 // reject-with-retry-after admission control. Periodic checkpoints
 // snapshot every shard deterministically so a crashed server resumes
-// seed-exact, and cmd/oddload verifies that served verdicts are
-// bit-identical to an in-process twin of the same pipelines.
+// seed-exact, and internal/twin (behind cmd/oddload and the integration
+// tests) verifies that served verdicts are bit-identical to an in-process
+// twin of the same pipelines.
 package serve
 
 import (
@@ -43,8 +44,8 @@ type BackendRule struct {
 
 // PipelineConfig configures one shard's detector stack. The same value
 // (with per-shard seeds derived by stats.ChildSeed) configures the
-// server's shards and oddload's in-process twin; verdict agreement between
-// the two is the serving layer's acceptance oracle.
+// server's shards and the in-process twin (internal/twin); verdict
+// agreement between the two is the serving layer's acceptance oracle.
 type PipelineConfig struct {
 	Core     core.Config
 	Kind     DetectorKind
@@ -167,9 +168,9 @@ func (c PipelineConfig) Validate() error {
 
 // Verdict is one reading's detection outcome.
 type Verdict struct {
-	// Seq is the 1-based per-shard arrival sequence number; oddload uses
-	// it to align served verdicts with its twin and to rewind after a
-	// server restart.
+	// Seq is the 1-based per-shard arrival sequence number; internal/twin
+	// aligns served verdicts with its own by it, and a resumed load run
+	// rewinds to it after a server restart.
 	Seq uint64
 	// Outlier is the estimate-path verdict from the reading's backend,
 	// gated on warm-up exactly like the library detectors.
@@ -188,7 +189,7 @@ type selRule struct {
 }
 
 // Pipeline is one shard's detector stack. It is single-goroutine-owned:
-// the shard goroutine (or oddload's twin loop) is the only caller.
+// the shard goroutine (or the one driving a twin.Twin) is the only caller.
 type Pipeline struct {
 	cfg PipelineConfig
 

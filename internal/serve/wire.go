@@ -95,7 +95,7 @@ type ReplicationStats struct {
 }
 
 // StatsResponse answers GET /stats. It carries the full detection
-// configuration so a client (oddload) can construct a bit-identical
+// configuration so a client (internal/twin) can construct a bit-identical
 // in-process twin, and per-shard arrival counts so it can resume a
 // seeded stream against a restarted server.
 type StatsResponse struct {
