@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh test race
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,20 @@ check-onetwin:
 		echo "$$bad"; exit 1; \
 	fi
 
+# One refresh path: every core.Estimator patches its kernel model in place
+# (kernel.NewMaintained, then BeginMaintain/SetSlot/FinishMaintain), and a
+# caller keeping a model across arrivals holds a kernel Clone. The opt-in,
+# the tracking switch, the immutable rescale and serve's private clone are
+# gone; any of them in non-test code, or a from-scratch kernel.FromSample(
+# or kernel.New( in internal/core, is a second refresh path coming back.
+check-onerefresh:
+	@bad=$$(grep -rnE 'EnableIncrementalModel\(|EnableChangeTracking\(|WithWindowCount\(|cloneModel\(' --include='*.go' --exclude='*_test.go' internal cmd examples *.go); \
+	core=$$(grep -nE 'kernel\.(FromSample|New)\(' --include='*.go' -r internal/core | grep -v '_test\.go:'); \
+	if [ -n "$$bad$$core" ]; then \
+		echo "a second kernel-model refresh path (patch the maintained model; keep a Clone):"; \
+		echo "$$bad"; echo "$$core"; exit 1; \
+	fi
+
 # The serving benchmark BENCHMARK.json declares (bench/README.md): every
 # workload end to end, or every phase in a second or two as a smoke.
 benchmark:
@@ -115,9 +129,9 @@ bench-fault:
 	$(GO) test -run=NONE -bench=BenchmarkParallelRunD3 -benchtime 3x ./internal/experiments/
 
 # Incremental-maintenance suite whose numbers land in BENCH_REBUILD.json:
-# one in-place maintenance cycle vs a from-scratch kernel rebuild, the
-# per-arrival detector refresh in both modes (watch the full_builds and
-# models_per_10k metrics). The serving hot loop the savings feed is the
+# one in-place maintenance cycle vs a from-scratch kernel rebuild, and the
+# per-arrival detector refresh (watch the full_builds and models_per_10k
+# metrics). The serving hot loop the savings feed is the
 # pipeline.* rows of `go run ./bench -workload kernel-steady -trace 1`.
 bench-rebuild:
 	$(GO) test -run=NONE -bench='BenchmarkMaintainCycle|BenchmarkFromScratchRebuild' -benchmem -benchtime 20000x ./internal/kernel/

@@ -13,13 +13,14 @@ import (
 // Estimator is the per-node estimation state every sensor maintains
 // (Section 5): a chain sample of the window, a sliding-window variance
 // sketch, and a kernel density model derived from them. The model is
-// cached and rebuilt lazily when the sample has changed, at most once per
+// cached and refreshed lazily when the sample has changed, at most once per
 // RebuildEvery arrivals; during warm-up the cached model's |W| scaling is
-// rescaled (O(1)) to track the effective window count between rebuilds.
+// rescaled (O(1)) to track the effective window count between refreshes.
 //
 // Concurrency: an Estimator is single-goroutine-owned — Observe and
-// Model mutate it. The *kernel.Estimator a Model call returns is
-// immutable and may be queried from other goroutines.
+// Model mutate it, and Model patches the *kernel.Estimator it returns in
+// place. That model may be queried from other goroutines only while the
+// owner makes no further Observe or Model call; Clone it for a snapshot.
 type Estimator struct {
 	cfg    Config
 	smp    *sample.Chain
@@ -27,25 +28,20 @@ type Estimator struct {
 	wcount float64 // |W| used to scale range queries (union size at parents)
 
 	model      *kernel.Estimator
-	qr         *kernel.Querier // cached handle over model, rebound on rebuild
+	qr         *kernel.Querier // cached handle over model, rebound when the pointer changes
 	modelWc    float64         // EffectiveWindowCount the cached model scales by
 	dirty      bool
 	sinceBuild int
 	arrivals   uint64
 
-	// Incremental model maintenance (EnableIncrementalModel): instead of
-	// rebuilding the kernel model from scratch on every refresh, the
-	// detector tracks which chain-sample slots changed since the last
-	// build and patches only those centers in the maintained model.
-	incremental bool
+	// The chain sample reports which slots changed; a refresh patches
+	// exactly those centers in the maintained model.
 	pendingList []int32 // slots changed since the model last absorbed them
 	pendingSet  []bool  // dedup membership for pendingList
 	fullBuilds  uint64
 	patchBuilds uint64
 
-	// Rebuild-path scratch, reused across refreshes (satellite of the
-	// incremental work: the old path allocated a fresh scaled-sigma slice
-	// per rebuild whenever BandwidthScale != 1).
+	// Refresh scratch, reused across refreshes.
 	sigmaBuf []float64
 	bwBuf    []float64
 	ptsBuf   []window.Point
@@ -66,10 +62,12 @@ func NewEstimator(cfg Config, sampleWindow int, windowCount float64, rng *rand.R
 		sampleWindow = cfg.SampleSize
 	}
 	return &Estimator{
-		cfg:    cfg,
-		smp:    sample.NewChain(cfg.SampleSize, sampleWindow, cfg.Dim, rng),
-		vars:   varest.NewMulti(cfg.Dim, sampleWindow, cfg.Eps),
-		wcount: windowCount,
+		cfg:         cfg,
+		smp:         sample.NewChain(cfg.SampleSize, sampleWindow, cfg.Dim, rng),
+		vars:        varest.NewMulti(cfg.Dim, sampleWindow, cfg.Eps),
+		wcount:      windowCount,
+		pendingList: make([]int32, 0, cfg.SampleSize),
+		pendingSet:  make([]bool, cfg.SampleSize),
 	}
 }
 
@@ -84,9 +82,7 @@ func (e *Estimator) Observe(p window.Point) bool {
 	if included {
 		e.dirty = true
 	}
-	if e.incremental {
-		e.pendingList = e.smp.DrainChangedSlots(e.pendingList, e.pendingSet)
-	}
+	e.pendingList = e.smp.DrainChangedSlots(e.pendingList, e.pendingSet)
 	return included
 }
 
@@ -121,14 +117,16 @@ func (e *Estimator) clearPending() {
 	e.pendingList = e.pendingList[:0]
 }
 
-// Model returns the kernel density model for the current window, rebuilding
+// Model returns the kernel density model for the current window, refreshing
 // it if the sample changed and the rebuild interval elapsed. It returns nil
 // until at least one value has been observed.
 //
-// With EnableIncrementalModel the refresh patches the maintained model in
-// place — one ordered remove/insert per changed sample slot — instead of
-// rebuilding from scratch, with identical query results; the model pointer
-// then stays stable across refreshes and only Gen advances.
+// The refresh patches the model in place — one ordered remove/insert per
+// changed sample slot — with query results bit-identical to a from-scratch
+// kernel.FromSample over the same sample and sigmas. The pointer stays
+// stable across refreshes and only Gen advances, so the returned model is
+// valid until the next Observe; a caller keeping it across arrivals holds
+// a Clone.
 func (e *Estimator) Model() *kernel.Estimator {
 	if e.model == nil || (e.dirty && e.sinceBuild >= e.cfg.RebuildEvery) {
 		// Scale queries by the filled fraction of the sample window so
@@ -137,22 +135,8 @@ func (e *Estimator) Model() *kernel.Estimator {
 		// receipts per union-window span, so the fraction tracks how much
 		// of the union window the receipts represent.
 		wc := e.EffectiveWindowCount()
-		if e.incremental {
-			if !e.refreshMaintained(wc) {
-				return nil
-			}
-		} else {
-			pts := e.smp.Points()
-			if len(pts) == 0 {
-				return nil
-			}
-			m, err := kernel.FromSample(pts, e.scaledSigmas(), wc)
-			if err != nil {
-				// The only reachable error is an empty sample, handled above.
-				panic(err)
-			}
-			e.model = m
-			e.fullBuilds++
+		if !e.refreshMaintained(wc) {
+			return nil
 		}
 		e.modelWc = wc
 		e.dirty = false
@@ -162,26 +146,21 @@ func (e *Estimator) Model() *kernel.Estimator {
 		// warm-up every arrival grows the filled fraction, and a cached
 		// model built a few arrivals ago would keep scaling queries by the
 		// stale, smaller count (undercounting neighbors and over-flagging
-		// outliers). Rescaling is O(1); a maintained model rescales in
-		// place (keeping the cached Querier bound), an immutable one
-		// shares centers and bandwidths with its replacement.
-		if e.model.IsMaintained() {
-			e.model.SetWindowCount(wc)
-		} else {
-			e.model = e.model.WithWindowCount(wc)
-		}
+		// outliers). Rescaling is O(1) and in place, so the cached Querier
+		// stays bound.
+		e.model.SetWindowCount(wc)
 		e.modelWc = wc
 	}
 	return e.model
 }
 
 // refreshMaintained brings the maintained model up to date with the chain
-// sample: a patch cycle over the pending slots when a maintained model
-// exists, a full maintained build otherwise. It reports false when the
-// sample is empty (no model can exist; pending changes are kept so a later
-// refresh still sees them).
+// sample: a patch cycle over the pending slots when a model exists, a full
+// maintained build otherwise. It reports false when the sample is empty
+// (no model can exist; pending changes are kept so a later refresh still
+// sees them).
 func (e *Estimator) refreshMaintained(wc float64) bool {
-	if e.model != nil && e.model.IsMaintained() {
+	if e.model != nil {
 		if e.smp.Occupied() == 0 {
 			return false
 		}
@@ -199,9 +178,8 @@ func (e *Estimator) refreshMaintained(wc float64) bool {
 		e.patchBuilds++
 		return true
 	}
-	// First build (or the restored model predates maintenance): build a
-	// maintained model from the full sample, keyed by slot index so later
-	// patches address centers by the slot that changed.
+	// First build: a maintained model from the full sample, keyed by slot
+	// index so later patches address centers by the slot that changed.
 	e.ptsBuf, e.slotBuf = e.ptsBuf[:0], e.slotBuf[:0]
 	for s := 0; s < e.smp.Size(); s++ {
 		if p := e.smp.SampleAt(s); p != nil {
@@ -225,7 +203,7 @@ func (e *Estimator) refreshMaintained(wc float64) bool {
 }
 
 // ForceRefresh schedules an immediate model refresh: the next Model call
-// rebuilds (or patches) regardless of the rebuild cadence, re-deriving
+// patches (or first builds) regardless of the rebuild cadence, re-deriving
 // the bandwidths from the variance sketch's *current* sigmas. This is
 // the drift monitor's bandwidth re-estimation action — after a variance
 // shift the cached model may be up to RebuildEvery arrivals stale, and
@@ -235,10 +213,10 @@ func (e *Estimator) ForceRefresh() {
 	e.sinceBuild = e.cfg.RebuildEvery
 }
 
-// Querier returns an allocation-free query handle bound to the current
-// model, rebinding the cached handle whenever Model rebuilds or rescales.
-// Like the Estimator itself the handle is single-goroutine-owned; it
-// returns nil until the first value has been observed.
+// Querier refreshes the model (Model) and returns an allocation-free query
+// handle bound to it. Like the Estimator itself the handle is
+// single-goroutine-owned; it returns nil until the first value has been
+// observed.
 func (e *Estimator) Querier() *kernel.Querier {
 	if e.Model() == nil {
 		return nil
@@ -269,39 +247,15 @@ func (e *Estimator) CachedQuerier() *kernel.Querier {
 // EnableSampleRecycling switches the chain sample to pooled point storage
 // (sample.Chain.EnableRecycling), making the steady-state Observe path
 // allocation-free. Safe only when sample points never outlive the next
-// Observe: Model deep-copies centers (kernel.New owns its storage), so a
+// Observe: the maintained model copies centers into its own storage, so a
 // pipeline that only calls Observe/Model/Querier qualifies; deployments
 // that ship sample points in delayed messages (MGDD refresh) do not.
 // Call before the first Observe or immediately after UnmarshalEstimator.
 func (e *Estimator) EnableSampleRecycling() { e.smp.EnableRecycling() }
 
-// EnableIncrementalModel switches Model to in-place maintenance of the
-// kernel model: the chain sample reports which slots changed, and each
-// refresh patches exactly those centers (tombstone the departed value,
-// ordered-insert the replacement) instead of rebuilding from scratch —
-// O(changed·log|R|) amortized instead of O(|R|·(d+log|R|)) per refresh,
-// with bit-identical query results. The model pointer stays stable across
-// patches, so cached Querier handles keep their binding; consumers that
-// memoize per-model results must watch kernel.Estimator.Gen instead of the
-// pointer. Call before the first Observe or immediately after
-// UnmarshalEstimator (before RestoreModelSnapshot, whose maintained model
-// then keeps patching). Idempotent.
-func (e *Estimator) EnableIncrementalModel() {
-	if e.incremental {
-		return
-	}
-	e.incremental = true
-	e.smp.EnableChangeTracking()
-	if e.pendingSet == nil {
-		e.pendingSet = make([]bool, e.smp.Size())
-		e.pendingList = make([]int32, 0, e.smp.Size())
-	}
-}
-
-// ModelBuildStats reports how many Model refreshes rebuilt the kernel
-// model from scratch versus patching it in place — the incremental
-// scheme's effectiveness gauge (a healthy steady state is one full build
-// and all subsequent refreshes patches).
+// ModelBuildStats reports how many Model refreshes built the kernel model
+// from the full sample versus patching it in place (a healthy steady state
+// is one full build and all subsequent refreshes patches).
 func (e *Estimator) ModelBuildStats() (fullBuilds, patchBuilds uint64) {
 	return e.fullBuilds, e.patchBuilds
 }
@@ -315,17 +269,20 @@ func (e *Estimator) ModelBuildStats() (fullBuilds, patchBuilds uint64) {
 // ago under older sigmas. Checkpoint/restore paths that need verdicts to
 // be bit-identical across the restore boundary capture this snapshot
 // alongside the estimator blob and reinstate it with
-// RestoreModelSnapshot. The returned model is immutable and safe to
-// marshal; it is nil when no model has been built yet.
+// RestoreModelSnapshot. The returned model is the live maintained one —
+// marshal it before the next Observe; it is nil when no model has been
+// built yet.
 func (e *Estimator) ModelSnapshot() (model *kernel.Estimator, modelWc float64, dirty bool, sinceBuild int) {
 	return e.model, e.modelWc, e.dirty, e.sinceBuild
 }
 
 // RestoreModelSnapshot reinstates cached-model state captured by
 // ModelSnapshot on the estimator the snapshot was taken from (after an
-// UnmarshalEstimator round trip). A nil model leaves the restored
-// default — rebuild on next Model call — but still restores the rebuild
-// cadence counters.
+// UnmarshalEstimator round trip); the model then keeps patching. A nil
+// model leaves the restored default — build on next Model call — but
+// still restores the rebuild cadence counters. A non-nil model must be
+// maintained (kernel.Estimator.IsMaintained): an immutable one cannot be
+// patched, so decoders refuse it before calling this.
 func (e *Estimator) RestoreModelSnapshot(model *kernel.Estimator, modelWc float64, dirty bool, sinceBuild int) {
 	e.model = model
 	e.modelWc = modelWc

@@ -95,7 +95,6 @@ func TestForceRefreshReestimatesBandwidths(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.RebuildEvery = 500
 	est := NewEstimator(cfg, cfg.WindowCap, float64(cfg.WindowCap), stats.NewRand(9))
-	est.EnableIncrementalModel() // maintained model: Gen tracks refreshes
 	src := stream.NewDrifting(stream.DefaultDrifting(stream.DriftVariance, 1200), 1, 55)
 	for i := 0; i < 1200; i++ {
 		est.Observe(src.Next())

@@ -30,30 +30,33 @@ func incrementalConfig(oc oracle.Config) Config {
 	}
 }
 
-// runIncrementalDiff replays pts through a plain estimator and an
-// incremental one built from identical seeds, demanding bit-identical
-// query answers at every arrival. At restoreAt (when >= 0) the incremental
-// estimator additionally goes through the serve-style checkpoint round
-// trip — estimator blob plus marshaled model snapshot — and the restored
-// instance must keep matching. Returns "" on agreement, else a
-// description of the first divergence.
+// runIncrementalDiff replays pts through an estimator and, at every
+// arrival, checks its maintained model bit-for-bit against a from-scratch
+// kernel.FromSample over the sample and sigmas the model was last
+// refreshed from, scaled by the current effective window count. At
+// restoreAt (when >= 0) the estimator additionally goes through the
+// serve-style checkpoint round trip — estimator blob plus marshaled model
+// snapshot — and the restored instance must keep matching. Returns "" on
+// agreement, else a description of the first divergence.
 func runIncrementalDiff(cfg Config, seed int64, pts []window.Point, restoreAt int) string {
-	plain := NewEstimator(cfg, cfg.WindowCap, float64(cfg.WindowCap), rand.New(rand.NewSource(seed)))
-	incrRng := rand.New(rand.NewSource(seed))
-	incr := NewEstimator(cfg, cfg.WindowCap, float64(cfg.WindowCap), incrRng)
-	incr.EnableIncrementalModel()
+	rng := rand.New(rand.NewSource(seed))
+	e := NewEstimator(cfg, cfg.WindowCap, float64(cfg.WindowCap), rng)
 
+	// The reference inputs, captured at each refresh: the sample (copied,
+	// in slot order) and the sketch's sigmas.
+	var refPts []window.Point
+	var refSigmas []float64
+	var refreshes uint64
 	lo := make([]float64, cfg.Dim)
 	hi := make([]float64, cfg.Dim)
 	for i, p := range pts {
-		plain.Observe(p)
-		incr.Observe(p)
+		e.Observe(p)
 		if i == restoreAt {
-			blob, err := incr.MarshalBinary()
+			blob, err := e.MarshalBinary()
 			if err != nil {
 				return fmt.Sprintf("step %d: marshal: %v", i, err)
 			}
-			model, modelWc, dirty, sinceBuild := incr.ModelSnapshot()
+			model, modelWc, dirty, sinceBuild := e.ModelSnapshot()
 			var restoredModel *kernel.Estimator
 			if model != nil {
 				mblob, err := model.MarshalBinary()
@@ -67,24 +70,34 @@ func runIncrementalDiff(cfg Config, seed int64, pts []window.Point, restoreAt in
 			}
 			// The restored estimator continues the original's rng stream,
 			// exactly as serve's counted-source replay does.
-			restored, err := UnmarshalEstimator(blob, incrRng)
+			restored, err := UnmarshalEstimator(blob, rng)
 			if err != nil {
 				return fmt.Sprintf("step %d: unmarshal: %v", i, err)
 			}
-			restored.EnableIncrementalModel()
 			restored.RestoreModelSnapshot(restoredModel, modelWc, dirty, sinceBuild)
-			incr = restored
+			e, refreshes = restored, 0
 		}
-		mp := plain.Model()
-		mi := incr.Model()
-		if (mp == nil) != (mi == nil) {
-			return fmt.Sprintf("step %d: model nil mismatch (plain %v, incremental %v)", i, mp == nil, mi == nil)
+		m := e.Model()
+		if full, patch := e.ModelBuildStats(); full+patch != refreshes {
+			refreshes = full + patch
+			refPts = refPts[:0]
+			for _, sp := range e.SamplePoints() {
+				refPts = append(refPts, sp.Clone())
+			}
+			refSigmas = e.StdDevs()
 		}
-		if mp == nil {
+		if m == nil {
+			if len(e.SamplePoints()) > 0 {
+				return fmt.Sprintf("step %d: no model over a non-empty sample", i)
+			}
 			continue
 		}
-		if mp.SampleSize() != mi.SampleSize() {
-			return fmt.Sprintf("step %d: sample size %d vs %d", i, mp.SampleSize(), mi.SampleSize())
+		ref, err := kernel.FromSample(refPts, refSigmas, e.EffectiveWindowCount())
+		if err != nil {
+			return fmt.Sprintf("step %d: reference FromSample: %v", i, err)
+		}
+		if m.SampleSize() != ref.SampleSize() {
+			return fmt.Sprintf("step %d: sample size %d, want %d", i, m.SampleSize(), ref.SampleSize())
 		}
 		w := 0.02 + 0.2*float64(i%7)/7
 		for d := range lo {
@@ -94,11 +107,11 @@ func runIncrementalDiff(cfg Config, seed int64, pts []window.Point, restoreAt in
 			name      string
 			want, got float64
 		}{
-			{"Density", mp.Density(p), mi.Density(p)},
-			{"ProbBox", mp.ProbBox(lo, hi), mi.ProbBox(lo, hi)},
-			{"ProbBoxNaive", mp.ProbBoxNaive(lo, hi), mi.ProbBoxNaive(lo, hi)},
-			{"CountBox", mp.CountBox(lo, hi), mi.CountBox(lo, hi)},
-			{"QuerierProb", plain.Querier().Prob(p, w), incr.Querier().Prob(p, w)},
+			{"Density", ref.Density(p), m.Density(p)},
+			{"ProbBox", ref.ProbBox(lo, hi), m.ProbBox(lo, hi)},
+			{"ProbBoxNaive", ref.ProbBoxNaive(lo, hi), m.ProbBoxNaive(lo, hi)},
+			{"CountBox", ref.CountBox(lo, hi), m.CountBox(lo, hi)},
+			{"QuerierProb", ref.NewQuerier().Prob(p, w), e.Querier().Prob(p, w)},
 		}
 		for _, c := range checks {
 			if math.Float64bits(c.got) != math.Float64bits(c.want) {
@@ -110,10 +123,9 @@ func runIncrementalDiff(cfg Config, seed int64, pts []window.Point, restoreAt in
 }
 
 // TestIncrementalModelDifferential is the core-layer differential oracle:
-// random sliding-window histories through a plain rebuild-from-scratch
-// estimator and an incrementally-maintained one must agree bit-for-bit at
-// every arrival, including across a checkpoint/restore of the maintained
-// model. Failures are ddmin-shrunk to a minimal reproducer.
+// along random sliding-window histories the estimator's maintained model
+// must agree bit-for-bit with a from-scratch build at every arrival,
+// including across a checkpoint/restore of the maintained model. Failures are ddmin-shrunk to a minimal reproducer.
 func TestIncrementalModelDifferential(t *testing.T) {
 	n := 8
 	if testing.Short() {
@@ -154,7 +166,6 @@ func TestWarmupRescaleZeroAlloc(t *testing.T) {
 		RebuildEvery:   1,
 	}
 	e := NewEstimator(cfg, cfg.WindowCap, float64(cfg.WindowCap), stats.NewRand(11))
-	e.EnableIncrementalModel()
 	rng := stats.NewRand(12)
 	for i := 0; i < 300; i++ {
 		e.Observe(window.Point{rng.Float64(), rng.Float64()})
@@ -187,7 +198,6 @@ func TestWarmupRescaleZeroAlloc(t *testing.T) {
 func TestIncrementalSteadyStateBuildCounts(t *testing.T) {
 	cfg := testConfig(2)
 	e := NewEstimator(cfg, cfg.WindowCap, float64(cfg.WindowCap), stats.NewRand(21))
-	e.EnableIncrementalModel()
 	rng := stats.NewRand(22)
 	steps := 10000
 	if testing.Short() {

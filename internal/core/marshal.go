@@ -44,11 +44,10 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 		}
 		w.Bytes(vd)
 	}
-	// Incremental-maintenance queue: sample slots that changed after the
-	// last model build and are still waiting to be patched in. Written in
+	// Model-maintenance queue: sample slots that changed after the last
+	// model refresh and are still waiting to be patched in. Written in
 	// ascending slot order — the order patches are applied in — so a
-	// restored estimator resumes maintenance bit-identically. Empty (and
-	// the flag itself unset) for estimators without incremental mode.
+	// restored estimator resumes maintenance bit-identically.
 	pending := slices.Clone(e.pendingList)
 	slices.Sort(pending)
 	w.U32(uint32(len(pending)))
@@ -102,21 +101,17 @@ func UnmarshalEstimator(data []byte, rng *rand.Rand) (*Estimator, error) {
 			return nil, err
 		}
 	}
-	var pendingList []int32
-	var pendingSet []bool
-	if nPend := r.Count(4, smp.Size()); nPend > 0 {
-		pendingList = make([]int32, 0, smp.Size())
-		pendingSet = make([]bool, smp.Size())
-		prev := int32(-1)
-		for i := 0; i < nPend; i++ {
-			s := int32(r.U32())
-			if s <= prev || int(s) >= smp.Size() {
-				return fail("pending slots not ascending in range")
-			}
-			prev = s
-			pendingList = append(pendingList, s)
-			pendingSet[s] = true
+	pendingList := make([]int32, 0, smp.Size())
+	pendingSet := make([]bool, smp.Size())
+	prev := int32(-1)
+	for i, nPend := 0, r.Count(4, smp.Size()); i < nPend; i++ {
+		s := int32(r.U32())
+		if s <= prev || int(s) >= smp.Size() {
+			return fail("pending slots not ascending in range")
 		}
+		prev = s
+		pendingList = append(pendingList, s)
+		pendingSet[s] = true
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("core: estimator encoding: %w", err)

@@ -106,7 +106,7 @@ func (g *GlobalModel) Model() *kernel.Estimator {
 		return nil
 	}
 	if g.model == nil || g.dirty {
-		if g.model != nil && g.model.IsMaintained() {
+		if g.model != nil {
 			g.model.BeginMaintain()
 			slices.Sort(g.pending)
 			for _, s := range g.pending {
@@ -348,7 +348,7 @@ type MGDDParent struct {
 	// later broadcast supersedes them.
 	JSGate    float64
 	JSGridPts int
-	lastSent  *kernel.Estimator
+	lastSent  *kernel.Estimator // frozen copy of the last broadcast model
 }
 
 // NewMGDDParent wires a leader node. children receive relayed global
@@ -429,7 +429,9 @@ func (n *MGDDParent) OnMessage(s tagsim.Sender, msg tagsim.Message) {
 		}
 		if n.lastSent == nil || divergence.JS(n.lastSent, cur, n.JSGridPts) > n.JSGate {
 			n.broadcast(s, msg.Value, sigma)
-			n.lastSent = cur
+			// cur is the estimator's live model, patched in place by later
+			// refreshes: the gate compares against a frozen copy.
+			n.lastSent = cur.Clone()
 		}
 	case KindGlobal:
 		// Relay downward toward the leaves.

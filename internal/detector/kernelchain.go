@@ -32,7 +32,6 @@ func newKernelChain(cfg Config) *KernelChain {
 	cs := newCountedSource(cfg.Seed)
 	est := core.NewEstimator(cfg.Core, cfg.Core.WindowCap, float64(cfg.Core.WindowCap), rand.New(cs))
 	est.EnableSampleRecycling()
-	est.EnableIncrementalModel()
 	return &KernelChain{
 		cfg: cfg,
 		fp:  cfg.kernelChainFingerprint(),
@@ -184,7 +183,6 @@ func (k *KernelChain) Restore(blob []byte) error {
 		return fmt.Errorf("detector: kernelchain estimator: %w", err)
 	}
 	est.EnableSampleRecycling()
-	est.EnableIncrementalModel()
 	// Rng replay costs O(draws); gate the claimed position against the
 	// estimator's own arrival counter (the chain draws a small multiple per
 	// arrival — the factor below is orders of magnitude above it) so a
@@ -200,6 +198,9 @@ func (k *KernelChain) Restore(blob []byte) error {
 		}
 		if model.Dim() != k.cfg.Dim {
 			return fmt.Errorf("detector: kernelchain model dim %d != config dim %d", model.Dim(), k.cfg.Dim)
+		}
+		if !model.IsMaintained() {
+			return fmt.Errorf("detector: kernelchain model is not a maintained model")
 		}
 	}
 	est.RestoreModelSnapshot(model, wc, dirtyB != 0, int(sinceBuild))

@@ -8,6 +8,8 @@ package detector
 import (
 	"testing"
 
+	"odds/internal/binfmt"
+	"odds/internal/kernel"
 	"odds/internal/oracle"
 )
 
@@ -137,5 +139,71 @@ func TestRestoreMalformed(t *testing.T) {
 				victim.Ingest(s.Next())
 			}
 		})
+	}
+}
+
+// TestRestoreRefusesImmutableModel swaps a warm kernelchain snapshot's
+// model section for the same centers in the immutable ODDS form: the
+// estimator only patches maintained models in place, so Restore must
+// refuse the blob rather than hand the next arrival a model it cannot
+// refresh.
+func TestRestoreRefusesImmutableModel(t *testing.T) {
+	oc := oracle.Config{Dim: 2, WindowCap: 60, Steps: 150, Seed: 31}
+	cfg := testConfig(KindKernelChain, oc.Dim, oc.Seed)
+	det, _ := New(cfg)
+	feedStream(t, det, oc, oc.Steps)
+	blob, err := det.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kc := det.(*KernelChain)
+	r, err := openBlob(blob, KindKernelChain, kc.fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rngN, flagged := r.U64(), r.U64()
+	estBlob, modelBlob := r.Bytes(), r.Bytes()
+	wc, dirty, sinceBuild := r.F64(), r.U8(), r.U64()
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := kernel.UnmarshalEstimator(modelBlob, cfg.Core.SampleSize)
+	if err != nil || !m.IsMaintained() {
+		t.Fatalf("snapshot model: maintained %v, err %v", err == nil && m.IsMaintained(), err)
+	}
+	bw := make([]float64, m.Dim())
+	for i := range bw {
+		bw[i] = m.Bandwidth(i)
+	}
+	imm, err := kernel.New(m.Centers(), bw, m.WindowCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	immBlob, err := imm.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reseal := func(model []byte) []byte {
+		w := binfmt.Writer{}
+		w.U64(rngN)
+		w.U64(flagged)
+		w.Bytes(estBlob)
+		w.Bytes(model)
+		w.F64(wc)
+		w.U8(dirty)
+		w.U64(sinceBuild)
+		return sealBlob(KindKernelChain, kc.fp, w.B)
+	}
+	if string(reseal(modelBlob)) != string(blob) {
+		t.Fatal("resealing the untouched sections does not reproduce the snapshot")
+	}
+	victim, _ := New(cfg)
+	if err := victim.Restore(reseal(immBlob)); err == nil {
+		t.Fatal("kernelchain restore accepted an immutable model")
+	}
+	// The refusal leaves the victim usable.
+	s := oc.NewStream()
+	for i := 0; i < 20; i++ {
+		victim.Ingest(s.Next())
 	}
 }

@@ -92,11 +92,13 @@ func BandwidthsInto(dst, sigmas []float64, n int) []float64 {
 	return dst
 }
 
-// Estimator is an immutable kernel density model: a set of centers (the
-// sample R), per-dimension bandwidths, and the window count |W| that range
-// queries scale probabilities by. Build one with New or FromSample and
-// rebuild when the sample or bandwidths change; queries are safe for
-// concurrent use.
+// Estimator is a kernel density model: a set of centers (the sample R),
+// per-dimension bandwidths, and the window count |W| that range queries
+// scale probabilities by. New and FromSample build an immutable one, whose
+// queries are safe for concurrent use. NewMaintained builds one its owner
+// patches in place (see maintain.go): it answers like an immutable model
+// between patches, Gen advances on every change, and Clone gives a frozen
+// copy for callers that keep it across patches.
 type Estimator struct {
 	centers []window.Point
 	bw      []float64
@@ -290,38 +292,15 @@ func FromSample(pts []window.Point, sigmas []float64, windowCount float64) (*Est
 	return New(pts, Bandwidths(sigmas, len(pts)), windowCount)
 }
 
-// WithWindowCount returns an estimator identical to e except that range
-// queries scale by wc. The copy shares centers, bandwidths, and the
-// column layout with the receiver (all immutable), so the call is
-// O(1); when wc equals the current count the receiver itself is
-// returned. The online detector uses this to keep a cached model's |W|
-// tracking the effective window count while the window is still filling,
-// without paying for a rebuild. It panics on a maintained estimator —
-// a shallow copy would alias live maintenance state; use SetWindowCount.
-func (e *Estimator) WithWindowCount(wc float64) *Estimator {
-	if e.mnt != nil {
-		panic("kernel: WithWindowCount on a maintained estimator; use SetWindowCount")
-	}
-	if wc <= 0 || math.IsNaN(wc) || math.IsInf(wc, 0) {
-		panic(fmt.Sprintf("kernel: window count %v must be positive and finite", wc))
-	}
-	if wc == e.wcount {
-		return e
-	}
-	cp := *e
-	cp.wcount = wc
-	return &cp
-}
-
-// SetWindowCount rescales range queries by wc in place — the maintained
-// counterpart of WithWindowCount. The model pointer is unchanged, so bound
-// Queriers keep working without a rebind (Querier scratch depends only on
-// dimensionality); the generation counter advances so pointer-keyed caches
-// of scaled counts know to invalidate. Panics on an immutable estimator,
-// whose published contract is that it never changes underneath callers.
+// SetWindowCount rescales a maintained estimator's range queries by wc in
+// place. The model pointer is unchanged, so bound Queriers keep working
+// without a rebind (Querier scratch depends only on dimensionality); the
+// generation counter advances so pointer-keyed caches of scaled counts
+// know to invalidate. Panics on an immutable estimator, whose published
+// contract is that it never changes underneath callers.
 func (e *Estimator) SetWindowCount(wc float64) {
 	if e.mnt == nil {
-		panic("kernel: SetWindowCount on an immutable estimator; use WithWindowCount")
+		panic("kernel: SetWindowCount on an immutable estimator")
 	}
 	if wc <= 0 || math.IsNaN(wc) || math.IsInf(wc, 0) {
 		panic(fmt.Sprintf("kernel: window count %v must be positive and finite", wc))

@@ -392,37 +392,6 @@ func TestNewClampsNonFiniteBandwidth(t *testing.T) {
 	}
 }
 
-func TestWithWindowCount(t *testing.T) {
-	e, err := New(pts1(0.2, 0.5, 0.8), []float64{0.05}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.WithWindowCount(100) != e {
-		t.Error("unchanged count should return the receiver")
-	}
-	r := e.WithWindowCount(200)
-	if r.WindowCount() != 200 || e.WindowCount() != 100 {
-		t.Errorf("counts = %v, %v; want 200, 100", r.WindowCount(), e.WindowCount())
-	}
-	if &r.Centers()[0] != &e.Centers()[0] {
-		t.Error("rescale copied centers")
-	}
-	p := window.Point{0.5}
-	if got, want := r.Count(p, 0.1), 2*e.Count(p, 0.1); math.Abs(got-want) > 1e-9 {
-		t.Errorf("rescaled count = %v, want %v", got, want)
-	}
-	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("WithWindowCount(%v) did not panic", bad)
-				}
-			}()
-			e.WithWindowCount(bad)
-		}()
-	}
-}
-
 // TestEstimatorConcurrentQueries backs the concurrency contract in the
 // type's documentation: a built model is immutable and queries from many
 // goroutines must be race-free (verified under go test -race).

@@ -289,6 +289,41 @@ func TestMarshalDuringCycleFails(t *testing.T) {
 	}
 }
 
+// TestCloneIsFrozen pins Clone's contract: the copy keeps the source's form
+// and answers bit-identically to it when taken, and it keeps answering for
+// that moment's sample while the source is patched and rescaled on.
+func TestCloneIsFrozen(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	sim := newSlotSim(16, 2)
+	for s := 0; s < 10; s++ {
+		sim.pts[s] = randPoint(rng, 2)
+	}
+	pts, slots := sim.liveSlots()
+	bw, wc := randBandwidths(rng, 2), 500.0
+	m, err := NewMaintained(pts, slots, sim.maxSlots, bw, wc)
+	if err != nil {
+		t.Fatalf("NewMaintained: %v", err)
+	}
+	frozen := sim.reference(t, bw, wc)
+	c := m.Clone()
+	if c == m || !c.IsMaintained() {
+		t.Fatalf("clone of a maintained model: same pointer %v, maintained %v", c == m, c.IsMaintained())
+	}
+	checkBitIdentical(t, c, frozen, rng, "clone")
+	for i := 0; i < 5; i++ {
+		bw, wc = applyRandomCycle(t, m, sim, rng)
+	}
+	m.SetWindowCount(wc + 1)
+	checkBitIdentical(t, m, sim.reference(t, bw, wc+1), rng, "patched source")
+	checkBitIdentical(t, c, frozen, rng, "clone after source patches")
+
+	ic := frozen.Clone()
+	if ic.IsMaintained() {
+		t.Fatal("clone of an immutable model is maintained")
+	}
+	checkBitIdentical(t, ic, frozen, rng, "immutable clone")
+}
+
 // TestSetWindowCountInPlace pins the warm-up rescale contract: the model
 // pointer and centers stay put, only the scale and generation move.
 func TestSetWindowCountInPlace(t *testing.T) {
@@ -323,14 +358,6 @@ func TestSetWindowCountInPlace(t *testing.T) {
 			}
 		}()
 		imm.SetWindowCount(20)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("WithWindowCount on maintained did not panic")
-			}
-		}()
-		m.WithWindowCount(30)
 	}()
 }
 

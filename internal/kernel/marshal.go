@@ -167,6 +167,24 @@ func unmarshalMaintained(r *binfmt.Reader, maxSlots int) (*Estimator, error) {
 	return e, nil
 }
 
+// Clone returns a deep copy of e through its deterministic binary round
+// trip: the same form (immutable or maintained), answering every query
+// bit-identically, sharing no storage. Callers that keep a maintained
+// model across its owner's patches (a drift or JS-gate reference) keep a
+// Clone. It panics during an open maintenance cycle.
+func (e *Estimator) Clone() *Estimator {
+	blob, err := e.MarshalBinary()
+	if err != nil {
+		panic(fmt.Sprintf("kernel: clone: %v", err))
+	}
+	c, err := UnmarshalEstimator(blob, e.MaxSlots())
+	if err != nil {
+		// A blob this package just wrote always decodes.
+		panic(fmt.Sprintf("kernel: clone: %v", err))
+	}
+	return c
+}
+
 // UnmarshalEstimator decodes a model encoded by MarshalBinary. maxSlots
 // is the restoring caller's own slot capacity (its sample size): a
 // maintained model declaring more fails closed before anything is sized

@@ -64,35 +64,19 @@ type Chain struct {
 	freePts   []window.Point
 	freeLists [][]int
 
-	// Change tracking (EnableChangeTracking): slots whose current sample
-	// changed — adoption, expiry promotion, going empty, or a direct
-	// successor capture — accumulate in a dedup set drained by
-	// DrainChangedSlots. The incremental kernel-model maintenance path
-	// patches exactly these slots instead of rebuilding from scratch.
-	trackChanges bool
-	changed      []int32
-	changedSet   []bool
-}
-
-// EnableChangeTracking starts recording which slots' current samples
-// change on each Push. Tracking costs one flag check per slot event and
-// allocates its buffers once here, so the steady-state Push path stays
-// allocation-free. Callers drain the accumulated set with
-// DrainChangedSlots; an undrained set keeps growing (bounded by Size).
-func (c *Chain) EnableChangeTracking() {
-	if c.trackChanges {
-		return
-	}
-	c.trackChanges = true
-	if c.changedSet == nil {
-		c.changedSet = make([]bool, len(c.slots))
-		c.changed = make([]int32, 0, len(c.slots))
-	}
+	// Change tracking: slots whose current sample changed — adoption,
+	// expiry promotion, going empty, or a direct successor capture —
+	// accumulate in a dedup set drained by DrainChangedSlots. The kernel
+	// model is patched in exactly these slots. Both buffers are sized once
+	// in NewChain, so the steady-state Push path stays allocation-free; an
+	// undrained set stays bounded by Size.
+	changed    []int32
+	changedSet []bool
 }
 
 // markChanged records that slot s's current sample changed.
 func (c *Chain) markChanged(s int) {
-	if !c.trackChanges || c.changedSet[s] {
+	if c.changedSet[s] {
 		return
 	}
 	c.changedSet[s] = true
@@ -135,7 +119,7 @@ func (c *Chain) Occupied() int {
 // every rng draw are identical with recycling on or off — only the
 // ownership of dead storage changes. Points returned by Points become
 // invalid once a subsequent Push recycles them, so callers must copy
-// anything they keep (kernel.New deep-copies its centers).
+// anything they keep (the kernel model deep-copies its centers).
 //
 // Call it before the first Push or directly after UnmarshalChain (decoded
 // points are uniquely owned). Enabling it later is unsafe: pre-recycling
@@ -187,12 +171,14 @@ func NewChain(k, wcap, dim int, rng *rand.Rand) *Chain {
 		panic("sample: nil rng")
 	}
 	return &Chain{
-		slots:    make([]slot, k),
-		w:        uint64(wcap),
-		dim:      dim,
-		rng:      rng,
-		expireAt: make(map[uint64][]int),
-		wantAt:   make(map[uint64][]int),
+		slots:      make([]slot, k),
+		w:          uint64(wcap),
+		dim:        dim,
+		rng:        rng,
+		expireAt:   make(map[uint64][]int),
+		wantAt:     make(map[uint64][]int),
+		changed:    make([]int32, 0, k),
+		changedSet: make([]bool, k),
 	}
 }
 

@@ -248,7 +248,7 @@ func (p *Pipeline) jsCheck() bool {
 		return false
 	}
 	if d.ref == nil {
-		d.ref = cloneModel(m)
+		d.ref = m.Clone()
 		return false
 	}
 	js := d.js.JS(m, d.ref)
@@ -258,7 +258,7 @@ func (p *Pipeline) jsCheck() bool {
 		return false
 	}
 	d.jsTrips++
-	d.ref = cloneModel(m)
+	d.ref = m.Clone()
 	// The sample-space regime moved: re-anchor the bank too, so the KS
 	// reference window does not keep testing against the old regime.
 	d.mon.Rebase()
@@ -297,21 +297,4 @@ func (p *Pipeline) shrinkWindow(keep int) {
 		p.exactRemove(p.slot(i))
 		p.count--
 	}
-}
-
-// cloneModel deep-copies a kernel model via its deterministic binary
-// round trip; the clone is the frozen JS reference and must not alias
-// live estimator state.
-func cloneModel(m *kernel.Estimator) *kernel.Estimator {
-	blob, err := m.MarshalBinary()
-	if err != nil {
-		// Marshaling a live in-memory model cannot fail except by
-		// programming error.
-		panic(fmt.Sprintf("serve: clone model: %v", err))
-	}
-	c, err := kernel.UnmarshalEstimator(blob, m.MaxSlots())
-	if err != nil {
-		panic(fmt.Sprintf("serve: clone model: %v", err))
-	}
-	return c
 }

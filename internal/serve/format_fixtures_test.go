@@ -87,14 +87,13 @@ func fixtureCoreConfig(dim int) core.Config {
 	return c
 }
 
-// fixtureEstimator is the kernelchain-style estimator (recycling +
-// incremental model) after 54 arrivals: the last model refresh is four
+// fixtureEstimator is the kernelchain-style estimator (recycling on)
+// after 54 arrivals: the last model refresh is four
 // arrivals back, so the pending-slot queue is non-empty.
 func fixtureEstimator() *core.Estimator {
 	cfg := fixtureCoreConfig(2)
 	est := core.NewEstimator(cfg, cfg.WindowCap, float64(cfg.WindowCap), rand.New(rand.NewSource(11)))
 	est.EnableSampleRecycling()
-	est.EnableIncrementalModel()
 	for i, p := range fixtureStream(12, 54, 2) {
 		est.Observe(p)
 		if i%5 == 4 {

@@ -255,19 +255,8 @@ const maxCascade = 1 << 20
 // Step runs a single epoch: delayed copies come due, every live node's
 // OnEpoch fires in registration order, then message delivery to
 // quiescence. Crashed nodes are skipped entirely — no reading, no sends.
-func (s *Simulator) Step(epoch int) {
-	s.epoch = epoch
-	s.release(epoch)
-	for _, id := range s.order {
-		if s.plan.Down(int(id), epoch) {
-			continue
-		}
-		ctx := &Context{sim: s, self: id}
-		s.nodes[id].OnEpoch(ctx, epoch)
-	}
-	s.drain()
-	s.stats.Epochs++
-}
+// It is StepParallel's serial path.
+func (s *Simulator) Step(epoch int) { s.StepParallel(epoch, nil, nil) }
 
 // bufSender collects one node's epoch sends during StepParallel's
 // concurrent phase. Each node callback gets its own bufSender, so sends
@@ -299,35 +288,28 @@ func (b *bufSender) Send(to NodeID, kind string, value window.Point, aux float64
 // in deterministic order.
 func (s *Simulator) StepParallel(epoch int, pool *parallel.Pool, beforeDrain func()) {
 	s.epoch = epoch
-	n := len(s.order)
-	if pool == nil || pool.Workers() <= 1 || n <= 1 {
-		s.release(epoch)
+	s.release(epoch)
+	if n := len(s.order); pool == nil || pool.Workers() <= 1 || n <= 1 {
 		for _, id := range s.order {
 			if s.plan.Down(int(id), epoch) {
 				continue
 			}
 			s.nodes[id].OnEpoch(&Context{sim: s, self: id}, epoch)
 		}
-		if beforeDrain != nil {
-			beforeDrain()
-		}
-		s.drain()
-		s.stats.Epochs++
-		return
-	}
-	s.release(epoch)
-	senders := make([]bufSender, n)
-	pool.For(n, func(i int) {
-		id := s.order[i]
-		if s.plan.Down(int(id), epoch) {
-			return
-		}
-		senders[i].self = id
-		s.nodes[id].OnEpoch(&senders[i], epoch)
-	})
-	for i := range senders {
-		for _, m := range senders[i].out {
-			s.enqueue(m)
+	} else {
+		senders := make([]bufSender, n)
+		pool.For(n, func(i int) {
+			id := s.order[i]
+			if s.plan.Down(int(id), epoch) {
+				return
+			}
+			senders[i].self = id
+			s.nodes[id].OnEpoch(&senders[i], epoch)
+		})
+		for i := range senders {
+			for _, m := range senders[i].out {
+				s.enqueue(m)
+			}
 		}
 	}
 	if beforeDrain != nil {

@@ -50,8 +50,10 @@ type DistanceParams = distance.Params
 // radius, significance factor).
 type MDEFParams = mdef.Params
 
-// KernelModel is an immutable Epanechnikov kernel density model supporting
-// analytic box-probability and neighbor-count queries.
+// KernelModel is an Epanechnikov kernel density model supporting analytic
+// box-probability and neighbor-count queries. A detector's model is patched
+// in place as readings arrive: Gen advances on every change, and Clone
+// gives a frozen snapshot.
 type KernelModel = kernel.Estimator
 
 // Source is an endless stream of readings; the stream subpackage provides
@@ -102,7 +104,8 @@ func (d *Detector) Count(p Point, r float64) float64 {
 }
 
 // Model returns the current kernel density model (nil before data
-// arrives). The model is immutable and safe for concurrent queries.
+// arrives). The model is valid until the next Observe, which may patch it
+// in place; Clone it to keep it longer or to query it concurrently.
 func (d *Detector) Model() *KernelModel { return d.est.Model() }
 
 // MemoryBytes reports the detector's estimation-state footprint under the
