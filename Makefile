@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery test race
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,18 @@ check-onerefresh:
 	if [ -n "$$bad$$core" ]; then \
 		echo "a second kernel-model refresh path (patch the maintained model; keep a Clone):"; \
 		echo "$$bad"; echo "$$core"; exit 1; \
+	fi
+
+# One query surface: a kernel model answers its own queries. A query
+# handle type, the estimator accessors that cached one, or the per-point
+# batch entry points must not come back; NewQuerier is a deprecated shim
+# that only bench/ may call.
+check-onequery:
+	@bad=$$(grep -rnE '\bQuerier\b|CachedQuerier\(|CountBatch\(|DensityBatch\(' --include='*.go' --exclude='*_test.go' internal cmd examples *.go); \
+	shim=$$(grep -rn 'NewQuerier(' --include='*.go' internal cmd examples *.go | grep -v 'func (e \*Estimator) NewQuerier() \*Estimator'); \
+	if [ -n "$$bad$$shim" ]; then \
+		echo "a second way to query a kernel model (query the kernel.Estimator directly):"; \
+		echo "$$bad"; echo "$$shim"; exit 1; \
 	fi
 
 # The serving benchmark BENCHMARK.json declares (bench/README.md): every

@@ -108,6 +108,20 @@ func TestEstimatorModelCaching(t *testing.T) {
 	if got, want := m2.WindowCount(), e.EffectiveWindowCount(); got != want {
 		t.Errorf("cached model |W| = %v, want effective %v", got, want)
 	}
+	// A forced patch moves the model's generation, never its pointer, and
+	// CachedModel reports that same model without refreshing it.
+	gen := m1.Gen()
+	e.ForceRefresh()
+	e.Observe(src.Next())
+	if e.CachedModel() != m1 || m1.Gen() != gen {
+		t.Error("CachedModel refreshed or replaced the model")
+	}
+	if m3 := e.Model(); m3 != m1 || m3.Gen() == gen {
+		t.Errorf("forced patch: same pointer %v, gen %d -> %d", m3 == m1, gen, m3.Gen())
+	}
+	if full, patch := e.ModelBuildStats(); full != 1 || patch != 1 {
+		t.Errorf("builds after forced patch = %d full, %d patch; want 1, 1", full, patch)
+	}
 }
 
 // TestEstimatorModelTracksWarmupWindowCount walks an estimator through its

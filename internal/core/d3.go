@@ -13,11 +13,11 @@ import (
 // IsOutlier): p is flagged when the estimated neighbor count N(p,r) in the
 // node's window falls below the threshold t.
 func (e *Estimator) IsDistanceOutlier(p window.Point, prm distance.Params) bool {
-	q := e.Querier()
-	if q == nil {
+	m := e.Model()
+	if m == nil {
 		return false
 	}
-	return q.Count(p, prm.Radius) < prm.Threshold
+	return m.Count(p, prm.Radius) < prm.Threshold
 }
 
 // D3Leaf is the leaf-sensor process of the D3 algorithm (Figure 4,

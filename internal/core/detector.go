@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 
@@ -28,8 +29,7 @@ type Estimator struct {
 	wcount float64 // |W| used to scale range queries (union size at parents)
 
 	model      *kernel.Estimator
-	qr         *kernel.Querier // cached handle over model, rebound when the pointer changes
-	modelWc    float64         // EffectiveWindowCount the cached model scales by
+	modelWc    float64 // EffectiveWindowCount the cached model scales by
 	dirty      bool
 	sinceBuild int
 	arrivals   uint64
@@ -146,8 +146,7 @@ func (e *Estimator) Model() *kernel.Estimator {
 		// warm-up every arrival grows the filled fraction, and a cached
 		// model built a few arrivals ago would keep scaling queries by the
 		// stale, smaller count (undercounting neighbors and over-flagging
-		// outliers). Rescaling is O(1) and in place, so the cached Querier
-		// stays bound.
+		// outliers). Rescaling is O(1) and in place.
 		e.model.SetWindowCount(wc)
 		e.modelWc = wc
 	}
@@ -213,43 +212,22 @@ func (e *Estimator) ForceRefresh() {
 	e.sinceBuild = e.cfg.RebuildEvery
 }
 
-// Querier refreshes the model (Model) and returns an allocation-free query
-// handle bound to it. Like the Estimator itself the handle is
-// single-goroutine-owned; it returns nil until the first value has been
-// observed.
-func (e *Estimator) Querier() *kernel.Querier {
-	if e.Model() == nil {
-		return nil
-	}
-	return e.CachedQuerier()
-}
-
-// CachedQuerier returns the query handle over the model exactly as the last
-// Model call left it: no refresh, rebuild or rescale, nil before the first
-// model. It is the read path's handle — a query between two arrivals must
-// leave the estimator where an unqueried twin (a replica, which never sees
-// reads) would be, and Model can move it: after ForceRefresh it patches
-// under the current sigmas rather than the next arrival's, and before
-// warm-up it builds a model the verdict path would not build yet.
-func (e *Estimator) CachedQuerier() *kernel.Querier {
-	m := e.model
-	if m == nil {
-		return nil
-	}
-	if e.qr == nil {
-		e.qr = m.NewQuerier()
-	} else if e.qr.Model() != m {
-		e.qr.Reset(m)
-	}
-	return e.qr
-}
+// CachedModel returns the model exactly as the last Model call left it:
+// no refresh, rebuild or rescale, nil before the first model. It is the
+// read path's model — a query between two arrivals must leave the
+// estimator where an unqueried twin (a replica, which never sees reads)
+// would be, and Model can move it: after ForceRefresh it patches under
+// the current sigmas rather than the next arrival's, and before warm-up it
+// builds a model the verdict path would not build yet.
+func (e *Estimator) CachedModel() *kernel.Estimator { return e.model }
 
 // EnableSampleRecycling switches the chain sample to pooled point storage
 // (sample.Chain.EnableRecycling), making the steady-state Observe path
 // allocation-free. Safe only when sample points never outlive the next
 // Observe: the maintained model copies centers into its own storage, so a
-// pipeline that only calls Observe/Model/Querier qualifies; deployments
-// that ship sample points in delayed messages (MGDD refresh) do not.
+// pipeline that only calls Observe/Model and queries the model qualifies;
+// deployments that ship sample points in delayed messages (MGDD refresh)
+// do not.
 // Call before the first Observe or immediately after UnmarshalEstimator.
 func (e *Estimator) EnableSampleRecycling() { e.smp.EnableRecycling() }
 
@@ -280,15 +258,27 @@ func (e *Estimator) ModelSnapshot() (model *kernel.Estimator, modelWc float64, d
 // ModelSnapshot on the estimator the snapshot was taken from (after an
 // UnmarshalEstimator round trip); the model then keeps patching. A nil
 // model leaves the restored default — build on next Model call — but
-// still restores the rebuild cadence counters. A non-nil model must be
-// maintained (kernel.Estimator.IsMaintained): an immutable one cannot be
-// patched, so decoders refuse it before calling this.
-func (e *Estimator) RestoreModelSnapshot(model *kernel.Estimator, modelWc float64, dirty bool, sinceBuild int) {
+// still restores the rebuild cadence counters. A non-nil model must be one
+// this estimator can patch: maintained (kernel.Estimator.IsMaintained),
+// with one slot per chain-sample slot and the configured dimensionality.
+// Anything else is refused with an error and the estimator is unchanged;
+// accepting it would panic at the next refresh instead.
+func (e *Estimator) RestoreModelSnapshot(model *kernel.Estimator, modelWc float64, dirty bool, sinceBuild int) error {
+	if model != nil {
+		switch {
+		case !model.IsMaintained():
+			return fmt.Errorf("core: snapshot model is not a maintained model")
+		case model.MaxSlots() != e.smp.Size():
+			return fmt.Errorf("core: snapshot model has %d slots, sample has %d", model.MaxSlots(), e.smp.Size())
+		case model.Dim() != e.cfg.Dim:
+			return fmt.Errorf("core: snapshot model dim %d, config dim %d", model.Dim(), e.cfg.Dim)
+		}
+	}
 	e.model = model
 	e.modelWc = modelWc
 	e.dirty = dirty
 	e.sinceBuild = sinceBuild
-	e.qr = nil
+	return nil
 }
 
 // warmupFraction is the share of the sample window that must have been

@@ -74,7 +74,9 @@ func runIncrementalDiff(cfg Config, seed int64, pts []window.Point, restoreAt in
 			if err != nil {
 				return fmt.Sprintf("step %d: unmarshal: %v", i, err)
 			}
-			restored.RestoreModelSnapshot(restoredModel, modelWc, dirty, sinceBuild)
+			if err := restored.RestoreModelSnapshot(restoredModel, modelWc, dirty, sinceBuild); err != nil {
+				return fmt.Sprintf("step %d: restore model: %v", i, err)
+			}
 			e, refreshes = restored, 0
 		}
 		m := e.Model()
@@ -111,7 +113,7 @@ func runIncrementalDiff(cfg Config, seed int64, pts []window.Point, restoreAt in
 			{"ProbBox", ref.ProbBox(lo, hi), m.ProbBox(lo, hi)},
 			{"ProbBoxNaive", ref.ProbBoxNaive(lo, hi), m.ProbBoxNaive(lo, hi)},
 			{"CountBox", ref.CountBox(lo, hi), m.CountBox(lo, hi)},
-			{"QuerierProb", ref.NewQuerier().Prob(p, w), e.Querier().Prob(p, w)},
+			{"Prob", ref.Prob(p, w), e.Model().Prob(p, w)},
 		}
 		for _, c := range checks {
 			if math.Float64bits(c.got) != math.Float64bits(c.want) {
@@ -154,8 +156,8 @@ func TestIncrementalModelDifferential(t *testing.T) {
 
 // TestWarmupRescaleZeroAlloc pins the warm-up rescale fast path: when only
 // the effective window count drifts (no sample change), a maintained model
-// rescales in place — same model pointer, same bound Querier, zero
-// allocations per refresh.
+// rescales in place — same model pointer, which CachedModel also reports,
+// and zero allocations per refresh.
 func TestWarmupRescaleZeroAlloc(t *testing.T) {
 	cfg := Config{
 		WindowCap:      100000,
@@ -171,8 +173,7 @@ func TestWarmupRescaleZeroAlloc(t *testing.T) {
 		e.Observe(window.Point{rng.Float64(), rng.Float64()})
 	}
 	m := e.Model()
-	q := e.Querier()
-	if m == nil || q == nil {
+	if m == nil {
 		t.Fatal("no model after 300 arrivals")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -183,8 +184,8 @@ func TestWarmupRescaleZeroAlloc(t *testing.T) {
 		if e.Model() != m {
 			t.Fatal("wcount-only rescale replaced the maintained model")
 		}
-		if e.Querier() != q || q.Model() != m {
-			t.Fatal("wcount-only rescale rebound the querier")
+		if e.CachedModel() != m {
+			t.Fatal("CachedModel disagrees with Model after a rescale")
 		}
 	})
 	if allocs != 0 {

@@ -90,6 +90,9 @@ func UnmarshalEstimator(data []byte, rng *rand.Rand) (*Estimator, error) {
 	if smp.Dim() != cfg.Dim {
 		return fail("sample dimensionality mismatch")
 	}
+	if smp.Size() != cfg.SampleSize {
+		return fail("sample size mismatch")
+	}
 
 	sketches := make([]*varest.Estimator, cfg.Dim)
 	for d := range sketches {

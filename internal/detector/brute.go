@@ -13,7 +13,7 @@ import (
 
 // Executable specifications for the oracle suite: each BruteX replays a
 // full ingest history from scratch with naive data structures — no rings,
-// no cached queriers, no incremental state — and returns the verdict the
+// no cached models, no incremental state — and returns the verdict the
 // streaming backend must produce for the NEXT reading. The differential
 // tests pin every sampled streaming verdict to these, so any incremental
 // bookkeeping bug (ring rotation, snapshot restore, flush scheduling,
@@ -152,11 +152,10 @@ func BruteQnScale(xs []float64, lag int) (scale float64, diffs []float64) {
 }
 
 // BruteCoreset replays the sensitivity-sampling reservoir from scratch —
-// naive slices, fresh models at every rebuild boundary, a fresh querier
-// per judgment — and judges probe against the resulting model. Bit-exact
-// with the streaming backend: admissions consume draws from the same
-// seeded source in the same order, and kernel construction is
-// deterministic.
+// naive slices, fresh models at every rebuild boundary — and judges
+// probe against the resulting model. Bit-exact with the streaming
+// backend: admissions consume draws from the same seeded source in the
+// same order, and kernel construction is deterministic.
 func BruteCoreset(cfg CoresetConfig, dist distance.Params, dim int, seed int64, history [][]float64, probe []float64) Verdict {
 	cfg = cfg.WithDefaults()
 	rng := rand.New(newSplitmix(seed))

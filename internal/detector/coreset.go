@@ -63,7 +63,7 @@ func (c CoresetConfig) validate() error {
 // admission probability is proportional to its squared distance from the
 // current coreset — points far from everything kept are exactly the ones
 // a density summary cannot afford to drop — feeding the existing kernel
-// querier as a lighter substitute for the chain sample. Bandwidths come
+// model as a lighter substitute for the chain sample. Bandwidths come
 // from a running Welford sketch over all arrivals (Scott's rule inside
 // kernel.FromSample), and the distance criterion is the paper's:
 // estimated neighbors within L∞ Radius below Threshold.
@@ -92,7 +92,6 @@ type Coreset struct {
 	sinceBuild int
 
 	model *kernel.Estimator
-	qr    *kernel.Querier
 
 	sigmaBuf []float64
 
@@ -137,7 +136,7 @@ func (c *Coreset) Kind() Kind { return KindCoreset }
 func (c *Coreset) warmed() bool { return c.n >= uint64(c.cfg.Coreset.MinN) && c.model != nil }
 
 func (c *Coreset) outlier(v []float64) bool {
-	return c.qr.Count(window.Point(v), c.cfg.Distance.Radius) < c.cfg.Distance.Threshold
+	return c.model.Count(window.Point(v), c.cfg.Distance.Radius) < c.cfg.Distance.Threshold
 }
 
 // dist2 is the squared Euclidean distance from v to the nearest coreset
@@ -231,11 +230,6 @@ func (c *Coreset) rebuild() {
 		return
 	}
 	c.model = m
-	if c.qr == nil {
-		c.qr = m.NewQuerier()
-	} else {
-		c.qr.Reset(m)
-	}
 	c.dirty = false
 	c.sinceBuild = 0
 }
@@ -251,10 +245,10 @@ func (c *Coreset) QueryOutlier(v []float64) Verdict {
 // QueryProb reports the model's probability mass within L∞ radius r of v
 // (0 before the first model exists).
 func (c *Coreset) QueryProb(v []float64, r float64) float64 {
-	if c.qr == nil {
+	if c.model == nil {
 		return 0
 	}
-	return c.qr.Prob(window.Point(v), r)
+	return c.model.Prob(window.Point(v), r)
 }
 
 // SetSource swaps the underlying rng source. Test hook: the zero-alloc
@@ -335,7 +329,6 @@ func (c *Coreset) Restore(blob []byte) error {
 			return fmt.Errorf("detector: coreset model dim %d != config dim %d", m.Dim(), c.cfg.Dim)
 		}
 		fresh.model = m
-		fresh.qr = m.NewQuerier()
 	}
 	fresh.n, fresh.flagged, fresh.mass = n, flagged, mass
 	fresh.dirty, fresh.sinceBuild = dirtyB != 0, int(sinceBuild)

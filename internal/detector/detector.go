@@ -15,7 +15,7 @@
 //   - coreset — a sensitivity-sampling coreset (Lucic et al.): a
 //     linear-time biased reservoir in which an arrival's admission
 //     probability is proportional to its squared distance from the
-//     current coreset, feeding the existing kernel querier. A lighter
+//     current coreset, feeding the existing kernel model. A lighter
 //     substitute for the chain sample.
 //   - ewma — exponentially-weighted moving average with dynamic process
 //     limits (mean ± K·sigma recomputed per arrival): O(1) state, the
@@ -148,7 +148,7 @@ type Config struct {
 	Seed int64
 	// Criterion, Core, Distance, MDEF configure the kernelchain engine
 	// exactly as the original pipeline did; Distance also configures the
-	// coreset querier's distance criterion.
+	// coreset model's distance criterion.
 	Criterion Criterion
 	Core      core.Config
 	Distance  distance.Params

@@ -41,6 +41,11 @@ func FuzzDetectorSnapshot(f *testing.F) {
 		}
 		f.Add(warm)
 		f.Add(warm[:len(warm)/2])
+		if kc, ok := det.(*KernelChain); ok {
+			for _, forged := range forgedKernelChainSnapshots(f, kc, warm) {
+				f.Add(forged)
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, cfg := range fuzzConfigs() {

@@ -65,7 +65,7 @@ func (k *KernelChain) Ingest(v []float64) Verdict {
 	k.est.Observe(window.Point(v))
 	ver := Verdict{Warmed: k.est.Warmed()}
 	if ver.Warmed {
-		ver.Outlier = k.outlier(k.est.Querier(), window.Point(v))
+		ver.Outlier = k.outlier(k.est.Model(), window.Point(v))
 	}
 	if ver.Outlier {
 		k.flagged++
@@ -74,36 +74,36 @@ func (k *KernelChain) Ingest(v []float64) Verdict {
 }
 
 // QueryOutlier and QueryProb answer from the model the last arrival left
-// (core.Estimator.CachedQuerier): refreshing it here would move state that
+// (core.Estimator.CachedModel): refreshing it here would move state that
 // a twin which saw no reads — a replica — does not move.
 func (k *KernelChain) QueryOutlier(v []float64) Verdict {
 	ver := Verdict{Warmed: k.est.Warmed()}
 	if ver.Warmed {
-		ver.Outlier = k.outlier(k.est.CachedQuerier(), window.Point(v))
+		ver.Outlier = k.outlier(k.est.CachedModel(), window.Point(v))
 	}
 	return ver
 }
 
-// outlier applies the configured criterion to pt against q's model; no
-// model yet means no verdict.
-func (k *KernelChain) outlier(q *kernel.Querier, pt window.Point) bool {
-	if q == nil {
+// outlier applies the configured criterion to pt against m; no model yet
+// means no verdict.
+func (k *KernelChain) outlier(m *kernel.Estimator, pt window.Point) bool {
+	if m == nil {
 		return false
 	}
 	if k.cfg.Criterion == CriterionMDEF {
-		return k.ev.IsOutlier(q.Model(), pt, k.cfg.MDEF)
+		return k.ev.IsOutlier(m, pt, k.cfg.MDEF)
 	}
-	return q.Count(pt, k.cfg.Distance.Radius) < k.cfg.Distance.Threshold
+	return m.Count(pt, k.cfg.Distance.Radius) < k.cfg.Distance.Threshold
 }
 
 // QueryProb reports the model's probability mass within L∞ radius r of v
 // (0 before the first model exists).
 func (k *KernelChain) QueryProb(v []float64, r float64) float64 {
-	q := k.est.CachedQuerier()
-	if q == nil {
+	m := k.est.CachedModel()
+	if m == nil {
 		return 0
 	}
-	return q.Prob(window.Point(v), r)
+	return m.Prob(window.Point(v), r)
 }
 
 // Warmed, Model, ForceRefresh, ModelBuildStats, and Arrivals expose the
@@ -196,14 +196,10 @@ func (k *KernelChain) Restore(blob []byte) error {
 		if model, err = kernel.UnmarshalEstimator(modelBlob, k.cfg.Core.SampleSize); err != nil {
 			return fmt.Errorf("detector: kernelchain model: %w", err)
 		}
-		if model.Dim() != k.cfg.Dim {
-			return fmt.Errorf("detector: kernelchain model dim %d != config dim %d", model.Dim(), k.cfg.Dim)
-		}
-		if !model.IsMaintained() {
-			return fmt.Errorf("detector: kernelchain model is not a maintained model")
-		}
 	}
-	est.RestoreModelSnapshot(model, wc, dirtyB != 0, int(sinceBuild))
+	if err := est.RestoreModelSnapshot(model, wc, dirtyB != 0, int(sinceBuild)); err != nil {
+		return fmt.Errorf("detector: kernelchain model: %w", err)
+	}
 	k.cs = cs
 	k.est = est
 	k.flagged = flagged

@@ -11,6 +11,7 @@ import (
 	"odds/internal/binfmt"
 	"odds/internal/kernel"
 	"odds/internal/oracle"
+	"odds/internal/window"
 )
 
 // feedStream ingests n oracle-stream readings into det, returning them.
@@ -142,6 +143,148 @@ func TestRestoreMalformed(t *testing.T) {
 	}
 }
 
+// kernelChainSections is a kernelchain snapshot split into its sections,
+// so a test can forge one section and reseal the rest untouched.
+type kernelChainSections struct {
+	fp                 []byte
+	rngN, flagged      uint64
+	estBlob, modelBlob []byte
+	wc                 float64
+	dirty              uint8
+	sinceBuild         uint64
+}
+
+func splitKernelChain(tb testing.TB, kc *KernelChain, blob []byte) kernelChainSections {
+	tb.Helper()
+	r, err := openBlob(blob, KindKernelChain, kc.fp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := kernelChainSections{fp: kc.fp}
+	s.rngN, s.flagged = r.U64(), r.U64()
+	s.estBlob, s.modelBlob = r.Bytes(), r.Bytes()
+	s.wc, s.dirty, s.sinceBuild = r.F64(), r.U8(), r.U64()
+	if err := r.Done(); err != nil {
+		tb.Fatal(err)
+	}
+	if string(s.seal()) != string(blob) {
+		tb.Fatal("resealing the untouched sections does not reproduce the snapshot")
+	}
+	return s
+}
+
+func (s kernelChainSections) seal() []byte {
+	w := binfmt.Writer{}
+	w.U64(s.rngN)
+	w.U64(s.flagged)
+	w.Bytes(s.estBlob)
+	w.Bytes(s.modelBlob)
+	w.F64(s.wc)
+	w.U8(s.dirty)
+	w.U64(s.sinceBuild)
+	return sealBlob(KindKernelChain, s.fp, w.B)
+}
+
+// sectionModel decodes the snapshot's (maintained) model section.
+func (s kernelChainSections) sectionModel(tb testing.TB, sampleSize int) *kernel.Estimator {
+	tb.Helper()
+	m, err := kernel.UnmarshalEstimator(s.modelBlob, sampleSize)
+	if err != nil || !m.IsMaintained() {
+		tb.Fatalf("snapshot model: maintained %v, err %v", err == nil && m.IsMaintained(), err)
+	}
+	return m
+}
+
+func modelBandwidths(m *kernel.Estimator) []float64 {
+	bw := make([]float64, m.Dim())
+	for i := range bw {
+		bw[i] = m.Bandwidth(i)
+	}
+	return bw
+}
+
+// forgedKernelChainSnapshots derives, from a warm kernelchain snapshot,
+// blobs whose every section decodes on its own but whose sections
+// disagree in a way the estimator cannot run with. Restore must refuse
+// each; accepting one leaves a shard that panics at its next model
+// refresh or reads the wrong number of sample slots.
+func forgedKernelChainSnapshots(tb testing.TB, kc *KernelChain, blob []byte) map[string][]byte {
+	tb.Helper()
+	s := splitKernelChain(tb, kc, blob)
+	m := s.sectionModel(tb, kc.cfg.Core.SampleSize)
+	reseal := func(est, model []byte) []byte {
+		f := s
+		f.estBlob, f.modelBlob = est, model
+		return f.seal()
+	}
+	encode := func(m *kernel.Estimator, err error) []byte {
+		tb.Helper()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		b, err := m.MarshalBinary()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return b
+	}
+	out := map[string][]byte{}
+
+	// The estimator header claims one sample slot more than its chain
+	// holds (SampleSize is the u64 after magic, dim and window).
+	est := append([]byte(nil), s.estBlob...)
+	size := binfmt.Writer{}
+	size.U64(uint64(kc.cfg.Core.SampleSize + 1))
+	copy(est[16:], size.B)
+	out["header sample size != chain size"] = reseal(est, s.modelBlob)
+
+	// A maintained model over half the slots: it decodes under the
+	// sample-size cap, but the first refresh patches a slot it lacks.
+	half := kc.cfg.Core.SampleSize / 2
+	centers := m.Centers()[:half]
+	slots := make([]int, half)
+	for i := range slots {
+		slots[i] = i
+	}
+	out["model slots != chain size"] = reseal(s.estBlob,
+		encode(kernel.NewMaintained(centers, slots, half, modelBandwidths(m), m.WindowCount())))
+
+	// A maintained model of the wrong dimensionality.
+	flat := make([]window.Point, len(m.Centers()))
+	slots = make([]int, len(flat))
+	for i, c := range m.Centers() {
+		flat[i], slots[i] = window.Point{c[0]}, i
+	}
+	out["model dim != config dim"] = reseal(s.estBlob,
+		encode(kernel.NewMaintained(flat, slots, m.MaxSlots(), modelBandwidths(m)[:1], m.WindowCount())))
+	return out
+}
+
+// TestRestoreRefusesForgedKernelChain feeds Restore kernelchain snapshots
+// whose sections were forged to disagree (see forgedKernelChainSnapshots):
+// each must be refused with an error, and the refusals leave the victim
+// usable.
+func TestRestoreRefusesForgedKernelChain(t *testing.T) {
+	oc := oracle.Config{Dim: 2, WindowCap: 60, Steps: 150, Seed: 31}
+	cfg := testConfig(KindKernelChain, oc.Dim, oc.Seed)
+	det, _ := New(cfg)
+	feedStream(t, det, oc, oc.Steps)
+	blob, err := det.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, _ := New(cfg)
+	for name, forged := range forgedKernelChainSnapshots(t, det.(*KernelChain), blob) {
+		if err := victim.Restore(forged); err == nil {
+			t.Errorf("%s: kernelchain restore accepted the forgery", name)
+		}
+	}
+	s := oc.NewStream()
+	for i := 0; i < 20; i++ {
+		victim.Ingest(s.Next())
+	}
+}
+
 // TestRestoreRefusesImmutableModel swaps a warm kernelchain snapshot's
 // model section for the same centers in the immutable ODDS form: the
 // estimator only patches maintained models in place, so Restore must
@@ -156,54 +299,22 @@ func TestRestoreRefusesImmutableModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kc := det.(*KernelChain)
-	r, err := openBlob(blob, KindKernelChain, kc.fp)
+	s := splitKernelChain(t, det.(*KernelChain), blob)
+	m := s.sectionModel(t, cfg.Core.SampleSize)
+	imm, err := kernel.New(m.Centers(), modelBandwidths(m), m.WindowCount())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rngN, flagged := r.U64(), r.U64()
-	estBlob, modelBlob := r.Bytes(), r.Bytes()
-	wc, dirty, sinceBuild := r.F64(), r.U8(), r.U64()
-	if err := r.Done(); err != nil {
+	if s.modelBlob, err = imm.MarshalBinary(); err != nil {
 		t.Fatal(err)
-	}
-	m, err := kernel.UnmarshalEstimator(modelBlob, cfg.Core.SampleSize)
-	if err != nil || !m.IsMaintained() {
-		t.Fatalf("snapshot model: maintained %v, err %v", err == nil && m.IsMaintained(), err)
-	}
-	bw := make([]float64, m.Dim())
-	for i := range bw {
-		bw[i] = m.Bandwidth(i)
-	}
-	imm, err := kernel.New(m.Centers(), bw, m.WindowCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	immBlob, err := imm.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reseal := func(model []byte) []byte {
-		w := binfmt.Writer{}
-		w.U64(rngN)
-		w.U64(flagged)
-		w.Bytes(estBlob)
-		w.Bytes(model)
-		w.F64(wc)
-		w.U8(dirty)
-		w.U64(sinceBuild)
-		return sealBlob(KindKernelChain, kc.fp, w.B)
-	}
-	if string(reseal(modelBlob)) != string(blob) {
-		t.Fatal("resealing the untouched sections does not reproduce the snapshot")
 	}
 	victim, _ := New(cfg)
-	if err := victim.Restore(reseal(immBlob)); err == nil {
+	if err := victim.Restore(s.seal()); err == nil {
 		t.Fatal("kernelchain restore accepted an immutable model")
 	}
 	// The refusal leaves the victim usable.
-	s := oc.NewStream()
+	st := oc.NewStream()
 	for i := 0; i < 20; i++ {
-		victim.Ingest(s.Next())
+		victim.Ingest(st.Next())
 	}
 }

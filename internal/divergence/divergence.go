@@ -117,40 +117,6 @@ func gridMasses(p, q Model, gridPoints int) (pp, qq []float64) {
 	return pp, qq
 }
 
-// Hellinger returns the Hellinger distance between two models on the unit
-// domain, in [0,1]. It offers an alternative metric for the Section 9
-// faulty-sensor comparison, more sensitive to differences in low-mass
-// regions than JS.
-func Hellinger(p, q Model, gridPoints int) float64 {
-	pp, qq := gridMasses(p, q, gridPoints)
-	sum := 0.0
-	for i := range pp {
-		d := math.Sqrt(pp[i]) - math.Sqrt(qq[i])
-		sum += d * d
-	}
-	h := math.Sqrt(sum / 2)
-	if h > 1 {
-		return 1
-	}
-	return h
-}
-
-// TotalVariation returns the total-variation distance between two models
-// on the unit domain, in [0,1]: half the L1 distance between the grid
-// masses.
-func TotalVariation(p, q Model, gridPoints int) float64 {
-	pp, qq := gridMasses(p, q, gridPoints)
-	sum := 0.0
-	for i := range pp {
-		sum += math.Abs(pp[i] - qq[i])
-	}
-	tv := sum / 2
-	if tv > 1 {
-		return 1
-	}
-	return tv
-}
-
 // FuncModel adapts an analytic box-probability function into a Model; the
 // Figure 6 experiment uses it to wrap the true generating distribution.
 type FuncModel struct {

@@ -152,53 +152,6 @@ func TestJS2D(t *testing.T) {
 	}
 }
 
-func TestHellingerProperties(t *testing.T) {
-	same := Gaussian1D(0.4, 0.05)
-	if d := Hellinger(same, same, 64); d > 1e-9 {
-		t.Errorf("Hellinger(p,p) = %v, want 0", d)
-	}
-	far := Gaussian1D(0.9, 0.01)
-	if d := Hellinger(same, far, 128); d < 0.95 {
-		t.Errorf("Hellinger of disjoint = %v, want ≈1", d)
-	}
-	a, b := Gaussian1D(0.4, 0.05), Gaussian1D(0.45, 0.05)
-	if Hellinger(a, b, 128) != Hellinger(b, a, 128) {
-		t.Error("Hellinger not symmetric")
-	}
-	// Monotone in separation.
-	prev := -1.0
-	for _, mu := range []float64{0.4, 0.45, 0.55, 0.7} {
-		d := Hellinger(a, Gaussian1D(mu, 0.05), 128)
-		if d < prev-1e-9 {
-			t.Errorf("not monotone at mu=%v", mu)
-		}
-		prev = d
-	}
-}
-
-func TestTotalVariationProperties(t *testing.T) {
-	same := Gaussian1D(0.4, 0.05)
-	if d := TotalVariation(same, same, 64); d > 1e-9 {
-		t.Errorf("TV(p,p) = %v", d)
-	}
-	far := Gaussian1D(0.9, 0.01)
-	if d := TotalVariation(same, far, 128); d < 0.95 {
-		t.Errorf("TV of disjoint = %v, want ≈1", d)
-	}
-	// TV upper-bounds JS (in the base-2 convention JS ≤ TV... more
-	// precisely JS ≤ TV here both in [0,1]); check the known ordering
-	// H² ≤ TV ≤ H·√2 instead, which is metric-exact.
-	a, b := Gaussian1D(0.4, 0.05), Gaussian1D(0.5, 0.05)
-	h := Hellinger(a, b, 128)
-	tv := TotalVariation(a, b, 128)
-	if tv < h*h-1e-9 {
-		t.Errorf("TV %v < H² %v", tv, h*h)
-	}
-	if tv > h*math.Sqrt2+1e-9 {
-		t.Errorf("TV %v > H√2 %v", tv, h*math.Sqrt2)
-	}
-}
-
 func TestJSPanics(t *testing.T) {
 	a := Gaussian1D(0.5, 0.1)
 	b := FuncModel{Dims: 2, Fn: func(lo, hi []float64) float64 { return 0 }}

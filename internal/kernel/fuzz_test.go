@@ -50,8 +50,8 @@ func boxHi(d int) []float64 {
 
 // FuzzProbBoxPrunedVsNaive pins the generalized d-dimensional pruned scan
 // bit-identical to the full-scan executable specification on random
-// centers, bandwidths, and query boxes — including the Querier and batch
-// entry points, which share the same scan.
+// centers, bandwidths, and query boxes — including the batch entry point,
+// which shares the same scan.
 func FuzzProbBoxPrunedVsNaive(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(10), 0.3, 0.2)
 	f.Add(int64(2), uint8(2), uint8(50), 0.0, 1.0)
@@ -92,10 +92,6 @@ func FuzzProbBoxPrunedVsNaive(f *testing.F) {
 		if got := e.ProbBox(lo, hi); got != want {
 			t.Fatalf("d=%d n=%d prune=%d: pruned %v != naive %v for [%v,%v]",
 				d, n, e.PruneDim(), got, want, lo, hi)
-		}
-		q := e.NewQuerier()
-		if got := q.ProbBox(lo, hi); got != want {
-			t.Fatalf("querier ProbBox %v != naive %v", got, want)
 		}
 		batch := e.CountBoxBatch([][]float64{lo}, [][]float64{hi}, nil)
 		if got, wantCount := batch[0], want*e.WindowCount(); got != wantCount {

@@ -30,9 +30,15 @@
 // the run contribute exactly zero mass, so skipping them leaves results
 // bit-identical to the full scan (ProbBoxNaive) over the same order. When
 // no dimension is selective the estimator falls back to the plain full
-// scan. Steady-state queries allocate nothing; callers in hot loops
-// should hold a Querier (one per goroutine) for the centered-box and
-// batch entry points.
+// scan.
+//
+// # Queries
+//
+// The model answers its own queries: Prob, Count, ProbBox, CountBox,
+// Density and CountBoxBatch. None allocates for d ≤ 8 (centered boxes
+// live on the stack). Any number of goroutines may query one model at
+// once while its owner neither patches nor rescales it; Clone gives a
+// snapshot that outlives the owner's next patch.
 package kernel
 
 import (
@@ -293,11 +299,10 @@ func FromSample(pts []window.Point, sigmas []float64, windowCount float64) (*Est
 }
 
 // SetWindowCount rescales a maintained estimator's range queries by wc in
-// place. The model pointer is unchanged, so bound Queriers keep working
-// without a rebind (Querier scratch depends only on dimensionality); the
-// generation counter advances so pointer-keyed caches of scaled counts
-// know to invalidate. Panics on an immutable estimator, whose published
-// contract is that it never changes underneath callers.
+// place. The model pointer is unchanged; the generation counter advances
+// so pointer-keyed caches of scaled counts know to invalidate. Panics on an
+// immutable estimator, whose published contract is that it never changes
+// underneath callers.
 func (e *Estimator) SetWindowCount(wc float64) {
 	if e.mnt == nil {
 		panic("kernel: SetWindowCount on an immutable estimator")
@@ -553,11 +558,13 @@ func centeredBox(lo, hi []float64, p window.Point, r float64) {
 }
 
 // Prob returns the probability mass of the centered box [p-r, p+r].
-// The query boxes live on the stack for realistic dimensionalities;
-// steady-state calls allocate nothing. Hot loops issuing many centered
-// queries should still prefer a Querier, which also covers d >
-// maxStackDim without heap traffic.
+// The query boxes live on the stack for d ≤ maxStackDim, so those calls
+// allocate nothing; larger dimensionalities use heap scratch. A point of
+// the wrong dimensionality panics.
 func (e *Estimator) Prob(p window.Point, r float64) float64 {
+	if len(p) != e.dim {
+		panic(fmt.Sprintf("kernel: point dim %d, model dim %d", len(p), e.dim))
+	}
 	var loBuf, hiBuf [maxStackDim]float64
 	var lo, hi []float64
 	if e.dim <= maxStackDim {
@@ -599,21 +606,8 @@ func (e *Estimator) CountBoxBatch(los, his [][]float64, out []float64) []float64
 	return out
 }
 
-// CountBatch answers Count(p, r) for every point, writing results into
-// out (grown as needed) and returning it. Results are identical to
-// calling Count per point.
-func (e *Estimator) CountBatch(ps []window.Point, r float64, out []float64) []float64 {
-	q := e.NewQuerier()
-	return q.CountBatch(ps, r, out)
-}
-
-// DensityBatch evaluates the density at every point, writing results into
-// out (grown as needed) and returning it. Results are identical to
-// calling Density per point.
-func (e *Estimator) DensityBatch(ps []window.Point, out []float64) []float64 {
-	out = out[:0]
-	for _, p := range ps {
-		out = append(out, e.Density(p))
-	}
-	return out
-}
+// NewQuerier returns e itself: the model answers its own queries.
+//
+// Deprecated: query the Estimator directly. Kept only because the
+// benchmark harness in bench/ still calls it.
+func (e *Estimator) NewQuerier() *Estimator { return e }

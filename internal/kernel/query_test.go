@@ -11,6 +11,39 @@ import (
 // given per-dimension bandwidth.
 func testModel(t testing.TB, seed int64, d, n int, bw float64) *Estimator {
 	t.Helper()
+	e, err := New(testPoints(seed, d, n), testBandwidths(d, bw), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// testMaintainedModel is testModel's maintained counterpart: the same
+// centers in slots 0..n-1 of a 2n-slot model, after one patch cycle that
+// empties every third slot, so its queries also skip tombstones.
+func testMaintainedModel(t testing.TB, seed int64, d, n int, bw float64) *Estimator {
+	t.Helper()
+	pts := testPoints(seed, d, n)
+	slots := make([]int, n)
+	for i := range slots {
+		slots[i] = i
+	}
+	bws := testBandwidths(d, bw)
+	e, err := NewMaintained(pts, slots, 2*n, bws, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.BeginMaintain()
+	for s := 0; s < n-1; s += 3 {
+		e.SetSlot(s, nil)
+	}
+	if err := e.FinishMaintain(bws, 1000); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func testPoints(seed int64, d, n int) []window.Point {
 	r := stats.NewRand(seed)
 	pts := make([]window.Point, n)
 	for i := range pts {
@@ -20,15 +53,15 @@ func testModel(t testing.TB, seed int64, d, n int, bw float64) *Estimator {
 		}
 		pts[i] = p
 	}
+	return pts
+}
+
+func testBandwidths(d int, bw float64) []float64 {
 	bws := make([]float64, d)
 	for i := range bws {
 		bws[i] = bw
 	}
-	e, err := New(pts, bws, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return bws
 }
 
 // TestProb1DBoundaryCenters pins the edge semantics of the sorted run
@@ -171,98 +204,53 @@ func TestPruneDimSelection(t *testing.T) {
 	}
 }
 
-// TestQuerierMatchesEstimator pins every Querier method bit-identical to
-// the corresponding Estimator method.
-func TestQuerierMatchesEstimator(t *testing.T) {
-	for _, d := range []int{1, 2, 3} {
-		e := testModel(t, int64(d), d, 120, 0.04)
-		q := e.NewQuerier()
-		r := stats.NewRand(int64(7 * d))
-		p := make(window.Point, d)
-		lo := make([]float64, d)
-		hi := make([]float64, d)
-		for trial := 0; trial < 100; trial++ {
-			for i := 0; i < d; i++ {
-				p[i] = r.Float64()
-				lo[i] = r.Float64() * 0.8
-				hi[i] = lo[i] + r.Float64()*0.3
-			}
-			rad := r.Float64() * 0.1
-			if got, want := q.Prob(p, rad), e.Prob(p, rad); got != want {
-				t.Fatalf("d=%d Prob: querier %v != estimator %v", d, got, want)
-			}
-			if got, want := q.Count(p, rad), e.Count(p, rad); got != want {
-				t.Fatalf("d=%d Count: querier %v != estimator %v", d, got, want)
-			}
-			if got, want := q.ProbBox(lo, hi), e.ProbBox(lo, hi); got != want {
-				t.Fatalf("d=%d ProbBox: querier %v != estimator %v", d, got, want)
-			}
-			if got, want := q.Density(p), e.Density(p); got != want {
-				t.Fatalf("d=%d Density: querier %v != estimator %v", d, got, want)
-			}
-		}
-	}
-}
-
-// TestBatchMatchesPerCall pins the batch entry points bit-identical to
-// their per-call equivalents.
+// TestBatchMatchesPerCall pins CountBoxBatch bit-identical to CountBox
+// per box.
 func TestBatchMatchesPerCall(t *testing.T) {
 	for _, d := range []int{1, 2, 3} {
 		e := testModel(t, int64(20+d), d, 80, 0.05)
 		r := stats.NewRand(int64(31 * d))
 		const k = 40
-		ps := make([]window.Point, k)
 		los := make([][]float64, k)
 		his := make([][]float64, k)
-		for i := range ps {
-			p := make(window.Point, d)
+		for i := range los {
 			lo := make([]float64, d)
 			hi := make([]float64, d)
 			for j := 0; j < d; j++ {
-				p[j] = r.Float64()
 				lo[j] = r.Float64() * 0.9
 				hi[j] = lo[j] + r.Float64()*0.2
 			}
-			ps[i], los[i], his[i] = p, lo, hi
+			los[i], his[i] = lo, hi
 		}
 
-		counts := e.CountBatch(ps, 0.05, nil)
-		boxCounts := e.CountBoxBatch(los, his, nil)
-		dens := e.DensityBatch(ps, nil)
-		if len(counts) != k || len(boxCounts) != k || len(dens) != k {
-			t.Fatalf("d=%d batch lengths %d,%d,%d, want %d", d, len(counts), len(boxCounts), len(dens), k)
+		counts := e.CountBoxBatch(los, his, nil)
+		if len(counts) != k {
+			t.Fatalf("d=%d batch length %d, want %d", d, len(counts), k)
 		}
-		q := e.NewQuerier()
-		qCounts := q.CountBatch(ps, 0.05, nil)
-		qBoxCounts := q.CountBoxBatch(los, his, nil)
 		for i := 0; i < k; i++ {
-			if want := e.Count(ps[i], 0.05); counts[i] != want || qCounts[i] != want {
-				t.Fatalf("d=%d CountBatch[%d] = %v/%v, want %v", d, i, counts[i], qCounts[i], want)
-			}
-			if want := e.CountBox(los[i], his[i]); boxCounts[i] != want || qBoxCounts[i] != want {
-				t.Fatalf("d=%d CountBoxBatch[%d] = %v/%v, want %v", d, i, boxCounts[i], qBoxCounts[i], want)
-			}
-			if want := e.Density(ps[i]); dens[i] != want {
-				t.Fatalf("d=%d DensityBatch[%d] = %v, want %v", d, i, dens[i], want)
+			if want := e.CountBox(los[i], his[i]); counts[i] != want {
+				t.Fatalf("d=%d CountBoxBatch[%d] = %v, want %v", d, i, counts[i], want)
 			}
 		}
 
 		// Reusing a caller-owned out slice must not reallocate or change
 		// answers.
-		reused := e.CountBatch(ps, 0.05, counts)
+		reused := e.CountBoxBatch(los, his, counts)
 		if &reused[0] != &counts[0] {
-			t.Errorf("d=%d CountBatch reallocated a sufficient out slice", d)
+			t.Errorf("d=%d CountBoxBatch reallocated a sufficient out slice", d)
 		}
 	}
 }
 
-// TestQuerierZeroAllocs is the acceptance gate for the allocation-free
-// steady state: every Querier query path, the stack-boxed Estimator.Prob,
-// and Density must run with zero allocations per call.
-func TestQuerierZeroAllocs(t *testing.T) {
+// TestQueryZeroAllocs is the acceptance gate for the allocation-free
+// steady state: every query method, on immutable and maintained models
+// alike, runs with zero allocations per call.
+func TestQueryZeroAllocs(t *testing.T) {
 	for _, d := range []int{1, 2, 3} {
-		e := testModel(t, int64(50+d), d, 500, 0.05)
-		q := e.NewQuerier()
+		models := map[string]*Estimator{
+			"immutable":  testModel(t, int64(50+d), d, 500, 0.05),
+			"maintained": testMaintainedModel(t, int64(50+d), d, 500, 0.05),
+		}
 		p := make(window.Point, d)
 		lo := make([]float64, d)
 		hi := make([]float64, d)
@@ -270,82 +258,67 @@ func TestQuerierZeroAllocs(t *testing.T) {
 			p[i] = 0.5
 			lo[i], hi[i] = 0.45, 0.55
 		}
-		ps := []window.Point{p, p, p, p}
-		out := make([]float64, 0, len(ps))
-		cases := map[string]func(){
-			"Querier.Prob":       func() { q.Prob(p, 0.02) },
-			"Querier.Count":      func() { q.Count(p, 0.02) },
-			"Querier.ProbBox":    func() { q.ProbBox(lo, hi) },
-			"Querier.Density":    func() { q.Density(p) },
-			"Querier.CountBatch": func() { out = q.CountBatch(ps, 0.02, out) },
-			"Estimator.Prob":     func() { e.Prob(p, 0.02) },
-			"Estimator.ProbBox":  func() { e.ProbBox(lo, hi) },
-			"Estimator.Density":  func() { e.Density(p) },
-		}
-		for name, fn := range cases {
-			if avg := testing.AllocsPerRun(100, fn); avg != 0 {
-				t.Errorf("d=%d %s allocates %v per op, want 0", d, name, avg)
+		los, his := [][]float64{lo, lo, lo, lo}, [][]float64{hi, hi, hi, hi}
+		out := make([]float64, 0, len(los))
+		for kind, e := range models {
+			cases := map[string]func(){
+				"Prob":          func() { e.Prob(p, 0.02) },
+				"Count":         func() { e.Count(p, 0.02) },
+				"ProbBox":       func() { e.ProbBox(lo, hi) },
+				"CountBox":      func() { e.CountBox(lo, hi) },
+				"Density":       func() { e.Density(p) },
+				"CountBoxBatch": func() { out = e.CountBoxBatch(los, his, out) },
+			}
+			for name, fn := range cases {
+				if avg := testing.AllocsPerRun(100, fn); avg != 0 {
+					t.Errorf("d=%d %s %s allocates %v per op, want 0", d, kind, name, avg)
+				}
 			}
 		}
 	}
 }
 
-// TestQuerierReset rebinds a handle across models of different
-// dimensionality.
-func TestQuerierReset(t *testing.T) {
-	e1 := testModel(t, 1, 1, 50, 0.05)
-	e3 := testModel(t, 3, 3, 50, 0.05)
-	q := e1.NewQuerier()
-	if q.Model() != e1 {
-		t.Fatal("Model() does not report the bound estimator")
-	}
-	q.Reset(e3)
-	if q.Model() != e3 {
-		t.Fatal("Reset did not rebind")
-	}
-	p := window.Point{0.5, 0.5, 0.5}
-	if got, want := q.Prob(p, 0.05), e3.Prob(p, 0.05); got != want {
-		t.Errorf("after Reset: %v != %v", got, want)
-	}
-	// Shrinking rebind reuses the scratch.
-	q.Reset(e1)
-	if got, want := q.Prob(window.Point{0.5}, 0.05), e1.Prob(window.Point{0.5}, 0.05); got != want {
-		t.Errorf("after shrink Reset: %v != %v", got, want)
-	}
-}
-
-func TestQuerierDimMismatchPanics(t *testing.T) {
+// TestProbDimMismatchPanics: a centered query with a point of the wrong
+// dimensionality panics rather than reading a truncated (or overlong)
+// point.
+func TestProbDimMismatchPanics(t *testing.T) {
 	e := testModel(t, 5, 2, 20, 0.05)
-	q := e.NewQuerier()
-	defer func() {
-		if recover() == nil {
-			t.Error("dim mismatch did not panic")
-		}
-	}()
-	q.Prob(window.Point{0.5}, 0.05)
+	for name, fn := range map[string]func(){
+		"Prob/short":  func() { e.Prob(window.Point{0.5}, 0.05) },
+		"Prob/long":   func() { e.Prob(window.Point{0.5, 0.5, 0.5}, 0.05) },
+		"Count/short": func() { e.Count(window.Point{0.5}, 0.05) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: dim mismatch did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
 }
 
-// TestQuerierConcurrentHandles backs the ownership rule: two goroutines
-// holding separate handles over one shared model must be race-free
-// (verified under go test -race) and produce identical results.
-func TestQuerierConcurrentHandles(t *testing.T) {
-	e := testModel(t, 77, 2, 300, 0.04)
-	serial := e.NewQuerier()
+// TestConcurrentQueries backs the query rule: two goroutines querying one
+// maintained model that its owner is not patching must be race-free
+// (verified under go test -race) and match the serial answers.
+func TestConcurrentQueries(t *testing.T) {
+	e := testMaintainedModel(t, 77, 2, 300, 0.04)
 	want := make([]float64, 500)
 	for i := range want {
 		x := float64(i%100) / 100
 		p := window.Point{x, 1 - x}
-		want[i] = serial.Count(p, 0.03) + serial.Density(p) + serial.Prob(p, 0.01)
+		want[i] = e.Count(p, 0.03) + e.Density(p) + e.Prob(p, 0.01)
 	}
 	done := make(chan bool, 2)
 	for g := 0; g < 2; g++ {
 		go func() {
-			q := e.NewQuerier()
 			ok := true
+			p := make(window.Point, 2)
 			for i := range want {
 				x := float64(i%100) / 100
-				p := window.Point{x, 1 - x}
-				if got := q.Count(p, 0.03) + q.Density(p) + q.Prob(p, 0.01); got != want[i] {
+				p[0], p[1] = x, 1-x
+				if got := e.Count(p, 0.03) + e.Density(p) + e.Prob(p, 0.01); got != want[i] {
 					ok = false
 				}
 			}
@@ -354,7 +327,7 @@ func TestQuerierConcurrentHandles(t *testing.T) {
 	}
 	for g := 0; g < 2; g++ {
 		if !<-done {
-			t.Error("concurrent querier diverged from serial results")
+			t.Error("concurrent queries diverged from serial results")
 		}
 	}
 }

@@ -41,8 +41,8 @@ type Counter interface {
 }
 
 // BoxBatcher is the optional batching extension of Counter: models that
-// answer many box queries in one call (kernel.Estimator, kernel.Querier,
-// CachedCounter) let MDEF evaluation amortize per-query call overhead.
+// answer many box queries in one call (kernel.Estimator, CachedCounter)
+// let MDEF evaluation amortize per-query call overhead.
 // Batched answers must be bit-identical to per-call CountBox.
 type BoxBatcher interface {
 	CountBoxBatch(los, his [][]float64, out []float64) []float64

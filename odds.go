@@ -50,10 +50,10 @@ type DistanceParams = distance.Params
 // radius, significance factor).
 type MDEFParams = mdef.Params
 
-// KernelModel is an Epanechnikov kernel density model supporting analytic
-// box-probability and neighbor-count queries. A detector's model is patched
-// in place as readings arrive: Gen advances on every change, and Clone
-// gives a frozen snapshot.
+// KernelModel is an Epanechnikov kernel density model that answers its own
+// box-probability and neighbor-count queries, allocation-free for d ≤ 8.
+// A detector's model is patched in place as readings arrive: Gen advances
+// on every change, and Clone gives a frozen snapshot.
 type KernelModel = kernel.Estimator
 
 // Source is an endless stream of readings; the stream subpackage provides
@@ -96,11 +96,11 @@ func (d *Detector) Observe(p Point) bool {
 // Count answers the range query N(p,r): the estimated number of window
 // values within L∞ distance r of p. It returns 0 before any data arrives.
 func (d *Detector) Count(p Point, r float64) float64 {
-	q := d.est.Querier()
-	if q == nil {
+	m := d.est.Model()
+	if m == nil {
 		return 0
 	}
-	return q.Count(p, r)
+	return m.Count(p, r)
 }
 
 // Model returns the current kernel density model (nil before data
