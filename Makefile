@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
@@ -149,6 +149,15 @@ bench-rebuild:
 	$(GO) test -run=NONE -bench='BenchmarkMaintainCycle|BenchmarkFromScratchRebuild' -benchmem -benchtime 20000x ./internal/kernel/
 	$(GO) test -run=NONE -bench=BenchmarkEstimatorRefresh -benchmem -benchtime 1s ./internal/core/
 
+# Restart recovery outside the frozen benchmark: serve.New restoring a
+# checkpoint file in light-fanout's shape (8 shards: ewma, qn, coreset) and
+# kernel-steady's (2 kernelchain shards), |W| = 10⁴, |R| = 500, every shard
+# 2·|W| arrivals in. Run it on the parent and the change in one session for
+# a restore A/B; CI runs RESTORE_BENCHTIME=1x for liveness only.
+RESTORE_BENCHTIME = 20x
+bench-restore:
+	$(GO) test -run=NONE -bench=BenchmarkServerRestore -benchmem -benchtime $(RESTORE_BENCHTIME) ./internal/serve/
+
 # End-to-end smoke of the serving subsystem: build oddserve + oddload,
 # replay a seeded load over HTTP with verdict agreement enforced against
 # the in-process twin, then verify clean SIGTERM shutdown and checkpoint.
@@ -204,7 +213,7 @@ FUZZ_SMOKE += internal/serve:FuzzApplyVsIngest:-fuzzminimizetime=1s
 FUZZ_SMOKE += internal/serve:FuzzIngestJSON
 # The ODDB detector blob decoder, every backend kind: Restore never panics,
 # fails closed on kind/fingerprint mismatches, and a blob that restores
-# re-snapshots bit-identical.
+# re-snapshots bit-identical and then ingests without panicking.
 FUZZ_SMOKE += internal/detector:FuzzDetectorSnapshot
 # Window sizes, eps and stream regimes: the variance sketch, whose merge
 # pass runs on as few as every 16th arrival, matches the exact window

@@ -2,7 +2,8 @@ package detector
 
 // FuzzDetectorSnapshot throws arbitrary bytes at every backend's Restore:
 // the decoder must never panic, and any blob it does accept must be a
-// fixed point — re-snapshot and re-restore reproduce the same bytes.
+// fixed point — re-snapshot and re-restore reproduce the same bytes — and
+// a state the detector can run on: a few readings ingest without a panic.
 
 import (
 	"bytes"
@@ -84,6 +85,12 @@ func FuzzDetectorSnapshot(f *testing.F) {
 			}
 			if !bytes.Equal(blob, blob2) {
 				t.Fatalf("%s: snapshot not a fixed point (%d vs %d bytes)", cfg.Kind, len(blob), len(blob2))
+			}
+			// An accepted blob is a state the detector must be able to run
+			// on: a restored shard ingests next.
+			s := oc.NewStream()
+			for i := 0; i < 8; i++ {
+				det.Ingest(s.Next())
 			}
 		}
 	})

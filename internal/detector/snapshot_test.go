@@ -6,6 +6,7 @@ package detector
 // fail closed without panicking.
 
 import (
+	"math"
 	"testing"
 
 	"odds/internal/binfmt"
@@ -237,6 +238,20 @@ func forgedKernelChainSnapshots(tb testing.TB, kc *KernelChain, blob []byte) map
 	size.U64(uint64(kc.cfg.Core.SampleSize + 1))
 	copy(est[16:], size.B)
 	out["header sample size != chain size"] = reseal(est, s.modelBlob)
+
+	// The chain blob (after the estimator's 72-byte header and its length
+	// prefix) claims a window of 2⁶³−1 at stream position 3.5·10¹⁸, the
+	// shape of blob FuzzDetectorSnapshot found once it ingested after a
+	// restore: every slot index stays consistent with the position, and
+	// an arrival's adoption skip overflows into a negative slot index.
+	est = append([]byte(nil), s.estBlob...)
+	pos := binfmt.Writer{}
+	pos.U64(math.MaxInt64)
+	copy(est[76+8:], pos.B)
+	pos.B = pos.B[:0]
+	pos.U64(3_500_000_000_000_000_000)
+	copy(est[76+20:], pos.B)
+	out["chain position overflows window arithmetic"] = reseal(est, s.modelBlob)
 
 	// A maintained model over half the slots: it decodes under the
 	// sample-size cap, but the first refresh patches a slot it lacks.

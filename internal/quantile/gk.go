@@ -10,7 +10,7 @@
 // A summary maintains tuples (v, g, Δ) with Σg = n such that any φ-quantile
 // query is answered within ±ε·n rank error, using O((1/ε)·log(ε·n)) space.
 //
-// Inserts are buffered and folded in by flush — at batchSize pending
+// Inserts are buffered and folded in by flush — at batch pending
 // values, and ahead of every query. A flush is one pass: the pending
 // values are sorted (an insertion loop up to insertionCutoff of them,
 // sort.Float64s past it), and each element of their merge with the tuples
@@ -35,6 +35,7 @@ type tuple struct {
 // construct with New.
 type GK struct {
 	eps     float64
+	batch   int // pending length that triggers a flush: 1/(2ε), at least 16
 	tuples  []tuple
 	n       int
 	pending []float64 // buffered inserts, merged in batches for speed
@@ -47,7 +48,7 @@ func New(eps float64) *GK {
 	if !(eps > 0 && eps <= 0.5) {
 		panic(fmt.Sprintf("quantile: eps %v outside (0, 0.5]", eps))
 	}
-	return &GK{eps: eps}
+	return &GK{eps: eps, batch: max(int(1/(2*eps)), 16)}
 }
 
 // Eps returns the configured error bound.
@@ -62,21 +63,13 @@ func (s *GK) Insert(x float64) {
 		panic("quantile: NaN observation")
 	}
 	s.pending = append(s.pending, x)
-	if len(s.pending) >= s.batchSize() {
+	if len(s.pending) >= s.batch {
 		s.flush()
 	}
 }
 
-func (s *GK) batchSize() int {
-	b := int(1 / (2 * s.eps))
-	if b < 16 {
-		b = 16
-	}
-	return b
-}
-
 // insertionCutoff is the pending length up to which flush sorts with a
-// plain insertion loop: an Insert-driven flush holds batchSize values (25
+// plain insertion loop: an Insert-driven flush holds batch values (25
 // at the qn backend's ε = 0.02) and a Query-driven one fewer, where the
 // loop beats sort.Float64s. Longer buffers — a small ε, or a restored
 // blob, which may carry any pending count — take the library sort.

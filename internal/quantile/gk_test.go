@@ -295,7 +295,7 @@ func refFlush(s *GK) {
 // refInsert is Insert with refFlush at the batch boundary.
 func refInsert(s *GK, x float64) {
 	s.pending = append(s.pending, x)
-	if len(s.pending) >= s.batchSize() {
+	if len(s.pending) >= s.batch {
 		refFlush(s)
 	}
 }
@@ -365,7 +365,7 @@ func TestFusedFlushMatchesTwoPass(t *testing.T) {
 			got, ref := New(eps), New(eps)
 			r := stats.NewRand(int64(1000 * eps))
 			i := 0
-			for _, l := range flushLengths(got.batchSize()) {
+			for _, l := range flushLengths(got.batch) {
 				for k := 0; k < l; k++ {
 					x := sh.next(r, i)
 					i++

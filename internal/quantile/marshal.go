@@ -104,7 +104,7 @@ func (s *GK) Grow(n int) {
 	if cap(s.scratch) < n {
 		s.scratch = make([]tuple, 0, n)
 	}
-	if b := s.batchSize() * 2; cap(s.pending) < b {
+	if b := s.batch * 2; cap(s.pending) < b {
 		p := make([]float64, len(s.pending), b)
 		copy(p, s.pending)
 		s.pending = p

@@ -34,6 +34,11 @@ const (
 	eventMinBytes = 8 + 4
 )
 
+// maxChainWindow is the largest window a decoded chain may declare. Push
+// skips -ln(u)·min(i, w) slots for a uniform u ≥ 2⁻¹⁰⁷⁴, at most
+// 745·w, and that must fit an int.
+const maxChainWindow = 1 << 53
+
 // MarshalBinary encodes the sample.
 func (c *Chain) MarshalBinary() ([]byte, error) {
 	w := binfmt.Writer{B: make([]byte, 0, 64+len(c.slots)*(32+c.dim*8))}
@@ -103,8 +108,14 @@ func UnmarshalChain(data []byte, rng *rand.Rand) (*Chain, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("sample: chain header: %w", err)
 	}
-	if k <= 0 || dim <= 0 || dim > 1<<10 || w == 0 || w > math.MaxInt64 {
+	if k <= 0 || dim <= 0 || dim > 1<<10 || w == 0 || w > maxChainWindow {
 		return nil, fmt.Errorf("sample: implausible chain header (k=%d dim=%d w=%d)", k, dim, w)
+	}
+	// Every index Push derives from the blob's positions (idx + w, and
+	// i + 1 + a draw below w) must fit an int64, or it wraps and the next
+	// arrival indexes a slot out of range.
+	if n > math.MaxInt64-w {
+		return nil, fmt.Errorf("sample: stream position %d overflows window arithmetic (w=%d)", n, w)
 	}
 	c := NewChain(k, int(w), dim, rng)
 	c.n = n
@@ -125,6 +136,9 @@ func UnmarshalChain(data []byte, rng *rand.Rand) (*Chain, error) {
 		sl.wantIdx = r.U64()
 		for j, nc := 0, r.Count(8+8*dim, 1<<20); j < nc; j++ {
 			idx := r.U64()
+			if idx > n {
+				r.Fail(fmt.Errorf("slot %d successor index %d beyond stream position %d", i, idx, n))
+			}
 			sl.chain = append(sl.chain, chainEntry{idx: idx, val: readPoint()})
 		}
 	}

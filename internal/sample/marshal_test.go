@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -98,6 +99,66 @@ func TestUnmarshalChainRejectsGarbage(t *testing.T) {
 	}
 	if _, err := UnmarshalChain(data, nil); err == nil {
 		t.Error("nil rng accepted")
+	}
+}
+
+// positionBlob is an ODSB blob of one slot at stream position n over a
+// window of w; with succ set, the slot holds no sample and one captured
+// successor at index succ.
+func positionBlob(n, w uint64, succ *uint64) []byte {
+	var b binfmt.Writer
+	b.U32(marshalMagic)
+	b.U32(1) // slots
+	b.U64(w)
+	b.U32(1) // dim
+	b.U64(n)
+	b.U32(0) // slot 0: no sample
+	b.U64(0) // awaited index
+	if succ == nil {
+		b.U32(0)
+	} else {
+		b.U32(1)
+		b.U64(*succ)
+		b.F64(1.5)
+	}
+	b.U32(0) // expiry map
+	b.U32(0) // capture map
+	return b.B
+}
+
+// TestUnmarshalChainRejectsOverflowingPositions pins the restore side of
+// Push's index arithmetic: a blob whose stream position or window lets
+// idx + w, i + 1 + draw or the adoption skip overflow used to restore and
+// then panic on the next Push (slot index out of range in adopt).
+func TestUnmarshalChainRejectsOverflowingPositions(t *testing.T) {
+	far := uint64(61)
+	bad := map[string][]byte{
+		"next arrival wraps":          positionBlob(math.MaxUint64, 60, nil),
+		"position plus window":        positionBlob(math.MaxInt64-59, 60, nil),
+		"fuzzed position and window":  positionBlob(3_500_000_000_000_000_000, math.MaxInt64, nil),
+		"window overflows the skip":   positionBlob(1<<61, 1<<62, nil),
+		"successor beyond the stream": positionBlob(60, 60, &far),
+	}
+	for name, blob := range bad {
+		if _, err := UnmarshalChain(blob, stats.NewRand(1)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// The largest admitted positions and window run.
+	edge := uint64(60)
+	good := map[string][]byte{
+		"last position":          positionBlob(math.MaxInt64-60, 60, nil),
+		"largest window":         positionBlob(math.MaxInt64-maxChainWindow, maxChainWindow, nil),
+		"successor at the front": positionBlob(60, 60, &edge),
+	}
+	for name, blob := range good {
+		c, err := UnmarshalChain(blob, stats.NewRand(2))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := 0; i < 500; i++ {
+			c.Push(window.Point{float64(i)})
+		}
 	}
 }
 

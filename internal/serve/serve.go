@@ -173,7 +173,9 @@ var errBadBatch = errors.New("serve: bad batch")
 
 // New builds a server, restoring every shard from cfg.SnapshotPath if the
 // file exists (seed-exact resume), and starts the shard goroutines plus
-// the periodic checkpoint loop when configured.
+// the periodic checkpoint loop when configured. The hosted shards are
+// built concurrently; if any fails, New returns the error of the lowest
+// failing shard id, as "serve: shard N: …", and starts nothing.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -215,26 +217,43 @@ func New(cfg Config) (*Server, error) {
 		return rolePrimary, false
 	}
 
-	s.shards = make([]*shard, cfg.Shards)
-	for i := range s.shards {
-		role, hosted := roleAt(i)
-		if !hosted {
+	// Build every hosted pipeline in its own goroutine, so a restart
+	// restores its shards on every core. Goroutine i writes only pls[i]
+	// and errs[i], and nothing reads them before the join: the first error
+	// in shard order wins, and no shard loop starts while another shard is
+	// still being built.
+	pls := make([]*Pipeline, cfg.Shards)
+	errs := make([]error, cfg.Shards)
+	var wg sync.WaitGroup
+	for i := range pls {
+		if _, hosted := roleAt(i); !hosted {
 			continue
 		}
-		pcfg := cfg.Pipeline
-		pcfg.Seed = shardSeed(cfg.Pipeline.Seed, i)
-		var (
-			pl  *Pipeline
-			err error
-		)
-		if blobs != nil && len(blobs[i]) > 0 {
-			pl, err = RestorePipeline(pcfg, blobs[i])
-		} else {
-			pl, err = NewPipeline(pcfg)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pcfg := cfg.Pipeline
+			pcfg.Seed = shardSeed(cfg.Pipeline.Seed, i)
+			if blobs != nil && len(blobs[i]) > 0 {
+				pls[i], errs[i] = RestorePipeline(pcfg, blobs[i])
+			} else {
+				pls[i], errs[i] = NewPipeline(pcfg)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
+	}
+
+	s.shards = make([]*shard, cfg.Shards)
+	for i, pl := range pls {
+		if pl == nil {
+			continue
+		}
+		role, _ := roleAt(i)
 		s.shards[i] = newShard(i, pl, cfg.QueueDepth, s.hub)
 		s.shards[i].role.Store(int32(role))
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"odds/internal/core"
@@ -188,6 +190,52 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeFile(data, 4, cfg); err == nil {
 		t.Fatal("shard count mismatch accepted")
+	}
+}
+
+// TestNewReportsFirstShardError restores from a file whose shard 2 and
+// shard 5 blobs are both bad. New builds the shards concurrently, so
+// either may fail first; New must still return shard 2's error, named as
+// shard 2's, every time.
+func TestNewReportsFirstShardError(t *testing.T) {
+	const shards = 8
+	pcfg := testPipelineConfig(DetectDistance, 1, 50, 5)
+	shardCfg := func(i int) PipelineConfig {
+		c := pcfg
+		c.Seed = shardSeed(pcfg.Seed, i)
+		return c
+	}
+	blobs := make([][]byte, shards)
+	for i := range blobs {
+		p, err := NewPipeline(shardCfg(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blobs[i], err = p.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blobs[2] = blobs[2][:len(blobs[2])/2]
+	blobs[5] = append([]byte{0, 0, 0, 0}, blobs[5][4:]...)
+	_, err2 := RestorePipeline(shardCfg(2), blobs[2])
+	_, err5 := RestorePipeline(shardCfg(5), blobs[5])
+	if err2 == nil || err5 == nil || err2.Error() == err5.Error() {
+		t.Fatalf("want two distinct restore errors, got %v and %v", err2, err5)
+	}
+	path := filepath.Join(t.TempDir(), "snap")
+	if err := os.WriteFile(path, encodeFile(shards, pcfg, blobs), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	want := "serve: shard 2: " + err2.Error()
+	for run := 0; run < 20; run++ {
+		srv, err := New(Config{Shards: shards, Pipeline: pcfg, SnapshotPath: path})
+		if err == nil {
+			srv.Abort()
+			t.Fatal("restore from a file with two bad blobs succeeded")
+		}
+		if err.Error() != want {
+			t.Fatalf("run %d: %q, want %q", run, err, want)
+		}
 	}
 }
 
