@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar test race
 
 build:
 	$(GO) build ./...
@@ -110,6 +110,18 @@ check-onequery:
 		echo "$$bad"; echo "$$shim"; exit 1; \
 	fi
 
+# One calendar: a chain sample keeps each event kind (expiry, successor
+# capture) in one min-heap ordered by arrival index and scheduling
+# sequence. A map[uint64][]int, or the pooled list backing that fed one
+# (freeLists, recycleList), in non-test internal/sample code is the
+# hash-map schedule, and its ≈ 350 KB per served chain, coming back.
+check-onecalendar:
+	@bad=$$(grep -nE 'map\[uint64\]\[\]int|freeLists|recycleList' internal/sample/*.go | grep -v '_test\.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "a hash-map event schedule in internal/sample (use the calendar):"; \
+		echo "$$bad"; exit 1; \
+	fi
+
 # The serving benchmark BENCHMARK.json declares (bench/README.md): every
 # workload end to end, or every phase in a second or two as a smoke.
 benchmark:
@@ -123,10 +135,13 @@ benchmark-smoke:
 # parallel suite runs ~1.3 s per op, so three iterations bound its
 # runtime; the kernel and index microbenchmarks need real iteration
 # counts for stable ns/op (the index's serving-shape case slides a
-# |W| = 10⁴ window, so it gets a window's worth and more).
+# |W| = 10⁴ window, so it gets a window's worth and more). The chain-sample
+# push at the serving shape (|R| = 500, |W| = 10⁴, recycling on) is the
+# micro-number beside sample.chain.push_ns; its allocs/op must read 0.
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkKernel -benchmem -benchtime 1000x ./internal/kernel/
 	$(GO) test -run=NONE -bench=BenchmarkDynIndexSlide -benchmem -benchtime 200000x ./internal/distance/
+	$(GO) test -run=NONE -bench=BenchmarkChainPush -benchmem -benchtime 200000x ./internal/sample/
 	$(GO) test -run=NONE -bench=BenchmarkParallelRunD3 -benchtime 3x ./internal/experiments/
 
 # Every benchmark in the tree, Go-managed iteration counts.
@@ -228,6 +243,11 @@ FUZZ_SMOKE += internal/distance:FuzzDynIndex
 # of the insertion-sort cutoff): the one-pass GK flush leaves the tuples, n
 # and pending of the two-pass flush it replaced, bit for bit, after every step.
 FUZZ_SMOKE += internal/quantile:FuzzGK
+# Add and advance-and-pop histories over windows of 1 to 64: the chain
+# sample's event calendar pops each arrival's events in the order the hash
+# map of slot lists it replaced held them, never keeps a passed index, and
+# sorts for the marshaler into the map's ascending-index, verbatim-list order.
+FUZZ_SMOKE += internal/sample:FuzzCalendar
 
 fuzz-smoke:
 	@set -e; for row in $(FUZZ_SMOKE); do \

@@ -6,6 +6,7 @@ package detector
 // fail closed without panicking.
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -253,6 +254,27 @@ func forgedKernelChainSnapshots(tb testing.TB, kc *KernelChain, blob []byte) map
 	copy(est[76+20:], pos.B)
 	out["chain position overflows window arithmetic"] = reseal(est, s.modelBlob)
 
+	// The chain's expiry schedule (an event map: entry count, then index,
+	// list length, slots) forged three ways no encoder writes: its first
+	// index moved back to the stream position, its second index repeating
+	// the first, and its first list emptied. A calendar holding the first
+	// would never pop another event.
+	out["chain event index at stream position"] = reseal(forgeChainSchedule(tb, s.estBlob,
+		func(chain []byte, first, _ int, n uint64) []byte {
+			binary.LittleEndian.PutUint64(chain[first:], n)
+			return chain
+		}), s.modelBlob)
+	out["chain event index repeated"] = reseal(forgeChainSchedule(tb, s.estBlob,
+		func(chain []byte, first, second int, _ uint64) []byte {
+			copy(chain[second:second+8], chain[first:first+8])
+			return chain
+		}), s.modelBlob)
+	out["chain event list empty"] = reseal(forgeChainSchedule(tb, s.estBlob,
+		func(chain []byte, first, second int, _ uint64) []byte {
+			binary.LittleEndian.PutUint32(chain[first+8:], 0)
+			return append(chain[:first+12], chain[second:]...)
+		}), s.modelBlob)
+
 	// A maintained model over half the slots: it decodes under the
 	// sample-size cap, but the first refresh patches a slot it lacks.
 	half := kc.cfg.Core.SampleSize / 2
@@ -273,6 +295,43 @@ func forgedKernelChainSnapshots(tb testing.TB, kc *KernelChain, blob []byte) map
 	out["model dim != config dim"] = reseal(s.estBlob,
 		encode(kernel.NewMaintained(flat, slots, m.MaxSlots(), modelBandwidths(m)[:1], m.WindowCount())))
 	return out
+}
+
+// forgeChainSchedule rewrites the chain section of an estimator blob (after
+// its 72-byte header and the section's length prefix) with forge, which
+// gets a copy of the chain blob, the offsets of its expiry schedule's first
+// and second entries, and its stream position.
+func forgeChainSchedule(tb testing.TB, est []byte, forge func(chain []byte, first, second int, n uint64) []byte) []byte {
+	tb.Helper()
+	size := int(binary.LittleEndian.Uint32(est[72:]))
+	chain := append([]byte(nil), est[76:76+size]...)
+	r := binfmt.NewReader(chain)
+	r.U32() // magic
+	k := int(r.U32())
+	r.U64() // window
+	dim := int(r.U32())
+	n := r.U64()
+	pt := make([]float64, dim)
+	for i := 0; i < k; i++ {
+		if r.U32() == 1 {
+			r.U64()
+			r.F64s(pt)
+		}
+		r.U64() // awaited index
+		for j, m := 0, int(r.U32()); j < m; j++ {
+			r.U64()
+			r.F64s(pt)
+		}
+	}
+	if r.U32() < 2 || r.Err() != nil {
+		tb.Fatalf("chain expiry schedule unreadable or shorter than two indexes: %v", r.Err())
+	}
+	first := len(chain) - r.Len()
+	second := first + 12 + 4*int(binary.LittleEndian.Uint32(chain[first+8:]))
+	chain = forge(chain, first, second, n)
+	w := binfmt.Writer{B: append([]byte(nil), est[:72]...)}
+	w.Bytes(chain)
+	return append(w.B, est[76+size:]...)
 }
 
 // TestRestoreRefusesForgedKernelChain feeds Restore kernelchain snapshots

@@ -36,10 +36,12 @@ type slot struct {
 // Expected memory is O(k) stored points (the paper's Theorem 1 charges
 // O(d|R|) for this component).
 //
-// Push costs O(1) amortized: the per-slot adoption coins are drawn with
-// geometric skip-sampling (one draw per adopting slot instead of one per
-// slot), and expiry/successor events are indexed by arrival so only the
-// slots with an event at the current arrival are touched.
+// Push costs O(1) per arrival plus O(log E) per event, for E pending
+// events: the per-slot adoption coins are drawn with geometric
+// skip-sampling (one draw per adopting slot instead of one per slot), and
+// expiry/successor events wait in two calendars (min-heaps by arrival
+// index) whose top alone is checked at each arrival, so only the slots
+// with an event at the current arrival are touched.
 //
 // A Chain is single-goroutine-owned (it owns an rng and mutates on
 // Push); the parallel evaluation harness keeps each sensor's chain on
@@ -51,18 +53,17 @@ type Chain struct {
 	n     uint64 // arrivals so far
 	rng   *rand.Rand
 
-	expireAt map[uint64][]int // arrival index → slots whose sample expires
-	wantAt   map[uint64][]int // arrival index → slots awaiting a successor
+	expire calendar // slots whose sample expires, by arrival index
+	want   calendar // slots awaiting a successor, by arrival index
 
-	// Recycling mode (EnableRecycling): dead points and drained event
-	// lists return to free pools instead of the garbage collector, making
-	// steady-state Push allocation-free. Off by default because recycled
-	// point storage is mutated in place: callers that let sample points
-	// escape (MGDD refresh batches ride in delayed messages) must keep the
-	// default drop-on-expiry behavior.
-	recycle   bool
-	freePts   []window.Point
-	freeLists [][]int
+	// Recycling mode (EnableRecycling): dead points return to a free pool
+	// instead of the garbage collector, making steady-state Push
+	// allocation-free. Off by default because recycled point storage is
+	// mutated in place: callers that let sample points escape (MGDD
+	// refresh batches ride in delayed messages) must keep the default
+	// drop-on-expiry behavior.
+	recycle bool
+	freePts []window.Point
 
 	// Change tracking: slots whose current sample changed — adoption,
 	// expiry promotion, going empty, or a direct successor capture —
@@ -114,12 +115,12 @@ func (c *Chain) Occupied() int {
 	return n
 }
 
-// EnableRecycling switches the chain to pooled storage: expired points and
-// drained event lists are reused by later arrivals. The sampled state and
-// every rng draw are identical with recycling on or off — only the
-// ownership of dead storage changes. Points returned by Points become
-// invalid once a subsequent Push recycles them, so callers must copy
-// anything they keep (the kernel model deep-copies its centers).
+// EnableRecycling switches the chain to pooled storage: expired points
+// are reused by later arrivals. The sampled state and every rng draw are
+// identical with recycling on or off — only the ownership of dead storage
+// changes. Points returned by Points become invalid once a subsequent
+// Push recycles them, so callers must copy anything they keep (the kernel
+// model deep-copies its centers).
 //
 // Call it before the first Push or directly after UnmarshalChain (decoded
 // points are uniquely owned). Enabling it later is unsafe: pre-recycling
@@ -131,26 +132,6 @@ func (c *Chain) EnableRecycling() { c.recycle = true }
 func (c *Chain) release(p window.Point) {
 	if c.recycle && p != nil {
 		c.freePts = append(c.freePts, p)
-	}
-}
-
-// sched appends slot s to the event list at key, reusing pooled list
-// backing for keys not yet present.
-func (c *Chain) sched(m map[uint64][]int, key uint64, s int) {
-	l, ok := m[key]
-	if !ok && len(c.freeLists) > 0 {
-		last := len(c.freeLists) - 1
-		l = c.freeLists[last][:0]
-		c.freeLists[last] = nil
-		c.freeLists = c.freeLists[:last]
-	}
-	m[key] = append(l, s)
-}
-
-// recycleList returns a drained event list's backing to the pool.
-func (c *Chain) recycleList(l []int) {
-	if c.recycle && cap(l) > 0 {
-		c.freeLists = append(c.freeLists, l[:0])
 	}
 }
 
@@ -175,8 +156,6 @@ func NewChain(k, wcap, dim int, rng *rand.Rand) *Chain {
 		w:          uint64(wcap),
 		dim:        dim,
 		rng:        rng,
-		expireAt:   make(map[uint64][]int),
-		wantAt:     make(map[uint64][]int),
 		changed:    make([]int32, 0, k),
 		changedSet: make([]bool, k),
 	}
@@ -199,13 +178,14 @@ func (c *Chain) Seen() uint64 { return c.n }
 func (c *Chain) drawWant(s int, i uint64) {
 	sl := &c.slots[s]
 	sl.wantIdx = i + 1 + uint64(c.rng.Int63n(int64(c.w)))
-	c.sched(c.wantAt, sl.wantIdx, s)
+	c.want.add(sl.wantIdx, s)
 }
 
 // Push feeds the next stream value and reports whether it was adopted as
 // the current sample of at least one slot. The D3 leaf process uses that
 // signal to decide whether to propagate the value to its parent (Figure 4,
-// line 14). The point is cloned at most once.
+// line 14). The point is cloned at most once. It costs O(1) plus
+// O(log E) for each event it pops or schedules, E events pending.
 func (c *Chain) Push(p window.Point) bool {
 	if len(p) != c.dim {
 		panic(fmt.Sprintf("sample: point dim %d, sample dim %d", len(p), c.dim))
@@ -239,49 +219,47 @@ func (c *Chain) Push(p window.Point) bool {
 	// 1. Expiries scheduled for this arrival: the chained successor
 	// (guaranteed unexpired) takes over; a slot with no captured successor
 	// yet goes empty until its awaited arrival comes.
-	if lst, ok := c.expireAt[i]; ok {
-		delete(c.expireAt, i)
-		for _, s := range lst {
-			sl := &c.slots[s]
-			if sl.sample == nil || sl.sampleIdx+c.w != i {
-				continue // stale event from a superseded sample
-			}
-			c.markChanged(s) // promotion or going empty: the sample changes
-			c.release(sl.sample)
-			if len(sl.chain) > 0 {
-				head := sl.chain[0]
-				copy(sl.chain, sl.chain[1:])
-				sl.chain = sl.chain[:len(sl.chain)-1]
-				sl.sampleIdx, sl.sample = head.idx, head.val
-				c.sched(c.expireAt, head.idx+c.w, s)
-			} else {
-				sl.sample = nil
-			}
+	// Every event scheduled while handling arrival i lands after i, so the
+	// loop sees exactly the events pending when the arrival came.
+	for c.expire.due(i) {
+		s := c.expire.pop()
+		sl := &c.slots[s]
+		if sl.sample == nil || sl.sampleIdx+c.w != i {
+			continue // stale event from a superseded sample
 		}
-		c.recycleList(lst)
+		c.markChanged(s) // promotion or going empty: the sample changes
+		c.release(sl.sample)
+		if len(sl.chain) > 0 {
+			head := sl.chain[0]
+			copy(sl.chain, sl.chain[1:])
+			sl.chain = sl.chain[:len(sl.chain)-1]
+			sl.sampleIdx, sl.sample = head.idx, head.val
+			c.expire.add(head.idx+c.w, s)
+		} else {
+			sl.sample = nil
+		}
 	}
+	c.expire.fit()
 
 	// 2. Successor captures scheduled for this arrival: append to the
 	// chain (or, for a slot that went empty, become the sample directly)
 	// and draw the next successor.
-	if lst, ok := c.wantAt[i]; ok {
-		delete(c.wantAt, i)
-		for _, s := range lst {
-			sl := &c.slots[s]
-			if sl.wantIdx != i {
-				continue // stale event
-			}
-			if sl.sample == nil {
-				c.markChanged(s) // direct capture into an empty slot
-				sl.sampleIdx, sl.sample = i, cloneOf()
-				c.sched(c.expireAt, i+c.w, s)
-			} else {
-				sl.chain = append(sl.chain, chainEntry{idx: i, val: cloneOf()})
-			}
-			c.drawWant(s, i)
+	for c.want.due(i) {
+		s := c.want.pop()
+		sl := &c.slots[s]
+		if sl.wantIdx != i {
+			continue // stale event
 		}
-		c.recycleList(lst)
+		if sl.sample == nil {
+			c.markChanged(s) // direct capture into an empty slot
+			sl.sampleIdx, sl.sample = i, cloneOf()
+			c.expire.add(i+c.w, s)
+		} else {
+			sl.chain = append(sl.chain, chainEntry{idx: i, val: cloneOf()})
+		}
+		c.drawWant(s, i)
 	}
+	c.want.fit()
 
 	// 3. Adoptions: each slot takes the new arrival as its sample with
 	// probability 1/min(i,|W|), sampled via geometric skips.
@@ -296,7 +274,7 @@ func (c *Chain) Push(p window.Point) bool {
 		}
 		sl.sampleIdx, sl.sample = i, cloneOf()
 		sl.chain = sl.chain[:0]
-		c.sched(c.expireAt, i+c.w, s)
+		c.expire.add(i+c.w, s)
 		c.drawWant(s, i)
 		included = true
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"odds/internal/binfmt"
 	"odds/internal/window"
@@ -15,15 +14,24 @@ import (
 // their chains, and the event schedule; the restored sample continues
 // with the caller-provided coin source.
 //
-// The event maps are serialized explicitly — list order included —
-// rather than reconstructed from slot state: when several slots' events
-// fire at the same arrival, each is assigned one rng draw in list order,
-// so the order is part of the deterministic state. A restore that merely
-// rebuilt the lists in slot order would permute draw assignment and
-// silently diverge from the original stream (the serving layer's
-// checkpoint/restore relies on bit-exact continuation). Indexes are
-// written in ascending order so encoding is deterministic; per-index
-// list order is preserved verbatim, stale entries included.
+// The two event calendars are serialized explicitly — per-index order
+// included — rather than reconstructed from slot state: when several
+// slots' events fire at the same arrival, each is assigned one rng draw
+// in scheduling order, so the order is part of the deterministic state. A
+// restore that merely rebuilt the events in slot order would permute draw
+// assignment and silently diverge from the original stream (the serving
+// layer's checkpoint/restore relies on bit-exact continuation).
+//
+// Each calendar is written as an event map: its distinct indexes in
+// ascending order, each with the slots scheduled there in sequence order,
+// stale entries included. These are the bytes the chain wrote when its
+// schedule was a hash map of slot lists; the format is unchanged.
+// Decoding adds the events in the order it reads them, which restores the
+// per-index order, and refuses what no encoder writes: an index not after
+// the stream position or more than one window past it, an index not above
+// the one before it, and an empty list. A calendar would act on the first
+// of these: an index already passed sits at its top for good and blocks
+// every later event.
 
 const marshalMagic = uint32(0x4f445342) // "ODSB"
 
@@ -63,26 +71,31 @@ func (c *Chain) MarshalBinary() ([]byte, error) {
 			w.F64s(ce.val)
 		}
 	}
-	appendEventMap(&w, c.expireAt)
-	appendEventMap(&w, c.wantAt)
+	appendCalendar(&w, &c.expire)
+	appendCalendar(&w, &c.want)
 	return w.B, nil
 }
 
-// appendEventMap encodes an event map with ascending indexes and verbatim
-// per-index slot lists.
-func appendEventMap(w *binfmt.Writer, m map[uint64][]int) {
-	idxs := make([]uint64, 0, len(m))
-	for idx := range m {
-		idxs = append(idxs, idx)
+// appendCalendar encodes a calendar as an event map: ascending indexes,
+// each with its slots in scheduling order.
+func appendCalendar(w *binfmt.Writer, c *calendar) {
+	ev := c.sorted()
+	idxs := 0
+	for j := range ev {
+		if j == 0 || ev[j].idx != ev[j-1].idx {
+			idxs++
+		}
 	}
-	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
-	w.U32(uint32(len(idxs)))
-	for _, idx := range idxs {
-		lst := m[idx]
-		w.U64(idx)
-		w.U32(uint32(len(lst)))
-		for _, s := range lst {
-			w.U32(uint32(s))
+	w.U32(uint32(idxs))
+	for j := 0; j < len(ev); {
+		end := j + 1
+		for end < len(ev) && ev[end].idx == ev[j].idx {
+			end++
+		}
+		w.U64(ev[j].idx)
+		w.U32(uint32(end - j))
+		for ; j < end; j++ {
+			w.U32(uint32(ev[j].slot))
 		}
 	}
 }
@@ -142,20 +155,32 @@ func UnmarshalChain(data []byte, rng *rand.Rand) (*Chain, error) {
 			sl.chain = append(sl.chain, chainEntry{idx: idx, val: readPoint()})
 		}
 	}
-	readEventMap := func(m map[uint64][]int) {
+	readCalendar := func(cal *calendar) {
+		prev := n
 		for e, cnt := 0, r.Count(eventMinBytes, 1<<24); e < cnt && r.Err() == nil; e++ {
 			idx := r.U64()
-			lst := make([]int, r.Count(4, 1<<24))
-			for j := range lst {
-				if lst[j] = int(r.U32()); lst[j] >= k {
-					r.Fail(fmt.Errorf("event references slot %d of %d", lst[j], k))
-				}
+			switch {
+			case idx <= n || idx > n+w:
+				r.Fail(fmt.Errorf("event index %d outside the window after stream position %d (w=%d)", idx, n, w))
+			case idx <= prev:
+				r.Fail(fmt.Errorf("event index %d not above the previous index %d", idx, prev))
 			}
-			m[idx] = lst
+			prev = idx
+			m := r.Count(4, 1<<24)
+			if m == 0 {
+				r.Fail(fmt.Errorf("empty event list at index %d", idx))
+			}
+			for j := 0; j < m && r.Err() == nil; j++ {
+				s := int(r.U32())
+				if s >= k {
+					r.Fail(fmt.Errorf("event references slot %d of %d", s, k))
+				}
+				cal.add(idx, s)
+			}
 		}
 	}
-	readEventMap(c.expireAt)
-	readEventMap(c.wantAt)
+	readCalendar(&c.expire)
+	readCalendar(&c.want)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("sample: chain encoding: %w", err)
 	}

@@ -3,6 +3,7 @@ package sample
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"odds/internal/window"
@@ -20,11 +21,12 @@ func (c *countingSrc) Seed(s int64)   { c.src.Seed(s); c.n = 0 }
 // TestChainRestoreDrawStreamExact pins the chain marshal format's
 // strongest guarantee: a restored chain whose rng source is positioned at
 // the original's draw count continues bit-exactly — same draws, same
-// events, same samples. The subtle part is event-list order: slots whose
-// events fire at the same arrival receive rng draws in list order, so the
-// maps are serialized verbatim instead of being reconstructed from slot
-// state (reconstruction would permute draw assignment and diverge; the
-// serving layer's checkpoint/restore depends on this).
+// events, same samples. The subtle part is per-index event order: slots
+// whose events fire at the same arrival receive rng draws in scheduling
+// order, so the calendars are serialized in that order instead of being
+// reconstructed from slot state (reconstruction would permute draw
+// assignment and diverge; the serving layer's checkpoint/restore depends
+// on this).
 func TestChainRestoreDrawStreamExact(t *testing.T) {
 	cs := &countingSrc{src: rand.NewSource(77).(rand.Source64)}
 	c := NewChain(20, 60, 1, rand.New(cs))
@@ -48,56 +50,30 @@ func TestChainRestoreDrawStreamExact(t *testing.T) {
 	}
 	// Compare live (effective) events: for each future arrival, which slots
 	// would actually act?
-	liveWant := map[uint64][]int{}
-	for idx, slots := range c.wantAt {
-		for _, s := range slots {
-			if c.slots[s].wantIdx == idx {
-				liveWant[idx] = append(liveWant[idx], s)
+	liveWant := func(ch *Chain, idx uint64) []int {
+		var out []int
+		for _, s := range slotsAt(&ch.want, idx) {
+			if ch.slots[s].wantIdx == idx {
+				out = append(out, s)
 			}
 		}
+		return out
 	}
-	restWant := map[uint64][]int{}
-	for idx, slots := range r.wantAt {
-		for _, s := range slots {
-			if r.slots[s].wantIdx == idx {
-				restWant[idx] = append(restWant[idx], s)
+	liveExp := func(ch *Chain, idx uint64) []int {
+		var out []int
+		for _, s := range slotsAt(&ch.expire, idx) {
+			if sl := ch.slots[s]; sl.sample != nil && sl.sampleIdx+ch.w == idx {
+				out = append(out, s)
 			}
 		}
+		return out
 	}
-	for idx, ls := range liveWant {
-		if len(restWant[idx]) != len(ls) {
-			t.Errorf("wantAt[%d]: live %v restored %v", idx, ls, restWant[idx])
+	for idx := c.n + 1; idx <= c.n+c.w; idx++ {
+		if a, b := liveWant(c, idx), liveWant(r, idx); !slices.Equal(a, b) {
+			t.Errorf("capture events at %d: live %v restored %v", idx, a, b)
 		}
-	}
-	for idx, ls := range restWant {
-		if len(liveWant[idx]) != len(ls) {
-			t.Errorf("wantAt[%d]: live %v restored %v (extra in restored)", idx, liveWant[idx], ls)
-		}
-	}
-	liveExp := map[uint64][]int{}
-	for idx, slots := range c.expireAt {
-		for _, s := range slots {
-			if c.slots[s].sample != nil && c.slots[s].sampleIdx+c.w == idx {
-				liveExp[idx] = append(liveExp[idx], s)
-			}
-		}
-	}
-	restExp := map[uint64][]int{}
-	for idx, slots := range r.expireAt {
-		for _, s := range slots {
-			if r.slots[s].sample != nil && r.slots[s].sampleIdx+r.w == idx {
-				restExp[idx] = append(restExp[idx], s)
-			}
-		}
-	}
-	for idx, ls := range liveExp {
-		if len(restExp[idx]) != len(ls) {
-			t.Errorf("expireAt[%d]: live %v restored %v", idx, ls, restExp[idx])
-		}
-	}
-	for idx, ls := range restExp {
-		if len(liveExp[idx]) != len(ls) {
-			t.Errorf("expireAt[%d]: live %v restored %v (extra)", idx, liveExp[idx], ls)
+		if a, b := liveExp(c, idx), liveExp(r, idx); !slices.Equal(a, b) {
+			t.Errorf("expiry events at %d: live %v restored %v", idx, a, b)
 		}
 	}
 	// Also: continue both and find first draw divergence.
@@ -108,14 +84,14 @@ func TestChainRestoreDrawStreamExact(t *testing.T) {
 		// Capture pending events for this arrival before pushing.
 		dump := func(ch *Chain, label string) []string {
 			var out []string
-			for _, s := range ch.expireAt[arrival] {
+			for _, s := range slotsAt(&ch.expire, arrival) {
 				sl := ch.slots[s]
-				out = append(out, fmt.Sprintf("%s expireAt[%d]: slot %d sampleIdx=%d live=%v chainLen=%d",
+				out = append(out, fmt.Sprintf("%s expiry at %d: slot %d sampleIdx=%d live=%v chainLen=%d",
 					label, arrival, s, sl.sampleIdx, sl.sample != nil && sl.sampleIdx+ch.w == arrival, len(sl.chain)))
 			}
-			for _, s := range ch.wantAt[arrival] {
+			for _, s := range slotsAt(&ch.want, arrival) {
 				sl := ch.slots[s]
-				out = append(out, fmt.Sprintf("%s wantAt[%d]: slot %d wantIdx=%d live=%v sampleNil=%v",
+				out = append(out, fmt.Sprintf("%s capture at %d: slot %d wantIdx=%d live=%v sampleNil=%v",
 					label, arrival, s, sl.wantIdx, sl.wantIdx == arrival, sl.sample == nil))
 			}
 			return out

@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"encoding/binary"
 	"math"
 	"runtime"
 	"testing"
@@ -198,5 +199,62 @@ func TestUnmarshalChainSizesNothingFromCounts(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("rejecting the blob allocated %d bytes", got)
+	}
+}
+
+// forgedSchedules derives, from a real chain blob, three blobs whose
+// expiry schedule no encoder writes: its first index moved back to the
+// stream position, its second index repeating the first, and its first
+// list emptied. A hash-map schedule held each inert; a calendar would
+// act on them, the first blocking every later event for good.
+func forgedSchedules(t *testing.T) map[string][]byte {
+	t.Helper()
+	c := NewChain(6, 40, 1, stats.NewRand(8))
+	for i := 0; i < 100; i++ {
+		c.Push(window.Point{float64(i)})
+	}
+	blob, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events binfmt.Writer
+	appendCalendar(&events, &c.expire)
+	appendCalendar(&events, &c.want)
+	// The expiry map: entry count, then index, list length, slots.
+	first := len(blob) - len(events.B) + 4
+	m := int(binary.LittleEndian.Uint32(blob[first+8:]))
+	second := first + 12 + 4*m
+	if binary.LittleEndian.Uint32(blob[first-4:]) < 2 {
+		t.Fatal("expiry schedule has fewer than two indexes")
+	}
+	forge := func(f func(b []byte) []byte) []byte {
+		return f(append([]byte(nil), blob...))
+	}
+	return map[string][]byte{
+		"index at the stream position": forge(func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[first:], c.Seen())
+			return b
+		}),
+		"repeated index": forge(func(b []byte) []byte {
+			copy(b[second:second+8], b[first:first+8])
+			return b
+		}),
+		"empty list": forge(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[first+8:], 0)
+			return append(b[:first+12], b[first+12+4*m:]...)
+		}),
+	}
+}
+
+// TestUnmarshalChainRejectsForgedSchedules pins the decoder's refusal of
+// event schedules a calendar cannot hold; the hash-map chain accepted all
+// three.
+func TestUnmarshalChainRejectsForgedSchedules(t *testing.T) {
+	for name, blob := range forgedSchedules(t) {
+		if _, err := UnmarshalChain(blob, stats.NewRand(1)); err == nil {
+			t.Errorf("%s: accepted", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
 	}
 }

@@ -3,12 +3,13 @@ package sample
 // White-box tests for the chain's stale-event paths. Expiry and capture
 // events are indexed by arrival; when a slot's sample is superseded (a
 // fresh adoption resets the slot), events scheduled for the old sample
-// remain in the maps and must be recognized as stale when they fire.
+// remain in the calendars and must be recognized as stale when they fire.
 // These paths are rare under random drive, so the tests construct the
 // exact slot states directly.
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"odds/internal/window"
@@ -36,8 +37,8 @@ func TestChainExpiryWithEmptyChainRefills(t *testing.T) {
 	sl.sampleIdx, sl.sample = 1, window.Point{0.5}
 	sl.chain = nil
 	sl.wantIdx = 12
-	c.expireAt[11] = []int{0}
-	c.wantAt[12] = []int{0}
+	c.expire.add(11, 0)
+	c.want.add(12, 0)
 
 	// Arrival 11: the sample expires with nothing chained — slot empties.
 	if c.Push(window.Point{0.1}) {
@@ -63,13 +64,7 @@ func TestChainExpiryWithEmptyChainRefills(t *testing.T) {
 	if sl.sample == nil || sl.sample[0] != 0.9 || sl.sampleIdx != 12 {
 		t.Fatalf("slot not refilled: idx=%d sample=%v", sl.sampleIdx, sl.sample)
 	}
-	found := false
-	for _, s := range c.expireAt[22] {
-		if s == 0 {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(slotsAt(&c.expire, 22), 0) {
 		t.Error("refilled sample has no expiry scheduled at 12+w")
 	}
 
@@ -96,7 +91,8 @@ func TestChainStaleExpiryIgnored(t *testing.T) {
 	s1 := &c.slots[1]
 	s1.sampleIdx, s1.sample = 0, nil
 	s1.wantIdx = 20
-	c.expireAt[11] = []int{0, 1}
+	c.expire.add(11, 0)
+	c.expire.add(11, 1)
 
 	c.Push(window.Point{0.1})
 	if s0.sample == nil || s0.sample[0] != 0.4 || s0.sampleIdx != 5 {
@@ -105,8 +101,8 @@ func TestChainStaleExpiryIgnored(t *testing.T) {
 	if s1.sample != nil {
 		t.Errorf("stale expiry resurrected an empty slot: %v", s1.sample)
 	}
-	if _, left := c.expireAt[11]; left {
-		t.Error("fired expiry bucket not deleted")
+	if left := slotsAt(&c.expire, 11); len(left) > 0 {
+		t.Errorf("fired expiry events %v still pending", left)
 	}
 }
 
@@ -119,8 +115,8 @@ func TestChainStaleWantIgnored(t *testing.T) {
 	sl := &c.slots[0]
 	sl.sampleIdx, sl.sample = 8, window.Point{0.6}
 	sl.wantIdx = 15 // the live draw
-	c.wantAt[11] = []int{0}
-	c.wantAt[15] = []int{0}
+	c.want.add(11, 0)
+	c.want.add(15, 0)
 
 	c.Push(window.Point{0.2})
 	if len(sl.chain) != 0 {
@@ -144,7 +140,7 @@ func TestChainStaleWantIgnored(t *testing.T) {
 
 // TestChainAdoptionSupersedesEvents checks the origin of staleness: a
 // fresh adoption clears the chain and schedules new events while the old
-// ones stay behind in the maps, which the guards must then skip — the
+// ones stay behind in the calendars, which the guards must then skip — the
 // end-to-end loop the targeted tests above pin piecewise.
 func TestChainAdoptionSupersedesEvents(t *testing.T) {
 	c := NewChain(1, 10, 1, rand.New(rand.NewSource(42)))
