@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel test race
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,20 @@ check-onecalendar:
 	if [ -n "$$bad" ]; then \
 		echo "a hash-map event schedule in internal/sample (use the calendar):"; \
 		echo "$$bad"; exit 1; \
+	fi
+
+# One kernel model: every kernel.Estimator is patched in place and encodes
+# as ODKM. The immutable form's magic ("ODDS", 0x4f444453), its encoder
+# constant, the form test, or a nil check on the maintenance state in
+# non-test internal/kernel code is the second representation coming back;
+# so is a from-scratch kernel.FromSample/kernel.New build in a detector
+# backend (brute.go, the from-scratch reference, keeps one).
+check-onemodel:
+	@bad=$$(grep -nE '0x4f444453|marshalMagic|IsMaintained|mnt == nil' internal/kernel/*.go | grep -v '_test\.go:'); \
+	det=$$(grep -nE 'kernel\.(FromSample|New)\(' internal/detector/*.go | grep -vE '_test\.go:|^internal/detector/brute\.go:'); \
+	if [ -n "$$bad$$det" ]; then \
+		echo "a second kernel-model representation (patch the one maintained model):"; \
+		echo "$$bad"; echo "$$det"; exit 1; \
 	fi
 
 # The serving benchmark BENCHMARK.json declares (bench/README.md): every

@@ -146,12 +146,7 @@ func (e *RangeEngine) Average(dim int, lo, hi []float64, t1, t2 int) float64 {
 		frac := float64(ov) / float64(b.end-b.start)
 		// Weight each kernel center by the mass its kernel puts in the box.
 		for _, c := range b.model.Centers() {
-			clo := make([]float64, e.dim)
-			chi := make([]float64, e.dim)
-			copy(clo, lo)
-			copy(chi, hi)
-			m := singleKernelMass(b.model, c, clo, chi)
-			if m > 0 {
+			if m := b.model.CenterMass(c, lo, hi); m > 0 {
 				add(c, m*frac)
 			}
 		}
@@ -167,21 +162,6 @@ func (e *RangeEngine) Average(dim int, lo, hi []float64, t1, t2 int) float64 {
 		return math.NaN()
 	}
 	return xsum / wsum
-}
-
-// singleKernelMass computes the box mass of one center under the model's
-// bandwidths by building a one-center probe; the estimator's ProbBox over
-// a single-center model is exactly that kernel's mass.
-func singleKernelMass(m *kernel.Estimator, c window.Point, lo, hi []float64) float64 {
-	bw := make([]float64, m.Dim())
-	for i := range bw {
-		bw[i] = m.Bandwidth(i)
-	}
-	probe, err := kernel.New([]window.Point{c}, bw, 1)
-	if err != nil {
-		return 0
-	}
-	return probe.ProbBox(lo, hi)
 }
 
 func overlap(a1, a2, b1, b2 int) int {

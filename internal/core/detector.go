@@ -259,15 +259,13 @@ func (e *Estimator) ModelSnapshot() (model *kernel.Estimator, modelWc float64, d
 // UnmarshalEstimator round trip); the model then keeps patching. A nil
 // model leaves the restored default — build on next Model call — but
 // still restores the rebuild cadence counters. A non-nil model must be one
-// this estimator can patch: maintained (kernel.Estimator.IsMaintained),
-// with one slot per chain-sample slot and the configured dimensionality.
+// this estimator can patch: one slot per chain-sample slot and the
+// configured dimensionality.
 // Anything else is refused with an error and the estimator is unchanged;
 // accepting it would panic at the next refresh instead.
 func (e *Estimator) RestoreModelSnapshot(model *kernel.Estimator, modelWc float64, dirty bool, sinceBuild int) error {
 	if model != nil {
 		switch {
-		case !model.IsMaintained():
-			return fmt.Errorf("core: snapshot model is not a maintained model")
 		case model.MaxSlots() != e.smp.Size():
 			return fmt.Errorf("core: snapshot model has %d slots, sample has %d", model.MaxSlots(), e.smp.Size())
 		case model.Dim() != e.cfg.Dim:

@@ -177,17 +177,17 @@ func BruteCoreset(cfg CoresetConfig, dist distance.Params, dim int, seed int64, 
 			mean[d] += delta / float64(n)
 			m2[d] += delta * (x - mean[d])
 		}
-		if len(kept) < cfg.Size {
+		switch {
+		case !allFinite(v):
+			// A non-finite reading is never kept.
+		case len(kept) < cfg.Size:
 			kept = append(kept, append(window.Point(nil), v...))
 			dirty = true
-		} else {
+		default:
 			d2 := math.Inf(1)
 			for _, p := range kept {
 				sum := 0.0
 				for d := 0; d < dim; d++ {
-					if !finite(v[d]) {
-						continue
-					}
 					diff := v[d] - p[d]
 					sum += diff * diff
 				}

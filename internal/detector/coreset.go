@@ -63,10 +63,12 @@ func (c CoresetConfig) validate() error {
 // admission probability is proportional to its squared distance from the
 // current coreset — points far from everything kept are exactly the ones
 // a density summary cannot afford to drop — feeding the existing kernel
-// model as a lighter substitute for the chain sample. Bandwidths come
-// from a running Welford sketch over all arrivals (Scott's rule inside
-// kernel.FromSample), and the distance criterion is the paper's:
-// estimated neighbors within L∞ Radius below Threshold.
+// model as a lighter substitute for the chain sample. Reservoir slot i is
+// model slot i: every rebuild patches the one model in place, answering
+// exactly as kernel.FromSample over the reservoir would. Bandwidths come
+// from a running Welford sketch over all arrivals (Scott's rule), and the
+// distance criterion is the paper's: estimated neighbors within L∞
+// Radius below Threshold.
 //
 // Determinism: admissions draw from a seeded splitmix64 source whose
 // entire position is one u64, so snapshots capture the rng state directly
@@ -94,6 +96,8 @@ type Coreset struct {
 	model *kernel.Estimator
 
 	sigmaBuf []float64
+	bwBuf    []float64
+	slotBuf  window.Point // the model's copy of one slot, read by rebuild
 
 	flagged uint64
 }
@@ -116,6 +120,8 @@ func newCoreset(cfg Config) *Coreset {
 		mean:     make([]float64, dim),
 		m2:       make([]float64, dim),
 		sigmaBuf: make([]float64, dim),
+		bwBuf:    make([]float64, dim),
+		slotBuf:  make(window.Point, dim),
 	}
 }
 
@@ -139,17 +145,14 @@ func (c *Coreset) outlier(v []float64) bool {
 	return c.model.Count(window.Point(v), c.cfg.Distance.Radius) < c.cfg.Distance.Threshold
 }
 
-// dist2 is the squared Euclidean distance from v to the nearest coreset
-// point (non-finite coordinates contribute nothing).
+// dist2 is the squared Euclidean distance from the finite reading v to
+// the nearest coreset point.
 func (c *Coreset) dist2(v []float64) float64 {
 	best := math.Inf(1)
 	for i := 0; i < c.filled; i++ {
 		p := c.pts[i]
 		sum := 0.0
 		for d, x := range v {
-			if !finite(x) {
-				continue
-			}
 			diff := x - p[d]
 			sum += diff * diff
 		}
@@ -181,16 +184,23 @@ func (c *Coreset) Ingest(v []float64) Verdict {
 	// Admission: fill the reservoir first-come, then admit with
 	// probability Size·d²/mass — the sensitivity-sampling bias toward
 	// points the current coreset summarizes worst. An admitted point
-	// replaces a uniformly drawn victim.
-	if c.filled < len(c.pts) {
+	// replaces a uniformly drawn victim. A reading with a non-finite
+	// coordinate is never admitted, so every kept point — and every model
+	// center — is finite.
+	switch {
+	case !allFinite(v):
+		// Counted and judged above, never kept.
+	case c.filled < len(c.pts):
 		copy(c.pts[c.filled], v)
 		c.filled++
 		c.dirty = true
-	} else if d2 := c.dist2(v); d2 > 0 && finite(d2) {
-		c.mass += d2
-		if p := float64(len(c.pts)) * d2 / c.mass; c.rng.Float64() < p {
-			copy(c.pts[c.rng.Intn(len(c.pts))], v)
-			c.dirty = true
+	default:
+		if d2 := c.dist2(v); d2 > 0 && finite(d2) {
+			c.mass += d2
+			if p := float64(len(c.pts)) * d2 / c.mass; c.rng.Float64() < p {
+				copy(c.pts[c.rng.Intn(len(c.pts))], v)
+				c.dirty = true
+			}
 		}
 	}
 	c.sinceBuild++
@@ -211,7 +221,10 @@ func (c *Coreset) maybeRebuild() {
 	c.rebuild()
 }
 
-func (c *Coreset) rebuild() {
+// modelInputs fills sigmaBuf with the arrivals' standard deviations and
+// returns the window count the model scales by — with pts[:filled], the
+// inputs a from-scratch kernel.FromSample build would take.
+func (c *Coreset) modelInputs() (wc float64) {
 	for d := range c.sigmaBuf {
 		if c.n > 1 {
 			c.sigmaBuf[d] = math.Sqrt(c.m2[d] / float64(c.n-1))
@@ -219,19 +232,57 @@ func (c *Coreset) rebuild() {
 			c.sigmaBuf[d] = 0
 		}
 	}
-	wc := float64(c.cfg.Coreset.WindowCount)
+	wc = float64(c.cfg.Coreset.WindowCount)
 	if float64(c.n) < wc {
 		wc = float64(c.n)
 	}
-	m, err := kernel.FromSample(c.pts[:c.filled], c.sigmaBuf, wc)
-	if err != nil {
-		// Only ErrNoSample is reachable and filled > 0 excludes it; keep
-		// the previous model rather than crash the shard on a surprise.
-		return
+	return wc
+}
+
+// rebuild brings the model up to the reservoir. The first build covers
+// slots 0..filled−1; later ones patch in place, setting in ascending
+// order every slot whose point differs bitwise from the model's copy, and
+// allocate nothing.
+func (c *Coreset) rebuild() {
+	wc := c.modelInputs()
+	c.bwBuf = kernel.BandwidthsInto(c.bwBuf, c.sigmaBuf, c.filled)
+	if c.model == nil {
+		slots := make([]int, c.filled)
+		for i := range slots {
+			slots[i] = i
+		}
+		m, err := kernel.NewMaintained(c.pts[:c.filled], slots, len(c.pts), c.bwBuf, wc)
+		if err != nil {
+			// filled > 0 and wc ≥ 1 make every error unreachable; stay
+			// without a model rather than crash the shard on a surprise.
+			return
+		}
+		c.model = m
+	} else {
+		c.model.BeginMaintain()
+		for s, p := range c.pts[:c.filled] {
+			if !c.model.SlotPoint(s, c.slotBuf) || !sameBits(p, c.slotBuf) {
+				c.model.SetSlot(s, p)
+			}
+		}
+		if err := c.model.FinishMaintain(c.bwBuf, wc); err != nil {
+			// Unreachable for the same reasons; the patched centers stay
+			// and the next rebuild retries the bandwidths.
+			return
+		}
 	}
-	c.model = m
 	c.dirty = false
 	c.sinceBuild = 0
+}
+
+// sameBits reports whether a and b hold bitwise-identical coordinates.
+func sameBits(a, b window.Point) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func (c *Coreset) QueryOutlier(v []float64) Verdict {
@@ -301,6 +352,26 @@ func (c *Coreset) Snapshot() ([]byte, error) {
 	return sealBlob(KindCoreset, c.fp, w.B), nil
 }
 
+// adoptModel installs a decoded model after checking rebuild can patch
+// it: one slot per reservoir slot, the configured dimensionality, and no
+// center in a slot the reservoir has not filled (patches never visit
+// those, so such a center would stay in the model for good).
+func (c *Coreset) adoptModel(m *kernel.Estimator) error {
+	switch {
+	case m.MaxSlots() != len(c.pts):
+		return fmt.Errorf("detector: coreset model has %d slots, reservoir has %d", m.MaxSlots(), len(c.pts))
+	case m.Dim() != c.cfg.Dim:
+		return fmt.Errorf("detector: coreset model dim %d != config dim %d", m.Dim(), c.cfg.Dim)
+	}
+	for s := c.filled; s < len(c.pts); s++ {
+		if m.SlotPoint(s, c.slotBuf) {
+			return fmt.Errorf("detector: coreset model holds slot %d of %d filled", s, c.filled)
+		}
+	}
+	c.model = m
+	return nil
+}
+
 func (c *Coreset) Restore(blob []byte) error {
 	r, err := openBlob(blob, KindCoreset, c.fp)
 	if err != nil {
@@ -320,15 +391,19 @@ func (c *Coreset) Restore(blob []byte) error {
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("detector: coreset snapshot: %w", err)
 	}
+	for i := 0; i < fresh.filled; i++ {
+		if !allFinite(fresh.pts[i]) {
+			return fmt.Errorf("detector: coreset point %d is not finite", i)
+		}
+	}
 	if len(modelBlob) > 0 {
 		m, err := kernel.UnmarshalEstimator(modelBlob, c.cfg.Coreset.Size)
 		if err != nil {
 			return fmt.Errorf("detector: coreset model: %w", err)
 		}
-		if m.Dim() != c.cfg.Dim {
-			return fmt.Errorf("detector: coreset model dim %d != config dim %d", m.Dim(), c.cfg.Dim)
+		if err := fresh.adoptModel(m); err != nil {
+			return err
 		}
-		fresh.model = m
 	}
 	fresh.n, fresh.flagged, fresh.mass = n, flagged, mass
 	fresh.dirty, fresh.sinceBuild = dirtyB != 0, int(sinceBuild)

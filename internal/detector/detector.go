@@ -366,3 +366,13 @@ func fingerprintPrefix(c Config) binfmt.Writer {
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// allFinite reports whether every coordinate of v is finite.
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if !finite(x) {
+			return false
+		}
+	}
+	return true
+}

@@ -187,12 +187,12 @@ func (s kernelChainSections) seal() []byte {
 	return sealBlob(KindKernelChain, s.fp, w.B)
 }
 
-// sectionModel decodes the snapshot's (maintained) model section.
+// sectionModel decodes the snapshot's model section.
 func (s kernelChainSections) sectionModel(tb testing.TB, sampleSize int) *kernel.Estimator {
 	tb.Helper()
 	m, err := kernel.UnmarshalEstimator(s.modelBlob, sampleSize)
-	if err != nil || !m.IsMaintained() {
-		tb.Fatalf("snapshot model: maintained %v, err %v", err == nil && m.IsMaintained(), err)
+	if err != nil {
+		tb.Fatalf("snapshot model: %v", err)
 	}
 	return m
 }
@@ -359,36 +359,83 @@ func TestRestoreRefusesForgedKernelChain(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesImmutableModel swaps a warm kernelchain snapshot's
-// model section for the same centers in the immutable ODDS form: the
-// estimator only patches maintained models in place, so Restore must
-// refuse the blob rather than hand the next arrival a model it cannot
-// refresh.
+// legacyModelBlob hand-builds m's centers in the retired immutable model
+// encoding, "ODDS": magic, dim, window count, bandwidths, center count,
+// then the centers.
+func legacyModelBlob(m *kernel.Estimator) []byte {
+	var w binfmt.Writer
+	w.U32(0x4f444453)
+	w.U32(uint32(m.Dim()))
+	w.F64(m.WindowCount())
+	w.F64s(modelBandwidths(m))
+	centers := m.Centers()
+	w.U32(uint32(len(centers)))
+	for _, c := range centers {
+		w.F64s(c)
+	}
+	return w.B
+}
+
+// spliceCoresetModel replaces the model section — the last field — of a
+// warm coreset snapshot with model and reseals the rest untouched.
+func spliceCoresetModel(tb testing.TB, c *Coreset, blob, model []byte) []byte {
+	tb.Helper()
+	r, err := openBlob(blob, KindCoreset, c.fp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	state := blob[len(blob)-r.Len():]
+	r.U64() // rng state
+	r.U64() // arrivals
+	r.U64() // flagged
+	filled := int(r.U32())
+	r.U8()  // dirty
+	r.U64() // since build
+	r.F64() // mass
+	r.F64s(make([]float64, (filled+2)*c.cfg.Dim))
+	old := r.Bytes()
+	if err := r.Done(); err != nil || len(old) == 0 {
+		tb.Fatalf("coreset snapshot without a model section: %v", err)
+	}
+	w := binfmt.Writer{B: append([]byte(nil), state[:len(state)-4-len(old)]...)}
+	w.Bytes(model)
+	return sealBlob(KindCoreset, c.fp, w.B)
+}
+
+// TestRestoreRefusesImmutableModel splices the same centers, in the
+// retired immutable ODDS encoding, into a warm kernelchain and a warm
+// coreset snapshot's model section: every model is patched in place, and
+// the only model encoding is ODKM, so Restore must refuse both blobs and
+// leave each victim usable.
 func TestRestoreRefusesImmutableModel(t *testing.T) {
 	oc := oracle.Config{Dim: 2, WindowCap: 60, Steps: 150, Seed: 31}
-	cfg := testConfig(KindKernelChain, oc.Dim, oc.Seed)
-	det, _ := New(cfg)
-	feedStream(t, det, oc, oc.Steps)
-	blob, err := det.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := splitKernelChain(t, det.(*KernelChain), blob)
-	m := s.sectionModel(t, cfg.Core.SampleSize)
-	imm, err := kernel.New(m.Centers(), modelBandwidths(m), m.WindowCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.modelBlob, err = imm.MarshalBinary(); err != nil {
-		t.Fatal(err)
-	}
-	victim, _ := New(cfg)
-	if err := victim.Restore(s.seal()); err == nil {
-		t.Fatal("kernelchain restore accepted an immutable model")
-	}
-	// The refusal leaves the victim usable.
-	st := oc.NewStream()
-	for i := 0; i < 20; i++ {
-		victim.Ingest(st.Next())
+	for _, kind := range []Kind{KindKernelChain, KindCoreset} {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := testConfig(kind, oc.Dim, oc.Seed)
+			det, _ := New(cfg)
+			feedStream(t, det, oc, oc.Steps)
+			blob, err := det.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var forged []byte
+			switch d := det.(type) {
+			case *KernelChain:
+				s := splitKernelChain(t, d, blob)
+				s.modelBlob = legacyModelBlob(s.sectionModel(t, cfg.Core.SampleSize))
+				forged = s.seal()
+			case *Coreset:
+				forged = spliceCoresetModel(t, d, blob, legacyModelBlob(d.model))
+			}
+			victim, _ := New(cfg)
+			if err := victim.Restore(forged); err == nil {
+				t.Fatalf("%s restore accepted an immutable model", kind)
+			}
+			// The refusal leaves the victim usable.
+			st := oc.NewStream()
+			for i := 0; i < 20; i++ {
+				victim.Ingest(st.Next())
+			}
+		})
 	}
 }

@@ -25,7 +25,7 @@ func FuzzUnmarshalEstimator(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte{})
-	f.Add([]byte{0x53, 0x44, 0x44, 0x4f}) // magic only
+	f.Add([]byte{0x4d, 0x4b, 0x44, 0x4f}) // magic only
 	f.Add(headerOnlyMaintained())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := UnmarshalEstimator(data, fuzzMaxSlots)

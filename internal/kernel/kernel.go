@@ -21,16 +21,19 @@
 //
 // # Query engine layout
 //
-// New stores the centers twice: as points (Centers, the wire format) and
-// as per-dimension columns (structure of arrays), both in a single scan
-// order fixed at construction. When one dimension is selective — its
-// bandwidth is small against the spread of its coordinates — the scan
-// order is ascending in that dimension, and every query binary-searches
-// the sorted column for the candidate run [lo−B, hi+B): centers outside
-// the run contribute exactly zero mass, so skipping them leaves results
-// bit-identical to the full scan (ProbBoxNaive) over the same order. When
-// no dimension is selective the estimator falls back to the plain full
-// scan.
+// An Estimator stores its centers once, as per-dimension columns
+// (structure of arrays) in one scan order. When one dimension is
+// selective — its bandwidth is small against the spread of its
+// coordinates — the scan order is ascending in that dimension, and every
+// query binary-searches the sorted column for the candidate run
+// [lo−B, hi+B): centers outside the run contribute exactly zero mass, so
+// skipping them leaves results bit-identical to the full scan
+// (ProbBoxNaive) over the same order. When no dimension is selective the
+// estimator falls back to the plain full scan.
+//
+// Every estimator is maintained: each center belongs to a sample slot,
+// and its owner patches the layout in place as slots change (see
+// maintain.go). New is the one-shot form, slots 0..n−1 of an n-slot model.
 //
 // # Queries
 //
@@ -45,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"odds/internal/window"
@@ -100,20 +102,19 @@ func BandwidthsInto(dst, sigmas []float64, n int) []float64 {
 
 // Estimator is a kernel density model: a set of centers (the sample R),
 // per-dimension bandwidths, and the window count |W| that range queries
-// scale probabilities by. New and FromSample build an immutable one, whose
-// queries are safe for concurrent use. NewMaintained builds one its owner
-// patches in place (see maintain.go): it answers like an immutable model
-// between patches, Gen advances on every change, and Clone gives a frozen
-// copy for callers that keep it across patches.
+// scale probabilities by. Its owner patches it in place as the sample
+// changes (BeginMaintain/SetSlot/FinishMaintain, maintain.go): between
+// patches it answers exactly like a from-scratch New over the same live
+// sample, Gen advances on every change, and Clone gives a frozen copy for
+// callers that keep it across patches.
 type Estimator struct {
-	centers []window.Point
-	bw      []float64
-	wcount  float64
-	dim     int
+	bw     []float64
+	wcount float64
+	dim    int
 
 	// cols is the structure-of-arrays center layout: cols[i][j] is
-	// dimension i of the j-th center in scan order (the same order as
-	// centers). The query hot loops read columns, not points.
+	// dimension i of the j-th physical entry in scan order. The columns
+	// are the only copy of the centers.
 	cols [][]float64
 
 	// pruneDim is the dimension whose ascending-sorted column drives
@@ -122,134 +123,48 @@ type Estimator struct {
 	// scan order is ascending in that dimension.
 	pruneDim int
 
-	// live is the number of centers contributing mass: len(centers) for
-	// an immutable estimator, the non-tombstoned count for a maintained
-	// one. Query sums divide by live, never by the physical length.
+	// live is the number of centers contributing mass: the physical
+	// entries less the tombstones. Query sums divide by live, never by
+	// the physical length.
 	live int
 
-	// dead flags tombstoned physical entries of a maintained estimator
-	// (nil on immutable estimators, where every entry is live). A dead
-	// entry keeps its prune-column coordinate — so the column stays
-	// sorted and binary searches stay valid — but is skipped by every
-	// scan, contributing exactly nothing.
+	// dead flags tombstoned physical entries; len(dead) is the physical
+	// length. A dead entry keeps its prune-column coordinate — so the
+	// column stays sorted and binary searches stay valid — but is skipped
+	// by every scan, contributing exactly nothing.
 	dead []bool
 
 	// gen counts in-place mutations (maintenance patches and window-count
 	// rescales) so callers caching derived state keyed by the model
 	// pointer can detect that the pointed-to model changed underneath
-	// them. Always 0 on immutable estimators.
+	// them.
 	gen uint64
 
-	// mnt holds the incremental-maintenance state; nil on estimators
-	// built by New/FromSample/UnmarshalEstimator's immutable path.
-	mnt *maint
+	// mnt is the slot bookkeeping behind in-place patches.
+	mnt maint
 }
 
 // New constructs an estimator from sample centers, per-dimension
 // bandwidths, and the effective window count |W| used to scale range
-// queries into neighbor counts. The centers slice is copied; the points
-// themselves are shared and must not be mutated by the caller.
+// queries into neighbor counts: NewMaintained over slots 0..n−1 of an
+// n-slot model. The centers are copied.
 //
 // Construction fixes the scan order: when a prune dimension is selected
-// (see the package comment) the copied centers are stably sorted by that
+// (see the package comment) the centers are stably sorted by that
 // dimension's coordinate, so Centers, the wire format, and every query
 // path observe one consistent order.
 func New(centers []window.Point, bandwidths []float64, windowCount float64) (*Estimator, error) {
-	if len(centers) == 0 {
-		return nil, ErrNoSample
+	slots := make([]int, len(centers))
+	for i := range slots {
+		slots[i] = i
 	}
-	dim := len(centers[0])
-	if dim == 0 {
-		return nil, errors.New("kernel: zero-dimensional centers")
-	}
-	if len(bandwidths) != dim {
-		return nil, fmt.Errorf("kernel: %d bandwidths for %d dimensions", len(bandwidths), dim)
-	}
-	for i, p := range centers {
-		if len(p) != dim {
-			return nil, fmt.Errorf("kernel: center %d has dim %d, want %d", i, len(p), dim)
-		}
-	}
-	bw := make([]float64, dim)
-	for i, b := range bandwidths {
-		if math.IsNaN(b) || math.IsInf(b, 0) || b < minBandwidth {
-			b = minBandwidth
-		}
-		bw[i] = b
-	}
-	if windowCount <= 0 || math.IsNaN(windowCount) || math.IsInf(windowCount, 0) {
-		return nil, fmt.Errorf("kernel: window count %v must be positive and finite", windowCount)
-	}
-	// Deep-copy the centers into a flat backing: the model must not alias
-	// caller storage, because samples hand their points to FromSample and
-	// may recycle the backing arrays afterwards (sample.Chain recycling
-	// mode), while the model stays live, queryable, and marshalable.
-	flat := make([]float64, len(centers)*dim)
-	own := make([]window.Point, len(centers))
-	for i, p := range centers {
-		c := flat[i*dim : (i+1)*dim]
-		copy(c, p)
-		own[i] = c
-	}
-	e := &Estimator{
-		centers: own,
-		bw:      bw,
-		wcount:  windowCount,
-		dim:     dim,
-		live:    len(centers),
-	}
-	e.layout()
-	return e, nil
-}
-
-// layout picks the prune dimension, fixes the scan order, and fills the
-// per-dimension columns.
-func (e *Estimator) layout() {
-	e.pruneDim = selectPruneDim(e.centers, e.bw)
-	if e.pruneDim >= 0 {
-		// Stable sort keeps construction deterministic and idempotent
-		// (marshal round trips re-sort an already-sorted center list).
-		// The generic sort avoids sort.SliceStable's reflection-based
-		// swaps, which dominated rebuild cost in serving profiles.
-		k := e.pruneDim
-		slices.SortStableFunc(e.centers, func(a, b window.Point) int {
-			switch {
-			case a[k] < b[k]:
-				return -1
-			case a[k] > b[k]:
-				return 1
-			}
-			return 0
-		})
-	}
-	e.cols = make([][]float64, e.dim)
-	flat := make([]float64, e.dim*len(e.centers))
-	for i := 0; i < e.dim; i++ {
-		col := flat[i*len(e.centers) : (i+1)*len(e.centers)]
-		for j, p := range e.centers {
-			col[j] = p[i]
-		}
-		e.cols[i] = col
-	}
-}
-
-// selectPruneDim returns the most selective dimension — the one with the
-// smallest bandwidth-to-spread ratio — or -1 when even the best dimension
-// is non-selective (bandwidth at least as wide as the coordinate spread,
-// so every candidate run would cover essentially all centers and the
-// binary searches would be pure overhead). It is split into an extremes
-// scan and a decision rule so the incremental maintenance path, which
-// tracks extremes between patches, reproduces the exact same choice.
-func selectPruneDim(centers []window.Point, bw []float64) int {
-	ext := make([]float64, 2*len(bw))
-	lo, hi := ext[:len(bw)], ext[len(bw):]
-	scanExtremes(centers, lo, hi)
-	return decidePruneDim(lo, hi, bw)
+	return NewMaintained(centers, slots, len(centers), bandwidths, windowCount)
 }
 
 // scanExtremes fills lo/hi with the per-dimension coordinate extremes of
 // centers, seeding from the first point and comparing in iteration order —
-// the semantics decidePruneDim's spread is defined against.
+// the semantics decidePruneDim's spread is defined against, which the
+// maintenance path reproduces between patches.
 func scanExtremes(centers []window.Point, lo, hi []float64) {
 	for i := range lo {
 		lo[i], hi[i] = centers[0][i], centers[0][i]
@@ -298,15 +213,10 @@ func FromSample(pts []window.Point, sigmas []float64, windowCount float64) (*Est
 	return New(pts, Bandwidths(sigmas, len(pts)), windowCount)
 }
 
-// SetWindowCount rescales a maintained estimator's range queries by wc in
-// place. The model pointer is unchanged; the generation counter advances
-// so pointer-keyed caches of scaled counts know to invalidate. Panics on an
-// immutable estimator, whose published contract is that it never changes
-// underneath callers.
+// SetWindowCount rescales the estimator's range queries by wc in place.
+// The model pointer is unchanged; the generation counter advances so
+// pointer-keyed caches of scaled counts know to invalidate.
 func (e *Estimator) SetWindowCount(wc float64) {
-	if e.mnt == nil {
-		panic("kernel: SetWindowCount on an immutable estimator")
-	}
 	if wc <= 0 || math.IsNaN(wc) || math.IsInf(wc, 0) {
 		panic(fmt.Sprintf("kernel: window count %v must be positive and finite", wc))
 	}
@@ -320,8 +230,7 @@ func (e *Estimator) SetWindowCount(wc float64) {
 // Dim returns the dimensionality of the model.
 func (e *Estimator) Dim() int { return e.dim }
 
-// SampleSize returns |R|, the number of live kernel centers (tombstoned
-// entries of a maintained estimator do not count).
+// SampleSize returns |R|, the number of live kernel centers.
 func (e *Estimator) SampleSize() int { return e.live }
 
 // WindowCount returns |W|, the count range queries scale by.
@@ -330,34 +239,28 @@ func (e *Estimator) WindowCount() float64 { return e.wcount }
 // Bandwidth returns the bandwidth of dimension i.
 func (e *Estimator) Bandwidth(i int) float64 { return e.bw[i] }
 
-// Centers returns the kernel centers in the estimator's scan order. On an
-// immutable estimator the slice is shared and must not be mutated. On a
-// maintained estimator it is a freshly allocated slice of the live
-// centers whose points alias maintenance storage: they are valid only
-// until the next maintenance cycle, and callers needing longevity must
-// copy.
+// Centers returns freshly allocated copies of the live kernel centers in
+// the estimator's scan order; the caller owns them.
 func (e *Estimator) Centers() []window.Point {
-	if e.mnt == nil {
-		return e.centers
-	}
+	flat := make([]float64, e.live*e.dim)
 	out := make([]window.Point, 0, e.live)
-	for j, p := range e.centers {
-		if !e.dead[j] {
-			out = append(out, p)
+	for j, dead := range e.dead {
+		if dead {
+			continue
 		}
+		p := flat[len(out)*e.dim : (len(out)+1)*e.dim]
+		for i, col := range e.cols {
+			p[i] = col[j]
+		}
+		out = append(out, p)
 	}
 	return out
 }
 
-// Gen returns the mutation generation: 0 forever on an immutable
-// estimator, incremented by every maintenance patch and in-place rescale
-// on a maintained one. Callers caching state derived from a model pointer
-// should key it by (pointer, Gen).
+// Gen returns the mutation generation, incremented by every maintenance
+// patch and in-place rescale. Callers caching state derived from a model
+// pointer should key it by (pointer, Gen).
 func (e *Estimator) Gen() uint64 { return e.gen }
-
-// IsMaintained reports whether the estimator supports in-place
-// maintenance (built by NewMaintained or decoded from its wire format).
-func (e *Estimator) IsMaintained() bool { return e.mnt != nil }
 
 // PruneDim returns the dimension driving sorted range pruning, or -1 when
 // the estimator runs full scans (no dimension is selective).
@@ -383,7 +286,7 @@ func (e *Estimator) Density(x window.Point) float64 {
 	if len(x) != e.dim {
 		panic(fmt.Sprintf("kernel: point dim %d, model dim %d", len(x), e.dim))
 	}
-	n := len(e.centers)
+	n := len(e.dead)
 	first, bound := 0, math.Inf(1)
 	var pruneCol []float64
 	if k := e.pruneDim; k >= 0 {
@@ -399,7 +302,7 @@ func (e *Estimator) Density(x window.Point) float64 {
 		if pruneCol != nil && pruneCol[j] >= bound {
 			break
 		}
-		if dead != nil && dead[j] {
+		if dead[j] {
 			continue
 		}
 		term := 1.0
@@ -467,7 +370,7 @@ func (e *Estimator) probBox(lo, hi []float64) float64 {
 			return 0
 		}
 	}
-	n := len(e.centers)
+	n := len(e.dead)
 	dead := e.dead
 	if e.dim == 1 {
 		// Specialized 1-d scan: the run in the (only) column, summed with
@@ -482,7 +385,7 @@ func (e *Estimator) probBox(lo, hi []float64) float64 {
 			hiB = math.Inf(1)
 		}
 		for j := first; j < n && col[j] < hiB; j++ {
-			if dead != nil && dead[j] {
+			if dead[j] {
 				continue
 			}
 			sum += intervalMass(col[j], b, lo[0], hi[0])
@@ -503,7 +406,7 @@ func (e *Estimator) probBox(lo, hi []float64) float64 {
 		if pruneCol[j] >= bound {
 			break
 		}
-		if dead != nil && dead[j] {
+		if dead[j] {
 			continue
 		}
 		term := 1.0
@@ -530,14 +433,13 @@ func (e *Estimator) ProbBoxNaive(lo, hi []float64) float64 {
 		panic(fmt.Sprintf("kernel: box dims %d,%d, model dim %d", len(lo), len(hi), e.dim))
 	}
 	sum := 0.0
-	dead := e.dead
-	for j, t := range e.centers {
-		if dead != nil && dead[j] {
+	for j, dead := range e.dead {
+		if dead {
 			continue
 		}
 		term := 1.0
 		for i := 0; i < e.dim; i++ {
-			m := intervalMass(t[i], e.bw[i], lo[i], hi[i])
+			m := intervalMass(e.cols[i][j], e.bw[i], lo[i], hi[i])
 			if m == 0 {
 				term = 0
 				break
@@ -547,6 +449,30 @@ func (e *Estimator) ProbBoxNaive(lo, hi []float64) float64 {
 		sum += term
 	}
 	return sum / float64(e.live)
+}
+
+// CenterMass returns the mass one kernel centered at c places on the box
+// [lo, hi] under the model's bandwidths: one term of ProbBox's sum, with
+// the same per-center arithmetic and not divided by |R|. Mass-weighted
+// aggregates over Centers use it.
+func (e *Estimator) CenterMass(c window.Point, lo, hi []float64) float64 {
+	if len(c) != e.dim || len(lo) != e.dim || len(hi) != e.dim {
+		panic(fmt.Sprintf("kernel: center dim %d, box dims %d,%d, model dim %d", len(c), len(lo), len(hi), e.dim))
+	}
+	for i := range lo {
+		if hi[i] <= lo[i] {
+			return 0
+		}
+	}
+	term := 1.0
+	for i, t := range c {
+		m := intervalMass(t, e.bw[i], lo[i], hi[i])
+		if m == 0 {
+			return 0
+		}
+		term *= m
+	}
+	return term
 }
 
 // centeredBox fills lo/hi with the box [p-r, p+r].

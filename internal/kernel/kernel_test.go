@@ -393,8 +393,8 @@ func TestNewClampsNonFiniteBandwidth(t *testing.T) {
 }
 
 // TestEstimatorConcurrentQueries backs the concurrency contract in the
-// type's documentation: a built model is immutable and queries from many
-// goroutines must be race-free (verified under go test -race).
+// package documentation: queries from many goroutines between patches
+// must be race-free (verified under go test -race).
 func TestEstimatorConcurrentQueries(t *testing.T) {
 	rng := stats.NewRand(3)
 	var centers []window.Point

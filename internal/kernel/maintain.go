@@ -10,29 +10,30 @@ import (
 )
 
 // Incremental model maintenance. A window slide changes only a handful of
-// chain-sample slots, yet the detectors historically rebuilt the whole
-// kernel model — O(|R| log |R|) sort plus fresh allocations — on every
-// rebuild tick. A maintained estimator instead patches its sorted SoA
-// layout in place: departed centers are tombstoned where they stand, new
-// centers are ordered-inserted by shifting entries toward the nearest
-// tombstone (one overlap-safe memmove per column), and a full relayout
-// happens only when the prune-dimension decision changes or tombstone
-// density crosses the compaction limit. The amortized cost per changed
-// slot is O(log |R| + shift distance) instead of O(|R| log |R|) per tick.
+// sample slots, so an estimator patches its sorted SoA layout in place
+// rather than rebuilding it — an O(|R| log |R|) sort plus fresh
+// allocations — on every rebuild tick: departed centers are tombstoned
+// where they stand, new centers are ordered-inserted by shifting entries
+// toward the nearest tombstone (one overlap-safe memmove per column), and
+// a full relayout happens only when the prune-dimension decision changes
+// or tombstone density crosses the compaction limit. The amortized cost
+// per changed slot is O(log |R| + shift distance) instead of
+// O(|R| log |R|) per tick.
 //
 // # Bit-identity with from-scratch builds
 //
 // Every query must return exactly the bits a from-scratch New over the
 // same live sample would — float summation is order-sensitive, so this
-// reduces to reproducing New's scan order. New stable-sorts centers by
-// the prune coordinate; its input (chain-sample Points, or the global
-// replica's slots) arrives in ascending slot order, so the from-scratch
-// scan order is precisely ascending (coord[pruneDim], slot). A maintained
-// estimator keys every physical entry by its owning slot and inserts at
-// the position ordered by that exact composite key, so its live
-// subsequence is always in (coord, slot) order; tombstones keep their
-// coordinate, preserving the sorted column for binary search while the
-// scans skip them (contributing exactly zero — not a rounded zero).
+// reduces to reproducing New's scan order. New (NewMaintained over slots
+// 0..n−1) stable-sorts centers by the prune coordinate; a from-scratch
+// build's input (a sample's points, the global replica's slots, a
+// coreset's reservoir) arrives in ascending slot order, so its scan order
+// is precisely ascending (coord[pruneDim], slot). A patched estimator
+// keys every physical entry by its owning slot and inserts at the
+// position ordered by that exact composite key, so its live subsequence
+// is always in (coord, slot) order; tombstones keep their coordinate,
+// preserving the sorted column for binary search while the scans skip
+// them (contributing exactly zero — not a rounded zero).
 // Bandwidths and the effective window count are recomputed by the caller
 // on every FinishMaintain, exactly as a from-scratch build would, so no
 // frozen-bandwidth drift can creep in. The prune-dimension decision is
@@ -40,7 +41,8 @@ import (
 // in slot order when an extreme is tombstoned), through the same
 // decidePruneDim the from-scratch path uses. Bit-identity is guaranteed
 // for finite coordinates — the package contract already requires values
-// in [0,1]^d; NaN coordinates make sort order ill-defined in either path.
+// in [0,1]^d; non-finite coordinates make the order ill-defined, and a
+// patched layout over them is only specified, not guaranteed, to match.
 //
 // # Usage
 //
@@ -52,12 +54,12 @@ import (
 //	}
 //	m.FinishMaintain(newBandwidths, newWindowCount)
 //
-// A maintained estimator is single-goroutine-owned during maintenance;
-// between Begin/Finish pairs it answers queries exactly like an immutable
-// one. MarshalBinary captures the physical layout (tombstones included)
-// verbatim, so checkpoints round-trip bit-exactly.
+// An estimator is single-goroutine-owned during maintenance; between
+// Begin/Finish pairs any number of goroutines may query it. MarshalBinary
+// captures the physical layout (tombstones included) verbatim, so
+// checkpoints round-trip bit-exactly.
 
-// maint is the mutable bookkeeping behind a maintained Estimator.
+// maint is the slot bookkeeping behind an Estimator's in-place patches.
 type maint struct {
 	maxSlots  int // highest slot id + 1 the estimator accepts
 	tombLimit int // compaction threshold on tombstone count
@@ -70,21 +72,15 @@ type maint struct {
 	// Exact per-dimension extremes over the live centers, maintained
 	// lazily: inserts update them directly; removing an extreme (or any
 	// NaN involvement) marks them dirty for a slot-order rescan at
-	// FinishMaintain — the order selectPruneDim sees on a from-scratch
-	// build.
+	// FinishMaintain — the order NewMaintained scans a from-scratch
+	// build's input in.
 	lo, hi   []float64
 	extDirty bool
 
 	active bool // between BeginMaintain and FinishMaintain
 
-	aosFlat []float64      // capN rows of dim coords, backing hdrs
-	hdrs    []window.Point // pre-built row headers into aosFlat
-	colFlat []float64      // dim columns of capN entries, backing cols
-	deadBuf []bool         // backing for Estimator.dead
-
-	perm     []int32   // relayout permutation scratch
-	scratchF []float64 // relayout column scratch
-	scratchI []int32   // relayout slot scratch
+	colFlat []float64 // dim columns of capN entries, backing cols
+	deadBuf []bool    // backing for Estimator.dead
 
 	stats MaintStats
 }
@@ -103,31 +99,28 @@ type MaintStats struct {
 	Tombstones int
 }
 
-// MaintainStats returns the maintenance counters (zero value on an
-// immutable estimator).
-func (e *Estimator) MaintainStats() MaintStats {
-	if e.mnt == nil {
-		return MaintStats{}
-	}
-	return e.mnt.stats
-}
+// MaintainStats returns the maintenance counters.
+func (e *Estimator) MaintainStats() MaintStats { return e.mnt.stats }
 
 // TombstoneLimit returns the tombstone density threshold that triggers
-// compaction (0 on an immutable estimator).
-func (e *Estimator) TombstoneLimit() int {
-	if e.mnt == nil {
-		return 0
-	}
-	return e.mnt.tombLimit
-}
+// compaction.
+func (e *Estimator) TombstoneLimit() int { return e.mnt.tombLimit }
 
-// MaxSlots returns the slot-id capacity of a maintained estimator (0 on
-// an immutable one).
-func (e *Estimator) MaxSlots() int {
-	if e.mnt == nil {
-		return 0
+// MaxSlots returns the slot-id capacity: slots are numbered [0, MaxSlots).
+func (e *Estimator) MaxSlots() int { return e.mnt.maxSlots }
+
+// SlotPoint copies the live center slot holds into dst (len Dim) and
+// reports whether the slot holds one. An owner diffing its sample against
+// the model reads it to find the slots a patch must set.
+func (e *Estimator) SlotPoint(slot int, dst window.Point) bool {
+	pos := e.mnt.posOf[slot]
+	if pos < 0 {
+		return false
 	}
-	return e.mnt.maxSlots
+	for i, col := range e.cols {
+		dst[i] = col[pos]
+	}
+	return true
 }
 
 // tombLimitFor derives the compaction threshold from the slot capacity.
@@ -142,11 +135,11 @@ func tombLimitFor(maxSlots int) int {
 	return t
 }
 
-// newMaint allocates maintenance state for maxSlots slots of dim
+// newMaint sizes the maintenance state for maxSlots slots of dim
 // dimensions. All backing arrays are sized once, up front, so steady-state
 // maintenance never allocates.
-func newMaint(maxSlots, dim int) *maint {
-	m := &maint{
+func newMaint(maxSlots, dim int) maint {
+	m := maint{
 		maxSlots:  maxSlots,
 		tombLimit: tombLimitFor(maxSlots),
 	}
@@ -158,37 +151,26 @@ func newMaint(maxSlots, dim int) *maint {
 	}
 	m.lo = make([]float64, dim)
 	m.hi = make([]float64, dim)
-	m.aosFlat = make([]float64, m.capN*dim)
-	m.hdrs = make([]window.Point, m.capN)
-	for j := range m.hdrs {
-		m.hdrs[j] = m.aosFlat[j*dim : (j+1)*dim]
-	}
 	m.colFlat = make([]float64, dim*m.capN)
 	m.deadBuf = make([]bool, m.capN)
-	m.perm = make([]int32, m.capN)
-	m.scratchF = make([]float64, m.capN)
-	m.scratchI = make([]int32, m.capN)
 	return m
 }
 
 // resize publishes the physical length physN through the query-facing
-// slices (centers, per-dimension columns, dead flags).
+// slices (per-dimension columns, dead flags).
 func (e *Estimator) resize(physN int) {
-	m := e.mnt
-	e.centers = m.hdrs[:physN]
+	m := &e.mnt
 	for i := 0; i < e.dim; i++ {
 		e.cols[i] = m.colFlat[i*m.capN : i*m.capN+physN]
 	}
 	e.dead = m.deadBuf[:physN]
 }
 
-// NewMaintained constructs an incrementally maintainable estimator from
-// centers and their owning sample slots (strictly ascending, each in
-// [0, maxSlots)). The result answers every query bit-identically to
-// New(centers, bandwidths, windowCount) — ascending slot order of the
-// input is what ties the maintained (coord, slot) scan order to New's
-// stable sort — and additionally accepts BeginMaintain/SetSlot/
-// FinishMaintain patches. Centers are deep-copied.
+// NewMaintained constructs an estimator from centers and their owning
+// sample slots (strictly ascending, each in [0, maxSlots)), ready for
+// BeginMaintain/SetSlot/FinishMaintain patches. Its scan order is the
+// input stably sorted by the prune coordinate — with ascending slots, the
+// (coord, slot) order every patch preserves. Centers are deep-copied.
 func NewMaintained(centers []window.Point, slots []int, maxSlots int, bandwidths []float64, windowCount float64) (*Estimator, error) {
 	if len(centers) == 0 {
 		return nil, ErrNoSample
@@ -227,24 +209,24 @@ func NewMaintained(centers []window.Point, slots []int, maxSlots int, bandwidths
 	}
 
 	n := len(centers)
-	m := newMaint(maxSlots, dim)
 	e := &Estimator{
 		bw:     bw,
 		wcount: windowCount,
 		dim:    dim,
 		live:   n,
-		mnt:    m,
+		cols:   make([][]float64, dim),
+		mnt:    newMaint(maxSlots, dim),
 	}
-	e.cols = make([][]float64, dim)
+	m := &e.mnt
 
-	// Prune-dimension selection sees the input (slot) order, exactly as
-	// layout() does on a from-scratch build.
+	// Prune-dimension selection sees the input (slot) order; rescans
+	// after a patch replay it in the same order.
 	scanExtremes(centers, m.lo, m.hi)
 	e.pruneDim = decidePruneDim(m.lo, m.hi, e.bw)
 
 	// Scan order: stable sort of input indices by the prune coordinate.
 	// With ascending input slots this is the (coord, slot) total order.
-	perm := m.perm[:n]
+	perm := make([]int32, n)
 	for j := range perm {
 		perm[j] = int32(j)
 	}
@@ -259,22 +241,19 @@ func NewMaintained(centers []window.Point, slots []int, maxSlots int, bandwidths
 			return 0
 		})
 	}
+	e.resize(n)
 	for j, src := range perm {
-		copy(m.aosFlat[j*dim:(j+1)*dim], centers[src])
+		for i, c := range centers[src] {
+			e.cols[i][j] = c
+		}
 		m.slots[j] = int32(slots[src])
 		m.posOf[slots[src]] = int32(j)
 	}
-	for i := 0; i < dim; i++ {
-		col := m.colFlat[i*m.capN : i*m.capN+n]
-		for j := 0; j < n; j++ {
-			col[j] = m.aosFlat[j*dim+i]
-		}
-	}
-	e.resize(n)
 	return e, nil
 }
 
-// clampBandwidth applies New's bandwidth sanitation rule.
+// clampBandwidth replaces a non-finite or too-small bandwidth with
+// minBandwidth.
 func clampBandwidth(b float64) float64 {
 	if math.IsNaN(b) || math.IsInf(b, 0) || b < minBandwidth {
 		return minBandwidth
@@ -284,13 +263,9 @@ func clampBandwidth(b float64) float64 {
 
 // BeginMaintain opens a maintenance cycle. If tombstones have reached the
 // density limit the layout is compacted first, so the cycle's inserts are
-// guaranteed to fit the physical capacity. Panics on an immutable
-// estimator or a nested cycle.
+// guaranteed to fit the physical capacity. Panics on a nested cycle.
 func (e *Estimator) BeginMaintain() {
-	m := e.mnt
-	if m == nil {
-		panic("kernel: BeginMaintain on an immutable estimator")
-	}
+	m := &e.mnt
 	if m.active {
 		panic("kernel: nested BeginMaintain")
 	}
@@ -306,8 +281,8 @@ func (e *Estimator) BeginMaintain() {
 // between BeginMaintain and FinishMaintain; callers apply changed slots
 // in ascending order so layout evolution is deterministic.
 func (e *Estimator) SetSlot(slot int, p window.Point) {
-	m := e.mnt
-	if m == nil || !m.active {
+	m := &e.mnt
+	if !m.active {
 		panic("kernel: SetSlot outside a maintenance cycle")
 	}
 	if slot < 0 || slot >= m.maxSlots {
@@ -332,8 +307,8 @@ func (e *Estimator) SetSlot(slot int, p window.Point) {
 // prune-dimension decision, and relayouts if it changed. The estimator
 // must end the cycle non-empty.
 func (e *Estimator) FinishMaintain(bandwidths []float64, windowCount float64) error {
-	m := e.mnt
-	if m == nil || !m.active {
+	m := &e.mnt
+	if !m.active {
 		panic("kernel: FinishMaintain outside a maintenance cycle")
 	}
 	m.active = false
@@ -355,8 +330,8 @@ func (e *Estimator) FinishMaintain(bandwidths []float64, windowCount float64) er
 		m.extDirty = false
 	}
 	if k := decidePruneDim(m.lo, m.hi, e.bw); k != e.pruneDim {
-		e.relayout(k)
 		e.pruneDim = k
+		e.relayout()
 	}
 	e.gen++
 	m.stats.Patches++
@@ -368,14 +343,14 @@ func (e *Estimator) FinishMaintain(bandwidths []float64, windowCount float64) er
 // keeps its coordinates — the prune column stays sorted — but every scan
 // skips it from now on.
 func (e *Estimator) removeAt(pos, slot int) {
-	m := e.mnt
+	m := &e.mnt
 	e.dead[pos] = true
 	m.posOf[slot] = -1
 	m.nDead++
 	e.live--
 	if !m.extDirty {
-		row := m.hdrs[pos]
-		for i, c := range row {
+		for i, col := range e.cols {
+			c := col[pos]
 			// Dirty when a recorded extreme leaves, or when NaN is involved
 			// anywhere (NaN comparisons make incremental updates diverge
 			// from a full rescan).
@@ -393,8 +368,8 @@ func (e *Estimator) removeAt(pos, slot int) {
 // analysis in newMaint guarantees room: the tail only grows while
 // tombstones are exhausted, so physN never exceeds maxSlots + tombLimit).
 func (e *Estimator) insert(slot int, p window.Point) {
-	m := e.mnt
-	physN := len(e.centers)
+	m := &e.mnt
+	physN := len(e.dead)
 
 	// Insertion position: first physical entry whose (coord, slot) key
 	// exceeds the new entry's. Tombstones participate with their stale
@@ -455,9 +430,8 @@ func (e *Estimator) insert(slot int, p window.Point) {
 		q = pos
 	}
 
-	copy(m.hdrs[q], p)
-	for i := 0; i < e.dim; i++ {
-		e.cols[i][q] = p[i]
+	for i, c := range p {
+		e.cols[i][q] = c
 	}
 	m.slots[q] = int32(slot)
 	e.dead[q] = false
@@ -480,18 +454,16 @@ func (e *Estimator) insert(slot int, p window.Point) {
 }
 
 // shift moves the physical range [from, to) by one position in direction
-// dir (+1 right, -1 left), across the AoS rows, every column, the slot
-// keys, and the dead flags, updating posOf for the moved entries. The
+// dir (+1 right, -1 left), across every column, the slot keys, and the
+// dead flags, updating posOf for the moved entries. The
 // destination endpoint must be a tombstone (or the freshly grown tail),
 // so no information is lost.
 func (e *Estimator) shift(from, to, dir int) {
 	if from >= to {
 		return
 	}
-	m := e.mnt
-	d := e.dim
+	m := &e.mnt
 	if dir > 0 {
-		copy(m.aosFlat[(from+1)*d:(to+1)*d], m.aosFlat[from*d:to*d])
 		for i := 0; i < e.dim; i++ {
 			col := m.colFlat[i*m.capN:]
 			copy(col[from+1:to+1], col[from:to])
@@ -504,7 +476,6 @@ func (e *Estimator) shift(from, to, dir int) {
 			}
 		}
 	} else {
-		copy(m.aosFlat[(from-1)*d:(to-1)*d], m.aosFlat[from*d:to*d])
 		for i := 0; i < e.dim; i++ {
 			col := m.colFlat[i*m.capN:]
 			copy(col[from-1:to-1], col[from:to])
@@ -522,21 +493,17 @@ func (e *Estimator) shift(from, to, dir int) {
 // compact removes every tombstone with one stable in-place sweep,
 // preserving the live order.
 func (e *Estimator) compact() {
-	m := e.mnt
+	m := &e.mnt
 	if m.nDead == 0 {
 		return
 	}
-	physN := len(e.centers)
-	d := e.dim
 	w := 0
-	for j := 0; j < physN; j++ {
-		if e.dead[j] {
+	for j, dead := range e.dead {
+		if dead {
 			continue
 		}
 		if w != j {
-			copy(m.aosFlat[w*d:(w+1)*d], m.aosFlat[j*d:(j+1)*d])
-			for i := 0; i < d; i++ {
-				col := m.colFlat[i*m.capN:]
+			for _, col := range e.cols {
 				col[w] = col[j]
 			}
 			m.slots[w] = m.slots[j]
@@ -552,85 +519,70 @@ func (e *Estimator) compact() {
 	m.stats.Compactions++
 }
 
-// relayout re-sorts the live centers for a new prune dimension k (or slot
-// order for k == -1, matching New's unsorted layout), after compacting
-// away tombstones. Used only when the prune decision changes — the
-// amortized full-rebuild case.
-func (e *Estimator) relayout(k int) {
-	m := e.mnt
+// relayout re-sorts the live centers for the prune dimension just
+// decided (or slot order when it is -1, matching New's unsorted layout),
+// after compacting away tombstones. Used only when the prune decision
+// changes — the amortized full-rebuild case.
+func (e *Estimator) relayout() {
 	e.compact()
-	n := len(e.centers)
-	perm := m.perm[:n]
-	for j := range perm {
-		perm[j] = int32(j)
-	}
-	if k >= 0 {
-		col := e.cols[k]
-		slices.SortFunc(perm, func(a, b int32) int {
-			ca, cb := col[a], col[b]
-			switch {
-			case ca < cb:
-				return -1
-			case ca > cb:
-				return 1
-			}
-			// Slot ids are unique among live entries, so this total order
-			// equals the stable-sort-by-coord order over ascending slots.
-			if m.slots[a] < m.slots[b] {
-				return -1
-			}
-			return 1
-		})
-	} else {
-		slices.SortFunc(perm, func(a, b int32) int {
-			if m.slots[a] < m.slots[b] {
-				return -1
-			}
-			return 1
-		})
-	}
-	for i := 0; i < e.dim; i++ {
-		col := e.cols[i]
-		sc := m.scratchF[:n]
-		for j, src := range perm {
-			sc[j] = col[src]
-		}
-		copy(col, sc)
-	}
-	sc := m.scratchI[:n]
-	for j, src := range perm {
-		sc[j] = m.slots[src]
-	}
-	copy(m.slots, sc)
-	for j := 0; j < n; j++ {
-		for i := 0; i < e.dim; i++ {
-			m.aosFlat[j*e.dim+i] = e.cols[i][j]
-		}
-		m.posOf[m.slots[j]] = int32(j)
+	sort.Sort((*layoutOrder)(e))
+	m := &e.mnt
+	for j, s := range m.slots[:len(e.dead)] {
+		m.posOf[s] = int32(j)
 	}
 	m.stats.Relayouts++
 }
 
+// layoutOrder sorts a compacted estimator's entries — every column and
+// the slot keys together, in place — by (coord[pruneDim], slot), or by
+// slot alone when pruneDim is -1. Live slot ids are unique, so the order
+// is total and equals New's stable sort by coordinate over ascending
+// slots.
+type layoutOrder Estimator
+
+func (o *layoutOrder) Len() int { return len(o.dead) }
+
+func (o *layoutOrder) Less(a, b int) bool {
+	if k := o.pruneDim; k >= 0 {
+		ca, cb := o.cols[k][a], o.cols[k][b]
+		switch {
+		case ca < cb:
+			return true
+		case ca > cb:
+			return false
+		}
+	}
+	return o.mnt.slots[a] < o.mnt.slots[b]
+}
+
+func (o *layoutOrder) Swap(a, b int) {
+	for _, col := range o.cols {
+		col[a], col[b] = col[b], col[a]
+	}
+	s := o.mnt.slots
+	s[a], s[b] = s[b], s[a]
+}
+
 // rescanExtremes recomputes the per-dimension extremes over the live
-// centers in ascending slot order — the input order a from-scratch
-// selectPruneDim would scan, so the comparison semantics (NaN seeding
-// included) match exactly.
+// centers in ascending slot order — the input order NewMaintained scans,
+// so the comparison semantics (NaN seeding included) match exactly.
 func (e *Estimator) rescanExtremes() {
-	m := e.mnt
+	m := &e.mnt
 	seeded := false
 	for s := 0; s < m.maxSlots; s++ {
 		pos := m.posOf[s]
 		if pos < 0 {
 			continue
 		}
-		row := m.hdrs[pos]
 		if !seeded {
-			copy(m.lo, row)
-			copy(m.hi, row)
+			for i, col := range e.cols {
+				m.lo[i], m.hi[i] = col[pos], col[pos]
+			}
 			seeded = true
 			continue
 		}
-		for i, c := range row {
+		for i, col := range e.cols {
+			c := col[pos]
 			if c < m.lo[i] {
 				m.lo[i] = c
 			}

@@ -245,9 +245,6 @@ func TestMaintainedMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if !back.IsMaintained() {
-		t.Fatalf("restored model lost maintained state")
-	}
 	blob2, err := back.MarshalBinary()
 	if err != nil {
 		t.Fatalf("re-marshal: %v", err)
@@ -289,8 +286,8 @@ func TestMarshalDuringCycleFails(t *testing.T) {
 	}
 }
 
-// TestCloneIsFrozen pins Clone's contract: the copy keeps the source's form
-// and answers bit-identically to it when taken, and it keeps answering for
+// TestCloneIsFrozen pins Clone's contract: the copy answers
+// bit-identically to the source when taken, and it keeps answering for
 // that moment's sample while the source is patched and rescaled on.
 func TestCloneIsFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -306,8 +303,8 @@ func TestCloneIsFrozen(t *testing.T) {
 	}
 	frozen := sim.reference(t, bw, wc)
 	c := m.Clone()
-	if c == m || !c.IsMaintained() {
-		t.Fatalf("clone of a maintained model: same pointer %v, maintained %v", c == m, c.IsMaintained())
+	if c == m {
+		t.Fatal("clone is the source pointer")
 	}
 	checkBitIdentical(t, c, frozen, rng, "clone")
 	for i := 0; i < 5; i++ {
@@ -316,12 +313,6 @@ func TestCloneIsFrozen(t *testing.T) {
 	m.SetWindowCount(wc + 1)
 	checkBitIdentical(t, m, sim.reference(t, bw, wc+1), rng, "patched source")
 	checkBitIdentical(t, c, frozen, rng, "clone after source patches")
-
-	ic := frozen.Clone()
-	if ic.IsMaintained() {
-		t.Fatal("clone of an immutable model is maintained")
-	}
-	checkBitIdentical(t, ic, frozen, rng, "immutable clone")
 }
 
 // TestSetWindowCountInPlace pins the warm-up rescale contract: the model
@@ -346,19 +337,6 @@ func TestSetWindowCountInPlace(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	checkBitIdentical(t, m, ref, rng, "rescaled")
-
-	imm, err := New(pts1(0.5), []float64{0.1}, 10)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("SetWindowCount on immutable did not panic")
-			}
-		}()
-		imm.SetWindowCount(20)
-	}()
 }
 
 // TestMaintainedGuardrails pins the amortization contract on a

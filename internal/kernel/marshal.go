@@ -5,85 +5,70 @@ import (
 	"math"
 
 	"odds/internal/binfmt"
-	"odds/internal/window"
 )
 
 // The Section 9 applications have sensors transmitting their estimator
 // models — a parent "can compute the difference between the estimator
 // models received from its children, to determine if any of them is
 // faulty". MarshalBinary and UnmarshalEstimator provide the wire format:
-// a fixed header (magic, dimensionality, window count), the per-dimension
-// bandwidths, then the kernel centers, all little-endian float64. The
-// size is dominated by the d·|R| center coordinates, i.e. exactly the
-// O(d|R|) the paper charges for a model.
+// a fixed header, the per-dimension bandwidths, then the kernel centers
+// with their slot keys, all little-endian. The size is dominated by the
+// d·|R| center coordinates, i.e. exactly the O(d|R|) the paper charges
+// for a model.
 
-const (
-	marshalMagic = uint32(0x4f444453) // "ODDS": immutable estimator
-	// maintainedMagic frames a maintained estimator: the physical layout —
-	// slot keys, tombstones, prune dimension — is captured verbatim so a
-	// restored model continues patching bit-identically to the original
-	// (and re-marshals to the same bytes, which the serving layer's
-	// snapshot determinism contract relies on).
-	maintainedMagic = uint32(0x4f444b4d) // "ODKM"
-)
+// modelMagic frames an estimator ("ODKM"): the physical layout — slot
+// keys, tombstones, prune dimension — is captured verbatim so a restored
+// model continues patching bit-identically to the original (and
+// re-marshals to the same bytes, which the serving layer's snapshot
+// determinism contract relies on).
+const modelMagic = uint32(0x4f444b4d)
 
 // MarshaledSize returns the encoded size in bytes.
 func (e *Estimator) MarshaledSize() int {
-	if e.mnt != nil {
-		return 4 + 4 + 4 + 4 + 4 + 8 + 8*e.dim + len(e.centers)*(4+1+8*e.dim)
-	}
-	return 4 + 4 + 8 + 8*e.dim + 4 + 8*e.dim*len(e.centers)
+	return 4 + 4 + 4 + 4 + 4 + 8 + 8*e.dim + len(e.dead)*(4+1+8*e.dim)
 }
 
-// MarshalBinary encodes the model.
+// MarshalBinary encodes the model: header (magic, dim, maxSlots, physN,
+// pruneDim), window count, bandwidths, then every physical entry — slot
+// key, tombstone flag, coordinates — in layout order, tombstones included
+// verbatim.
 func (e *Estimator) MarshalBinary() ([]byte, error) {
-	if e.mnt != nil {
-		return e.marshalMaintained()
-	}
-	w := binfmt.Writer{B: make([]byte, 0, e.MarshaledSize())}
-	w.U32(marshalMagic)
-	w.U32(uint32(e.dim))
-	w.F64(e.wcount)
-	w.F64s(e.bw)
-	w.U32(uint32(len(e.centers)))
-	for _, c := range e.centers {
-		w.F64s(c)
-	}
-	return w.B, nil
-}
-
-// marshalMaintained encodes the maintained wire format: header (magic,
-// dim, maxSlots, physN, pruneDim), window count, bandwidths, then every
-// physical entry — slot key, tombstone flag, coordinates — in layout
-// order, tombstones included verbatim.
-func (e *Estimator) marshalMaintained() ([]byte, error) {
 	if e.mnt.active {
 		return nil, fmt.Errorf("kernel: marshal during an open maintenance cycle")
 	}
 	w := binfmt.Writer{B: make([]byte, 0, e.MarshaledSize())}
-	w.U32(maintainedMagic)
+	w.U32(modelMagic)
 	w.U32(uint32(e.dim))
 	w.U32(uint32(e.mnt.maxSlots))
-	w.U32(uint32(len(e.centers)))
+	w.U32(uint32(len(e.dead)))
 	w.U32(uint32(int32(e.pruneDim)))
 	w.F64(e.wcount)
 	w.F64s(e.bw)
-	for j, c := range e.centers {
+	for j, dead := range e.dead {
 		w.U32(uint32(e.mnt.slots[j]))
-		w.Bool(e.dead[j])
-		w.F64s(c)
+		w.Bool(dead)
+		for _, col := range e.cols {
+			w.F64(col[j])
+		}
 	}
 	return w.B, nil
 }
 
-// unmarshalMaintained decodes the maintained wire format (magic already
-// consumed) and revalidates the layout invariants the query engine
-// depends on. The header alone sizes nothing: the declared slot capacity
-// must fit the caller's maxSlots and the payload must be exactly physN
-// entries long before newMaint allocates its arrays.
-func unmarshalMaintained(r *binfmt.Reader, maxSlots int) (*Estimator, error) {
+// UnmarshalEstimator decodes a model encoded by MarshalBinary and
+// revalidates the layout invariants the query engine depends on. maxSlots
+// is the restoring caller's own slot capacity (its sample size). The
+// header alone sizes nothing: the declared slot capacity must fit
+// maxSlots and the payload must be exactly physN entries long before
+// newMaint allocates its arrays.
+func UnmarshalEstimator(data []byte, maxSlots int) (*Estimator, error) {
 	fail := func(form string, args ...any) (*Estimator, error) {
 		return nil, fmt.Errorf("kernel: "+form, args...)
+	}
+	r := binfmt.NewReader(data)
+	if magic := r.U32(); r.Err() != nil {
+		return fail("model encoding: %w", r.Err())
+	} else if magic != modelMagic {
+		return fail("bad model magic %#x", magic)
 	}
 	dim := int(r.U32())
 	slotCap := int(r.U32())
@@ -91,7 +76,7 @@ func unmarshalMaintained(r *binfmt.Reader, maxSlots int) (*Estimator, error) {
 	pruneDim := int(int32(r.U32()))
 	wcount := r.F64()
 	if err := r.Err(); err != nil {
-		return fail("maintained model header: %w", err)
+		return fail("model header: %w", err)
 	}
 	if dim <= 0 || dim > 1<<10 {
 		return fail("implausible dimensionality %d", dim)
@@ -114,17 +99,18 @@ func unmarshalMaintained(r *binfmt.Reader, maxSlots int) (*Estimator, error) {
 		return fail("physical length %d exceeds capacity %d", physN, capN)
 	}
 	if r.Len() != physN*(4+1+8*dim) {
-		return fail("maintained payload %d bytes, want %d", r.Len(), physN*(4+1+8*dim))
+		return fail("model payload %d bytes, want %d", r.Len(), physN*(4+1+8*dim))
 	}
-	m := newMaint(slotCap, dim)
 	e := &Estimator{
 		bw:       bw,
 		wcount:   wcount,
 		dim:      dim,
 		pruneDim: pruneDim,
-		mnt:      m,
+		cols:     make([][]float64, dim),
+		mnt:      newMaint(slotCap, dim),
 	}
-	e.cols = make([][]float64, dim)
+	m := &e.mnt
+	e.resize(physN)
 	for j := 0; j < physN; j++ {
 		slot := int(r.U32())
 		if slot >= slotCap {
@@ -145,33 +131,30 @@ func unmarshalMaintained(r *binfmt.Reader, maxSlots int) (*Estimator, error) {
 			m.posOf[slot] = int32(j)
 			e.live++
 		}
-		row := m.aosFlat[j*dim : (j+1)*dim]
-		r.F64s(row)
-		for i := 0; i < dim; i++ {
-			m.colFlat[i*m.capN+j] = row[i]
+		for _, col := range e.cols {
+			col[j] = r.F64()
 		}
 	}
 	if e.live == 0 {
-		return fail("maintained model has no live centers")
+		return fail("model has no live centers")
 	}
 	if pruneDim >= 0 {
-		col := m.colFlat[pruneDim*m.capN : pruneDim*m.capN+physN]
+		col := e.cols[pruneDim]
 		for j := 1; j < physN; j++ {
 			if col[j] < col[j-1] {
 				return fail("prune column not sorted")
 			}
 		}
 	}
-	e.resize(physN)
 	e.rescanExtremes()
 	return e, nil
 }
 
 // Clone returns a deep copy of e through its deterministic binary round
-// trip: the same form (immutable or maintained), answering every query
-// bit-identically, sharing no storage. Callers that keep a maintained
-// model across its owner's patches (a drift or JS-gate reference) keep a
-// Clone. It panics during an open maintenance cycle.
+// trip, answering every query bit-identically and sharing no storage.
+// Callers that keep a model across its owner's patches (a drift or
+// JS-gate reference) keep a Clone. It panics during an open maintenance
+// cycle.
 func (e *Estimator) Clone() *Estimator {
 	blob, err := e.MarshalBinary()
 	if err != nil {
@@ -183,40 +166,4 @@ func (e *Estimator) Clone() *Estimator {
 		panic(fmt.Sprintf("kernel: clone: %v", err))
 	}
 	return c
-}
-
-// UnmarshalEstimator decodes a model encoded by MarshalBinary. maxSlots
-// is the restoring caller's own slot capacity (its sample size): a
-// maintained model declaring more fails closed before anything is sized
-// by the declaration. An immutable model's size is bounded by len(data).
-func UnmarshalEstimator(data []byte, maxSlots int) (*Estimator, error) {
-	r := binfmt.NewReader(data)
-	switch magic := r.U32(); {
-	case r.Err() != nil:
-		return nil, fmt.Errorf("kernel: model encoding: %w", r.Err())
-	case magic == maintainedMagic:
-		return unmarshalMaintained(&r, maxSlots)
-	case magic != marshalMagic:
-		return nil, fmt.Errorf("kernel: bad model magic %#x", magic)
-	}
-	dim := int(r.U32())
-	wcount := r.F64()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("kernel: model header: %w", err)
-	}
-	if dim <= 0 || dim > 1<<10 {
-		return nil, fmt.Errorf("kernel: implausible dimensionality %d", dim)
-	}
-	bw := make([]float64, dim)
-	r.F64s(bw)
-	n := int(r.U32())
-	if n <= 0 || r.Len() != 8*dim*n {
-		return nil, fmt.Errorf("kernel: center payload %d bytes, want %d", r.Len(), 8*dim*n)
-	}
-	centers := make([]window.Point, n)
-	for i := range centers {
-		centers[i] = make(window.Point, dim)
-		r.F64s(centers[i])
-	}
-	return New(centers, bw, wcount)
 }

@@ -36,7 +36,7 @@ func roundTripModel(t *testing.T, dim int, n int) (*Estimator, *Estimator) {
 	if len(data) != e.MarshaledSize() {
 		t.Fatalf("encoded %d bytes, MarshaledSize says %d", len(data), e.MarshaledSize())
 	}
-	back, err := UnmarshalEstimator(data, 0)
+	back, err := UnmarshalEstimator(data, e.MaxSlots())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		"extra tail": append(append([]byte(nil), data...), 0xFF),
 	}
 	for name, d := range cases {
-		if _, err := UnmarshalEstimator(d, 0); err == nil {
+		if _, err := UnmarshalEstimator(d, e.MaxSlots()); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -88,11 +88,13 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 
 func TestMarshalSizeIsODR(t *testing.T) {
 	// The wire size must be dominated by d·|R| centers — the O(d|R|) the
-	// paper charges for shipping a model.
+	// paper charges for shipping a model — plus each center's slot key
+	// and tombstone flag.
 	e, _ := roundTripModel(t, 2, 200)
 	want := 8 * 2 * 200 // center payload
-	if e.MarshaledSize() < want || e.MarshaledSize() > want+100 {
-		t.Errorf("size %d not dominated by centers (%d)", e.MarshaledSize(), want)
+	keys := (4 + 1) * 200
+	if e.MarshaledSize() < want || e.MarshaledSize() > want+keys+100 {
+		t.Errorf("size %d not dominated by centers (%d) and their keys (%d)", e.MarshaledSize(), want, keys)
 	}
 }
 
@@ -100,7 +102,7 @@ func TestMarshalSizeIsODR(t *testing.T) {
 // header and bandwidth for a 1<<24-slot model, and no payload at all.
 func headerOnlyMaintained() []byte {
 	var w binfmt.Writer
-	w.U32(maintainedMagic)
+	w.U32(modelMagic)
 	w.U32(1)              // dim
 	w.U32(1 << 24)        // slot capacity
 	w.U32(1)              // physical length
@@ -111,7 +113,7 @@ func headerOnlyMaintained() []byte {
 }
 
 // TestUnmarshalMaintainedSizesNothingFromHeader pins the allocation-
-// before-bounds fix: the header above used to size newMaint's ten arrays
+// before-bounds fix: the header above used to size newMaint's arrays
 // (1.2 GiB at dim 1) before the missing payload was noticed. It must fail
 // closed whether the caller's capacity rules the claim out or admits it.
 func TestUnmarshalMaintainedSizesNothingFromHeader(t *testing.T) {

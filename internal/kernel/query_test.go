@@ -243,13 +243,13 @@ func TestBatchMatchesPerCall(t *testing.T) {
 }
 
 // TestQueryZeroAllocs is the acceptance gate for the allocation-free
-// steady state: every query method, on immutable and maintained models
-// alike, runs with zero allocations per call.
+// steady state: every query method, on fresh and patched (tombstoned)
+// models alike, runs with zero allocations per call.
 func TestQueryZeroAllocs(t *testing.T) {
 	for _, d := range []int{1, 2, 3} {
 		models := map[string]*Estimator{
-			"immutable":  testModel(t, int64(50+d), d, 500, 0.05),
-			"maintained": testMaintainedModel(t, int64(50+d), d, 500, 0.05),
+			"fresh":   testModel(t, int64(50+d), d, 500, 0.05),
+			"patched": testMaintainedModel(t, int64(50+d), d, 500, 0.05),
 		}
 		p := make(window.Point, d)
 		lo := make([]float64, d)
@@ -332,17 +332,16 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestMarshalRoundTripKeepsScanOrder guards the stable-sort idempotence
-// the wire format relies on: decoding a marshaled model re-sorts an
-// already-sorted center list, so a round trip must preserve answers and
-// center order exactly.
+// TestMarshalRoundTripKeepsScanOrder guards the verbatim layout the wire
+// format carries: a round trip must preserve the prune dimension, the
+// center order and the answers exactly.
 func TestMarshalRoundTripKeepsScanOrder(t *testing.T) {
 	e := testModel(t, 13, 2, 60, 0.03)
 	data, err := e.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := UnmarshalEstimator(data, 0)
+	m, err := UnmarshalEstimator(data, e.MaxSlots())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,19 +269,6 @@ func formatCases() []formatCase {
 			},
 		},
 		{
-			name: "ODDS",
-			build: func() ([]byte, error) {
-				m, err := kernel.New(fixtureStream(4, 6, 2), []float64{0.05, 0.08}, 16)
-				if err != nil {
-					return nil, err
-				}
-				return m.MarshalBinary()
-			},
-			reencode: func(data []byte) ([]byte, error) {
-				return marshalTwice(kernel.UnmarshalEstimator(data, 0))
-			},
-		},
-		{
 			name: "ODKM",
 			build: func() ([]byte, error) {
 				// One maintenance cycle that replaces one slot and then empties
