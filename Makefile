@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig test race
 
 build:
 	$(GO) build ./...
@@ -134,6 +134,27 @@ check-onemodel:
 	if [ -n "$$bad$$det" ]; then \
 		echo "a second kernel-model representation (patch the one maintained model):"; \
 		echo "$$bad"; echo "$$det"; exit 1; \
+	fi
+
+# One config encoding: the pipeline config serialises once, as the JSON
+# /stats serves, and every fingerprint is built from that JSON. A
+# hand-written encoder in non-test internal/detector (fingerprintPrefix, a
+# per-engine ...Fingerprint() besides Config.fingerprint), a binfmt write in
+# serve's fingerprint, or a PipelineConfig field or JSON key re-declared
+# in StatsResponse is a second encoding coming back.
+check-oneconfig:
+	@det=$$(grep -nE 'fingerprintPrefix|func .*[A-Za-z]Fingerprint\(' internal/detector/*.go | grep -v '_test\.go:'); \
+	srv=$$(awk '/^func fingerprint\(/{on=1} on&&/binfmt|w\.[A-Z]/{print FILENAME":"FNR": "$$0} on&&/^}/{on=0}' \
+		$$(ls internal/serve/*.go | grep -v '_test\.go$$')); \
+	cfg=$$(awk '/^type PipelineConfig struct/{on=1;next} on&&/^}/{exit} on' internal/serve/pipeline.go); \
+	names=$$(echo "$$cfg" | grep -oE '^\s[A-Z][A-Za-z]*' | tr -d '\t' | paste -sd'|' -); \
+	keys=$$(echo "$$cfg" | grep -oE 'json:"[a-z_]+' | cut -d'"' -f2 | paste -sd'|' -); \
+	if [ -z "$$names" ] || [ -z "$$keys" ]; then echo "no PipelineConfig struct in internal/serve/pipeline.go"; exit 1; fi; \
+	dup=$$(awk '/^type StatsResponse struct/{on=1;next} on&&/^}/{exit} on{print FILENAME":"FNR": "$$0}' internal/serve/wire.go \
+		| grep -E ": \s($$names)\s|json:\"($$keys)[\",]"); \
+	if [ -n "$$det$$srv$$dup" ]; then \
+		echo "a second config encoding (serialise PipelineConfig once, as JSON):"; \
+		echo "$$det"; echo "$$srv"; echo "$$dup"; exit 1; \
 	fi
 
 # The serving benchmark BENCHMARK.json declares (bench/README.md): every

@@ -87,5 +87,8 @@ func (c Config) Validate() error {
 	if c.RebuildEvery <= 0 {
 		return fmt.Errorf("core: rebuild interval %d must be positive", c.RebuildEvery)
 	}
+	if !(c.BandwidthScale >= 0) || math.IsInf(c.BandwidthScale, 1) {
+		return fmt.Errorf("core: bandwidth scale %v must be finite and non-negative", c.BandwidthScale)
+	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"odds/internal/divergence"
-	"odds/internal/drift"
 	"odds/internal/kernel"
 	"odds/internal/mdef"
 	"odds/internal/stream"
@@ -174,22 +173,10 @@ type MGDDLeaf struct {
 	// leaves the fault-free path untouched.
 	StaleAfter int
 
-	// Drift, when non-nil, runs per-dimension drift detection over the
-	// leaf's own arrivals. On a detection the leaf re-estimates its local
-	// bandwidths (Estimator.ForceRefresh) and forces a global-model
-	// catch-up through the same KindRefresh path the self-healing layer
-	// uses — the staleness clock says the replica is fresh, but the
-	// regime it describes is gone. Requests are rate-limited to one per
-	// monitor cooldown span of epochs. Nil (the default) leaves the
-	// stationary path untouched.
-	Drift *drift.Monitor
-
-	lastEpoch    int // last epoch this leaf ticked; -1 before the first
-	lastReq      int // epoch of the last refresh request; -1 before any
-	repairFrom   int // epoch the current staleness/outage began; -1 if healthy
-	lastDriftReq int // epoch of the last drift-triggered refresh; -1 before any
-	driftRefresh uint64
-	ttrs         []int
+	lastEpoch  int // last epoch this leaf ticked; -1 before the first
+	lastReq    int // epoch of the last refresh request; -1 before any
+	repairFrom int // epoch the current staleness/outage began; -1 if healthy
+	ttrs       []int
 }
 
 // NewMGDDLeaf wires an MGDD leaf sensor; totalLeaves sizes the global
@@ -206,27 +193,22 @@ func NewMGDDLeaf(id tagsim.NodeID, parent tagsim.NodeID, hasParent bool,
 		panic("core: totalLeaves must be positive")
 	}
 	return &MGDDLeaf{
-		id:           id,
-		up:           newUplink(parent, hasParent),
-		src:          src,
-		est:          NewEstimator(cfg, cfg.WindowCap, float64(cfg.WindowCap), rng),
-		global:       NewGlobalModel(cfg.SampleSize, cfg.Dim, float64(totalLeaves*cfg.WindowCap), rng),
-		prm:          prm,
-		f:            cfg.SampleFraction,
-		rng:          rng,
-		lastEpoch:    -1,
-		lastReq:      -1,
-		repairFrom:   -1,
-		lastDriftReq: -1,
+		id:         id,
+		up:         newUplink(parent, hasParent),
+		src:        src,
+		est:        NewEstimator(cfg, cfg.WindowCap, float64(cfg.WindowCap), rng),
+		global:     NewGlobalModel(cfg.SampleSize, cfg.Dim, float64(totalLeaves*cfg.WindowCap), rng),
+		prm:        prm,
+		f:          cfg.SampleFraction,
+		rng:        rng,
+		lastEpoch:  -1,
+		lastReq:    -1,
+		repairFrom: -1,
 	}
 }
 
 // ID returns the node id.
 func (n *MGDDLeaf) ID() tagsim.NodeID { return n.id }
-
-// DriftRefreshRequests returns how many global-model refreshes the drift
-// monitor has forced through the KindRefresh path.
-func (n *MGDDLeaf) DriftRefreshRequests() uint64 { return n.driftRefresh }
 
 // Estimator exposes the local estimation state.
 func (n *MGDDLeaf) Estimator() *Estimator { return n.est }
@@ -280,20 +262,6 @@ func (n *MGDDLeaf) OnEpoch(s tagsim.Sender, epoch int) {
 	included := n.est.Observe(v)
 	if included && hasUp && n.rng.Float64() < n.f {
 		s.Send(parent, KindSample, v, 0)
-	}
-	if n.Drift != nil {
-		if f := n.Drift.Observe(v); f.Any() {
-			n.est.ForceRefresh()
-			cool := n.Drift.Config().Cooldown
-			if cool <= 0 {
-				cool = n.Drift.Config().Window
-			}
-			if hasUp && (n.lastDriftReq < 0 || epoch-n.lastDriftReq >= cool) {
-				n.lastDriftReq = epoch
-				n.driftRefresh++
-				s.Send(parent, KindRefresh, nil, float64(n.id))
-			}
-		}
 	}
 	out := false
 	if m := n.global.Model(); m != nil && n.est.Warmed() {

@@ -102,7 +102,7 @@ type Coreset struct {
 	flagged uint64
 }
 
-func newCoreset(cfg Config) *Coreset {
+func newCoreset(cfg Config, fp []byte) *Coreset {
 	src := newSplitmix(cfg.Seed)
 	dim, size := cfg.Dim, cfg.Coreset.Size
 	flat := make([]float64, size*dim)
@@ -112,7 +112,7 @@ func newCoreset(cfg Config) *Coreset {
 	}
 	return &Coreset{
 		cfg:      cfg,
-		fp:       cfg.coresetFingerprint(),
+		fp:       fp,
 		src:      src,
 		rng:      rand.New(src),
 		flat:     flat,
@@ -123,18 +123,6 @@ func newCoreset(cfg Config) *Coreset {
 		bwBuf:    make([]float64, dim),
 		slotBuf:  make(window.Point, dim),
 	}
-}
-
-func (c Config) coresetFingerprint() []byte {
-	e := fingerprintPrefix(c)
-	cs := c.Coreset.WithDefaults()
-	e.U64(uint64(cs.Size))
-	e.U64(uint64(cs.RebuildEvery))
-	e.U64(uint64(cs.WindowCount))
-	e.U64(uint64(cs.MinN))
-	e.F64(c.Distance.Radius)
-	e.F64(c.Distance.Threshold)
-	return e.B
 }
 
 func (c *Coreset) Kind() Kind { return KindCoreset }
@@ -302,11 +290,6 @@ func (c *Coreset) QueryProb(v []float64, r float64) float64 {
 	return c.model.Prob(window.Point(v), r)
 }
 
-// SetSource swaps the underlying rng source. Test hook: the zero-alloc
-// harness freezes admission draws to pin the hot path into steady state
-// (a frozen instance's snapshots are not replayable — tests only).
-func (c *Coreset) SetSource(src rand.Source64) { c.rng = rand.New(src) }
-
 func (c *Coreset) Stats() Stats {
 	bytes := 8*len(c.flat) + 16*len(c.mean)
 	if c.model != nil {
@@ -377,7 +360,7 @@ func (c *Coreset) Restore(blob []byte) error {
 	if err != nil {
 		return err
 	}
-	fresh := newCoreset(c.cfg)
+	fresh := newCoreset(c.cfg, c.fp)
 	fresh.src.s = r.U64()
 	n, flagged := r.U64(), r.U64()
 	fresh.filled = r.Count(8*c.cfg.Dim, len(fresh.pts))

@@ -111,7 +111,7 @@ func TestCoresetModelMatchesFromSample(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh := newCoreset(cfg.withDefaults())
+				fresh := newCoreset(cfg.withDefaults(), c.fp)
 				if err := fresh.Restore(blob); err != nil {
 					t.Fatalf("%s step %d: restore: %v", oc.Name(), i, err)
 				}

@@ -32,6 +32,7 @@
 package detector
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -228,16 +229,41 @@ func New(cfg Config) (Detector, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	fp, err := cfg.fingerprint()
+	if err != nil {
+		return nil, fmt.Errorf("detector: config does not encode: %w", err)
+	}
 	switch cfg.Kind {
 	case KindKernelChain:
-		return newKernelChain(cfg), nil
+		return newKernelChain(cfg, fp), nil
 	case KindQn:
-		return newQn(cfg), nil
+		return newQn(cfg, fp), nil
 	case KindCoreset:
-		return newCoreset(cfg), nil
+		return newCoreset(cfg, fp), nil
 	default:
-		return newEWMA(cfg), nil
+		return newEWMA(cfg, fp), nil
 	}
+}
+
+// fingerprint is the configuration a backend's snapshots are bound to:
+// the JSON of Kind, Dim, Seed and the filled sections the engine reads,
+// every other section zero — so tuning one backend never invalidates
+// another backend's snapshots. It fails only on a value JSON cannot
+// carry (NaN, ±Inf) in a section Validate leaves unchecked.
+func (c Config) fingerprint() ([]byte, error) {
+	c = c.withDefaults()
+	read := Config{Kind: c.Kind, Dim: c.Dim, Seed: c.Seed}
+	switch c.Kind {
+	case KindKernelChain:
+		read.Criterion, read.Core, read.Distance, read.MDEF = c.Criterion, c.Core, c.Distance, c.MDEF
+	case KindQn:
+		read.Qn = c.Qn
+	case KindCoreset:
+		read.Coreset, read.Distance = c.Coreset, c.Distance
+	case KindEWMA:
+		read.EWMA = c.EWMA
+	}
+	return json.Marshal(read)
 }
 
 // countedSource wraps math/rand's seeded source and counts draws, making
@@ -353,16 +379,6 @@ func openBlob(blob []byte, kind Kind, fp []byte) (binfmt.Reader, error) {
 		return fail(fmt.Errorf("%w: backend %q", ErrFingerprintMismatch, kind))
 	}
 	return binfmt.NewReader(state), nil
-}
-
-// fingerprintPrefix opens a backend's canonical config fingerprint with
-// the fields every backend shares.
-func fingerprintPrefix(c Config) binfmt.Writer {
-	var w binfmt.Writer
-	w.Str(string(c.Kind))
-	w.U64(uint64(c.Dim))
-	w.U64(uint64(c.Seed))
-	return w
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -38,8 +38,8 @@ func (c EWMAConfig) validate() error {
 	if !(c.Lambda > 0 && c.Lambda <= 1) || math.IsNaN(c.Lambda) {
 		return fmt.Errorf("detector: ewma lambda %v must be in (0, 1]", c.Lambda)
 	}
-	if c.K <= 0 || math.IsNaN(c.K) {
-		return fmt.Errorf("detector: ewma k %v must be positive", c.K)
+	if !(c.K > 0) || math.IsInf(c.K, 1) {
+		return fmt.Errorf("detector: ewma k %v must be positive and finite", c.K)
 	}
 	if c.MinN < 1 {
 		return fmt.Errorf("detector: ewma min_n %d must be positive", c.MinN)
@@ -65,22 +65,13 @@ type EWMA struct {
 	flagged uint64
 }
 
-func newEWMA(cfg Config) *EWMA {
+func newEWMA(cfg Config, fp []byte) *EWMA {
 	return &EWMA{
 		cfg:  cfg,
-		fp:   cfg.ewmaFingerprint(),
+		fp:   fp,
 		mean: make([]float64, cfg.Dim),
 		vari: make([]float64, cfg.Dim),
 	}
-}
-
-func (c Config) ewmaFingerprint() []byte {
-	e := fingerprintPrefix(c)
-	w := c.EWMA.WithDefaults()
-	e.F64(w.Lambda)
-	e.F64(w.K)
-	e.U64(uint64(w.MinN))
-	return e.B
 }
 
 func (e *EWMA) Kind() Kind { return KindEWMA }

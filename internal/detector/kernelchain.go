@@ -28,35 +28,16 @@ type KernelChain struct {
 	flagged uint64
 }
 
-func newKernelChain(cfg Config) *KernelChain {
+func newKernelChain(cfg Config, fp []byte) *KernelChain {
 	cs := newCountedSource(cfg.Seed)
 	est := core.NewEstimator(cfg.Core, cfg.Core.WindowCap, float64(cfg.Core.WindowCap), rand.New(cs))
 	est.EnableSampleRecycling()
 	return &KernelChain{
 		cfg: cfg,
-		fp:  cfg.kernelChainFingerprint(),
+		fp:  fp,
 		cs:  cs,
 		est: est,
 	}
-}
-
-// kernelChainFingerprint covers exactly what the engine reads.
-func (c Config) kernelChainFingerprint() []byte {
-	e := fingerprintPrefix(c)
-	e.Str(string(c.Criterion))
-	e.U64(uint64(c.Core.WindowCap))
-	e.U64(uint64(c.Core.SampleSize))
-	e.F64(c.Core.Eps)
-	e.F64(c.Core.SampleFraction)
-	e.U64(uint64(c.Core.Dim))
-	e.U64(uint64(c.Core.RebuildEvery))
-	e.F64(c.Core.BandwidthScale)
-	e.F64(c.Distance.Radius)
-	e.F64(c.Distance.Threshold)
-	e.F64(c.MDEF.R)
-	e.F64(c.MDEF.AlphaR)
-	e.F64(c.MDEF.KSigma)
-	return e.B
 }
 
 func (k *KernelChain) Kind() Kind { return KindKernelChain }
@@ -106,7 +87,7 @@ func (k *KernelChain) QueryProb(v []float64, r float64) float64 {
 	return m.Prob(window.Point(v), r)
 }
 
-// Warmed, Model, ForceRefresh, ModelBuildStats, and Arrivals expose the
+// Warmed, Model, ForceRefresh, and ModelBuildStats expose the
 // estimator hooks the pipeline's drift arm and stats endpoints rely on —
 // they live on the concrete KernelChain, not the interface, because
 // drift adaptation is defined against the kernel model.
@@ -119,8 +100,6 @@ func (k *KernelChain) ForceRefresh() { k.est.ForceRefresh() }
 func (k *KernelChain) ModelBuildStats() (fullBuilds, patchBuilds uint64) {
 	return k.est.ModelBuildStats()
 }
-
-func (k *KernelChain) Arrivals() uint64 { return k.est.Arrivals() }
 
 // SetSource swaps the underlying rng source. Test hook: the zero-alloc
 // harness freezes the chain sample's replacement draws to pin the hot

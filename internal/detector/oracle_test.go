@@ -175,7 +175,7 @@ func TestBackendOracleFlags(t *testing.T) {
 // eps·n of the target rank in the true lagged-difference population.
 func TestQnScaleGuarantee(t *testing.T) {
 	cfg := testConfig(KindQn, 1, 77)
-	q := newQn(cfg.withDefaults())
+	q := newQn(cfg.withDefaults(), nil)
 	src := stats.NewRand(41)
 	xs := make([]float64, 800)
 	for i := range xs {

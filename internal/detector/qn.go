@@ -54,8 +54,8 @@ func (c QnConfig) validate() error {
 	if c.Lag < 1 {
 		return fmt.Errorf("detector: qn lag %d must be positive", c.Lag)
 	}
-	if c.K <= 0 || math.IsNaN(c.K) {
-		return fmt.Errorf("detector: qn k %v must be positive", c.K)
+	if !(c.K > 0) || math.IsInf(c.K, 1) {
+		return fmt.Errorf("detector: qn k %v must be positive and finite", c.K)
 	}
 	if c.MinN < 2 {
 		return fmt.Errorf("detector: qn min_n %d must be at least 2", c.MinN)
@@ -111,10 +111,10 @@ type Qn struct {
 // append.
 const qnGrowTuples = 512
 
-func newQn(cfg Config) *Qn {
+func newQn(cfg Config, fp []byte) *Qn {
 	q := &Qn{
 		cfg:  cfg,
-		fp:   cfg.qnFingerprint(),
+		fp:   fp,
 		dims: make([]qnDim, cfg.Dim),
 	}
 	for d := range q.dims {
@@ -129,16 +129,6 @@ func newQnDim(c QnConfig) qnDim {
 	diffs := quantile.New(c.Eps)
 	diffs.Grow(qnGrowTuples)
 	return qnDim{vals: vals, diffs: diffs, ring: make([]float64, c.Lag)}
-}
-
-func (c Config) qnFingerprint() []byte {
-	e := fingerprintPrefix(c)
-	q := c.Qn.WithDefaults()
-	e.F64(q.Eps)
-	e.U64(uint64(q.Lag))
-	e.F64(q.K)
-	e.U64(uint64(q.MinN))
-	return e.B
 }
 
 func (q *Qn) Kind() Kind { return KindQn }

@@ -33,11 +33,11 @@ type Params struct {
 
 // Validate returns an error when the parameters are unusable.
 func (p Params) Validate() error {
-	if p.Radius <= 0 || math.IsNaN(p.Radius) {
-		return fmt.Errorf("distance: radius %v must be positive", p.Radius)
+	if !(p.Radius > 0) || math.IsInf(p.Radius, 1) {
+		return fmt.Errorf("distance: radius %v must be positive and finite", p.Radius)
 	}
-	if p.Threshold <= 0 || math.IsNaN(p.Threshold) {
-		return fmt.Errorf("distance: threshold %v must be positive", p.Threshold)
+	if !(p.Threshold > 0) || math.IsInf(p.Threshold, 1) {
+		return fmt.Errorf("distance: threshold %v must be positive and finite", p.Threshold)
 	}
 	return nil
 }

@@ -105,8 +105,8 @@ func (c Config) Validate() error {
 	if c.KSD <= 0 && c.PHLambda <= 0 && c.MKZ <= 0 {
 		return errors.New("drift: all tests disabled (KSD, PHLambda, MKZ all <= 0)")
 	}
-	if math.IsNaN(c.KSD) || math.IsNaN(c.PHDelta) || math.IsNaN(c.PHLambda) || math.IsNaN(c.MKZ) {
-		return errors.New("drift: NaN threshold")
+	if !finite(c.KSD) || !finite(c.PHDelta) || !finite(c.PHLambda) || !finite(c.MKZ) {
+		return errors.New("drift: non-finite threshold")
 	}
 	return nil
 }

@@ -45,9 +45,6 @@ func NewMannKendall(w int) *MannKendall {
 	}
 }
 
-// Window returns the configured window length.
-func (m *MannKendall) Window() int { return m.w }
-
 func sgn(d float64) int64 {
 	if d > 0 {
 		return 1

@@ -194,9 +194,6 @@ func (m *Monitor) Dim() int { return len(m.dets) }
 // Config returns the monitor's configuration.
 func (m *Monitor) Config() Config { return m.cfg }
 
-// Detector returns the bank for dimension i.
-func (m *Monitor) Detector(i int) *Detector { return m.dets[i] }
-
 // Observe feeds one reading (len >= Dim; extra coordinates are ignored)
 // and returns the OR of the per-dimension firings. Counters update as a
 // side effect.
@@ -240,13 +237,6 @@ func (m *Monitor) Observe(p []float64) Firing {
 func (m *Monitor) Rebase() {
 	for _, d := range m.dets {
 		d.Rebase()
-	}
-}
-
-// Reset discards all detector state; counters survive.
-func (m *Monitor) Reset() {
-	for _, d := range m.dets {
-		d.Reset()
 	}
 }
 

@@ -61,9 +61,6 @@ func RefreshCachedCounter(c *CachedCounter, m Counter, alphaR float64) *CachedCo
 	return c
 }
 
-// Model returns the wrapped model, letting callers detect staleness.
-func (c *CachedCounter) Model() Counter { return c.m }
-
 // Dim returns the wrapped model's dimensionality.
 func (c *CachedCounter) Dim() int { return c.m.Dim() }
 

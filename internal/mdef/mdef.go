@@ -59,8 +59,8 @@ type Params struct {
 
 // Validate returns an error when the parameters are unusable.
 func (p Params) Validate() error {
-	if p.R <= 0 || math.IsNaN(p.R) {
-		return fmt.Errorf("mdef: sampling radius %v must be positive", p.R)
+	if !(p.R > 0) || math.IsInf(p.R, 1) {
+		return fmt.Errorf("mdef: sampling radius %v must be positive and finite", p.R)
 	}
 	if p.AlphaR <= 0 || math.IsNaN(p.AlphaR) {
 		return fmt.Errorf("mdef: counting radius %v must be positive", p.AlphaR)
@@ -68,8 +68,8 @@ func (p Params) Validate() error {
 	if p.AlphaR > p.R {
 		return fmt.Errorf("mdef: counting radius %v exceeds sampling radius %v", p.AlphaR, p.R)
 	}
-	if p.KSigma <= 0 || math.IsNaN(p.KSigma) {
-		return fmt.Errorf("mdef: k_sigma %v must be positive", p.KSigma)
+	if !(p.KSigma > 0) || math.IsInf(p.KSigma, 1) {
+		return fmt.Errorf("mdef: k_sigma %v must be positive and finite", p.KSigma)
 	}
 	return nil
 }

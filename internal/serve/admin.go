@@ -24,7 +24,8 @@ import (
 //	u8   reserved (0)
 //	u16  reserved (0)
 //	u32  shard       — global shard id
-//	u32  fpLen       | fingerprint bytes (full fingerprint(shards, cfg))
+//	u32  fpLen       | fingerprint bytes (fingerprint(shards, cfg): the
+//	                 |   canonical config JSON, compared byte for byte)
 //	u32  blobLen     | ODPS pipeline blob (empty = fresh pipeline)
 //	u32  crc32-IEEE over all preceding bytes
 const (

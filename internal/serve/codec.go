@@ -34,7 +34,8 @@ import (
 //	u8   reserved (must be 0)
 //	u16  dim           — must equal the server's Core.Dim
 //	u32  count         — number of readings; bounded by Config.MaxBatch
-//	u64  fingerprint   — wireFingerprint of the server config (from /stats)
+//	u64  fingerprint   — wireFingerprint: FNV-64a of the canonical config
+//	                     JSON (learned from /stats)
 //	count × { u16 sensorLen | sensor bytes | dim × f64 value }
 //	u32  crc32-IEEE over all preceding bytes
 //
@@ -92,8 +93,9 @@ var (
 	errBatchTooLarge    = errors.New("serve: wire: batch exceeds limit")
 )
 
-// wireFingerprint compresses the snapshot configuration fingerprint into
-// the u64 every binary frame carries. Clients learn it from /stats
+// wireFingerprint compresses the snapshot configuration fingerprint — the
+// JSON of the shard count and the canonical config — into the u64 every
+// binary frame carries: its FNV-64a hash. Clients learn it from /stats
 // (StatsResponse.WireFingerprint); the server refuses frames built
 // against a different configuration, exactly as snapshot restore refuses
 // a mismatched file.

@@ -110,8 +110,8 @@ func (c DriftConfig) validate(dim int) error {
 		return fmt.Errorf("serve: drift JSEvery %d must be >= 0", c.JSEvery)
 	}
 	if c.JSEvery > 0 {
-		if !(c.JSThreshold > 0) || math.IsNaN(c.JSThreshold) {
-			return fmt.Errorf("serve: drift JSThreshold %v must be positive when JSEvery is set", c.JSThreshold)
+		if !(c.JSThreshold > 0) || math.IsInf(c.JSThreshold, 1) {
+			return fmt.Errorf("serve: drift JSThreshold %v must be positive and finite when JSEvery is set", c.JSThreshold)
 		}
 		if c.JSGridPoints < 2 || c.JSGridPoints > 64 {
 			return fmt.Errorf("serve: drift JSGridPoints %d outside [2,64]", c.JSGridPoints)

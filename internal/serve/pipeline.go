@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"odds/internal/core"
@@ -46,30 +47,35 @@ type BackendRule struct {
 // (with per-shard seeds derived by stats.ChildSeed) configures the
 // server's shards and the in-process twin (internal/twin); verdict
 // agreement between the two is the serving layer's acceptance oracle.
+//
+// The config has one serialisation: this JSON, which /stats embeds
+// (StatsResponse) and the twin reads back, and from which every config
+// fingerprint is built (see fingerprint). Validate refuses any value
+// JSON cannot carry.
 type PipelineConfig struct {
-	Core     core.Config
-	Kind     DetectorKind
-	Distance distance.Params
-	MDEF     mdef.Params
-	Seed     int64
+	Kind     DetectorKind    `json:"detector"`
+	Seed     int64           `json:"seed"`
+	Core     core.Config     `json:"core"`
+	Distance distance.Params `json:"distance"`
+	MDEF     mdef.Params     `json:"mdef"`
 	// Drift optionally arms the concept-drift monitor (see DriftConfig);
 	// the zero value leaves the pipeline drift-free. Drift adaptation is
 	// defined against the kernel model, so it requires the default
 	// backend to be kernelchain.
-	Drift DriftConfig
+	Drift DriftConfig `json:"drift"`
 	// Backend selects the default estimate-path engine; empty means
 	// kernelchain (the paper's stack — the pre-backend behavior,
 	// bit-for-bit).
-	Backend detector.Kind
+	Backend detector.Kind `json:"backend,omitempty"`
 	// Backends parameterizes the non-default engines (kernelchain reads
 	// the Core/Distance/MDEF fields above). Only armed engines'
 	// parameters matter; WithDefaults-filled forms are what fingerprints
 	// cover.
-	Backends detector.Params
+	Backends detector.Params `json:"backends"`
 	// Selector routes sensors to backends by id prefix (longest match
 	// wins). Every kind named here is armed eagerly at pipeline
 	// construction so snapshots and twins agree on the full state.
-	Selector []BackendRule
+	Selector []BackendRule `json:"selector,omitempty"`
 }
 
 // DefaultBackend returns the effective default backend kind.
@@ -162,6 +168,12 @@ func (c PipelineConfig) Validate() error {
 		if err := c.detectorConfig(k).Validate(); err != nil {
 			return err
 		}
+	}
+	// The per-type checks above leave sections nothing reads unchecked (the
+	// other criterion's parameters, unarmed engines, a disarmed monitor);
+	// /stats serves them and fingerprints cover some, so they must encode.
+	if _, err := json.Marshal(c); err != nil {
+		return fmt.Errorf("serve: config does not encode: %w", err)
 	}
 	return nil
 }
@@ -260,9 +272,6 @@ func (p *Pipeline) initWindow() {
 		p.truth = mdef.NewDynTruth(p.cfg.MDEF, dim)
 	}
 }
-
-// Config returns the pipeline's configuration.
-func (p *Pipeline) Config() PipelineConfig { return p.cfg }
 
 // Seq returns the number of readings ingested.
 func (p *Pipeline) Seq() uint64 { return p.seq }

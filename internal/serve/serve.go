@@ -564,15 +564,7 @@ func (s *Server) Stats() (StatsResponse, error) {
 	}
 	out := StatsResponse{
 		Shards:          len(s.shards),
-		Detector:        s.cfg.Pipeline.Kind,
-		Seed:            s.cfg.Pipeline.Seed,
-		Core:            s.cfg.Pipeline.Core,
-		Distance:        s.cfg.Pipeline.Distance,
-		MDEF:            s.cfg.Pipeline.MDEF,
-		Drift:           s.cfg.Pipeline.Drift,
-		Backend:         s.cfg.Pipeline.Backend,
-		Backends:        s.cfg.Pipeline.Backends,
-		Selector:        s.cfg.Pipeline.Selector,
+		PipelineConfig:  s.cfg.Pipeline,
 		PerShard:        make([]ShardStats, 0, len(s.shards)),
 		WireFingerprint: s.wireFP,
 		Cluster:         s.cfg.Cluster,

@@ -166,7 +166,7 @@ func TestHTTPAPI(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Shards != 2 || st.Detector != DetectDistance || st.Core.Dim != 2 {
+	if st.Shards != 2 || st.Kind != DetectDistance || st.Core.Dim != 2 {
 		t.Fatalf("stats config echo wrong: %+v", st)
 	}
 	var arrivals uint64

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -150,84 +151,39 @@ func RestorePipeline(cfg PipelineConfig, data []byte) (*Pipeline, error) {
 	return p, nil
 }
 
-// fingerprint encodes the configuration a snapshot file was taken under;
-// restore refuses a file whose fingerprint differs from the server's.
+// fingerprint is the configuration a snapshot file, ship frame or wire
+// frame was built under: the JSON of the shard count and the canonical
+// config. Canonical means a defaulted and an explicit spelling of the
+// same setup encode identically, and dead config (a disarmed drift
+// monitor's knobs, an engine nothing routes to) encodes as zero, so it
+// cannot invalidate a snapshot. Restore, install and ODWP decode refuse
+// a fingerprint that differs from the server's.
 func fingerprint(shards int, cfg PipelineConfig) []byte {
-	w := binfmt.Writer{B: make([]byte, 0, 96)}
-	w.U64(uint64(shards))
-	w.U64(uint64(cfg.Seed))
-	w.Str(string(cfg.Kind))
-	c := cfg.Core
-	w.U64(uint64(c.WindowCap))
-	w.U64(uint64(c.SampleSize))
-	w.F64(c.Eps)
-	w.F64(c.SampleFraction)
-	w.U64(uint64(c.Dim))
-	w.U64(uint64(c.RebuildEvery))
-	w.F64(c.BandwidthScale)
-	w.F64(cfg.Distance.Radius)
-	w.F64(cfg.Distance.Threshold)
-	w.F64(cfg.MDEF.R)
-	w.F64(cfg.MDEF.AlphaR)
-	w.F64(cfg.MDEF.KSigma)
-	// Drift configuration (filled form, so a defaulted and an explicit
-	// spelling of the same monitor fingerprint identically). A disabled
-	// config appends a lone zero, keeping the armed/unarmed encodings
-	// disjoint.
-	d := cfg.Drift.withDefaults()
-	if !d.Enabled {
-		w.U64(0)
-	} else {
-		w.U64(1)
-		w.U64(uint64(d.SampleEvery))
-		w.U64(uint64(d.Detector.Window))
-		w.U64(uint64(d.Detector.CheckEvery))
-		w.U64(uint64(d.Detector.Cooldown))
-		w.F64(d.Detector.KSD)
-		w.F64(d.Detector.PHDelta)
-		w.F64(d.Detector.PHLambda)
-		w.F64(d.Detector.MKZ)
-		w.U64(uint64(d.JSEvery))
-		w.F64(d.JSThreshold)
-		w.U64(uint64(d.JSGridPoints))
-		w.F64(d.ShrinkFrac)
+	if cfg.Drift = cfg.Drift.withDefaults(); !cfg.Drift.Enabled {
+		cfg.Drift = DriftConfig{}
 	}
-	// Backend section (the satellite fix: a snapshot taken under one
-	// backend arrangement must never restore into another). Covers the
-	// default kind, every armed engine's filled parameters in canonical
-	// order, and the selector routing table — any of these changing
-	// changes which detector sees which reading, so all of them gate
-	// restore. Kernelchain's own tuning is already covered by the Core /
-	// Distance / MDEF fields above.
-	w.Str(string(cfg.DefaultBackend()))
-	armed := cfg.armedKinds()
-	b := cfg.Backends.WithDefaults()
-	w.U64(uint64(len(armed)))
-	for _, k := range armed {
-		w.Str(string(k))
+	cfg.Backend = cfg.DefaultBackend()
+	filled := cfg.Backends.WithDefaults()
+	cfg.Backends = detector.Params{}
+	for _, k := range cfg.armedKinds() {
 		switch k {
 		case detector.KindQn:
-			w.F64(b.Qn.Eps)
-			w.U64(uint64(b.Qn.Lag))
-			w.F64(b.Qn.K)
-			w.U64(uint64(b.Qn.MinN))
+			cfg.Backends.Qn = filled.Qn
 		case detector.KindCoreset:
-			w.U64(uint64(b.Coreset.Size))
-			w.U64(uint64(b.Coreset.RebuildEvery))
-			w.U64(uint64(b.Coreset.WindowCount))
-			w.U64(uint64(b.Coreset.MinN))
+			cfg.Backends.Coreset = filled.Coreset
 		case detector.KindEWMA:
-			w.F64(b.EWMA.Lambda)
-			w.F64(b.EWMA.K)
-			w.U64(uint64(b.EWMA.MinN))
+			cfg.Backends.EWMA = filled.EWMA
 		}
 	}
-	w.U64(uint64(len(cfg.Selector)))
-	for _, r := range cfg.Selector {
-		w.Str(r.Prefix)
-		w.Str(string(r.Backend))
+	b, err := json.Marshal(struct {
+		Shards int `json:"shards"`
+		PipelineConfig
+	}{shards, cfg})
+	if err != nil {
+		// Validate refuses every config JSON cannot carry.
+		panic(fmt.Sprintf("serve: fingerprint of an unvalidated config: %v", err))
 	}
-	return w.B
+	return b
 }
 
 // encodeFile frames per-shard snapshots into one server snapshot file.

@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"odds/internal/core"
-	"odds/internal/detector"
-	"odds/internal/distance"
-	"odds/internal/mdef"
-)
+import "odds/internal/detector"
 
 // JSON wire types shared by the server handlers and the oddload client.
 
@@ -94,29 +89,15 @@ type ReplicationStats struct {
 	ShippedBatches uint64 `json:"shipped_batches"`
 }
 
-// StatsResponse answers GET /stats. It carries the full detection
-// configuration so a client (internal/twin) can construct a bit-identical
-// in-process twin, and per-shard arrival counts so it can resume a
-// seeded stream against a restarted server.
+// StatsResponse answers GET /stats. It embeds the full pipeline
+// configuration, in its one JSON encoding, so a client (internal/twin)
+// can construct a bit-identical in-process twin, and carries per-shard
+// arrival counts so it can resume a seeded stream against a restarted
+// server.
 type StatsResponse struct {
-	Shards   int             `json:"shards"`
-	Detector DetectorKind    `json:"detector"`
-	Seed     int64           `json:"seed"`
-	Core     core.Config     `json:"core"`
-	Distance distance.Params `json:"distance"`
-	MDEF     mdef.Params     `json:"mdef"`
-	// Drift is the drift-monitor arm of the pipeline configuration; the
-	// twin must replicate it to fire and adapt at the same sequence
-	// numbers as the server.
-	Drift DriftConfig `json:"drift"`
-	// Backend, Backends, and Selector are the detector-backend arm of the
-	// configuration: the default engine, the per-engine tuning knobs, and
-	// the per-sensor routing rules. The twin must replicate all three to
-	// construct and route to bit-identical backend instances.
-	Backend  detector.Kind   `json:"backend,omitempty"`
-	Backends detector.Params `json:"backends"`
-	Selector []BackendRule   `json:"selector,omitempty"`
-	PerShard []ShardStats    `json:"per_shard"`
+	Shards int `json:"shards"`
+	PipelineConfig
+	PerShard []ShardStats `json:"per_shard"`
 	// WireFingerprint is the u64 every ODWP frame must carry; binary
 	// clients learn it here before their first batch.
 	WireFingerprint uint64 `json:"wire_fingerprint"`
@@ -131,17 +112,9 @@ type StatsResponse struct {
 // from a stats reply — the client half of the twin contract. Seeds are
 // derived exactly as the server derives them.
 func (s *StatsResponse) PipelineConfigFor(shard int) PipelineConfig {
-	return PipelineConfig{
-		Core:     s.Core,
-		Kind:     s.Detector,
-		Distance: s.Distance,
-		MDEF:     s.MDEF,
-		Seed:     shardSeed(s.Seed, shard),
-		Drift:    s.Drift,
-		Backend:  s.Backend,
-		Backends: s.Backends,
-		Selector: s.Selector,
-	}
+	cfg := s.PipelineConfig
+	cfg.Seed = shardSeed(s.Seed, shard)
+	return cfg
 }
 
 // ShardOf routes a sensor id to a shard: 32-bit FNV-1a over the id,

@@ -140,9 +140,6 @@ func NewDrifting(cfg DriftingConfig, dim int, seed int64) *Drifting {
 // Dim returns the stream dimensionality.
 func (d *Drifting) Dim() int { return d.dim }
 
-// Index returns the index of the next reading.
-func (d *Drifting) Index() int { return d.n }
-
 // SeekTo positions the source so the next reading is index i. Because
 // readings are pure functions of (seed, index), a seeked source is
 // bit-identical to one that generated its way there.

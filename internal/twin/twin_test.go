@@ -32,8 +32,7 @@ func testPipeline() serve.PipelineConfig {
 // one step whose outcome is the rule under test.
 func TestTwinRules(t *testing.T) {
 	pcfg := testPipeline()
-	st := &serve.StatsResponse{Shards: 2, Detector: pcfg.Kind, Seed: pcfg.Seed,
-		Core: pcfg.Core, Distance: pcfg.Distance, MDEF: pcfg.MDEF}
+	st := &serve.StatsResponse{Shards: 2, PipelineConfig: pcfg}
 	ref, err := serve.NewPipeline(st.PipelineConfigFor(0))
 	if err != nil {
 		t.Fatal(err)
