@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow test race
 
 build:
 	$(GO) build ./...
@@ -155,6 +155,19 @@ check-oneconfig:
 	if [ -n "$$det$$srv$$dup" ]; then \
 		echo "a second config encoding (serialise PipelineConfig once, as JSON):"; \
 		echo "$$det"; echo "$$srv"; echo "$$dup"; exit 1; \
+	fi
+
+# One sorted window: the drift bank's KS and Mann–Kendall tests share
+# sortedWindow (internal/drift/window.go), a ring in arrival order beside a
+# sorted copy. A ring or sorted []float64 field elsewhere in non-test
+# internal/drift code is a hand-rolled second window coming back; a Resize
+# method is the resize path no program runs.
+check-onewindow:
+	@bad=$$(grep -nE '^\s+[A-Za-z_, ]*\b(ring|sorted)\b[A-Za-z_, ]*\s\[\]float64|func \([^)]*\) Resize\(' internal/drift/*.go \
+		| grep -vE '_test\.go:|^internal/drift/window\.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "a second sliding window or a resize path in internal/drift (use sortedWindow):"; \
+		echo "$$bad"; exit 1; \
 	fi
 
 # The serving benchmark BENCHMARK.json declares (bench/README.md): every

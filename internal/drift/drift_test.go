@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"odds/internal/binfmt"
 	"odds/internal/drift"
 	"odds/internal/stats"
 )
@@ -184,8 +185,10 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestMonitorSnapshotResume: a monitor restored from a snapshot fires on
-// exactly the same arrivals, with the same statistics and counters, as
-// the uninterrupted original.
+// exactly the same arrivals, with the same counters, as the uninterrupted
+// original. A fork is taken at every 50th arrival, so restores land before
+// the shift (full windows), mid-cooldown after a detection, and on
+// Mann–Kendall windows a rebase emptied.
 func TestMonitorSnapshotResume(t *testing.T) {
 	cfg := drift.Default()
 	cfg.Window = 64
@@ -202,38 +205,88 @@ func TestMonitorSnapshotResume(t *testing.T) {
 		}
 		return []float64{mu + 0.05*r.NormFloat64(), 0.5 + 0.04*r.NormFloat64()}
 	}
-	history := make([][]float64, 0, 1600)
+	var forks []*drift.Monitor
+	var forkedAt, firedAt []int
 	for i := 0; i < 1600; i++ {
+		if i%50 == 0 {
+			blob, err := mon.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fork, err := drift.UnmarshalMonitor(blob, mon.Dim(), mon.Config())
+			if err != nil {
+				t.Fatalf("arrival %d: %v", i, err)
+			}
+			if got, want := fork.Stats(), mon.Stats(); got != want {
+				t.Fatalf("arrival %d: restored counters %+v, want %+v", i, got, want)
+			}
+			forks = append(forks, fork)
+			forkedAt = append(forkedAt, i)
+		}
 		p := gen(i)
-		history = append(history, p)
-	}
-	// Drive to mid-stream (past a detection region start), snapshot, fork.
-	for i := 0; i < 700; i++ {
-		mon.Observe(history[i])
-	}
-	blob, err := mon.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon2, err := drift.UnmarshalMonitor(blob, mon.Dim(), mon.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := mon2.Stats(), mon.Stats(); got != want {
-		t.Fatalf("restored counters %+v, want %+v", got, want)
-	}
-	for i := 700; i < 1600; i++ {
-		f1 := mon.Observe(history[i])
-		f2 := mon2.Observe(history[i])
-		if f1 != f2 {
-			t.Fatalf("arrival %d: original fired %+v, restored fired %+v", i, f1, f2)
+		want := mon.Observe(p)
+		if want.Any() {
+			firedAt = append(firedAt, i)
+		}
+		for k, fork := range forks {
+			if got := fork.Observe(p); got != want {
+				t.Fatalf("arrival %d, fork from %d: original fired %+v, restored fired %+v", i, forkedAt[k], want, got)
+			}
+			if got, want := fork.Stats(), mon.Stats(); got != want {
+				t.Fatalf("arrival %d, fork from %d: counters %+v, want %+v", i, forkedAt[k], got, want)
+			}
 		}
 	}
-	if s1, s2 := mon.Stats(), mon2.Stats(); s1 != s2 {
-		t.Fatalf("final counters diverged: %+v vs %+v", s1, s2)
+	// Some fork must have been taken inside a cooldown, which is also the
+	// stretch where the rebased Mann–Kendall windows are still refilling.
+	midCooldown := 0
+	for _, f := range firedAt {
+		for _, k := range forkedAt {
+			if k > f && k <= f+cfg.Cooldown {
+				midCooldown++
+			}
+		}
 	}
-	if mon.Stats().Detections == 0 {
-		t.Fatal("scenario produced no detections; snapshot test is vacuous")
+	if len(firedAt) == 0 || midCooldown == 0 {
+		t.Fatalf("fires at %v, %d forks mid-cooldown; snapshot test is vacuous", firedAt, midCooldown)
+	}
+}
+
+// TestUnmarshalMonitorRefusesNarrowBank: every bank of a monitor snapshot
+// runs the configured window. A hand-built blob whose bank declares a
+// narrower one (64 under Default's 128, holding 10 values and no KS
+// reference) is refused rather than resized.
+func TestUnmarshalMonitorRefusesNarrowBank(t *testing.T) {
+	cfg := drift.Default()
+	vals := []float64{0.41, 0.52, 0.47, 0.39, 0.55, 0.50, 0.44, 0.48, 0.53, 0.46}
+	s, _ := drift.BruteMK(vals)
+	w := binfmt.Writer{}
+	w.U32(0x4f44444d) // "ODDM"
+	w.U32(1)          // dim
+	w.U32(uint32(cfg.Window))
+	w.U32(uint32(cfg.CheckEvery))
+	w.U32(uint32(cfg.Cooldown))
+	w.F64(cfg.KSD)
+	w.F64(cfg.PHDelta)
+	w.F64(cfg.PHLambda)
+	w.F64(cfg.MKZ)
+	for i := 0; i < 6; i++ { // Observed, Detections, KS/PH/MK fires, LastFire
+		w.U64(0)
+	}
+	w.U32(64) // bank window
+	w.U32(0)  // since
+	w.U32(0)  // cooldown
+	w.U64(0)  // skipped
+	w.U32(uint32(len(vals)))
+	w.F64s(vals)
+	w.Bool(false) // no KS reference
+	w.U64(0)      // PH: t, sum, mUp, mDn, mMin, mMax
+	w.F64s(make([]float64, 5))
+	w.U32(uint32(len(vals)))
+	w.F64s(vals)
+	w.U64(uint64(s))
+	if _, err := drift.UnmarshalMonitor(w.B, 1, cfg); err == nil {
+		t.Fatal("a bank narrower than the configured window was accepted")
 	}
 }
 
@@ -258,23 +311,5 @@ func TestRebaseStopsRefire(t *testing.T) {
 	}
 	if fires > 2 {
 		t.Fatalf("one shift fired %d times; rebase/cooldown not suppressing refires", fires)
-	}
-}
-
-// TestQuantileAccessors: the KS windows double as full-resolution
-// equi-depth summaries.
-func TestQuantileAccessors(t *testing.T) {
-	ks := drift.NewKS(100)
-	for i := 1; i <= 100; i++ {
-		ks.Observe(float64(i))
-	}
-	if q := ks.CurQuantile(0.5); q != 50 {
-		t.Fatalf("median of 1..100 = %v, want 50", q)
-	}
-	if q := ks.RefQuantile(1.0); q != 100 {
-		t.Fatalf("max of reference = %v, want 100", q)
-	}
-	if q := ks.RefQuantile(0); q != 1 {
-		t.Fatalf("min of reference = %v, want 1", q)
 	}
 }

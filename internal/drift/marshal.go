@@ -13,9 +13,7 @@ import (
 // cooldowns — post-restore detections land on the same arrivals as an
 // uninterrupted run.
 //
-// Ring buffers are serialized in arrival order and restored at head 0;
-// the ring origin is not observable (eviction depends only on arrival
-// order), so the canonical layout is behavior-preserving.
+// Each test's window is written by appendWindow, oldest value first.
 const monitorMagic = uint32(0x4f44444d) // "ODDM"
 
 // MarshalBinary encodes the monitor's complete state.
@@ -39,20 +37,15 @@ func (m *Monitor) MarshalBinary() ([]byte, error) {
 	w.U64(s.MKFires)
 	w.U64(s.LastFire)
 
-	var scratch []float64
 	for _, d := range m.dets {
 		w.U32(uint32(d.cfg.Window))
 		w.U32(uint32(d.since))
 		w.U32(uint32(d.cooldown))
 		w.U64(d.skipped)
 		if d.ks != nil {
-			scratch = d.ks.CurWindow(scratch[:0])
-			w.U32(uint32(len(scratch)))
-			w.F64s(scratch)
+			appendWindow(&w, &d.ks.win)
 			w.Bool(d.ks.refSet)
-			if d.ks.refSet {
-				w.F64s(d.ks.ref)
-			}
+			w.F64s(d.ks.ref)
 		}
 		if d.ph != nil {
 			w.U64(d.ph.t)
@@ -63,35 +56,23 @@ func (m *Monitor) MarshalBinary() ([]byte, error) {
 			w.F64(d.ph.mMax)
 		}
 		if d.mk != nil {
-			w.U32(uint32(d.mk.count))
-			for i := 0; i < d.mk.count; i++ {
-				w.F64(d.mk.ring[(d.mk.arrivalIndex(i))])
-			}
+			appendWindow(&w, &d.mk.win)
 			w.U64(uint64(d.mk.s))
 		}
 	}
 	return w.B, nil
 }
 
-// arrivalIndex maps arrival position i (0 = oldest resident) to its ring
-// slot.
-func (m *MannKendall) arrivalIndex(i int) int {
-	if m.count < m.w {
-		return i
-	}
-	j := m.head + i
-	if j >= m.w {
-		j -= m.w
-	}
-	return j
-}
-
 // UnmarshalMonitor reconstructs a monitor from a MarshalBinary blob taken
 // under the caller's own dim and cfg. The monitor is sized from those —
-// never from the blob, whose header must agree with them — and a
-// per-dimension bank resized below cfg.Window is accepted while one
-// claiming more fails closed, so a blob cannot make the restore allocate
-// beyond what the caller's configuration already implies.
+// never from the blob, whose header and per-bank windows must agree with
+// them — so a blob cannot make the restore allocate beyond what the
+// caller's configuration already implies. State no encoder writes fails
+// closed: a cadence or cooldown counter beyond the configuration, a KS
+// reference that is not finite and ascending (a NaN would stall the KS
+// merge scan forever), or a Mann–Kendall S beyond its window's pair
+// count. Page–Hinkley sums go unchecked: honest extreme readings can
+// overflow them.
 func UnmarshalMonitor(data []byte, dim int, cfg Config) (*Monitor, error) {
 	m, err := NewMonitor(dim, cfg)
 	if err != nil {
@@ -122,41 +103,26 @@ func UnmarshalMonitor(data []byte, dim int, cfg Config) (*Monitor, error) {
 		MKFires:    r.U64(),
 		LastFire:   r.U64(),
 	}
-	// window decodes one test's resident values (count-prefixed, arrival
-	// order) into its ring and rebuilds the sorted copy.
-	window := func(w int, ring []float64, sorted *[]float64) (count, head int) {
-		n := r.Count(8, w)
-		r.F64s(ring[:n])
-		for _, x := range ring[:n] {
-			if !finite(x) {
-				r.Fail(errors.New("non-finite window value"))
-			}
-		}
-		*sorted = append((*sorted)[:0], ring[:n]...)
-		sortFloats(*sorted)
-		return n, n % w
-	}
 	for _, d := range m.dets {
 		dw := int(r.U32())
-		if r.Err() != nil {
-			break
-		}
-		if dw < minWindow || dw > cfg.Window {
-			r.Fail(fmt.Errorf("bank window %d outside [%d, %d]", dw, minWindow, cfg.Window))
-			break
-		}
-		if dw != cfg.Window {
-			d.Resize(dw)
-		}
 		d.since, d.cooldown, d.skipped = int(r.U32()), int(r.U32()), r.U64()
+		if r.Err() == nil && (dw != cfg.Window || d.since >= cfg.CheckEvery || d.cooldown > cfg.cooldown()) {
+			r.Fail(fmt.Errorf("bank window %d, since %d, cooldown %d outside the configuration", dw, d.since, d.cooldown))
+		}
 		if ks := d.ks; ks != nil {
-			ks.count, ks.head = window(ks.w, ks.ring, &ks.sorted)
+			ks.win.load(&r)
 			switch r.U8() {
 			case 0:
 			case 1:
-				ks.ref = ks.ref[:ks.w]
+				ks.ref = ks.ref[:cfg.Window]
 				r.F64s(ks.ref)
 				ks.refSet = true
+				for i, x := range ks.ref {
+					if !finite(x) || i > 0 && x < ks.ref[i-1] {
+						r.Fail(errors.New("KS reference not finite and ascending"))
+						break
+					}
+				}
 			default:
 				r.Fail(errors.New("bad KS reference flag"))
 			}
@@ -166,8 +132,14 @@ func UnmarshalMonitor(data []byte, dim int, cfg Config) (*Monitor, error) {
 			ph.sum, ph.mUp, ph.mDn, ph.mMin, ph.mMax = r.F64(), r.F64(), r.F64(), r.F64(), r.F64()
 		}
 		if mk := d.mk; mk != nil {
-			mk.count, mk.head = window(mk.w, mk.ring, &mk.sorted)
+			mk.win.load(&r)
 			mk.s = int64(r.U64())
+			if pairs := int64(mk.win.count) * int64(mk.win.count-1) / 2; mk.s > pairs || mk.s < -pairs {
+				r.Fail(fmt.Errorf("Mann–Kendall S %d beyond %d pairs", mk.s, pairs))
+			}
+		}
+		if r.Err() != nil {
+			break
 		}
 	}
 	if err := r.Done(); err != nil {

@@ -12,13 +12,12 @@ import (
 //
 // is maintained incrementally. Admitting a value adds its sign against
 // every resident (it is the latest element of each new pair); evicting
-// the oldest subtracts its sign against every survivor (it was the
-// earliest element of each dying pair). Both deltas reduce to strict
-// rank counts — (#less − #greater) — answered by binary search on a
-// sorted copy of the window maintained alongside the ring, so one
-// observation costs O(log W) comparisons plus one memmove instead of an
-// O(W) sign scan (ties contribute zero sign, so tie-group boundaries
-// cancel exactly and S stays a bit-exact integer).
+// the oldest subtracts the sign of every survivor against it (it was the
+// earliest element of each dying pair). Both deltas are the value's
+// concordance, #less − #greater among the survivors, answered by binary
+// search on the sortedWindow, so one observation costs O(log W)
+// comparisons plus one memmove instead of an O(W) sign scan (ties
+// contribute zero sign, so S stays a bit-exact integer).
 //
 // Stat is |Z| with the tie-corrected variance
 //
@@ -28,21 +27,13 @@ import (
 // continuity correction. A constant stream is all ties: Var(S) = 0 and
 // Stat reports 0 rather than dividing by it.
 type MannKendall struct {
-	w      int
-	ring   []float64 // arrival order; head = next write (oldest when full)
-	sorted []float64 // resident values, sorted
-	head   int
-	count  int
-	s      int64
+	win sortedWindow
+	s   int64
 }
 
 // NewMannKendall returns a detector over a sliding window of length w.
 func NewMannKendall(w int) *MannKendall {
-	return &MannKendall{
-		w:      w,
-		ring:   make([]float64, w),
-		sorted: make([]float64, 0, w),
-	}
+	return &MannKendall{win: newSortedWindow(w)}
 }
 
 func sgn(d float64) int64 {
@@ -55,66 +46,27 @@ func sgn(d float64) int64 {
 	return 0
 }
 
-// upperBound returns the first index i with s[i] > x.
-func upperBound(s []float64, x float64) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Observe feeds one value. Non-finite values must be filtered by the
 // caller (Detector does).
 func (m *MannKendall) Observe(x float64) {
-	if m.count == m.w {
-		old := m.ring[m.head]
-		// Σ_survivors sign(e − old) = #greater − #less; old's own tie
-		// group contributes zero sign either way.
-		less := int64(lowerBound(m.sorted, old))
-		greater := int64(len(m.sorted) - upperBound(m.sorted, old))
-		m.s -= greater - less
-		i := lowerBound(m.sorted, old)
-		copy(m.sorted[i:], m.sorted[i+1:])
-		m.sorted = m.sorted[:len(m.sorted)-1]
-	} else {
-		m.count++
+	if old, ok := m.win.pop(); ok {
+		m.s += m.win.concordance(old)
 	}
-	// Σ_residents sign(x − e) = #less − #greater.
-	less := int64(lowerBound(m.sorted, x))
-	greater := int64(len(m.sorted) - upperBound(m.sorted, x))
-	m.s += less - greater
-	i := lowerBound(m.sorted, x)
-	m.sorted = append(m.sorted, 0)
-	copy(m.sorted[i+1:], m.sorted[i:])
-	m.sorted[i] = x
-
-	m.ring[m.head] = x
-	m.head++
-	if m.head == m.w {
-		m.head = 0
-	}
+	m.s += m.win.concordance(x)
+	m.win.push(x)
 }
 
 // S returns the current concordance statistic.
 func (m *MannKendall) S() int64 { return m.s }
 
-// Count returns the number of resident values.
-func (m *MannKendall) Count() int { return m.count }
-
 // Stat returns |Z|, the tie-corrected normal score of S, or 0 while the
 // window holds fewer than 8 values (the normal approximation is
 // meaningless below that) or when every resident value is tied.
 func (m *MannKendall) Stat() float64 {
-	if m.count < 8 {
+	if m.win.count < 8 {
 		return 0
 	}
-	return math.Abs(mkZ(m.s, m.sorted))
+	return math.Abs(mkZ(m.s, m.win.sorted))
 }
 
 // mkZ computes the continuity-corrected Z score from S and the sorted
@@ -151,18 +103,8 @@ func mkZ(s int64, sorted []float64) float64 {
 
 // Reset empties the window.
 func (m *MannKendall) Reset() {
-	m.head = 0
-	m.count = 0
+	m.win.reset()
 	m.s = 0
-	m.sorted = m.sorted[:0]
-}
-
-// Resize resets the detector with a new window length.
-func (m *MannKendall) Resize(w int) {
-	m.w = w
-	m.ring = make([]float64, w)
-	m.sorted = make([]float64, 0, w)
-	m.Reset()
 }
 
 // BruteMK is the offline executable specification: the O(n²) pair scan
@@ -181,10 +123,4 @@ func BruteMK(windowVals []float64) (s int64, absZ float64) {
 	sorted := append([]float64(nil), windowVals...)
 	slices.Sort(sorted)
 	return s, math.Abs(mkZ(s, sorted))
-}
-
-// sortFloats sorts s ascending in place. Inputs are pre-filtered to be
-// finite, so the total order is unambiguous.
-func sortFloats(s []float64) {
-	slices.Sort(s)
 }

@@ -1,11 +1,9 @@
 package drift
 
-// Firing reports which tests crossed their thresholds at a check, along
-// with the statistic values that crossed. The zero value means "no
-// detection".
+// Firing reports which tests crossed their thresholds at a check. The
+// zero value means "no detection".
 type Firing struct {
-	KS, PH, MK    bool
-	KSD, PHS, MKZ float64
+	KS, PH, MK bool
 }
 
 // Any reports whether any test fired.
@@ -80,18 +78,10 @@ func (d *Detector) Observe(x float64) Firing {
 		return Firing{}
 	}
 	d.since = 0
-	var f Firing
-	if d.ks != nil {
-		f.KSD = d.ks.Stat()
-		f.KS = f.KSD > d.cfg.KSD
-	}
-	if d.ph != nil {
-		f.PHS = d.ph.Stat()
-		f.PH = f.PHS > d.cfg.PHLambda
-	}
-	if d.mk != nil {
-		f.MKZ = d.mk.Stat()
-		f.MK = f.MKZ > d.cfg.MKZ
+	f := Firing{
+		KS: d.ks != nil && d.ks.Stat() > d.cfg.KSD,
+		PH: d.ph != nil && d.ph.Stat() > d.cfg.PHLambda,
+		MK: d.mk != nil && d.mk.Stat() > d.cfg.MKZ,
 	}
 	if f.Any() {
 		d.Rebase()
@@ -113,40 +103,6 @@ func (d *Detector) Rebase() {
 		d.mk.Reset()
 	}
 	d.since = 0
-}
-
-// Reset discards all detector state, including the KS reference.
-func (d *Detector) Reset() {
-	if d.ks != nil {
-		d.ks.Reset()
-	}
-	if d.ph != nil {
-		d.ph.Reset()
-	}
-	if d.mk != nil {
-		d.mk.Reset()
-	}
-	d.since = 0
-	d.cooldown = 0
-}
-
-// Resize resets the bank with a new window length.
-func (d *Detector) Resize(w int) {
-	d.cfg.Window = w
-	if d.cfg.Cooldown != 0 && d.cfg.Cooldown > 4*w {
-		d.cfg.Cooldown = 4 * w
-	}
-	if d.ks != nil {
-		d.ks.Resize(w)
-	}
-	if d.mk != nil {
-		d.mk.Resize(w)
-	}
-	if d.ph != nil {
-		d.ph.Reset()
-	}
-	d.since = 0
-	d.cooldown = 0
 }
 
 // Stats is the cumulative counter block a Monitor exposes; the serving
@@ -205,23 +161,14 @@ func (m *Monitor) Observe(p []float64) Firing {
 		if f.KS {
 			agg.KS = true
 			m.stats.KSFires++
-			if f.KSD > agg.KSD {
-				agg.KSD = f.KSD
-			}
 		}
 		if f.PH {
 			agg.PH = true
 			m.stats.PHFires++
-			if f.PHS > agg.PHS {
-				agg.PHS = f.PHS
-			}
 		}
 		if f.MK {
 			agg.MK = true
 			m.stats.MKFires++
-			if f.MKZ > agg.MKZ {
-				agg.MKZ = f.MKZ
-			}
 		}
 	}
 	if agg.Any() {

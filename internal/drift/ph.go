@@ -51,9 +51,6 @@ func (p *PageHinkley) Stat() float64 {
 	return up
 }
 
-// Count returns the number of observations since the last reset.
-func (p *PageHinkley) Count() uint64 { return p.t }
-
 // Reset restarts the recursion; the next observation starts a fresh
 // in-control estimate.
 func (p *PageHinkley) Reset() {

@@ -318,6 +318,22 @@ func formatCases() []formatCase {
 			reencode: func(data []byte) ([]byte, error) {
 				return marshalTwice(drift.UnmarshalMonitor(data, 2, fixtureDriftBank()))
 			},
+			// Bank 0 starts after the 100-byte header: window, since and
+			// cooldown u32s at 100, 104, 108, then skipped; its KS window
+			// (count at 120, 8 values), the reference flag at 188 and the
+			// 8 reference values at 189; Page–Hinkley at 253; the
+			// Mann–Kendall window (count at 301, 8 values) and S at 369.
+			refuse: map[string]func([]byte){
+				"NaN KS reference": func(b []byte) { putF64(b, 189, math.NaN()) },
+				"KS reference swapped": func(b []byte) {
+					for i := 189; i < 197; i++ {
+						b[i], b[i+8] = b[i+8], b[i]
+					}
+				},
+				"since == CheckEvery": func(b []byte) { binary.LittleEndian.PutUint32(b[104:], 4) },
+				"cooldown > Cooldown": func(b []byte) { binary.LittleEndian.PutUint32(b[108:], 9) },
+				"MK S beyond pairs":   func(b []byte) { binary.LittleEndian.PutUint64(b[369:], 1000) },
+			},
 		},
 		detectorCase(detector.KindKernelChain),
 		detectorCase(detector.KindQn),
