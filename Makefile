@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore bench-replicate serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold test race
 
 build:
 	$(GO) build ./...
@@ -170,6 +170,22 @@ check-onewindow:
 		echo "$$bad"; exit 1; \
 	fi
 
+# Replicas fold, they do not judge: a follower's Pipeline.Apply hands the
+# primary's verdict bit to the backend's Fold. A detector Ingest( in
+# non-test internal/serve code outside Pipeline.IngestSensor (the server's
+# own Ingest is called only from tests), or a QueryOutlier call in
+# Pipeline.Apply, is the follower re-running the estimate query.
+check-replicafold:
+	@bad=$$(awk '/^func /{fn=$$0} /\.Ingest\(/ && !/^[[:space:]]*\/\// && fn !~ /^func \(p \*Pipeline\) IngestSensor\(/{print FILENAME":"FNR": "$$0}' \
+		$$(ls internal/serve/*.go | grep -v '_test\.go$$')); \
+	apply=$$(awk '/^func \(p \*Pipeline\) Apply\(/{on=1;print "found"} on&&/QueryOutlier/{print FILENAME":"FNR": "$$0} on&&/^}/{on=0}' internal/serve/pipeline.go); \
+	if [ -z "$$apply" ]; then echo "no Pipeline.Apply in internal/serve/pipeline.go"; exit 1; fi; \
+	apply=$$(echo "$$apply" | grep -v '^found$$'); \
+	if [ -n "$$bad$$apply" ]; then \
+		echo "a replica judging what its primary already judged (fold the shipped bit):"; \
+		echo "$$bad"; echo "$$apply"; exit 1; \
+	fi
+
 # The serving benchmark BENCHMARK.json declares (bench/README.md): every
 # workload end to end, or every phase in a second or two as a smoke.
 benchmark:
@@ -221,6 +237,15 @@ RESTORE_BENCHTIME = 20x
 bench-restore:
 	$(GO) test -run=NONE -bench=BenchmarkServerRestore -benchmem -benchtime $(RESTORE_BENCHTIME) ./internal/serve/
 
+# A cluster-ops follower's work outside the frozen benchmark: 256-reading
+# ODRP frames decoded and folded through a replica shard of the
+# kernelchain pipeline (|W| = 10⁴, |R| = 500, d = 1) at steady state,
+# reported as ns/reading beside allocs/op. Alternate it with the parent
+# for a replication A/B; CI runs REPLICATE_BENCHTIME=1x for liveness only.
+REPLICATE_BENCHTIME = 200x
+bench-replicate:
+	$(GO) test -run=NONE -bench=BenchmarkReplicateApply -benchmem -benchtime $(REPLICATE_BENCHTIME) ./internal/serve/
+
 # End-to-end smoke of the serving subsystem: build oddserve + oddload,
 # replay a seeded load over HTTP with verdict agreement enforced against
 # the in-process twin, then verify clean SIGTERM shutdown and checkpoint.
@@ -262,18 +287,22 @@ FUZZ_SMOKE += internal/drift:FuzzDriftDetector
 # The ODWP batch decoder never panics on arbitrary bytes, and a frame that
 # decodes re-encodes bit-identical (canonical encoding).
 FUZZ_SMOKE += internal/serve:FuzzDecodeBatch
-# Value streams and sensor routings: a pipeline fed Pipeline.Apply (what a
-# replica runs) holds the snapshot bytes of one fed IngestSensor at every
-# check, across a restore, and serves the same verdicts, Exact included,
-# from its first reading after promotion — every backend, both criteria,
-# drift armed with a window shrink. One run is a whole stream
-# (milliseconds), so cap the minimizer, which otherwise spends the budget
-# shrinking the first few inputs instead of mutating.
+# Value streams and sensor routings: a pipeline fed Pipeline.Apply with the
+# primary's verdict bits (what a replica runs) holds the snapshot bytes of
+# one fed IngestSensor at every check, across a restore, and serves the
+# same verdicts, Exact included, from its first reading after promotion —
+# every backend, both criteria, drift armed with a window shrink. One run
+# is a whole stream (milliseconds), so cap the minimizer, which otherwise
+# spends the budget shrinking the first few inputs instead of mutating.
 FUZZ_SMOKE += internal/serve:FuzzApplyVsIngest:-fuzzminimizetime=1s
 # The JSON /ingest scanner never panics, and either declines a body or
 # decodes exactly what json.Unmarshal into a zeroed request does (same
 # readings bit-for-bit, same error text on the way out).
 FUZZ_SMOKE += internal/serve:FuzzIngestJSON
+# The ODRP replication frame decoder never panics on arbitrary bytes, and a
+# frame that decodes — version 2, a ⌈n/8⌉-byte verdict bitmap, pad bits
+# zero — re-encodes bit-identical.
+FUZZ_SMOKE += internal/serve:FuzzReplFrame
 # The ODDB detector blob decoder, every backend kind: Restore never panics,
 # fails closed on kind/fingerprint mismatches, and a blob that restores
 # re-snapshots bit-identical and then ingests without panicking.

@@ -152,13 +152,11 @@ func (c *Coreset) dist2(v []float64) float64 {
 }
 
 func (c *Coreset) Ingest(v []float64) Verdict {
-	ver := Verdict{Warmed: c.warmed()}
-	if ver.Warmed {
-		ver.Outlier = c.outlier(v)
-	}
-	if ver.Outlier {
-		c.flagged++
-	}
+	return c.Fold(v, c.warmed() && c.outlier(v))
+}
+
+func (c *Coreset) Fold(v []float64, outlier bool) Verdict {
+	ver := fold(c.warmed(), outlier, &c.flagged)
 	c.n++
 	// Welford moments feed the bandwidth sigmas at rebuild time.
 	for d, x := range v {

@@ -111,9 +111,22 @@ type Stats struct {
 type Detector interface {
 	// Kind names the backend.
 	Kind() Kind
-	// Ingest folds one reading into the backend's state and returns its
-	// estimate verdict. v is only read during the call.
+	// Ingest judges one reading and folds it into the backend's state,
+	// returning its estimate verdict: one judgement and one call of the
+	// state transition Fold makes, so Ingest(v) is Fold(v, judge(v)).
+	// The judgement reads the state before v (qn, coreset, ewma) or the
+	// model v's own observation refreshed (kernelchain). v is only read
+	// during the call.
 	Ingest(v []float64) Verdict
+	// Fold is Ingest with the judgement supplied: it moves the state as
+	// Ingest would — flush boundaries and model refreshes included — and
+	// counts outlier as the verdict, without running the estimate query.
+	// It is what a replica runs with the bit its primary's Ingest
+	// returned. The bit counts only once the backend is warmed (Outlier is
+	// outlier && Warmed), and Ingest never sets it before then, so a
+	// backend fed its twin's Ingest bits ends in the twin's state bit for
+	// bit, flagged counter included.
+	Fold(v []float64, outlier bool) Verdict
 	// QueryOutlier answers a read-only outlier check of v against the
 	// current state without ingesting it. It must not perturb subsequent
 	// verdicts: a served query stream leaves a pipeline bit-identical to
@@ -128,6 +141,16 @@ type Detector interface {
 	Restore(blob []byte) error
 	// Stats reports the backend's counters.
 	Stats() Stats
+}
+
+// fold is the verdict half every Fold shares: the bit counts only once
+// the backend is warmed, and a counted bit moves the flagged counter.
+func fold(warmed, outlier bool, flagged *uint64) Verdict {
+	ver := Verdict{Outlier: outlier && warmed, Warmed: warmed}
+	if ver.Outlier {
+		*flagged++
+	}
+	return ver
 }
 
 // ProbEstimator is the optional capability behind /query/prob: backends

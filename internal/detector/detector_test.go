@@ -242,3 +242,46 @@ func TestRestoreFailClosedAcrossKinds(t *testing.T) {
 		}
 	}
 }
+
+// TestFoldMatchesIngest pins the Fold contract: a backend fed Fold with
+// the bits its twin's Ingest returned — a replica — returns the twin's
+// verdicts and holds its snapshot bytes after every reading, for every
+// backend and both kernelchain criteria. The stream warms every backend
+// and has each flag readings, or the comparison would be vacuous.
+func TestFoldMatchesIngest(t *testing.T) {
+	mdefCfg := testConfig(KindKernelChain, 2, 9)
+	mdefCfg.Criterion = CriterionMDEF
+	cfgs := []Config{mdefCfg}
+	for _, k := range AllKinds() {
+		cfgs = append(cfgs, testConfig(k, 2, 9))
+	}
+	for _, cfg := range cfgs {
+		name := string(cfg.Kind) + "/" + string(cfg.Criterion)
+		ingest, _ := New(cfg)
+		folded, _ := New(cfg)
+		for i := 0; i < 400; i++ {
+			v := []float64{float64(i%17) / 17, float64(i%5) / 5}
+			if i%23 == 22 {
+				v[i%2] = 4 + float64(i%3)
+			}
+			a := ingest.Ingest(v)
+			if b := folded.Fold(v, a.Outlier); a != b {
+				t.Fatalf("%s: reading %d: Ingest %+v, Fold %+v", name, i, a, b)
+			}
+			sa, err := ingest.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb, err := folded.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(sa) != string(sb) {
+				t.Fatalf("%s: after reading %d: Fold left other state than Ingest", name, i)
+			}
+		}
+		if st := folded.Stats(); !st.Warmed || st.Flagged == 0 {
+			t.Fatalf("%s: %+v: the stream never warmed the backend or flagged a reading", name, st)
+		}
+	}
+}

@@ -93,13 +93,11 @@ func (e *EWMA) outlier(v []float64) bool {
 }
 
 func (e *EWMA) Ingest(v []float64) Verdict {
-	ver := Verdict{Warmed: e.warmed()}
-	if ver.Warmed {
-		ver.Outlier = e.outlier(v)
-	}
-	if ver.Outlier {
-		e.flagged++
-	}
+	return e.Fold(v, e.warmed() && e.outlier(v))
+}
+
+func (e *EWMA) Fold(v []float64, outlier bool) Verdict {
+	ver := fold(e.warmed(), outlier, &e.flagged)
 	// Fold the reading into the limits. The first reading initializes the
 	// means directly (zero variance), matching the classic EWMA start-up;
 	// non-finite coordinates never fold.

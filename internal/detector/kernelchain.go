@@ -42,16 +42,28 @@ func newKernelChain(cfg Config, fp []byte) *KernelChain {
 
 func (k *KernelChain) Kind() Kind { return KindKernelChain }
 
+// Ingest judges v against the model its own observation refreshed.
 func (k *KernelChain) Ingest(v []float64) Verdict {
+	m, warmed := k.observe(v)
+	return fold(warmed, warmed && k.outlier(m, window.Point(v)), &k.flagged)
+}
+
+func (k *KernelChain) Fold(v []float64, outlier bool) Verdict {
+	_, warmed := k.observe(v)
+	return fold(warmed, outlier, &k.flagged)
+}
+
+// observe is the state transition: the estimator takes v and, once
+// warmed, refreshes its model. The refresh runs whether or not anything
+// is judged against the model: jsCheck's warm gate counts on every warmed
+// arrival having called Model, so a replica refreshes where its primary
+// does.
+func (k *KernelChain) observe(v []float64) (m *kernel.Estimator, warmed bool) {
 	k.est.Observe(window.Point(v))
-	ver := Verdict{Warmed: k.est.Warmed()}
-	if ver.Warmed {
-		ver.Outlier = k.outlier(k.est.Model(), window.Point(v))
+	if warmed = k.est.Warmed(); warmed {
+		m = k.est.Model()
 	}
-	if ver.Outlier {
-		k.flagged++
-	}
-	return ver
+	return m, warmed
 }
 
 // QueryOutlier and QueryProb answer from the model the last arrival left

@@ -92,7 +92,8 @@ type qnDim struct {
 // insert-driven; post-warm-up, every Ingest queries before inserting, so
 // a read-only query between arrivals merely flushes the exact pending
 // set the next ingest's own query would flush, leaving the tuple state
-// on the same trajectory either way.
+// on the same trajectory either way. Flush boundaries are state: Fold,
+// which skips the queries, still flushes what they would have.
 type Qn struct {
 	cfg Config
 	fp  []byte
@@ -163,12 +164,22 @@ func (q *Qn) outlier(v []float64) bool {
 }
 
 func (q *Qn) Ingest(v []float64) Verdict {
-	ver := Verdict{Warmed: q.warmed()}
+	return q.Fold(v, q.warmed() && q.outlier(v))
+}
+
+// Fold keeps the flush boundaries a judgement sets: once warmed, it
+// flushes every sketch the judgement of v queries (a no-op after Ingest's
+// own queries), so a replica that skips the two lookups stays on its
+// primary's tuple trajectory.
+func (q *Qn) Fold(v []float64, outlier bool) Verdict {
+	ver := fold(q.warmed(), outlier, &q.flagged)
 	if ver.Warmed {
-		ver.Outlier = q.outlier(v)
-	}
-	if ver.Outlier {
-		q.flagged++
+		for d, x := range v {
+			if qd := &q.dims[d]; finite(x) && qd.vals.N() > 0 && qd.diffs.N() > 0 {
+				qd.vals.Flush()
+				qd.diffs.Flush()
+			}
+		}
 	}
 	// Fold the reading in: value into the median sketch, one absolute
 	// difference per ringed predecessor (most recent first) into the

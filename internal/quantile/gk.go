@@ -95,6 +95,13 @@ func sortPending(p []float64) {
 	}
 }
 
+// Flush folds the pending inserts into the summary, exactly as the flush
+// ahead of a Query does, without answering anything. A caller that must
+// leave the summary where a query would have left it — qn's replica path,
+// which skips its judgement but not the flush boundaries the judgement's
+// queries set — calls this instead.
+func (s *GK) Flush() { s.flush() }
+
 // flush folds the pending buffer into the summary in one pass: each
 // element of the merged order (a tuple before a pending value it ties
 // with) goes straight through compress's rule into scratch, so the

@@ -50,7 +50,7 @@ func AppendShipFrame(dst []byte, shard int, fp, blob []byte) []byte {
 
 // DecodeShipFrame splits a ship frame into (shard, fingerprint, blob).
 func DecodeShipFrame(data []byte) (shard int, fp, blob []byte, err error) {
-	body, err := openFrame(data, shipMagic, shipHeaderLen)
+	body, err := openFrame(data, shipMagic, wireVersion, shipHeaderLen)
 	if err == nil {
 		r := binfmt.NewReader(body[5:])
 		if r.U8() != 0 || r.U16() != 0 {

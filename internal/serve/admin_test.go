@@ -212,7 +212,7 @@ func TestReplicateContiguity(t *testing.T) {
 		for i, v := range vals {
 			readings[i] = Reading{Sensor: sensor, Value: []float64{v}}
 		}
-		frame := appendReplFrame(nil, 1, fromSeq, readings, 1, fp)
+		frame := appendReplFrame(nil, 1, fromSeq, readings, make([]Verdict, len(readings)), 1, fp)
 		resp, err := http.Post(ts.URL+"/replicate", "application/x-odds-repl", bytes.NewReader(frame))
 		if err != nil {
 			t.Fatal(err)
@@ -349,45 +349,60 @@ func TestReplicaChainEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReplicaCountersMatchPrimary: a follower applies without judging, yet
-// its counters are the primary's — the shard's outlier count and every
-// armed backend's flagged count — so a promotion does not reset what
-// /stats and /metrics report.
+// TestReplicaCountersMatchPrimary: a follower folds the primary's verdict
+// bits instead of judging, yet its counters are the primary's — the shard's
+// outlier count and every armed backend's flagged count — so a promotion
+// does not reset what /stats and /metrics report. Both criteria: under MDEF
+// the judgement the follower skips is the MDEF evaluator's.
 func TestReplicaCountersMatchPrimary(t *testing.T) {
-	pcfg := backendTestConfig(detector.KindKernelChain, 1, 120, 11)
-	var sensors []string
-	for _, k := range detector.AllKinds() {
-		prefix := string(k[:1]) + "-"
-		if k != detector.KindKernelChain {
-			pcfg.Selector = append(pcfg.Selector, BackendRule{Prefix: prefix, Backend: k})
-		}
+	sensorFor := func(prefix string) string {
 		name := prefix + "0"
 		for i := 1; ShardOf(name, 4) != 2; i++ {
 			name = fmt.Sprintf("%s%d", prefix, i)
 		}
-		sensors = append(sensors, name)
+		return name
 	}
-	primary, follower := replicatedPair(t, pcfg, sensors, 1000, nil)
-	ps, err := primary.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := follower.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, f := ps.PerShard[0], fs.PerShard[0]
-	if p.Outliers == 0 || f.Outliers != p.Outliers || f.Ingested != p.Ingested {
-		t.Fatalf("follower counts %d outliers of %d readings, primary %d of %d (want equal, nonzero)",
-			f.Outliers, f.Ingested, p.Outliers, p.Ingested)
-	}
-	if len(p.Backends) != len(detector.AllKinds()) || !reflect.DeepEqual(p.Backends, f.Backends) {
-		t.Fatalf("backend counters differ:\nprimary  %+v\nfollower %+v", p.Backends, f.Backends)
-	}
-	for _, b := range p.Backends {
-		if b.Flagged == 0 {
-			t.Errorf("backend %s flagged nothing; comparison is vacuous", b.Kind)
+	all := backendTestConfig(detector.KindKernelChain, 1, 120, 11)
+	var allSensors []string
+	for _, k := range detector.AllKinds() {
+		prefix := string(k[:1]) + "-"
+		if k != detector.KindKernelChain {
+			all.Selector = append(all.Selector, BackendRule{Prefix: prefix, Backend: k})
 		}
+		allSensors = append(allSensors, sensorFor(prefix))
+	}
+	for _, arm := range []struct {
+		name    string
+		cfg     PipelineConfig
+		sensors []string
+	}{
+		{"distance/every-backend", all, allSensors},
+		{"mdef/kernelchain", testPipelineConfig(DetectMDEF, 1, 120, 11), []string{sensorFor("k-"), sensorFor("m-")}},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			primary, follower := replicatedPair(t, arm.cfg, arm.sensors, 1000, nil)
+			ps, err := primary.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := follower.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, f := ps.PerShard[0], fs.PerShard[0]
+			if p.Outliers == 0 || f.Outliers != p.Outliers || f.Ingested != p.Ingested {
+				t.Fatalf("follower counts %d outliers of %d readings, primary %d of %d (want equal, nonzero)",
+					f.Outliers, f.Ingested, p.Outliers, p.Ingested)
+			}
+			if len(p.Backends) != len(arm.cfg.armedKinds()) || !reflect.DeepEqual(p.Backends, f.Backends) {
+				t.Fatalf("backend counters differ:\nprimary  %+v\nfollower %+v", p.Backends, f.Backends)
+			}
+			for _, b := range p.Backends {
+				if b.Flagged == 0 {
+					t.Errorf("backend %s flagged nothing; comparison is vacuous", b.Kind)
+				}
+			}
+		})
 	}
 }
 

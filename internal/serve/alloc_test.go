@@ -305,13 +305,14 @@ func TestReplicateZeroAlloc(t *testing.T) {
 	for i := range readings {
 		readings[i] = Reading{Sensor: "s0", Value: make([]float64, 1)}
 	}
+	verdicts := make([]Verdict, batchLen)
 	sc := newIngestScratch(1)
 	applied := uint64(0)
 	step := func() {
 		for i := range readings {
 			readings[i].Value[0] = cycle[(applied+uint64(i))%uint64(len(cycle))]
 		}
-		sc.body = appendReplFrame(sc.body[:0], 0, applied+1, readings, 1, srv.wireFP)
+		sc.body = appendReplFrame(sc.body[:0], 0, applied+1, readings, verdicts, 1, srv.wireFP)
 		if status, err := srv.applyReplFrame(sc); err != nil {
 			t.Fatalf("frame at seq %d: status %d: %v", applied+1, status, err)
 		}

@@ -89,7 +89,8 @@ func applyDivergence(cfg PipelineConfig, sensor func(i int) string, pts []window
 			}
 			continue
 		}
-		a, b := prim.IngestSensor(s, v), foll.Apply(s, v)
+		a := prim.IngestSensor(s, v)
+		b := foll.Apply(s, v, a.Outlier)
 		if want := (detector.Verdict{Outlier: a.Outlier, Warmed: a.Warmed}); b != want {
 			return fmt.Sprintf("reading %d: Apply returned %+v, IngestSensor %+v", i, b, a), nil
 		}

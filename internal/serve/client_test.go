@@ -346,7 +346,7 @@ func TestNodeHTTPClient(t *testing.T) {
 	impatient.Timeout = 50 * time.Millisecond
 	defer impatient.CloseIdleConnections()
 	repl := newReplicator(0, Client{HTTP: impatient, Base: hung.URL}, 1, 7)
-	repl.forward(1, []Reading{{Sensor: "a", Value: []float64{1}}})
+	repl.forward(1, []Reading{{Sensor: "a", Value: []float64{1}}}, make([]Verdict, 1))
 	if st := repl.stats(); st.State != "ok" || st.ShippedBatches != 0 {
 		t.Fatalf("link reads %+v before its first answer, want ok with nothing shipped", st)
 	}
@@ -358,23 +358,34 @@ func TestNodeHTTPClient(t *testing.T) {
 	repl.stop()
 }
 
-// TestReplicatorForwardCopies: forward's copy is the replicator's own —
-// values as they were when it was called, the caller's buffers being
-// recycled after — and costs two allocations however long the batch.
+// TestReplicatorForwardCopies: forward's frame is the replicator's own —
+// values and verdict bits as they were when it was called, the caller's
+// buffers being pooled and recycled after its reply — and it is forward's
+// one allocation per batch: the bits ride in the frame.
 func TestReplicatorForwardCopies(t *testing.T) {
-	quiet := &replicator{dim: 1, ch: make(chan replBatch, 1)}
+	quiet := &replicator{dim: 1, ch: make(chan []byte, 1)}
 	src := []Reading{{Sensor: "a", Value: []float64{1}}, {Sensor: "b", Value: []float64{2}}}
-	quiet.forward(1, src)
+	verdicts := []Verdict{{Outlier: true}, {}}
+	quiet.forward(1, src, verdicts)
 	src[0].Value[0], src[1].Value[0] = -1, -1
-	got := (<-quiet.ch).readings
-	if got[0].Value[0] != 1 || got[1].Value[0] != 2 || cap(got[0].Value) != 1 {
-		t.Errorf("forwarded copy %v (cap %d): want [1] [2], each capped at its own value", got, cap(got[0].Value))
+	verdicts[0].Outlier, verdicts[1].Outlier = false, true
+	frame := <-quiet.ch
+	if len(frame) != cap(frame) || len(frame) != replFrameLen(src, 1) {
+		t.Errorf("frame of %d bytes in a %d-byte allocation, want both %d", len(frame), cap(frame), replFrameLen(src, 1))
+	}
+	got, err := decodeReplFrame(frame, nil, 1, 64, 0, &Interner{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.readings[0].Value[0] != 1 || got.readings[1].Value[0] != 2 || !outlierBit(got.outliers, 0) || outlierBit(got.outliers, 1) {
+		t.Errorf("forwarded frame holds %v with bits %08b: want [1] [2] with bits 01", got.readings, got.outliers)
 	}
 	long := make([]Reading, 64)
 	for i := range long {
 		long[i] = Reading{Sensor: "s", Value: []float64{float64(i)}}
 	}
-	if a := testing.AllocsPerRun(20, func() { quiet.forward(1, long); <-quiet.ch }); a > 2 {
-		t.Errorf("forward allocates %v times for a 64-reading batch, want 2", a)
+	longVerdicts := make([]Verdict, len(long))
+	if a := testing.AllocsPerRun(20, func() { quiet.forward(1, long, longVerdicts); <-quiet.ch }); a > 1 {
+		t.Errorf("forward allocates %v times for a 64-reading batch, want 1", a)
 	}
 }

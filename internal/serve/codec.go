@@ -107,11 +107,11 @@ func wireFingerprint(shards int, cfg PipelineConfig) uint64 {
 
 // openFrame checks the envelope every CRC-framed format here shares
 // (ODWB, ODWR, ODSH, ODRP): a length floor of headerLen plus the trailer,
-// the CRC-32 trailer itself, the magic, and the version byte. It returns
+// the CRC-32 trailer itself, the magic, and the format's version byte. It returns
 // the body — header included, trailer stripped — for the format's own
 // decoder; the ODWP batch and response decoders keep fixed-offset reads
 // over it because they are the zero-allocation ingest hot path.
-func openFrame(data []byte, magic uint32, headerLen int) ([]byte, error) {
+func openFrame(data []byte, magic uint32, version byte, headerLen int) ([]byte, error) {
 	body, err := binfmt.OpenCRC(data, headerLen)
 	switch {
 	case err == binfmt.ErrChecksum:
@@ -120,7 +120,7 @@ func openFrame(data []byte, magic uint32, headerLen int) ([]byte, error) {
 		return nil, errFrameTruncated
 	case binary.LittleEndian.Uint32(body) != magic:
 		return nil, errFrameMagic
-	case body[4] != wireVersion:
+	case body[4] != version:
 		return nil, fmt.Errorf("%w: %d", errFrameVersion, body[4])
 	}
 	return body, nil
@@ -153,7 +153,7 @@ func AppendBatch(dst []byte, readings []Reading, dim int, fp uint64) []byte {
 // the steady-state decode of a known sensor set performs zero
 // allocations. It fails closed on any framing violation.
 func DecodeBatchInto(data []byte, dst []Reading, dim, maxBatch int, fp uint64, names *Interner) ([]Reading, error) {
-	body, err := openFrame(data, wireBatchMagic, wireBatchHeaderLen)
+	body, err := openFrame(data, wireBatchMagic, wireVersion, wireBatchHeaderLen)
 	if err != nil {
 		return nil, err
 	}
@@ -528,7 +528,7 @@ func AppendResults(dst []byte, results []ReadingResult, rejected int, retryMS in
 // array), returning the results, the rejected count, and the retry hint.
 func DecodeResultsInto(data []byte, dst []ReadingResult) ([]ReadingResult, int, int64, error) {
 	fail := func(err error) ([]ReadingResult, int, int64, error) { return nil, 0, 0, err }
-	body, err := openFrame(data, wireRespMagic, wireRespHeaderLen)
+	body, err := openFrame(data, wireRespMagic, wireVersion, wireRespHeaderLen)
 	if err != nil {
 		return fail(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"runtime"
 	"testing"
 
+	"odds/internal/binfmt"
 	"odds/internal/core"
 	"odds/internal/detector"
 	"odds/internal/distance"
@@ -181,6 +183,51 @@ func fixtureReadings() []Reading {
 }
 
 const fixtureWireFP = uint64(0x0123456789abcdef)
+
+// fixtureVerdicts flags readings 0 and 3 of fixtureReadings.
+func fixtureVerdicts() []Verdict {
+	return []Verdict{{Outlier: true}, {}, {}, {Outlier: true}, {}}
+}
+
+// reencodeReplFrame decodes an ODRP frame at the fixture's shape and
+// encodes what it holds again.
+func reencodeReplFrame(data []byte) ([]byte, error) {
+	f, err := decodeReplFrame(data, nil, 2, 64, fixtureWireFP, &Interner{})
+	if err != nil {
+		return nil, err
+	}
+	verdicts := make([]Verdict, len(f.readings))
+	for i := range verdicts {
+		verdicts[i].Outlier = outlierBit(f.outliers, i)
+	}
+	return appendReplFrame(nil, f.shard, f.fromSeq, f.readings, verdicts, 2, fixtureWireFP), nil
+}
+
+// forgeReplFrame overwrites b with a hand-written ODRP frame of b's length
+// around the fixture readings: the given version and bitmap (nil: the
+// version-1 layout, which has none), the first sensor id padded or cut to
+// take up the difference.
+func forgeReplFrame(b []byte, version byte, bitmap []byte) {
+	rs := fixtureReadings()
+	forge := func() []byte {
+		w := binfmt.Writer{}
+		w.U32(replMagic)
+		w.U8(version)
+		w.U8(0)
+		w.U16(0)
+		w.U32(1)
+		w.U64(42)
+		if bitmap != nil {
+			w.Bytes(bitmap)
+		}
+		return binfmt.SealCRC(AppendBatch(w.B, rs, 2, fixtureWireFP), 0)
+	}
+	n := len(rs[0].Sensor) + len(b) - len(forge())
+	rs[0].Sensor = (rs[0].Sensor + "xxxxxxxx")[:n]
+	if copy(b, forge()) != len(b) {
+		panic("forged frame is shorter than the fixture")
+	}
+}
 
 func marshalTwice(m interface{ MarshalBinary() ([]byte, error) }, err error) ([]byte, error) {
 	if err != nil {
@@ -393,18 +440,20 @@ func formatCases() []formatCase {
 		{
 			name: "ODRP",
 			build: func() ([]byte, error) {
-				return appendReplFrame(nil, 1, 42, fixtureReadings(), 2, fixtureWireFP), nil
+				return appendReplFrame(nil, 1, 42, fixtureReadings(), fixtureVerdicts(), 2, fixtureWireFP), nil
 			},
-			reencode: func(data []byte) ([]byte, error) {
-				shard, from, inner, err := decodeReplFrame(data)
-				if err != nil {
-					return nil, err
-				}
-				rs, err := DecodeBatchInto(inner, nil, 2, 64, fixtureWireFP, &Interner{})
-				if err != nil {
-					return nil, err
-				}
-				return appendReplFrame(nil, shard, from, rs, 2, fixtureWireFP), nil
+			reencode: reencodeReplFrame,
+			// Well-formed frames no encoder writes: the version-1 layout, a
+			// verdict bitmap one byte long or short for the five readings,
+			// and a set pad bit. Each keeps a valid checksum.
+			refuse: map[string]func([]byte){
+				"version 1":            func(b []byte) { forgeReplFrame(b, 1, nil) },
+				"bitmap one byte long": func(b []byte) { forgeReplFrame(b, replVersion, []byte{0x09, 0}) },
+				"empty bitmap":         func(b []byte) { forgeReplFrame(b, replVersion, []byte{}) },
+				"pad bit set": func(b []byte) {
+					b[replHeaderLen+4] |= 0x80
+					binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+				},
 			},
 		},
 		{

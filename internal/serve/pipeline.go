@@ -334,17 +334,18 @@ func (p *Pipeline) IngestSensor(sensor string, v []float64) Verdict {
 	return ver
 }
 
-// Apply is IngestSensor's state transition without its verdict: the window
-// slide, the exact index update, the sensor's backend and the drift step,
-// but not the exact count — a pure read of the index that only fills
-// Verdict.Exact. It is what a replica runs: nobody is served a follower's
-// verdicts, yet its state (the exact index included, which must answer from
-// the first reading after a promotion) has to stay the primary's bit for
-// bit. The backend's estimate is returned because it is state too — it
-// moves the backend's flagged counter and the shard's outlier count.
-func (p *Pipeline) Apply(sensor string, v []float64) detector.Verdict {
+// Apply is IngestSensor's state transition without its judgements: the
+// window slide, the exact index update, the sensor's backend Fold and the
+// drift step, but neither the exact count nor the backend's estimate query.
+// It is what a replica runs: nobody is served a follower's verdicts, yet
+// its state (the exact index included, which must answer from the first
+// reading after a promotion) has to stay the primary's bit for bit. outlier
+// is the estimate bit the primary's IngestSensor returned for this reading;
+// Fold counts it as the backend's verdict, so the backend's flagged counter
+// and the shard's outlier count stay the primary's too.
+func (p *Pipeline) Apply(sensor string, v []float64, outlier bool) detector.Verdict {
 	slot := p.slide(v)
-	dv := p.route(sensor).Ingest(slot)
+	dv := p.route(sensor).Fold(slot, outlier)
 	if p.drift != nil {
 		p.driftStep(slot)
 	}

@@ -12,10 +12,12 @@ import (
 )
 
 // Replication — the primary → follower half of a cluster shard's replica
-// chain. After a primary shard applies an ingest sub-batch, it forwards a
-// copy to its follower node as an ODRP frame; the follower applies it
-// through the same single-writer mailbox, enforcing sequence contiguity
-// so the replica is always a bit-exact prefix of the primary.
+// chain. After a primary shard applies an ingest sub-batch, it forwards the
+// readings and its estimate verdict bits to its follower node as an ODRP
+// frame; the follower folds them in through the same single-writer
+// mailbox (Pipeline.Apply: the primary's bits stand in for the estimate
+// query), enforcing sequence contiguity so the replica is always a
+// bit-exact prefix of the primary.
 //
 // The chain fails closed: any shipping error, full forward queue, or
 // contiguity violation marks the link broken and stops forwarding. A
@@ -26,15 +28,22 @@ import (
 // ODRP frame ("ODRP"):
 //
 //	u32  magic 0x4f445250
-//	u8   version (1)
+//	u8   version (2)
 //	u8   reserved (0)
 //	u16  reserved (0)
 //	u32  shard        — global shard id
 //	u64  fromSeq      — pipeline seq of the first reading in the batch
-//	ODWB batch frame  — the readings, carrying the config fingerprint
+//	u32  ⌈n/8⌉, then that many bytes: the primary's estimate verdicts, bit
+//	     i%8 of byte i/8 set when reading i was an outlier, pad bits zero
+//	ODWB batch frame  — the n readings, carrying the config fingerprint
 //	u32  crc32-IEEE over all preceding bytes
+//
+// A version-1 frame carries no verdict bits and is refused, as are a
+// bitmap whose length is not ⌈n/8⌉ and a set pad bit: no encoder writes
+// them, and a follower never guesses a bit.
 const (
 	replMagic     = uint32(0x4f445250) // "ODRP"
+	replVersion   = byte(2)
 	replHeaderLen = 20
 )
 
@@ -42,42 +51,79 @@ var (
 	errReplFrame = errors.New("serve: replicate: bad frame")
 )
 
-// appendReplFrame encodes a replication frame appended to dst.
-func appendReplFrame(dst []byte, shard int, fromSeq uint64, readings []Reading, dim int, fp uint64) []byte {
+// appendReplFrame encodes a replication frame appended to dst; verdicts[i]
+// is readings[i]'s verdict on the primary, and only its Outlier bit ships.
+func appendReplFrame(dst []byte, shard int, fromSeq uint64, readings []Reading, verdicts []Verdict, dim int, fp uint64) []byte {
 	w := binfmt.Writer{B: dst}
 	w.U32(replMagic)
-	w.U8(wireVersion)
+	w.U8(replVersion)
 	w.U8(0)
 	w.U16(0)
 	w.U32(uint32(shard))
 	w.U64(fromSeq)
+	w.U32(uint32((len(verdicts) + 7) / 8))
+	for i := 0; i < len(verdicts); i += 8 {
+		var bits byte
+		for j, v := range verdicts[i:min(i+8, len(verdicts))] {
+			if v.Outlier {
+				bits |= 1 << j
+			}
+		}
+		w.U8(bits)
+	}
 	return binfmt.SealCRC(AppendBatch(w.B, readings, dim, fp), len(dst))
 }
 
-// decodeReplFrame splits a replication frame into (shard, fromSeq, inner
-// ODWB frame). The inner frame still needs DecodeBatchInto, which is
-// where the config fingerprint is enforced.
-func decodeReplFrame(data []byte) (shard int, fromSeq uint64, inner []byte, err error) {
-	body, err := openFrame(data, replMagic, replHeaderLen)
-	if err == nil {
-		r := binfmt.NewReader(body[5:])
-		if r.U8() != 0 || r.U16() != 0 {
-			r.Fail(errFrameReserved)
-		}
-		shard, fromSeq, inner = int(r.U32()), r.U64(), r.Rest()
-		err = r.Err()
+// replFrameLen is the length of readings' replication frame.
+func replFrameLen(readings []Reading, dim int) int {
+	n := replHeaderLen + 4 + (len(readings)+7)/8 + wireBatchHeaderLen + 4 + 4
+	for i := range readings {
+		n += 2 + len(readings[i].Sensor) + 8*dim
 	}
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("%w: %v", errReplFrame, err)
-	}
-	return shard, fromSeq, inner, nil
+	return n
 }
 
-// replBatch is one forwarded sub-batch (readings are replicator-owned
-// copies — the primary's pooled buffers are recycled after its reply).
-type replBatch struct {
-	from     uint64
+// replFrame is one decoded replication frame. outliers aliases the frame's
+// bytes and readings the caller's buffer.
+type replFrame struct {
+	shard    int
+	fromSeq  uint64
+	outliers []byte
 	readings []Reading
+}
+
+// outlierBit reads reading i's bit from a frame's verdict bitmap.
+func outlierBit(bits []byte, i int) bool { return bits[i>>3]&(1<<(i&7)) != 0 }
+
+// decodeReplFrame decodes a replication frame, the readings into dst under
+// DecodeBatchInto's rules (reuse, interning, the config fingerprint). It
+// fails closed on a version-1 frame, a bitmap that is not ⌈n/8⌉ bytes for
+// the n readings, and a set pad bit.
+func decodeReplFrame(data []byte, dst []Reading, dim, maxBatch int, fp uint64, names *Interner) (replFrame, error) {
+	fail := func(err error) (replFrame, error) { return replFrame{}, fmt.Errorf("%w: %v", errReplFrame, err) }
+	body, err := openFrame(data, replMagic, replVersion, replHeaderLen)
+	if err != nil {
+		return fail(err)
+	}
+	r := binfmt.NewReader(body[5:])
+	if r.U8() != 0 || r.U16() != 0 {
+		r.Fail(errFrameReserved)
+	}
+	f := replFrame{shard: int(r.U32()), fromSeq: r.U64(), outliers: r.Bytes()}
+	inner := r.Rest()
+	if err := r.Err(); err != nil {
+		return fail(err)
+	}
+	if f.readings, err = DecodeBatchInto(inner, dst, dim, maxBatch, fp, names); err != nil {
+		return replFrame{}, err
+	}
+	switch n := len(f.readings); {
+	case len(f.outliers) != (n+7)/8:
+		return fail(fmt.Errorf("%d-byte verdict bitmap for %d readings", len(f.outliers), n))
+	case n%8 != 0 && f.outliers[n/8]>>(n%8) != 0:
+		return fail(errors.New("verdict bitmap pad bit set"))
+	}
+	return f, nil
 }
 
 // replicator ships one primary shard's applied batches to a follower
@@ -90,7 +136,7 @@ type replicator struct {
 	dim      int
 	fp       uint64
 
-	ch       chan replBatch
+	ch       chan []byte // encoded frames, each the replicator's own
 	stopc    chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
@@ -105,7 +151,7 @@ func newReplicator(shard int, follower Client, dim int, fp uint64) *replicator {
 		follower: follower,
 		dim:      dim,
 		fp:       fp,
-		ch:       make(chan replBatch, 64),
+		ch:       make(chan []byte, 64),
 		stopc:    make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -113,22 +159,18 @@ func newReplicator(shard int, follower Client, dim int, fp uint64) *replicator {
 	return r
 }
 
-// forward copies the batch and queues it for shipping. Called from the
-// shard goroutine after the batch has been applied locally.
-func (r *replicator) forward(fromSeq uint64, batch []Reading) {
+// forward encodes the batch and its verdict bits as one frame and queues
+// it for shipping. Called from the shard goroutine after the batch has
+// been applied locally; the frame is the one allocation, and holds its own
+// copy of everything, since the caller's pooled buffers are recycled after
+// its reply.
+func (r *replicator) forward(fromSeq uint64, batch []Reading, verdicts []Verdict) {
 	if r.broken.Load() {
 		return
 	}
-	// One backing array for the whole batch's values, not one per reading.
-	cp := make([]Reading, len(batch))
-	flat := make([]float64, 0, len(batch)*r.dim)
-	for i := range batch {
-		at := len(flat)
-		flat = append(flat, batch[i].Value...)
-		cp[i] = Reading{Sensor: batch[i].Sensor, Value: flat[at:len(flat):len(flat)]}
-	}
+	frame := appendReplFrame(make([]byte, 0, replFrameLen(batch, r.dim)), r.shard, fromSeq, batch, verdicts, r.dim, r.fp)
 	select {
-	case r.ch <- replBatch{from: fromSeq, readings: cp}:
+	case r.ch <- frame:
 	default:
 		// Dropping a batch would break contiguity anyway; break the link
 		// now so the follower stays frozen at a consistent prefix.
@@ -138,17 +180,15 @@ func (r *replicator) forward(fromSeq uint64, batch []Reading) {
 
 func (r *replicator) run() {
 	defer close(r.done)
-	var buf []byte
 	for {
 		select {
 		case <-r.stopc:
 			return
-		case b := <-r.ch:
+		case frame := <-r.ch:
 			if r.broken.Load() {
 				continue
 			}
-			buf = appendReplFrame(buf[:0], r.shard, b.from, b.readings, r.dim, r.fp)
-			if err := r.follower.Replicate(buf); err != nil {
+			if err := r.follower.Replicate(frame); err != nil {
 				r.broken.Store(true)
 				continue
 			}
@@ -201,30 +241,34 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	s.scratch.Put(sc)
 }
 
-// applyReplFrame decodes the ODRP frame in sc.body, enforces the config
-// fingerprint (fail closed, same check as snapshot restore), applies the
-// batch through the shard mailbox, where role and contiguity are checked,
-// and leaves the ack in sc.out. A failure comes with its HTTP status.
+// applyReplFrame decodes the ODRP frame in sc.body, enforcing the config
+// fingerprint (fail closed, same check as snapshot restore) and the verdict
+// bitmap's shape, applies the batch through the shard mailbox, where role
+// and contiguity are checked, and leaves the ack in sc.out. A failure comes
+// with its HTTP status; a refused frame reaches no mailbox.
 func (s *Server) applyReplFrame(sc *ingestScratch) (int, error) {
-	shard, fromSeq, inner, err := decodeReplFrame(sc.body)
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	readings, err := DecodeBatchInto(inner, sc.readings, s.cfg.Pipeline.Core.Dim, s.cfg.MaxBatch, s.wireFP, &s.names)
+	f, err := decodeReplFrame(sc.body, sc.readings, s.cfg.Pipeline.Core.Dim, s.cfg.MaxBatch, s.wireFP, &s.names)
 	if err != nil {
 		return IngestDecodeStatus(err), err
 	}
-	sc.readings = readings
+	sc.readings = f.readings
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return http.StatusServiceUnavailable, errServerClosed
 	}
-	if shard < 0 || shard >= len(s.shards) || s.shards[shard] == nil {
-		return http.StatusNotFound, fmt.Errorf("%w: shard %d", errWrongNode, shard)
+	if f.shard < 0 || f.shard >= len(s.shards) || s.shards[f.shard] == nil {
+		return http.StatusNotFound, fmt.Errorf("%w: shard %d", errWrongNode, f.shard)
 	}
-	resp, err := s.shards[shard].call(shardReq{op: opReplicate, batch: readings, fromSeq: fromSeq, reply: sc.route.replies[shard]})
+	// The primary's bits travel as the envelope's verdicts, Outlier only,
+	// in the scratch buffer an ingest of this shard would use.
+	verdicts := growVerdicts(sc.route.verdicts[f.shard], len(f.readings))
+	for i := range verdicts {
+		verdicts[i] = Verdict{Outlier: outlierBit(f.outliers, i)}
+	}
+	sc.route.verdicts[f.shard] = verdicts
+	resp, err := s.shards[f.shard].call(shardReq{op: opReplicate, batch: f.readings, verdicts: verdicts, fromSeq: f.fromSeq, reply: sc.route.replies[f.shard]})
 	switch {
 	case errors.Is(err, errNotReplica), errors.Is(err, errReplGap):
 		return http.StatusConflict, err

@@ -42,8 +42,10 @@ const (
 // shardReq is one mailbox envelope. Ingest envelopes carry a sub-batch
 // already filtered to this shard plus a caller-owned verdict buffer
 // (len == len(batch)) the shard fills in place — the pooled ingest path
-// allocates nothing per envelope. The reply channel is buffered so the
-// shard goroutine never blocks on a departed caller.
+// allocates nothing per envelope. Replicate envelopes carry the batch with
+// the primary's verdicts, of which the shard reads only Outlier. The reply
+// channel is buffered so the shard goroutine never blocks on a departed
+// caller.
 type shardReq struct {
 	op       opKind
 	batch    []Reading
@@ -203,10 +205,10 @@ func (sh *shard) handle(req shardReq) {
 		}
 		sh.syncDrift()
 		if r := sh.repl.Load(); r != nil {
-			// Copies the batch before the reply releases the caller's
-			// pooled buffers; only cluster primaries with a follower pay
-			// this.
-			r.forward(fromSeq, req.batch)
+			// Encodes the batch and its verdict bits before the reply
+			// releases the caller's pooled buffers; only cluster primaries
+			// with a follower pay this.
+			r.forward(fromSeq, req.batch, verdicts)
 		}
 		req.reply <- shardResp{verdicts: verdicts}
 	case opReplicate:
@@ -222,7 +224,7 @@ func (sh *shard) handle(req shardReq) {
 			resp.err = fmt.Errorf("%w: follower at seq %d, batch starts at %d", errReplGap, sh.pl.Seq(), req.fromSeq)
 		default:
 			for i := range req.batch {
-				if sh.pl.Apply(req.batch[i].Sensor, req.batch[i].Value).Outlier {
+				if sh.pl.Apply(req.batch[i].Sensor, req.batch[i].Value, req.verdicts[i].Outlier).Outlier {
 					sh.outliers.Add(1)
 				}
 			}
