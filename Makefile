@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore bench-replicate serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore bench-replicate serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile test race
 
 build:
 	$(GO) build ./...
@@ -186,6 +186,21 @@ check-replicafold:
 		echo "$$bad"; echo "$$apply"; exit 1; \
 	fi
 
+# One shard format: a shard travels between nodes as a one-shard snapshot
+# file (ODSV), and a cluster node starts empty until the router installs
+# its shards. The ODSH ship frame, GET /admin/shards, op=seal, or an Owned
+# or Replicas field in serve.Config, in non-test code under internal, cmd
+# or the root package, is the second format or a knob nothing sets.
+check-oneshardfile:
+	@bad=$$(grep -rnE 'shipMagic|AppendShipFrame|DecodeShipFrame|HostedShards|AdminShardInfo|/admin/shards|ShardSeal|SealShard' \
+		--include='*.go' --exclude='*_test.go' internal cmd *.go); \
+	cfg=$$(awk '/^type Config struct/{on=1} on&&/^}/{on=0} on&&/^[[:space:]]+(Owned|Replicas)[[:space:],]/{print FILENAME":"FNR": "$$0}' \
+		$$(ls internal/serve/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$bad$$cfg" ]; then \
+		echo "a second shard format, shard listing, seal op or start-up placement knob (ship one-shard ODSV files; install through the router):"; \
+		echo "$$bad"; echo "$$cfg"; exit 1; \
+	fi
+
 # The serving benchmark BENCHMARK.json declares (bench/README.md): every
 # workload end to end, or every phase in a second or two as a smoke.
 benchmark:
@@ -303,6 +318,10 @@ FUZZ_SMOKE += internal/serve:FuzzIngestJSON
 # frame that decodes — version 2, a ⌈n/8⌉-byte verdict bitmap, pad bits
 # zero — re-encodes bit-identical.
 FUZZ_SMOKE += internal/serve:FuzzReplFrame
+# The ODSV snapshot-file decoder (a checkpoint at start-up, a one-shard file
+# at op=install) and the install's slot rule never panic, and a file that
+# decodes re-encodes bit-identical.
+FUZZ_SMOKE += internal/serve:FuzzSnapshotFile
 # The ODDB detector blob decoder, every backend kind: Restore never panics,
 # fails closed on kind/fingerprint mismatches, and a blob that restores
 # re-snapshots bit-identical and then ingests without panicking.

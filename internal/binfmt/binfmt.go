@@ -2,7 +2,7 @@
 // length-prefixed blob is read safely. Every state and control format —
 // the handoff blobs (ODSB, ODVE, ODES, ODKM, ODGK, ODDM), the
 // detector and pipeline snapshots (ODDB, ODPS, ODSV) and the cluster
-// frames (ODSH, ODRP) — decodes through Reader and encodes through
+// frames (ODRP) — decodes through Reader and encodes through
 // Writer; the ODWP wire codec shares the CRC trailer helpers. These
 // decoders are the system's input surface (snapshots and frames arrive
 // from peers and from disk), so the cursor enforces three rules:

@@ -27,8 +27,8 @@ import (
 // order guarantees the blob contains exactly the readings that were
 // ACKed — nothing ACKed is lost, nothing unACKed is captured.
 
-// drain seals a shard on its node and cuts its ODSH ship frame. On failure
-// the seal may or may not have landed, so it is lifted best-effort.
+// drain seals a shard on its node and cuts its one-shard snapshot file. On
+// failure the seal may or may not have landed, so it is lifted best-effort.
 func (r *Router) drain(node, shard int) ([]byte, error) {
 	frame, err := r.node(node).Shard(serve.ShardSnapshot, shard, serve.ShardArgs{Seal: true})
 	if err != nil {
@@ -215,12 +215,12 @@ func (r *Router) HealthTick() []int {
 	// Re-adopt orphaned shards still hosted by revived nodes.
 	changed := toPromote
 	for _, id := range revived {
-		infos, err := r.node(id).Shards()
+		st, err := r.node(id).Stats()
 		if err != nil {
 			continue // next tick retries; the node stays revived
 		}
 		var adopt []int
-		for _, info := range infos {
+		for _, info := range st.PerShard {
 			if info.Role == "primary" && next.Owner[info.Shard] < 0 {
 				adopt = append(adopt, info.Shard)
 				if info.Sealed {

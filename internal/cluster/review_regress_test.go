@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -112,11 +114,11 @@ func TestHealthTickRetriesFailedPromote(t *testing.T) {
 		t.Fatalf("shard %d owner after failover = %d, want replica %d", sh, got, rep)
 	}
 	role := func() string {
-		infos, err := tc.servers[rep].HostedShards()
+		st, err := tc.servers[rep].Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, info := range infos {
+		for _, info := range st.PerShard {
 			if info.Shard == sh {
 				return info.Role
 			}
@@ -137,6 +139,82 @@ func TestHealthTickRetriesFailedPromote(t *testing.T) {
 	}
 	if n := r.promotions.Load(); n == 0 {
 		t.Fatal("promotions counter not incremented by retried promote")
+	}
+}
+
+// healthGate fails GET /healthz to one node while blocked, so the router
+// declares the node dead while it keeps serving: a partition between
+// router and node that heals.
+type healthGate struct {
+	base  http.RoundTripper
+	host  string // set before the first block.Store(true)
+	block atomic.Bool
+}
+
+func (g *healthGate) RoundTrip(req *http.Request) (*http.Response, error) {
+	if g.block.Load() && req.URL.Host == g.host && req.URL.Path == "/healthz" {
+		return nil, fmt.Errorf("healthGate: health probe blocked")
+	}
+	return g.base.RoundTrip(req)
+}
+
+// TestHealthTickReadoptsOrphanedShard: a node the router declared dead
+// orphans its shards when nothing replicates them (Owner == -1). When it
+// answers again, the next tick must hand the shards it still hosts as
+// primaries back to it, lift a seal a failed drain left behind, and the
+// routed load must then resume against the twin with nothing lost.
+func TestHealthTickReadoptsOrphanedShard(t *testing.T) {
+	gate := &healthGate{base: http.DefaultTransport}
+	tc := newTestClusterWith(t, 2, 4, Options{
+		Client:          &http.Client{Timeout: 5 * time.Second, Transport: gate},
+		HealthThreshold: 1,
+	})
+	runRoutedLoad(t, tc.routerTS.URL, 600, false)
+
+	const node = 1
+	var orphans []int
+	for sh, owner := range tc.router.CurrentMap().Owner {
+		if owner == node {
+			orphans = append(orphans, sh)
+		}
+	}
+	if len(orphans) == 0 {
+		t.Fatalf("node %d owns no shard", node)
+	}
+	gate.host = strings.TrimPrefix(tc.nodeTS[node].URL, "http://")
+	gate.block.Store(true)
+	tc.router.HealthTick()
+	for _, sh := range orphans {
+		if got := tc.router.CurrentMap().Owner[sh]; got != -1 {
+			t.Fatalf("shard %d owner after node %d went dark = %d, want -1 (orphaned)", sh, node, got)
+		}
+	}
+	// A drain (op=snapshot&seal=1) whose migration never finished.
+	if _, err := tc.servers[node].SnapshotShard(orphans[0], true); err != nil {
+		t.Fatal(err)
+	}
+
+	gate.block.Store(false)
+	if changed := tc.router.HealthTick(); !reflect.DeepEqual(changed, orphans) {
+		t.Fatalf("revival tick changed shards %v, want %v re-adopted", changed, orphans)
+	}
+	m := tc.router.CurrentMap()
+	for _, sh := range orphans {
+		if m.Owner[sh] != node {
+			t.Fatalf("shard %d owner after revival = %d, want %d", sh, m.Owner[sh], node)
+		}
+	}
+	st, err := tc.servers[node].Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ps := range st.PerShard {
+		if ps.Sealed {
+			t.Fatalf("shard %d still sealed after re-adoption", ps.Shard)
+		}
+	}
+	if rep := runRoutedLoad(t, tc.routerTS.URL, 1200, false); rep.CaughtUp != 600 {
+		t.Fatalf("resumed run caught up %d, want 600 (re-adoption lost state)", rep.CaughtUp)
 	}
 }
 

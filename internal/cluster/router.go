@@ -180,8 +180,8 @@ func (r *Router) shardOp(node int, op serve.ShardOp, shard int) error {
 
 // chainReplica makes node rep the follower of shard's primary on node
 // owner: a replica copy on rep — fresh when frame is nil (bootstrap), else
-// installed from the sealed ship frame so replication is contiguous from
-// the cut — then the owner's replication stream pointed at it.
+// installed from the sealed shard's snapshot so replication is contiguous
+// from the cut — then the owner's replication stream pointed at it.
 func (r *Router) chainReplica(shard, owner, rep int, frame []byte) error {
 	op := serve.ShardCreate
 	if frame != nil {

@@ -1,68 +1,41 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-
-	"odds/internal/binfmt"
 )
 
 // Cluster administration — the node-side API a router drives to place,
-// migrate, and fail over shards. Shard snapshots travel between nodes as
-// ODSH frames carrying the full config fingerprint, so a migration
-// between differently-configured nodes is refused fail-closed before any
-// state is touched (the same contract as snapshot-file restore).
-//
-// Snapshot-ship frame ("ODSH"):
-//
-//	u32  magic 0x4f445348
-//	u8   version (1)
-//	u8   reserved (0)
-//	u16  reserved (0)
-//	u32  shard       — global shard id
-//	u32  fpLen       | fingerprint bytes (fingerprint(shards, cfg): the
-//	                 |   canonical config JSON, compared byte for byte)
-//	u32  blobLen     | ODPS pipeline blob (empty = fresh pipeline)
-//	u32  crc32-IEEE over all preceding bytes
-const (
-	shipMagic     = uint32(0x4f445348) // "ODSH"
-	shipHeaderLen = 16
-)
+// migrate, and fail over shards. A shard's state travels between nodes as
+// a one-shard snapshot file: the ODSV checkpoint format (snapshot.go) with
+// the shard's ODPS blob in its slot and every other slot empty. It carries
+// the full config fingerprint, so a migration between differently
+// configured nodes is refused fail-closed before any state is touched —
+// the same check, by the same decoder, as a restart's restore.
 
-var errShipFrame = errors.New("serve: admin: bad snapshot-ship frame")
-
-// AppendShipFrame encodes a shard snapshot for shipping between nodes.
-func AppendShipFrame(dst []byte, shard int, fp, blob []byte) []byte {
-	w := binfmt.Writer{B: dst}
-	w.U32(shipMagic)
-	w.U8(wireVersion)
-	w.U8(0)
-	w.U16(0)
-	w.U32(uint32(shard))
-	w.Bytes(fp)
-	w.Bytes(blob)
-	return binfmt.SealCRC(w.B, len(dst))
-}
-
-// DecodeShipFrame splits a ship frame into (shard, fingerprint, blob).
-func DecodeShipFrame(data []byte) (shard int, fp, blob []byte, err error) {
-	body, err := openFrame(data, shipMagic, wireVersion, shipHeaderLen)
-	if err == nil {
-		r := binfmt.NewReader(body[5:])
-		if r.U8() != 0 || r.U16() != 0 {
-			r.Fail(errFrameReserved)
-		}
-		shard, fp, blob = int(r.U32()), r.Bytes(), r.Bytes()
-		err = r.Done()
+// decodeShardFile opens the body of op=install: a snapshot file that
+// decodeFile admits (CRC, magic, version, fingerprint, shard count) whose
+// only non-empty slot is id. It returns that slot's pipeline blob.
+func decodeShardFile(data []byte, id, shards int, cfg PipelineConfig) ([]byte, error) {
+	if id < 0 || id >= shards {
+		return nil, fmt.Errorf("serve: shard %d outside global space [0,%d)", id, shards)
 	}
+	blobs, err := decodeFile(data, shards, cfg)
 	if err != nil {
-		return 0, nil, nil, fmt.Errorf("%w: %v", errShipFrame, err)
+		return nil, err
 	}
-	return shard, fp, blob, nil
+	for i, b := range blobs {
+		if i != id && len(b) > 0 {
+			return nil, fmt.Errorf("serve: admin: snapshot carries shard %d, request names %d", i, id)
+		}
+	}
+	if len(blobs[id]) == 0 {
+		return nil, fmt.Errorf("serve: admin: snapshot carries no state for shard %d", id)
+	}
+	return blobs[id], nil
 }
 
 // Epoch returns the map version this node last acknowledged.
@@ -86,8 +59,8 @@ var errNotCluster = errors.New("serve: not a cluster node")
 
 // InstallShard hosts a shard on this node: a fresh pipeline when blob is
 // empty, or a restore of a shipped snapshot. The fingerprint was already
-// matched by the HTTP layer (DecodeShipFrame + fingerprint comparison);
-// RestorePipeline re-verifies the blob's internal structure.
+// matched by the HTTP layer (decodeShardFile); RestorePipeline
+// re-verifies the blob's internal structure.
 func (s *Server) InstallShard(id int, replica bool, blob []byte) error {
 	if !s.cfg.Cluster {
 		return errNotCluster
@@ -95,17 +68,7 @@ func (s *Server) InstallShard(id int, replica bool, blob []byte) error {
 	if id < 0 || id >= s.cfg.Shards {
 		return fmt.Errorf("serve: shard %d outside global space [0,%d)", id, s.cfg.Shards)
 	}
-	pcfg := s.cfg.Pipeline
-	pcfg.Seed = shardSeed(s.cfg.Pipeline.Seed, id)
-	var (
-		pl  *Pipeline
-		err error
-	)
-	if len(blob) > 0 {
-		pl, err = RestorePipeline(pcfg, blob)
-	} else {
-		pl, err = NewPipeline(pcfg)
-	}
+	pl, err := s.buildPipeline(id, blob)
 	if err != nil {
 		return err
 	}
@@ -173,17 +136,6 @@ func (s *Server) withShard(id int, fn func(*shard) error) error {
 	return fn(sh)
 }
 
-// SealShard stops a primary from accepting new ingest (migration step 1).
-// The seal is advisory at admission and authoritative at envelope
-// processing, so a snapshot taken after the seal captures exactly the
-// ACKed readings.
-func (s *Server) SealShard(id int) error {
-	return s.withShard(id, func(sh *shard) error {
-		sh.sealed.Store(true)
-		return nil
-	})
-}
-
 // UnsealShard re-opens a sealed shard (migration abort/unwind).
 func (s *Server) UnsealShard(id int) error {
 	return s.withShard(id, func(sh *shard) error {
@@ -243,40 +195,6 @@ func (s *Server) SetFollower(id int, target string) error {
 	return err
 }
 
-// AdminShardInfo is one hosted shard's state in GET /admin/shards.
-type AdminShardInfo struct {
-	Shard    int    `json:"shard"`
-	Role     string `json:"role"`
-	Sealed   bool   `json:"sealed"`
-	Arrivals uint64 `json:"arrivals"`
-}
-
-// HostedShards lists this node's shards with their roles.
-func (s *Server) HostedShards() ([]AdminShardInfo, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, errServerClosed
-	}
-	var out []AdminShardInfo
-	for _, sh := range s.shards {
-		if sh == nil {
-			continue
-		}
-		resp, err := sh.call(shardReq{op: opStats})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AdminShardInfo{
-			Shard:    sh.id,
-			Role:     resp.stats.Role,
-			Sealed:   resp.stats.Sealed,
-			Arrivals: resp.stats.Arrivals,
-		})
-	}
-	return out, nil
-}
-
 // adminErrStatus maps admin failures onto HTTP statuses.
 func adminErrStatus(err error) int {
 	switch {
@@ -284,7 +202,7 @@ func adminErrStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, errServerClosed), errors.Is(err, errShardDown):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, errNotCluster):
+	case errors.Is(err, errNotCluster), errors.Is(err, errFingerprint):
 		return http.StatusConflict
 	default:
 		return http.StatusBadRequest
@@ -300,7 +218,6 @@ const (
 	ShardCreate   ShardOp = "create"
 	ShardInstall  ShardOp = "install"
 	ShardSnapshot ShardOp = "snapshot"
-	ShardSeal     ShardOp = "seal"
 	ShardUnseal   ShardOp = "unseal"
 	ShardRelease  ShardOp = "release"
 	ShardPromote  ShardOp = "promote"
@@ -310,9 +227,9 @@ const (
 // handleAdminShard executes one shard lifecycle op:
 //
 //	POST /admin/shard?op=create&id=3[&role=replica]      fresh pipeline
-//	POST /admin/shard?op=install&id=3[&role=replica]     body = ODSH frame
-//	POST /admin/shard?op=snapshot&id=3[&seal=1]          reply = ODSH frame
-//	POST /admin/shard?op=seal|unseal|release|promote&id=3
+//	POST /admin/shard?op=install&id=3[&role=replica]     body = one-shard ODSV
+//	POST /admin/shard?op=snapshot&id=3[&seal=1]          reply = one-shard ODSV
+//	POST /admin/shard?op=unseal|release|promote&id=3
 //	POST /admin/shard?op=follow&id=3&target=http://node  ("" detaches)
 func (s *Server) handleAdminShard(w http.ResponseWriter, r *http.Request) {
 	if !RequireMethod(w, r, http.MethodPost) {
@@ -330,45 +247,26 @@ func (s *Server) handleAdminShard(w http.ResponseWriter, r *http.Request) {
 	case ShardCreate:
 		err = s.InstallShard(id, replica, nil)
 	case ShardInstall:
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		var body []byte
-		if body, err = io.ReadAll(r.Body); err != nil {
-			WriteErr(w, http.StatusBadRequest, err)
-			return
-		}
-		var (
-			frameShard int
-			fp, blob   []byte
-		)
-		if frameShard, fp, blob, err = DecodeShipFrame(body); err != nil {
-			WriteErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if frameShard != id {
-			WriteErr(w, http.StatusBadRequest,
-				fmt.Errorf("serve: admin: frame is for shard %d, request names %d", frameShard, id))
+		var body, blob []byte
+		if body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
+			WriteErr(w, IngestDecodeStatus(err), err)
 			return
 		}
 		// The fail-closed gate: a snapshot cut on a node with a different
 		// configuration never restores here, not even partially.
-		if want := fingerprint(s.cfg.Shards, s.cfg.Pipeline); !bytes.Equal(fp, want) {
-			WriteErr(w, http.StatusConflict,
-				errors.New("serve: admin: configuration fingerprint mismatch; migration refused"))
-			return
+		if blob, err = decodeShardFile(body, id, s.cfg.Shards, s.cfg.Pipeline); err == nil {
+			err = s.InstallShard(id, replica, blob)
 		}
-		err = s.InstallShard(id, replica, blob)
 	case ShardSnapshot:
-		seal := q.Get("seal") == "1"
 		var blob []byte
-		if blob, err = s.SnapshotShard(id, seal); err != nil {
+		if blob, err = s.SnapshotShard(id, q.Get("seal") == "1"); err != nil {
 			WriteErr(w, adminErrStatus(err), err)
 			return
 		}
-		frame := AppendShipFrame(nil, id, fingerprint(s.cfg.Shards, s.cfg.Pipeline), blob)
-		WriteBody(w, http.StatusOK, "application/x-odds-snapshot", frame)
+		blobs := make([][]byte, s.cfg.Shards)
+		blobs[id] = blob
+		WriteBody(w, http.StatusOK, "application/x-odds-snapshot", encodeFile(s.cfg.Shards, s.cfg.Pipeline, blobs))
 		return
-	case ShardSeal:
-		err = s.SealShard(id)
 	case ShardUnseal:
 		err = s.UnsealShard(id)
 	case ShardRelease:
@@ -386,22 +284,6 @@ func (s *Server) handleAdminShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleAdminShards lists hosted shards (GET /admin/shards).
-func (s *Server) handleAdminShards(w http.ResponseWriter, r *http.Request) {
-	if !RequireMethod(w, r, http.MethodGet) {
-		return
-	}
-	infos, err := s.HostedShards()
-	if err != nil {
-		WriteErr(w, adminErrStatus(err), err)
-		return
-	}
-	if infos == nil {
-		infos = []AdminShardInfo{}
-	}
-	WriteJSON(w, http.StatusOK, infos)
 }
 
 // handleAdminEpoch gets (GET) or advances (POST ?epoch=N) the map epoch.

@@ -15,17 +15,48 @@ import (
 	"odds/internal/stream"
 )
 
-// clusterConfig builds a cluster-node configuration hosting the given
-// shards out of a 4-shard global space.
-func clusterConfig(owned, replicas []int, seed int64) Config {
+// clusterConfig is a cluster node's configuration over a 4-shard global
+// space.
+func clusterConfig(seed int64) Config {
 	return Config{
 		Shards:     4,
 		Pipeline:   testPipelineConfig(DetectDistance, 1, 120, seed),
 		QueueDepth: 32,
 		Cluster:    true,
-		Owned:      owned,
-		Replicas:   replicas,
 	}
+}
+
+// newClusterNode starts a cluster node under cfg and installs fresh
+// pipelines for the given shards, as primaries and as followers, the way
+// a router's op=create does. The node closes when the test ends.
+func newClusterNode(t *testing.T, cfg Config, primaries, replicas []int) *Server {
+	t.Helper()
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	for _, id := range primaries {
+		if err := srv.InstallShard(id, false, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range replicas {
+		if err := srv.InstallShard(id, true, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv
+}
+
+// hosted returns the per-shard stats of the shards srv hosts.
+func hosted(t *testing.T, srv *Server) []ShardStats {
+	t.Helper()
+	st, err := srv.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.PerShard
 }
 
 // sensorOnShard finds a sensor name routed to the wanted global shard.
@@ -41,34 +72,27 @@ func sensorOnShard(t *testing.T, shard, shards int) string {
 	return ""
 }
 
-func TestShipFrameRoundTrip(t *testing.T) {
-	fp := []byte("config-fingerprint-bytes")
-	blob := []byte{1, 2, 3, 4, 5}
-	frame := AppendShipFrame(nil, 3, fp, blob)
-	shard, gotFP, gotBlob, err := DecodeShipFrame(frame)
+// shardFile cuts shard id's one-shard snapshot file from srv through
+// POST /admin/shard?op=snapshot, as a router's drain does.
+func shardFile(t *testing.T, srv *Server, id int) []byte {
+	t.Helper()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	frame, err := Client{HTTP: ts.Client(), Base: ts.URL}.Shard(ShardSnapshot, id, ShardArgs{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shard != 3 || !bytes.Equal(gotFP, fp) || !bytes.Equal(gotBlob, blob) {
-		t.Fatalf("round trip mismatch: shard %d fp %q blob %v", shard, gotFP, gotBlob)
-	}
-	// Empty blob (fresh-pipeline install) round-trips too.
-	frame = AppendShipFrame(nil, 0, fp, nil)
-	if _, _, gotBlob, err = DecodeShipFrame(frame); err != nil || len(gotBlob) != 0 {
-		t.Fatalf("empty blob: %v %v", gotBlob, err)
-	}
+	return frame
+}
 
-	for name, corrupt := range map[string]func([]byte) []byte{
-		"truncated":    func(b []byte) []byte { return b[:8] },
-		"flipped-bit":  func(b []byte) []byte { b[10] ^= 1; return b },
-		"bad-magic":    func(b []byte) []byte { b[0] ^= 0xff; b[len(b)-4] ^= 0; return b },
-		"short-header": func(b []byte) []byte { return b[:shipHeaderLen] },
-	} {
-		b := corrupt(AppendShipFrame(nil, 1, fp, blob))
-		if _, _, _, err := DecodeShipFrame(b); err == nil {
-			t.Errorf("%s: decode accepted a corrupt frame", name)
-		}
-	}
+// postInstall posts body as op=install of shard id and returns the status
+// and the reply.
+func postInstall(t *testing.T, srv *Server, id int, body []byte) (int, string) {
+	t.Helper()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, reply := postRaw(t, fmt.Sprintf("%s/admin/shard?op=install&id=%d", ts.URL, id), "application/octet-stream", body)
+	return resp.StatusCode, string(reply)
 }
 
 // TestMigrationConfigMismatchFailClosed is the fail-closed contract for
@@ -76,11 +100,7 @@ func TestShipFrameRoundTrip(t *testing.T) {
 // configuration is refused at install — with no partial restore, the
 // target never hosts the shard.
 func TestMigrationConfigMismatchFailClosed(t *testing.T) {
-	src, err := New(clusterConfig([]int{0}, nil, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
+	src := newClusterNode(t, clusterConfig(42), []int{0}, nil)
 
 	// Ingest a little state so the snapshot is nontrivial.
 	sensor := sensorOnShard(t, 0, 4)
@@ -89,55 +109,76 @@ func TestMigrationConfigMismatchFailClosed(t *testing.T) {
 			t.Fatalf("ingest: rejected %d err %v", rej, err)
 		}
 	}
-	blob, err := src.SnapshotShard(0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := AppendShipFrame(nil, 0, fingerprint(4, src.cfg.Pipeline), blob)
+	frame := shardFile(t, src, 0)
 
 	// The target runs a different detector configuration.
-	badCfg := clusterConfig(nil, nil, 42)
+	badCfg := clusterConfig(42)
 	badCfg.Pipeline.Distance.Radius *= 2
-	bad, err := New(badCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Close()
-	ts := httptest.NewServer(bad.Handler())
-	defer ts.Close()
-
-	resp, err := http.Post(ts.URL+"/admin/shard?op=install&id=0", "application/octet-stream", bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("mismatched install: status %d, want 409", resp.StatusCode)
+	bad := newClusterNode(t, badCfg, nil, nil)
+	if code, _ := postInstall(t, bad, 0, frame); code != http.StatusConflict {
+		t.Fatalf("mismatched install: status %d, want 409", code)
 	}
 	// Fail-closed means no partial restore: the shard must not exist.
-	if infos, err := bad.HostedShards(); err != nil || len(infos) != 0 {
-		t.Fatalf("target hosts %v after refused install (err %v)", infos, err)
+	if infos := hosted(t, bad); len(infos) != 0 {
+		t.Fatalf("target hosts %+v after refused install", infos)
 	}
 
 	// A matching node accepts the same frame and lands at the same seq.
-	good, err := New(clusterConfig(nil, nil, 42))
+	good := newClusterNode(t, clusterConfig(42), nil, nil)
+	if code, _ := postInstall(t, good, 0, frame); code != http.StatusOK {
+		t.Fatalf("matching install: status %d, want 200", code)
+	}
+	if infos := hosted(t, good); len(infos) != 1 || infos[0].Arrivals != 50 {
+		t.Fatalf("restored shard state %+v, want arrivals 50", infos)
+	}
+}
+
+// TestInstallRefusals: op=install admits a one-shard snapshot file for the
+// shard it names and nothing else, and refuses before any state is
+// touched — the target hosts nothing afterwards.
+func TestInstallRefusals(t *testing.T) {
+	cfg := clusterConfig(42)
+	cfg.MaxBodyBytes = 64 << 10
+	src := newClusterNode(t, cfg, []int{2, 3}, nil)
+	for _, id := range []int{2, 3} {
+		if _, rej, err := src.Ingest([]Reading{{Sensor: sensorOnShard(t, id, 4), Value: []float64{0.5}}}); err != nil || rej != 0 {
+			t.Fatalf("ingest: rejected %d err %v", rej, err)
+		}
+	}
+	blob2, err := src.SnapshotShard(2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer good.Close()
-	ts2 := httptest.NewServer(good.Handler())
-	defer ts2.Close()
-	resp, err = http.Post(ts2.URL+"/admin/shard?op=install&id=0", "application/octet-stream", bytes.NewReader(frame))
+	blob3, err := src.SnapshotShard(3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("matching install: status %d, want 200", resp.StatusCode)
-	}
-	infos, err := good.HostedShards()
-	if err != nil || len(infos) != 1 || infos[0].Arrivals != 50 {
-		t.Fatalf("restored shard state %v (err %v), want arrivals 50", infos, err)
+	other := cfg.Pipeline
+	other.Distance.Radius *= 2
+
+	// Every row is posted as op=install&id=2.
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want int
+		why  string // in the reply
+	}{
+		{"frame for shard 3", shardFile(t, src, 3), http.StatusBadRequest, "carries shard 3"},
+		{"two non-empty slots", encodeFile(4, cfg.Pipeline, [][]byte{nil, nil, blob2, blob3}), http.StatusBadRequest, "carries shard 3"},
+		{"empty slot id", encodeFile(4, cfg.Pipeline, make([][]byte, 4)), http.StatusBadRequest, "no state for shard 2"},
+		{"different fingerprint", encodeFile(4, other, [][]byte{nil, nil, blob2, nil}), http.StatusConflict, "fingerprint mismatch"},
+		{"different shard count", encodeFile(4, cfg.Pipeline, [][]byte{nil, nil, blob2, nil, nil}), http.StatusBadRequest, "shard count mismatch"},
+		{"body over MaxBodyBytes", make([]byte, cfg.MaxBodyBytes+1), http.StatusRequestEntityTooLarge, "too large"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			target := newClusterNode(t, cfg, nil, nil)
+			if code, reply := postInstall(t, target, 2, tc.body); code != tc.want || !strings.Contains(reply, tc.why) {
+				t.Fatalf("status %d %s, want %d %q", code, reply, tc.want, tc.why)
+			}
+			if infos := hosted(t, target); len(infos) != 0 {
+				t.Fatalf("target hosts %+v after a refused install", infos)
+			}
+		})
 	}
 }
 
@@ -146,11 +187,7 @@ func TestMigrationConfigMismatchFailClosed(t *testing.T) {
 // readings that were ACKed, and the sealed shard refuses new ingest as
 // retryable rejections (nothing applied).
 func TestSealDrainCapturesACKed(t *testing.T) {
-	srv, err := New(clusterConfig([]int{0}, nil, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newClusterNode(t, clusterConfig(7), []int{0}, nil)
 	sensor := sensorOnShard(t, 0, 4)
 	for i := 0; i < 30; i++ {
 		if _, rej, err := srv.Ingest([]Reading{{Sensor: sensor, Value: []float64{0.3}}}); err != nil || rej != 0 {
@@ -179,7 +216,7 @@ func TestSealDrainCapturesACKed(t *testing.T) {
 	if rej != 1 || results[0].Accepted {
 		t.Fatalf("sealed shard accepted ingest: rejected %d results %+v", rej, results)
 	}
-	if infos, _ := srv.HostedShards(); infos[0].Arrivals != 30 || !infos[0].Sealed {
+	if infos := hosted(t, srv); infos[0].Arrivals != 30 || !infos[0].Sealed {
 		t.Fatalf("sealed shard state %+v", infos[0])
 	}
 
@@ -197,11 +234,7 @@ func TestSealDrainCapturesACKed(t *testing.T) {
 // follower applies only the exact next batch; gaps and duplicates are
 // refused 409 and leave the replica frozen at a consistent prefix.
 func TestReplicateContiguity(t *testing.T) {
-	follower, err := New(clusterConfig(nil, []int{1}, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer follower.Close()
+	follower := newClusterNode(t, clusterConfig(9), nil, []int{1})
 	ts := httptest.NewServer(follower.Handler())
 	defer ts.Close()
 
@@ -233,7 +266,7 @@ func TestReplicateContiguity(t *testing.T) {
 	if code := post(3, 0.3); code != http.StatusOK {
 		t.Fatalf("contiguous batch: status %d", code)
 	}
-	infos, _ := follower.HostedShards()
+	infos := hosted(t, follower)
 	if infos[0].Arrivals != 3 || infos[0].Role != "replica" {
 		t.Fatalf("follower state %+v, want arrivals 3", infos[0])
 	}
@@ -258,6 +291,20 @@ func TestReplicateContiguity(t *testing.T) {
 	}
 }
 
+// TestReplicateOversizedBody: a /replicate body past MaxBodyBytes answers
+// 413, as /ingest does — not 400, which reads as a malformed frame.
+func TestReplicateOversizedBody(t *testing.T) {
+	cfg := clusterConfig(9)
+	cfg.MaxBodyBytes = 4096
+	follower := newClusterNode(t, cfg, nil, []int{1})
+	ts := httptest.NewServer(follower.Handler())
+	defer ts.Close()
+	resp, body := postRaw(t, ts.URL+"/replicate", "application/x-odds-repl", make([]byte, cfg.MaxBodyBytes+1))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", resp.StatusCode, body)
+	}
+}
+
 // replicatedPair wires a real primary→follower chain over HTTP for shard 2
 // under pcfg and streams n readings of an abruptly shifting stream through
 // the primary in batches, sensors cycled per reading. After every batch it
@@ -265,19 +312,10 @@ func TestReplicateContiguity(t *testing.T) {
 // requires the chain's contract: both sides snapshot to identical blobs.
 func replicatedPair(t *testing.T, pcfg PipelineConfig, sensors []string, n int, between func(primary *Server, v []float64)) (primary, follower *Server) {
 	t.Helper()
-	cfg := clusterConfig([]int{2}, nil, 11)
+	cfg := clusterConfig(11)
 	cfg.Pipeline = pcfg
-	primary, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { primary.Close() })
-	cfg.Owned, cfg.Replicas = nil, []int{2}
-	follower, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { follower.Close() })
+	primary = newClusterNode(t, cfg, []int{2}, nil)
+	follower = newClusterNode(t, cfg, nil, []int{2})
 	fts := httptest.NewServer(follower.Handler())
 	t.Cleanup(fts.Close)
 
@@ -298,10 +336,7 @@ func replicatedPair(t *testing.T, pcfg PipelineConfig, sensors []string, n int, 
 			between(primary, batch[0].Value)
 		}
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			infos, err := follower.HostedShards()
-			if err != nil {
-				t.Fatal(err)
-			}
+			infos := hosted(t, follower)
 			if infos[0].Arrivals == uint64(sent) {
 				break
 			}
@@ -420,16 +455,8 @@ func TestReplicaLinkReportsItsState(t *testing.T) {
 		t.Fatalf("standalone /stats carries a replication block: %+v (err %v)", st.PerShard[0].Replication, err)
 	}
 
-	primary, err := New(clusterConfig([]int{2}, nil, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer primary.Close()
-	refuser, err := New(clusterConfig([]int{2}, nil, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer refuser.Close()
+	primary := newClusterNode(t, clusterConfig(11), []int{2}, nil)
+	refuser := newClusterNode(t, clusterConfig(11), []int{2}, nil)
 	rts := httptest.NewServer(refuser.Handler())
 	defer rts.Close()
 
@@ -479,11 +506,7 @@ func TestReplicaLinkReportsItsState(t *testing.T) {
 // match the node's epoch exactly (409 + current epoch header otherwise),
 // unstamped requests always pass, and epochs only move forward.
 func TestEpochHandshake(t *testing.T) {
-	srv, err := New(clusterConfig([]int{0}, nil, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newClusterNode(t, clusterConfig(3), []int{0}, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -526,27 +549,16 @@ func TestEpochHandshake(t *testing.T) {
 	}
 }
 
-// TestClusterConfigValidation pins the Config.fill cluster rules.
+// TestClusterConfigValidation pins the Config.fill cluster rule, and that
+// a cluster node starts hosting nothing until a router installs shards.
 func TestClusterConfigValidation(t *testing.T) {
-	bad := []Config{
-		{Shards: 4, Pipeline: testPipelineConfig(DetectDistance, 1, 120, 1), Owned: []int{0}},                                    // Owned without Cluster
-		{Shards: 4, Pipeline: testPipelineConfig(DetectDistance, 1, 120, 1), Cluster: true, SnapshotPath: "x"},                   // snapshot in cluster mode
-		{Shards: 4, Pipeline: testPipelineConfig(DetectDistance, 1, 120, 1), Cluster: true, Owned: []int{4}},                     // out of range
-		{Shards: 4, Pipeline: testPipelineConfig(DetectDistance, 1, 120, 1), Cluster: true, Owned: []int{1}, Replicas: []int{1}}, // overlap
+	cfg := clusterConfig(1)
+	cfg.SnapshotPath = "x"
+	if _, err := New(cfg); err == nil {
+		t.Error("snapshot path in cluster mode accepted, want error")
 	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("config %d accepted, want error", i)
-		}
-	}
-	srv, err := New(clusterConfig([]int{0, 3}, []int{1}, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	infos, err := srv.HostedShards()
-	if err != nil || len(infos) != 3 {
-		t.Fatalf("hosted %v err %v, want shards 0,1,3", infos, err)
+	if infos := hosted(t, newClusterNode(t, clusterConfig(1), nil, nil)); len(infos) != 0 {
+		t.Fatalf("fresh cluster node hosts %+v, want nothing", infos)
 	}
 }
 
@@ -555,11 +567,7 @@ func TestClusterConfigValidation(t *testing.T) {
 // closes the mailbox under the write lock) can never trigger a
 // send-on-closed-channel panic. Run with -race.
 func TestAdminOpsRaceRelease(t *testing.T) {
-	srv, err := New(clusterConfig(nil, nil, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newClusterNode(t, clusterConfig(1), nil, nil)
 	for i := 0; i < 200; i++ {
 		if err := srv.InstallShard(0, false, nil); err != nil {
 			t.Fatal(err)

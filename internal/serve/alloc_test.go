@@ -289,12 +289,14 @@ func TestReplicateZeroAlloc(t *testing.T) {
 		Pipeline:   testPipelineConfig(DetectDistance, 1, wcap, 3),
 		QueueDepth: 1024,
 		Cluster:    true,
-		Replicas:   []int{0},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	if err := srv.InstallShard(0, true, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	src := rand.New(rand.NewSource(11))
 	cycle := make([]float64, 256)

@@ -58,10 +58,10 @@ func NewNodeHTTPClient(shards int) *http.Client {
 // allocate is bounded here and not by what the peer chooses to send.
 const (
 	// maxFrameReply bounds data-plane replies — ingest results (either
-	// codec) and snapshot ship frames. It equals the router's request cap,
+	// codec) and one-shard snapshot files. It equals the router's request cap,
 	// already above what a node's install will accept.
 	maxFrameReply = 8 << 20
-	// maxControlReply bounds every other reply (stats, shard lists, acks).
+	// maxControlReply bounds every other reply (stats, acks).
 	maxControlReply = 1 << 20
 )
 
@@ -155,13 +155,6 @@ func (c Client) Stats() (*StatsResponse, error) {
 	return &st, nil
 }
 
-// Shards fetches GET /admin/shards: the shards the node hosts, with roles.
-func (c Client) Shards() ([]AdminShardInfo, error) {
-	var infos []AdminShardInfo
-	err := c.getJSON("/admin/shards", &infos)
-	return infos, err
-}
-
 // Healthy reports whether GET /healthz answers 200.
 func (c Client) Healthy() bool {
 	_, _, err := c.do(context.Background(), http.MethodGet, "/healthz", "", 0, nil, maxControlReply, 0)
@@ -252,11 +245,12 @@ type ShardArgs struct {
 	Replica bool   // create, install: host the copy as a follower
 	Seal    bool   // snapshot: seal the shard first (the migration drain)
 	Target  string // follow: follower node base URL ("" detaches)
-	Frame   []byte // install: the ODSH ship frame
+	Frame   []byte // install: the one-shard snapshot file
 }
 
 // Shard runs one lifecycle op on POST /admin/shard and returns the reply:
-// the ODSH ship frame for ShardSnapshot, the node's JSON ack for the rest.
+// the one-shard snapshot file for ShardSnapshot, the node's JSON ack for
+// the rest.
 func (c Client) Shard(op ShardOp, id int, a ShardArgs) ([]byte, error) {
 	target := "/admin/shard?op=" + string(op) + "&id=" + strconv.Itoa(id)
 	if a.Replica {

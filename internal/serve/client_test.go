@@ -63,9 +63,6 @@ func TestClientContract(t *testing.T) {
 		{"Stats", `{"shards":2,"wire_fingerprint":7}`,
 			func() (any, error) { return c.Stats() },
 			sentRequest{line: "GET /stats"}, &StatsResponse{Shards: 2, WireFingerprint: 7}},
-		{"Shards", `[{"shard":3,"role":"replica","sealed":true,"arrivals":5}]`,
-			func() (any, error) { return c.Shards() },
-			sentRequest{line: "GET /admin/shards"}, []AdminShardInfo{{Shard: 3, Role: "replica", Sealed: true, Arrivals: 5}}},
 		{"Healthy", "ok\n",
 			func() (any, error) { return c.Healthy(), nil },
 			sentRequest{line: "GET /healthz"}, true},
@@ -107,11 +104,11 @@ func TestClientContract(t *testing.T) {
 			func() (any, error) { return c.Shard(ShardCreate, 3, ShardArgs{Replica: true}) },
 			sentRequest{line: "POST /admin/shard?op=create&id=3&role=replica", contentType: "application/octet-stream"}, []byte(`{"status":"ok"}`)},
 		{"Shard install", `{"status":"ok"}`,
-			func() (any, error) { return c.Shard(ShardInstall, 3, ShardArgs{Frame: []byte("ODSH")}) },
-			sentRequest{line: "POST /admin/shard?op=install&id=3", contentType: "application/octet-stream", body: "ODSH"}, []byte(`{"status":"ok"}`)},
-		{"Shard snapshot sealed", "ODSH",
+			func() (any, error) { return c.Shard(ShardInstall, 3, ShardArgs{Frame: []byte("ODSV")}) },
+			sentRequest{line: "POST /admin/shard?op=install&id=3", contentType: "application/octet-stream", body: "ODSV"}, []byte(`{"status":"ok"}`)},
+		{"Shard snapshot sealed", "ODSV",
 			func() (any, error) { return c.Shard(ShardSnapshot, 3, ShardArgs{Seal: true}) },
-			sentRequest{line: "POST /admin/shard?op=snapshot&id=3&seal=1", contentType: "application/octet-stream"}, []byte("ODSH")},
+			sentRequest{line: "POST /admin/shard?op=snapshot&id=3&seal=1", contentType: "application/octet-stream"}, []byte("ODSV")},
 		{"Shard follow", `{"status":"ok"}`,
 			func() (any, error) { return c.Shard(ShardFollow, 3, ShardArgs{Target: "http://node:1"}) },
 			sentRequest{line: "POST /admin/shard?op=follow&id=3&target=http%3A%2F%2Fnode%3A1", contentType: "application/octet-stream"}, []byte(`{"status":"ok"}`)},
@@ -148,18 +145,14 @@ func TestClientContract(t *testing.T) {
 // against a real cluster node where the node can be made to refuse, and a
 // canned 429 where it cannot on demand.
 func TestClientStatusMapping(t *testing.T) {
-	srv, err := New(clusterConfig([]int{0}, nil, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newClusterNode(t, clusterConfig(5), []int{0}, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := Client{HTTP: ts.Client(), Base: ts.URL}
 	srv.SetEpoch(5)
 
 	// 404: a shard this node does not host.
-	_, err = c.Shard(ShardPromote, 2, ShardArgs{})
+	_, err := c.Shard(ShardPromote, 2, ShardArgs{})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != http.StatusNotFound || se.Msg == "" {
 		t.Errorf("promote of an unhosted shard: %v, want a 404 StatusError carrying the node's message", err)
@@ -181,9 +174,11 @@ func TestClientStatusMapping(t *testing.T) {
 			t.Errorf("ingest stamped %d: %+v, %v", epoch, out, err)
 		}
 	}
-	// A 409 that is not about epochs — installing a frame cut under another
-	// configuration — does not match ErrEpochConflict.
-	if _, err = c.Shard(ShardInstall, 1, ShardArgs{Frame: AppendShipFrame(nil, 1, []byte("other-config"), nil)}); !errors.As(err, &se) || se.Status != http.StatusConflict || errors.Is(err, ErrEpochConflict) {
+	// A 409 that is not about epochs — installing a snapshot cut under
+	// another configuration — does not match ErrEpochConflict.
+	other := srv.cfg.Pipeline
+	other.Distance.Radius *= 2
+	if _, err = c.Shard(ShardInstall, 1, ShardArgs{Frame: encodeFile(4, other, make([][]byte, 4))}); !errors.As(err, &se) || se.Status != http.StatusConflict || errors.Is(err, ErrEpochConflict) {
 		t.Errorf("fingerprint-mismatch install: %v, want a plain 409 StatusError", err)
 	}
 
@@ -277,7 +272,6 @@ func TestClientReplyCaps(t *testing.T) {
 		call func() error
 	}{
 		{"Stats", maxControlReply, func() error { _, err := c.Stats(); return err }},
-		{"Shards", maxControlReply, func() error { _, err := c.Shards(); return err }},
 		{"Get", maxControlReply, func() error { _, _, _, err := c.Get("/query/outlier?sensor=s&v=1"); return err }},
 		{"IngestJSON", maxFrameReply, func() error { _, err := c.IngestJSON(IngestRequest{}); return err }},
 		{"IngestFrame", maxFrameReply, func() error { return c.IngestFrame(nil, 1, new(IngestResponse)) }},

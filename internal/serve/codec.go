@@ -106,7 +106,7 @@ func wireFingerprint(shards int, cfg PipelineConfig) uint64 {
 }
 
 // openFrame checks the envelope every CRC-framed format here shares
-// (ODWB, ODWR, ODSH, ODRP): a length floor of headerLen plus the trailer,
+// (ODWB, ODWR, ODRP): a length floor of headerLen plus the trailer,
 // the CRC-32 trailer itself, the magic, and the format's version byte. It returns
 // the body — header included, trailer stripped — for the format's own
 // decoder; the ODWP batch and response decoders keep fixed-offset reads

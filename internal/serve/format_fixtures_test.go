@@ -163,8 +163,8 @@ func fixturePipelineBlob(cfg PipelineConfig, seed int64, n int) ([]byte, error) 
 }
 
 // fixtureLightConfig is the smallest pipeline (ewma default, 1-D): its
-// snapshots are the payload inside the ODSV and ODSH fixtures, whose
-// subject is the framing, not the blob.
+// snapshots are the payload inside the ODSV fixture, whose subject is the
+// framing, not the blob.
 func fixtureLightConfig() PipelineConfig {
 	cfg := fixturePipelineConfig()
 	cfg.Drift = DriftConfig{}
@@ -417,24 +417,6 @@ func formatCases() []formatCase {
 					return nil, err
 				}
 				return encodeFile(2, cfg, blobs), nil
-			},
-		},
-		{
-			name: "ODSH",
-			build: func() ([]byte, error) {
-				cfg := fixtureLightConfig()
-				blob, err := fixturePipelineBlob(cfg, 35, 20)
-				if err != nil {
-					return nil, err
-				}
-				return AppendShipFrame(nil, 3, fingerprint(4, cfg), blob), nil
-			},
-			reencode: func(data []byte) ([]byte, error) {
-				shard, fp, blob, err := DecodeShipFrame(data)
-				if err != nil {
-					return nil, err
-				}
-				return AppendShipFrame(nil, shard, fp, blob), nil
 			},
 		},
 		{

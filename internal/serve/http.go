@@ -28,9 +28,8 @@ import (
 //
 // Cluster-node endpoints (see admin.go and replicate.go):
 //
-//	POST /admin/shard   shard lifecycle: create/install/snapshot/seal/
+//	POST /admin/shard   shard lifecycle: create/install/snapshot/
 //	                    unseal/release/promote/follow
-//	GET  /admin/shards  hosted shards with roles
 //	GET/POST /admin/epoch  map-epoch read/advance
 //	POST /replicate     follower side of a replica chain (ODRP frames)
 func (s *Server) Handler() http.Handler {
@@ -43,7 +42,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/admin/shard", s.handleAdminShard)
-	mux.HandleFunc("/admin/shards", s.handleAdminShards)
 	mux.HandleFunc("/admin/epoch", s.handleAdminEpoch)
 	mux.HandleFunc("/replicate", s.handleReplicate)
 	return mux

@@ -225,8 +225,10 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	sc := s.getScratch()
 	body, err := readAllInto(sc.body, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	sc.body = body
-	status := http.StatusBadRequest
-	if err == nil {
+	var status int
+	if err != nil {
+		status = IngestDecodeStatus(err)
+	} else {
 		status, err = s.applyReplFrame(sc)
 	}
 	if err != nil {

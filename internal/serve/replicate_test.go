@@ -66,11 +66,14 @@ func BenchmarkReplicateApply(b *testing.B) {
 		Seed:     1,
 		Backends: detector.Params{}.WithDefaults(),
 	}
-	srv, err := New(Config{Shards: 1, Pipeline: pcfg, Cluster: true, Replicas: []int{0}})
+	srv, err := New(Config{Shards: 1, Pipeline: pcfg, Cluster: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
+	if err := srv.InstallShard(0, true, nil); err != nil {
+		b.Fatal(err)
+	}
 	pcfg.Seed = shardSeed(pcfg.Seed, 0)
 	primary, err := NewPipeline(pcfg)
 	if err != nil {

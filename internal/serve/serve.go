@@ -43,21 +43,14 @@ type Config struct {
 	// reported as a gap record on its stream). Default 256.
 	SubscribeBuffer int
 	// Cluster runs the server as one node of a multi-node cluster:
-	// Shards is the cluster-global shard space, and the node hosts only
-	// the shards listed in Owned (as primaries) and Replicas (as
-	// followers) — usually none at start; a router assigns shards at
-	// runtime through the shard admin endpoint. Per-shard seeds are
-	// derived from the global shard id, so a shard's pipeline is
-	// bit-identical no matter which node hosts it. Incompatible with
-	// SnapshotPath: cluster durability is replica chains plus
-	// snapshot-shipped migration, not local checkpoint files.
+	// Shards is the cluster-global shard space, and the node starts
+	// hosting none of it; a router assigns shards at runtime through the
+	// shard admin endpoint. Per-shard seeds are derived from the global
+	// shard id, so a shard's pipeline is bit-identical no matter which
+	// node hosts it. Incompatible with SnapshotPath: cluster durability
+	// is replica chains plus snapshot-shipped migration, not local
+	// checkpoint files.
 	Cluster bool
-	// Owned lists global shard ids hosted as primaries at start
-	// (cluster mode only).
-	Owned []int
-	// Replicas lists global shard ids hosted as follower replicas at
-	// start (cluster mode only; disjoint from Owned).
-	Replicas []int
 }
 
 func (c *Config) fill() error {
@@ -94,32 +87,8 @@ func (c *Config) fill() error {
 	if c.SubscribeBuffer < 0 {
 		return fmt.Errorf("serve: subscribe buffer %d must be positive", c.SubscribeBuffer)
 	}
-	if !c.Cluster && (len(c.Owned) > 0 || len(c.Replicas) > 0) {
-		return fmt.Errorf("serve: Owned/Replicas require Cluster mode")
-	}
-	if c.Cluster {
-		if c.SnapshotPath != "" {
-			return fmt.Errorf("serve: cluster mode is incompatible with SnapshotPath (durability is replication + shipped snapshots)")
-		}
-		seen := make(map[int]string, len(c.Owned)+len(c.Replicas))
-		check := func(ids []int, role string) error {
-			for _, id := range ids {
-				if id < 0 || id >= c.Shards {
-					return fmt.Errorf("serve: %s shard %d outside global space [0,%d)", role, id, c.Shards)
-				}
-				if prev, ok := seen[id]; ok {
-					return fmt.Errorf("serve: shard %d listed as both %s and %s", id, prev, role)
-				}
-				seen[id] = role
-			}
-			return nil
-		}
-		if err := check(c.Owned, "owned"); err != nil {
-			return err
-		}
-		if err := check(c.Replicas, "replica"); err != nil {
-			return err
-		}
+	if c.Cluster && c.SnapshotPath != "" {
+		return fmt.Errorf("serve: cluster mode is incompatible with SnapshotPath (durability is replication + shipped snapshots)")
 	}
 	return c.Pipeline.Validate()
 }
@@ -173,16 +142,21 @@ var errBadBatch = errors.New("serve: bad batch")
 
 // New builds a server, restoring every shard from cfg.SnapshotPath if the
 // file exists (seed-exact resume), and starts the shard goroutines plus
-// the periodic checkpoint loop when configured. The hosted shards are
-// built concurrently; if any fails, New returns the error of the lowest
-// failing shard id, as "serve: shard N: …", and starts nothing.
+// the periodic checkpoint loop when configured. The shards are built
+// concurrently; if any fails, New returns the error of the lowest failing
+// shard id, as "serve: shard N: …", and starts nothing. A cluster node
+// starts empty: the router installs its shards (admin.go).
 func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
 	s := &Server{cfg: cfg, hub: newSubHub(), peers: NewNodeHTTPClient(cfg.Shards), wireFP: wireFingerprint(cfg.Shards, cfg.Pipeline)}
+	s.shards = make([]*shard, cfg.Shards)
+	if cfg.Cluster {
+		return s, nil
+	}
 
-	var blobs [][]byte
+	blobs := make([][]byte, cfg.Shards)
 	if cfg.SnapshotPath != "" {
 		data, err := os.ReadFile(cfg.SnapshotPath)
 		switch {
@@ -198,47 +172,19 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	// roleAt maps shard id → starting role; standalone servers host every
-	// shard as primary, cluster nodes host only their assigned subset.
-	roleAt := func(i int) (shardRole, bool) {
-		if !cfg.Cluster {
-			return rolePrimary, true
-		}
-		for _, id := range cfg.Owned {
-			if id == i {
-				return rolePrimary, true
-			}
-		}
-		for _, id := range cfg.Replicas {
-			if id == i {
-				return roleReplica, true
-			}
-		}
-		return rolePrimary, false
-	}
-
-	// Build every hosted pipeline in its own goroutine, so a restart
-	// restores its shards on every core. Goroutine i writes only pls[i]
-	// and errs[i], and nothing reads them before the join: the first error
-	// in shard order wins, and no shard loop starts while another shard is
-	// still being built.
+	// Build every pipeline in its own goroutine, so a restart restores its
+	// shards on every core. Goroutine i writes only pls[i] and errs[i], and
+	// nothing reads them before the join: the first error in shard order
+	// wins, and no shard loop starts while another shard is still being
+	// built.
 	pls := make([]*Pipeline, cfg.Shards)
 	errs := make([]error, cfg.Shards)
 	var wg sync.WaitGroup
 	for i := range pls {
-		if _, hosted := roleAt(i); !hosted {
-			continue
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pcfg := cfg.Pipeline
-			pcfg.Seed = shardSeed(cfg.Pipeline.Seed, i)
-			if blobs != nil && len(blobs[i]) > 0 {
-				pls[i], errs[i] = RestorePipeline(pcfg, blobs[i])
-			} else {
-				pls[i], errs[i] = NewPipeline(pcfg)
-			}
+			pls[i], errs[i] = s.buildPipeline(i, blobs[i])
 		}()
 	}
 	wg.Wait()
@@ -247,20 +193,9 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
 	}
-
-	s.shards = make([]*shard, cfg.Shards)
 	for i, pl := range pls {
-		if pl == nil {
-			continue
-		}
-		role, _ := roleAt(i)
 		s.shards[i] = newShard(i, pl, cfg.QueueDepth, s.hub)
-		s.shards[i].role.Store(int32(role))
-	}
-	for _, sh := range s.shards {
-		if sh != nil {
-			go sh.run()
-		}
+		go s.shards[i].run()
 	}
 
 	if cfg.SnapshotPath != "" && cfg.SnapshotEvery > 0 {
@@ -269,6 +204,18 @@ func New(cfg Config) (*Server, error) {
 		go s.checkpointLoop()
 	}
 	return s, nil
+}
+
+// buildPipeline builds shard id's pipeline: a restore of blob, or a fresh
+// pipeline when blob is empty. Its seed derives from the global shard id,
+// so every node builds the same pipeline for a shard.
+func (s *Server) buildPipeline(id int, blob []byte) (*Pipeline, error) {
+	pcfg := s.cfg.Pipeline
+	pcfg.Seed = shardSeed(pcfg.Seed, id)
+	if len(blob) > 0 {
+		return RestorePipeline(pcfg, blob)
+	}
+	return NewPipeline(pcfg)
 }
 
 func (s *Server) checkpointLoop() {

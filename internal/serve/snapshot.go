@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -21,12 +22,14 @@ import (
 // cached-model blobs, sketches, reservoirs — lives inside the detector
 // blobs (internal/detector's "ODDB" framing), which fail closed on
 // backend-kind or config mismatch; per-backend bit-exactness across
-// checkpoint/restore, ODSH migration, and replica chains follows from
+// checkpoint/restore, migration, and replica chains follows from
 // every backend's own snapshot contract.
 //
 // A server snapshot file ("ODSV") frames one pipeline snapshot per shard
 // behind a config fingerprint and a CRC, written via temp-file + rename
-// so a crash mid-checkpoint never corrupts the previous snapshot.
+// so a crash mid-checkpoint never corrupts the previous snapshot. A
+// one-shard file — one slot filled, the rest empty — is how a shard
+// migrates between cluster nodes (admin.go).
 const (
 	pipelineMagic   = uint32(0x4f445053) // "ODPS"
 	pipelineVersion = uint32(2)
@@ -151,7 +154,11 @@ func RestorePipeline(cfg PipelineConfig, data []byte) (*Pipeline, error) {
 	return p, nil
 }
 
-// fingerprint is the configuration a snapshot file, ship frame or wire
+// errFingerprint marks a snapshot file taken under another configuration;
+// a shard install answers it 409.
+var errFingerprint = errors.New("configuration fingerprint mismatch (snapshot taken under different settings)")
+
+// fingerprint is the configuration a snapshot file or wire
 // frame was built under: the JSON of the shard count and the canonical
 // config. Canonical means a defaulted and an explicit spelling of the
 // same setup encode identically, and dead config (a disarmed drift
@@ -221,7 +228,7 @@ func decodeFile(data []byte, shards int, cfg PipelineConfig) ([][]byte, error) {
 	}
 	fp := r.Bytes()
 	if r.Err() == nil && string(fp) != string(fingerprint(shards, cfg)) {
-		return fail("configuration fingerprint mismatch (snapshot taken under different settings)")
+		return nil, fmt.Errorf("serve: snapshot file: %w", errFingerprint)
 	}
 	if n := int(r.U32()); r.Err() == nil && n != shards {
 		return fail("shard count mismatch")

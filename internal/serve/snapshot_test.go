@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -264,4 +266,59 @@ func TestRestoreRejectsNonFiniteWindow(t *testing.T) {
 	if _, err := RestorePipeline(pcfg, blob); err == nil {
 		t.Fatal("restored a window holding NaN")
 	}
+}
+
+// FuzzSnapshotFile: the snapshot-file decoder is a node's input surface
+// twice over — the checkpoint read at start-up and the one-shard file
+// op=install receives — so neither decodeFile nor the install's slot rule
+// (decodeShardFile) may panic on arbitrary bytes and shard ids. A file that
+// decodes re-encodes byte-identical, and a file the slot rule admits fills
+// the named slot and no other. Every input is also tried with its trailing
+// checksum resealed, so mutations reach the checks behind the CRC.
+func FuzzSnapshotFile(f *testing.F) {
+	const shards = 2
+	cfg := fixtureLightConfig()
+	fixture, err := os.ReadFile(filepath.Join("testdata", "formats", "ODSV.bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := fixturePipelineBlob(cfg, 35, 20)
+	if err != nil {
+		f.Fatal(err)
+	}
+	oneShard := encodeFile(shards, cfg, [][]byte{nil, blob})
+	f.Add(fixture, int8(0))
+	f.Add(oneShard, int8(1))
+	f.Add(oneShard, int8(0))
+	f.Add(encodeFile(shards, cfg, make([][]byte, shards)), int8(1))
+	f.Add([]byte{}, int8(-1))
+	f.Fuzz(func(t *testing.T, data []byte, id int8) {
+		inputs := [][]byte{data}
+		if len(data) >= 4 {
+			sealed := bytes.Clone(data)
+			binary.LittleEndian.PutUint32(sealed[len(sealed)-4:], crc32.ChecksumIEEE(sealed[:len(sealed)-4]))
+			inputs = append(inputs, sealed)
+		}
+		for _, in := range inputs {
+			blobs, err := decodeFile(in, shards, cfg)
+			if err == nil && !bytes.Equal(encodeFile(shards, cfg, blobs), in) {
+				t.Fatalf("non-canonical file: decode succeeded but re-encode differs\n in: %x", in)
+			}
+			got, err := decodeShardFile(in, int(id), shards, cfg)
+			if err != nil {
+				continue
+			}
+			if blobs == nil {
+				t.Fatalf("slot rule admitted a file decodeFile refuses")
+			}
+			for i, b := range blobs {
+				if (i == int(id)) != (len(b) > 0) {
+					t.Fatalf("slot rule admitted shard %d with slot %d holding %d bytes", id, i, len(b))
+				}
+			}
+			if !bytes.Equal(got, blobs[id]) {
+				t.Fatalf("slot rule returned %d bytes, slot %d holds %d", len(got), id, len(blobs[id]))
+			}
+		}
+	})
 }
