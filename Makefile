@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore bench-replicate serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore bench-replicate bench-subscribe serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake test race
 
 build:
 	$(GO) build ./...
@@ -61,10 +61,11 @@ check-jsoncodec:
 	fi
 
 # One publish per sub-batch: a shard hands the hub its whole sub-batch
-# (subHub.publishBatch, subscriber.offerBatch — one lock and at most one
-# wake-up per subscriber). A non-test hub.publish( or sub.offer( in
-# internal/serve is the per-reading push path creeping back. (shard.offer,
-# the mailbox's non-blocking send, is a different thing.)
+# (subHub.publishBatch, subscriber.offerBatch — one lock per subscriber;
+# the wake-up is the request's, see check-onewake). A non-test
+# hub.publish( or sub.offer( in internal/serve is the per-reading push
+# path creeping back. (shard.offer, the mailbox's non-blocking send, is a
+# different thing.)
 check-pushbatch:
 	@bad=$$(grep -nE 'hub\.publish\(|sub\.offer\(|\(sub \*subscriber\) offer\(' internal/serve/*.go | grep -v '_test\.go:'); \
 	if [ -n "$$bad" ]; then \
@@ -201,6 +202,31 @@ check-oneshardfile:
 		echo "$$bad"; echo "$$cfg"; exit 1; \
 	fi
 
+# One wake-up per ingest request: offerBatch stores a sub-batch's events
+# and marks the subscriber, and the request's deferred subHub.wake sends on
+# each marked subscriber's notify once, after its last sub-batch. The only
+# other send is offerBatch's half-full branch (a ring at least half full
+# wakes its stream at once). A send on notify anywhere else in non-test
+# internal/serve code is the per-sub-batch wake-up coming back.
+check-onewake:
+	@out=$$(awk 'FNR==1{fn=""} /^func /{fn=$$0; cs=""} \
+		/^[[:space:]]*(case |default:)/ && !/notify[[:space:]]*<-/{cs=$$0} \
+		/notify[[:space:]]*<-/ && !/^[[:space:]]*\/\//{ \
+			if (fn ~ /^func \(h \*subHub\) wake\(/) print "hub"; \
+			else if (fn ~ /^func \(sub \*subscriber\) offerBatch\(/ && cs ~ /case halfFull:/) print "half"; \
+			else print "bad " FILENAME ":" FNR ": " $$0 }' \
+		$$(ls internal/serve/*.go | grep -v '_test\.go$$')); \
+	bad=$$(echo "$$out" | grep '^bad ' | cut -c5-); \
+	if [ -n "$$bad" ]; then \
+		echo "a subscriber wake-up outside subHub.wake and offerBatch's half-full branch (mark the subscriber; the request wakes it once):"; \
+		echo "$$bad"; exit 1; \
+	fi; \
+	for want in hub half; do \
+		if ! echo "$$out" | grep -qx "$$want"; then \
+			echo "no notify send in $$want (subHub.wake and offerBatch's half-full branch each hold one)"; exit 1; \
+		fi; \
+	done
+
 # The serving benchmark BENCHMARK.json declares (bench/README.md): every
 # workload end to end, or every phase in a second or two as a smoke.
 benchmark:
@@ -260,6 +286,15 @@ bench-restore:
 REPLICATE_BENCHTIME = 200x
 bench-replicate:
 	$(GO) test -run=NONE -bench=BenchmarkReplicateApply -benchmem -benchtime $(REPLICATE_BENCHTIME) ./internal/serve/
+
+# light-fanout's push path outside the frozen benchmark: 8 shards, 4096
+# sensors, 64-reading requests through Server.Ingest with one draining
+# binary subscriber, reported as wakes/req and flushes/req beside ns/op.
+# Alternate it with the parent for a push-path A/B; CI runs
+# SUBSCRIBE_BENCHTIME=1x for liveness only.
+SUBSCRIBE_BENCHTIME = 2000x
+bench-subscribe:
+	$(GO) test -run=NONE -bench=BenchmarkIngestSubscribed -benchmem -benchtime $(SUBSCRIBE_BENCHTIME) ./internal/serve/
 
 # End-to-end smoke of the serving subsystem: build oddserve + oddload,
 # replay a seeded load over HTTP with verdict agreement enforced against

@@ -145,36 +145,60 @@ func (r *Router) handleSubscribe(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	seq := sequencer{lastSeq: make([]uint64, m.Shards), credit: make([]uint64, streams)}
+	merge(ctx, ch, streams, sw, &sequencer{lastSeq: make([]uint64, m.Shards), credit: make([]uint64, streams)})
+}
+
+// merge runs the per-shard sequencer over the frames the pumps deliver on
+// ch and writes the merged stream to sw, until each of the streams
+// upstream streams has ended, ctx is done, or a client write fails.
+func merge(ctx context.Context, ch <-chan upMsg, streams int, sw *serve.StreamWriter, seq *sequencer) {
+	// take runs one upstream message through the merge rules and reports
+	// whether it buffered a record for the client.
+	take := func(msg upMsg) bool {
+		if msg.err != nil {
+			// One node stream ended (shutdown or crash); the rest keep
+			// flowing. The client stream ends cleanly when the last
+			// upstream does.
+			streams--
+			return false
+		}
+		if msg.kind == serve.StreamFrameGap {
+			// Upstream ring drop: already a counted gap — forward.
+			seq.ringDrop(msg.src, msg.gap)
+			sw.Gap(msg.gap)
+			return true
+		}
+		gap, deliver := seq.event(msg.src, msg.ev)
+		if !deliver {
+			return false
+		}
+		if gap > 0 {
+			sw.Gap(gap)
+		}
+		sw.Verdict(msg.ev)
+		return true
+	}
 	for streams > 0 {
+		var buffered bool
 		select {
 		case <-ctx.Done():
 			return
 		case msg := <-ch:
-			if msg.err != nil {
-				// One node stream ended (shutdown or crash); the rest
-				// keep flowing. The client stream ends cleanly when the
-				// last upstream does.
-				streams--
-				continue
-			}
-			if msg.kind == serve.StreamFrameGap {
-				// Upstream ring drop: already a counted gap — forward.
-				seq.ringDrop(msg.src, msg.gap)
-				sw.Gap(msg.gap)
-			} else {
-				gap, deliver := seq.event(msg.src, msg.ev)
-				if !deliver {
-					continue
-				}
-				if gap > 0 {
-					sw.Gap(gap)
-				}
-				sw.Verdict(msg.ev)
-			}
-			if sw.Flush() != nil {
+			buffered = take(msg)
+		}
+		// A node flushes a wake-up's events in one write, so its frames
+		// arrive as a burst: take what the pumps already hold (merge is
+		// ch's only reader, so none of these receives blocks, and a
+		// steady flow cannot postpone the flush), then put it all on the
+		// wire in one flush.
+		for n := len(ch); n > 0 && streams > 0; n-- {
+			if ctx.Err() != nil {
 				return
 			}
+			buffered = take(<-ch) || buffered
+		}
+		if buffered && sw.Flush() != nil {
+			return
 		}
 	}
 }

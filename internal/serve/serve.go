@@ -377,6 +377,10 @@ func (s *Server) Ingest(readings []Reading) ([]ReadingResult, int, error) {
 // len(readings)). All per-call state lives in rs, so at steady state the
 // whole route→detect→scatter path allocates nothing.
 func (s *Server) ingestInto(readings []Reading, results []ReadingResult, rs *routeScratch) (int, error) {
+	// Each subscriber this request stored events for is woken once, after
+	// the last sub-batch is applied and before the caller writes the
+	// reply; error returns wake too.
+	defer s.hub.wake()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -12,16 +13,19 @@ import (
 // Streaming outlier subscriptions. Polling /query/outlier is the wrong
 // service model for fleets of dashboards — the push model of in-network
 // detection (Branch et al.) inverted to datacenter scale: a subscriber
-// opens GET /subscribe and the server pushes every matching verdict the
-// moment its shard emits it.
+// opens GET /subscribe and the server pushes every matching verdict as
+// soon as the ingest request that produced it has been applied: the
+// request's events become visible together, before its reply is written.
 //
 // The fan-out discipline protects the ingest hot path absolutely: each
 // subscriber owns a bounded ring; a shard publishing a sub-batch's
 // verdicts takes the subscriber's mutex once (contended only by another
 // shard's publish or the subscriber's own drain), filters and stores the
-// whole sub-batch, and moves on. A slow subscriber loses the oldest
-// events — counted and reported as a gap record on its own stream — and
-// can never backpressure a shard goroutine.
+// whole sub-batch, marks the subscriber, and moves on. The request wakes
+// each marked stream once, after its last sub-batch (subHub.wake); only a
+// ring at least half full wakes its stream at once. A slow subscriber
+// loses the oldest events — counted and reported as a gap record on its
+// own stream — and can never backpressure a shard goroutine.
 
 // Event is one pushed verdict.
 type Event struct {
@@ -43,6 +47,7 @@ type subscriber struct {
 	outlierOnly bool
 
 	notify chan struct{} // capacity 1: coalesced wake-up
+	marked atomic.Bool   // holds events no wake-up has announced yet
 
 	mu      sync.Mutex
 	ring    []Event
@@ -54,9 +59,11 @@ type subscriber struct {
 // offerBatch publishes one shard's sub-batch — verdicts[i] judged
 // batch[i] — under a single lock: each event that passes the filters is
 // stored, dropping the oldest if the subscriber is behind, so a sub-batch
-// longer than the ring leaves its newest len(ring) events. The stream is
-// woken at most once, and only if something was stored. Never blocks,
-// never allocates.
+// longer than the ring leaves its newest len(ring) events. If something
+// was stored the subscriber is marked for the request's subHub.wake, or,
+// when the ring is now at least half full, its stream is woken at once so
+// a request longer than the ring drains no worse than per sub-batch.
+// Never blocks, never allocates.
 func (sub *subscriber) offerBatch(shard int, batch []Reading, verdicts []Verdict) {
 	stored := false
 	var dropped uint64
@@ -95,15 +102,20 @@ func (sub *subscriber) offerBatch(shard int, batch []Reading, verdicts []Verdict
 		stored = true
 	}
 	sub.dropped += dropped
+	halfFull := 2*sub.n >= len(sub.ring)
 	sub.mu.Unlock()
 	if dropped > 0 {
 		sub.hub.dropped.Add(dropped)
 	}
-	if stored {
+	switch {
+	case !stored:
+	case halfFull:
 		select {
 		case sub.notify <- struct{}{}:
-		default:
+		default: // a wake-up is already pending
 		}
+	default:
+		sub.marked.Store(true)
 	}
 }
 
@@ -158,6 +170,21 @@ func (h *subHub) registered() []*subscriber {
 func (h *subHub) publishBatch(shard int, batch []Reading, verdicts []Verdict) {
 	for _, sub := range h.registered() {
 		sub.offerBatch(shard, batch, verdicts)
+	}
+}
+
+// wake wakes each subscriber that offerBatch marked, once. The ingest
+// path defers it, so a request wakes a stream after its last sub-batch
+// is applied rather than once per shard. With no subscribers this is a
+// single atomic load.
+func (h *subHub) wake() {
+	for _, sub := range h.registered() {
+		if sub.marked.Load() && sub.marked.Swap(false) {
+			select {
+			case sub.notify <- struct{}{}:
+			default: // a wake-up is already pending
+			}
+		}
 	}
 }
 
@@ -270,14 +297,18 @@ func (sw *StreamWriter) Gap(n uint64) {
 	}
 }
 
-// Verdict buffers one verdict event.
+// Verdict buffers one verdict event. An SSE event's data is JSON: the
+// sensor id, any 1–255 bytes on the binary wire, is written with
+// encoding/json's escaping (\u0001 for a control byte, \ufffd for a byte
+// that is not UTF-8).
 func (sw *StreamWriter) Verdict(ev Event) {
 	if sw.binary {
 		sw.out = AppendVerdictFrame(sw.out, ev)
 	} else {
+		sensor, _ := json.Marshal(ev.Sensor) // a string always marshals
 		sw.out = fmt.Appendf(sw.out,
-			"event: verdict\ndata: {\"sensor\":%q,\"shard\":%d,\"seq\":%d,\"outlier\":%t,\"exact\":%t,\"warmed\":%t}\n\n",
-			ev.Sensor, ev.Shard, ev.Seq, ev.Outlier, ev.Exact, ev.Warmed)
+			"event: verdict\ndata: {\"sensor\":%s,\"shard\":%d,\"seq\":%d,\"outlier\":%t,\"exact\":%t,\"warmed\":%t}\n\n",
+			sensor, ev.Shard, ev.Seq, ev.Outlier, ev.Exact, ev.Warmed)
 	}
 }
 

@@ -12,6 +12,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"odds/internal/core"
+	"odds/internal/detector"
+	"odds/internal/distance"
+	"odds/internal/mdef"
+	"odds/internal/stream"
 )
 
 // subBatch builds one shard's sub-batch: a reading per name, seqs counting
@@ -63,9 +69,12 @@ func TestSubscriberRingDropOldest(t *testing.T) {
 
 // TestOfferBatch pins what one sub-batch does to one subscriber: filters
 // run inside the batch (a filtered event costs no ring space and a batch
-// filtered whole raises no wake-up), a batch longer than the ring leaves
-// its newest len(ring) events behind one gap, events drain in the order
-// each shard published them, and a batch wakes the stream once.
+// filtered whole leaves no mark), a batch longer than the ring leaves its
+// newest len(ring) events behind one gap, events drain in the order each
+// shard published them, and a batch that stores events marks the
+// subscriber for its request's wake-up — unless it left the ring at least
+// half full, which wakes the stream at once instead. How many wake-ups a
+// request raises is TestSubscriberWokenOncePerRequest's.
 func TestOfferBatch(t *testing.T) {
 	type publish struct {
 		shard int
@@ -84,42 +93,43 @@ func TestOfferBatch(t *testing.T) {
 		publishes   []publish
 		want        []key
 		wantGap     uint64
-		wantWakes   int
+		wantMarked  bool
 	}{
 		{
 			name: "unfiltered", ring: 8,
 			publishes: []publish{{0, 1, []string{"a", "b!", "a"}}},
-			want:      []key{{0, 1}, {0, 2}, {0, 3}}, wantWakes: 1,
+			want:      []key{{0, 1}, {0, 2}, {0, 3}}, wantMarked: true,
 		},
 		{
 			name: "sensor filter", sensors: []string{"a"}, ring: 8,
 			publishes: []publish{{0, 1, []string{"b", "a", "c!", "a!"}}},
-			want:      []key{{0, 2}, {0, 4}}, wantWakes: 1,
+			want:      []key{{0, 2}, {0, 4}}, wantMarked: true,
 		},
 		{
 			name: "only outliers", outlierOnly: true, ring: 8,
 			publishes: []publish{{0, 1, []string{"a", "a!", "b!", "b"}}},
-			want:      []key{{0, 2}, {0, 3}}, wantWakes: 1,
+			want:      []key{{0, 2}, {0, 3}}, wantMarked: true,
 		},
 		{
 			name: "batch filtered whole", sensors: []string{"a"}, outlierOnly: true, ring: 8,
 			publishes: []publish{{0, 1, []string{"b!", "a", "c"}}},
 		},
 		{
-			// Four of six filtered out: the two survivors fit a ring of two.
+			// Four of six filtered out: the two survivors fit a ring of
+			// two, which they fill, so the stream is woken, not marked.
 			name: "filtered events cost no ring space", sensors: []string{"a"}, ring: 2,
 			publishes: []publish{{0, 1, []string{"b", "b", "b", "a", "b", "a"}}},
-			want:      []key{{0, 4}, {0, 6}}, wantWakes: 1,
+			want:      []key{{0, 4}, {0, 6}},
 		},
 		{
 			name: "batch longer than the ring", ring: 4,
 			publishes: []publish{{0, 1, []string{"a", "a", "a", "a", "a", "a", "a", "a", "a", "a"}}},
-			want:      []key{{0, 7}, {0, 8}, {0, 9}, {0, 10}}, wantGap: 6, wantWakes: 1,
+			want:      []key{{0, 7}, {0, 8}, {0, 9}, {0, 10}}, wantGap: 6,
 		},
 		{
-			name: "shards interleave by batch", ring: 8,
+			name: "shards interleave by batch", ring: 16,
 			publishes: []publish{{0, 1, []string{"a", "a"}}, {1, 1, []string{"b", "b"}}, {0, 3, []string{"a"}}},
-			want:      []key{{0, 1}, {0, 2}, {1, 1}, {1, 2}, {0, 3}}, wantWakes: 3,
+			want:      []key{{0, 1}, {0, 2}, {1, 1}, {1, 2}, {0, 3}}, wantMarked: true,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -133,22 +143,16 @@ func TestOfferBatch(t *testing.T) {
 				}
 			}
 			hub.add(sub)
-			wakes := 0
 			for _, p := range tc.publishes {
 				batch, verdicts := subBatch(p.seq, p.names...)
 				hub.publishBatch(p.shard, batch, verdicts)
-				select {
-				case <-sub.notify:
-					wakes++
-				default:
-				}
+			}
+			if sub.marked.Load() != tc.wantMarked {
+				t.Fatalf("marked %t, want %t", sub.marked.Load(), tc.wantMarked)
 			}
 			events, gap := sub.drain(nil)
 			if gap != tc.wantGap || hub.dropped.Load() != tc.wantGap {
 				t.Fatalf("gap %d, hub dropped %d, want both %d", gap, hub.dropped.Load(), tc.wantGap)
-			}
-			if wakes != tc.wantWakes {
-				t.Fatalf("%d wake-ups, want %d", wakes, tc.wantWakes)
 			}
 			if len(events) != len(tc.want) {
 				t.Fatalf("drained %+v, want %+v", events, tc.want)
@@ -160,6 +164,107 @@ func TestOfferBatch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSubscriberWokenOncePerRequest pins when a stream is woken, on a
+// four-shard server: a request spanning every shard wakes its subscriber
+// once, after its last sub-batch, with every event already in the ring
+// when Ingest returns; a request whose events the filters drop wakes
+// nobody; and a sub-batch that leaves the ring at least half full wakes
+// the stream at once, so a request longer than the ring is drained per
+// sub-batch as before. Each test subscriber's notify channel is deep
+// enough to count every wake-up a coalescing capacity-1 channel would
+// absorb.
+func TestSubscriberWokenOncePerRequest(t *testing.T) {
+	const shards, perShard = 4, 8
+	srv := mustServer(t, testServerConfig(shards, 1))
+	defer srv.Close()
+	sensors := make([]string, shards)
+	for found, i := 0, 0; found < shards; i++ {
+		id := fmt.Sprintf("s%d", i)
+		if sid := ShardOf(id, shards); sensors[sid] == "" {
+			sensors[sid] = id
+			found++
+		}
+	}
+	readings := make([]Reading, shards*perShard)
+	for i := range readings {
+		readings[i] = Reading{Sensor: sensors[i%shards], Value: []float64{float64(i%10) / 10}}
+	}
+	attach := func(ring int, sensors ...string) *subscriber {
+		sub := newTestSubscriber(srv.hub, ring)
+		sub.notify = make(chan struct{}, 2*shards)
+		if sensors != nil {
+			sub.sensors = map[string]struct{}{}
+			for _, name := range sensors {
+				sub.sensors[name] = struct{}{}
+			}
+		}
+		srv.hub.add(sub)
+		return sub
+	}
+	ingest := func() []ReadingResult {
+		t.Helper()
+		results, rejected, err := srv.Ingest(readings)
+		if err != nil || rejected != 0 {
+			t.Fatalf("ingest: rejected=%d err=%v", rejected, err)
+		}
+		return results
+	}
+
+	t.Run("one wake-up per request", func(t *testing.T) {
+		sub := attach(4 * len(readings))
+		defer srv.hub.remove(sub)
+		for round := 0; round < 3; round++ {
+			results := ingest()
+			if n := len(sub.notify); n != 1 {
+				t.Fatalf("round %d: %d wake-ups for a request over %d shards, want 1", round, n, shards)
+			}
+			<-sub.notify
+			events, gap := sub.drain(nil)
+			if gap != 0 || len(events) != len(readings) {
+				t.Fatalf("round %d: ring held %d events (gap %d) when Ingest returned, want %d", round, len(events), gap, len(readings))
+			}
+			want := map[Event]bool{}
+			for i, r := range results {
+				want[Event{Sensor: readings[i].Sensor, Shard: r.Shard, Seq: r.Seq, Outlier: r.Outlier, Exact: r.Exact, Warmed: r.Warmed}] = true
+			}
+			for _, ev := range events {
+				if !want[ev] {
+					t.Fatalf("round %d: event %+v matches no result", round, ev)
+				}
+				delete(want, ev)
+			}
+		}
+	})
+
+	t.Run("filtered request wakes nobody", func(t *testing.T) {
+		sub := attach(4*len(readings), "absent")
+		defer srv.hub.remove(sub)
+		ingest()
+		if n := len(sub.notify); n != 0 || sub.marked.Load() {
+			t.Fatalf("%d wake-ups (marked %t) for a request the filter dropped whole", n, sub.marked.Load())
+		}
+	})
+
+	t.Run("half-full ring wakes at once", func(t *testing.T) {
+		// Directly: one sub-batch that half fills the ring wakes before
+		// any request's wake-up runs.
+		direct := newTestSubscriber(newSubHub(), 2*perShard)
+		batch, verdicts := subBatch(1, make([]string, perShard)...)
+		direct.offerBatch(0, batch, verdicts)
+		if len(direct.notify) != 1 || direct.marked.Load() {
+			t.Fatalf("half-full ring: %d wake-ups, marked %t; want 1, false", len(direct.notify), direct.marked.Load())
+		}
+		// Through the server: every shard's sub-batch fills a ring of
+		// perShard, so each wakes the stream as it lands.
+		sub := attach(perShard)
+		defer srv.hub.remove(sub)
+		ingest()
+		if n := len(sub.notify); n != shards {
+			t.Fatalf("%d wake-ups for %d sub-batches that each fill the ring, want %d", n, shards, shards)
+		}
+	})
 }
 
 // TestSubscriberFilters pins that a published event carries its reading's
@@ -431,6 +536,46 @@ func TestSubscribeSSE(t *testing.T) {
 	}
 }
 
+// TestSubscribeSSEIsJSON pins that every SSE data line is JSON whatever
+// bytes the sensor id holds: the binary wire admits any 1–255 bytes, and
+// the stream writes the id with encoding/json's escaping — \u0001 for a
+// control byte, \ufffd for a byte that is not UTF-8. The router's merged
+// stream renders through the same StreamWriter.
+func TestSubscribeSSEIsJSON(t *testing.T) {
+	srv := mustServer(t, testServerConfig(2, 1))
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp := openStream(t, ts.URL+"/subscribe")
+	defer resp.Body.Close()
+
+	ids := []string{"a\x01b", "caf\xe9", "quote\"back\\slash", "tab\tnl\n", "plain"}
+	want := map[string]bool{"a\u0001b": true, "caf\ufffd": true, "quote\"back\\slash": true, "tab\tnl\n": true, "plain": true}
+	readings := make([]Reading, len(ids))
+	for i, id := range ids {
+		readings[i] = Reading{Sensor: id, Value: []float64{float64(i) / 10}}
+	}
+	if _, rejected, err := srv.Ingest(readings); err != nil || rejected != 0 {
+		t.Fatalf("ingest: rejected=%d err=%v", rejected, err)
+	}
+	for _, ev := range readSSE(t, bufio.NewReader(resp.Body), len(ids)) {
+		if !json.Valid([]byte(ev.data)) {
+			t.Fatalf("%s data is not JSON: %q", ev.kind, ev.data)
+		}
+		var got struct {
+			Sensor string `json:"sensor"`
+		}
+		if err := json.Unmarshal([]byte(ev.data), &got); err != nil {
+			t.Fatal(err)
+		}
+		if !want[got.Sensor] {
+			t.Fatalf("sensor %q decoded from %q, want one of %v", got.Sensor, ev.data, want)
+		}
+		delete(want, got.Sensor)
+	}
+}
+
 // TestSubscribeSensorFilter pins server-side filtering: a stream opened
 // for one sensor sees that sensor's verdicts only.
 func TestSubscribeSensorFilter(t *testing.T) {
@@ -557,4 +702,137 @@ func TestSubscribeAfterClose(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
 	}
+}
+
+// flushCountingWriter is a streaming ResponseWriter that discards what it
+// is sent and counts flushes.
+type flushCountingWriter struct {
+	hdr     http.Header
+	flushes atomic.Int64
+}
+
+func (w *flushCountingWriter) Header() http.Header         { return w.hdr }
+func (w *flushCountingWriter) WriteHeader(int)             {}
+func (w *flushCountingWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *flushCountingWriter) Flush()                      { w.flushes.Add(1) }
+
+// BenchmarkIngestSubscribed is light-fanout's ingest with its one binary
+// subscriber, outside the frozen benchmark: 8 shards (ewma by default, q-
+// sensors on qn, c- on coreset, |W| = 10⁴), 4096 sensors, 64-reading
+// requests through Server.Ingest, while a stream goroutine drains the
+// subscriber's ring and renders ODWS frames as handleSubscribe does. It
+// reports, beside ns/op, how often that stream woke and flushed per
+// request, and fails unless its events plus gap-counted drops come to
+// every reading ingested. Alternate it with the parent for a push-path
+// A/B; CI runs it once for liveness.
+func BenchmarkIngestSubscribed(b *testing.B) {
+	const shards, batchLen, cycle = 8, 64, 256
+	ccfg := core.DefaultConfig(1)
+	ccfg.WindowCap, ccfg.SampleSize = 10000, 500
+	pcfg := PipelineConfig{
+		Core:     ccfg,
+		Kind:     DetectDistance,
+		Distance: distance.Params{Radius: 0.01, Threshold: 45},
+		MDEF:     mdef.Params{R: 0.08, AlphaR: 0.01, KSigma: 3},
+		Seed:     1,
+		Backends: detector.Params{}.WithDefaults(),
+		Backend:  detector.KindEWMA,
+		Selector: []BackendRule{
+			{Prefix: "q-", Backend: detector.KindQn},
+			{Prefix: "c-", Backend: detector.KindCoreset},
+		},
+	}
+	srv, err := New(Config{Shards: shards, Pipeline: pcfg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+
+	var names []string
+	for _, g := range []struct {
+		prefix string
+		n      int
+	}{{"s-", 2048}, {"q-", 1024}, {"c-", 1024}} {
+		for i := 0; i < g.n; i++ {
+			names = append(names, fmt.Sprintf("%s%04d", g.prefix, i))
+		}
+	}
+	src, err := stream.ByName("mixture", 1, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := make([][]Reading, cycle)
+	for i := range batches {
+		batches[i] = make([]Reading, batchLen)
+		for j := range batches[i] {
+			batches[i][j] = Reading{Sensor: names[(i*batchLen+j)%len(names)], Value: src.Next()}
+		}
+	}
+
+	sub := &subscriber{hub: srv.hub, notify: make(chan struct{}, 1), ring: make([]Event, srv.cfg.SubscribeBuffer)}
+	srv.hub.add(sub)
+	defer srv.hub.remove(sub)
+	w := &flushCountingWriter{hdr: http.Header{}}
+	sw := StartStream(w, true)
+	var wakes, delivered atomic.Int64
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		var events []Event
+		for {
+			select {
+			case <-stop:
+				return
+			case <-sub.notify:
+				wakes.Add(1)
+				var gap uint64
+				events, gap = sub.drain(events[:0])
+				if gap == 0 && len(events) == 0 {
+					continue
+				}
+				if gap > 0 {
+					sw.Gap(gap)
+				}
+				for _, ev := range events {
+					sw.Verdict(ev)
+				}
+				delivered.Add(int64(gap) + int64(len(events)))
+				_ = sw.Flush()
+			}
+		}
+	}()
+
+	ingested := 0
+	ingest := func(batch []Reading) {
+		if _, rejected, err := srv.Ingest(batch); err != nil || rejected != 0 {
+			b.Fatalf("ingest: %d rejected, err %v", rejected, err)
+		}
+		ingested += len(batch)
+	}
+	// settle waits until the stream has delivered, or counted as dropped,
+	// every reading ingested so far.
+	settle := func() {
+		for deadline := time.Now().Add(10 * time.Second); delivered.Load() != int64(ingested); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				b.Fatalf("stream saw %d events and drops of %d readings ingested", delivered.Load(), ingested)
+			}
+		}
+	}
+	for _, batch := range batches {
+		ingest(batch)
+	}
+	settle()
+	wakes0, flushes0 := wakes.Load(), w.flushes.Load()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ingest(batches[i%cycle])
+	}
+	b.StopTimer()
+	settle()
+	b.ReportMetric(float64(wakes.Load()-wakes0)/float64(b.N), "wakes/req")
+	b.ReportMetric(float64(w.flushes.Load()-flushes0)/float64(b.N), "flushes/req")
+	close(stop)
+	<-stopped
 }
