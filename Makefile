@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore bench-replicate bench-subscribe serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake check-oneindex benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore bench-replicate bench-subscribe serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake check-oneindex test race
 
 build:
 	$(GO) build ./...
@@ -100,11 +100,12 @@ check-onerefresh:
 	fi
 
 # One query surface: a kernel model answers its own queries. A query
-# handle type, the estimator accessors that cached one, or the per-point
-# batch entry points must not come back; NewQuerier is a deprecated shim
-# that only bench/ may call.
+# handle type, the estimator accessors that cached one, or the batch entry
+# points (per point, per box, or the mdef interface that dispatched to
+# one) must not come back; NewQuerier is a deprecated shim that only bench/
+# may call.
 check-onequery:
-	@bad=$$(grep -rnE '\bQuerier\b|CachedQuerier\(|CountBatch\(|DensityBatch\(' --include='*.go' --exclude='*_test.go' internal cmd examples *.go); \
+	@bad=$$(grep -rnE '\bQuerier\b|CachedQuerier\(|CountBatch\(|DensityBatch\(|CountBoxBatch|BoxBatcher' --include='*.go' --exclude='*_test.go' internal cmd examples *.go); \
 	shim=$$(grep -rn 'NewQuerier(' --include='*.go' internal cmd examples *.go | grep -v 'func (e \*Estimator) NewQuerier() \*Estimator'); \
 	if [ -n "$$bad$$shim" ]; then \
 		echo "a second way to query a kernel model (query the kernel.Estimator directly):"; \
@@ -226,6 +227,23 @@ check-onewake:
 			echo "no notify send in $$want (subHub.wake and offerBatch's half-full branch each hold one)"; exit 1; \
 		fi; \
 	done
+
+# One way to count a neighbourhood: exact neighbor counts run on
+# distance.DynIndex (BruteForce-D loads one) and exact MDEF cell counts on
+# mdef.DynTruth (BruteForce-M loads one), and both key their grid cells
+# with distance.AppendCellKey. A static grid (type Index struct,
+# NewIndex(, cellKey() in non-test internal/distance, or the zigzag cell
+# key written out anywhere in non-test Go outside AppendCellKey, is a
+# second counting path coming back.
+check-oneindex:
+	@bad=$$(grep -nE 'type Index struct|NewIndex\(|cellKey\(' internal/distance/*.go | grep -v '_test\.go:'); \
+	key=$$(awk -v pat='uint32(c<<1) ^ uint32(c>>31)' 'FNR==1{fn=""} /^func /{fn=$$0} /^}/{fn=""} \
+		index($$0, pat) && fn !~ /^func AppendCellKey\(/{print FILENAME":"FNR": "$$0}' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*')); \
+	if [ -n "$$bad$$key" ]; then \
+		echo "a second exact-count path or cell-key encoding (count on DynIndex/DynTruth; key cells with distance.AppendCellKey):"; \
+		echo "$$bad"; echo "$$key"; exit 1; \
+	fi
 
 # The serving benchmark BENCHMARK.json declares (bench/README.md): every
 # workload end to end, or every phase in a second or two as a smoke.

@@ -196,12 +196,11 @@ func TestBruteForce3D(t *testing.T) {
 	if nOut == 0 {
 		t.Error("3-d brute force found no noise outliers")
 	}
-	// Spot-check against the naive scan.
+	// Spot-check the flags against the naive scan.
 	for i := 0; i < 40; i++ {
-		want := distance.CountNaive(pts, pts[i], 0.05)
-		idx := distance.NewIndex(pts, 0.05)
-		if got := idx.Count(pts[i], 0.05); got != want {
-			t.Fatalf("3-d index count %d, naive %d", got, want)
+		want := float64(distance.CountNaive(pts, pts[i], 0.05)) < 5
+		if flags[i] != want {
+			t.Fatalf("3-d point %d: BruteForce flag %v, naive count says %v", i, flags[i], want)
 		}
 	}
 }

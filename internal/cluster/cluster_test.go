@@ -378,6 +378,7 @@ func TestRouterIngestErrorParity(t *testing.T) {
 		{"query without sensor", "GET", "/query/outlier?v=0.5", "", nil, http.StatusBadRequest},
 		{"query without value", "GET", "/query/outlier?sensor=s", "", nil, http.StatusBadRequest},
 		{"prob without radius", "GET", "/query/prob?sensor=s&v=0.5", "", nil, http.StatusBadRequest},
+		{"prob with NaN radius", "GET", "/query/prob?sensor=s&v=0.5&r=NaN", "", nil, http.StatusBadRequest},
 		{"GET /ingest", "GET", "/ingest", "", nil, http.StatusMethodNotAllowed},
 	}
 	for _, target := range []string{"/subscribe", "/query/outlier", "/query/prob", "/stats", "/healthz", "/metrics"} {

@@ -64,9 +64,18 @@ func TestBruteForceNaiveSimple(t *testing.T) {
 	}
 }
 
+// dynIndexOf loads pts into a fresh DynIndex of cell side r.
+func dynIndexOf(pts []window.Point, r float64, dim int) *DynIndex {
+	idx := NewDynIndex(r, dim)
+	for _, p := range pts {
+		idx.Add(p)
+	}
+	return idx
+}
+
 func TestIndexMatchesNaive1D(t *testing.T) {
 	pts := randPts(1, 400, 1)
-	idx := NewIndex(pts, 0.02)
+	idx := dynIndexOf(pts, 0.02, 1)
 	for _, p := range pts[:50] {
 		want := CountNaive(pts, p, 0.02)
 		got := idx.Count(p, 0.02)
@@ -78,7 +87,7 @@ func TestIndexMatchesNaive1D(t *testing.T) {
 
 func TestIndexMatchesNaive2D(t *testing.T) {
 	pts := randPts(2, 300, 2)
-	idx := NewIndex(pts, 0.05)
+	idx := dynIndexOf(pts, 0.05, 2)
 	for _, p := range pts[:50] {
 		want := CountNaive(pts, p, 0.05)
 		got := idx.Count(p, 0.05)
@@ -88,19 +97,24 @@ func TestIndexMatchesNaive2D(t *testing.T) {
 	}
 }
 
+// A query radius below the cell size still scans the 3^d adjacent cells
+// and filters by the smaller box.
 func TestIndexSmallerQueryRadius(t *testing.T) {
 	pts := randPts(3, 200, 1)
-	idx := NewIndex(pts, 0.05)
+	idx := dynIndexOf(pts, 0.05, 1)
 	for _, p := range pts[:30] {
 		want := CountNaive(pts, p, 0.03)
 		if got := idx.Count(p, 0.03); got != want {
 			t.Fatalf("smaller-radius count = %d, naive %d", got, want)
 		}
+		if got := idx.CountUpTo(p, 0.03, 1<<30); got != want {
+			t.Fatalf("smaller-radius CountUpTo = %d, naive %d", got, want)
+		}
 	}
 }
 
 func TestIndexRejectsOversizeRadius(t *testing.T) {
-	idx := NewIndex(randPts(4, 10, 1), 0.01)
+	idx := dynIndexOf(randPts(4, 10, 1), 0.01, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("oversize radius did not panic")
@@ -110,51 +124,48 @@ func TestIndexRejectsOversizeRadius(t *testing.T) {
 }
 
 func TestIndexEmpty(t *testing.T) {
-	idx := NewIndex(nil, 0.01)
+	idx := NewDynIndex(0.01, 1)
 	if idx.Len() != 0 {
 		t.Error("empty index Len != 0")
 	}
 	if got := idx.Count(window.Point{0.5}, 0.01); got != 0 {
 		t.Errorf("empty index count = %d, want 0", got)
 	}
+	if !idx.IsOutlier(window.Point{0.5}, Params{Radius: 0.01, Threshold: 1}) {
+		t.Error("a point of an empty index is not an outlier")
+	}
 }
 
 func TestIndexPanicsOnBadInput(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("cell size 0 did not panic")
-			}
+	for name, fn := range map[string]func(){
+		"cell size 0":   func() { NewDynIndex(0, 1) },
+		"ragged points": func() { dynIndexOf([]window.Point{{0.1}, {0.1, 0.2}}, 0.01, 1) },
+		"query dim mismatch": func() {
+			dynIndexOf([]window.Point{{0.1}}, 0.01, 1).Count(window.Point{0.1, 0.2}, 0.01)
+		},
+		"empty index query dim mismatch": func() { NewDynIndex(0.01, 1).Count(window.Point{0.1, 0.2}, 0.01) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			fn()
 		}()
-		NewIndex(nil, 0)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ragged points did not panic")
-			}
-		}()
-		NewIndex([]window.Point{{0.1}, {0.1, 0.2}}, 0.01)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("query dim mismatch did not panic")
-			}
-		}()
-		idx := NewIndex([]window.Point{{0.1}}, 0.01)
-		idx.Count(window.Point{0.1, 0.2}, 0.01)
-	}()
+	}
 }
 
 func TestIndexNegativeCoordinates(t *testing.T) {
 	// Cell flooring must be correct for negative coordinates too (points
 	// near zero with query boxes extending below it).
-	pts := []window.Point{{-0.005}, {0.004}, {0.5}}
-	idx := NewIndex(pts, 0.01)
-	want := CountNaive(pts, pts[0], 0.01)
-	if got := idx.Count(pts[0], 0.01); got != want {
-		t.Errorf("negative-coord count = %d, naive %d", got, want)
+	pts := []window.Point{{-0.005}, {0.004}, {-0.013}, {0.5}}
+	idx := dynIndexOf(pts, 0.01, 1)
+	for _, p := range pts {
+		want := CountNaive(pts, p, 0.01)
+		if got := idx.Count(p, 0.01); got != want {
+			t.Errorf("negative-coord count at %v = %d, naive %d", p, got, want)
+		}
 	}
 }
 
@@ -203,24 +214,6 @@ func TestBruteForcePanicsOnBadParams(t *testing.T) {
 		}
 	}()
 	BruteForce(randPts(5, 10, 1), Params{Radius: -1, Threshold: 1})
-}
-
-func TestOutliersSubset(t *testing.T) {
-	pts := randPts(6, 500, 1)
-	// Plant an isolated point far from the bulk.
-	pts = append(pts, window.Point{0.999999})
-	params := Params{Radius: 0.0001, Threshold: 2}
-	outs := Outliers(pts, params)
-	flags := BruteForce(pts, params)
-	nFlagged := 0
-	for _, f := range flags {
-		if f {
-			nFlagged++
-		}
-	}
-	if len(outs) != nFlagged {
-		t.Errorf("Outliers len = %d, flags = %d", len(outs), nFlagged)
-	}
 }
 
 func TestClusterVsIsolatedScenario(t *testing.T) {

@@ -7,12 +7,14 @@ import (
 	"odds/internal/window"
 )
 
-// DynIndex is the incremental version of Index: points can be added and
-// removed as sliding windows advance, so the serving pipeline and the
-// evaluation harness can maintain exact per-arrival ground truth (the
-// BruteForce-D decision for every new value against the current window)
-// in amortized constant time instead of rebuilding an index per window
-// instance.
+// DynIndex is a cell grid over a point multiset enabling exact L∞ neighbor
+// counts in time proportional to the occupancy of the 3^d cells adjacent
+// to the query. Points can be added and removed as sliding windows
+// advance, so the serving pipeline and the evaluation harness maintain
+// exact per-arrival ground truth (the BruteForce-D decision for every new
+// value against the current window) in amortized constant time instead of
+// rebuilding an index per window instance; BruteForce builds one over a
+// whole point set.
 //
 // The index owns copies of its points: a grid cell is a bucket holding
 // its members' coordinates inline, oldest first, so callers may reuse or
@@ -114,14 +116,9 @@ func NewDynIndex(r float64, dim int) *DynIndex {
 // Len returns the number of indexed points.
 func (d *DynIndex) Len() int { return d.n }
 
-// encodeKey writes cellKey(coords) into the reusable key buffer.
+// encodeKey writes the cell key of coords into the reusable key buffer.
 func (d *DynIndex) encodeKey(coords []int) {
-	b := d.keyBuf[:0]
-	for _, c := range coords {
-		u := uint32(c<<1) ^ uint32(c>>31)
-		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24), ',')
-	}
-	d.keyBuf = b
+	d.keyBuf = AppendCellKey(d.keyBuf[:0], coords)
 }
 
 // keyFor encodes the cell key of p into the key buffer.
@@ -214,7 +211,9 @@ func (d *DynIndex) scan(p window.Point, r float64, limit int) int {
 	}
 }
 
-// validate rejects malformed queries by panic, exactly as Index does.
+// validate rejects malformed queries by panic: a radius beyond the cell
+// size (the 3^d scan would miss neighbors) or a point of the wrong
+// dimensionality.
 func (d *DynIndex) validate(p window.Point, r float64) {
 	if r > d.cell+1e-15 {
 		panic(fmt.Sprintf("distance: query radius %v exceeds index cell %v", r, d.cell))

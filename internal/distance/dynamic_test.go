@@ -235,13 +235,9 @@ func TestDynIndexMatchesStaticProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%50) + 2
 		pts := randPts(seed, n, 2)
-		d := NewDynIndex(0.07, 2)
+		d := dynIndexOf(pts, 0.07, 2)
 		for _, p := range pts {
-			d.Add(p)
-		}
-		idx := NewIndex(pts, 0.07)
-		for _, p := range pts {
-			if d.Count(p, 0.07) != idx.Count(p, 0.07) {
+			if d.Count(p, 0.07) != CountNaive(pts, p, 0.07) {
 				return false
 			}
 		}

@@ -145,41 +145,6 @@ func (h *EquiDepth) CountBox(lo, hi []float64) float64 {
 	return h.ProbBox(lo, hi) * h.wcount
 }
 
-// NewEquiDepthFromBounds builds an equi-depth histogram directly from
-// pre-computed bucket boundaries (ascending, len = buckets+1) with equal
-// mass per bucket. It is the bridge from streaming quantile summaries
-// (internal/quantile) to a fully-online histogram estimator: feed a GK
-// sketch, read off its quantiles, get a queryable model.
-func NewEquiDepthFromBounds(bounds []float64, total, windowCount float64) (*EquiDepth, error) {
-	if len(bounds) < 2 {
-		return nil, ErrNoData
-	}
-	if total <= 0 || windowCount <= 0 || math.IsNaN(total) || math.IsNaN(windowCount) {
-		return nil, fmt.Errorf("histogram: totals %v/%v must be positive", total, windowCount)
-	}
-	h := &EquiDepth{
-		bounds: make([]float64, 0, len(bounds)),
-		depth:  make([]float64, 0, len(bounds)-1),
-		total:  total,
-		wcount: windowCount,
-	}
-	per := total / float64(len(bounds)-1)
-	h.bounds = append(h.bounds, bounds[0])
-	for i := 1; i < len(bounds); i++ {
-		b := bounds[i]
-		last := h.bounds[len(h.bounds)-1]
-		if b < last {
-			return nil, fmt.Errorf("histogram: bounds not ascending at %d", i)
-		}
-		if b == last {
-			b = math.Nextafter(last, math.Inf(1))
-		}
-		h.bounds = append(h.bounds, b)
-		h.depth = append(h.depth, per)
-	}
-	return h, nil
-}
-
 // Grid is a d-dimensional equi-width histogram over [0,1]^d with side
 // cells per dimension. It extends the histogram baseline to the paper's
 // 2-d experiments.

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"odds/internal/quantile"
 	"odds/internal/stats"
 )
 
@@ -173,65 +172,6 @@ func TestEquiDepthAdditiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNewEquiDepthFromBounds(t *testing.T) {
-	h, err := NewEquiDepthFromBounds([]float64{0, 0.25, 0.5, 0.75, 1}, 1000, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Buckets() != 4 {
-		t.Fatalf("Buckets = %d", h.Buckets())
-	}
-	if got := h.ProbBox([]float64{0}, []float64{0.5}); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("half mass = %v", got)
-	}
-	if got := h.Count([]float64{0.125}, 0.125); math.Abs(got-250) > 1e-9 {
-		t.Errorf("quarter count = %v, want 250", got)
-	}
-}
-
-func TestNewEquiDepthFromBoundsValidation(t *testing.T) {
-	if _, err := NewEquiDepthFromBounds([]float64{1}, 10, 10); err == nil {
-		t.Error("single bound accepted")
-	}
-	if _, err := NewEquiDepthFromBounds([]float64{0, 1}, 0, 10); err == nil {
-		t.Error("zero total accepted")
-	}
-	if _, err := NewEquiDepthFromBounds([]float64{0, 0.5, 0.4}, 10, 10); err == nil {
-		t.Error("descending bounds accepted")
-	}
-	// Duplicate boundaries widen by one ULP rather than fail.
-	if _, err := NewEquiDepthFromBounds([]float64{0, 0.5, 0.5, 1}, 10, 10); err != nil {
-		t.Errorf("duplicate boundary rejected: %v", err)
-	}
-}
-
-func TestEquiDepthFromGKSketch(t *testing.T) {
-	// End-to-end: stream → GK sketch → online equi-depth histogram whose
-	// interval masses match the generating distribution.
-	r := stats.NewRand(9)
-	sk := quantile.New(0.005)
-	const n = 30000
-	for i := 0; i < n; i++ {
-		sk.Insert(r.Float64()) // uniform [0,1]
-	}
-	const buckets = 20
-	phis := make([]float64, buckets+1)
-	for i := range phis {
-		phis[i] = float64(i) / buckets
-	}
-	h, err := NewEquiDepthFromBounds(sk.Quantiles(phis), float64(sk.N()), float64(sk.N()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range [][2]float64{{0.1, 0.3}, {0, 0.5}, {0.85, 0.95}} {
-		got := h.ProbBox([]float64{q[0]}, []float64{q[1]})
-		want := q[1] - q[0]
-		if math.Abs(got-want) > 0.03 {
-			t.Errorf("interval %v: mass %v, want ≈%v", q, got, want)
-		}
 	}
 }
 

@@ -93,9 +93,8 @@ func FuzzProbBoxPrunedVsNaive(f *testing.F) {
 			t.Fatalf("d=%d n=%d prune=%d: pruned %v != naive %v for [%v,%v]",
 				d, n, e.PruneDim(), got, want, lo, hi)
 		}
-		batch := e.CountBoxBatch([][]float64{lo}, [][]float64{hi}, nil)
-		if got, wantCount := batch[0], want*e.WindowCount(); got != wantCount {
-			t.Fatalf("batched count %v != naive-derived %v", got, wantCount)
+		if got, wantCount := e.CountBox(lo, hi), want*e.WindowCount(); got != wantCount {
+			t.Fatalf("count %v != naive-derived %v", got, wantCount)
 		}
 	})
 }

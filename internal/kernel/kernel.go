@@ -37,11 +37,11 @@
 //
 // # Queries
 //
-// The model answers its own queries: Prob, Count, ProbBox, CountBox,
-// Density and CountBoxBatch. None allocates for d ≤ 8 (centered boxes
-// live on the stack). Any number of goroutines may query one model at
-// once while its owner neither patches nor rescales it; Clone gives a
-// snapshot that outlives the owner's next patch.
+// The model answers its own queries: Prob, Count, ProbBox, CountBox and
+// Density. None allocates for d ≤ 8 (centered boxes live on the stack).
+// Any number of goroutines may query one model at once while its owner
+// neither patches nor rescales it; Clone gives a snapshot that outlives
+// the owner's next patch.
 package kernel
 
 import (
@@ -512,24 +512,6 @@ func (e *Estimator) Count(p window.Point, r float64) float64 {
 // CountBox is Count for an explicit box.
 func (e *Estimator) CountBox(lo, hi []float64) float64 {
 	return e.ProbBox(lo, hi) * e.wcount
-}
-
-// CountBoxBatch answers one count query per box, writing results into out
-// (grown as needed) and returning it. Results are identical to calling
-// CountBox per box; batching amortizes the per-call overhead for callers
-// that enumerate many boxes per decision (the MDEF cell grid).
-func (e *Estimator) CountBoxBatch(los, his [][]float64, out []float64) []float64 {
-	if len(los) != len(his) {
-		panic(fmt.Sprintf("kernel: %d lo boxes vs %d hi boxes", len(los), len(his)))
-	}
-	out = out[:0]
-	for i := range los {
-		if len(los[i]) != e.dim || len(his[i]) != e.dim {
-			panic(fmt.Sprintf("kernel: box %d dims %d,%d, model dim %d", i, len(los[i]), len(his[i]), e.dim))
-		}
-		out = append(out, e.probBox(los[i], his[i])*e.wcount)
-	}
-	return out
 }
 
 // NewQuerier returns e itself: the model answers its own queries.

@@ -204,44 +204,6 @@ func TestPruneDimSelection(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesPerCall pins CountBoxBatch bit-identical to CountBox
-// per box.
-func TestBatchMatchesPerCall(t *testing.T) {
-	for _, d := range []int{1, 2, 3} {
-		e := testModel(t, int64(20+d), d, 80, 0.05)
-		r := stats.NewRand(int64(31 * d))
-		const k = 40
-		los := make([][]float64, k)
-		his := make([][]float64, k)
-		for i := range los {
-			lo := make([]float64, d)
-			hi := make([]float64, d)
-			for j := 0; j < d; j++ {
-				lo[j] = r.Float64() * 0.9
-				hi[j] = lo[j] + r.Float64()*0.2
-			}
-			los[i], his[i] = lo, hi
-		}
-
-		counts := e.CountBoxBatch(los, his, nil)
-		if len(counts) != k {
-			t.Fatalf("d=%d batch length %d, want %d", d, len(counts), k)
-		}
-		for i := 0; i < k; i++ {
-			if want := e.CountBox(los[i], his[i]); counts[i] != want {
-				t.Fatalf("d=%d CountBoxBatch[%d] = %v, want %v", d, i, counts[i], want)
-			}
-		}
-
-		// Reusing a caller-owned out slice must not reallocate or change
-		// answers.
-		reused := e.CountBoxBatch(los, his, counts)
-		if &reused[0] != &counts[0] {
-			t.Errorf("d=%d CountBoxBatch reallocated a sufficient out slice", d)
-		}
-	}
-}
-
 // TestQueryZeroAllocs is the acceptance gate for the allocation-free
 // steady state: every query method, on fresh and patched (tombstoned)
 // models alike, runs with zero allocations per call.
@@ -258,16 +220,13 @@ func TestQueryZeroAllocs(t *testing.T) {
 			p[i] = 0.5
 			lo[i], hi[i] = 0.45, 0.55
 		}
-		los, his := [][]float64{lo, lo, lo, lo}, [][]float64{hi, hi, hi, hi}
-		out := make([]float64, 0, len(los))
 		for kind, e := range models {
 			cases := map[string]func(){
-				"Prob":          func() { e.Prob(p, 0.02) },
-				"Count":         func() { e.Count(p, 0.02) },
-				"ProbBox":       func() { e.ProbBox(lo, hi) },
-				"CountBox":      func() { e.CountBox(lo, hi) },
-				"Density":       func() { e.Density(p) },
-				"CountBoxBatch": func() { out = e.CountBoxBatch(los, his, out) },
+				"Prob":     func() { e.Prob(p, 0.02) },
+				"Count":    func() { e.Count(p, 0.02) },
+				"ProbBox":  func() { e.ProbBox(lo, hi) },
+				"CountBox": func() { e.CountBox(lo, hi) },
+				"Density":  func() { e.Density(p) },
 			}
 			for name, fn := range cases {
 				if avg := testing.AllocsPerRun(100, fn); avg != 0 {

@@ -96,16 +96,5 @@ func (c *CachedCounter) CountBox(lo, hi []float64) float64 {
 	return v
 }
 
-// CountBoxBatch answers one memoized count per box, appending into
-// out[:0] (grown as needed) and returning it. It satisfies BoxBatcher so
-// Evaluator batches keep flowing through the cell cache.
-func (c *CachedCounter) CountBoxBatch(los, his [][]float64, out []float64) []float64 {
-	out = out[:0]
-	for i := range los {
-		out = append(out, c.CountBox(los[i], his[i]))
-	}
-	return out
-}
-
 // CacheSize returns the number of memoized cells.
 func (c *CachedCounter) CacheSize() int { return len(c.memo) }

@@ -11,7 +11,8 @@ import (
 // domain-aligned cell occupancies (cells of side 2αr) and an exact
 // αr-neighborhood index — incrementally, so the evaluation harness can
 // compute the exact MDEF verdict for every arrival against the current
-// window without re-scanning it.
+// window without re-scanning it. BruteForce loads a whole point set into
+// one.
 type DynTruth struct {
 	prm Params
 	idx *distance.DynIndex
@@ -51,15 +52,11 @@ func NewDynTruth(prm Params, dim int) *DynTruth {
 func (d *DynTruth) Len() int { return d.n }
 
 // cell returns the occupancy of the cell at d.coords, nil if the cell was
-// never occupied; the key (BruteForce's encoding) is left in d.keyBuf.
+// never occupied; the key (distance.AppendCellKey's encoding) is left in
+// d.keyBuf.
 func (d *DynTruth) cell() *float64 {
-	b := d.keyBuf[:0]
-	for _, c := range d.coords {
-		u := uint32(c<<1) ^ uint32(c>>31)
-		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24), ',')
-	}
-	d.keyBuf = b
-	return d.occ[string(b)] // string conversion: no alloc on lookup
+	d.keyBuf = distance.AppendCellKey(d.keyBuf[:0], d.coords)
+	return d.occ[string(d.keyBuf)] // string conversion: no alloc on lookup
 }
 
 // cellOf returns the occupancy of the cell containing p.

@@ -13,10 +13,10 @@ func TestDynTruthMatchesBruteForce(t *testing.T) {
 	for _, p := range pts {
 		d.Add(p)
 	}
-	want := BruteForce(pts, testParams)
+	want := naiveBruteForce(pts, testParams)
 	for i, p := range pts {
 		if got := d.IsOutlier(p); got != want[i] {
-			t.Fatalf("point %d (%v): dyn %v, brute %v", i, p, got, want[i])
+			t.Fatalf("point %d (%v): dyn %v, naive %v", i, p, got, want[i])
 		}
 	}
 }
@@ -42,10 +42,10 @@ func TestDynTruthSlidingMatchesBruteForce(t *testing.T) {
 			win = win[1:]
 		}
 		if i%211 == 0 && len(win) == wcap {
-			flags := BruteForce(win, testParams)
+			flags := naiveBruteForce(win, testParams)
 			for j, q := range win {
 				if got := d.IsOutlier(q); got != flags[j] {
-					t.Fatalf("arrival %d point %d: dyn %v, brute %v", i, j, got, flags[j])
+					t.Fatalf("arrival %d point %d: dyn %v, naive %v", i, j, got, flags[j])
 				}
 			}
 		}
@@ -100,10 +100,10 @@ func TestDynTruth2D(t *testing.T) {
 	for _, p := range pts {
 		d.Add(p)
 	}
-	want := BruteForce(pts, prm)
+	want := naiveBruteForce(pts, prm)
 	for i, p := range pts {
 		if got := d.IsOutlier(p); got != want[i] {
-			t.Fatalf("2-d point %d: dyn %v, brute %v", i, got, want[i])
+			t.Fatalf("2-d point %d: dyn %v, naive %v", i, got, want[i])
 		}
 	}
 }

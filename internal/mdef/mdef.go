@@ -22,14 +22,13 @@
 // and the cell counts c_i from a density model via range queries
 // (kernel estimator in the paper's method; its 1-d cost is the
 // O((log|R|+|R'|)/2αr) of Theorem 4); the ground-truth BruteForce-M uses
-// exact counts over the window.
+// exact counts over the window, kept by DynTruth on the same cell grid.
 package mdef
 
 import (
 	"fmt"
 	"math"
 
-	"odds/internal/distance"
 	"odds/internal/window"
 )
 
@@ -38,14 +37,6 @@ import (
 type Counter interface {
 	Dim() int
 	CountBox(lo, hi []float64) float64
-}
-
-// BoxBatcher is the optional batching extension of Counter: models that
-// answer many box queries in one call (kernel.Estimator, CachedCounter)
-// let MDEF evaluation amortize per-query call overhead.
-// Batched answers must be bit-identical to per-call CountBox.
-type BoxBatcher interface {
-	CountBoxBatch(los, his [][]float64, out []float64) []float64
 }
 
 // Params configures MDEF detection. The paper's synthetic experiments use
@@ -144,9 +135,6 @@ type Evaluator struct {
 	firsts, lasts []int
 	idx           []int
 	counts        []float64
-	flat          []float64 // backing array for the batched cell boxes
-	los, his      [][]float64
-	batch         []float64
 }
 
 // size grows the per-dimension scratch to d.
@@ -164,8 +152,7 @@ func (ev *Evaluator) size(d int) {
 
 // Evaluate computes the MDEF statistics of p against the density model m.
 // The model's CountBox answers play the role of the interval counts of
-// Figure 3. Cell queries go through one CountBoxBatch call when the model
-// supports batching; results are bit-identical either way.
+// Figure 3.
 func (ev *Evaluator) Evaluate(m Counter, p window.Point, prm Params) Result {
 	if err := prm.Validate(); err != nil {
 		panic(err)
@@ -181,48 +168,20 @@ func (ev *Evaluator) Evaluate(m Counter, p window.Point, prm Params) Result {
 	}
 	np := m.CountBox(ev.lo, ev.hi)
 
-	// Enumerate grid cells of side 2αr intersecting the sampling
-	// neighborhood [p-r, p+r], materializing every cell box into the
-	// reusable backing in lexicographic order (the order the recursive
-	// walk used before batching).
-	total := 1
+	// Count the grid cells of side 2αr intersecting the sampling
+	// neighborhood [p-r, p+r] one box at a time, in lexicographic order.
 	for i := range p {
 		ev.firsts[i], ev.lasts[i] = cellRange(p[i]-prm.R, p[i]+prm.R, prm.AlphaR)
-		total *= ev.lasts[i] - ev.firsts[i] + 1
 	}
 	w := 2 * prm.AlphaR
-	if need := 2 * total * d; cap(ev.flat) < need {
-		ev.flat = make([]float64, need)
-	}
-	flat := ev.flat[:2*total*d]
-	if cap(ev.los) < total {
-		ev.los = make([][]float64, total)
-		ev.his = make([][]float64, total)
-	}
-	ev.los, ev.his = ev.los[:total], ev.his[:total]
 	copy(ev.idx, ev.firsts)
-	for c := 0; c < total; c++ {
-		lo := flat[2*c*d : 2*c*d+d]
-		hi := flat[2*c*d+d : 2*(c+1)*d]
-		for i, k := range ev.idx {
-			lo[i] = float64(k) * w
-			hi[i] = lo[i] + w
-		}
-		ev.los[c], ev.his[c] = lo, hi
-		nextCell(ev.idx, ev.firsts, ev.lasts)
-	}
-
-	if b, ok := m.(BoxBatcher); ok {
-		ev.batch = b.CountBoxBatch(ev.los, ev.his, ev.batch)
-	} else {
-		ev.batch = ev.batch[:0]
-		for c := range ev.los {
-			ev.batch = append(ev.batch, m.CountBox(ev.los[c], ev.his[c]))
-		}
-	}
 	ev.counts = ev.counts[:0]
-	for _, c := range ev.batch {
-		if c > 0 {
+	for more := true; more; more = nextCell(ev.idx, ev.firsts, ev.lasts) {
+		for i, k := range ev.idx {
+			ev.lo[i] = float64(k) * w
+			ev.hi[i] = ev.lo[i] + w
+		}
+		if c := m.CountBox(ev.lo, ev.hi); c > 0 {
 			ev.counts = append(ev.counts, c)
 		}
 	}
@@ -259,83 +218,35 @@ func IsOutlier(m Counter, p window.Point, prm Params) bool {
 // BruteForce flags every point of pts with exact counts: the counting
 // neighborhood n(p,αr) is an exact box count and the sampling-neighborhood
 // aggregates use exact domain-aligned cell occupancies — the BruteForce-M
-// ground truth of Section 10.
+// ground truth of Section 10. It loads every point into one DynTruth and
+// evaluates each against the whole set.
 func BruteForce(pts []window.Point, prm Params) []bool {
-	if err := prm.Validate(); err != nil {
-		panic(err)
-	}
 	out := make([]bool, len(pts))
-	if len(pts) == 0 {
-		return out
-	}
-	d := len(pts[0])
-	w := 2 * prm.AlphaR
-
-	// Exact occupancy per domain-aligned cell.
-	occ := make(map[string]float64)
-	coords := make([]int, d)
-	key := func() string {
-		b := make([]byte, 0, len(coords)*5)
-		for _, c := range coords {
-			u := uint32(c<<1) ^ uint32(c>>31)
-			b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24), ',')
-		}
-		return string(b)
-	}
-	for _, p := range pts {
-		if len(p) != d {
-			panic(fmt.Sprintf("mdef: ragged point dims %d vs %d", len(p), d))
-		}
-		for i, x := range p {
-			coords[i] = int(math.Floor(x / w))
-		}
-		occ[key()]++
-	}
-
-	idx := distance.NewIndex(pts, prm.AlphaR)
-	firsts := make([]int, d)
-	lasts := make([]int, d)
-	for i, p := range pts {
-		np := float64(idx.Count(p, prm.AlphaR))
-		for j := range p {
-			firsts[j], lasts[j] = cellRange(p[j]-prm.R, p[j]+prm.R, prm.AlphaR)
-		}
-		var counts []float64
-		var walk func(dim int)
-		walk = func(dim int) {
-			if dim == d {
-				if c := occ[key()]; c > 0 {
-					counts = append(counts, c)
-				}
-				return
-			}
-			for c := firsts[dim]; c <= lasts[dim]; c++ {
-				coords[dim] = c
-				walk(dim + 1)
-			}
-		}
-		walk(0)
-		avg, sig := cellStats(counts)
-		if avg <= 0 {
-			continue
-		}
-		md := 1 - np/avg
-		out[i] = md > prm.KSigma*(sig/avg)
+	for i, res := range evaluateAll(pts, prm) {
+		out[i] = res.Outlier
 	}
 	return out
 }
 
-// Outliers returns the subset of pts flagged by BruteForce, preserving
-// order.
-func Outliers(pts []window.Point, prm Params) []window.Point {
-	flags := BruteForce(pts, prm)
-	var out []window.Point
-	for i, f := range flags {
-		if f {
-			out = append(out, pts[i])
-		}
+// evaluateAll returns the exact MDEF statistics of every point of pts
+// against the whole set. It panics on unusable parameters, even for an
+// empty set.
+func evaluateAll(pts []window.Point, prm Params) []Result {
+	if err := prm.Validate(); err != nil {
+		panic(err)
 	}
-	return out
+	if len(pts) == 0 {
+		return nil
+	}
+	truth := NewDynTruth(prm, len(pts[0]))
+	for _, p := range pts {
+		truth.Add(p)
+	}
+	res := make([]Result, len(pts))
+	for i, p := range pts {
+		res[i] = truth.Evaluate(p)
+	}
+	return res
 }
 
 // CalibrateKSigma searches for the significance factor k_σ at which the
@@ -346,15 +257,22 @@ func Outliers(pts []window.Point, prm Params) []window.Point {
 // the harness calibrates k_σ once per workload and uses the same value for
 // the detector and its ground truth — the precision/recall comparison is
 // unaffected. If k_σ = 3 already yields at least targetLo outliers it is
-// kept.
+// kept. MDEF and σ_MDEF do not depend on k_σ, so every point is evaluated
+// once and each bisection step only recounts MDEF > k_σ·σ_MDEF.
 func CalibrateKSigma(pts []window.Point, prm Params, targetLo, targetHi int) float64 {
 	if targetLo <= 0 || targetHi < targetLo {
 		panic(fmt.Sprintf("mdef: bad calibration target [%d,%d]", targetLo, targetHi))
 	}
+	prm.KSigma = 3 // any valid k_σ: the statistics kept do not depend on it
+	res := evaluateAll(pts, prm)
 	count := func(k float64) int {
-		p := prm
-		p.KSigma = k
-		return len(Outliers(pts, p))
+		n := 0
+		for _, r := range res {
+			if r.MDEF > k*r.SigMDEF {
+				n++
+			}
+		}
+		return n
 	}
 	if count(3) >= targetLo {
 		return 3

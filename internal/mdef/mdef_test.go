@@ -1,8 +1,10 @@
 package mdef
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"testing/quick"
 
 	"odds/internal/kernel"
 	"odds/internal/stats"
@@ -225,20 +227,41 @@ func TestBruteForcePanicsOnBadParams(t *testing.T) {
 	BruteForce(bruteData(1, 10), Params{R: -1, AlphaR: 0.01, KSigma: 3})
 }
 
-func TestOutliersSubset(t *testing.T) {
-	pts := bruteData(5, 2000, 0.45)
-	outs := Outliers(pts, testParams)
-	if len(outs) == 0 {
-		t.Fatal("no outliers returned")
-	}
-	found := false
-	for _, o := range outs {
-		if o[0] == 0.45 {
-			found = true
+// TestBruteForceMatchesNaive: BruteForce-M runs on DynTruth, so its
+// reference is the independently-written naive scan, point for point on
+// small random sets in 1-d and 2-d.
+func TestBruteForceMatchesNaive(t *testing.T) {
+	for _, dim := range []int{1, 2} {
+		f := func(seed int64, nRaw uint8, isolated bool) bool {
+			r := stats.NewRand(seed)
+			pts := make([]window.Point, int(nRaw%80)+1)
+			for i := range pts {
+				p := make(window.Point, dim)
+				for j := range p {
+					p[j] = 0.2 + 0.2*r.Float64()
+				}
+				pts[i] = p
+			}
+			if isolated {
+				p := make(window.Point, dim)
+				for j := range p {
+					p[j] = 0.45
+				}
+				pts = append(pts, p)
+			}
+			prm := Params{R: 0.08, AlphaR: 0.02, KSigma: 1 + 2*r.Float64()}
+			got, want := BruteForce(pts, prm), naiveBruteForce(pts, prm)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Logf("dim %d seed %d point %d (%v): BruteForce %v, naive %v", dim, seed, i, pts[i], got[i], want[i])
+					return false
+				}
+			}
+			return true
 		}
-	}
-	if !found {
-		t.Error("isolated point missing from Outliers")
+		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+			t.Errorf("dim %d: %v", dim, err)
+		}
 	}
 }
 
@@ -347,7 +370,12 @@ func TestCalibrateKSigma(t *testing.T) {
 	prm := Params{R: 0.08, AlphaR: 0.01, KSigma: 3}
 	k := CalibrateKSigma(pts, prm, 20, 60)
 	prm.KSigma = k
-	n := len(Outliers(pts, prm))
+	n := 0
+	for _, f := range BruteForce(pts, prm) {
+		if f {
+			n++
+		}
+	}
 	if n < 20 || n > 60 {
 		t.Errorf("calibrated kSigma=%v yields %d outliers, want [20,60]", k, n)
 	}
@@ -371,4 +399,26 @@ func TestCalibrateKSigmaPanics(t *testing.T) {
 		}
 	}()
 	CalibrateKSigma(nil, Params{R: 0.08, AlphaR: 0.01, KSigma: 3}, 10, 5)
+}
+
+// TestCalibrateKSigmaPinned pins the calibrated k_σ bit for bit on fixed
+// mixture windows. The values were taken when calibration still re-ran
+// BruteForce-M at every bisection step; evaluating each point once must
+// land on the same bisection midpoint.
+func TestCalibrateKSigmaPinned(t *testing.T) {
+	for _, c := range []struct {
+		dim, n int
+		alphaR float64
+		lo, hi int
+		want   string
+	}{
+		{1, 4000, 0.01, 20, 60, "0x1.50ccccccccccdp+01"},
+		{2, 3000, 0.02, 10, 40, "0x1.0ap+01"},
+	} {
+		pts := stream.Take(stream.NewMixture(stream.DefaultMixture(), c.dim, 5), c.n)
+		k := CalibrateKSigma(pts, Params{R: 0.08, AlphaR: c.alphaR, KSigma: 3}, c.lo, c.hi)
+		if got := fmt.Sprintf("%x", k); got != c.want {
+			t.Errorf("dim %d: k = %s (%v), want %s", c.dim, got, k, c.want)
+		}
+	}
 }

@@ -1,11 +1,8 @@
 package mdef_test
 
 import (
-	"fmt"
-	"math"
 	"testing"
 
-	"odds/internal/distance"
 	"odds/internal/mdef"
 	"odds/internal/oracle"
 	"odds/internal/stats"
@@ -15,9 +12,10 @@ import (
 // TestDynTruthMatchesBruteForce is the MDEF half of the differential
 // oracle suite: DynTruth maintains the exact aLOCI ground truth
 // incrementally through randomized lossy sliding-window histories, and
-// every per-arrival verdict is checked against the from-scratch
-// BruteForce-M specification. Disagreements shrink to a minimal failing
-// point set printed as a Go literal.
+// every per-arrival verdict is checked against NaiveMDEF, a from-scratch
+// BruteForce-M specification that shares no code with DynTruth (mdef's
+// BruteForce is a DynTruth, so it cannot be the reference). Disagreements
+// shrink to a minimal failing point set printed as a Go literal.
 func TestDynTruthMatchesBruteForce(t *testing.T) {
 	for _, cfg := range oracle.Configs(30, 0x0ddface) {
 		t.Run(cfg.Name(), func(t *testing.T) {
@@ -68,7 +66,7 @@ func runMDEFOracle(t *testing.T, cfg oracle.Config) {
 			t.Fatalf("%s: IsOutlier(%v)=%v but Evaluate says %v (MDEF=%v σ=%v)",
 				cfg.Name(), p, fast, res.Outlier, res.MDEF, res.SigMDEF)
 		}
-		want := naiveMDEF(buf, p, prm)
+		want := mdef.NaiveMDEF(buf, p, prm)
 		if res.Outlier != want {
 			reportMDEFMismatch(t, cfg, prm, buf[:len(buf)-1], p, res.Outlier, want)
 		}
@@ -78,89 +76,14 @@ func runMDEFOracle(t *testing.T, cfg oracle.Config) {
 		if step%25 != 0 {
 			continue
 		}
-		flags := mdef.BruteForce(buf, prm)
+		flags := mdef.NaiveBruteForce(buf, prm)
 		for i, q := range buf {
 			if got := dyn.Evaluate(q).Outlier; got != flags[i] {
-				t.Fatalf("%s: Evaluate(%v)=%v mid-window, BruteForce-M says %v",
+				t.Fatalf("%s: Evaluate(%v)=%v mid-window, naive BruteForce-M says %v",
 					cfg.Name(), q, got, flags[i])
 			}
 		}
 	}
-}
-
-// naiveMDEF is an independently-written single-point BruteForce-M
-// reference: exact αr-neighborhood count by linear scan, exact cell
-// occupancies by full rebuild, cells walked in the same lexicographic
-// order the package uses so the aggregate arithmetic is bit-identical.
-// It exists so the per-arrival differential check costs O(|W| + cells)
-// instead of re-running the all-points BruteForce every step.
-func naiveMDEF(pts []window.Point, q window.Point, prm mdef.Params) bool {
-	w := 2 * prm.AlphaR
-	d := len(q)
-	np := float64(distance.CountNaive(pts, q, prm.AlphaR))
-
-	occ := map[string]float64{}
-	cellOf := func(p window.Point) string {
-		var k string
-		for _, x := range p {
-			k += fmt.Sprintf("%d,", int(math.Floor(x/w)))
-		}
-		return k
-	}
-	for _, p := range pts {
-		occ[cellOf(p)]++
-	}
-
-	firsts := make([]int, d)
-	lasts := make([]int, d)
-	for i := range q {
-		firsts[i] = int(math.Floor((q[i] - prm.R) / w))
-		lasts[i] = int(math.Ceil((q[i]+prm.R)/w)) - 1
-		if lasts[i] < firsts[i] {
-			lasts[i] = firsts[i]
-		}
-	}
-	coords := make([]int, d)
-	var counts []float64
-	var walk func(dim int)
-	walk = func(dim int) {
-		if dim == d {
-			var k string
-			for _, c := range coords {
-				k += fmt.Sprintf("%d,", c)
-			}
-			if c := occ[k]; c > 0 {
-				counts = append(counts, c)
-			}
-			return
-		}
-		for c := firsts[dim]; c <= lasts[dim]; c++ {
-			coords[dim] = c
-			walk(dim + 1)
-		}
-	}
-	walk(0)
-
-	var sum, sumSq float64
-	for _, c := range counts {
-		sum += c
-		sumSq += c * c
-	}
-	if sum <= 0 {
-		return false
-	}
-	avg := sumSq / sum
-	var devSq float64
-	for _, c := range counts {
-		dev := c - avg
-		devSq += c * dev * dev
-	}
-	v := devSq / sum
-	if v < 0 {
-		v = 0
-	}
-	sig := math.Sqrt(v)
-	return 1-np/avg > prm.KSigma*(sig/avg)
 }
 
 // reportMDEFMismatch shrinks the failing snapshot to a minimal point set
@@ -173,7 +96,7 @@ func reportMDEFMismatch(t *testing.T, cfg oracle.Config, prm mdef.Params, backgr
 		for _, p := range set {
 			d.Add(p)
 		}
-		return d.Evaluate(q).Outlier != mdef.BruteForce(set, prm)[len(set)-1]
+		return d.Evaluate(q).Outlier != mdef.NaiveMDEF(set, q, prm)
 	}
 	minimal := background
 	if fails(background) {

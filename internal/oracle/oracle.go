@@ -2,7 +2,7 @@
 // suite: property tests that drive the incremental ground-truth structures
 // (distance.DynIndex, mdef.DynTruth) through randomized sliding-window
 // histories and check every verdict against the from-scratch executable
-// specifications (distance.BruteForceNaive, mdef.BruteForce).
+// specifications (distance.CountNaive, mdef's naive BruteForce-M scan).
 //
 // The package provides three things the per-package oracle tests share:
 // seeded random configurations (dimension, window size, loss rate),

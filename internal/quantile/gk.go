@@ -2,10 +2,8 @@
 // summary. The paper's related work (Section 11) discusses order
 // statistics in sensor networks (Greenwald & Khanna [19], Shrivastava et
 // al. [41]) as the alternative lens on distribution approximation; this
-// package supplies that substrate, and the experiments use it to build a
-// fully-online equi-depth histogram — putting the paper's conjecture that
-// "any similar online technique will perform at most as good" as the
-// offline histogram baseline to an actual test.
+// package supplies that substrate, and the serving tier's qn backend (the
+// streaming Q_n robust scale, internal/detector) runs on it.
 //
 // A summary maintains tuples (v, g, Δ) with Σg = n such that any φ-quantile
 // query is answered within ±ε·n rank error, using O((1/ε)·log(ε·n)) space.
@@ -211,16 +209,6 @@ func (s *GK) Tuples() int {
 
 // MemoryNumbers returns stored scalars (three per tuple).
 func (s *GK) MemoryNumbers() int { return 3 * s.Tuples() }
-
-// Quantiles returns the values at the given cumulative fractions — the
-// bucket boundaries of an equi-depth histogram with len(phis)-1 buckets.
-func (s *GK) Quantiles(phis []float64) []float64 {
-	out := make([]float64, len(phis))
-	for i, p := range phis {
-		out[i] = s.Query(p)
-	}
-	return out
-}
 
 // Merge combines two summaries into a new one covering both streams —
 // the aggregation step that lets leaders in a sensor hierarchy maintain

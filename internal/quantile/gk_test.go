@@ -148,7 +148,10 @@ func TestQuantilesMonotone(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		s.Insert(r.NormFloat64())
 	}
-	qs := s.Quantiles([]float64{0, 0.25, 0.5, 0.75, 1})
+	var qs []float64
+	for _, phi := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		qs = append(qs, s.Query(phi))
+	}
 	for i := 1; i < len(qs); i++ {
 		if qs[i] < qs[i-1] {
 			t.Fatalf("quantiles not monotone: %v", qs)

@@ -1,8 +1,8 @@
-// Package sample implements the stream-sampling schemes the paper's
-// estimation framework builds on: chain sampling over sliding windows
-// (Babcock, Datar, Motwani [4]) for the per-sensor sample R of the current
-// window, and classic reservoir sampling for unbounded streams (used by
-// the centralized baseline and the global MGDD model).
+// Package sample implements the stream sampling the paper's estimation
+// framework builds on: chain sampling over sliding windows (Babcock,
+// Datar, Motwani [4]) for the per-sensor sample R of the current window.
+// It has no reservoir sampler: the global MGDD replica replaces a random
+// slot per pushed update itself (core.GlobalModel.Update).
 package sample
 
 import (

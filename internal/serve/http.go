@@ -234,6 +234,7 @@ func readAllInto(buf []byte, r io.Reader) ([]byte, error) {
 }
 
 // parseVec parses "0.1,0.2" into a vector of the server's dimensionality.
+// A non-finite component is refused, as /ingest refuses it.
 func (s *Server) parseVec(raw string) ([]float64, error) {
 	if raw == "" {
 		return nil, fmt.Errorf("missing v parameter")
@@ -247,6 +248,9 @@ func (s *Server) parseVec(raw string) ([]float64, error) {
 		x, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return nil, fmt.Errorf("v component %d: %v", i, err)
+		}
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("v component %d: %v is not finite", i, x)
 		}
 		v[i] = x
 	}
@@ -294,8 +298,8 @@ func (s *Server) handleQueryProb(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	radius, err := strconv.ParseFloat(q.Get("r"), 64)
-	if err != nil || radius <= 0 {
-		WriteErr(w, http.StatusBadRequest, fmt.Errorf("r must be a positive number"))
+	if err != nil || !(radius > 0) || math.IsInf(radius, 1) {
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("r %q: radius must be positive and finite", q.Get("r")))
 		return
 	}
 	resp, err := s.QueryProb(sensor, v, radius)

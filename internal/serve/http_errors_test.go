@@ -195,6 +195,31 @@ func TestIngestJSONEmptyBatch(t *testing.T) {
 	}
 }
 
+// TestQueryErrorPaths: the query endpoints refuse non-finite input as
+// /ingest does — a NaN or infinite v component on both, a NaN or +Inf
+// radius on /query/prob — with a 400, never an answer computed from it.
+func TestQueryErrorPaths(t *testing.T) {
+	srv := mustServer(t, testServerConfig(1, 1))
+	defer srv.Close()
+	if _, _, err := srv.Ingest([]Reading{{Sensor: "s", Value: []float64{0.5}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []string{
+		"/query/outlier?sensor=s&v=NaN",
+		"/query/outlier?sensor=s&v=-Inf",
+		"/query/prob?sensor=s&v=NaN&r=0.01",
+		"/query/prob?sensor=s&v=-Inf&r=0.01",
+		"/query/prob?sensor=s&v=0.5&r=NaN",
+		"/query/prob?sensor=s&v=0.5&r=Inf",
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400: %s", target, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // TestMethodMismatches pins 405 + Allow on every endpoint.
 func TestMethodMismatches(t *testing.T) {
 	srv := mustServer(t, testServerConfig(1, 1))
