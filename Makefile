@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake check-oneindex benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore bench-replicate bench-subscribe serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake check-oneindex check-noexact benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore bench-replicate bench-subscribe serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake check-oneindex test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake check-oneindex check-noexact test race
 
 build:
 	$(GO) build ./...
@@ -129,10 +129,10 @@ check-onecalendar:
 # constant, the form test, or a nil check on the maintenance state in
 # non-test internal/kernel code is the second representation coming back;
 # so is a from-scratch kernel.FromSample/kernel.New build in a detector
-# backend (brute.go, the from-scratch reference, keeps one).
+# backend (the from-scratch reference in brute_test.go keeps one).
 check-onemodel:
 	@bad=$$(grep -nE '0x4f444453|marshalMagic|IsMaintained|mnt == nil' internal/kernel/*.go | grep -v '_test\.go:'); \
-	det=$$(grep -nE 'kernel\.(FromSample|New)\(' internal/detector/*.go | grep -vE '_test\.go:|^internal/detector/brute\.go:'); \
+	det=$$(grep -nE 'kernel\.(FromSample|New)\(' internal/detector/*.go | grep -v '_test\.go:'); \
 	if [ -n "$$bad$$det" ]; then \
 		echo "a second kernel-model representation (patch the one maintained model):"; \
 		echo "$$bad"; echo "$$det"; exit 1; \
@@ -243,6 +243,23 @@ check-oneindex:
 	if [ -n "$$bad$$key" ]; then \
 		echo "a second exact-count path or cell-key encoding (count on DynIndex/DynTruth; key cells with distance.AppendCellKey):"; \
 		echo "$$bad"; echo "$$key"; exit 1; \
+	fi
+
+# No ground truth in the serving tier: BruteForce-D and BruteForce-M are
+# the paper's offline baselines (§10), not part of the online detector, so
+# a shard keeps no true window, exact index or window shrink. DynIndex,
+# DynTruth, ShrinkFrac or shrinkWindow in non-test internal/serve code, or
+# an Exact field in serve.Event, is the exact window coming back.
+check-noexact:
+	@files=$$(ls internal/serve/*.go | grep -v '_test\.go$$'); \
+	bad=$$(grep -nE 'DynIndex|DynTruth|ShrinkFrac|shrinkWindow' $$files); \
+	ev=$$(awk '/^type Event struct/{on=1;print "found";next} on&&/^}/{on=0} \
+		on&&/^[[:space:]]+Exact[[:space:]]/{print FILENAME":"FNR": "$$0}' $$files); \
+	if ! echo "$$ev" | grep -qx found; then echo "no type Event struct in non-test internal/serve"; exit 1; fi; \
+	ev=$$(echo "$$ev" | grep -v '^found$$'); \
+	if [ -n "$$bad$$ev" ]; then \
+		echo "exact ground truth in the serving tier (BruteForce-D/M are offline baselines; serve the estimate):"; \
+		echo "$$bad"; echo "$$ev"; exit 1; \
 	fi
 
 # The serving benchmark BENCHMARK.json declares (bench/README.md): every
@@ -358,8 +375,8 @@ FUZZ_SMOKE += internal/serve:FuzzDecodeBatch
 # Value streams and sensor routings: a pipeline fed Pipeline.Apply with the
 # primary's verdict bits (what a replica runs) holds the snapshot bytes of
 # one fed IngestSensor at every check, across a restore, and serves the
-# same verdicts, Exact included, from its first reading after promotion —
-# every backend, both criteria, drift armed with a window shrink. One run
+# same verdicts from its first reading after promotion — every backend,
+# both criteria, drift armed. One run
 # is a whole stream (milliseconds), so cap the minimizer, which otherwise
 # spends the budget shrinking the first few inputs instead of mutating.
 FUZZ_SMOKE += internal/serve:FuzzApplyVsIngest:-fuzzminimizetime=1s

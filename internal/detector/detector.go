@@ -83,9 +83,7 @@ const (
 	CriterionMDEF     Criterion = "mdef"
 )
 
-// Verdict is one reading's estimate-path outcome. The exact ground-truth
-// verdict is not here: it is backend-independent and stays with the
-// pipeline's true window.
+// Verdict is one reading's estimate-path outcome.
 type Verdict struct {
 	// Outlier is the backend's estimate verdict, gated on warm-up.
 	Outlier bool

@@ -9,11 +9,11 @@
 // precision/recall to be meaningful. Counts include the point itself,
 // again matching the window-mass semantics of N(p,r).
 //
-// BruteForce-D here runs on DynIndex, the one exact index the harness and
-// the serving tier also maintain: points are bucketed into cells of side r
-// so that only the 3^d adjacent cells need scanning per query. The result
-// is still exact; the paper's naive O(d|W|^2) scan (CountNaive,
-// BruteForceNaive) is kept as the reference the index is tested against.
+// BruteForce-D here runs on DynIndex, the one exact index: points are
+// bucketed into cells of side r so that only the 3^d adjacent cells need
+// scanning per query. The result is still exact; the paper's naive
+// O(d|W|^2) scan (CountNaive, and BruteForceNaive in the tests) is kept as
+// the reference the index is tested against.
 package distance
 
 import (
@@ -65,17 +65,6 @@ func CountNaive(pts []window.Point, p window.Point, r float64) int {
 		}
 	}
 	return n
-}
-
-// BruteForceNaive flags every point of pts by the (D,r) criterion with the
-// O(d|W|^2) all-pairs scan. It exists as the executable specification that
-// DynIndex-based results are tested against.
-func BruteForceNaive(pts []window.Point, params Params) []bool {
-	out := make([]bool, len(pts))
-	for i, p := range pts {
-		out[i] = float64(CountNaive(pts, p, params.Radius)) < params.Threshold
-	}
-	return out
 }
 
 // BruteForce flags every point of pts by the (D,r) criterion, exactly, in

@@ -166,9 +166,14 @@ func (d *DynIndex) Remove(p window.Point) bool {
 	return true
 }
 
+// scanOrder is one dimension's cell offsets in visiting order.
+var scanOrder = [3]int{0, -1, 1}
+
 // scan counts points within L∞ radius r of p across the 3^d adjacent
 // cells, stopping early once limit is reached (limit <= 0 scans fully).
-// The offset walk is an iterative odometer over {-1,0,1}^dim.
+// The offset walk is an iterative odometer over scanOrder^dim, so the
+// query's own cell, which holds most of its neighbours, comes first and an
+// early exit usually stops there. d.offsets holds indexes into scanOrder.
 func (d *DynIndex) scan(p window.Point, r float64, limit int) int {
 	d.validate(p, r)
 	if d.n == 0 {
@@ -178,12 +183,12 @@ func (d *DynIndex) scan(p window.Point, r float64, limit int) int {
 		d.base[i] = int(math.Floor(x / d.cell))
 	}
 	for i := range d.offsets {
-		d.offsets[i] = -1
+		d.offsets[i] = 0
 	}
 	count := 0
 	for {
 		for i := range d.coords {
-			d.coords[i] = d.base[i] + d.offsets[i]
+			d.coords[i] = d.base[i] + scanOrder[d.offsets[i]]
 		}
 		d.encodeKey(d.coords)
 		if b := d.cells[string(d.keyBuf)]; b != nil {
@@ -199,10 +204,10 @@ func (d *DynIndex) scan(p window.Point, r float64, limit int) int {
 		k := d.dim - 1
 		for k >= 0 {
 			d.offsets[k]++
-			if d.offsets[k] <= 1 {
+			if d.offsets[k] < len(scanOrder) {
 				break
 			}
-			d.offsets[k] = -1
+			d.offsets[k] = 0
 			k--
 		}
 		if k < 0 {

@@ -21,8 +21,8 @@
 // JS-divergence signal between the live kernel model and a reference
 // snapshot reusing internal/divergence.
 //
-// Every streaming detector ships with an exported brute-force reference
-// (BruteKS, BrutePH, BruteMK) that recomputes the statistic from scratch;
+// Every streaming detector has a brute-force reference in this package's
+// tests (BruteKS, BrutePH, BruteMK) that recomputes the statistic from scratch;
 // the differential oracle suite pins the incremental implementations to
 // those references bit-for-bit over randomized histories.
 //

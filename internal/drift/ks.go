@@ -1,9 +1,6 @@
 package drift
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // KS is the streaming two-sample Kolmogorov–Smirnov detector. It holds a
 // frozen reference window (captured the first time the current window
@@ -90,15 +87,4 @@ func (k *KS) Rebase() {
 	if k.refSet {
 		k.ref = append(k.ref, k.win.sorted...)
 	}
-}
-
-// BruteKS is the offline executable specification of the streaming
-// detector: it re-sorts both windows from scratch with a full sort and
-// computes the gap with the same merge scan. The differential suite
-// checks Stat() == BruteKS(...) bit-for-bit.
-func BruteKS(ref, cur []float64) float64 {
-	a, b := slices.Clone(ref), slices.Clone(cur)
-	slices.Sort(a)
-	slices.Sort(b)
-	return ksGap(a, b)
 }

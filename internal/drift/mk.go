@@ -1,9 +1,6 @@
 package drift
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // MannKendall is the sliding-window Mann–Kendall trend detector. Over the
 // window x_1..x_n (arrival order) the concordance statistic
@@ -34,16 +31,6 @@ type MannKendall struct {
 // NewMannKendall returns a detector over a sliding window of length w.
 func NewMannKendall(w int) *MannKendall {
 	return &MannKendall{win: newSortedWindow(w)}
-}
-
-func sgn(d float64) int64 {
-	if d > 0 {
-		return 1
-	}
-	if d < 0 {
-		return -1
-	}
-	return 0
 }
 
 // Observe feeds one value. Non-finite values must be filtered by the
@@ -105,22 +92,4 @@ func mkZ(s int64, sorted []float64) float64 {
 func (m *MannKendall) Reset() {
 	m.win.reset()
 	m.s = 0
-}
-
-// BruteMK is the offline executable specification: the O(n²) pair scan
-// over the window in arrival order plus the same tie-corrected Z. It
-// returns both S and |Z| so the oracle suite can pin the integer
-// statistic and the float score independently.
-func BruteMK(windowVals []float64) (s int64, absZ float64) {
-	for i := 0; i < len(windowVals); i++ {
-		for j := i + 1; j < len(windowVals); j++ {
-			s += sgn(windowVals[j] - windowVals[i])
-		}
-	}
-	if len(windowVals) < 8 {
-		return s, 0
-	}
-	sorted := append([]float64(nil), windowVals...)
-	slices.Sort(sorted)
-	return s, math.Abs(mkZ(s, sorted))
 }

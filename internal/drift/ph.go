@@ -59,31 +59,3 @@ func (p *PageHinkley) Reset() {
 	p.mUp, p.mDn = 0, 0
 	p.mMin, p.mMax = 0, 0
 }
-
-// BrutePH is the offline executable specification: it replays the entire
-// Page–Hinkley recursion over the full history with the same
-// left-to-right summation order, so a correct streaming implementation
-// matches it bit-for-bit.
-func BrutePH(history []float64, delta float64) float64 {
-	var t uint64
-	var sum, mUp, mDn, mMin, mMax float64
-	for _, x := range history {
-		t++
-		sum += x
-		mean := sum / float64(t)
-		mUp += x - mean - delta
-		if mUp < mMin {
-			mMin = mUp
-		}
-		mDn += x - mean + delta
-		if mDn > mMax {
-			mMax = mDn
-		}
-	}
-	up := mUp - mMin
-	dn := mMax - mDn
-	if dn > up {
-		return dn
-	}
-	return up
-}

@@ -52,13 +52,11 @@ func (c DriftConfig) kinds() []stream.DriftKind {
 // driftArm is the adaptive twin's drift configuration: the serving
 // defaults at an experiment-scale sampling stride (the default stride of
 // 32 is tuned for production overhead; at CI stream lengths it would
-// leave the detector windows half empty), with the window shrink enabled
-// so every adaptation action is exercised.
+// leave the detector windows half empty).
 func driftArm() serve.DriftConfig {
 	a := serve.DefaultDriftConfig()
 	a.SampleEvery = 2
 	a.JSEvery = 64
-	a.ShrinkFrac = 0.5
 	return a
 }
 
@@ -102,9 +100,8 @@ type DriftRow struct {
 	// post-drift fire (inclusive); Readings-DriftAt if the drift is never
 	// detected, 0 for the stationary row.
 	Delay int
-	// Refreshes and Shrinks count the adaptation actions taken.
+	// Refreshes counts the adaptation actions taken.
 	Refreshes int
-	Shrinks   int
 	// Precision/recall of the estimate-path verdicts against the
 	// generator's ground-truth labels over the scoring interval, for the
 	// adaptive and the frozen twin.
@@ -180,7 +177,6 @@ func (c DriftConfig) runKind(kind stream.DriftKind) (DriftRow, error) {
 	}
 	st := adaptive.DriftStats()
 	row.Refreshes = int(st.Refreshes)
-	row.Shrinks = int(st.Shrinks)
 	row.AdaptPrecision = orOne(adaptScore.Precision())
 	row.AdaptRecall = orOne(adaptScore.Recall())
 	row.FrozenPrecision = orOne(frozenScore.Precision())
@@ -199,7 +195,7 @@ type DriftResult struct {
 func (res DriftResult) Table() *Table {
 	t := &Table{
 		Title: "figdrift: detection delay, false alarms, and precision retention under drift",
-		Columns: []string{"kind", "fires", "false_alarms", "delay", "refreshes", "shrinks",
+		Columns: []string{"kind", "fires", "false_alarms", "delay", "refreshes",
 			"prec_adapt", "prec_frozen", "rec_adapt", "rec_frozen"},
 		Notes: []string{
 			"adaptive (drift-armed) vs frozen pipeline on the identical labeled stream; drift begins at index " + FmtF(float64(res.DriftAt), 0),
@@ -207,7 +203,7 @@ func (res DriftResult) Table() *Table {
 		},
 	}
 	for _, r := range res.Rows {
-		t.AddRow(r.Kind, r.Detections, r.FalseAlarms, r.Delay, r.Refreshes, r.Shrinks,
+		t.AddRow(r.Kind, r.Detections, r.FalseAlarms, r.Delay, r.Refreshes,
 			FmtF(r.AdaptPrecision, 3), FmtF(r.FrozenPrecision, 3),
 			FmtF(r.AdaptRecall, 3), FmtF(r.FrozenRecall, 3))
 	}
@@ -222,7 +218,6 @@ func (res DriftResult) Metrics(set func(string, float64)) {
 		set(p+".false_alarms", float64(r.FalseAlarms))
 		set(p+".delay", float64(r.Delay))
 		set(p+".refreshes", float64(r.Refreshes))
-		set(p+".shrinks", float64(r.Shrinks))
 		set(p+".adapt_precision", r.AdaptPrecision)
 		set(p+".frozen_precision", r.FrozenPrecision)
 		set(p+".adapt_recall", r.AdaptRecall)

@@ -48,7 +48,7 @@ import (
 //	u32  count
 //	u32  rejected
 //	u32  retryAfterMS
-//	count × { u8 flags (1 accepted | 2 outlier | 4 exact | 8 warmed) | u16 shard | u64 seq }
+//	count × { u8 flags (1 accepted | 2 outlier | 8 warmed; 4 reserved, must be 0) | u16 shard | u64 seq }
 //	u32  crc32-IEEE over all preceding bytes
 //
 // The encoding is canonical: a frame that decodes successfully re-encodes
@@ -475,12 +475,17 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// Result flag bits in ODWR frames and verdict stream frames.
+// Result flag bits in ODWR frames and verdict stream frames. Bit 4 is
+// reserved and must be zero: it carried an exact ground-truth verdict the
+// serving tier no longer computes, and a decoder refuses a frame that sets
+// it rather than read it as false.
 const (
 	wireFlagAccepted = 1 << iota
 	wireFlagOutlier
-	wireFlagExact
+	_
 	wireFlagWarmed
+
+	wireFlagsKnown = wireFlagAccepted | wireFlagOutlier | wireFlagWarmed
 )
 
 // AppendResults encodes an ingest reply as an ODWR frame appended to dst.
@@ -510,9 +515,6 @@ func AppendResults(dst []byte, results []ReadingResult, rejected int, retryMS in
 		}
 		if r.Outlier {
 			f |= wireFlagOutlier
-		}
-		if r.Exact {
-			f |= wireFlagExact
 		}
 		if r.Warmed {
 			f |= wireFlagWarmed
@@ -552,7 +554,7 @@ func DecodeResultsInto(data []byte, dst []ReadingResult) ([]ReadingResult, int, 
 	off := wireRespHeaderLen
 	for k := 0; k < count; k++ {
 		f := body[off]
-		if f&^byte(wireFlagAccepted|wireFlagOutlier|wireFlagExact|wireFlagWarmed) != 0 {
+		if f&^byte(wireFlagsKnown) != 0 {
 			return fail(errFrameReserved)
 		}
 		dst[k] = ReadingResult{
@@ -560,7 +562,6 @@ func DecodeResultsInto(data []byte, dst []ReadingResult) ([]ReadingResult, int, 
 			Accepted: f&wireFlagAccepted != 0,
 			Seq:      binary.LittleEndian.Uint64(body[off+3:]),
 			Outlier:  f&wireFlagOutlier != 0,
-			Exact:    f&wireFlagExact != 0,
 			Warmed:   f&wireFlagWarmed != 0,
 		}
 		off += wireResultLen
@@ -605,9 +606,6 @@ func AppendVerdictFrame(dst []byte, ev Event) []byte {
 		var f byte = wireFlagAccepted
 		if ev.Outlier {
 			f |= wireFlagOutlier
-		}
-		if ev.Exact {
-			f |= wireFlagExact
 		}
 		if ev.Warmed {
 			f |= wireFlagWarmed
@@ -689,6 +687,9 @@ func (sr *StreamReader) Next() (ev Event, gap uint64, kind byte, err error) {
 			return fail(errFrameTruncated)
 		}
 		f := payload[1]
+		if f&^byte(wireFlagsKnown) != 0 {
+			return fail(errFrameReserved)
+		}
 		sl := int(binary.LittleEndian.Uint16(payload[12:]))
 		if len(payload) != 14+sl {
 			return fail(errFrameTruncated)
@@ -698,7 +699,6 @@ func (sr *StreamReader) Next() (ev Event, gap uint64, kind byte, err error) {
 			Shard:   int(binary.LittleEndian.Uint16(payload[2:])),
 			Seq:     binary.LittleEndian.Uint64(payload[4:]),
 			Outlier: f&wireFlagOutlier != 0,
-			Exact:   f&wireFlagExact != 0,
 			Warmed:  f&wireFlagWarmed != 0,
 		}
 		return ev, 0, StreamFrameVerdict, nil

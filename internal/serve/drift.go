@@ -13,10 +13,10 @@ import (
 // two-window detector bank (KS, Page–Hinkley, Mann–Kendall; see
 // internal/drift) over subsampled readings, plus an optional model-level
 // JS-divergence signal between the live kernel model and a frozen
-// reference snapshot. Detections trigger adaptations on the pipeline:
-// a forced bandwidth re-estimation (core.Estimator.ForceRefresh) and,
-// when ShrinkFrac is set, a shrink of the true window so the exact
-// detectors also forget the stale regime.
+// reference snapshot. A detection triggers the pipeline's adaptation: a
+// forced bandwidth re-estimation (core.Estimator.ForceRefresh) of the
+// kernel model. The pipeline keeps no window of its own to resize; the
+// chain sample forgets the stale regime as it expires.
 //
 // Everything here is a deterministic function of the ingested values, so
 // drift-armed pipelines keep the serving layer's twin and replication
@@ -44,15 +44,11 @@ type DriftConfig struct {
 	// JSGridPoints is the per-dimension grid resolution of the JS
 	// evaluation (total cells = JSGridPoints^dim). Default 16.
 	JSGridPoints int `json:"js_grid_points,omitempty"`
-	// ShrinkFrac, when in (0,1), shrinks the true window to the newest
-	// ShrinkFrac fraction on every detection, so the exact detectors
-	// adapt alongside the estimate path. Zero disables window resizing.
-	ShrinkFrac float64 `json:"shrink_frac,omitempty"`
 }
 
 // DefaultDriftConfig returns an armed monitor with the serving defaults:
 // bank on every 32nd reading, model JS signal every 256 observations at
-// a 0.15 trip level, no window shrink.
+// a 0.15 trip level.
 //
 // The sampling stride is the overhead/delay dial: the full bank costs
 // ~0.6µs per observation against a ~1.2µs steady-state ingest, so a
@@ -124,9 +120,6 @@ func (c DriftConfig) validate(dim int) error {
 			return fmt.Errorf("serve: drift JS grid %d^%d too large", c.JSGridPoints, dim)
 		}
 	}
-	if c.ShrinkFrac != 0 && !(c.ShrinkFrac > 0 && c.ShrinkFrac < 1) {
-		return fmt.Errorf("serve: drift ShrinkFrac %v outside (0,1)", c.ShrinkFrac)
-	}
 	return nil
 }
 
@@ -143,11 +136,9 @@ type DriftStats struct {
 	JSChecks uint64  `json:"js_checks"`
 	JSTrips  uint64  `json:"js_trips"`
 	LastJS   float64 `json:"last_js"`
-	// Refreshes counts forced bandwidth re-estimations; Shrinks counts
-	// window-resize adaptations; LastFireSeq is the pipeline sequence
-	// number of the most recent adaptation (0 if none).
+	// Refreshes counts forced bandwidth re-estimations; LastFireSeq is the
+	// pipeline sequence number of the most recent one (0 if none).
 	Refreshes   uint64 `json:"refreshes"`
-	Shrinks     uint64 `json:"shrinks"`
 	LastFireSeq uint64 `json:"last_fire_seq"`
 }
 
@@ -164,7 +155,6 @@ type driftState struct {
 	jsTrips  uint64
 	lastJS   float64
 	refresh  uint64
-	shrinks  uint64
 	lastSeq  uint64
 }
 
@@ -195,7 +185,6 @@ func (p *Pipeline) DriftStats() DriftStats {
 		JSTrips:     d.jsTrips,
 		LastJS:      d.lastJS,
 		Refreshes:   d.refresh,
-		Shrinks:     d.shrinks,
 		LastFireSeq: d.lastSeq,
 	}
 }
@@ -204,9 +193,9 @@ func (p *Pipeline) DriftStats() DriftStats {
 func (p *Pipeline) DriftEnabled() bool { return p.drift != nil }
 
 // driftStep runs after a reading's verdict is computed: subsample into
-// the bank, evaluate the model signal at its cadence, and apply the
-// adaptation actions on a fire. The reading already ingested keeps its
-// verdict; adaptations affect the next reading onward. On the stationary
+// the bank, evaluate the model signal at its cadence, and force a
+// bandwidth re-estimation on a fire. The reading already ingested keeps its
+// verdict; the adaptation affects the next reading onward. On the stationary
 // (never-firing) path this is a modulo, a bank observation every
 // SampleEvery-th reading, and nothing else — no allocations, no
 // estimator interaction — so an armed monitor leaves stationary verdict
@@ -224,7 +213,9 @@ func (p *Pipeline) driftStep(v []float64) {
 		}
 	}
 	if fired {
-		p.adapt()
+		d.lastSeq = p.seq
+		p.kc.ForceRefresh()
+		d.refresh++
 	}
 }
 
@@ -263,38 +254,4 @@ func (p *Pipeline) jsCheck() bool {
 	// reference window does not keep testing against the old regime.
 	d.mon.Rebase()
 	return true
-}
-
-// adapt applies the detection actions: forced bandwidth re-estimation,
-// and (when configured) shrinking the true window to its newest
-// fraction.
-func (p *Pipeline) adapt() {
-	d := p.drift
-	d.lastSeq = p.seq
-	p.kc.ForceRefresh()
-	d.refresh++
-	if d.cfg.ShrinkFrac > 0 {
-		keep := int(float64(p.count) * d.cfg.ShrinkFrac)
-		if min := minShrinkKeep; keep < min {
-			keep = min
-		}
-		if keep < p.count {
-			p.shrinkWindow(keep)
-			d.shrinks++
-		}
-	}
-}
-
-// minShrinkKeep bounds how far a shrink can cut the exact window: the
-// distance/MDEF criteria need a handful of neighbors to be meaningful.
-const minShrinkKeep = 16
-
-// shrinkWindow drops the oldest count-keep points from the true window:
-// each is removed from the exact index and the logical count decreases
-// (the ring start is derived from head and count, so no data moves).
-func (p *Pipeline) shrinkWindow(keep int) {
-	for i := p.oldest(); p.count > keep; i = p.next(i) {
-		p.exactRemove(p.slot(i))
-		p.count--
-	}
 }

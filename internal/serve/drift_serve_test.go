@@ -92,24 +92,16 @@ func TestServeDriftStationaryBitIdentical(t *testing.T) {
 }
 
 // TestServeDriftAdaptsOnShift: an abrupt mean shift must be detected and
-// must trigger both adaptation actions — forced bandwidth re-estimation
-// and (with ShrinkFrac set) a true-window shrink that the window count
-// reflects.
+// must trigger the adaptation action, a forced bandwidth re-estimation.
 func TestServeDriftAdaptsOnShift(t *testing.T) {
 	const wcap, shiftAt, n = 512, 3000, 6000
-	arm := bankOnly()
-	arm.ShrinkFrac = 0.5
-	p, err := NewPipeline(driftPipelineConfig(DetectDistance, wcap, 3, arm))
+	p, err := NewPipeline(driftPipelineConfig(DetectDistance, wcap, 3, bankOnly()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := stream.NewDrifting(stream.DefaultDrifting(stream.DriftAbrupt, shiftAt), 1, 12)
-	shrunk := false
 	for i := 0; i < n; i++ {
 		p.Ingest(src.Next())
-		if p.count < wcap && uint64(i+1) > uint64(wcap) {
-			shrunk = true
-		}
 	}
 	st := p.DriftStats()
 	if st.Detector.Detections == 0 {
@@ -117,9 +109,6 @@ func TestServeDriftAdaptsOnShift(t *testing.T) {
 	}
 	if st.Refreshes == 0 {
 		t.Fatal("no forced bandwidth re-estimation")
-	}
-	if st.Shrinks == 0 || !shrunk {
-		t.Fatalf("no window shrink (counter %d, observed shrink %v)", st.Shrinks, shrunk)
 	}
 	if st.LastFireSeq == 0 || st.LastFireSeq <= uint64(shiftAt)/2 {
 		t.Fatalf("implausible LastFireSeq %d", st.LastFireSeq)
@@ -183,7 +172,6 @@ func TestServeDriftSnapshotResume(t *testing.T) {
 	arm.SampleEvery = 2
 	arm.JSEvery = 64
 	arm.JSThreshold = 0.02
-	arm.ShrinkFrac = 0.5
 	cfg := driftPipelineConfig(DetectMDEF, wcap, 17, arm)
 	orig, err := NewPipeline(cfg)
 	if err != nil {
@@ -255,7 +243,6 @@ func TestServeDriftValidate(t *testing.T) {
 		{Enabled: true, Detector: drift.Config{Window: 4, CheckEvery: 1, KSD: 0.5}},
 		{Enabled: true, JSEvery: 8},                                      // JSThreshold missing
 		{Enabled: true, JSEvery: 8, JSThreshold: 0.1, JSGridPoints: 100}, // grid too fine
-		{Enabled: true, ShrinkFrac: 1.5},
 	}
 	for i, d := range bad {
 		cfg := testPipelineConfig(DetectDistance, 1, 128, 1)

@@ -35,3 +35,13 @@ func (s *Server) CheckpointBlobs() ([][]byte, error) {
 	}
 	return decodeFile(data, s.cfg.Shards, s.cfg.Pipeline)
 }
+
+// QueryOutlier answers a read-only outlier check of v against the
+// default backend; see QueryOutlierSensor.
+func (p *Pipeline) QueryOutlier(v []float64) Verdict { return p.QueryOutlierSensor("", v) }
+
+// QueryProb returns the estimated probability mass within L∞ radius r of
+// v under the default backend's model; see QueryProbSensor.
+func (p *Pipeline) QueryProb(v []float64, r float64) float64 {
+	return p.QueryProbSensor("", v, r)
+}

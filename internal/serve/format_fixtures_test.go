@@ -396,6 +396,11 @@ func formatCases() []formatCase {
 				}
 				return p.Snapshot()
 			},
+			// A version-2 blob led with the true window the pipeline no
+			// longer keeps; read as version 3 it would be misparsed.
+			refuse: map[string]func([]byte){
+				"version 2": func(b []byte) { binary.LittleEndian.PutUint32(b[4:], 2) },
+			},
 		},
 		{
 			name: "ODSV",
@@ -456,7 +461,7 @@ func formatCases() []formatCase {
 			build: func() ([]byte, error) {
 				res := []ReadingResult{
 					{Shard: 0, Accepted: true, Seq: 7, Outlier: true, Warmed: true},
-					{Shard: 3, Accepted: true, Seq: 8, Exact: true, Warmed: true},
+					{Shard: 3, Accepted: true, Seq: 8, Warmed: true},
 					{Shard: 1},
 					{Shard: 2, Accepted: true, Seq: 1 << 40},
 				}
@@ -469,6 +474,13 @@ func formatCases() []formatCase {
 				}
 				return AppendResults(nil, res, rejected, retryMS), nil
 			},
+			// Flag bit 4 (the retired exact verdict) is reserved-zero.
+			refuse: map[string]func([]byte){
+				"flag bit 4 set": func(b []byte) {
+					b[wireRespHeaderLen] |= 4
+					binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+				},
+			},
 		},
 		{
 			name: "ODWS",
@@ -476,7 +488,7 @@ func formatCases() []formatCase {
 				b := AppendStreamHeader(nil)
 				b = AppendVerdictFrame(b, Event{Sensor: "s-0", Shard: 2, Seq: 9, Outlier: true, Warmed: true})
 				b = AppendGapFrame(b, 17)
-				b = AppendVerdictFrame(b, Event{Sensor: "sensor-long-name", Shard: 0, Seq: 10, Exact: true})
+				b = AppendVerdictFrame(b, Event{Sensor: "sensor-long-name", Shard: 0, Seq: 10})
 				return b, nil
 			},
 			reencode: func(data []byte) ([]byte, error) {
@@ -496,6 +508,15 @@ func formatCases() []formatCase {
 						out = AppendVerdictFrame(out, ev)
 					}
 				}
+			},
+			// Flag bit 4 of the first verdict frame, under a valid frame CRC.
+			refuse: map[string]func([]byte){
+				"flag bit 4 set": func(b []byte) {
+					const payload = wireStreamHeaderLen + 4
+					n := int(binary.LittleEndian.Uint32(b[wireStreamHeaderLen:]))
+					b[payload+1] |= 4
+					binary.LittleEndian.PutUint32(b[payload+n-4:], crc32.ChecksumIEEE(b[payload:payload+n-4]))
+				},
 			},
 		},
 	}

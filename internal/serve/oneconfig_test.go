@@ -11,12 +11,11 @@ import (
 )
 
 // armedStatsConfig arms everything /stats and the fingerprint carry: the
-// drift monitor (with a window shrink) and all four engines, the three
+// drift monitor and all four engines, the three
 // non-default ones behind selector rules.
 func armedStatsConfig() PipelineConfig {
 	cfg := backendTestConfig(detector.KindKernelChain, 1, 60, 3)
 	cfg.Drift = DefaultDriftConfig()
-	cfg.Drift.ShrinkFrac = 0.5
 	cfg.Selector = []BackendRule{
 		{Prefix: "a", Backend: detector.KindQn},
 		{Prefix: "b", Backend: detector.KindCoreset},
@@ -39,7 +38,7 @@ func TestStatsConfigBytes(t *testing.T) {
 		{"plain", testPipelineConfig(DetectMDEF, 2, 90, 5),
 			`{"shards":2,"detector":"mdef","seed":5,"core":{"WindowCap":90,"SampleSize":30,"Eps":0.2,"SampleFraction":0.5,"Dim":2,"RebuildEvery":1,"BandwidthScale":0},"distance":{"Radius":0.05,"Threshold":3},"mdef":{"R":0.2,"AlphaR":0.05,"KSigma":1.5},"drift":{"enabled":false,"sample_every":0,"detector":{"Window":0,"CheckEvery":0,"Cooldown":0,"KSD":0,"PHDelta":0,"PHLambda":0,"MKZ":0}},"backends":{"qn":{},"coreset":{},"ewma":{}},"per_shard":null,"wire_fingerprint":0}`},
 		{"drift-armed, three-rule selector", armedStatsConfig(),
-			`{"shards":2,"detector":"distance","seed":3,"core":{"WindowCap":60,"SampleSize":20,"Eps":0.2,"SampleFraction":0.5,"Dim":1,"RebuildEvery":1,"BandwidthScale":0},"distance":{"Radius":0.05,"Threshold":3},"mdef":{"R":0.2,"AlphaR":0.05,"KSigma":1.5},"drift":{"enabled":true,"sample_every":32,"detector":{"Window":128,"CheckEvery":16,"Cooldown":128,"KSD":0.35,"PHDelta":0.01,"PHLambda":8,"MKZ":4.5},"js_every":256,"js_threshold":0.15,"js_grid_points":16,"shrink_frac":0.5},"backend":"kernelchain","backends":{"qn":{"eps":0.05,"lag":8,"k":3,"min_n":16},"coreset":{"size":64,"rebuild_every":8,"window_count":60,"min_n":16},"ewma":{"lambda":0.2,"k":3,"min_n":8}},"selector":[{"prefix":"a","backend":"qn"},{"prefix":"b","backend":"coreset"},{"prefix":"c","backend":"ewma"}],"per_shard":null,"wire_fingerprint":0}`},
+			`{"shards":2,"detector":"distance","seed":3,"core":{"WindowCap":60,"SampleSize":20,"Eps":0.2,"SampleFraction":0.5,"Dim":1,"RebuildEvery":1,"BandwidthScale":0},"distance":{"Radius":0.05,"Threshold":3},"mdef":{"R":0.2,"AlphaR":0.05,"KSigma":1.5},"drift":{"enabled":true,"sample_every":32,"detector":{"Window":128,"CheckEvery":16,"Cooldown":128,"KSD":0.35,"PHDelta":0.01,"PHLambda":8,"MKZ":4.5},"js_every":256,"js_threshold":0.15,"js_grid_points":16},"backend":"kernelchain","backends":{"qn":{"eps":0.05,"lag":8,"k":3,"min_n":16},"coreset":{"size":64,"rebuild_every":8,"window_count":60,"min_n":16},"ewma":{"lambda":0.2,"k":3,"min_n":8}},"selector":[{"prefix":"a","backend":"qn"},{"prefix":"b","backend":"coreset"},{"prefix":"c","backend":"ewma"}],"per_shard":null,"wire_fingerprint":0}`},
 	}
 	for _, tc := range cases {
 		srv, err := New(Config{Shards: 2, Pipeline: tc.cfg})

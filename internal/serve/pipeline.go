@@ -3,14 +3,15 @@
 // Sensor ids hash to shards; each shard goroutine owns one Pipeline — a
 // pluggable estimate-path backend (internal/detector: the paper's §5
 // chain sample + kernel model by default, with Q_n/coreset/EWMA
-// alternatives selectable per sensor) alongside the exact incremental
-// ground truth (distance.DynIndex / mdef.DynTruth) over the true sliding
-// window — behind a single-writer mailbox with bounded queues and
-// reject-with-retry-after admission control. Periodic checkpoints
-// snapshot every shard deterministically so a crashed server resumes
-// seed-exact, and internal/twin (behind cmd/oddload and the integration
-// tests) verifies that served verdicts are bit-identical to an in-process
-// twin of the same pipelines.
+// alternatives selectable per sensor) and an optional drift monitor —
+// behind a single-writer mailbox with bounded queues and
+// reject-with-retry-after admission control. The exact ground truth
+// (BruteForce-D/M, the paper's §10 baselines) is an offline yardstick and
+// is not kept here. Periodic checkpoints snapshot every shard
+// deterministically so a crashed server resumes seed-exact, and
+// internal/twin (behind cmd/oddload and the integration tests) verifies
+// that served verdicts are bit-identical to an in-process twin of the
+// same pipelines.
 package serve
 
 import (
@@ -21,7 +22,6 @@ import (
 	"odds/internal/detector"
 	"odds/internal/distance"
 	"odds/internal/mdef"
-	"odds/internal/window"
 )
 
 // DetectorKind selects the outlier criterion a pipeline serves.
@@ -187,8 +187,9 @@ type Verdict struct {
 	// Outlier is the estimate-path verdict from the reading's backend,
 	// gated on warm-up exactly like the library detectors.
 	Outlier bool
-	// Exact is the ground-truth verdict from the incremental exact
-	// structures over the true window, ungated and backend-independent.
+	// Exact is always false: the serving tier keeps no exact ground truth.
+	// The frozen benchmark harness still names the field; ROADMAP item
+	// 1-A(c) stops that, and then the field goes.
 	Exact bool
 	// Warmed reports whether the reading's backend is past warm-up.
 	Warmed bool
@@ -211,17 +212,6 @@ type Pipeline struct {
 	dets []detector.Detector
 	kc   *detector.KernelChain
 	sel  []selRule
-
-	// True sliding window: a ring of WindowCap dim-strided slots in flat.
-	// head is the slot the next reading takes and the count slots behind
-	// it hold the window, oldest first. The exact index keeps its own
-	// copies, so nothing refers to a slot across ingests.
-	flat  []float64
-	head  int
-	count int
-
-	dyn   *distance.DynIndex // exact truth, distance kind
-	truth *mdef.DynTruth     // exact truth, mdef kind
 
 	// drift is the armed concept-drift monitor, nil when disabled.
 	drift *driftState
@@ -258,19 +248,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		}
 		p.drift = d
 	}
-	p.initWindow()
 	return p, nil
-}
-
-func (p *Pipeline) initWindow() {
-	w, dim := p.cfg.Core.WindowCap, p.cfg.Core.Dim
-	p.flat = make([]float64, w*dim)
-	switch p.cfg.Kind {
-	case DetectDistance:
-		p.dyn = distance.NewDynIndex(p.cfg.Distance.Radius, dim)
-	case DetectMDEF:
-		p.truth = mdef.NewDynTruth(p.cfg.MDEF, dim)
-	}
 }
 
 // Seq returns the number of readings ingested.
@@ -311,153 +289,70 @@ func (p *Pipeline) route(sensor string) detector.Detector {
 	return det
 }
 
-// Ingest folds one reading into the window, the default backend, and the
-// exact index, and returns its verdict. Shorthand for IngestSensor with
-// no sensor id; the two are identical when no selector rules are set.
+// Ingest folds one reading into the default backend and returns its
+// verdict. Shorthand for IngestSensor with no sensor id; the two are
+// identical when no selector rules are set.
 func (p *Pipeline) Ingest(v []float64) Verdict { return p.IngestSensor("", v) }
 
-// IngestSensor folds one reading into the window, the sensor's backend,
-// and the exact index, and returns its verdict. This is the shard hot
-// path: at steady state (between amortized model rebuilds) it performs
-// zero allocations for every backend under the distance criterion and
-// for the paper stack under MDEF. v is copied; the caller keeps ownership.
+// IngestSensor folds one reading into the sensor's backend, judges it, and
+// runs the drift step. This is the shard hot path: at steady state
+// (between amortized model rebuilds) it performs zero allocations for
+// every backend under the distance criterion and for the paper stack under
+// MDEF. Every backend copies what it keeps of v; the caller keeps
+// ownership.
 func (p *Pipeline) IngestSensor(sensor string, v []float64) Verdict {
-	slot := p.slide(v)
-	dv := p.route(sensor).Ingest(slot)
-	ver := Verdict{Seq: p.seq, Outlier: dv.Outlier, Warmed: dv.Warmed}
-	// The exact count comes before the drift step: a fire's shrinkWindow
-	// would otherwise take points out from under this reading's answer.
-	ver.Exact = p.exactOutlier(slot)
+	p.checkDim(v)
+	p.seq++
+	dv := p.route(sensor).Ingest(v)
 	if p.drift != nil {
-		p.driftStep(slot)
+		p.driftStep(v)
 	}
-	return ver
+	return Verdict{Seq: p.seq, Outlier: dv.Outlier, Warmed: dv.Warmed}
 }
 
-// Apply is IngestSensor's state transition without its judgements: the
-// window slide, the exact index update, the sensor's backend Fold and the
-// drift step, but neither the exact count nor the backend's estimate query.
-// It is what a replica runs: nobody is served a follower's verdicts, yet
-// its state (the exact index included, which must answer from the first
-// reading after a promotion) has to stay the primary's bit for bit. outlier
-// is the estimate bit the primary's IngestSensor returned for this reading;
-// Fold counts it as the backend's verdict, so the backend's flagged counter
-// and the shard's outlier count stay the primary's too.
+// Apply is IngestSensor's state transition without its judgement: the
+// sensor's backend Fold and the drift step, but not the backend's estimate
+// query. It is what a replica runs: nobody is served a follower's
+// verdicts, yet its state has to stay the primary's bit for bit, so that
+// a promoted follower serves the primary's verdicts from its first
+// reading. outlier is the estimate bit the primary's IngestSensor returned
+// for this reading; Fold counts it as the backend's verdict, so the
+// backend's flagged counter and the shard's outlier count stay the
+// primary's too.
 func (p *Pipeline) Apply(sensor string, v []float64, outlier bool) detector.Verdict {
-	slot := p.slide(v)
-	dv := p.route(sensor).Fold(slot, outlier)
+	p.checkDim(v)
+	p.seq++
+	dv := p.route(sensor).Fold(v, outlier)
 	if p.drift != nil {
-		p.driftStep(slot)
+		p.driftStep(v)
 	}
 	return dv
 }
 
-// slide advances the true window by one reading and returns the ring slot
-// now holding a copy of v: a full window evicts its oldest reading, which
-// sits in the slot the new one takes, and the exact index follows.
-func (p *Pipeline) slide(v []float64) window.Point {
+// checkDim panics on a reading of the wrong dimension; the server
+// validates dimensions before a reading reaches a shard.
+func (p *Pipeline) checkDim(v []float64) {
 	if len(v) != p.cfg.Core.Dim {
 		panic(fmt.Sprintf("serve: reading dim %d, pipeline dim %d", len(v), p.cfg.Core.Dim))
 	}
-	p.seq++
-	slot := p.slot(p.head)
-	if p.count == p.cfg.Core.WindowCap {
-		p.exactRemove(slot)
-	} else {
-		p.count++
-	}
-	copy(slot, v)
-	p.exactAdd(slot)
-	p.head = p.next(p.head)
-	return slot
 }
-
-func (p *Pipeline) exactAdd(pt window.Point) {
-	if p.dyn != nil {
-		p.dyn.Add(pt)
-	} else {
-		p.truth.Add(pt)
-	}
-}
-
-// exactRemove evicts a window point from the exact index. The point is in
-// the window, so the index must hold it; a miss means the two have
-// diverged and every later Exact verdict would be wrong.
-func (p *Pipeline) exactRemove(pt window.Point) {
-	var ok bool
-	if p.dyn != nil {
-		ok = p.dyn.Remove(pt)
-	} else {
-		ok = p.truth.Remove(pt)
-	}
-	if !ok {
-		panic("serve: exact index out of sync")
-	}
-}
-
-func (p *Pipeline) exactOutlier(pt window.Point) bool {
-	if p.dyn != nil {
-		return p.dyn.IsOutlier(pt, p.cfg.Distance)
-	}
-	return p.truth.IsOutlier(pt)
-}
-
-// QueryOutlier answers a read-only outlier check of v against the
-// default backend; see QueryOutlierSensor.
-func (p *Pipeline) QueryOutlier(v []float64) Verdict { return p.QueryOutlierSensor("", v) }
 
 // QueryOutlierSensor answers a read-only outlier check of v against the
-// sensor's backend and the exact window, without ingesting it. The exact
-// answer counts v against the window as-is (v itself is not a member).
+// sensor's backend, without ingesting it.
 func (p *Pipeline) QueryOutlierSensor(sensor string, v []float64) Verdict {
-	if len(v) != p.cfg.Core.Dim {
-		panic(fmt.Sprintf("serve: reading dim %d, pipeline dim %d", len(v), p.cfg.Core.Dim))
-	}
+	p.checkDim(v)
 	dv := p.route(sensor).QueryOutlier(v)
-	ver := Verdict{Seq: p.seq, Outlier: dv.Outlier, Warmed: dv.Warmed}
-	ver.Exact = p.exactOutlier(window.Point(v))
-	return ver
-}
-
-// QueryProb returns the estimated probability mass within L∞ radius r of
-// v under the default backend's model; see QueryProbSensor.
-func (p *Pipeline) QueryProb(v []float64, r float64) float64 {
-	return p.QueryProbSensor("", v, r)
+	return Verdict{Seq: p.seq, Outlier: dv.Outlier, Warmed: dv.Warmed}
 }
 
 // QueryProbSensor returns the estimated probability mass within L∞
 // radius r of v under the sensor's backend (0 when that backend has no
 // probability model — EWMA and Q_n serve verdicts, not densities).
 func (p *Pipeline) QueryProbSensor(sensor string, v []float64, r float64) float64 {
-	if len(v) != p.cfg.Core.Dim {
-		panic(fmt.Sprintf("serve: reading dim %d, pipeline dim %d", len(v), p.cfg.Core.Dim))
-	}
+	p.checkDim(v)
 	pe, ok := p.route(sensor).(detector.ProbEstimator)
 	if !ok {
 		return 0
 	}
 	return pe.QueryProb(v, r)
-}
-
-// slot returns ring slot i of the window backing.
-func (p *Pipeline) slot(i int) window.Point {
-	dim := p.cfg.Core.Dim
-	return p.flat[i*dim : (i+1)*dim]
-}
-
-// next returns the ring slot after i.
-func (p *Pipeline) next(i int) int {
-	if i++; i == p.cfg.Core.WindowCap {
-		return 0
-	}
-	return i
-}
-
-// oldest returns the ring slot of the window's oldest point.
-func (p *Pipeline) oldest() int {
-	i := p.head - p.count
-	if i < 0 {
-		i += p.cfg.Core.WindowCap
-	}
-	return i
 }

@@ -460,7 +460,6 @@ func (s *Server) ingestInto(readings []Reading, results []ReadingResult, rs *rou
 			results[i].Accepted = true
 			results[i].Seq = v.Seq
 			results[i].Outlier = v.Outlier
-			results[i].Exact = v.Exact
 			results[i].Warmed = v.Warmed
 		}
 	}
@@ -484,7 +483,7 @@ func (s *Server) QueryOutlier(sensor string, value []float64) (QueryResponse, er
 		return QueryResponse{}, err
 	}
 	v := resp.verdict
-	return QueryResponse{Shard: sid, Seq: v.Seq, Outlier: v.Outlier, Exact: v.Exact, Warmed: v.Warmed}, nil
+	return QueryResponse{Shard: sid, Seq: v.Seq, Outlier: v.Outlier, Warmed: v.Warmed}, nil
 }
 
 // QueryProb answers the estimated probability mass near a sensor's value.

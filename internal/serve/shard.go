@@ -259,7 +259,7 @@ func (sh *shard) syncDrift() {
 	}
 	st := sh.pl.DriftStats()
 	sh.driftDetections.Store(st.Detector.Detections + st.JSTrips)
-	sh.driftActions.Store(st.Refreshes + st.Shrinks)
+	sh.driftActions.Store(st.Refreshes)
 }
 
 // statsLocked reads counters plus the goroutine-owned latency sketch;

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -14,11 +13,12 @@ import (
 	"odds/internal/kernel"
 )
 
-// Snapshot formats. A pipeline snapshot ("ODPS" v2) is the complete
-// deterministic state of one shard: per-shard sequence number, the true
-// window oldest→newest (the exact index is rebuilt from it on restore),
-// and one fingerprinted detector blob per armed backend in armedKinds
-// order. Everything backend-specific — rng draw counts, estimator and
+// Snapshot formats. A pipeline snapshot ("ODPS" v3) is the complete
+// deterministic state of one shard: per-shard sequence number, one
+// fingerprinted detector blob per armed backend in armedKinds order, and
+// the drift section when the monitor is armed. (v2 also carried the true
+// window for an exact index the pipeline no longer keeps; it is refused.)
+// Everything backend-specific — rng draw counts, estimator and
 // cached-model blobs, sketches, reservoirs — lives inside the detector
 // blobs (internal/detector's "ODDB" framing), which fail closed on
 // backend-kind or config mismatch; per-backend bit-exactness across
@@ -32,21 +32,17 @@ import (
 // migrates between cluster nodes (admin.go).
 const (
 	pipelineMagic   = uint32(0x4f445053) // "ODPS"
-	pipelineVersion = uint32(2)
+	pipelineVersion = uint32(3)
 	fileMagic       = uint32(0x4f445356) // "ODSV"
 	fileVersion     = uint32(1)
 )
 
 // Snapshot encodes the pipeline's complete deterministic state.
 func (p *Pipeline) Snapshot() ([]byte, error) {
-	w := binfmt.Writer{B: make([]byte, 0, 64+p.count*p.cfg.Core.Dim*8)}
+	var w binfmt.Writer
 	w.U32(pipelineMagic)
 	w.U32(pipelineVersion)
 	w.U64(p.seq)
-	w.U32(uint32(p.count))
-	for i, n := p.oldest(), 0; n < p.count; i, n = p.next(i), n+1 {
-		w.F64s(p.slot(i))
-	}
 	w.U32(uint32(len(p.dets)))
 	for _, d := range p.dets {
 		blob, err := d.Snapshot()
@@ -78,7 +74,6 @@ func (p *Pipeline) Snapshot() ([]byte, error) {
 		w.U64(d.jsTrips)
 		w.F64(d.lastJS)
 		w.U64(d.refresh)
-		w.U64(d.shrinks)
 		w.U64(d.lastSeq)
 	}
 	return w.B, nil
@@ -105,22 +100,6 @@ func RestorePipeline(cfg PipelineConfig, data []byte) (*Pipeline, error) {
 		return fail("unsupported pipeline snapshot version")
 	}
 	p.seq = r.U64()
-	dim := cfg.Core.Dim
-	count := r.Count(8*dim, cfg.Core.WindowCap)
-	for i := 0; i < count; i++ {
-		slot := p.slot(p.head)
-		r.F64s(slot)
-		for _, x := range slot {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				// Nothing the wire admits; a NaN equals nothing, so the
-				// exact index could never evict it.
-				return fail("non-finite window value")
-			}
-		}
-		p.exactAdd(slot)
-		p.head = p.next(p.head)
-	}
-	p.count = count
 	if ndets := int(r.U32()); r.Err() == nil && ndets != len(p.dets) {
 		return fail("detector count mismatch (snapshot taken under different backends)")
 	}
@@ -136,7 +115,7 @@ func RestorePipeline(cfg PipelineConfig, data []byte) (*Pipeline, error) {
 	if d := p.drift; d != nil && r.Err() == nil {
 		monBlob, refBlob := r.Bytes(), r.Bytes()
 		d.jsChecks, d.jsTrips, d.lastJS = r.U64(), r.U64(), r.F64()
-		d.refresh, d.shrinks, d.lastSeq = r.U64(), r.U64(), r.U64()
+		d.refresh, d.lastSeq = r.U64(), r.U64()
 		if r.Err() == nil {
 			if d.mon, err = drift.UnmarshalMonitor(monBlob, d.mon.Dim(), d.mon.Config()); err != nil {
 				return nil, err

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -238,33 +237,6 @@ func TestNewReportsFirstShardError(t *testing.T) {
 		if err.Error() != want {
 			t.Fatalf("run %d: %q, want %q", run, err, want)
 		}
-	}
-}
-
-// TestRestoreRejectsNonFiniteWindow pins that a snapshot whose window
-// holds a NaN fails to restore: the exact index finds points by equality,
-// so it could never evict one, and the eviction would panic a window
-// later.
-func TestRestoreRejectsNonFiniteWindow(t *testing.T) {
-	pcfg := testPipelineConfig(DetectDistance, 1, 32, 5)
-	p, err := NewPipeline(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		p.Ingest([]float64{float64(i%7) / 7})
-	}
-	blob, err := p.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RestorePipeline(pcfg, blob); err != nil {
-		t.Fatalf("pristine snapshot: %v", err)
-	}
-	const firstValue = 4 + 4 + 8 + 4 // magic, version, seq, count
-	binary.LittleEndian.PutUint64(blob[firstValue+8*3:], math.Float64bits(math.NaN()))
-	if _, err := RestorePipeline(pcfg, blob); err == nil {
-		t.Fatal("restored a window holding NaN")
 	}
 }
 

@@ -33,7 +33,6 @@ type Event struct {
 	Shard   int
 	Seq     uint64
 	Outlier bool
-	Exact   bool
 	Warmed  bool
 }
 
@@ -95,7 +94,6 @@ func (sub *subscriber) offerBatch(shard int, batch []Reading, verdicts []Verdict
 			Shard:   shard,
 			Seq:     v.Seq,
 			Outlier: v.Outlier,
-			Exact:   v.Exact,
 			Warmed:  v.Warmed,
 		}
 		sub.n++
@@ -297,7 +295,8 @@ func (sw *StreamWriter) Gap(n uint64) {
 	}
 }
 
-// Verdict buffers one verdict event. An SSE event's data is JSON: the
+// Verdict buffers one verdict event. An SSE event's data is JSON (its
+// "exact" key is always false, as in every JSON reply): the
 // sensor id, any 1–255 bytes on the binary wire, is written with
 // encoding/json's escaping (\u0001 for a control byte, \ufffd for a byte
 // that is not UTF-8).
@@ -307,8 +306,8 @@ func (sw *StreamWriter) Verdict(ev Event) {
 	} else {
 		sensor, _ := json.Marshal(ev.Sensor) // a string always marshals
 		sw.out = fmt.Appendf(sw.out,
-			"event: verdict\ndata: {\"sensor\":%s,\"shard\":%d,\"seq\":%d,\"outlier\":%t,\"exact\":%t,\"warmed\":%t}\n\n",
-			sensor, ev.Shard, ev.Seq, ev.Outlier, ev.Exact, ev.Warmed)
+			"event: verdict\ndata: {\"sensor\":%s,\"shard\":%d,\"seq\":%d,\"outlier\":%t,\"exact\":false,\"warmed\":%t}\n\n",
+			sensor, ev.Shard, ev.Seq, ev.Outlier, ev.Warmed)
 	}
 }
 

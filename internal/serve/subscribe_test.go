@@ -227,7 +227,7 @@ func TestSubscriberWokenOncePerRequest(t *testing.T) {
 			}
 			want := map[Event]bool{}
 			for i, r := range results {
-				want[Event{Sensor: readings[i].Sensor, Shard: r.Shard, Seq: r.Seq, Outlier: r.Outlier, Exact: r.Exact, Warmed: r.Warmed}] = true
+				want[Event{Sensor: readings[i].Sensor, Shard: r.Shard, Seq: r.Seq, Outlier: r.Outlier, Warmed: r.Warmed}] = true
 			}
 			for _, ev := range events {
 				if !want[ev] {
@@ -275,10 +275,9 @@ func TestSubscriberFilters(t *testing.T) {
 	sub.sensors = map[string]struct{}{"a": {}}
 	sub.outlierOnly = true
 	batch, verdicts := subBatch(7, "b!", "a", "a!")
-	verdicts[2].Exact = true
 	sub.offerBatch(5, batch, verdicts)
 	events, gap := sub.drain(nil)
-	want := Event{Sensor: "a", Shard: 5, Seq: 9, Outlier: true, Exact: true, Warmed: true}
+	want := Event{Sensor: "a", Shard: 5, Seq: 9, Outlier: true, Warmed: true}
 	if gap != 0 || len(events) != 1 || events[0] != want {
 		t.Fatalf("drained %+v gap=%d, want just %+v", events, gap, want)
 	}

@@ -25,8 +25,9 @@ type ReadingResult struct {
 	Accepted bool   `json:"accepted"`
 	Seq      uint64 `json:"seq,omitempty"`
 	Outlier  bool   `json:"outlier"`
-	Exact    bool   `json:"exact"`
-	Warmed   bool   `json:"warmed"`
+	// Exact is always false (see Verdict.Exact); ROADMAP 1-A(c) deletes it.
+	Exact  bool `json:"exact"`
+	Warmed bool `json:"warmed"`
 }
 
 // IngestResponse is the POST /ingest reply. RetryAfterMS is set whenever
@@ -44,8 +45,9 @@ type QueryResponse struct {
 	Shard   int    `json:"shard"`
 	Seq     uint64 `json:"seq"`
 	Outlier bool   `json:"outlier"`
-	Exact   bool   `json:"exact"`
-	Warmed  bool   `json:"warmed"`
+	// Exact is always false (see Verdict.Exact); ROADMAP 1-A(c) deletes it.
+	Exact  bool `json:"exact"`
+	Warmed bool `json:"warmed"`
 }
 
 // ProbResponse answers GET /query/prob.

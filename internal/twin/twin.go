@@ -93,7 +93,7 @@ func (t *Twin) Event(ev serve.Event) error {
 	}
 	rec.pushed = true
 	want := serve.Event{Sensor: rec.sensor, Shard: ev.Shard, Seq: ev.Seq,
-		Outlier: rec.v.Outlier, Exact: rec.v.Exact, Warmed: rec.v.Warmed}
+		Outlier: rec.v.Outlier, Warmed: rec.v.Warmed}
 	if ev != want {
 		return fmt.Errorf("twin: stream event %+v, twin %+v", ev, want)
 	}

@@ -47,7 +47,7 @@ func TestTwinRules(t *testing.T) {
 			rs[k].Value[0] += 3 // spike
 		}
 		v := ref.IngestSensor(rs[k].Sensor, rs[k].Value)
-		pushed[k] = serve.Event{Sensor: rs[k].Sensor, Seq: v.Seq, Outlier: v.Outlier, Exact: v.Exact, Warmed: v.Warmed}
+		pushed[k] = serve.Event{Sensor: rs[k].Sensor, Seq: v.Seq, Outlier: v.Outlier, Warmed: v.Warmed}
 		if v.Outlier {
 			outliers++
 		}
@@ -62,15 +62,16 @@ func TestTwinRules(t *testing.T) {
 		}
 		return e
 	}
-	// accept: the client claims reading k (sent by e.Sensor) is seq, and
-	// the server answers e.
-	accept := func(seq uint64, k int, edit func(*serve.Event)) func(*Twin) error {
+	// served: the client claims reading k (sent by e.Sensor) is seq, and
+	// the server answers e with the reply's exact bit set to exact.
+	served := func(seq uint64, k int, edit func(*serve.Event), exact bool) func(*Twin) error {
 		return func(tw *Twin) error {
 			e := edited(k, edit)
 			return tw.Accept(0, seq, serve.Reading{Sensor: e.Sensor, Value: rs[k].Value},
-				serve.ReadingResult{Accepted: true, Seq: e.Seq, Outlier: e.Outlier, Exact: e.Exact, Warmed: e.Warmed})
+				serve.ReadingResult{Accepted: true, Seq: e.Seq, Outlier: e.Outlier, Exact: exact, Warmed: e.Warmed})
 		}
 	}
+	accept := func(seq uint64, k int, edit func(*serve.Event)) func(*Twin) error { return served(seq, k, edit, false) }
 	event := func(k int, edit func(*serve.Event)) func(*Twin) error {
 		return func(tw *Twin) error { return tw.Event(edited(k, edit)) }
 	}
@@ -84,7 +85,6 @@ func TestTwinRules(t *testing.T) {
 	}
 	sensor := func(e *serve.Event) { e.Sensor = "sensor-009" }
 	outlier := func(e *serve.Event) { e.Outlier = !e.Outlier }
-	exact := func(e *serve.Event) { e.Exact = !e.Exact }
 	warmed := func(e *serve.Event) { e.Warmed = !e.Warmed }
 
 	for _, tc := range []struct {
@@ -98,7 +98,7 @@ func TestTwinRules(t *testing.T) {
 		{"equal re-serve", 0, 5, accept(3, 2, nil), ""},
 		{"re-serve with a flag flipped", 0, 5, accept(3, 2, warmed), "shard 0 seq 3 (sensor-002"},
 		{"re-serve from another sensor", 0, 5, accept(3, 2, sensor), "shard 0 seq 3 re-sent as sensor-009"},
-		{"new reading with a flag flipped", 0, 5, accept(6, 5, exact), "shard 0 seq 6 (sensor-002"},
+		{"new reading with a flag flipped", 0, 5, served(6, 5, nil, true), "shard 0 seq 6 (sensor-002"},
 		{"seq gap", 0, 2, accept(4, 3, nil), "gap"},
 		{"seq 0", 0, 2, accept(0, 0, nil), "gap"},
 		{"served seq differs from the claimed one", 0, 0, accept(1, 0, func(e *serve.Event) { e.Seq = 2 }), "shard 0 seq 1"},
@@ -108,7 +108,6 @@ func TestTwinRules(t *testing.T) {
 		{"duplicate event", 0, 2, twice(event(1, nil)), "duplicate"},
 		{"event from another sensor", 0, 2, event(1, sensor), "stream event"},
 		{"event with outlier flipped", 0, 2, event(1, outlier), "stream event"},
-		{"event with exact flipped", 0, 2, event(1, exact), "stream event"},
 		{"event with warmed flipped", 0, 2, event(1, warmed), "stream event"},
 		{"catch-up continues the cursor", 200, 0, accept(201, 200, nil), ""},
 		{"catch-up then a gap", 3, 0, accept(5, 4, nil), "gap"},
