@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake check-oneindex check-noexact benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore bench-replicate bench-subscribe serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake check-oneindex check-noexact check-nofma benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore bench-replicate bench-subscribe serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake check-oneindex check-noexact test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake check-oneindex check-noexact check-nofma test race
 
 build:
 	$(GO) build ./...
@@ -260,6 +260,50 @@ check-noexact:
 	if [ -n "$$bad$$ev" ]; then \
 		echo "exact ground truth in the serving tier (BruteForce-D/M are offline baselines; serve the estimate):"; \
 		echo "$$bad"; echo "$$ev"; exit 1; \
+	fi
+
+# One floating-point semantics: the Go spec lets a compiler fuse x*y + z
+# into one rounding, even across statements. amd64 never does; arm64,
+# riscv64, loong64, ppc64le and s390x do. So a product that feeds a sum
+# is written float64(x*y), the spec's way to forbid fusion, and every
+# architecture computes the verdicts and golden numbers amd64 computes.
+# For each arch below this builds the non-test code outside bench/ with
+# -S, tracks the function from each STEXT line, and fails on any of
+#   arm64 riscv64 loong64: FMADDD FMSUBD FNMADDD FNMSUBD FMADDS FMSUBS FNMADDS FNMSUBS
+#   ppc64le s390x:         FMADD FMSUB FNMADD FNMSUB FMADDS FMSUBS FNMADDS FNMSUBS
+# naming the function and the arch. A second leg builds the test binaries
+# of detector, mdef, kernel and distance the same way and fails on a fused
+# op in a bit-exact oracle (a function named Brute*, brute*, naive* or
+# Naive*). A listing
+# with no STEXT line for kernel.intervalMass is an empty or mistargeted
+# build and fails too. The build is offline with the installed toolchain.
+check-nofma:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	pkgs=$$($(GO) list ./... | grep -v '/bench$$'); bad=0; \
+	for a in arm64 riscv64 loong64 ppc64le s390x; do \
+		case $$a in \
+			ppc64le|s390x) ops='FN?M(ADD|SUB)S?' ;; \
+			*) ops='FN?M(ADD|SUB)[DS]' ;; \
+		esac; \
+		GOARCH=$$a $(GO) build -gcflags='odds/...=-S' $$pkgs 2>"$$tmp/code.s" \
+			|| { tail -20 "$$tmp/code.s"; echo "check-nofma: $$a build failed"; exit 1; }; \
+		GOARCH=$$a $(GO) test -c -o /dev/null -gcflags='odds/...=-S' \
+			./internal/detector ./internal/mdef ./internal/kernel ./internal/distance 2>"$$tmp/test.s" \
+			|| { tail -20 "$$tmp/test.s"; echo "check-nofma: $$a test build failed"; exit 1; }; \
+		for leg in code test; do \
+			awk -F'\t' -v arch=$$a -v leg=$$leg -v ops="^($$ops)$$" ' \
+				/^[^\t].* STEXT /{ split($$0, w, " "); fn = w[1]; if (fn == "odds/internal/kernel.intervalMass") seen = 1; next } \
+				$$3 ~ ops && (leg == "code" || fn ~ /\.(Brute|brute|naive|Naive)/) { n[fn]++; total++ } \
+				END { \
+					if (!seen) { print "check-nofma: " arch " " leg " listing: no STEXT line for odds/internal/kernel.intervalMass (empty or mistargeted build)"; exit 1 } \
+					what = leg == "code" ? "non-test code" : "test oracles"; \
+					for (f in n) print "check-nofma: " arch " " what ": " n[f] " fused op(s) in " f; \
+					print "check-nofma: " arch " " what ": " total + 0 " fused op(s)"; \
+					exit (total > 0) }' "$$tmp/$$leg.s" || bad=1; \
+		done; \
+	done; \
+	if [ $$bad -ne 0 ]; then \
+		echo "check-nofma failed: write a product that feeds a sum as float64(x*y), so every arch rounds as amd64 does"; exit 1; \
 	fi
 
 # The serving benchmark BENCHMARK.json declares (bench/README.md): every

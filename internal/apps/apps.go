@@ -3,6 +3,10 @@
 // answering with spatial and temporal constraints, and online detection of
 // faulty sensors by comparing estimator models across children of a
 // leader.
+//
+// A product that feeds a sum is written float64(x*y), a rounding the Go
+// spec forbids the compiler to fuse into a multiply-add, so every
+// architecture computes what amd64 does, bit for bit (DESIGN.md §7).
 package apps
 
 import (
@@ -105,7 +109,7 @@ func (e *RangeEngine) Count(lo, hi []float64, t1, t2 int) float64 {
 			continue
 		}
 		frac := float64(ov) / float64(b.end-b.start)
-		total += b.model.ProbBox(lo, hi) * float64(b.end-b.start) * frac
+		total += float64(b.model.ProbBox(lo, hi) * float64(b.end-b.start) * frac)
 	}
 	// Current (unsealed) block: exact count.
 	curStart := e.now - len(e.cur)
@@ -136,7 +140,7 @@ func (e *RangeEngine) Average(dim int, lo, hi []float64, t1, t2 int) float64 {
 	var wsum, xsum float64
 	add := func(p window.Point, w float64) {
 		wsum += w
-		xsum += w * p[dim]
+		xsum += float64(w * p[dim])
 	}
 	for _, b := range e.blocks {
 		ov := overlap(t1, t2, b.start, b.end)
@@ -147,7 +151,7 @@ func (e *RangeEngine) Average(dim int, lo, hi []float64, t1, t2 int) float64 {
 		// Weight each kernel center by the mass its kernel puts in the box.
 		for _, c := range b.model.Centers() {
 			if m := b.model.CenterMass(c, lo, hi); m > 0 {
-				add(c, m*frac)
+				add(c, float64(m*frac))
 			}
 		}
 	}

@@ -88,7 +88,7 @@ func (r *RegionEngine) Average(x1, y1, x2, y2 float64, dim int, lo, hi []float64
 			continue
 		}
 		wsum += w
-		xsum += w * a
+		xsum += float64(w * a)
 	}
 	if wsum == 0 {
 		return math.NaN()

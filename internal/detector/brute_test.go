@@ -38,8 +38,8 @@ func BruteEWMA(cfg EWMAConfig, dim int, history [][]float64, probe []float64) Ve
 				continue
 			}
 			diff := x - mean[d]
-			mean[d] += cfg.Lambda * diff
-			vari[d] = (1 - cfg.Lambda) * (vari[d] + cfg.Lambda*diff*diff)
+			mean[d] += float64(cfg.Lambda * diff)
+			vari[d] = (1 - cfg.Lambda) * (vari[d] + float64(cfg.Lambda*diff*diff))
 		}
 	}
 	ver := Verdict{Warmed: len(history) >= cfg.MinN}
@@ -175,7 +175,7 @@ func BruteCoreset(cfg CoresetConfig, dist distance.Params, dim int, seed int64, 
 			}
 			delta := x - mean[d]
 			mean[d] += delta / float64(n)
-			m2[d] += delta * (x - mean[d])
+			m2[d] += float64(delta * (x - mean[d]))
 		}
 		switch {
 		case !allFinite(v):
@@ -189,7 +189,7 @@ func BruteCoreset(cfg CoresetConfig, dist distance.Params, dim int, seed int64, 
 				sum := 0.0
 				for d := 0; d < dim; d++ {
 					diff := v[d] - p[d]
-					sum += diff * diff
+					sum += float64(diff * diff)
 				}
 				if sum < d2 {
 					d2 = sum

@@ -142,7 +142,7 @@ func (c *Coreset) dist2(v []float64) float64 {
 		sum := 0.0
 		for d, x := range v {
 			diff := x - p[d]
-			sum += diff * diff
+			sum += float64(diff * diff)
 		}
 		if sum < best {
 			best = sum
@@ -165,7 +165,7 @@ func (c *Coreset) Fold(v []float64, outlier bool) Verdict {
 		}
 		delta := x - c.mean[d]
 		c.mean[d] += delta / float64(c.n)
-		c.m2[d] += delta * (x - c.mean[d])
+		c.m2[d] += float64(delta * (x - c.mean[d]))
 	}
 	// Admission: fill the reservoir first-come, then admit with
 	// probability Size·d²/mass — the sensitivity-sampling bias toward

@@ -29,6 +29,10 @@
 // blob's backend kind or config fingerprint does not match the restoring
 // detector, so a snapshot can never silently resurrect under a different
 // engine or tuning.
+//
+// A product that feeds a sum is written float64(x*y), a rounding the Go
+// spec forbids the compiler to fuse into a multiply-add, so every
+// architecture computes what amd64 does, bit for bit (DESIGN.md §7).
 package detector
 
 import (

@@ -111,8 +111,8 @@ func (e *EWMA) Fold(v []float64, outlier bool) Verdict {
 			continue
 		}
 		diff := x - e.mean[d]
-		e.mean[d] += lam * diff
-		e.vari[d] = (1 - lam) * (e.vari[d] + lam*diff*diff)
+		e.mean[d] += float64(lam * diff)
+		e.vari[d] = (1 - lam) * (e.vari[d] + float64(lam*diff*diff))
 	}
 	e.n++
 	return ver

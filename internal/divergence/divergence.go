@@ -10,6 +10,10 @@
 // is evaluated on a finite grid of intervals b_1..b_k (Equation 8).
 // With base-2 logarithms JS ranges over [0,1], matching the paper's
 // "distance ranges from 0 to 1".
+//
+// A product that feeds a sum is written float64(x*y), a rounding the Go
+// spec forbids the compiler to fuse into a multiply-add, so every
+// architecture computes what amd64 does, bit for bit (DESIGN.md §7).
 package divergence
 
 import (
@@ -32,7 +36,7 @@ type Model interface {
 // i.e. the paper's O(dk|R|) for kernel models.
 func JS(p, q Model, gridPoints int) float64 {
 	pp, qq := gridMasses(p, q, gridPoints)
-	return 0.5*klTo(pp, qq) + 0.5*klTo(qq, pp)
+	return float64(0.5*klTo(pp, qq)) + float64(0.5*klTo(qq, pp))
 }
 
 func pow(b, e int) int {
@@ -74,7 +78,7 @@ func klTo(a, b []float64) float64 {
 			continue
 		}
 		avg := (a[i] + b[i]) / 2
-		sum += a[i] * (math.Log2(a[i]) - math.Log2(avg))
+		sum += float64(a[i] * (math.Log2(a[i]) - math.Log2(avg)))
 	}
 	if sum < 0 {
 		// Tiny negative values can arise from floating-point rounding.
@@ -141,36 +145,5 @@ func Gaussian1D(mu, sigma float64) FuncModel {
 			return 0
 		}
 		return cdf(hi[0]) - cdf(lo[0])
-	}}
-}
-
-// Mixture1D returns an analytic 1-d Model that is a weighted mixture of
-// Gaussian components plus a uniform component on [noiseLo, noiseHi] with
-// weight noiseW. It matches the synthetic dataset generator, giving the
-// experiments an exact reference distribution.
-func Mixture1D(means, sigmas, weights []float64, noiseLo, noiseHi, noiseW float64) FuncModel {
-	if len(means) != len(sigmas) || len(means) != len(weights) {
-		panic("divergence: mixture parameter lengths differ")
-	}
-	comps := make([]FuncModel, len(means))
-	for i := range means {
-		comps[i] = Gaussian1D(means[i], sigmas[i])
-	}
-	return FuncModel{Dims: 1, Fn: func(lo, hi []float64) float64 {
-		if hi[0] <= lo[0] {
-			return 0
-		}
-		mass := 0.0
-		for i, c := range comps {
-			mass += weights[i] * c.Fn(lo, hi)
-		}
-		if noiseW > 0 && noiseHi > noiseLo {
-			ol := math.Max(lo[0], noiseLo)
-			oh := math.Min(hi[0], noiseHi)
-			if oh > ol {
-				mass += noiseW * (oh - ol) / (noiseHi - noiseLo)
-			}
-		}
-		return mass
 	}}
 }

@@ -42,7 +42,7 @@ func NewGridEval(dim, gridPoints int) *GridEval {
 // allocation-free. Both models must have the evaluator's dimensionality.
 func (g *GridEval) JS(p, q Model) float64 {
 	g.masses(p, q)
-	return 0.5*klTo(g.pp, g.qq) + 0.5*klTo(g.qq, g.pp)
+	return float64(0.5*klTo(g.pp, g.qq)) + float64(0.5*klTo(g.qq, g.pp))
 }
 
 // masses fills pp/qq with both models' normalized cell masses, walking

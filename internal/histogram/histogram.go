@@ -7,6 +7,10 @@
 //
 // A d-dimensional equi-width grid variant is also provided for the 2-d
 // experiments; the paper only reports histogram results for 1-d data.
+//
+// A product that feeds a sum is written float64(x*y), a rounding the Go
+// spec forbids the compiler to fuse into a multiply-add, so every
+// architecture computes what amd64 does, bit for bit (DESIGN.md §7).
 package histogram
 
 import (
@@ -244,7 +248,7 @@ func (g *Grid) walk(dim, base int, lo, hi []float64, frac float64) float64 {
 		f := frac * (oh - ol) / w
 		idx := base*g.side + c
 		if dim == g.dim-1 {
-			sum += g.cells[idx] * f
+			sum += float64(g.cells[idx] * f)
 		} else {
 			sum += g.walk(dim+1, idx, lo, hi, f)
 		}

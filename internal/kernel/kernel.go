@@ -42,6 +42,10 @@
 // Any number of goroutines may query one model at once while its owner
 // neither patches nor rescales it; Clone gives a snapshot that outlives
 // the owner's next patch.
+//
+// A product that feeds a sum is written float64(x*y), a rounding the Go
+// spec forbids the compiler to fuse into a multiply-add, so every
+// architecture computes what amd64 does, bit for bit (DESIGN.md §7).
 package kernel
 
 import (
@@ -312,7 +316,7 @@ func (e *Estimator) Density(x window.Point) float64 {
 				term = 0
 				break
 			}
-			term *= 0.75 * (1 - u*u) / e.bw[i]
+			term *= 0.75 * (1 - float64(u*u)) / e.bw[i]
 		}
 		sum += term
 	}
@@ -322,7 +326,7 @@ func (e *Estimator) Density(x window.Point) float64 {
 // epaCDF is the antiderivative of the unit Epanechnikov kernel (up to the
 // +0.5 constant, which cancels in segment differences). A plain function,
 // not a closure, so segment evaluation allocates nothing.
-func epaCDF(u float64) float64 { return 0.75 * (u - u*u*u/3) }
+func epaCDF(u float64) float64 { return float64(0.75 * (u - u*u*u/3)) }
 
 // epaCDFSegment integrates the unit Epanechnikov kernel over [u1, u2]
 // (arguments already scaled and clipped to [-1,1]).

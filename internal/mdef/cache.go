@@ -71,7 +71,7 @@ func (c *CachedCounter) cellKeyOf(lo, hi []float64) (uint64, bool) {
 	key := uint64(0)
 	for i := range lo {
 		k := math.Round(lo[i] / c.w)
-		if math.Abs(lo[i]-k*c.w) > tol || math.Abs(hi[i]-(k+1)*c.w) > tol {
+		if math.Abs(lo[i]-float64(k*c.w)) > tol || math.Abs(hi[i]-float64((k+1)*c.w)) > tol {
 			return 0, false
 		}
 		// Signed 20-bit window per dimension supports |k| < 2^19, far wider

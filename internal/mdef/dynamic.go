@@ -131,7 +131,7 @@ func (d *DynTruth) IsOutlier(p window.Point) bool {
 	if avg <= 0 {
 		return false
 	}
-	bound := avg - d.prm.KSigma*sig
+	bound := avg - float64(d.prm.KSigma*sig)
 	if bound <= 0 {
 		return false // even n(p,αr)=0 cannot satisfy the criterion
 	}

@@ -23,6 +23,10 @@
 // (kernel estimator in the paper's method; its 1-d cost is the
 // O((log|R|+|R'|)/2αr) of Theorem 4); the ground-truth BruteForce-M uses
 // exact counts over the window, kept by DynTruth on the same cell grid.
+//
+// A product that feeds a sum is written float64(x*y), a rounding the Go
+// spec forbids the compiler to fuse into a multiply-add, so every
+// architecture computes what amd64 does, bit for bit (DESIGN.md §7).
 package mdef
 
 import (
@@ -81,7 +85,7 @@ func cellStats(counts []float64) (avg, sigma float64) {
 	var sum, sumSq float64
 	for _, c := range counts {
 		sum += c
-		sumSq += c * c
+		sumSq += float64(c * c)
 	}
 	if sum <= 0 {
 		return 0, 0
@@ -90,7 +94,7 @@ func cellStats(counts []float64) (avg, sigma float64) {
 	var devSq float64
 	for _, c := range counts {
 		d := c - avg
-		devSq += c * d * d
+		devSq += float64(c * d * d)
 	}
 	v := devSq / sum
 	if v < 0 {

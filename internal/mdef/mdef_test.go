@@ -184,7 +184,7 @@ func bruteData(seed int64, n int, isolated ...float64) []window.Point {
 	r := stats.NewRand(seed)
 	var pts []window.Point
 	for i := 0; i < n; i++ {
-		pts = append(pts, window.Point{0.2 + r.Float64()*0.2})
+		pts = append(pts, window.Point{0.2 + float64(r.Float64()*0.2)})
 	}
 	for _, x := range isolated {
 		pts = append(pts, window.Point{x})

@@ -67,7 +67,7 @@ func EvaluateMulti(m Counter, p []float64, prm MultiParams) MultiResult {
 	bestMargin := math.Inf(-1)
 	for _, r := range prm.Radii() {
 		res := Evaluate(m, p, Params{R: r, AlphaR: prm.Alpha * r, KSigma: prm.KSigma})
-		margin := res.MDEF - prm.KSigma*res.SigMDEF
+		margin := res.MDEF - float64(prm.KSigma*res.SigMDEF)
 		if res.AvgN > 0 && margin > bestMargin {
 			bestMargin = margin
 			out.BestR = r

@@ -97,7 +97,7 @@ func naiveVerdict(pts []window.Point, occ map[string]float64, q window.Point, pr
 	var sum, sumSq float64
 	for _, c := range counts {
 		sum += c
-		sumSq += c * c
+		sumSq += float64(c * c)
 	}
 	if sum <= 0 {
 		return false
@@ -106,7 +106,7 @@ func naiveVerdict(pts []window.Point, occ map[string]float64, q window.Point, pr
 	var devSq float64
 	for _, c := range counts {
 		dev := c - avg
-		devSq += c * dev * dev
+		devSq += float64(c * dev * dev)
 	}
 	v := devSq / sum
 	if v < 0 {

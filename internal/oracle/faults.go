@@ -37,18 +37,18 @@ func FaultSchedules(n, nodes, epochs int, seed int64) []fault.Schedule {
 			}
 			switch r.Intn(4) {
 			case 0:
-				lk.Loss = 0.1 + 0.4*r.Float64()
+				lk.Loss = 0.1 + float64(0.4*r.Float64())
 			case 1:
 				lk.Burst = fault.GilbertElliott{
-					PGoodBad: 0.02 + 0.1*r.Float64(),
-					PBadGood: 0.2 + 0.8*r.Float64(), // 1.0 reachable: zero-length bursts
-					LossBad:  0.5 + 0.5*r.Float64(),
+					PGoodBad: 0.02 + float64(0.1*r.Float64()),
+					PBadGood: 0.2 + float64(0.8*r.Float64()), // 1.0 reachable: zero-length bursts
+					LossBad:  0.5 + float64(0.5*r.Float64()),
 				}
 			case 2:
-				lk.DelayProb = 0.1 + 0.4*r.Float64()
+				lk.DelayProb = 0.1 + float64(0.4*r.Float64())
 				lk.DelayMax = 1 + r.Intn(4)
 			case 3:
-				lk.DupProb = 0.1 + 0.4*r.Float64()
+				lk.DupProb = 0.1 + float64(0.4*r.Float64())
 			}
 			out[i].Links = append(out[i].Links, lk)
 		}

@@ -9,6 +9,10 @@
 // a clustered stream generator that actually produces both inliers and
 // outliers, and a greedy shrinker that reduces a failing window snapshot
 // to a minimal reproducer printed as a Go literal.
+//
+// A product that feeds a sum is written float64(x*y), a rounding the Go
+// spec forbids the compiler to fuse into a multiply-add, so every
+// architecture computes what amd64 does, bit for bit (DESIGN.md §7).
 package oracle
 
 import (
@@ -76,7 +80,7 @@ func (c Config) NewStream() *Stream {
 	for i := 0; i < 2+r.Intn(2); i++ {
 		center := make(window.Point, c.Dim)
 		for j := range center {
-			center[j] = 0.2 + 0.6*r.Float64()
+			center[j] = 0.2 + float64(0.6*r.Float64())
 		}
 		s.centers = append(s.centers, center)
 	}
@@ -92,7 +96,7 @@ func (s *Stream) Next() window.Point {
 	if s.r.Float64() < 0.9 {
 		c := s.centers[s.r.Intn(len(s.centers))]
 		for i := range p {
-			p[i] = clamp01(c[i] + 0.03*s.r.NormFloat64())
+			p[i] = clamp01(c[i] + float64(0.03*s.r.NormFloat64()))
 		}
 		return p
 	}

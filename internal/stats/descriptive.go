@@ -3,6 +3,10 @@
 // reproduction. The paper reports min, max, mean, median, standard
 // deviation, and skew for each dataset (Figure 5); this package computes
 // those measures both over static slices and incrementally over streams.
+//
+// A product that feeds a sum is written float64(x*y), a rounding the Go
+// spec forbids the compiler to fuse into a multiply-add, so every
+// architecture computes what amd64 does, bit for bit (DESIGN.md §7).
 package stats
 
 import (
@@ -90,8 +94,8 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	frac := float64(pos) - float64(lo)
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Moments accumulates count, mean, variance, and skewness in one pass using
@@ -111,9 +115,9 @@ func (m *Moments) Add(x float64) {
 	n := float64(m.n)
 	delta := x - m.mu
 	deltaN := delta / n
-	term1 := delta * deltaN * n0
+	term1 := float64(delta * deltaN * n0)
 	m.mu += deltaN
-	m.m3 += term1*deltaN*(n-2) - 3*deltaN*m.m2
+	m.m3 += float64(term1*deltaN*(n-2)) - float64(3*deltaN*m.m2)
 	m.m2 += term1
 }
 
@@ -166,64 +170,4 @@ func (m *Moments) Skew() float64 {
 	}
 	n := float64(m.n)
 	return math.Sqrt(n) * m.m3 / math.Pow(m.m2, 1.5)
-}
-
-// Merge folds another accumulator into m, as if every observation added to
-// o had been added to m. This supports combining per-sensor statistics at
-// parent nodes.
-func (m *Moments) Merge(o Moments) {
-	if o.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = o
-		return
-	}
-	na, nb := float64(m.n), float64(o.n)
-	n := na + nb
-	delta := o.mu - m.mu
-	m3 := m.m3 + o.m3 +
-		delta*delta*delta*na*nb*(na-nb)/(n*n) +
-		3*delta*(na*o.m2-nb*m.m2)/n
-	m2 := m.m2 + o.m2 + delta*delta*na*nb/n
-	m.mu += delta * nb / n
-	m.m2 = m2
-	m.m3 = m3
-	m.n += o.n
-}
-
-// Mode estimates the primary mode of xs by locating the densest fixed-width
-// bin and returning its midpoint. It is used only for dataset diagnostics.
-func Mode(xs []float64, bins int) float64 {
-	if len(xs) == 0 || bins <= 0 {
-		return math.NaN()
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == lo {
-		return lo
-	}
-	counts := make([]int, bins)
-	w := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i >= bins {
-			i = bins - 1
-		}
-		counts[i]++
-	}
-	best := 0
-	for i, c := range counts {
-		if c > counts[best] {
-			best = i
-		}
-	}
-	return lo + (float64(best)+0.5)*w
 }

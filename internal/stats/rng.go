@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // NewRand returns a deterministic pseudo-random source for the given seed.
 // Every stochastic component in the reproduction (stream generators, chain
@@ -44,20 +41,6 @@ func ChildSeed(seed int64, i int) int64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return int64(x)
-}
-
-// SkewNormal draws from a skew-normal distribution with location loc, scale
-// sc, and shape alpha (alpha<0 skews left, alpha>0 right, alpha=0 is
-// normal). It uses the standard two-normal construction:
-// Z = delta*|U0| + sqrt(1-delta^2)*U1 with delta = alpha/sqrt(1+alpha^2).
-// The engine dataset generator uses it to match the strongly left-skewed
-// moments the paper tabulates in Figure 5.
-func SkewNormal(r *rand.Rand, loc, sc, alpha float64) float64 {
-	delta := alpha / math.Sqrt(1+alpha*alpha)
-	u0 := math.Abs(r.NormFloat64())
-	u1 := r.NormFloat64()
-	z := delta*u0 + math.Sqrt(1-delta*delta)*u1
-	return loc + sc*z
 }
 
 // Clamp limits x to the interval [lo, hi]. Stream generators use it to keep

@@ -167,7 +167,7 @@ func (d *Drifting) MeanAt(i int) float64 {
 		}
 	case DriftSeasonal:
 		if i >= c.DriftAt {
-			return c.BaseMean + c.Amp*math.Sin(2*math.Pi*float64(i-c.DriftAt)/float64(c.Period))
+			return c.BaseMean + float64(c.Amp*math.Sin(2*math.Pi*float64(i-c.DriftAt)/float64(c.Period)))
 		}
 	}
 	return c.BaseMean
@@ -188,13 +188,13 @@ func (d *Drifting) At(i int) (window.Point, bool) {
 	p := make(window.Point, d.dim)
 	if r.Float64() < d.cfg.NoiseFrac {
 		for k := range p {
-			p[k] = d.cfg.NoiseLo + r.Float64()*(d.cfg.NoiseHi-d.cfg.NoiseLo)
+			p[k] = d.cfg.NoiseLo + float64(r.Float64()*(d.cfg.NoiseHi-d.cfg.NoiseLo))
 		}
 		return p, true
 	}
 	mu, sigma := d.MeanAt(i), d.SigmaAt(i)
 	for k := range p {
-		p[k] = stats.Clamp(mu+sigma*r.NormFloat64(), 0, 1)
+		p[k] = stats.Clamp(mu+float64(sigma*r.NormFloat64()), 0, 1)
 	}
 	return p, false
 }

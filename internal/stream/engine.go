@@ -90,11 +90,11 @@ func (e *Engine) Next() window.Point {
 	}
 	e.n++
 	if e.rng.Float64() < dipProb {
-		x := c.DipLo + e.rng.Float64()*(c.DipHi-c.DipLo)
+		x := c.DipLo + float64(e.rng.Float64()*(c.DipHi-c.DipLo))
 		return window.Point{stats.Clamp(x, c.Min, c.Max)}
 	}
 	// Smooth AR(1) operating noise around the base level.
-	e.noise = c.AR*e.noise + e.rng.NormFloat64()*c.BaseJit
+	e.noise = float64(c.AR*e.noise) + float64(e.rng.NormFloat64()*c.BaseJit)
 	return window.Point{stats.Clamp(c.Base+e.noise, c.Min, c.Max)}
 }
 
@@ -164,7 +164,8 @@ func NewEnviro(cfg EnviroConfig, seed int64) *Enviro {
 		panic("stream: bad enviro front config")
 	}
 	rng := stats.NewRand(seed)
-	return &Enviro{cfg: cfg, rng: rng, phase: rng.Float64() * 2 * math.Pi}
+	// Float64 is inlined with its own product, and x*2 compiles to x+x.
+	return &Enviro{cfg: cfg, rng: rng, phase: float64(rng.Float64()) * 2 * math.Pi}
 }
 
 // Dim returns 2.
@@ -178,8 +179,8 @@ func (e *Enviro) Next() window.Point {
 	season := math.Sin(2*math.Pi*t/float64(c.SeasonPeriod) + e.phase)
 	day := math.Sin(2 * math.Pi * t / float64(c.DayPeriod))
 
-	e.pNoise = c.AR*e.pNoise + e.rng.NormFloat64()*c.PressureNoise*(1-c.AR)*5
-	e.dNoise = c.AR*e.dNoise + e.rng.NormFloat64()*c.DewNoise*(1-c.AR)*5
+	e.pNoise = float64(c.AR*e.pNoise) + float64(e.rng.NormFloat64()*c.PressureNoise*(1-c.AR)*5)
+	e.dNoise = float64(c.AR*e.dNoise) + float64(e.rng.NormFloat64()*c.DewNoise*(1-c.AR)*5)
 
 	if e.frontLeft == 0 && e.rng.Float64() < c.FrontProb {
 		e.frontLeft = c.FrontLen
@@ -190,11 +191,11 @@ func (e *Enviro) Next() window.Point {
 		front = 1
 	}
 
-	p := c.PressureMean + c.PressureSeasonAmp*season + c.PressureDayAmp*day +
-		e.pNoise - front*c.FrontDrop
+	p := c.PressureMean + float64(c.PressureSeasonAmp*season) + float64(c.PressureDayAmp*day) +
+		e.pNoise - float64(front*c.FrontDrop)
 	// Fronts pull both attributes down-range, giving the mild negative skew.
-	d := c.DewMean + c.DewSeasonAmp*season + c.DewDayAmp*day +
-		e.dNoise - front*c.FrontDrop*0.2
+	d := c.DewMean + float64(c.DewSeasonAmp*season) + float64(c.DewDayAmp*day) +
+		e.dNoise - float64(front*c.FrontDrop*0.2)
 
 	return window.Point{
 		stats.Clamp(p, c.PressureMin, c.PressureMax),

@@ -53,7 +53,7 @@ func (n *Normalizer) Denormalize(p window.Point) []float64 {
 	}
 	out := make([]float64, len(p))
 	for i, x := range p {
-		out[i] = n.lo[i] + x*(n.hi[i]-n.lo[i])
+		out[i] = n.lo[i] + float64(x*(n.hi[i]-n.lo[i]))
 	}
 	return out
 }

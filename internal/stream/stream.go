@@ -9,6 +9,10 @@
 // All sources are deterministic given their seed, produce values
 // normalized to [0,1]^d, and implement the Source interface consumed by
 // the detectors and the network simulator.
+//
+// A product that feeds a sum is written float64(x*y), a rounding the Go
+// spec forbids the compiler to fuse into a multiply-add, so every
+// architecture computes what amd64 does, bit for bit (DESIGN.md §7).
 package stream
 
 import (
@@ -109,13 +113,13 @@ func (m *Mixture) Next() window.Point {
 	p := make(window.Point, m.dim)
 	if m.rng.Float64() < m.cfg.NoiseFrac {
 		for i := range p {
-			p[i] = m.cfg.NoiseLo + m.rng.Float64()*(m.cfg.NoiseHi-m.cfg.NoiseLo)
+			p[i] = m.cfg.NoiseLo + float64(m.rng.Float64()*(m.cfg.NoiseHi-m.cfg.NoiseLo))
 		}
 		return p
 	}
 	for i := range p {
 		mu := m.cfg.Means[m.rng.Intn(len(m.cfg.Means))]
-		p[i] = stats.Clamp(mu+m.rng.NormFloat64()*m.cfg.Sigma, 0, 1)
+		p[i] = stats.Clamp(mu+float64(m.rng.NormFloat64()*m.cfg.Sigma), 0, 1)
 	}
 	return p
 }
@@ -167,5 +171,5 @@ func (s *Shifting) Sigma() float64 { return s.sigma }
 func (s *Shifting) Next() window.Point {
 	mu := s.CurrentMean()
 	s.n++
-	return window.Point{stats.Clamp(mu+s.rng.NormFloat64()*s.sigma, 0, 1)}
+	return window.Point{stats.Clamp(mu+float64(s.rng.NormFloat64()*s.sigma), 0, 1)}
 }

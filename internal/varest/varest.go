@@ -35,6 +35,10 @@
 // Theorem 1 of the paper charges O((d/eps^2)·log|W|) memory for this
 // component; MemoryNumbers and BoundNumbers let the Section 10.3 memory
 // experiment compare actual usage against that bound.
+//
+// A product that feeds a sum is written float64(x*y), a rounding the Go
+// spec forbids the compiler to fuse into a multiply-add, so every
+// architecture computes what amd64 does, bit for bit (DESIGN.md §7).
 package varest
 
 import (
@@ -53,13 +57,15 @@ func (b *bucket) n() uint64 { return b.last - b.first + 1 }
 
 // merge combines two adjacent buckets (a older, c newer).
 func merge(a, c bucket) bucket {
-	na, nc := float64(a.n()), float64(c.n())
+	// The counts are read from the fields, not through n(): the sketch's
+	// hot loops inline merge, and it must stay within the inliner's budget.
+	na, nc := float64(a.last-a.first+1), float64(c.last-c.first+1)
 	d := a.mean - c.mean
 	return bucket{
 		first: a.first,
 		last:  c.last,
-		mean:  (na*a.mean + nc*c.mean) / (na + nc),
-		v:     a.v + c.v + na*nc/(na+nc)*d*d,
+		mean:  (float64(na*a.mean) + float64(nc*c.mean)) / (na + nc),
+		v:     a.v + c.v + float64(na*nc/(na+nc)*d*d),
 	}
 }
 
