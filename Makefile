@@ -85,18 +85,24 @@ check-onetwin:
 		echo "$$bad"; exit 1; \
 	fi
 
-# One refresh path: every core.Estimator patches its kernel model in place
-# (kernel.NewMaintained, then BeginMaintain/SetSlot/FinishMaintain), and a
-# caller keeping a model across arrivals holds a kernel Clone. The opt-in,
-# the tracking switch, the immutable rescale and serve's private clone are
-# gone; any of them in non-test code, or a from-scratch kernel.FromSample(
-# or kernel.New( in internal/core, is a second refresh path coming back.
+# One refresh path and one layout path: every kernel model starts empty
+# (kernel.NewEmpty) and gets every layout, its first included, from the
+# patch cycle (BeginMaintain/SetSlot/FinishMaintain: ordered insert plus
+# relayout's sort), and a caller keeping a model across arrivals holds a
+# kernel Clone. The opt-in, the tracking switch, the immutable rescale and
+# serve's private clone are gone; any of them in non-test code, a
+# from-scratch kernel.FromSample( or kernel.New( in internal/core, a bulk
+# NewMaintained( outside internal/kernel, or a stable sort in
+# internal/kernel (the bulk constructor's own layout) is a second path
+# coming back.
 check-onerefresh:
 	@bad=$$(grep -rnE 'EnableIncrementalModel\(|EnableChangeTracking\(|WithWindowCount\(|cloneModel\(' --include='*.go' --exclude='*_test.go' internal cmd examples *.go); \
 	core=$$(grep -nE 'kernel\.(FromSample|New)\(' --include='*.go' -r internal/core | grep -v '_test\.go:'); \
-	if [ -n "$$bad$$core" ]; then \
-		echo "a second kernel-model refresh path (patch the maintained model; keep a Clone):"; \
-		echo "$$bad"; echo "$$core"; exit 1; \
+	bulk=$$(grep -rn 'NewMaintained(' --include='*.go' --exclude='*_test.go' internal cmd examples *.go | grep -v '^internal/kernel/'); \
+	stable=$$(grep -nE 'SortStable|sort\.(Stable|SliceStable)\(' internal/kernel/*.go | grep -v '_test\.go:'); \
+	if [ -n "$$bad$$core$$bulk$$stable" ]; then \
+		echo "a second kernel-model refresh or layout path (start from kernel.NewEmpty and patch; keep a Clone):"; \
+		echo "$$bad"; echo "$$core"; echo "$$bulk"; echo "$$stable"; exit 1; \
 	fi
 
 # One query surface: a kernel model answers its own queries. A query
@@ -342,7 +348,9 @@ bench-fault:
 # Incremental-maintenance suite whose numbers land in BENCH_REBUILD.json:
 # one in-place maintenance cycle vs a from-scratch kernel rebuild, and the
 # per-arrival detector refresh (watch the full_builds and models_per_10k
-# metrics). The serving hot loop the savings feed is the
+# metrics). The from-scratch rebuild is kernel.New, which lays out an empty
+# model in one patch cycle (every slot inserted, then one relayout) — the
+# cost a model pays once, at its first refresh. The serving hot loop the savings feed is the
 # pipeline.* rows of `go run ./bench -workload kernel-steady -trace 1`.
 bench-rebuild:
 	$(GO) test -run=NONE -bench='BenchmarkMaintainCycle|BenchmarkFromScratchRebuild' -benchmem -benchtime 20000x ./internal/kernel/

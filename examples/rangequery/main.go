@@ -39,7 +39,7 @@ func run(w io.Writer) error {
 	cfg := odds.DefaultConfig(2)
 	cfg.WindowCap = epochs
 	cfg.SampleSize = 512
-	engine := apps.NewRangeEngine(core.Config(cfg), perDay, days, 5)
+	engine := apps.NewRangeEngine(core.Config(cfg), perDay, days)
 
 	src := stream.NewEnviro(stream.DefaultEnviro(), 11)
 	for t := 0; t < epochs; t++ {

@@ -12,7 +12,6 @@ package apps
 import (
 	"fmt"
 	"math"
-	mrand "math/rand"
 	"sort"
 
 	"odds/internal/core"
@@ -29,7 +28,6 @@ import (
 // temporal query combines the models of the blocks overlapping the
 // interval, weighting by block size.
 type RangeEngine struct {
-	est      *core.Estimator
 	blockLen int
 	blocks   []block
 	maxBlk   int
@@ -44,14 +42,16 @@ type block struct {
 }
 
 // NewRangeEngine returns an engine whose temporal resolution is blockLen
-// arrivals, retaining up to maxBlocks past blocks, over dim-dimensional
-// readings configured by cfg.
-func NewRangeEngine(cfg core.Config, blockLen, maxBlocks int, seed int64) *RangeEngine {
+// arrivals, retaining up to maxBlocks past blocks, over cfg.Dim-dimensional
+// readings. It panics on an invalid block shape or cfg.
+func NewRangeEngine(cfg core.Config, blockLen, maxBlocks int) *RangeEngine {
 	if blockLen <= 0 || maxBlocks <= 0 {
 		panic(fmt.Sprintf("apps: block config %d,%d must be positive", blockLen, maxBlocks))
 	}
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	return &RangeEngine{
-		est:      core.NewEstimator(cfg, cfg.WindowCap, float64(cfg.WindowCap), newRand(seed)),
 		blockLen: blockLen,
 		maxBlk:   maxBlocks,
 		dim:      cfg.Dim,
@@ -60,7 +60,6 @@ func NewRangeEngine(cfg core.Config, blockLen, maxBlocks int, seed int64) *Range
 
 // Observe feeds one reading.
 func (e *RangeEngine) Observe(p window.Point) {
-	e.est.Observe(p)
 	e.cur = append(e.cur, p.Clone())
 	e.now++
 	if len(e.cur) < e.blockLen {
@@ -289,7 +288,3 @@ func (m *RegionMonitor) Report(epoch int) bool {
 
 // Pending returns the number of outliers currently inside the window.
 func (m *RegionMonitor) Pending() int { return len(m.times) }
-
-// newRand is a local alias avoiding a stats import cycle concern; it simply
-// seeds a math/rand source.
-func newRand(seed int64) *mrand.Rand { return mrand.New(mrand.NewSource(seed)) }

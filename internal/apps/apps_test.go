@@ -23,8 +23,9 @@ func engineConfig(dim int) core.Config {
 
 func TestRangeEnginePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"blockLen=0":  func() { NewRangeEngine(engineConfig(1), 0, 4, 1) },
-		"maxBlocks=0": func() { NewRangeEngine(engineConfig(1), 10, 0, 1) },
+		"blockLen=0":  func() { NewRangeEngine(engineConfig(1), 0, 4) },
+		"maxBlocks=0": func() { NewRangeEngine(engineConfig(1), 10, 0) },
+		"bad config":  func() { NewRangeEngine(core.Config{Dim: 1}, 10, 4) },
 	} {
 		func() {
 			defer func() {
@@ -38,7 +39,7 @@ func TestRangeEnginePanics(t *testing.T) {
 }
 
 func TestRangeEngineCountWholeDomain(t *testing.T) {
-	e := NewRangeEngine(engineConfig(1), 128, 32, 1)
+	e := NewRangeEngine(engineConfig(1), 128, 32)
 	src := stream.NewMixture(stream.DefaultMixture(), 1, 2)
 	const n = 2048
 	for i := 0; i < n; i++ {
@@ -56,7 +57,7 @@ func TestRangeEngineCountWholeDomain(t *testing.T) {
 func TestRangeEngineTemporalConstraint(t *testing.T) {
 	// First 512 arrivals near 0.2, next 512 near 0.8 — temporal queries
 	// should separate the phases.
-	e := NewRangeEngine(engineConfig(1), 64, 32, 3)
+	e := NewRangeEngine(engineConfig(1), 64, 32)
 	r := stats.NewRand(4)
 	for i := 0; i < 512; i++ {
 		e.Observe(window.Point{stats.Clamp(0.2+r.NormFloat64()*0.02, 0, 1)})
@@ -75,7 +76,7 @@ func TestRangeEngineTemporalConstraint(t *testing.T) {
 }
 
 func TestRangeEngineAverage(t *testing.T) {
-	e := NewRangeEngine(engineConfig(1), 64, 32, 5)
+	e := NewRangeEngine(engineConfig(1), 64, 32)
 	r := stats.NewRand(6)
 	for i := 0; i < 1024; i++ {
 		e.Observe(window.Point{stats.Clamp(0.4+r.NormFloat64()*0.03, 0, 1)})
@@ -91,7 +92,7 @@ func TestRangeEngineAverage(t *testing.T) {
 }
 
 func TestRangeEngineAverageDimPanics(t *testing.T) {
-	e := NewRangeEngine(engineConfig(1), 64, 8, 7)
+	e := NewRangeEngine(engineConfig(1), 64, 8)
 	defer func() {
 		if recover() == nil {
 			t.Error("bad dim did not panic")
@@ -101,7 +102,7 @@ func TestRangeEngineAverageDimPanics(t *testing.T) {
 }
 
 func TestRangeEngineUnsealedBlockExact(t *testing.T) {
-	e := NewRangeEngine(engineConfig(1), 1000, 4, 9)
+	e := NewRangeEngine(engineConfig(1), 1000, 4)
 	for i := 0; i < 10; i++ {
 		e.Observe(window.Point{0.5})
 	}

@@ -23,13 +23,13 @@ type RegionEngine struct {
 // NewRegionEngine creates engines for sensors at the given plane
 // positions. blockLen/maxBlocks set the temporal resolution as in
 // NewRangeEngine.
-func NewRegionEngine(cfg core.Config, positions [][2]float64, blockLen, maxBlocks int, seed int64) *RegionEngine {
+func NewRegionEngine(cfg core.Config, positions [][2]float64, blockLen, maxBlocks int) *RegionEngine {
 	if len(positions) == 0 {
 		panic("apps: region engine needs at least one sensor")
 	}
 	r := &RegionEngine{dim: cfg.Dim, positions: append([][2]float64(nil), positions...)}
-	for i := range positions {
-		r.engines = append(r.engines, NewRangeEngine(cfg, blockLen, maxBlocks, seed+int64(i)))
+	for range positions {
+		r.engines = append(r.engines, NewRangeEngine(cfg, blockLen, maxBlocks))
 	}
 	return r
 }

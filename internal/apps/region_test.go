@@ -13,7 +13,7 @@ import (
 func regionFixture(t *testing.T) *RegionEngine {
 	t.Helper()
 	pos := [][2]float64{{0.1, 0.1}, {0.1, 0.9}, {0.9, 0.1}, {0.9, 0.9}}
-	r := NewRegionEngine(engineConfig(1), pos, 64, 32, 1)
+	r := NewRegionEngine(engineConfig(1), pos, 64, 32)
 	rng := stats.NewRand(2)
 	for i := 0; i < 1024; i++ {
 		for s := 0; s < 4; s++ {
@@ -86,7 +86,7 @@ func TestRegionEnginePanics(t *testing.T) {
 				t.Error("empty positions did not panic")
 			}
 		}()
-		NewRegionEngine(engineConfig(1), nil, 64, 8, 1)
+		NewRegionEngine(engineConfig(1), nil, 64, 8)
 	}()
 	r := regionFixture(t)
 	defer func() {

@@ -44,8 +44,6 @@ type Estimator struct {
 	// Refresh scratch, reused across refreshes.
 	sigmaBuf []float64
 	bwBuf    []float64
-	ptsBuf   []window.Point
-	slotBuf  []int
 }
 
 // NewEstimator returns estimation state for a node whose range queries
@@ -154,50 +152,38 @@ func (e *Estimator) Model() *kernel.Estimator {
 }
 
 // refreshMaintained brings the maintained model up to date with the chain
-// sample: a patch cycle over the pending slots when a model exists, a full
-// maintained build otherwise. It reports false when the sample is empty
-// (no model can exist; pending changes are kept so a later refresh still
-// sees them).
+// sample in one patch cycle over the pending slots. The first cycle lays
+// out an empty model and visits every slot: after a restore the pending
+// list holds only the slots that were pending at the snapshot. It reports
+// false when the sample is empty (no model can exist; pending changes are
+// kept so a later refresh still sees them).
 func (e *Estimator) refreshMaintained(wc float64) bool {
-	if e.model != nil {
-		if e.smp.Occupied() == 0 {
-			return false
-		}
-		e.model.BeginMaintain()
-		slices.Sort(e.pendingList)
-		for _, s := range e.pendingList {
-			e.model.SetSlot(int(s), e.smp.SampleAt(int(s)))
-		}
-		e.clearPending()
-		e.bwBuf = kernel.BandwidthsInto(e.bwBuf, e.scaledSigmas(), e.model.SampleSize())
-		if err := e.model.FinishMaintain(e.bwBuf, wc); err != nil {
-			// Unreachable: Occupied() > 0 guarantees live centers.
-			panic(err)
-		}
-		e.patchBuilds++
-		return true
-	}
-	// First build: a maintained model from the full sample, keyed by slot
-	// index so later patches address centers by the slot that changed.
-	e.ptsBuf, e.slotBuf = e.ptsBuf[:0], e.slotBuf[:0]
-	for s := 0; s < e.smp.Size(); s++ {
-		if p := e.smp.SampleAt(s); p != nil {
-			e.ptsBuf = append(e.ptsBuf, p)
-			e.slotBuf = append(e.slotBuf, s)
-		}
-	}
-	if len(e.ptsBuf) == 0 {
+	if e.smp.Occupied() == 0 {
 		return false
 	}
-	e.bwBuf = kernel.BandwidthsInto(e.bwBuf, e.scaledSigmas(), len(e.ptsBuf))
-	m, err := kernel.NewMaintained(e.ptsBuf, e.slotBuf, e.smp.Size(), e.bwBuf, wc)
-	if err != nil {
-		// The only reachable error is an empty sample, handled above.
+	if e.model == nil {
+		e.model = kernel.NewEmpty(e.smp.Size(), e.cfg.Dim)
+		for s, pending := range e.pendingSet {
+			if !pending {
+				e.pendingSet[s] = true
+				e.pendingList = append(e.pendingList, int32(s))
+			}
+		}
+		e.fullBuilds++
+	} else {
+		e.patchBuilds++
+	}
+	e.model.BeginMaintain()
+	slices.Sort(e.pendingList)
+	for _, s := range e.pendingList {
+		e.model.SetSlot(int(s), e.smp.SampleAt(int(s)))
+	}
+	e.clearPending()
+	e.bwBuf = kernel.BandwidthsInto(e.bwBuf, e.scaledSigmas(), e.model.SampleSize())
+	if err := e.model.FinishMaintain(e.bwBuf, wc); err != nil {
+		// Unreachable: Occupied() > 0 guarantees live centers.
 		panic(err)
 	}
-	e.model = m
-	e.clearPending()
-	e.fullBuilds++
 	return true
 }
 

@@ -221,8 +221,9 @@ func TestIncrementalSteadyStateBuildCounts(t *testing.T) {
 	if patch == 0 {
 		t.Fatal("patchBuilds = 0: refreshes never took the patch path")
 	}
+	// The full build is the model's first maintenance cycle.
 	st := first.MaintainStats()
-	if st.Patches != patch {
-		t.Fatalf("kernel patch cycles %d != estimator patch builds %d", st.Patches, patch)
+	if st.Patches != full+patch {
+		t.Fatalf("kernel maintenance cycles %d != estimator builds %d full + %d patch", st.Patches, full, patch)
 	}
 }

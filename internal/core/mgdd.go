@@ -37,7 +37,6 @@ type GlobalModel struct {
 	pending    []int32 // slots written since the model last absorbed them
 	pendingSet []bool
 	bwBuf      []float64
-	slotBuf    []int
 }
 
 // NewGlobalModel returns an empty replica with the given sample capacity,
@@ -94,41 +93,30 @@ func (g *GlobalModel) Stamp() int { return g.stamp }
 // Ready reports whether the replica has enough state to answer queries.
 func (g *GlobalModel) Ready() bool { return g.fill >= 2 }
 
-// Updates returns the number of slots currently populated.
+// Fill returns the number of slots currently populated.
 func (g *GlobalModel) Fill() int { return g.fill }
 
-// Model returns the kernel model over the replica, refreshed lazily: a
-// per-changed-slot patch of the maintained model when one exists, a full
-// maintained build on first use.
+// Model returns the kernel model over the replica, refreshed lazily: one
+// patch cycle over the slots written since the last refresh, on an empty
+// model the first time (every filled slot has been written by then).
 func (g *GlobalModel) Model() *kernel.Estimator {
 	if !g.Ready() {
 		return nil
 	}
-	if g.model == nil || g.dirty {
-		if g.model != nil {
-			g.model.BeginMaintain()
-			slices.Sort(g.pending)
-			for _, s := range g.pending {
-				g.model.SetSlot(int(s), g.slots[s])
-			}
-			g.clearPending()
-			g.bwBuf = kernel.BandwidthsInto(g.bwBuf, g.sigmas, g.model.SampleSize())
-			if err := g.model.FinishMaintain(g.bwBuf, g.wcount); err != nil {
-				// Unreachable: Ready() guarantees live centers.
-				panic(err)
-			}
-		} else {
-			g.slotBuf = g.slotBuf[:0]
-			for s := 0; s < g.fill; s++ {
-				g.slotBuf = append(g.slotBuf, s)
-			}
-			g.bwBuf = kernel.BandwidthsInto(g.bwBuf, g.sigmas, g.fill)
-			m, err := kernel.NewMaintained(g.slots[:g.fill], g.slotBuf, len(g.slots), g.bwBuf, g.wcount)
-			if err != nil {
-				panic(err)
-			}
-			g.model = m
-			g.clearPending()
+	if g.dirty {
+		if g.model == nil {
+			g.model = kernel.NewEmpty(len(g.slots), len(g.sigmas))
+		}
+		g.model.BeginMaintain()
+		slices.Sort(g.pending)
+		for _, s := range g.pending {
+			g.model.SetSlot(int(s), g.slots[s])
+		}
+		g.clearPending()
+		g.bwBuf = kernel.BandwidthsInto(g.bwBuf, g.sigmas, g.model.SampleSize())
+		if err := g.model.FinishMaintain(g.bwBuf, g.wcount); err != nil {
+			// Unreachable: Ready() guarantees live centers.
+			panic(err)
 		}
 		g.dirty = false
 	}

@@ -225,38 +225,30 @@ func (c *Coreset) modelInputs() (wc float64) {
 	return wc
 }
 
-// rebuild brings the model up to the reservoir. The first build covers
-// slots 0..filled−1; later ones patch in place, setting in ascending
-// order every slot whose point differs bitwise from the model's copy, and
-// allocate nothing.
+// rebuild brings the model up to the reservoir in one patch cycle,
+// setting in ascending order every slot whose point differs bitwise from
+// the model's copy — every filled slot the first time, on an empty model
+// — and, once a model exists, allocates nothing. The model is kept only
+// after its first cycle succeeds.
 func (c *Coreset) rebuild() {
 	wc := c.modelInputs()
 	c.bwBuf = kernel.BandwidthsInto(c.bwBuf, c.sigmaBuf, c.filled)
-	if c.model == nil {
-		slots := make([]int, c.filled)
-		for i := range slots {
-			slots[i] = i
-		}
-		m, err := kernel.NewMaintained(c.pts[:c.filled], slots, len(c.pts), c.bwBuf, wc)
-		if err != nil {
-			// filled > 0 and wc ≥ 1 make every error unreachable; stay
-			// without a model rather than crash the shard on a surprise.
-			return
-		}
-		c.model = m
-	} else {
-		c.model.BeginMaintain()
-		for s, p := range c.pts[:c.filled] {
-			if !c.model.SlotPoint(s, c.slotBuf) || !sameBits(p, c.slotBuf) {
-				c.model.SetSlot(s, p)
-			}
-		}
-		if err := c.model.FinishMaintain(c.bwBuf, wc); err != nil {
-			// Unreachable for the same reasons; the patched centers stay
-			// and the next rebuild retries the bandwidths.
-			return
+	m := c.model
+	if m == nil {
+		m = kernel.NewEmpty(len(c.pts), c.cfg.Dim)
+	}
+	m.BeginMaintain()
+	for s, p := range c.pts[:c.filled] {
+		if !m.SlotPoint(s, c.slotBuf) || !sameBits(p, c.slotBuf) {
+			m.SetSlot(s, p)
 		}
 	}
+	if err := m.FinishMaintain(c.bwBuf, wc); err != nil {
+		// filled > 0 and wc ≥ 1 make this unreachable; on a surprise the
+		// shard keeps running and the next rebuild retries.
+		return
+	}
+	c.model = m
 	c.dirty = false
 	c.sinceBuild = 0
 }

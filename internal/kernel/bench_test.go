@@ -135,7 +135,8 @@ func BenchmarkMaintainCycle(b *testing.B) {
 }
 
 // BenchmarkFromScratchRebuild is the cost BenchmarkMaintainCycle avoids:
-// a full New over the same sample, once per refresh.
+// a full New over the same sample, once per refresh. New lays out an empty
+// model in one patch cycle, so this is also a model's first-refresh cost.
 func BenchmarkFromScratchRebuild(b *testing.B) {
 	const d = 2
 	for _, n := range []int{50, 500} {

@@ -153,36 +153,17 @@ type Estimator struct {
 // queries into neighbor counts: NewMaintained over slots 0..n−1 of an
 // n-slot model. The centers are copied.
 //
-// Construction fixes the scan order: when a prune dimension is selected
-// (see the package comment) the centers are stably sorted by that
-// dimension's coordinate, so Centers, the wire format, and every query
-// path observe one consistent order.
+// The layout comes from one maintenance cycle on an empty model: the
+// centers are inserted in slot order, and when a prune dimension is
+// selected (see the package comment) the finishing relayout sorts them by
+// (coordinate, slot), so Centers, the wire format, and every query path
+// observe one consistent order.
 func New(centers []window.Point, bandwidths []float64, windowCount float64) (*Estimator, error) {
 	slots := make([]int, len(centers))
 	for i := range slots {
 		slots[i] = i
 	}
 	return NewMaintained(centers, slots, len(centers), bandwidths, windowCount)
-}
-
-// scanExtremes fills lo/hi with the per-dimension coordinate extremes of
-// centers, seeding from the first point and comparing in iteration order —
-// the semantics decidePruneDim's spread is defined against, which the
-// maintenance path reproduces between patches.
-func scanExtremes(centers []window.Point, lo, hi []float64) {
-	for i := range lo {
-		lo[i], hi[i] = centers[0][i], centers[0][i]
-	}
-	for _, p := range centers[1:] {
-		for i := range lo {
-			if p[i] < lo[i] {
-				lo[i] = p[i]
-			}
-			if p[i] > hi[i] {
-				hi[i] = p[i]
-			}
-		}
-	}
 }
 
 // decidePruneDim applies the selectivity rule to precomputed extremes.

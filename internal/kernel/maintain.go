@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"odds/internal/window"
@@ -24,16 +23,17 @@ import (
 //
 // Every query must return exactly the bits a from-scratch New over the
 // same live sample would — float summation is order-sensitive, so this
-// reduces to reproducing New's scan order. New (NewMaintained over slots
-// 0..n−1) stable-sorts centers by the prune coordinate; a from-scratch
-// build's input (a sample's points, the global replica's slots, a
-// coreset's reservoir) arrives in ascending slot order, so its scan order
-// is precisely ascending (coord[pruneDim], slot). A patched estimator
-// keys every physical entry by its owning slot and inserts at the
-// position ordered by that exact composite key, so its live subsequence
-// is always in (coord, slot) order; tombstones keep their coordinate,
-// preserving the sorted column for binary search while the scans skip
-// them (contributing exactly zero — not a rounded zero).
+// reduces to reproducing New's scan order. There is one layout algorithm:
+// New (NewMaintained over slots 0..n−1) is itself one cycle on NewEmpty's
+// model, whose prune dimension is −1, so its ascending-slot inserts only
+// append; FinishMaintain then scans the extremes in slot order, decides
+// the prune dimension, and relayout sorts by (coord[pruneDim], slot). A
+// from-scratch scan order is therefore ascending (coord, slot). A patched
+// estimator keys every physical entry by its owning slot and inserts at
+// the position ordered by that exact composite key, so its live
+// subsequence is always in (coord, slot) order; tombstones keep their
+// coordinate, preserving the sorted column for binary search while the
+// scans skip them (contributing exactly zero — not a rounded zero).
 // Bandwidths and the effective window count are recomputed by the caller
 // on every FinishMaintain, exactly as a from-scratch build would, so no
 // frozen-bandwidth drift can creep in. The prune-dimension decision is
@@ -46,13 +46,15 @@ import (
 //
 // # Usage
 //
-//	m, _ := kernel.NewMaintained(pts, slots, maxSlots, bw, wc)
+//	m := kernel.NewEmpty(maxSlots, dim)
 //	...
 //	m.BeginMaintain()
-//	for _, s := range changedSlotsAscending {
+//	for _, s := range changedSlotsAscending { // every slot, the first time
 //		m.SetSlot(s, currentPointOrNil)
 //	}
 //	m.FinishMaintain(newBandwidths, newWindowCount)
+//
+// An owner publishes the model once its first FinishMaintain succeeds.
 //
 // An estimator is single-goroutine-owned during maintenance; between
 // Begin/Finish pairs any number of goroutines may query it. MarshalBinary
@@ -72,8 +74,8 @@ type maint struct {
 	// Exact per-dimension extremes over the live centers, maintained
 	// lazily: inserts update them directly; removing an extreme (or any
 	// NaN involvement) marks them dirty for a slot-order rescan at
-	// FinishMaintain — the order NewMaintained scans a from-scratch
-	// build's input in.
+	// FinishMaintain; an empty model starts dirty, so its first cycle
+	// scans them that way too.
 	lo, hi   []float64
 	extDirty bool
 
@@ -166,11 +168,32 @@ func (e *Estimator) resize(physN int) {
 	e.dead = m.deadBuf[:physN]
 }
 
-// NewMaintained constructs an estimator from centers and their owning
-// sample slots (strictly ascending, each in [0, maxSlots)), ready for
-// BeginMaintain/SetSlot/FinishMaintain patches. Its scan order is the
-// input stably sorted by the prune coordinate — with ascending slots, the
-// (coord, slot) order every patch preserves. Centers are deep-copied.
+// NewEmpty returns a maintained estimator with no centers: room for
+// slots [0, maxSlots) of dim dimensions, no prune dimension, and extremes
+// left for the first FinishMaintain to scan. Every model gets its first
+// layout from one BeginMaintain/SetSlot/FinishMaintain cycle — the
+// ordered insert plus relayout every later patch runs — and answers no
+// query before that cycle finishes. Panics on a non-positive size.
+func NewEmpty(maxSlots, dim int) *Estimator {
+	if maxSlots <= 0 || dim <= 0 {
+		panic(fmt.Sprintf("kernel: empty model of %d slots, dim %d", maxSlots, dim))
+	}
+	e := &Estimator{
+		bw:       make([]float64, dim),
+		dim:      dim,
+		pruneDim: -1,
+		cols:     make([][]float64, dim),
+		mnt:      newMaint(maxSlots, dim),
+	}
+	e.mnt.extDirty = true
+	e.resize(0)
+	return e
+}
+
+// NewMaintained builds an estimator from centers and their owning sample
+// slots (strictly ascending, each in [0, maxSlots)) in one maintenance
+// cycle on NewEmpty's model, ready for further patches. Centers are
+// copied.
 func NewMaintained(centers []window.Point, slots []int, maxSlots int, bandwidths []float64, windowCount float64) (*Estimator, error) {
 	if len(centers) == 0 {
 		return nil, ErrNoSample
@@ -178,76 +201,27 @@ func NewMaintained(centers []window.Point, slots []int, maxSlots int, bandwidths
 	if len(slots) != len(centers) {
 		return nil, fmt.Errorf("kernel: %d slots for %d centers", len(slots), len(centers))
 	}
-	if maxSlots < len(centers) {
-		return nil, fmt.Errorf("kernel: %d centers exceed %d slots", len(centers), maxSlots)
-	}
 	dim := len(centers[0])
 	if dim == 0 {
 		return nil, fmt.Errorf("kernel: zero-dimensional centers")
 	}
-	if len(bandwidths) != dim {
-		return nil, fmt.Errorf("kernel: %d bandwidths for %d dimensions", len(bandwidths), dim)
-	}
+	prev := -1
 	for i, p := range centers {
 		if len(p) != dim {
 			return nil, fmt.Errorf("kernel: center %d has dim %d, want %d", i, len(p), dim)
 		}
-	}
-	prev := -1
-	for i, s := range slots {
-		if s < prev+1 || s >= maxSlots {
+		if s := slots[i]; s <= prev || s >= maxSlots {
 			return nil, fmt.Errorf("kernel: slot %d at %d not strictly ascending in [0,%d)", s, i, maxSlots)
 		}
-		prev = s
+		prev = slots[i]
 	}
-	bw := make([]float64, dim)
-	for i, b := range bandwidths {
-		bw[i] = clampBandwidth(b)
+	e := NewEmpty(maxSlots, dim)
+	e.BeginMaintain()
+	for i, p := range centers {
+		e.SetSlot(slots[i], p)
 	}
-	if windowCount <= 0 || math.IsNaN(windowCount) || math.IsInf(windowCount, 0) {
-		return nil, fmt.Errorf("kernel: window count %v must be positive and finite", windowCount)
-	}
-
-	n := len(centers)
-	e := &Estimator{
-		bw:     bw,
-		wcount: windowCount,
-		dim:    dim,
-		live:   n,
-		cols:   make([][]float64, dim),
-		mnt:    newMaint(maxSlots, dim),
-	}
-	m := &e.mnt
-
-	// Prune-dimension selection sees the input (slot) order; rescans
-	// after a patch replay it in the same order.
-	scanExtremes(centers, m.lo, m.hi)
-	e.pruneDim = decidePruneDim(m.lo, m.hi, e.bw)
-
-	// Scan order: stable sort of input indices by the prune coordinate.
-	// With ascending input slots this is the (coord, slot) total order.
-	perm := make([]int32, n)
-	for j := range perm {
-		perm[j] = int32(j)
-	}
-	if k := e.pruneDim; k >= 0 {
-		slices.SortStableFunc(perm, func(a, b int32) int {
-			switch {
-			case centers[a][k] < centers[b][k]:
-				return -1
-			case centers[a][k] > centers[b][k]:
-				return 1
-			}
-			return 0
-		})
-	}
-	e.resize(n)
-	for j, src := range perm {
-		for i, c := range centers[src] {
-			e.cols[i][j] = c
-		}
-		m.slots[j] = int32(slots[src])
-		m.posOf[slots[src]] = int32(j)
+	if err := e.FinishMaintain(bandwidths, windowCount); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -520,9 +494,9 @@ func (e *Estimator) compact() {
 }
 
 // relayout re-sorts the live centers for the prune dimension just
-// decided (or slot order when it is -1, matching New's unsorted layout),
-// after compacting away tombstones. Used only when the prune decision
-// changes — the amortized full-rebuild case.
+// decided (or slot order when it is -1), after compacting away
+// tombstones. Used only when the prune decision changes: a model's first
+// cycle, and the amortized full-rebuild case after it.
 func (e *Estimator) relayout() {
 	e.compact()
 	sort.Sort((*layoutOrder)(e))
@@ -536,8 +510,7 @@ func (e *Estimator) relayout() {
 // layoutOrder sorts a compacted estimator's entries — every column and
 // the slot keys together, in place — by (coord[pruneDim], slot), or by
 // slot alone when pruneDim is -1. Live slot ids are unique, so the order
-// is total and equals New's stable sort by coordinate over ascending
-// slots.
+// is total and sort.Sort's instability cannot show.
 type layoutOrder Estimator
 
 func (o *layoutOrder) Len() int { return len(o.dead) }
@@ -564,8 +537,9 @@ func (o *layoutOrder) Swap(a, b int) {
 }
 
 // rescanExtremes recomputes the per-dimension extremes over the live
-// centers in ascending slot order — the input order NewMaintained scans,
-// so the comparison semantics (NaN seeding included) match exactly.
+// centers in ascending slot order, seeding from the lowest live slot — the
+// order a model's first cycle sees, so every later rescan (NaN seeding
+// included) matches a from-scratch build exactly.
 func (e *Estimator) rescanExtremes() {
 	m := &e.mnt
 	seeded := false

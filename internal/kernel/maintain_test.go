@@ -206,9 +206,10 @@ func TestMaintainedDifferential(t *testing.T) {
 			bw, wc = applyRandomCycle(t, m, sim, rng)
 			checkBitIdentical(t, m, sim.reference(t, bw, wc), rng, "cycle")
 		}
+		// NewMaintained's own layout is the first cycle.
 		st := m.MaintainStats()
-		if st.Patches != uint64(cycles) {
-			t.Fatalf("patches %d, want %d", st.Patches, cycles)
+		if st.Patches != uint64(cycles)+1 {
+			t.Fatalf("patches %d, want %d", st.Patches, cycles+1)
 		}
 	}
 }
@@ -372,9 +373,10 @@ func TestMaintainedGuardrails(t *testing.T) {
 			t.Fatalf("cycle %d: %d tombstones at/over limit %d", c, tl, m.TombstoneLimit())
 		}
 	}
+	// NewMaintained's own layout is the first cycle.
 	st := m.MaintainStats()
-	if st.Patches != cycles {
-		t.Fatalf("patches %d, want %d", st.Patches, cycles)
+	if st.Patches != cycles+1 {
+		t.Fatalf("patches %d, want %d", st.Patches, cycles+1)
 	}
 	// Stable bandwidths on a stationary stream: the prune decision should
 	// essentially never flip, so relayouts stay a tiny fraction of patches.
