@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake check-oneindex check-noexact check-nofma benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore bench-replicate bench-subscribe serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
+.PHONY: all build test race cover check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-noqnsketch check-replicafold check-oneshardfile check-onewake check-oneindex check-noexact check-nofma benchmark benchmark-smoke bench bench-all bench-fault bench-rebuild bench-restore bench-replicate bench-subscribe serve-smoke cluster-smoke chaos cluster-chaos fuzz-smoke experiments quick-experiments verify-figures update-golden fmt vet clean
 
 # The default verify path includes vet and the race detector: the
 # parallel evaluation harness and the serving subsystem are only correct
 # if the whole tree stays race-clean.
-all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-replicafold check-oneshardfile check-onewake check-oneindex check-noexact check-nofma test race
+all: build vet check-binfmt check-nodeclient check-jsoncodec check-pushbatch check-onetwin check-onerefresh check-onequery check-onecalendar check-onemodel check-oneconfig check-onewindow check-noqnsketch check-replicafold check-oneshardfile check-onewake check-oneindex check-noexact check-nofma test race
 
 build:
 	$(GO) build ./...
@@ -165,16 +165,28 @@ check-oneconfig:
 		echo "$$det"; echo "$$srv"; echo "$$dup"; exit 1; \
 	fi
 
-# One sorted window: the drift bank's KS and Mann–Kendall tests share
-# sortedWindow (internal/drift/window.go), a ring in arrival order beside a
-# sorted copy. A ring or sorted []float64 field elsewhere in non-test
-# internal/drift code is a hand-rolled second window coming back; a Resize
-# method is the resize path no program runs.
+# One sorted window: the drift bank's KS and Mann–Kendall tests and the qn
+# backend share window.Sorted (internal/window/sorted.go), a ring in
+# arrival order beside a sorted copy. A ring or sorted []float64 field
+# elsewhere in non-test internal/drift, internal/detector or internal/window
+# code is a hand-rolled second window coming back; a Resize method is the
+# resize path no program runs.
 check-onewindow:
-	@bad=$$(grep -nE '^\s+[A-Za-z_, ]*\b(ring|sorted)\b[A-Za-z_, ]*\s\[\]float64|func \([^)]*\) Resize\(' internal/drift/*.go \
-		| grep -vE '_test\.go:|^internal/drift/window\.go:'); \
+	@bad=$$(grep -nE '^\s+[A-Za-z_, ]*\b(ring|sorted)\b[A-Za-z_, ]*\s\[\]float64|func \([^)]*\) Resize\(' \
+		internal/drift/*.go internal/detector/*.go internal/window/*.go \
+		| grep -vE '_test\.go:|^internal/window/sorted\.go:'); \
 	if [ -n "$$bad" ]; then \
-		echo "a second sliding window or a resize path in internal/drift (use sortedWindow):"; \
+		echo "a second sliding window or a resize path (use window.Sorted):"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# The qn backend keeps exact windows, not sketches: a non-test
+# internal/detector file importing odds/internal/quantile is the GK
+# sketches, their flush-boundary protocol and their codec coming back.
+check-noqnsketch:
+	@bad=$$(grep -ln '"odds/internal/quantile"' $$(ls internal/detector/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$bad" ]; then \
+		echo "a GK sketch in internal/detector (qn runs on window.Sorted):"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -448,6 +460,11 @@ FUZZ_SMOKE += internal/serve:FuzzSnapshotFile
 # fails closed on kind/fingerprint mismatches, and a blob that restores
 # re-snapshots bit-identical and then ingests without panicking.
 FUZZ_SMOKE += internal/detector:FuzzDetectorSnapshot
+# Windows of 2 to 16, four eps (zero slack to 0.5) and 1-D/2-D streams on a
+# 1/64 grid laced with NaN, ±Inf, -0 and overflowing differences: the qn
+# backend's verdicts, windows and scale bits equal the plain-slice replay
+# after every arrival and across restores.
+FUZZ_SMOKE += internal/detector:FuzzQnVsBrute
 # Window sizes, eps and stream regimes: the variance sketch, whose merge
 # pass runs on as few as every 16th arrival, matches the exact window
 # variance to float precision while the window fills and within eps after,

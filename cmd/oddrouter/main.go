@@ -13,6 +13,8 @@
 //
 // The router exposes the same hot-path HTTP surface as a single node, so
 // oddload (and its twin verdict oracle) runs unchanged against it.
+// -debug-addr serves net/http/pprof and runtime/metrics on a listener of
+// its own, never on the routing port.
 package main
 
 import (
@@ -27,11 +29,13 @@ import (
 	"time"
 
 	"odds/internal/cluster"
+	"odds/internal/serve"
 )
 
 func main() {
 	var (
 		addr        = flag.String("addr", ":8077", "listen address")
+		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof and runtime/metrics on this address, a listener of its own (empty = off)")
 		nodes       = flag.String("nodes", "", "comma-separated node base URLs (required)")
 		shards      = flag.Int("shards", 0, "cluster-global shard count (0 = learn from nodes)")
 		replicate   = flag.Bool("replicate", true, "establish a replica chain per shard")
@@ -81,6 +85,15 @@ func main() {
 				}
 			}
 		}()
+	}
+
+	if *debugAddr != "" {
+		at, err := serve.ServeDebug(*debugAddr)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "oddrouter: -debug-addr: %v\n", err)
+			os.Exit(2)
+		}
+		log.Printf("oddrouter: debug endpoints (/debug/pprof/, /debug/metrics) on %s", at)
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: r.Handler()}

@@ -21,6 +21,11 @@
 // -drift arms concept-drift adaptation (serve.DefaultDriftConfig: the
 // KS/PH/MK bank on a subsample plus the JS model signal); it needs the
 // kernelchain default backend and is refused at start-up otherwise.
+//
+// -debug-addr serves net/http/pprof and runtime/metrics on a listener of
+// its own, never on the serving port:
+//
+//	oddserve -debug-addr 127.0.0.1:6060   # go tool pprof http://127.0.0.1:6060/debug/pprof/profile
 package main
 
 import (
@@ -45,6 +50,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8077", "listen address")
+		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and runtime/metrics on this address, a listener of its own (empty = off)")
 		shards     = flag.Int("shards", 4, "number of shard goroutines")
 		dim        = flag.Int("dim", 1, "reading dimensionality")
 		windowCap  = flag.Int("window", 10000, "sliding window capacity |W|")
@@ -116,6 +122,15 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+
+	if *debugAddr != "" {
+		at, err := serve.ServeDebug(*debugAddr)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "oddserve: -debug-addr: %v\n", err)
+			os.Exit(2)
+		}
+		log.Printf("oddserve: debug endpoints (/debug/pprof/, /debug/metrics) on %s", at)
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}

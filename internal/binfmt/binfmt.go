@@ -1,6 +1,6 @@
 // Package binfmt is the one place the repo decides how a little-endian,
 // length-prefixed blob is read safely. Every state and control format —
-// the handoff blobs (ODSB, ODVE, ODES, ODKM, ODGK, ODDM), the
+// the handoff blobs (ODSB, ODVE, ODES, ODKM, ODDM), the
 // detector and pipeline snapshots (ODDB, ODPS, ODSV) and the cluster
 // frames (ODRP) — decodes through Reader and encodes through
 // Writer; the ODWP wire codec shares the CRC trailer helpers. These

@@ -7,7 +7,6 @@ import (
 
 	"odds/internal/distance"
 	"odds/internal/kernel"
-	"odds/internal/quantile"
 	"odds/internal/window"
 )
 
@@ -16,7 +15,7 @@ import (
 // no cached models, no incremental state — and returns the verdict the
 // streaming backend must produce for the NEXT reading. The differential
 // tests pin every sampled streaming verdict to these, so any incremental
-// bookkeeping bug (ring rotation, snapshot restore, flush scheduling,
+// bookkeeping bug (ring rotation, snapshot restore, count updates,
 // rng replay) surfaces as a brute/streamed disagreement.
 
 // BruteEWMA refolds the EWMA recurrence over the whole history and
@@ -58,97 +57,120 @@ func BruteEWMA(cfg EWMAConfig, dim int, history [][]float64, probe []float64) Ve
 	return ver
 }
 
-// BruteQn rebuilds the per-dimension GK sketches from scratch by
-// replaying the streaming backend's exact ingest protocol over history —
-// including the post-warm-up pre-insert queries, whose implicit flushes
-// shift GK batch boundaries — then judges probe. Bit-exact with the
-// streaming backend: GK summaries are deterministic functions of their
-// interleaved insert/query sequence (a property pinned by the quantile
-// package's own tests), and this replays the identical sequence through
-// fresh summaries. The lagged predecessors come from plain history
-// slices here, not a ring, so ring-rotation and snapshot-restore bugs in
-// the backend cannot hide.
+// BruteQn replays the windowed Q_n protocol over history with plain
+// slices — each dimension's window is the tail of its finite values, its
+// pair counts are recomputed over all O(w²) pairs after every slide, and
+// a re-selection sorts every difference — then judges probe against the
+// windows' medians and scales. Bit-exact with the streaming backend: the
+// band test sees the same counts, and a re-selection takes the k-th
+// difference, a value that depends on the window alone.
 func BruteQn(cfg QnConfig, dim int, history [][]float64, probe []float64) Verdict {
-	cfg = cfg.WithDefaults()
-	type bdim struct {
-		vals, diffs *quantile.GK
-		finites     []float64
+	b := newBruteQn(cfg, dim)
+	for _, v := range history {
+		b.fold(v)
 	}
-	dims := make([]bdim, dim)
-	for d := range dims {
-		dims[d] = bdim{vals: quantile.New(cfg.Eps), diffs: quantile.New(cfg.Eps)}
-	}
-	judge := func(v []float64) bool {
-		out := false
-		for d := 0; d < dim; d++ {
-			x := v[d]
-			if !finite(x) {
-				continue
-			}
-			bd := &dims[d]
-			if bd.vals.N() == 0 || bd.diffs.N() == 0 {
-				continue
-			}
-			med := bd.vals.Query(0.5)
-			scale := qnConsistency * bd.diffs.Query(0.25)
-			if math.Abs(x-med) > cfg.K*scale {
-				out = true
-			}
-		}
-		return out
-	}
-	for i, v := range history {
-		if i >= cfg.MinN {
-			judge(v) // replay the pre-insert query flushes
-		}
-		for d := 0; d < dim; d++ {
-			x := v[d]
-			if !finite(x) {
-				continue
-			}
-			bd := &dims[d]
-			bd.vals.Insert(x)
-			f := bd.finites
-			for j := len(f) - 1; j >= 0 && j >= len(f)-cfg.Lag; j-- {
-				bd.diffs.Insert(math.Abs(x - f[j]))
-			}
-			bd.finites = append(bd.finites, x)
-		}
-	}
-	ver := Verdict{Warmed: len(history) >= cfg.MinN}
+	ver := Verdict{Warmed: len(history) >= b.cfg.MinN}
 	if ver.Warmed {
-		ver.Outlier = judge(probe)
+		ver.Outlier = b.judge(probe)
 	}
 	return ver
 }
 
-// BruteQnScale is the exact (sorting, no sketch) robust scale over the
-// same lagged-difference population the streaming sketch summarizes:
-// qnConsistency times the first quartile of {|x_i − x_j| : i−Lag ≤ j < i}
-// restricted to finite values. The oracle suite checks the streamed
-// scale's rank against this population within the GK guarantee.
-func BruteQnScale(xs []float64, lag int) (scale float64, diffs []float64) {
-	var fin []float64
-	for _, x := range xs {
-		if !finite(x) {
+// bruteQn is BruteQn's replay state: each dimension's window in arrival
+// order and its s.
+type bruteQn struct {
+	cfg    QnConfig
+	wins   [][]float64
+	scales []float64
+}
+
+func newBruteQn(cfg QnConfig, dim int) *bruteQn {
+	return &bruteQn{cfg: cfg.WithDefaults(), wins: make([][]float64, dim), scales: make([]float64, dim)}
+}
+
+// fold slides every dimension with a finite coordinate and re-selects s
+// where its rank has left the band.
+func (b *bruteQn) fold(v []float64) {
+	for d := range b.wins {
+		if !finite(v[d]) {
 			continue
 		}
-		for j := len(fin) - 1; j >= 0 && j >= len(fin)-lag; j-- {
-			diffs = append(diffs, math.Abs(x-fin[j]))
+		w := append(b.wins[d], v[d])
+		if len(w) > b.cfg.Window {
+			w = w[1:]
 		}
-		fin = append(fin, x)
+		b.wins[d] = w
+		if len(w) < 2 {
+			continue
+		}
+		var lt, le int
+		for i := range w {
+			for j := i + 1; j < len(w); j++ {
+				diff := math.Abs(w[i] - w[j])
+				if diff < b.scales[d] {
+					lt++
+				}
+				if diff <= b.scales[d] {
+					le++
+				}
+			}
+		}
+		n := len(w) * (len(w) - 1) / 2
+		k := int(math.Ceil(float64(n) / 4))
+		slack := int(math.Floor(b.cfg.Eps * float64(n)))
+		if lt+1 > min(k+slack, n) || le < max(k-slack, 1) {
+			b.scales[d] = bruteKthDiff(w, k)
+		}
+	}
+}
+
+// judge reports whether probe sits more than K scales from a window's
+// median on any dimension whose window holds a pair.
+func (b *bruteQn) judge(probe []float64) bool {
+	out := false
+	for d, w := range b.wins {
+		x := probe[d]
+		if !finite(x) || len(w) < 2 {
+			continue
+		}
+		sorted := append([]float64(nil), w...)
+		sort.Float64s(sorted)
+		med := sorted[int(math.Ceil(float64(len(sorted))/2))-1]
+		if math.Abs(x-med) > b.cfg.K*(qnConsistency*b.scales[d]) {
+			out = true
+		}
+	}
+	return out
+}
+
+// bruteKthDiff returns the k-th smallest (1-based) of w's pairwise
+// absolute differences.
+func bruteKthDiff(w []float64, k int) float64 {
+	var diffs []float64
+	for i := range w {
+		for j := i + 1; j < len(w); j++ {
+			diffs = append(diffs, math.Abs(w[i]-w[j]))
+		}
+	}
+	sort.Float64s(diffs)
+	return diffs[k-1]
+}
+
+// BruteQnScale is the exact robust scale of a window: qnConsistency times
+// the first quartile — rank ⌈N/4⌉ — of its N pairwise absolute
+// differences, which it also returns, sorted. The oracle suite checks the
+// streamed scale's rank in this population against the band.
+func BruteQnScale(w []float64) (scale float64, diffs []float64) {
+	for i := range w {
+		for j := i + 1; j < len(w); j++ {
+			diffs = append(diffs, math.Abs(w[i]-w[j]))
+		}
 	}
 	if len(diffs) == 0 {
 		return 0, nil
 	}
 	sort.Float64s(diffs)
-	// Empirical quantile at the same rank convention as GK's target rank
-	// r = ceil(phi·n).
-	r := int(math.Ceil(0.25 * float64(len(diffs))))
-	if r < 1 {
-		r = 1
-	}
-	return qnConsistency * diffs[r-1], diffs
+	return qnConsistency * diffs[int(math.Ceil(float64(len(diffs))/4))-1], diffs
 }
 
 // BruteCoreset replays the sensitivity-sampling reservoir from scratch —

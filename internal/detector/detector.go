@@ -6,12 +6,13 @@
 //   - kernelchain — the paper's stack (chain sample + variance sketch +
 //     kernel model), extracted verbatim from the original serve.Pipeline.
 //     Most precise, most expensive; the default.
-//   - qn — an FQN-style streaming Q_n robust-scale detector (Cafaro et
-//     al.): per dimension, GK sketches over the values and over the
-//     pairwise differences of each arrival against its Lag most recent
-//     predecessors; a reading is an outlier when its distance from the
-//     streaming median exceeds K robust scales. Resistant to the masking
-//     that inflates moment-based limits, at sketch cost.
+//   - qn — a windowed, exact-rank Q_n robust-scale detector (after FQN,
+//     Cafaro et al.): per dimension, the last Window finite values kept
+//     sorted; a reading is an outlier when its distance from the window
+//     median exceeds K robust scales, the scale being a pairwise
+//     difference within ⌊Eps·C(n,2)⌋ ranks of the differences' first
+//     quartile. Resistant to the masking that inflates moment-based
+//     limits, and it forgets a regime Window readings after it ends.
 //   - coreset — a sensitivity-sampling coreset (Lucic et al.): a
 //     linear-time biased reservoir in which an arrival's admission
 //     probability is proportional to its squared distance from the
@@ -121,7 +122,7 @@ type Detector interface {
 	// during the call.
 	Ingest(v []float64) Verdict
 	// Fold is Ingest with the judgement supplied: it moves the state as
-	// Ingest would — flush boundaries and model refreshes included — and
+	// Ingest would — model refreshes included — and
 	// counts outlier as the verdict, without running the estimate query.
 	// It is what a replica runs with the bit its primary's Ingest
 	// returned. The bit counts only once the backend is warmed (Outlier is

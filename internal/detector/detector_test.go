@@ -23,7 +23,7 @@ func testConfig(kind Kind, dim int, seed int64) Config {
 		Core:      ccfg,
 		Distance:  distance.Params{Radius: 0.05, Threshold: 3},
 		MDEF:      mdef.Params{R: 0.2, AlphaR: 0.05, KSigma: 1.5},
-		Qn:        QnConfig{Eps: 0.05, Lag: 8, K: 3, MinN: 16},
+		Qn:        QnConfig{Eps: 0.05, Window: 16, K: 3, MinN: 16},
 		Coreset:   CoresetConfig{Size: 32, RebuildEvery: 8, WindowCount: 200, MinN: 16},
 		EWMA:      EWMAConfig{Lambda: 0.2, K: 3, MinN: 8},
 	}
@@ -74,7 +74,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero dim", func(c *Config) { c.Dim = 0 }, "dim"},
 		{"unknown kind", func(c *Config) { c.Kind = "nope" }, "unknown backend kind"},
 		{"qn bad eps", func(c *Config) { c.Kind = KindQn; c.Qn.Eps = 0.7 }, "eps"},
-		{"qn bad lag", func(c *Config) { c.Kind = KindQn; c.Qn.Lag = -1 }, "lag"},
+		{"qn bad window", func(c *Config) { c.Kind = KindQn; c.Qn.Window = 1 }, "window"},
 		{"qn bad k", func(c *Config) { c.Kind = KindQn; c.Qn.K = -2 }, "k "},
 		{"qn bad minn", func(c *Config) { c.Kind = KindQn; c.Qn.MinN = 1 }, "min_n"},
 		{"ewma bad lambda", func(c *Config) { c.Kind = KindEWMA; c.EWMA.Lambda = 1.5 }, "lambda"},
@@ -150,10 +150,7 @@ func TestParamsWithDefaults(t *testing.T) {
 
 // TestQueryOutlierReadOnly pins the Detector contract: a served query
 // stream must leave a backend's verdict trajectory bit-identical to a
-// twin that never saw the queries. State bytes are compared one ingest
-// after the last query: a post-warm-up Qn query flushes the same GK
-// pending set the next ingest's own pre-insert query would flush, so the
-// tuple states reconverge exactly there (and verdicts never diverge).
+// twin that never saw the queries, snapshot bytes included.
 func TestQueryOutlierReadOnly(t *testing.T) {
 	for _, k := range AllKinds() {
 		cfg := testConfig(k, 2, 9)

@@ -3,8 +3,8 @@ package detector
 // The differential oracle suite for the streaming backends: over seeded
 // randomized configs (dimension, window scale, loss rate), sampled
 // streaming ingest verdicts are pinned to the from-scratch executable
-// specifications in brute.go — BruteEWMA bit-exact refold, BruteQn exact
-// ingest-protocol replay through fresh GK sketches, BruteCoreset seeded
+// specifications in brute.go — BruteEWMA bit-exact refold, BruteQn plain-slice
+// window replay with O(w²) pair counts, BruteCoreset seeded
 // reservoir replay — with snapshot→restore swaps interleaved mid-stream
 // so incremental bookkeeping and restore bugs both surface as a
 // brute/streamed disagreement. A failing history is ddmin-shrunk and
@@ -169,35 +169,38 @@ func TestBackendOracleFlags(t *testing.T) {
 	}
 }
 
-// TestQnScaleGuarantee pins the streamed robust scale to the exact
-// sorted-population quartile within the GK rank guarantee: the value the
-// difference sketch returns for phi=0.25 must occupy a rank within
-// eps·n of the target rank in the true lagged-difference population.
+// TestQnScaleGuarantee pins the streamed scale to the exact window after
+// every arrival: the rank interval of s among the window's pairwise
+// differences meets the band ⌈N/4⌉ ± ⌊ε·N⌋ (clipped to [1, N]).
 func TestQnScaleGuarantee(t *testing.T) {
 	cfg := testConfig(KindQn, 1, 77)
+	cfg.Qn.Window = 64
 	q := newQn(cfg.withDefaults(), nil)
 	src := stats.NewRand(41)
-	xs := make([]float64, 800)
-	for i := range xs {
-		xs[i] = src.NormFloat64()
-		q.Ingest([]float64{xs[i]})
-	}
-	scale, diffs := BruteQnScale(xs, cfg.Qn.Lag)
-	if scale <= 0 || len(diffs) == 0 {
-		t.Fatal("brute scale degenerate")
-	}
-	got := q.dims[0].diffs.Query(0.25)
-	sort.Float64s(diffs)
-	lo := sort.SearchFloat64s(diffs, got)            // # strictly less
-	hi := sort.Search(len(diffs), func(i int) bool { // # <= got
-		return diffs[i] > got
-	})
-	n := len(diffs)
-	target := int(math.Ceil(0.25 * float64(n)))
-	slack := int(math.Ceil(cfg.Qn.Eps*float64(n))) + 1
-	if lo+1 > target+slack || hi < target-slack {
-		t.Fatalf("streamed Q1 %v has rank [%d,%d] in population of %d; target %d ± %d",
-			got, lo+1, hi, n, target, slack)
+	var xs []float64
+	for i := 0; i < 800; i++ {
+		xs = append(xs, src.NormFloat64())
+		q.Ingest(xs[i:])
+		w := xs[max(0, len(xs)-cfg.Qn.Window):]
+		if len(w) < 2 {
+			continue
+		}
+		scale, diffs := BruteQnScale(w)
+		if !(scale > 0) {
+			t.Fatal("brute scale degenerate")
+		}
+		s := q.dims[0].s
+		lo := sort.SearchFloat64s(diffs, s)              // # strictly less
+		hi := sort.Search(len(diffs), func(i int) bool { // # <= s
+			return diffs[i] > s
+		})
+		n := len(diffs)
+		k := int(math.Ceil(0.25 * float64(n)))
+		slack := int(math.Floor(cfg.Qn.Eps * float64(n)))
+		if lo+1 > min(k+slack, n) || hi < max(k-slack, 1) {
+			t.Fatalf("arrival %d: scale difference %v has rank [%d,%d] among %d; band %d ± %d",
+				i, s, lo+1, hi, n, k, slack)
+		}
 	}
 }
 

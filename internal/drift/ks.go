@@ -1,6 +1,10 @@
 package drift
 
-import "math"
+import (
+	"math"
+
+	"odds/internal/window"
+)
 
 // KS is the streaming two-sample Kolmogorov–Smirnov detector. It holds a
 // frozen reference window (captured the first time the current window
@@ -10,14 +14,14 @@ import "math"
 // All state is pre-allocated at construction; Observe and Stat perform no
 // allocation.
 type KS struct {
-	win    sortedWindow // current window
-	ref    []float64    // frozen sorted reference window (len W when refSet)
+	win    window.Sorted // current window
+	ref    []float64     // frozen sorted reference window (len W when refSet)
 	refSet bool
 }
 
 // NewKS returns a detector with two windows of length w.
 func NewKS(w int) *KS {
-	return &KS{win: newSortedWindow(w), ref: make([]float64, 0, w)}
+	return &KS{win: window.NewSorted(w), ref: make([]float64, 0, w)}
 }
 
 // Ready reports whether a reference has been captured, i.e. Stat is
@@ -27,9 +31,9 @@ func (k *KS) Ready() bool { return k.refSet }
 // Observe feeds one value. Non-finite values must be filtered by the
 // caller (Detector does).
 func (k *KS) Observe(x float64) {
-	k.win.pop()
-	k.win.push(x)
-	if !k.refSet && k.win.full() {
+	k.win.Pop()
+	k.win.Push(x)
+	if !k.refSet && k.win.Full() {
 		k.Rebase()
 	}
 }
@@ -42,7 +46,7 @@ func (k *KS) Stat() float64 {
 	if !k.refSet {
 		return 0
 	}
-	return ksGap(k.ref, k.win.sorted)
+	return ksGap(k.ref, k.win.Values())
 }
 
 // ksGap computes the max ECDF gap between two sorted samples. Both the
@@ -82,9 +86,9 @@ func ksGap(a, b []float64) float64 {
 // window is not yet full the reference is dropped and re-captured once it
 // fills.
 func (k *KS) Rebase() {
-	k.refSet = k.win.full()
+	k.refSet = k.win.Full()
 	k.ref = k.ref[:0]
 	if k.refSet {
-		k.ref = append(k.ref, k.win.sorted...)
+		k.ref = append(k.ref, k.win.Values()...)
 	}
 }

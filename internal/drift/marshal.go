@@ -13,7 +13,7 @@ import (
 // cooldowns — post-restore detections land on the same arrivals as an
 // uninterrupted run.
 //
-// Each test's window is written by appendWindow, oldest value first.
+// Each test's window is written by window.Sorted.Append, oldest value first.
 const monitorMagic = uint32(0x4f44444d) // "ODDM"
 
 // MarshalBinary encodes the monitor's complete state.
@@ -43,7 +43,7 @@ func (m *Monitor) MarshalBinary() ([]byte, error) {
 		w.U32(uint32(d.cooldown))
 		w.U64(d.skipped)
 		if d.ks != nil {
-			appendWindow(&w, &d.ks.win)
+			d.ks.win.Append(&w)
 			w.Bool(d.ks.refSet)
 			w.F64s(d.ks.ref)
 		}
@@ -56,7 +56,7 @@ func (m *Monitor) MarshalBinary() ([]byte, error) {
 			w.F64(d.ph.mMax)
 		}
 		if d.mk != nil {
-			appendWindow(&w, &d.mk.win)
+			d.mk.win.Append(&w)
 			w.U64(uint64(d.mk.s))
 		}
 	}
@@ -110,7 +110,7 @@ func UnmarshalMonitor(data []byte, dim int, cfg Config) (*Monitor, error) {
 			r.Fail(fmt.Errorf("bank window %d, since %d, cooldown %d outside the configuration", dw, d.since, d.cooldown))
 		}
 		if ks := d.ks; ks != nil {
-			ks.win.load(&r)
+			ks.win.Load(&r)
 			switch r.U8() {
 			case 0:
 			case 1:
@@ -132,9 +132,9 @@ func UnmarshalMonitor(data []byte, dim int, cfg Config) (*Monitor, error) {
 			ph.sum, ph.mUp, ph.mDn, ph.mMin, ph.mMax = r.F64(), r.F64(), r.F64(), r.F64(), r.F64()
 		}
 		if mk := d.mk; mk != nil {
-			mk.win.load(&r)
+			mk.win.Load(&r)
 			mk.s = int64(r.U64())
-			if pairs := int64(mk.win.count) * int64(mk.win.count-1) / 2; mk.s > pairs || mk.s < -pairs {
+			if pairs := int64(mk.win.Len()) * int64(mk.win.Len()-1) / 2; mk.s > pairs || mk.s < -pairs {
 				r.Fail(fmt.Errorf("Mann–Kendall S %d beyond %d pairs", mk.s, pairs))
 			}
 		}

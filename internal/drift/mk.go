@@ -1,6 +1,10 @@
 package drift
 
-import "math"
+import (
+	"math"
+
+	"odds/internal/window"
+)
 
 // MannKendall is the sliding-window Mann–Kendall trend detector. Over the
 // window x_1..x_n (arrival order) the concordance statistic
@@ -12,7 +16,7 @@ import "math"
 // the oldest subtracts the sign of every survivor against it (it was the
 // earliest element of each dying pair). Both deltas are the value's
 // concordance, #less − #greater among the survivors, answered by binary
-// search on the sortedWindow, so one observation costs O(log W)
+// search on the sorted window (window.Sorted), so one observation costs O(log W)
 // comparisons plus one memmove instead of an O(W) sign scan (ties
 // contribute zero sign, so S stays a bit-exact integer).
 //
@@ -24,23 +28,29 @@ import "math"
 // continuity correction. A constant stream is all ties: Var(S) = 0 and
 // Stat reports 0 rather than dividing by it.
 type MannKendall struct {
-	win sortedWindow
+	win window.Sorted
 	s   int64
 }
 
 // NewMannKendall returns a detector over a sliding window of length w.
 func NewMannKendall(w int) *MannKendall {
-	return &MannKendall{win: newSortedWindow(w)}
+	return &MannKendall{win: window.NewSorted(w)}
 }
 
 // Observe feeds one value. Non-finite values must be filtered by the
 // caller (Detector does).
 func (m *MannKendall) Observe(x float64) {
-	if old, ok := m.win.pop(); ok {
-		m.s += m.win.concordance(old)
+	if old, _, ok := m.win.Pop(); ok {
+		m.s += concordance(m.win.Values(), old)
 	}
-	m.s += m.win.concordance(x)
-	m.win.push(x)
+	m.s += concordance(m.win.Values(), x)
+	m.win.Push(x)
+}
+
+// concordance returns Σ_residents sign(v − e) = #less − #greater over the
+// ascending residents; v's own tie group contributes zero either way.
+func concordance(sorted []float64, v float64) int64 {
+	return int64(window.LowerBound(sorted, v) - (len(sorted) - window.UpperBound(sorted, v)))
 }
 
 // S returns the current concordance statistic.
@@ -50,10 +60,10 @@ func (m *MannKendall) S() int64 { return m.s }
 // window holds fewer than 8 values (the normal approximation is
 // meaningless below that) or when every resident value is tied.
 func (m *MannKendall) Stat() float64 {
-	if m.win.count < 8 {
+	if m.win.Len() < 8 {
 		return 0
 	}
-	return math.Abs(mkZ(m.s, m.win.sorted))
+	return math.Abs(mkZ(m.s, m.win.Values()))
 }
 
 // mkZ computes the continuity-corrected Z score from S and the sorted
@@ -90,6 +100,6 @@ func mkZ(s int64, sorted []float64) float64 {
 
 // Reset empties the window.
 func (m *MannKendall) Reset() {
-	m.win.reset()
+	m.win.Reset()
 	m.s = 0
 }

@@ -50,7 +50,7 @@ func (c BackendsConfig) pipelineConfig(kind detector.Kind) serve.PipelineConfig 
 	pcfg := servingPipeline(c.WindowCap, c.Seed)
 	pcfg.Backend = kind
 	pcfg.Backends = detector.Params{
-		Qn:      detector.QnConfig{Eps: 0.02, Lag: 16, K: 4, MinN: 64},
+		Qn:      detector.QnConfig{Eps: 0.02, K: 4, MinN: 64},
 		Coreset: detector.CoresetConfig{Size: c.WindowCap / 4, RebuildEvery: 64, WindowCount: c.WindowCap, MinN: 64},
 		EWMA:    detector.EWMAConfig{Lambda: 0.1, K: 4, MinN: 64},
 	}

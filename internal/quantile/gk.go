@@ -2,8 +2,9 @@
 // summary. The paper's related work (Section 11) discusses order
 // statistics in sensor networks (Greenwald & Khanna [19], Shrivastava et
 // al. [41]) as the alternative lens on distribution approximation; this
-// package supplies that substrate, and the serving tier's qn backend (the
-// streaming Q_n robust scale, internal/detector) runs on it.
+// package supplies that substrate. The serving tier keeps one per shard
+// for its ingest-latency quantiles, and the load generator one for its
+// client round trips.
 //
 // A summary maintains tuples (v, g, Δ) with Σg = n such that any φ-quantile
 // query is answered within ±ε·n rank error, using O((1/ε)·log(ε·n)) space.
@@ -12,8 +13,8 @@
 // values, and ahead of every query. A flush is one pass: the pending
 // values are sorted (an insertion loop up to insertionCutoff of them,
 // sort.Float64s past it), and each element of their merge with the tuples
-// goes through the compress rule as it is written, so a backend that
-// queries on every arrival (qn) pays one walk of the summary per flush.
+// goes through the compress rule as it is written, so a caller that
+// queries often pays one walk of the summary per flush.
 package quantile
 
 import (
@@ -49,9 +50,6 @@ func New(eps float64) *GK {
 	return &GK{eps: eps, batch: max(int(1/(2*eps)), 16)}
 }
 
-// Eps returns the configured error bound.
-func (s *GK) Eps() float64 { return s.eps }
-
 // N returns the number of inserted observations.
 func (s *GK) N() int { return s.n + len(s.pending) }
 
@@ -68,9 +66,8 @@ func (s *GK) Insert(x float64) {
 
 // insertionCutoff is the pending length up to which flush sorts with a
 // plain insertion loop: an Insert-driven flush holds batch values (25
-// at the qn backend's ε = 0.02) and a Query-driven one fewer, where the
-// loop beats sort.Float64s. Longer buffers — a small ε, or a restored
-// blob, which may carry any pending count — take the library sort.
+// at ε = 0.02) and a Query-driven one fewer, where the loop beats
+// sort.Float64s. Longer buffers — a small ε — take the library sort.
 const insertionCutoff = 32
 
 // sortPending orders the pending buffer ascending. Up to insertionCutoff
@@ -92,13 +89,6 @@ func sortPending(p []float64) {
 		p[j] = x
 	}
 }
-
-// Flush folds the pending inserts into the summary, exactly as the flush
-// ahead of a Query does, without answering anything. A caller that must
-// leave the summary where a query would have left it — qn's replica path,
-// which skips its judgement but not the flush boundaries the judgement's
-// queries set — calls this instead.
-func (s *GK) Flush() { s.flush() }
 
 // flush folds the pending buffer into the summary in one pass: each
 // element of the merged order (a tuple before a pending value it ties
@@ -200,15 +190,6 @@ func (s *GK) Query(phi float64) float64 {
 	}
 	return best
 }
-
-// Tuples returns the current summary size (for memory accounting).
-func (s *GK) Tuples() int {
-	s.flush()
-	return len(s.tuples)
-}
-
-// MemoryNumbers returns stored scalars (three per tuple).
-func (s *GK) MemoryNumbers() int { return 3 * s.Tuples() }
 
 // Merge combines two summaries into a new one covering both streams —
 // the aggregation step that lets leaders in a sensor hierarchy maintain

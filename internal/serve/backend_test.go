@@ -16,7 +16,7 @@ func backendTestConfig(kind detector.Kind, dim, wcap int, seed int64) PipelineCo
 	pcfg := testPipelineConfig(DetectDistance, dim, wcap, seed)
 	pcfg.Backend = kind
 	pcfg.Backends = detector.Params{
-		Qn:      detector.QnConfig{Eps: 0.05, Lag: 8, K: 3, MinN: 16},
+		Qn:      detector.QnConfig{Eps: 0.05, Window: 16, K: 3, MinN: 16},
 		Coreset: detector.CoresetConfig{Size: 64, RebuildEvery: 8, WindowCount: wcap, MinN: 16},
 		EWMA:    detector.EWMAConfig{Lambda: 0.2, K: 3, MinN: 8},
 	}

@@ -21,7 +21,6 @@ import (
 	"odds/internal/drift"
 	"odds/internal/kernel"
 	"odds/internal/mdef"
-	"odds/internal/quantile"
 	"odds/internal/sample"
 	"odds/internal/varest"
 	"odds/internal/window"
@@ -114,7 +113,7 @@ func fixtureDetectorConfig(kind detector.Kind) detector.Config {
 		Core:      fixtureCoreConfig(2),
 		Distance:  distance.Params{Radius: 0.1, Threshold: 2},
 		MDEF:      mdef.Params{R: 0.2, AlphaR: 0.05, KSigma: 1.5},
-		Qn:        detector.QnConfig{Eps: 0.1, Lag: 3, K: 3, MinN: 8},
+		Qn:        detector.QnConfig{Eps: 0.1, Window: 8, K: 3, MinN: 8},
 		Coreset:   detector.CoresetConfig{Size: 6, RebuildEvery: 4, WindowCount: 16, MinN: 8},
 		EWMA:      detector.EWMAConfig{Lambda: 0.2, K: 3, MinN: 8},
 	}
@@ -236,11 +235,34 @@ func marshalTwice(m interface{ MarshalBinary() ([]byte, error) }, err error) ([]
 	return m.MarshalBinary()
 }
 
+// odDBState returns the offset of an ODDB blob's state section: after
+// the magic, the version and the length-prefixed kind and fingerprint,
+// and the state's own length prefix.
+func odDBState(b []byte) int {
+	kind := 12 + int(binary.LittleEndian.Uint32(b[8:]))
+	return kind + 8 + int(binary.LittleEndian.Uint32(b[kind:]))
+}
+
+// qnRefusals are the qn blob's refuse rows. The state is u64 n, u64
+// flagged, then per dimension a u32-counted window and f64 s; the last
+// eight bytes are dimension 1's s.
+var qnRefusals = map[string]func([]byte){
+	"s beyond every difference": func(b []byte) { putF64(b, len(b)-8, 1e9) },
+	"fewer arrivals than values": func(b []byte) {
+		binary.LittleEndian.PutUint64(b[odDBState(b):], 1)
+	},
+}
+
 func detectorCase(kind detector.Kind) formatCase {
 	cfg := fixtureDetectorConfig(kind)
 	var restored detector.Detector
+	var refuse map[string]func([]byte)
+	if kind == detector.KindQn {
+		refuse = qnRefusals
+	}
 	return formatCase{
-		name: "ODDB-" + string(kind),
+		refuse: refuse,
+		name:   "ODDB-" + string(kind),
 		build: func() ([]byte, error) {
 			d, err := detector.New(cfg)
 			if err != nil {
@@ -253,8 +275,7 @@ func detectorCase(kind detector.Kind) formatCase {
 		},
 		// One detector serves every decode: Restore replaces the whole state
 		// on success and leaves it untouched on failure, and constructing a
-		// qn backend (four pre-grown sketches) per mutation would dominate
-		// the sweep.
+		// kernelchain backend per mutation would dominate the sweep.
 		reencode: func(data []byte) ([]byte, error) {
 			if restored == nil {
 				var err error
@@ -335,19 +356,6 @@ func formatCases() []formatCase {
 			},
 			reencode: func(data []byte) ([]byte, error) {
 				return marshalTwice(kernel.UnmarshalEstimator(data, 8))
-			},
-		},
-		{
-			name: "ODGK",
-			build: func() ([]byte, error) {
-				s := quantile.New(0.1)
-				for _, p := range fixtureStream(5, 50, 1) {
-					s.Insert(p[0])
-				}
-				return s.MarshalBinary()
-			},
-			reencode: func(data []byte) ([]byte, error) {
-				return marshalTwice(quantile.UnmarshalGK(data))
 			},
 		},
 		{
